@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
                    ScalarField, boundary_restrict, normal_derivative)
-from .linearize import metric_from_solution, nondiv_solve
+from .linearize import metric_from_solution, nondiv_solve, nondiv_solve_many
 from .maforward import eval_boundary_data, solve_ma
 
 __all__ = [
@@ -104,26 +104,10 @@ def dn_full(F, phi=None, grid: DomainGrid | None = None, **opts) -> BoundaryTrac
     return normal_derivative(sol.u, anchor=sol.phi)
 
 
-def dn_lin(g: MetricField, X, phi, *, rtol: float = 1e-10,
-           maxiter: int = 20000) -> BoundaryTrace:
-    """Conormal derivative of the first-linearized solution.
-
-    Solves g^{ab} d_ab v = 0 with data phi and evaluates
-    sqrt|g| g^{ik} d_i v nu_k on the ring, splitting the gradient into the
-    normal part (one-sided ray fit anchored at the exact data) and the
-    tangential part (spectral derivative of the data itself). X is
-    accepted for signature uniformity with the adjoint-side maps; the
-    first-linearized equation carries no drift.
-    """
+def _conormal_weights(g: MetricField):
+    """Ring coefficients of the normal and tangential derivative in the
+    conormal derivative sqrt|g| g^{ik} d_i v nu_k, from the metric's trace."""
     grid = g.grid
-    if not isinstance(grid, DomainGrid):
-        raise GridError("dn_lin expects a domain grid")
-    v = nondiv_solve(g, phi, rtol=rtol, maxiter=maxiter)
-    p = _ring_eval(grid, phi)
-    anchor = BoundaryTrace(p, grid)
-    dnu = normal_derivative(v, anchor=anchor).values
-    dtau = tangential_derivative(grid, p)
-
     b11 = boundary_restrict(ScalarField(g.g11, grid)).values
     b12 = boundary_restrict(ScalarField(g.g12, grid)).values
     b22 = boundary_restrict(ScalarField(g.g22, grid)).values
@@ -136,13 +120,40 @@ def dn_lin(g: MetricField, X, phi, *, rtol: float = 1e-10,
     tau = _tangent(grid)
     gn1 = b11 * nu[:, 0] + b12 * nu[:, 1]
     gn2 = b12 * nu[:, 0] + b22 * nu[:, 1]
-    nu_g_nu = nu[:, 0] * gn1 + nu[:, 1] * gn2
-    tau_g_nu = tau[:, 0] * gn1 + tau[:, 1] * gn2
-    return BoundaryTrace(weight * (nu_g_nu * dnu + tau_g_nu * dtau), grid)
+    return (weight * (nu[:, 0] * gn1 + nu[:, 1] * gn2),
+            weight * (tau[:, 0] * gn1 + tau[:, 1] * gn2))
 
 
-def dn_full_derivative(base, phi, *, rtol: float = 1e-10,
-                       maxiter: int = 20000) -> BoundaryTrace:
+def _conormal(v: ScalarField, phi, weights) -> BoundaryTrace:
+    """Conormal derivative of a solved field v with Dirichlet data phi.
+
+    The normal part is a one-sided ray fit anchored at the exact data, the
+    tangential part the spectral derivative of the data itself.
+    """
+    grid = v.grid
+    p = _ring_eval(grid, phi)
+    dnu = normal_derivative(v, anchor=BoundaryTrace(p, grid)).values
+    dtau = tangential_derivative(grid, p)
+    return BoundaryTrace(weights[0] * dnu + weights[1] * dtau, grid)
+
+
+def dn_lin(g: MetricField, X, phi, *, rtol: float = 1e-10) -> BoundaryTrace:
+    """Conormal derivative of the first-linearized solution.
+
+    Solves g^{ab} d_ab v = 0 with data phi and evaluates
+    sqrt|g| g^{ik} d_i v nu_k on the ring, splitting the gradient into the
+    normal part (one-sided ray fit anchored at the exact data) and the
+    tangential part (spectral derivative of the data itself). X is
+    accepted for signature uniformity with the adjoint-side maps; the
+    first-linearized equation carries no drift.
+    """
+    if not isinstance(g.grid, DomainGrid):
+        raise GridError("dn_lin expects a domain grid")
+    v = nondiv_solve(g, phi, rtol=rtol)
+    return _conormal(v, phi, _conormal_weights(g))
+
+
+def dn_full_derivative(base, phi, *, rtol: float = 1e-10) -> BoundaryTrace:
     """Exact derivative of dn_full at a solved base.
 
     The full map composes the nonlinear solve with a normal-derivative
@@ -158,7 +169,7 @@ def dn_full_derivative(base, phi, *, rtol: float = 1e-10,
     """
     g = metric_from_solution(base)
     grid = g.grid
-    v = nondiv_solve(g, phi, rtol=rtol, maxiter=maxiter)
+    v = nondiv_solve(g, phi, rtol=rtol)
     anchor = BoundaryTrace(_ring_eval(grid, phi), grid)
     return normal_derivative(v, anchor=anchor)
 
@@ -206,18 +217,27 @@ def _basis_project(vals: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def dn_lin_matrix(g: MetricField, X, K: int = 6, **opts) -> DNMatrix:
-    """Assemble the linearized map column-by-column over the Fourier basis."""
+def dn_lin_matrix(g: MetricField, X, K: int = 6, *,
+                  rtol: float = 1e-10) -> DNMatrix:
+    """Assemble the linearized map over the Fourier basis.
+
+    Column j is the basis projection of dn_lin of basis function j; all
+    2K + 1 first-linearized solves share one factorization of the metric's
+    system, and the metric is restricted to the ring once.
+    """
     grid = g.grid
+    if not isinstance(grid, DomainGrid):
+        raise GridError("dn_lin_matrix expects a domain grid")
     M = len(grid.boundary)
     if 2 * K + 1 > M // 2:
         raise GridError(f"basis order {K} too large for a ring of {M} nodes")
     theta = 2.0 * np.pi * np.arange(M) / M
     cols, labels = _basis_values(theta, K)
-    A = np.empty((2 * K + 1, 2 * K + 1))
-    for j, col in enumerate(cols):
-        out = dn_lin(g, X, BoundaryTrace(col, grid), **opts)
-        A[:, j] = _basis_project(out.values, K)
+    data = [BoundaryTrace(col, grid) for col in cols]
+    weights = _conormal_weights(g)
+    vs = nondiv_solve_many(g, data, rtol=rtol)
+    A = np.column_stack([_basis_project(_conormal(v, phi, weights).values, K)
+                         for v, phi in zip(vs, data)])
     return DNMatrix(A, tuple(labels), K, grid)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .complexcalc import deriv, spectral_deriv
 from .grid import (ComplexField, DomainGrid, GridError, MetricField,
                    PaddedGrid, ScalarField, _snap, interp_masked)
-from .linearize import VectorField, divergence_form_apply, nondiv_solve
+from .linearize import VectorField, divergence_form_apply, nondiv_solve_many
 
 __all__ = [
     "ChristoffelField",
@@ -548,8 +548,7 @@ def diffeo_rigidity_solve(g1: MetricField, domain: DomainGrid | None = None,
         raise GridError("metric lives on a different grid")
     phi1, phi2 = data if data is not None else (lambda x, y: x,
                                                 lambda x, y: y)
-    w1 = nondiv_solve(g1, phi1, **opts)
-    w2 = nondiv_solve(g1, phi2, **opts)
+    w1, w2 = nondiv_solve_many(g1, [phi1, phi2], **opts)
     X, Y = grid.meshgrid()
     d1 = np.where(grid.mask, w1.values - X, 0.0)
     d2 = np.where(grid.mask, w2.values - Y, 0.0)

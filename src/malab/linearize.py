@@ -8,9 +8,13 @@ linearization solves g^{ab} d_ab v = 0 with the perturbation's boundary
 data; the second linearization solves g^{ab} d_ab w = tr(G V1 G V2) with
 zero data, where V_k are the Hessians of first-order solutions and G the
 coefficient matrix; the adjoint problem carries the drift in divergence
-form. Linear systems are solved iteratively (BiCGSTAB) with diagonal
-preconditioning, as small nonsymmetric sparse systems converge quickly
-under it.
+form. Linear systems go through the sparse-LU layer of `maforward`, split
+per metric: the system matrix is assembled and factored once, together
+with the divergence-form cross-check matrix, and every right side of that
+metric is solved against the one factorization (nondiv_solve_many takes a
+block of boundary data). Every column must meet the residual bound
+||A v - b|| <= rtol ||b|| and pass the cross-check, or the solve raises
+LinearSolveFailure.
 """
 
 from __future__ import annotations
@@ -19,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .complexcalc import deriv
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
                    ScalarField, boundary_restrict, interp_masked)
-from .maforward import (MASolution, StencilOps, boundary_vector,
-                        build_stencil_ops, eval_boundary_data, solve_ma,
-                        solve_ma_zero)
+from .maforward import (LinearSolveFailure, MASolution, SparseLU, StencilOps,
+                        boundary_vector, build_stencil_ops, eval_boundary_data,
+                        solve_ma, solve_ma_zero)
 
 __all__ = [
     "VectorField",
@@ -37,6 +40,7 @@ __all__ = [
     "drift_field",
     "divergence_form_apply",
     "nondiv_solve",
+    "nondiv_solve_many",
     "adjoint_solve",
     "second_solve",
     "eps_consistency",
@@ -58,14 +62,6 @@ class VectorField:
     def norm_max(self, where=None) -> float:
         mag = np.hypot(self.c1, self.c2)
         return float(np.max(mag if where is None else mag[where]))
-
-
-class LinearSolveFailure(RuntimeError):
-    """Iterative linear solve failed; carries the residual history."""
-
-    def __init__(self, msg: str, residuals):
-        super().__init__(msg)
-        self.residuals = residuals
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +228,17 @@ def divergence_form_apply(g: MetricField, X: VectorField, v: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# assembly and the iterative solve
+# assembly and the per-metric solve
 
 
-def _coeffs_at_nodes(g: MetricField, ops: StencilOps):
-    m = ops.grid.mask
+def _coeffs_at_nodes(g: MetricField):
+    m = g.grid.mask
     a11 = g.g11[m]
     a12 = g.g12[m]
     a22 = g.g22[m]
+    if not (np.all(np.isfinite(a11)) and np.all(np.isfinite(a12))
+            and np.all(np.isfinite(a22))):
+        raise GridError("metric has non-finite entries on the domain")
     lo, hi = g.eig_bounds(where=m)
     if lo <= 0.0:
         raise GridError("coefficient matrix is not positive definite")
@@ -287,74 +286,60 @@ def _source_vec(f, grid: DomainGrid):
     return arr
 
 
-def _iter_solve(A: sp.csr_matrix, rhs: np.ndarray, rtol: float,
-                maxiter: int) -> np.ndarray:
-    diag = A.diagonal()
-    if np.any(diag == 0.0):
-        raise GridError("zero diagonal entry in the assembled system")
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-    M = sp.diags(1.0 / diag)
-    history = []
+def nondiv_solve_many(g: MetricField, datas, f=None, *, rtol: float = 1e-10,
+                      cross_check: bool = True) -> list:
+    """Solve g^{ab} d_ab v = f (default 0) once per Dirichlet data in datas.
 
-    def track(xk):
-        history.append(float(np.linalg.norm(rhs - A @ xk)))
-
-    x, info = spla.bicgstab(A, rhs, M=M, rtol=rtol, atol=0.0,
-                            maxiter=maxiter, callback=track)
-    if info != 0:
-        # BiCGSTAB can break down on noise-level right sides just short
-        # of the target; a direct factorization is cheap at these sizes
-        # and must still meet the same residual bound.
-        x = spla.spsolve(A.tocsc(), rhs)
-        res = float(np.linalg.norm(rhs - A @ x))
-        history.append(res)
-        if res > rtol * rhs_norm:
-            raise LinearSolveFailure(
-                f"iterative solve failed (info {info}) and the direct "
-                f"fallback left residual {res:.3e} above rtol {rtol:g}",
-                history)
-    return x
-
-
-def nondiv_solve(g: MetricField, phi, f=None, *, rtol: float = 1e-10,
-                 maxiter: int = 20000, cross_check: bool = True) -> ScalarField:
-    """Solve g^{ab} d_ab v = f (default 0) with Dirichlet data phi.
-
-    Assembles the equation twice: from the bare coefficients, and through
-    the divergence-form expansion whose drift terms cancel, which guards
-    the volume-weight wiring. The divergence-route residual of the
-    computed solution must stay within a factor 10 of the primary one.
+    The system is assembled and factored once for the metric, and all
+    right sides go through that factorization in one block solve. The
+    cross-check assembles the equation a second time, through the
+    divergence-form expansion whose drift terms cancel, which guards the
+    volume-weight wiring: every column's divergence-route residual must
+    stay within a factor 10 of its primary one.
     """
     grid = g.grid
     if not isinstance(grid, DomainGrid):
         raise GridError("nondiv_solve expects a domain grid")
+    coeffs = _coeffs_at_nodes(g)
     ops = build_stencil_ops(grid)
-    a11, a12, a22 = _coeffs_at_nodes(g, ops)
+    lu = SparseLU(_nondiv_matrix(ops, *coeffs))
     fvec = _source_vec(f, grid)
-    A = _nondiv_matrix(ops, a11, a12, a22)
-    rhs = _nondiv_rhs(ops, phi, a11, a12, a22, f=fvec)
-    v = _iter_solve(A, rhs, rtol, maxiter)
+    rhs = np.column_stack([_nondiv_rhs(ops, phi, *coeffs, f=fvec)
+                           for phi in datas])
+    V = lu.solve(rhs, rtol)
 
     if cross_check:
         w = _volume_weight(g, grid.mask)[grid.mask]
-        B = _nondiv_matrix(ops, w * a11, w * a12, w * a22)
+        B = _nondiv_matrix(ops, *(w * a for a in coeffs))
         B = sp.diags(np.where(ops.pde, 1.0 / w, 1.0)) @ B
-        rhsB = _nondiv_rhs(ops, phi, a11, a12, a22, f=fvec)
-        scale = float(np.max(np.abs(rhs))) + 1.0
-        resA = float(np.max(np.abs(A @ v - rhs)))
-        resB = float(np.max(np.abs(B @ v - rhsB)))
-        if resB > 10.0 * max(resA, rtol * scale):
+        scale = np.max(np.abs(rhs), axis=0) + 1.0
+        resA = np.max(np.abs(lu.A @ V - rhs), axis=0)
+        resB = np.max(np.abs(B @ V - rhs), axis=0)
+        bad = resB > 10.0 * np.maximum(resA, rtol * scale)
+        if np.any(bad):
+            j = int(np.argmax(bad))
             raise LinearSolveFailure(
                 "divergence-form assembly disagrees with the bare-"
-                f"coefficient route: {resB:.3e} vs {resA:.3e}", [resA, resB])
+                f"coefficient route: {resB[j]:.3e} vs {resA[j]:.3e}",
+                [float(resA[j]), float(resB[j])])
 
-    return ScalarField(ops.scatter(v), grid, backend="nondiv-bicgstab")
+    return [ScalarField(ops.scatter(v), grid, backend="nondiv-lu")
+            for v in V.T]
+
+
+def nondiv_solve(g: MetricField, phi, f=None, *, rtol: float = 1e-10,
+                 cross_check: bool = True) -> ScalarField:
+    """Solve g^{ab} d_ab v = f (default 0) with Dirichlet data phi.
+
+    One column of nondiv_solve_many, with the same residual bound and
+    divergence-form cross-check.
+    """
+    return nondiv_solve_many(g, [phi], f, rtol=rtol,
+                             cross_check=cross_check)[0]
 
 
 def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
-                  rtol: float = 1e-10, maxiter: int = 20000) -> ScalarField:
+                  rtol: float = 1e-10) -> ScalarField:
     """Solve the adjoint problem Lap_g v* + (1/w) d_b(w X^b v*) = f.
 
     Expanded, the operator is g^{ab} d_ab + (X_g + X) . grad + c0 with
@@ -363,8 +348,8 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
     grid = g.grid
     if not isinstance(grid, DomainGrid):
         raise GridError("adjoint_solve expects a domain grid")
+    a11, a12, a22 = _coeffs_at_nodes(g)
     ops = build_stencil_ops(grid)
-    a11, a12, a22 = _coeffs_at_nodes(g, ops)
     Xg = drift_field(g)
     w = _volume_weight(g, grid.mask)
     c0_full = (deriv(w * X.c1, grid, 1, 0) + deriv(w * X.c2, grid, 0, 1)) / w
@@ -372,11 +357,14 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
     X1 = (Xg.c1 + X.c1)[m]
     X2 = (Xg.c2 + X.c2)[m]
     c0 = c0_full[m]
+    if not (np.all(np.isfinite(X1)) and np.all(np.isfinite(X2))
+            and np.all(np.isfinite(c0))):
+        raise GridError("drift has non-finite entries on the domain")
     fvec = _source_vec(f, grid)
     A = _nondiv_matrix(ops, a11, a12, a22, X1, X2, c0)
     rhs = _nondiv_rhs(ops, phi_star, a11, a12, a22, f=fvec, X1=X1, X2=X2)
-    v = _iter_solve(A, rhs, rtol, maxiter)
-    return ScalarField(ops.scatter(v), grid, backend="adjoint-bicgstab")
+    v = SparseLU(A).solve(rhs, rtol)
+    return ScalarField(ops.scatter(v), grid, backend="adjoint-lu")
 
 
 def _hessian_of(ops: StencilOps, vals: np.ndarray, data):
@@ -389,7 +377,7 @@ def _hessian_of(ops: StencilOps, vals: np.ndarray, data):
 
 def second_solve(g: MetricField, X: VectorField, v1: ScalarField,
                  v2: ScalarField, phi1=None, phi2=None, *,
-                 rtol: float = 1e-10, maxiter: int = 20000) -> ScalarField:
+                 rtol: float = 1e-10) -> ScalarField:
     """Second-linearization solve: g^{ab} d_ab w = tr(G V1 G V2), w = 0 on
     the boundary.
 
@@ -399,13 +387,12 @@ def second_solve(g: MetricField, X: VectorField, v1: ScalarField,
     fitted from the interior. X is accepted for interface uniformity with
     the adjoint; the non-divergence form of the equation does not use it.
     """
-    grid = g.grid
-    ops = build_stencil_ops(grid)
+    a11, a12, a22 = _coeffs_at_nodes(g)
+    ops = build_stencil_ops(g.grid)
     if phi1 is None:
         phi1 = boundary_restrict(v1)
     if phi2 is None:
         phi2 = boundary_restrict(v2)
-    a11, a12, a22 = _coeffs_at_nodes(g, ops)
     p11, p12, p22 = _hessian_of(ops, v1.values, phi1)
     q11, q12, q22 = _hessian_of(ops, v2.values, phi2)
 
@@ -421,7 +408,7 @@ def second_solve(g: MetricField, X: VectorField, v1: ScalarField,
     rhs_trace = b11 * c11 + b12 * c21 + b21 * c12 + b22 * c22
     rhs_trace[~ops.pde] = 0.0
 
-    return nondiv_solve(g, 0.0, f=rhs_trace, rtol=rtol, maxiter=maxiter)
+    return nondiv_solve(g, 0.0, f=rhs_trace, rtol=rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +445,7 @@ def eps_consistency(F, phi1, phi2, eps1: float = 0.1, eps2: float = 0.1,
     base = solve_ma_zero(F, grid, **opts)
     g = metric_from_solution(base)
     X = drift_field(g)
-    v1 = nondiv_solve(g, phi1)
-    v2 = nondiv_solve(g, phi2)
+    v1, v2 = nondiv_solve_many(g, [phi1, phi2])
     w = second_solve(g, X, v1, v2, phi1, phi2)
 
     b = grid.boundary

@@ -9,16 +9,23 @@ nearest axis crossing is closer than a quarter cell become interpolation
 rows instead of PDE rows, which keeps every matrix row bounded.
 
 The Newton step solves cof(D^2 u) : D^2 delta = F - det D^2 u with zero
-boundary data, damped by backtracking under a convexity guard. Linear
-systems go through sparse LU; the systems are small (one unknown per
-interior node) and nonsymmetric, where a direct factorization is the
-dependable choice.
+boundary data, damped by backtracking under a convexity guard. Each solve
+factors the Laplacian L11 + L22 + R once (sparse LU); that factorization
+gives the Poisson initial guess and preconditions GMRES on every Newton
+Jacobian, which is inexact Newton with the forcing term
+eta = min(0.1, 0.1 * max|res|) (Eisenstat and Walker, SIAM J. Sci. Comput.
+17, 1996). A step whose GMRES solve misses eta still has to pass the line
+search. The same layer, SparseLU, solves the linearized systems of
+`linearize` and `dnmap`: one factorization per matrix, any number of right
+sides, and a residual check on every column. No factorization is kept
+beyond the call that made it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +35,7 @@ import scipy.sparse.linalg as spla
 from .grid import BoundaryTrace, DomainGrid, GridError, ScalarField
 
 __all__ = [
+    "LinearSolveFailure",
     "MASolution",
     "NewtonFailure",
     "StencilOps",
@@ -39,6 +47,7 @@ __all__ = [
     "solve_ma",
     "solve_ma_zero",
     "perturbation_stability",
+    "SparseLU",
 ]
 
 # interior nodes whose nearest axis crossing is below this fraction of a
@@ -46,12 +55,70 @@ __all__ = [
 CUT_FRACTION = 0.25
 
 
-class NewtonFailure(RuntimeError):
-    """Newton iteration failed; carries the iteration log."""
+# GMRES on a Newton Jacobian: Krylov vectors kept per cycle and cycles;
+# with the Laplacian preconditioner a step takes 2-15 iterations
+KRYLOV_RESTART = 40
+KRYLOV_CYCLES = 2
 
-    def __init__(self, msg: str, log):
+
+class NewtonFailure(RuntimeError):
+    """Newton iteration failed; carries the iteration log and the GMRES
+    iteration count of every step taken."""
+
+    def __init__(self, msg: str, log, krylov_iters=()):
         super().__init__(msg)
         self.log = log
+        self.krylov_iters = list(krylov_iters)
+
+
+class LinearSolveFailure(RuntimeError):
+    """A linear solve missed its residual bound; carries the residuals."""
+
+    def __init__(self, msg: str, residuals):
+        super().__init__(msg)
+        self.residuals = residuals
+
+
+# ---------------------------------------------------------------------------
+# the sparse-LU solver layer
+
+
+class SparseLU:
+    """One sparse LU factorization, solved against any number of right sides.
+
+    The stencil matrices are nearly symmetric with a dominant diagonal, so
+    the factorization keeps the diagonal pivots under a minimum-degree
+    ordering of A + A^T: half the fill of a pivoting LU at these sizes.
+    With rtol, every column of a solve must meet ||A x - b|| <= rtol ||b||
+    (2-norm) after at most one step of iterative refinement, or
+    LinearSolveFailure carries the per-column residuals.
+    """
+
+    def __init__(self, A):
+        self.A = sp.csr_matrix(A)
+        try:
+            self._lu = spla.splu(
+                sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
+        except RuntimeError as exc:        # a zero pivot
+            raise LinearSolveFailure(f"sparse LU failed: {exc}", []) from exc
+
+    def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
+        """x with A x = rhs; rhs is a vector or an (N, k) block of columns."""
+        x = self._lu.solve(rhs)
+        if rtol is None:
+            return x
+        bound = rtol * np.linalg.norm(rhs, axis=0)
+        r = rhs - self.A @ x
+        if not np.all(np.linalg.norm(r, axis=0) <= bound):
+            x = x + self._lu.solve(r)
+            r = rhs - self.A @ x
+        res = np.linalg.norm(r, axis=0)
+        if not np.all(res <= bound):            # NaN fails too
+            raise LinearSolveFailure(
+                f"LU residual {np.max(res):.3e} above rtol {rtol:g} times "
+                "the right side", np.atleast_1d(res).tolist())
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +154,22 @@ def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
             f"no ring parametrization for kind {grid.kind!r}; "
             "pass boundary data as a callable")
     c = np.fft.rfft(vals)
-    ks = np.arange(len(c))
-    phase = np.exp(1j * np.outer(theta.ravel(), ks))
     w = np.full(len(c), 2.0)
     w[0] = 1.0
     if M % 2 == 0:
         # Nyquist column carries cos only
-        phase[:, -1] = np.cos(theta.ravel() * ks[-1])
+        c[-1] = c[-1].real
         w[-1] = 1.0
-    out = (phase * (w * c)).real.sum(axis=1) / M
+    # sum_k w_k c_k e^{ikt} with k = qB + r: e^{ikt} = e^{iqBt} e^{irt}, so
+    # two exponential tables of about sqrt(#k) columns replace one per k
+    B = math.isqrt(len(c) - 1) + 1
+    Q = -(-len(c) // B)
+    cw = np.zeros(Q * B, dtype=complex)
+    cw[:len(c)] = w * c / M
+    t = theta.ravel()
+    lo = np.exp(1j * np.outer(t, np.arange(B)))
+    hi = np.exp(1j * np.outer(t, B * np.arange(Q)))
+    out = np.einsum("pq,pq->p", hi, lo @ cw.reshape(Q, B).T).real
     return out.reshape(x.shape)
 
 
@@ -299,19 +373,28 @@ def boundary_vector(ops: StencilOps, table: GhostTable, data) -> np.ndarray:
 # Poisson initialization
 
 
+def _laplacian(ops: StencilOps) -> SparseLU:
+    return SparseLU(ops.L11 + ops.L22 + ops.R)
+
+
+def _poisson_rhs(ops: StencilOps, F: np.ndarray, data) -> np.ndarray:
+    rhs = 2.0 * np.sqrt(F[ops.grid.mask])
+    rhs -= boundary_vector(ops, ops.g11, data)
+    rhs -= boundary_vector(ops, ops.g22, data)
+    rhs[~ops.pde] = boundary_vector(ops, ops.r_ghost, data)[~ops.pde]
+    return rhs
+
+
 def poisson_init(grid: DomainGrid, F: np.ndarray, data) -> np.ndarray:
     """Initial guess: solve Laplace u = 2 sqrt(F) with the Dirichlet data.
 
     At isotropic points det D^2 u = (Laplace u / 2)^2, so this starts the
     Newton iteration at a convex function with the right volume scale.
+    solve_ma builds the same guess from the factorization it keeps for
+    its Newton steps.
     """
     ops = build_stencil_ops(grid)
-    A = (ops.L11 + ops.L22 + ops.R).tocsc()
-    rhs = 2.0 * np.sqrt(F[grid.mask])
-    rhs -= boundary_vector(ops, ops.g11, data)
-    rhs -= boundary_vector(ops, ops.g22, data)
-    rhs[~ops.pde] = boundary_vector(ops, ops.r_ghost, data)[~ops.pde]
-    return spla.spsolve(A, rhs)
+    return _laplacian(ops).solve(_poisson_rhs(ops, F, data))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +412,7 @@ class MASolution:
     convex: bool = False
     data_norm: float = 0.0
     admissible: bool = True
+    krylov_iters: list = field(default_factory=list)   # GMRES per step
 
     def log_csv(self) -> str:
         buf = io.StringIO()
@@ -354,7 +438,8 @@ def _min_eig(h11, h22, h12, where):
 
 def _as_field_values(F, grid) -> np.ndarray:
     if isinstance(F, ScalarField):
-        if F.grid is not grid and F.values.shape != (grid.n, grid.n):
+        if F.grid is not grid and not (isinstance(F.grid, DomainGrid)
+                                       and _grid_key(F.grid) == _grid_key(grid)):
             raise GridError("source field lives on a different grid")
         return np.asarray(F.values, dtype=float)
     if callable(F):
@@ -391,6 +476,8 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
         grid = F.grid
     Fv = _as_field_values(F, grid)
     Fvec = Fv[grid.mask]
+    if not np.all(np.isfinite(Fvec)):
+        raise GridError("source has non-finite values on the domain")
     if np.min(Fvec) <= 0.0:
         raise GridError("source must be uniformly positive on the domain")
 
@@ -401,11 +488,13 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
 
     norm_phi = data_norm_surrogate(grid, phi)
 
-    U = poisson_init(grid, Fv, phi)
+    lap = _laplacian(ops)
+    U = lap.solve(_poisson_rhs(ops, Fv, phi))
+    precond = spla.LinearOperator((ops.N, ops.N), matvec=lap.solve)
     pde = ops.pde
     Ftarget = tol * float(np.max(np.abs(Fvec)))
 
-    log = []
+    log, krylov = [], []
     h11, h22, h12 = _hessian_entries(ops, U, b11, b22, b12)
     res = np.where(pde, h11 * h22 - h12 ** 2 - Fvec, 0.0)
     rnorm = float(np.max(np.abs(res)))
@@ -416,8 +505,13 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
         if rnorm <= Ftarget:
             break
         J = (sp.diags(h22) @ ops.L11 + sp.diags(h11) @ ops.L22
-             - 2.0 * sp.diags(h12) @ ops.L12 + ops.R).tocsc()
-        step = spla.spsolve(J, -res)
+             - 2.0 * sp.diags(h12) @ ops.L12 + ops.R).tocsr()
+        count = []
+        step, _ = spla.gmres(J, -res, M=precond, rtol=min(0.1, 0.1 * rnorm),
+                             atol=0.0, restart=KRYLOV_RESTART,
+                             maxiter=KRYLOV_CYCLES, callback=count.append,
+                             callback_type="pr_norm")
+        krylov.append(len(count))
 
         lam = 1.0
         while True:
@@ -433,13 +527,13 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
                 log.append((it, rn, lam, le))
                 raise NewtonFailure(
                     "damping exhausted (convexity or descent lost) at "
-                    f"iteration {it}; residual {rnorm:.3e}", log)
+                    f"iteration {it}; residual {rnorm:.3e}", log, krylov)
         U, h11, h22, h12, res, rnorm = Ut, t11, t22, t12, rt, rn
         log.append((it, rnorm, lam, le))
     else:
         raise NewtonFailure(
             f"no convergence in {max_iter} iterations; residual {rnorm:.3e}",
-            log)
+            log, krylov)
 
     detH = h11 * h22 - h12 ** 2
     convex = (_min_eig(h11, h22, h12, pde) > 0.0
@@ -447,7 +541,8 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
     sol = MASolution(
         u=ScalarField(ops.scatter(U), grid, backend="ma-newton"),
         F=ScalarField(Fv, grid), phi=_as_trace(grid, phi), log=log,
-        convex=convex, data_norm=norm_phi, admissible=norm_phi <= delta)
+        convex=convex, data_norm=norm_phi, admissible=norm_phi <= delta,
+        krylov_iters=krylov)
     return sol
 
 
@@ -455,7 +550,11 @@ _zero_cache: dict = {}
 
 
 def solve_ma_zero(F, grid: DomainGrid | None = None, **opts) -> MASolution:
-    """solve_ma with zero boundary data, cached as the linearization base."""
+    """solve_ma with zero boundary data, cached as the linearization base.
+
+    Every caller shares the cached solution, so its u, F and phi values
+    are read-only.
+    """
     if grid is None:
         if not isinstance(F, ScalarField):
             raise GridError("pass a grid when F is not a ScalarField")
@@ -464,7 +563,11 @@ def solve_ma_zero(F, grid: DomainGrid | None = None, **opts) -> MASolution:
     key = (_grid_key(grid), hashlib.sha256(Fv[grid.mask].tobytes()).hexdigest(),
            tuple(sorted(opts.items())))
     if key not in _zero_cache:
-        _zero_cache[key] = solve_ma(Fv, None, grid, **opts)
+        # a copy, so freezing it leaves the caller's array writable
+        sol = solve_ma(Fv.copy(), None, grid, **opts)
+        for arr in (sol.u.values, sol.F.values, sol.phi.values):
+            arr.flags.writeable = False
+        _zero_cache[key] = sol
     return _zero_cache[key]
 
 

@@ -15,9 +15,9 @@ import pytest
 from malab.grid import (BoundaryTrace, GridError, MetricField, build_disk,
                         build_ellipse)
 from malab.maforward import solve_ma
-from malab.dnmap import (dn_full, dn_full_derivative, dn_lin, dn_lin_matrix,
-                         recover_boundary_hessian, recover_boundary_third,
-                         tangential_derivative)
+from malab.dnmap import (_basis_project, dn_full, dn_full_derivative, dn_lin,
+                         dn_lin_matrix, recover_boundary_hessian,
+                         recover_boundary_third, tangential_derivative)
 
 
 def flat_metric(grid):
@@ -115,6 +115,25 @@ def test_dn_lin_matrix_flat_spectrum():
     body = np.array([[float(v) for v in line.split(",")[1:]]
                      for line in text.splitlines()[1:]])
     assert np.array_equal(body, mat.values)
+
+
+def test_dn_lin_matrix_columns_equal_dn_lin():
+    # the block solve over the basis gives the column-by-column map
+    g = build_disk(1.0, 64)
+    X, Y = g.meshgrid()
+    met = MetricField(1 + 0.2 * np.sin(X) * np.cos(Y), 0.1 * X * Y,
+                      1 - 0.15 * np.cos(X) * np.sin(Y), g)
+    K = 3
+    D = dn_lin_matrix(met, None, K=K)
+    M = len(g.boundary)
+    theta = 2.0 * np.pi * np.arange(M) / M
+    basis = [np.ones(M)]
+    for k in range(1, K + 1):
+        basis += [np.cos(k * theta), np.sin(k * theta)]
+    for j, col in enumerate(basis):
+        out = dn_lin(met, None, BoundaryTrace(col, g))
+        assert np.max(np.abs(D.values[:, j]
+                             - _basis_project(out.values, K))) <= 1e-12
 
 
 def test_dn_lin_matrix_rejects_unresolved_basis():

@@ -16,9 +16,11 @@ from malab.grid import (GridError, MetricField, ScalarField, build_disk,
                         build_ellipse, quadrature)
 from malab.maforward import solve_ma, solve_ma_zero
 from malab.complexcalc import deriv
-from malab.linearize import (VectorField, adjoint_solve, divergence_form_apply,
-                             drift_field, eps_consistency, metric_from_solution,
-                             nondiv_solve, rim_extrapolated, second_solve)
+from malab.linearize import (LinearSolveFailure, VectorField, adjoint_solve,
+                             divergence_form_apply, drift_field,
+                             eps_consistency, metric_from_solution,
+                             nondiv_solve, nondiv_solve_many,
+                             rim_extrapolated, second_solve)
 
 
 def flat_metric(grid):
@@ -299,3 +301,35 @@ def test_metric_requires_convexity_certificate():
     object.__setattr__(sol, "convex", False)
     with pytest.raises(GridError, match="convexity"):
         metric_from_solution(sol)
+
+
+def _smooth_metric(g):
+    X, Y = g.meshgrid()
+    return MetricField(1 + 0.2 * np.sin(X) * np.cos(Y), 0.1 * X * Y,
+                       1 - 0.15 * np.cos(X) * np.sin(Y), g)
+
+
+def test_nonfinite_metric_fails_fast():
+    g = build_disk(1.0, 48)
+    met = _smooth_metric(g)
+    met.g12[24, 24] = np.nan
+    with pytest.raises(GridError, match="non-finite"):
+        nondiv_solve(met, lambda x, y: x)
+
+
+def test_block_solve_equals_column_solves():
+    g = build_disk(1.0, 64)
+    met = _smooth_metric(g)
+    datas = [lambda x, y: x, lambda x, y: x * y - 0.2,
+             lambda x, y: np.cos(2 * x) * y]
+    many = nondiv_solve_many(met, datas, f=0.3)
+    for phi, v in zip(datas, many):
+        one = nondiv_solve(met, phi, f=0.3)
+        assert np.max(np.abs(v.values - one.values)) <= 1e-12
+
+
+def test_residual_check_is_live():
+    g = build_disk(1.0, 48)
+    with pytest.raises(LinearSolveFailure) as exc:
+        nondiv_solve(_smooth_metric(g), lambda x, y: x * y, rtol=1e-20)
+    assert exc.value.residuals and min(exc.value.residuals) > 0.0

@@ -6,9 +6,10 @@ import pytest
 
 from malab.grid import BoundaryTrace, GridError, ScalarField, boundary_restrict
 from malab.grid import build_disk, build_ellipse
-from malab.maforward import (NewtonFailure, build_stencil_ops,
-                             data_norm_surrogate, eval_boundary_data,
-                             perturbation_stability, solve_ma, solve_ma_zero)
+from malab.maforward import (LinearSolveFailure, NewtonFailure, SparseLU,
+                             build_stencil_ops, data_norm_surrogate,
+                             eval_boundary_data, perturbation_stability,
+                             solve_ma, solve_ma_zero)
 
 
 def _flat_error(n):
@@ -171,3 +172,82 @@ def test_eval_boundary_data_trig_exactness():
     qx, qy = np.cos(th), np.sin(th)
     out = eval_boundary_data(g, trace, qx, qy)
     assert np.max(np.abs(out - f(qx, qy))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# input contract, cache contract, and the sparse-LU layer
+
+
+def test_nonfinite_source_fails_fast():
+    g = build_disk(1.0, 48)
+    X, _ = g.meshgrid()
+    F = X ** 2 + 1.0
+    F[24, 24] = np.nan
+    with pytest.raises(GridError, match="non-finite"):
+        solve_ma(ScalarField(F, g), None)
+    with pytest.raises(GridError, match="non-finite"):
+        solve_ma_zero(ScalarField(F, g))
+
+
+def test_source_from_another_grid_of_same_n_rejected():
+    disk = build_disk(1.0, 48)
+    ell = build_ellipse(1.2, 0.8, 48)
+    F = ScalarField(np.ones((48, 48)), ell)
+    with pytest.raises(GridError, match="different grid"):
+        solve_ma(F, None, disk)
+    # an equal grid built twice is the same grid
+    twin = build_disk(1.0, 48)
+    sol = solve_ma(ScalarField(np.ones((48, 48)), twin), None, disk)
+    assert sol.convex
+
+
+def test_zero_cache_hands_out_read_only_arrays():
+    n = 40
+    g = build_disk(1.0, n)
+    X, _ = g.meshgrid()
+    Fvals = X ** 2 + 1.0
+    a = solve_ma_zero(ScalarField(Fvals, g))
+    saved = (a.u.values.copy(), a.F.values.copy(), a.phi.values.copy())
+    for arr in (a.u.values, a.F.values, a.phi.values):
+        with pytest.raises(ValueError):
+            arr[0] += 1.0
+    Fvals[0, 0] = 7.0                  # the caller's own array stays writable
+    b = solve_ma_zero(ScalarField(X ** 2 + 1.0, g))
+    assert b is a
+    for arr, ref in zip((b.u.values, b.F.values, b.phi.values), saved):
+        assert np.array_equal(arr, ref)
+
+
+def test_krylov_counts_per_newton_step():
+    g = build_disk(1.0, 64)
+    X, _ = g.meshgrid()
+    sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
+    assert len(sol.krylov_iters) == len(sol.log) - 1
+    assert all(isinstance(k, int) and k >= 1 for k in sol.krylov_iters)
+    assert sol.log_csv().splitlines()[0] == "iter,residual,damping,min_eig"
+    with pytest.raises(NewtonFailure) as exc:
+        solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar, max_iter=1)
+    assert len(exc.value.krylov_iters) == 1
+
+
+def _laplacian_lu(n):
+    ops = build_stencil_ops(build_disk(1.0, n))
+    return SparseLU(ops.L11 + ops.L22 + ops.R), ops.N
+
+
+def test_sparse_lu_block_solve_equals_column_solves():
+    lu, N = _laplacian_lu(64)
+    B = np.random.default_rng(3).standard_normal((N, 4))
+    X = lu.solve(B, rtol=1e-10)
+    for j in range(4):
+        x = lu.solve(B[:, j], rtol=1e-10)
+        assert np.max(np.abs(X[:, j] - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_sparse_lu_residual_check_is_live():
+    lu, N = _laplacian_lu(48)
+    b = np.ones(N)
+    with pytest.raises(LinearSolveFailure) as exc:
+        lu.solve(b, rtol=1e-20)
+    assert len(exc.value.residuals) == 1 and exc.value.residuals[0] > 0.0
+    assert np.all(np.isfinite(lu.solve(b, rtol=1e-10)))
