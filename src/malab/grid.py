@@ -1,10 +1,18 @@
 """Lattice domains, boundary geometry, quadrature, and trace operators.
 
-Convex planar domains are discretized on a regular square lattice covering
-the bounding box. Interior nodes (strictly inside the curve) carry unknowns;
-the boundary is a separate ring of points on the exact curve carrying
-arclength, outward unit normal, and signed curvature. A periodic padded box
-embeds the domain for FFT-based transforms.
+The domain is the axis-aligned ellipse with semi-axes (a, b): the image of
+the unit disk under (x, y) -> (a x, b y), and the disk when a = b. All of
+its geometry comes from the inverse map (x, y) -> (x/a, y/b): the level
+function C = (x/a)^2 + (y/b)^2 - 1, the ring's parameter angle, the
+normals of the level curves, and the exact cell coverage, which is the
+unit disk's. C < 0 is the only test for "inside": it defines the lattice
+mask, and the stencil ray cut is the root of the same C along the ray.
+
+The domain is discretized on a regular square lattice covering its
+bounding box. Nodes with C < 0 carry unknowns; the boundary is a separate
+ring of points on the exact curve at uniform parameter angle, carrying
+arclength, outward unit normal, and signed curvature. A periodic padded
+box embeds the domain for FFT-based transforms.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -14,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,50 +50,26 @@ class BoundaryRing:
         return self.points.shape[0]
 
 
-def _ring_from_parametric(pts: np.ndarray, dtheta: float) -> BoundaryRing:
-    """Ring geometry from densely sampled closed curve points (uniform parameter).
-
-    Derivatives along the ring are spectral, so normals and curvature converge
-    faster than any power of the node count for smooth curves.
-    """
-    M = pts.shape[0]
-    k = 2.0 * np.pi * np.fft.fftfreq(M, d=dtheta)
-    xp = np.real(np.fft.ifft(1j * k * np.fft.fft(pts[:, 0])))
-    yp = np.real(np.fft.ifft(1j * k * np.fft.fft(pts[:, 1])))
-    xpp = np.real(np.fft.ifft(-(k ** 2) * np.fft.fft(pts[:, 0])))
-    ypp = np.real(np.fft.ifft(-(k ** 2) * np.fft.fft(pts[:, 1])))
-    speed = np.hypot(xp, yp)
-    tangent = np.stack([xp, yp], axis=1) / speed[:, None]
-    # ccw orientation: outward normal is the tangent rotated by -90 degrees
-    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
-    curv = (xp * ypp - yp * xpp) / speed ** 3
-    ds = speed * dtheta
-    s = np.concatenate([[0.0], np.cumsum(ds)])[:-1]
-    return BoundaryRing(s=s, points=pts, normal=normal, tangent=tangent,
-                        curvature=curv, ds=ds)
-
-
 # ---------------------------------------------------------------------------
-# exact cell coverage for disks
+# exact cell coverage of the unit disk
 
 
-def _circle_segment_antideriv(x: np.ndarray | float, r: float):
-    # antiderivative of sqrt(r^2 - x^2)
-    x = np.clip(x, -r, r)
-    return 0.5 * (x * np.sqrt(np.maximum(r * r - x * x, 0.0))
-                  + r * r * np.arcsin(x / r))
+def _arc_antideriv(x: float) -> float:
+    # antiderivative of sqrt(1 - x^2)
+    x = min(max(x, -1.0), 1.0)
+    return 0.5 * (x * math.sqrt(max(1.0 - x * x, 0.0)) + math.asin(x))
 
 
-def _disk_rect_area(r: float, x0: float, x1: float, y0: float, y1: float) -> float:
-    """Exact area of {x^2 + y^2 <= r^2} intersected with [x0,x1] x [y0,y1]."""
-    lo, hi = max(x0, -r), min(x1, r)
+def _disk_rect_area(x0: float, x1: float, y0: float, y1: float) -> float:
+    """Exact area of the unit disk intersected with [x0,x1] x [y0,y1]."""
+    lo, hi = max(x0, -1.0), min(x1, 1.0)
     if lo >= hi:
         return 0.0
     # breakpoints where the circle crosses the horizontal cell edges
     cuts = {lo, hi}
     for yv in (y0, y1):
-        if abs(yv) < r:
-            xc = math.sqrt(r * r - yv * yv)
+        if abs(yv) < 1.0:
+            xc = math.sqrt(1.0 - yv * yv)
             for c in (-xc, xc):
                 if lo < c < hi:
                     cuts.add(c)
@@ -93,7 +77,7 @@ def _disk_rect_area(r: float, x0: float, x1: float, y0: float, y1: float) -> flo
     area = 0.0
     for a, b in zip(xs[:-1], xs[1:]):
         m = 0.5 * (a + b)
-        c = math.sqrt(max(r * r - m * m, 0.0))
+        c = math.sqrt(max(1.0 - m * m, 0.0))
         top_is_arc = c < y1
         bot_is_arc = -c > y0
         top = min(y1, c)
@@ -101,11 +85,11 @@ def _disk_rect_area(r: float, x0: float, x1: float, y0: float, y1: float) -> flo
         if top <= bot:
             continue
         if top_is_arc:
-            area += _circle_segment_antideriv(b, r) - _circle_segment_antideriv(a, r)
+            area += _arc_antideriv(b) - _arc_antideriv(a)
         else:
             area += y1 * (b - a)
         if bot_is_arc:
-            area += _circle_segment_antideriv(b, r) - _circle_segment_antideriv(a, r)
+            area += _arc_antideriv(b) - _arc_antideriv(a)
         else:
             area -= y0 * (b - a)
     return area
@@ -115,16 +99,24 @@ def _disk_rect_area(r: float, x0: float, x1: float, y0: float, y1: float) -> flo
 # domain grid
 
 
+def _level(a: float, b: float, x, y):
+    """C = (x/a)^2 + (y/b)^2 - 1: negative inside, zero on the curve."""
+    sx, sy = x / a, y / b
+    return sx * sx + sy * sy - 1.0
+
+
 @dataclass(frozen=True)
 class DomainGrid:
-    """Square lattice over a convex domain plus exact-boundary metadata.
+    """Square lattice over the ellipse with semi-axes (a, b), plus its ring.
 
-    The lattice covers [-half, half]^2 with n nodes per side. ``mask`` marks
-    nodes strictly inside the boundary curve. ``boundary`` is the exact-curve
-    ring; it is not a subset of the lattice.
+    The lattice covers [-half, half]^2, half = max(a, b), with n nodes per
+    side. ``mask`` marks the nodes with C < 0 (see ``level``).
+    ``boundary`` is the exact-curve ring; it is not a subset of the
+    lattice.
     """
 
-    kind: str
+    a: float
+    b: float
     n: int
     half: float
     dx: float
@@ -133,7 +125,6 @@ class DomainGrid:
     mask: np.ndarray
     boundary: BoundaryRing
     weights: np.ndarray           # quadrature weights per node (0 outside)
-    params: dict = field(default_factory=dict)
 
     # -- geometry ------------------------------------------------------
 
@@ -141,44 +132,41 @@ class DomainGrid:
         return np.meshgrid(self.x1, self.x2, indexing="ij")
 
     def level(self, x, y):
-        """Implicit function: negative inside, positive outside."""
-        if self.kind == "disk":
-            r = self.params["radius"]
-            return x * x + y * y - r * r
-        if self.kind == "ellipse":
-            a, b = self.params["a"], self.params["b"]
-            return (x / a) ** 2 + (y / b) ** 2 - 1.0
-        raise GridError(f"no implicit form for kind {self.kind!r}")
+        """C = (x/a)^2 + (y/b)^2 - 1; the mask is C < 0 at the nodes."""
+        return _level(self.a, self.b, x, y)
 
     def ray_cut(self, px, py, vx, vy):
-        """Fraction t in (0, 1] where p + t v crosses the boundary.
+        """Fraction t in [0, 1] where p + t v crosses the boundary.
 
-        Vectorized; p must be inside and p + v outside. Returns +inf where
-        the step does not cross.
+        Vectorized; p must be in the mask. The crossing is the root of the
+        mask's own level function along the ray, so a mask node always
+        gets a cut: a node on the curve to rounding (C = -1e-16) reads 0,
+        never a miss. Returns +inf where p + v is still inside.
         """
-        if self.kind == "disk":
-            sx, sy, wx, wy = px, py, vx, vy
-            rr = self.params["radius"] ** 2
-        elif self.kind == "ellipse":
-            ea, eb = self.params["a"], self.params["b"]
-            sx, sy = px / ea, py / eb
-            wx, wy = vx / ea, vy / eb
-            rr = 1.0
-        else:
-            raise GridError(f"no analytic ray cut for kind {self.kind!r}")
+        sx, sy = px / self.a, py / self.b
+        wx, wy = vx / self.a, vy / self.b
         A = wx * wx + wy * wy
         B = sx * wx + sy * wy
-        C = sx * sx + sy * sy - rr
-        disc = np.maximum(B * B - A * C, 0.0)
-        t = (-B + np.sqrt(disc)) / A
-        return np.where((t > 0) & (t <= 1.0 + 1e-12), np.minimum(t, 1.0), np.inf)
+        C = self.level(px, py)
+        t = (-B + np.sqrt(np.maximum(B * B - A * C, 0.0))) / A
+        return np.where(t <= 1.0 + 1e-12, np.clip(t, 0.0, 1.0), np.inf)
 
     def inradius(self) -> float:
-        if self.kind == "disk":
-            return self.params["radius"]
-        if self.kind == "ellipse":
-            return min(self.params["a"], self.params["b"])
-        return self.params.get("inradius", 0.0)
+        return min(self.a, self.b)
+
+    def param_angle(self, x, y):
+        """Angle t of the ring parametrization (a cos t, b sin t)."""
+        return np.arctan2(y / self.b, x / self.a)
+
+    def level_normal(self, x, y):
+        """Outward unit normal of the level curve of C through (x, y).
+
+        Zero at the center, where C has no direction.
+        """
+        nx, ny = x / self.a ** 2, y / self.b ** 2
+        mag = np.hypot(nx, ny)
+        mag = np.where(mag == 0.0, 1.0, mag)
+        return nx / mag, ny / mag
 
     # -- construction helpers -----------------------------------------
 
@@ -200,49 +188,9 @@ class DomainGrid:
              "kappa": float(b.curvature[i])}
             for i in range(len(b))
         ]
-        doc = {"kind": self.kind, "n": self.n, "spacing": self.dx,
-               "bounds": [-self.half, self.half], "params": self.params,
-               "boundary": table}
+        doc = {"semi_axes": [self.a, self.b], "n": self.n, "spacing": self.dx,
+               "bounds": [-self.half, self.half], "boundary": table}
         return json.dumps(doc, indent=1)
-
-
-def _lattice(half: float, n: int):
-    x = np.linspace(-half, half, n)
-    return x, x.copy(), x[1] - x[0]
-
-
-def _finish_grid(kind, n, half, x1, x2, dx, mask, ring, weights, params):
-    nrm = np.linalg.norm(ring.normal, axis=1)
-    if np.max(np.abs(nrm - 1.0)) > 1e-12:
-        raise GridError("boundary normals are not unit length")
-    if len(ring) < 16:
-        raise GridError("fewer than 16 boundary nodes; increase n")
-    return DomainGrid(kind=kind, n=n, half=half, dx=dx, x1=x1, x2=x2,
-                      mask=mask, boundary=ring, weights=weights, params=params)
-
-
-def build_disk(radius: float = 1.0, n: int = 128) -> DomainGrid:
-    """Disk of given radius on an n-per-side lattice covering [-r, r]^2."""
-    if radius <= 0:
-        raise GridError("radius must be positive")
-    if n < 16:
-        raise GridError("n must be at least 16")
-    x1, x2, dx = _lattice(radius, n)
-    X, Y = np.meshgrid(x1, x2, indexing="ij")
-    mask = X * X + Y * Y < radius * radius
-
-    M = max(16, 2 * int(round(np.pi * radius / dx)))
-    theta = 2.0 * np.pi * np.arange(M) / M
-    pts = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    nor = pts / radius
-    tan = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-    ds = np.full(M, 2.0 * np.pi * radius / M)
-    ring = BoundaryRing(s=radius * theta, points=pts, normal=nor, tangent=tan,
-                        curvature=np.full(M, 1.0 / radius), ds=ds)
-
-    weights = _coverage_weights_disk(x1, x2, dx, radius, mask)
-    return _finish_grid("disk", n, radius, x1, x2, dx, mask, ring, weights,
-                        {"radius": radius})
 
 
 def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
@@ -252,9 +200,11 @@ def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
     if n < 16:
         raise GridError("n must be at least 16")
     half = max(a, b)
-    x1, x2, dx = _lattice(half, n)
+    x1 = np.linspace(-half, half, n)
+    x2 = x1.copy()
+    dx = x1[1] - x1[0]
     X, Y = np.meshgrid(x1, x2, indexing="ij")
-    mask = (X / a) ** 2 + (Y / b) ** 2 < 1.0
+    mask = _level(a, b, X, Y) < 0.0
 
     M = max(16, 2 * int(round(np.pi * half / dx)))
     theta = 2.0 * np.pi * np.arange(M) / M
@@ -262,65 +212,19 @@ def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
     speed = np.hypot(-a * np.sin(theta), b * np.cos(theta))
     tan = np.stack([-a * np.sin(theta), b * np.cos(theta)], axis=1) / speed[:, None]
     nor = np.stack([tan[:, 1], -tan[:, 0]], axis=1)
-    curv = a * b / speed ** 3
     ds = speed * (2.0 * np.pi / M)
     s = np.concatenate([[0.0], np.cumsum(ds)])[:-1]
     ring = BoundaryRing(s=s, points=pts, normal=nor, tangent=tan,
-                        curvature=curv, ds=ds)
+                        curvature=a * b / speed ** 3, ds=ds)
 
-    # rescale to the unit disk for exact cell coverage
-    weights = _coverage_weights_ellipse(x1, x2, dx, a, b, mask)
-    return _finish_grid("ellipse", n, half, x1, x2, dx, mask, ring, weights,
-                        {"a": a, "b": b})
+    weights = _coverage_weights(x1, x2, dx, a, b, mask)
+    return DomainGrid(a=a, b=b, n=n, half=half, dx=dx, x1=x1, x2=x2,
+                      mask=mask, boundary=ring, weights=weights)
 
 
-def build_convex(level, n: int = 128, half: float | None = None,
-                 box_margin: float = 1.02) -> DomainGrid:
-    """Convex domain from an implicit level function (negative inside).
-
-    The boundary ring is found by radial bisection from the origin, which must
-    lie inside. Normals and curvature come from spectral differentiation of
-    the ring, cell coverage from 16x16 subsampling (lower-order than the
-    analytic constructors; fine for experiments, not used by the benchmarks).
-    """
-    if n < 16:
-        raise GridError("n must be at least 16")
-    if level(0.0, 0.0) >= 0:
-        raise GridError("origin must lie inside the domain")
-
-    def radial_root(angles):
-        out = np.empty(len(angles))
-        for i, t in enumerate(angles):
-            lo, hi = 0.0, 1.0
-            while level(hi * math.cos(t), hi * math.sin(t)) < 0:
-                hi *= 2.0
-                if hi > 1e6:
-                    raise GridError("domain appears unbounded")
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if level(mid * math.cos(t), mid * math.sin(t)) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            out[i] = 0.5 * (lo + hi)
-        return out
-
-    probe = radial_root(2.0 * np.pi * np.arange(64) / 64)
-    if half is None:
-        half = box_margin * float(np.max(probe))
-    x1, x2, dx = _lattice(half, n)
-    X, Y = np.meshgrid(x1, x2, indexing="ij")
-    mask = level(X, Y) < 0
-
-    M = max(16, 2 * int(round(np.pi * float(np.max(probe)) / dx)))
-    theta = 2.0 * np.pi * np.arange(M) / M
-    radM = radial_root(theta)
-    pts = np.stack([radM * np.cos(theta), radM * np.sin(theta)], axis=1)
-    ring = _ring_from_parametric(pts, 2.0 * np.pi / M)
-
-    weights = _coverage_weights_sampled(x1, x2, dx, level, mask)
-    return _finish_grid("convex", n, half, x1, x2, dx, mask, ring, weights,
-                        {"inradius": float(np.min(radM))})
+def build_disk(radius: float = 1.0, n: int = 128) -> DomainGrid:
+    """Disk of given radius: the ellipse with both semi-axes equal to it."""
+    return build_ellipse(radius, radius, n)
 
 
 # -- quadrature weights -----------------------------------------------------
@@ -352,23 +256,9 @@ def _adopt_orphans(weights_ext, mask, n):
     return w
 
 
-def _coverage_weights_disk(x1, x2, dx, radius, mask):
-    n = len(x1)
-    w = np.zeros((n, n))
-    X, Y = np.meshgrid(x1, x2, indexing="ij")
-    rr = np.hypot(X, Y)
-    h = 0.5 * dx
-    full = rr <= radius - math.sqrt(2.0) * h
-    none = rr >= radius + math.sqrt(2.0) * h
-    w[full] = dx * dx
-    edge = ~(full | none)
-    for i, j in zip(*np.nonzero(edge)):
-        w[i, j] = _disk_rect_area(radius, x1[i] - h, x1[i] + h,
-                                  x2[j] - h, x2[j] + h)
-    return _adopt_orphans(w, mask, n)
-
-
-def _coverage_weights_ellipse(x1, x2, dx, a, b, mask):
+def _coverage_weights(x1, x2, dx, a, b, mask):
+    """Exact cell areas: a b times the unit disk's coverage of the cell's
+    image under (x, y) -> (x/a, y/b)."""
     n = len(x1)
     w = np.zeros((n, n))
     h = 0.5 * dx
@@ -380,28 +270,11 @@ def _coverage_weights_ellipse(x1, x2, dx, a, b, mask):
     none = np.sqrt(lev) >= 1.0 + pad
     w[full] = dx * dx
     edge = ~(full | none)
+    # per-cell arithmetic on Python floats, much cheaper than on numpy scalars
+    xs, ys, h = x1.tolist(), x2.tolist(), float(h)
     for i, j in zip(*np.nonzero(edge)):
-        w[i, j] = a * b * _disk_rect_area(
-            1.0, (x1[i] - h) / a, (x1[i] + h) / a,
-            (x2[j] - h) / b, (x2[j] + h) / b)
-    return _adopt_orphans(w, mask, n)
-
-
-def _coverage_weights_sampled(x1, x2, dx, level, mask, sub: int = 16):
-    n = len(x1)
-    w = np.where(mask, dx * dx, 0.0)
-    # refine cells on the boundary band
-    off = (np.arange(sub) + 0.5) / sub - 0.5
-    SX, SY = np.meshgrid(off * dx, off * dx, indexing="ij")
-    for i in range(n):
-        for j in range(n):
-            cx, cy = x1[i], x2[j]
-            corners = level(cx + np.array([-1, -1, 1, 1]) * 0.5 * dx,
-                            cy + np.array([-1, 1, -1, 1]) * 0.5 * dx)
-            if np.all(corners < 0) or np.all(corners > 0):
-                continue
-            frac = np.mean(level(cx + SX, cy + SY) < 0)
-            w[i, j] = frac * dx * dx
+        w[i, j] = a * b * _disk_rect_area((xs[i] - h) / a, (xs[i] + h) / a,
+                                          (ys[j] - h) / b, (ys[j] + h) / b)
     return _adopt_orphans(w, mask, n)
 
 
@@ -524,14 +397,6 @@ class MetricField:
         if where is not None:
             lo, hi = lo[where], hi[where]
         return float(np.min(lo)), float(np.max(hi))
-
-    def as_stack(self) -> np.ndarray:
-        out = np.empty(self.g11.shape + (2, 2))
-        out[..., 0, 0] = self.g11
-        out[..., 0, 1] = self.g12
-        out[..., 1, 0] = self.g12
-        out[..., 1, 1] = self.g22
-        return out
 
 
 # ---------------------------------------------------------------------------

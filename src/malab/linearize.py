@@ -29,7 +29,7 @@ from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
                    ScalarField, boundary_restrict, interp_masked)
 from .maforward import (LinearSolveFailure, MASolution, SparseLU, StencilOps,
                         boundary_vector, build_stencil_ops, eval_boundary_data,
-                        solve_ma, solve_ma_zero)
+                        solve_ma, solve_ma_zero, source_grid, stencil_hessian)
 
 __all__ = [
     "VectorField",
@@ -78,10 +78,7 @@ def solution_hessian(sol: MASolution):
     """
     grid = sol.u.grid
     ops = build_stencil_ops(grid)
-    U = sol.u.values[grid.mask]
-    h11 = ops.L11 @ U + boundary_vector(ops, ops.g11, sol.phi)
-    h22 = ops.L22 @ U + boundary_vector(ops, ops.g22, sol.phi)
-    h12 = ops.L12 @ U + boundary_vector(ops, ops.g12, sol.phi)
+    h11, h22, h12 = stencil_hessian(ops, sol.u.values[grid.mask], sol.phi)
 
     # anchor chase: every interpolation row copies its neighbor until all
     # values originate at PDE rows
@@ -140,16 +137,7 @@ def rim_extrapolated(g: MetricField, band: float = 5.0,
     if len(depths) != 2 or depths[0] >= depths[1] or band > depths[0]:
         raise GridError("need band <= depths[0] < depths[1]")
     X, Y = grid.meshgrid()
-    if grid.kind == "disk":
-        nx, ny = X.copy(), Y.copy()
-    elif grid.kind == "ellipse":
-        nx = X / grid.params["a"] ** 2
-        ny = Y / grid.params["b"] ** 2
-    else:
-        raise GridError(f"no analytic normals for kind {grid.kind!r}")
-    mag = np.hypot(nx, ny)
-    mag[mag == 0.0] = 1.0           # domain center, never in the band
-    nx, ny = nx / mag, ny / mag
+    nx, ny = grid.level_normal(X, Y)
 
     reach = (band + 1.0) * grid.dx
     t = np.full(grid.mask.shape, np.inf)
@@ -367,14 +355,6 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
     return ScalarField(ops.scatter(v), grid, backend="adjoint-lu")
 
 
-def _hessian_of(ops: StencilOps, vals: np.ndarray, data):
-    vec = vals[ops.grid.mask]
-    v11 = ops.L11 @ vec + boundary_vector(ops, ops.g11, data)
-    v22 = ops.L22 @ vec + boundary_vector(ops, ops.g22, data)
-    v12 = ops.L12 @ vec + boundary_vector(ops, ops.g12, data)
-    return v11, v12, v22
-
-
 def second_solve(g: MetricField, X: VectorField, v1: ScalarField,
                  v2: ScalarField, phi1=None, phi2=None, *,
                  rtol: float = 1e-10) -> ScalarField:
@@ -393,8 +373,9 @@ def second_solve(g: MetricField, X: VectorField, v1: ScalarField,
         phi1 = boundary_restrict(v1)
     if phi2 is None:
         phi2 = boundary_restrict(v2)
-    p11, p12, p22 = _hessian_of(ops, v1.values, phi1)
-    q11, q12, q22 = _hessian_of(ops, v2.values, phi2)
+    m = g.grid.mask
+    p11, p22, p12 = stencil_hessian(ops, v1.values[m], phi1)
+    q11, q22, q12 = stencil_hessian(ops, v2.values[m], phi2)
 
     # entries of G V_k, then tr(G V1 G V2) = sum_ij (G V1)_ij (G V2)_ji
     b11 = a11 * p11 + a12 * p12
@@ -438,10 +419,7 @@ def eps_consistency(F, phi1, phi2, eps1: float = 0.1, eps2: float = 0.1,
     difference converges to the first linearization and the mixed second
     difference to the second linearization, both at rate O(s).
     """
-    if grid is None:
-        if not isinstance(F, ScalarField):
-            raise GridError("pass a grid when F is not a ScalarField")
-        grid = F.grid
+    grid = source_grid(F, grid)
     base = solve_ma_zero(F, grid, **opts)
     g = metric_from_solution(base)
     X = drift_field(g)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,7 +47,9 @@ __all__ = [
     "solve_ma",
     "solve_ma_zero",
     "perturbation_stability",
+    "source_grid",
     "SparseLU",
+    "stencil_hessian",
 ]
 
 # interior nodes whose nearest axis crossing is below this fraction of a
@@ -129,10 +131,11 @@ def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
     """Evaluate Dirichlet data at arbitrary points of the boundary curve.
 
     ``data`` may be a callable (x, y) -> value, a scalar, or a
-    BoundaryTrace. Trace values live on the ring nodes, which the disk and
-    ellipse constructors place at uniform parameter angles, so off-node
-    evaluation is trigonometric interpolation in the parameter; it is exact
-    for band-limited data.
+    BoundaryTrace. Trace values live on the ring nodes, which sit at
+    uniform angles t of the parametrization (a cos t, b sin t); a point is
+    assigned the angle of its image (x/a, y/b) on the unit disk
+    (DomainGrid.param_angle), and off-node evaluation is trigonometric
+    interpolation in t, exact for band-limited data.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -145,14 +148,7 @@ def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
 
     vals = np.asarray(data.values, dtype=float)
     M = len(vals)
-    if grid.kind == "disk":
-        theta = np.arctan2(y, x)
-    elif grid.kind == "ellipse":
-        theta = np.arctan2(y / grid.params["b"], x / grid.params["a"])
-    else:
-        raise GridError(
-            f"no ring parametrization for kind {grid.kind!r}; "
-            "pass boundary data as a callable")
+    theta = grid.param_angle(x, y)
     c = np.fft.rfft(vals)
     w = np.full(len(c), 2.0)
     w[0] = 1.0
@@ -246,9 +242,7 @@ _ops_cache: dict = {}
 
 
 def _grid_key(grid: DomainGrid):
-    return (grid.kind, grid.n, grid.half,
-            tuple(sorted((k, v) for k, v in grid.params.items()
-                         if np.isscalar(v))))
+    return (grid.a, grid.b, grid.n)
 
 
 def build_stencil_ops(grid: DomainGrid) -> StencilOps:
@@ -422,11 +416,17 @@ class MASolution:
         return buf.getvalue()
 
 
-def _hessian_entries(ops: StencilOps, U: np.ndarray, b11, b22, b12):
-    h11 = ops.L11 @ U + b11
-    h22 = ops.L22 @ U + b22
-    h12 = ops.L12 @ U + b12
-    return h11, h22, h12
+def stencil_hessian(ops: StencilOps, U: np.ndarray, data=None, bvecs=None):
+    """Stencil Hessian entries (h11, h22, h12) of interior values U.
+
+    The ghost values close the stencils with the Dirichlet data, as the
+    boundary vectors (b11, b22, b12); pass those as bvecs to reuse them.
+    """
+    if bvecs is None:
+        bvecs = [boundary_vector(ops, t, data)
+                 for t in (ops.g11, ops.g22, ops.g12)]
+    b11, b22, b12 = bvecs
+    return ops.L11 @ U + b11, ops.L22 @ U + b22, ops.L12 @ U + b12
 
 
 def _min_eig(h11, h22, h12, where):
@@ -434,6 +434,15 @@ def _min_eig(h11, h22, h12, where):
     gap = np.sqrt((h11 - h22) ** 2 + 4.0 * h12 ** 2)
     lam = 0.5 * (tr - gap)
     return float(np.min(lam[where]))
+
+
+def source_grid(F, grid: DomainGrid | None) -> DomainGrid:
+    """The grid to solve on: grid if given, else the one F lives on."""
+    if grid is not None:
+        return grid
+    if not isinstance(F, ScalarField):
+        raise GridError("pass a grid when F is not a ScalarField")
+    return F.grid
 
 
 def _as_field_values(F, grid) -> np.ndarray:
@@ -470,10 +479,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
     backtracking and rejected if any interior Hessian loses positivity;
     running out of damping raises NewtonFailure with the iteration log.
     """
-    if grid is None:
-        if not isinstance(F, ScalarField):
-            raise GridError("pass a grid when F is not a ScalarField")
-        grid = F.grid
+    grid = source_grid(F, grid)
     Fv = _as_field_values(F, grid)
     Fvec = Fv[grid.mask]
     if not np.all(np.isfinite(Fvec)):
@@ -482,9 +488,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
         raise GridError("source must be uniformly positive on the domain")
 
     ops = build_stencil_ops(grid)
-    b11 = boundary_vector(ops, ops.g11, phi)
-    b22 = boundary_vector(ops, ops.g22, phi)
-    b12 = boundary_vector(ops, ops.g12, phi)
+    bvecs = [boundary_vector(ops, t, phi) for t in (ops.g11, ops.g22, ops.g12)]
 
     norm_phi = data_norm_surrogate(grid, phi)
 
@@ -495,7 +499,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
     Ftarget = tol * float(np.max(np.abs(Fvec)))
 
     log, krylov = [], []
-    h11, h22, h12 = _hessian_entries(ops, U, b11, b22, b12)
+    h11, h22, h12 = stencil_hessian(ops, U, bvecs=bvecs)
     res = np.where(pde, h11 * h22 - h12 ** 2 - Fvec, 0.0)
     rnorm = float(np.max(np.abs(res)))
     lam_min = _min_eig(h11, h22, h12, pde)
@@ -516,7 +520,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
         lam = 1.0
         while True:
             Ut = U + lam * step
-            t11, t22, t12 = _hessian_entries(ops, Ut, b11, b22, b12)
+            t11, t22, t12 = stencil_hessian(ops, Ut, bvecs=bvecs)
             rt = np.where(pde, t11 * t22 - t12 ** 2 - Fvec, 0.0)
             rn = float(np.max(np.abs(rt)))
             le = _min_eig(t11, t22, t12, pde)
@@ -552,13 +556,10 @@ _zero_cache: dict = {}
 def solve_ma_zero(F, grid: DomainGrid | None = None, **opts) -> MASolution:
     """solve_ma with zero boundary data, cached as the linearization base.
 
-    Every caller shares the cached solution, so its u, F and phi values
-    are read-only.
+    Every caller gets its own MASolution, with its own log and Krylov
+    counts, over the cached u, F and phi, whose values are read-only.
     """
-    if grid is None:
-        if not isinstance(F, ScalarField):
-            raise GridError("pass a grid when F is not a ScalarField")
-        grid = F.grid
+    grid = source_grid(F, grid)
     Fv = _as_field_values(F, grid)
     key = (_grid_key(grid), hashlib.sha256(Fv[grid.mask].tobytes()).hexdigest(),
            tuple(sorted(opts.items())))
@@ -568,7 +569,8 @@ def solve_ma_zero(F, grid: DomainGrid | None = None, **opts) -> MASolution:
         for arr in (sol.u.values, sol.F.values, sol.phi.values):
             arr.flags.writeable = False
         _zero_cache[key] = sol
-    return _zero_cache[key]
+    sol = _zero_cache[key]
+    return replace(sol, log=list(sol.log), krylov_iters=list(sol.krylov_iters))
 
 
 @dataclass(frozen=True)
@@ -588,10 +590,7 @@ def perturbation_stability(F, phi, grid: DomainGrid | None = None,
                            amplitudes=(0.1, 0.01, 0.001),
                            **opts) -> PerturbationReport:
     """Measure ||u_phi - u_0|| / ||phi|| across a data-amplitude sweep."""
-    if grid is None:
-        if not isinstance(F, ScalarField):
-            raise GridError("pass a grid when F is not a ScalarField")
-        grid = F.grid
+    grid = source_grid(F, grid)
     base = solve_ma_zero(F, grid, **opts)
     b = grid.boundary
     pvals = eval_boundary_data(grid, phi, b.points[:, 0], b.points[:, 1])

@@ -5,7 +5,7 @@ import pytest
 
 from malab.grid import (
     BoundaryTrace, GridError, ScalarField, boundary_quadrature,
-    boundary_restrict, build_convex, build_disk, build_ellipse,
+    boundary_restrict, build_disk, build_ellipse,
     interp_masked, normal_derivative, quadrature,
 )
 
@@ -102,12 +102,6 @@ def test_ellipse_area_and_curvature():
     # curvature at the end of the major axis is a/b^2
     k = np.argmin(np.linalg.norm(g.boundary.points - [2.0, 0.0], axis=1))
     assert abs(g.boundary.curvature[k] - 2.0) < 1e-6
-
-
-def test_convex_constructor_matches_disk():
-    g = build_convex(lambda x, y: x ** 2 + y ** 2 - 1.0, n=96)
-    assert abs(np.sum(g.weights) - np.pi) < 2e-3
-    assert np.max(np.abs(g.boundary.curvature - 1.0)) < 1e-6
 
 
 def test_boundary_restrict_radial():
@@ -217,3 +211,24 @@ def test_padded_grid():
     assert X.shape == (p.n, p.n)
     # periodic spacing excludes the right endpoint
     assert p.x[0] == -p.half and p.x[-1] < p.half
+
+
+_STENCIL_DIRS = [(1, 0), (-1, 0), (0, 1), (0, -1),
+                 (1, 1), (-1, -1), (1, -1), (-1, 1)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: build_disk(1.0, n),
+    lambda n: build_disk(0.95, n),
+    lambda n: build_ellipse(1.3, 0.8, n),
+], ids=["unit-disk", "disk-0.95", "ellipse-1.3x0.8"])
+def test_every_mask_node_cuts_its_exterior_rays(build):
+    # the mask and the ray cut read the same level function, so a mask node
+    # on the curve to rounding gets a cut of 0, not a miss
+    for n in range(16, 301):
+        g = build(n)
+        ii, jj = np.nonzero(g.mask)
+        for di, dj in _STENCIL_DIRS:
+            out = ~g.mask[ii + di, jj + dj]
+            t = g.ray_cut(g.x1[ii[out]], g.x2[jj[out]], di * g.dx, dj * g.dx)
+            assert np.all((t >= 0.0) & (t <= 1.0)), (n, di, dj)

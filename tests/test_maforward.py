@@ -6,6 +6,7 @@ import pytest
 
 from malab.grid import BoundaryTrace, GridError, ScalarField, boundary_restrict
 from malab.grid import build_disk, build_ellipse
+from malab import maforward
 from malab.maforward import (LinearSolveFailure, NewtonFailure, SparseLU,
                              build_stencil_ops, data_norm_surrogate,
                              eval_boundary_data, perturbation_stability,
@@ -50,7 +51,7 @@ def test_zero_cache_matches_explicit_call():
     a = solve_ma_zero(F)
     b = solve_ma(F, None)
     assert np.array_equal(a.u.values, b.u.values)
-    assert solve_ma_zero(F) is a
+    assert solve_ma_zero(F).u is a.u          # served from the cache
 
 
 def _ustar(x, y):
@@ -213,7 +214,7 @@ def test_zero_cache_hands_out_read_only_arrays():
             arr[0] += 1.0
     Fvals[0, 0] = 7.0                  # the caller's own array stays writable
     b = solve_ma_zero(ScalarField(X ** 2 + 1.0, g))
-    assert b is a
+    assert b.u is a.u
     for arr, ref in zip((b.u.values, b.F.values, b.phi.values), saved):
         assert np.array_equal(arr, ref)
 
@@ -251,3 +252,67 @@ def test_sparse_lu_residual_check_is_live():
         lu.solve(b, rtol=1e-20)
     assert len(exc.value.residuals) == 1 and exc.value.residuals[0] > 0.0
     assert np.all(np.isfinite(lu.solve(b, rtol=1e-10)))
+
+
+def test_zero_cache_results_do_not_share_mutations():
+    g = build_disk(1.0, 44)
+    X, _ = g.meshgrid()
+    F = ScalarField(X ** 2 + 1.0, g)
+    a = solve_ma_zero(F)
+    log, krylov = list(a.log), list(a.krylov_iters)
+    a.convex = False
+    a.log.append((99, 0.0, 1.0, 0.0))
+    a.krylov_iters.append(99)
+    b = solve_ma_zero(F)
+    assert b.convex and b.log == log and b.krylov_iters == krylov
+    assert b.u is a.u
+
+
+# n at which a mask node lay on the curve to rounding, got no ray cut, and
+# stencil assembly raised "exterior neighbor without boundary crossing"
+_NODE_ON_CURVE = [
+    (lambda n: build_disk(1.0, n),
+     (59, 83, 111, 151, 165, 171, 175, 179, 203, 223, 233, 239, 247, 251,
+      291)),
+    (lambda n: build_disk(0.95, n),
+     (27, 31, 51, 53, 59, 61, 75, 79, 83, 101, 103, 105, 117, 121, 123, 131,
+      147, 149, 151, 165, 171, 179, 201, 203, 213, 223, 233, 235, 241, 245,
+      251, 261, 287, 291, 293)),
+    (lambda n: build_ellipse(1.3, 0.8, n), (131, 261)),
+]
+
+
+def test_stencils_build_with_mask_nodes_on_the_curve():
+    cached = set(maforward._ops_cache)
+    try:
+        for build, ns in _NODE_ON_CURVE:
+            for n in ns:
+                ops = build_stencil_ops(build(n))
+                for L in (ops.L11, ops.L22, ops.L12, ops.L1, ops.L2, ops.R):
+                    assert np.all(np.isfinite(L.data)), n
+                for t in (ops.g11, ops.g22, ops.g12, ops.g1, ops.g2,
+                          ops.r_ghost):
+                    assert np.all(np.isfinite(t.coef)), n
+    finally:
+        for key in set(maforward._ops_cache) - cached:
+            del maforward._ops_cache[key]
+    g = build_disk(1.0, 59)
+    X, Y = g.meshgrid()
+    sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
+    err = np.max(np.abs((sol.u.values - _ustar(X, Y))[g.mask])) / g.dx ** 2
+    assert sol.convex and err < 1.0
+
+
+def test_disk_is_the_ellipse_with_equal_axes():
+    r, n = 0.95, 64
+    d, e = build_disk(r, n), build_ellipse(r, r, n)
+    assert np.array_equal(d.mask, e.mask)
+    assert np.array_equal(d.weights, e.weights)
+    for name in ("s", "points", "normal", "tangent", "curvature", "ds"):
+        assert np.array_equal(getattr(d.boundary, name),
+                              getattr(e.boundary, name)), name
+    sols = []
+    for g in (d, e):
+        X, _ = g.meshgrid()
+        sols.append(solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar, g))
+    assert np.array_equal(sols[0].u.values, sols[1].u.values)
