@@ -47,9 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcalc import (cauchy_inverse, oscillatory_dbar_inv,
-                          oscillatory_dbar_inv_conj, periodic_fd4,
-                          spectral_deriv)
+# the series applies one _OscPlan per bundle; oscillatory_dbar_inv stays
+# importable here as the public form of its inverse (CGOBundle.r is
+# -oscillatory_dbar_inv(V' s) bit for bit), and perfbench traces it here
+from .complexcalc import (_OscPlan, cauchy_inverse, oscillatory_dbar_inv,
+                          periodic_fd4, spectral_deriv)
 from .grid import ComplexField, GridError, PaddedGrid
 from .linearize import VectorField
 
@@ -303,12 +305,15 @@ def series_weights(alpha: np.ndarray, X: VectorField, q=0.0
             ComplexField(vp, grid, backend="series"))
 
 
-def _dbar_star_inv(vals: np.ndarray, psi, h: float, grid: PaddedGrid,
-                   core_radius) -> np.ndarray:
+def _dbar_star_inv(vals: np.ndarray, plan: _OscPlan) -> np.ndarray:
     """Oscillatory right inverse of dzb* = -2 dz with phase exp(+2i psi/h)."""
-    f = ComplexField(vals, grid, backend="series")
-    out = oscillatory_dbar_inv_conj(f, psi, h, core_radius)
-    return -0.5 * out.values
+    return -0.5 * plan.apply_conj(vals)
+
+
+def _neumann_step(vals: np.ndarray, plan: _OscPlan, V: ComplexField,
+                  vp: ComplexField) -> np.ndarray:
+    """T applied to vals through a prepared oscillatory plan."""
+    return _dbar_star_inv(V.values * plan.apply(vp.values * vals), plan)
 
 
 def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
@@ -321,10 +326,9 @@ def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
     at the oscillatory decay rate.
     """
     grid = _require_padded(f.grid)
-    inner = oscillatory_dbar_inv(
-        ComplexField(vp.values * f.values, grid), psi, h, core_radius)
-    vals = _dbar_star_inv(V.values * inner.values, psi, h, grid, core_radius)
-    return ComplexField(vals, grid, backend="neumann")
+    plan = _OscPlan(grid, psi, h, core_radius)
+    return ComplexField(_neumann_step(f.values, plan, V, vp), grid,
+                        backend="neumann")
 
 
 def t_norm_proxy(psi, h: float, V: ComplexField, vp: ComplexField,
@@ -339,14 +343,14 @@ def t_norm_proxy(psi, h: float, V: ComplexField, vp: ComplexField,
     rng = np.random.default_rng(seed)
     XX, YY = grid.meshgrid()
     bump = np.exp(-(XX * XX + YY * YY) / 1.5)
-    f = ComplexField(bump * (rng.standard_normal((grid.n, grid.n))
-                             + 1j * rng.standard_normal((grid.n, grid.n))),
-                     grid)
+    f = bump * (rng.standard_normal((grid.n, grid.n))
+                + 1j * rng.standard_normal((grid.n, grid.n)))
+    plan = _OscPlan(grid, psi, h, core_radius)
     ratio = 0.0
-    nf = _l2(f.values, grid)
+    nf = _l2(f, grid)
     for _ in range(steps):
-        g = neumann_T(f, psi, h, V, vp, core_radius)
-        ng = _l2(g.values, grid)
+        g = _neumann_step(f, plan, V, vp)
+        ng = _l2(g, grid)
         if ng == 0.0 or nf == 0.0:
             return 0.0
         ratio = ng / nf
@@ -465,7 +469,9 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     """Holomorphically growing solution exp(i alpha)^-1 e^{Phi/h} (a + r).
 
     The remainder r comes from the truncated Neumann series of neumann_T
-    applied to the gauge-weighted amplitude.  If the series terms ever grow
+    applied to the gauge-weighted amplitude; its 2K + 2 oscillatory
+    transforms share one plan (cutoff, phase, guards and kernels built
+    once per bundle).  If the series terms ever grow
     instead of decaying, a warning is issued and the sum is truncated at
     the observed minimum.  Zero drift and potential give r = 0 exactly.
     """
@@ -492,17 +498,17 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
         raise GridError("gauge factor fell below its lower bound")
 
     V, vp = series_weights(alpha, X, qv)
-    psi = phase.psi
     zero = np.zeros((grid.n, grid.n), dtype=complex)
     if trivial:
         terms = [ComplexField(zero.copy(), grid)]
         norms = [0.0]
     else:
-        first = ComplexField(
-            -_dbar_star_inv(V.values * a_vals, psi, h, grid, rc), grid)
+        plan = _OscPlan(grid, phase.psi, h, rc)
+        first = ComplexField(-_dbar_star_inv(V.values * a_vals, plan), grid)
         terms, norms = [first], [_l2(first.values, grid)]
         for _ in range(K):
-            nxt = neumann_T(terms[-1], psi, h, V, vp, rc)
+            nxt = ComplexField(_neumann_step(terms[-1].values, plan, V, vp),
+                               grid)
             terms.append(nxt)
             norms.append(_l2(nxt.values, grid))
     k_eff = len(terms) - 1
@@ -518,10 +524,8 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     if trivial:
         r = ComplexField(zero.copy(), grid, backend="neumann-series")
     else:
-        r = ComplexField(
-            -oscillatory_dbar_inv(ComplexField(vp.values * s_vals, grid),
-                                  psi, h, rc).values,
-            grid, backend="neumann-series")
+        r = ComplexField(-plan.apply(vp.values * s_vals), grid,
+                         backend="neumann-series")
 
     v_vals = np.exp(-1j * alpha) * np.exp(phase.values / h) * (a_vals + r.values)
     v = ComplexField(v_vals, grid, backend="oscillatory-series")

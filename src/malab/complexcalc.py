@@ -16,6 +16,19 @@ Two derivative backends exist: spectral (periodic padded boxes) and finite
 differences (4th-order central inside a masked lattice, degrading to
 one-sided second order against the boundary). Every result records which
 backend produced it.
+
+The Cauchy transforms convolve with the kernel h^2/(pi z) sampled on the
+box lattice (origin weight zero).  cauchy_inverse is the linear
+convolution over the whole box, a 2n x 2n zero-padded FFT pair.  The
+oscillatory inverses read their input only in the window |x|, |y| < 2 rc,
+where the cutoff E is nonzero, and write output only on the core window
+|x|, |y| <= rc, so they convolve windows: with L_in and L_out the window
+lengths in nodes along an axis, a circular FFT of any size N >= L_in +
+L_out - 1 reproduces the full-box sum term for term (N is chosen
+2,3,5-smooth); input that vanishes outside the core window is convolved
+from there.  Their per-(box, psi, h, rc) data lives in one _OscPlan,
+which the CGO series builds once per bundle.  Every transform refuses
+non-finite input on the full box before any FFT.
 """
 
 from __future__ import annotations
@@ -232,63 +245,101 @@ def complex_hessian(f, backend: str = "auto") -> ComplexHessian:
 # Cauchy transforms
 
 
-def _support_guard(vals: np.ndarray, grid: PaddedGrid, what: str):
+def _require_finite(vals, grid: PaddedGrid, what: str) -> np.ndarray:
+    """vals as an (n, n) array of the box, or a GridError naming the fault."""
+    vals = np.asarray(vals)
+    if vals.shape != (grid.n, grid.n):
+        raise GridError(f"{what}: shape {vals.shape} != grid {(grid.n, grid.n)}")
+    if not np.all(np.isfinite(vals)):
+        raise GridError(f"{what}: non-finite values")
+    return vals
+
+
+def _support_guard(vals: np.ndarray, cheb: np.ndarray, half: float, what: str):
     # Spectrally differentiated C^2 cutoffs ring at ~1e-6 relative across
     # the whole box; only mass above the leakage tolerance threatens the
     # convolution with wraparound, and genuinely wide inputs carry O(1)
-    # relative mass near the margin.
-    amax = np.max(np.abs(vals))
+    # relative mass near the margin.  cheb is max(|x|, |y|) at the nodes
+    # vals sits on.
+    mag = np.abs(vals)
+    amax = np.max(mag)
     if amax == 0.0:
         return
-    X, Y = grid.meshgrid()
-    supp = np.abs(vals) > 1e-5 * amax
-    margin = grid.half / 3.0
-    reach = np.max(np.maximum(np.abs(X), np.abs(Y))[supp])
-    if reach > grid.half - margin:
+    margin = half / 3.0
+    reach = np.max(cheb[mag > 1e-5 * amax])
+    if reach > half - margin:
         raise GridError(
             f"{what}: support reaches {reach:.3f}, within the wraparound "
-            f"margin of the {grid.half:.3f} box")
+            f"margin of the {half:.3f} box")
 
 
-def _cauchy_kernel(grid: PaddedGrid) -> np.ndarray:
-    """Kernel h^2/(pi z) on the doubled lattice, origin cell integrated exactly.
-
-    The exact integral of 1/(pi z) over the centered origin cell vanishes by
-    odd symmetry, so the origin weight is zero; every other cell is point
-    sampled at its center.
-    """
-    n, h = grid.n, grid.dx
-    idx = np.fft.fftfreq(2 * n, d=1.0 / (2 * n))   # signed offsets
-    ZX, ZY = np.meshgrid(idx * h, idx * h, indexing="ij")
-    Z = ZX + 1j * ZY
-    with np.errstate(divide="ignore", invalid="ignore"):
-        K = h * h / (np.pi * Z)
-    K[0, 0] = 0.0
-    return K
+def _fft_size(m: int) -> int:
+    """Smallest 2,3,5-smooth integer >= m."""
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
 
 _kernel_cache: dict = {}
 
 
+def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
+                shift: tuple) -> np.ndarray:
+    """FFT of the kernel h^2/(pi z) laid out for a circular convolution.
+
+    Along an axis of FFT length N, index m carries the node offset
+    ((m + c) mod N) - c + shift with c = N - n_out: output node p of the
+    window starting shift nodes after the input window's first node reads
+    input node q through offset p - q + shift.  Any N >= (input length) +
+    n_out - 1 keeps those offsets apart, so the circular sum is the linear
+    one.  The exact integral of 1/(pi z) over the centered origin cell
+    vanishes by odd symmetry, so the origin weight is zero; every other
+    cell is point sampled at its center.  Cached per box and layout.
+    """
+    key = (grid.n, grid.half, shape, n_out, shift)
+    if key not in _kernel_cache:
+        h = grid.dx
+        d1, d2 = ((np.arange(N) + N - L) % N - (N - L) + s
+                  for N, L, s in zip(shape, n_out, shift))
+        ZX, ZY = np.meshgrid(d1 * h, d2 * h, indexing="ij")
+        Z = ZX + 1j * ZY
+        with np.errstate(divide="ignore", invalid="ignore"):
+            K = h * h / (np.pi * Z)
+        K[Z == 0] = 0.0
+        _kernel_cache[key] = np.fft.fft2(K)
+    return _kernel_cache[key]
+
+
+def _cauchy_conv(vals: np.ndarray, khat: np.ndarray, n_out: tuple) -> np.ndarray:
+    """The first n_out nodes of the linear convolution that khat lays out."""
+    spec = np.fft.fft2(vals, s=khat.shape) * khat
+    return np.fft.ifft2(spec)[:n_out[0], :n_out[1]]
+
+
 def cauchy_inverse(omega: ComplexField) -> ComplexField:
     """Right inverse of dzb: convolution with 1/(pi z) by zero-padded FFT.
 
-    The input must be supported in the core of the padded box; the outer
-    third of the box is reserved as wraparound margin.
+    The input must be finite and supported in the core of the padded box;
+    the outer third of the box is reserved as wraparound margin.  The
+    transform is the linear convolution over the whole box, a 2n x 2n FFT
+    pair.
     """
     grid = omega.grid
     if not isinstance(grid, PaddedGrid):
         raise GridError("cauchy_inverse expects a field on a padded box")
-    _support_guard(omega.values, grid, "cauchy_inverse")
-    key = (grid.n, grid.half)
-    if key not in _kernel_cache:
-        _kernel_cache[key] = np.fft.fft2(_cauchy_kernel(grid))
-    Khat = _kernel_cache[key]
+    vals = _require_finite(omega.values, grid, "cauchy_inverse")
+    X, Y = grid.meshgrid()
+    _support_guard(vals, np.maximum(np.abs(X), np.abs(Y)), grid.half,
+                   "cauchy_inverse")
     n = grid.n
-    pad = np.zeros((2 * n, 2 * n), dtype=complex)
-    pad[:n, :n] = omega.values
-    conv = np.fft.ifft2(np.fft.fft2(pad) * Khat)[:n, :n]
-    return ComplexField(conv, grid, backend="cauchy-fft")
+    khat = _kernel_hat(grid, (2 * n, 2 * n), (n, n), (0, 0))
+    return ComplexField(_cauchy_conv(vals, khat, (n, n)), grid,
+                        backend="cauchy-fft")
 
 
 def conj_cauchy_inverse(omega: ComplexField) -> ComplexField:
@@ -306,41 +357,114 @@ def smooth_cutoff(grid: PaddedGrid, r_inner: float, r_outer: float) -> np.ndarra
     return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
+def _bounding_slices(mask: np.ndarray) -> tuple:
+    """Index slices of the smallest box holding every True node."""
+    return tuple(slice(int(idx[0]), int(idx[-1]) + 1)
+                 for idx in (np.flatnonzero(mask.any(axis=1)),
+                             np.flatnonzero(mask.any(axis=0))))
+
+
+class _OscPlan:
+    """The oscillatory inverse for one (box, psi, h, core radius).
+
+    Holds what every application shares: the input window (bounding box of
+    the cutoff E's support, inside |x|, |y| < 2 rc), the output window
+    (bounding box of the core disk, inside |x|, |y| <= rc), the windowed
+    weight exp(-2i psi/h) E, the core mask on the output window and two
+    kernel FFTs: one from the input window and one from the output window
+    to itself, for inputs that vanish outside the core window (every
+    term of the remainder series after the first).  The constructor runs
+    the h and psi checks and the resolution guard on the full box; apply
+    runs the finiteness and support guards on every call.
+    """
+
+    def __init__(self, grid: PaddedGrid, psi, h: float,
+                 core_radius: float | None = None,
+                 nodes_per_osc: float = 6.0):
+        if not isinstance(grid, PaddedGrid):
+            raise GridError("oscillatory inverses expect a field on a padded box")
+        if h <= 0:
+            raise GridError("h must be positive")
+        psi_vals = _require_finite(psi.values if hasattr(psi, "values") else psi,
+                                   grid, "psi")
+        rc = core_radius if core_radius is not None else grid.half / 3.0
+        if not (np.isfinite(rc) and rc > 0):
+            raise GridError(f"core radius must be positive and finite, got {rc}")
+        core = grid.core_mask(rc)
+        if not core.any():
+            raise GridError(f"core radius {rc:.4g} holds no node of the box")
+        E = smooth_cutoff(grid, rc, 2.0 * rc)
+
+        # np.gradient, not spectral: the phase is generally not box periodic
+        g1, g2 = np.gradient(np.real(psi_vals), grid.dx, edge_order=2)
+        gmax = float(np.max(np.hypot(g1, g2)[E > 0]))
+        if gmax > 0:
+            # local wavelength of exp(-2i psi / h) is pi h / |grad psi|
+            h_min = nodes_per_osc * grid.dx * gmax / np.pi
+            if h < h_min:
+                raise GridError(
+                    f"h = {h:.4g} unresolved at this resolution; "
+                    f"minimal admissible h = {h_min:.4g}")
+
+        self.grid = grid
+        self.inp = _bounding_slices(E > 0)
+        self.out = _bounding_slices(core)
+        self.weight = np.exp(-2j * psi_vals[self.inp] / h) * E[self.inp]
+        X, Y = grid.meshgrid()
+        self.cheb = np.maximum(np.abs(X), np.abs(Y))[self.inp]
+        self.core = core[self.out]
+        n_in, n_out = self.weight.shape, self.core.shape
+        shape = tuple(_fft_size(a + b - 1) for a, b in zip(n_in, n_out))
+        shift = tuple(o.start - i.start for o, i in zip(self.out, self.inp))
+        self.khat = _kernel_hat(grid, shape, n_out, shift)
+        # the output window inside the input window, and the rest of it
+        self.inner = tuple(slice(d, d + m) for d, m in zip(shift, n_out))
+        self.frame = np.ones(n_in, dtype=bool)
+        self.frame[self.inner] = False
+        self.khat_inner = _kernel_hat(
+            grid, tuple(_fft_size(2 * m - 1) for m in n_out), n_out, (0, 0))
+
+    def apply(self, vals: np.ndarray) -> np.ndarray:
+        """restrict(cauchy_inverse(exp(-2i psi/h) E vals)) on the full box."""
+        grid = self.grid
+        vals = _require_finite(vals, grid, "oscillatory_dbar_inv")
+        w = self.weight * vals[self.inp]
+        _support_guard(w, self.cheb, grid.half, "oscillatory_dbar_inv")
+        if w[self.frame].any():
+            conv = _cauchy_conv(w, self.khat, self.core.shape)
+        else:
+            conv = _cauchy_conv(w[self.inner], self.khat_inner, self.core.shape)
+        out = np.zeros((grid.n, grid.n), dtype=complex)
+        out[self.out] = np.where(self.core, conv, 0.0)
+        return out
+
+    def apply_conj(self, vals: np.ndarray) -> np.ndarray:
+        """The right inverse of dz with phase exp(+2i psi/h), by conjugation."""
+        return np.conj(self.apply(np.conj(vals)))
+
+
 def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
                          core_radius: float | None = None,
                          nodes_per_osc: float = 6.0) -> ComplexField:
     """Oscillatory inverse: restrict(cauchy_inverse(exp(-2i psi/h) E f)).
 
-    E is a fixed C^2 cutoff equal to 1 on the core disk and 0 beyond twice
-    its radius; the result is restricted (zeroed) outside the core. Rejects
-    h too small for the grid to resolve the oscillation, reporting the
-    minimal admissible h.
+    E is a fixed C^2 cutoff equal to 1 on the core disk (radius rc, default
+    half/3) and 0 beyond 2 rc; the result is restricted (zeroed) outside
+    the core.  Rejects non-finite f or psi, and h too small for the grid
+    to resolve the oscillation, reporting the minimal admissible h.
+
+    The input exp(-2i psi/h) E f vanishes outside the window |x|, |y| <
+    2 rc and the output is read on |x|, |y| <= rc only, so the transform is
+    a windowed linear convolution: an FFT of size N >= L_in + L_out - 1
+    per axis (L_in, L_out the window lengths in nodes, N 2,3,5-smooth)
+    equals the zero-padded full-box sum term for term, with the same
+    kernel samples.  When f vanishes outside the core window, the core
+    window is the input window too.  On the half = 6, n = 512 box with
+    rc = 2 the windows are 341 and 171 nodes wide: a 512^2 FFT pair, or
+    360^2 for core-supported f, in place of 1024^2.
     """
-    grid = f.grid
-    if h <= 0:
-        raise GridError("h must be positive")
-    psi_vals = psi.values if hasattr(psi, "values") else np.asarray(psi)
-    rc = core_radius if core_radius is not None else grid.half / 3.0
-    E = smooth_cutoff(grid, rc, 2.0 * rc)
-
-    # np.gradient, not spectral: the phase is generally not box periodic
-    g1, g2 = np.gradient(np.real(psi_vals), grid.dx, edge_order=2)
-    gmax = float(np.max(np.hypot(g1, g2)[E > 0]))
-    if gmax > 0:
-        # local wavelength of exp(-2i psi / h) is pi h / |grad psi|
-        h_min = nodes_per_osc * grid.dx * gmax / np.pi
-        if h < h_min:
-            raise GridError(
-                f"h = {h:.4g} unresolved at this resolution; "
-                f"minimal admissible h = {h_min:.4g}")
-
-    phase = np.exp(-2j * psi_vals / h)
-    inner = ComplexField(phase * E * f.values, grid, backend="oscillatory")
-    out = cauchy_inverse(inner)
-    X, Y = grid.meshgrid()
-    core = (X * X + Y * Y) <= rc * rc
-    return ComplexField(np.where(core, out.values, 0.0), grid,
-                        backend="oscillatory-cauchy")
+    out = _OscPlan(f.grid, psi, h, core_radius, nodes_per_osc).apply(f.values)
+    return ComplexField(out, f.grid, backend="oscillatory-cauchy")
 
 
 def oscillatory_dbar_inv_conj(f: ComplexField, psi, h: float,
@@ -351,7 +475,5 @@ def oscillatory_dbar_inv_conj(f: ComplexField, psi, h: float,
     Mirrors oscillatory_dbar_inv through the conjugation identity, so the
     pair shares one resolution guard and one cutoff.
     """
-    grid = f.grid
-    conj_in = ComplexField(np.conj(f.values), grid, backend=f.backend)
-    out = oscillatory_dbar_inv(conj_in, psi, h, core_radius, nodes_per_osc)
-    return ComplexField(np.conj(out.values), grid, backend="oscillatory-conj-cauchy")
+    out = _OscPlan(f.grid, psi, h, core_radius, nodes_per_osc).apply_conj(f.values)
+    return ComplexField(out, f.grid, backend="oscillatory-conj-cauchy")

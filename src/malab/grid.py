@@ -195,6 +195,8 @@ class DomainGrid:
 
 def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
     """Axis-aligned ellipse x^2/a^2 + y^2/b^2 = 1 on a lattice covering its box."""
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise GridError(f"semi-axes must be finite, got ({a}, {b})")
     if min(a, b) <= 0:
         raise GridError("semi-axes must be positive")
     if n < 16:

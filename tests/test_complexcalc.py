@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from malab.complexcalc import (
-    cauchy_inverse, complex_hessian, conj_cauchy_inverse, deriv,
-    oscillatory_dbar_inv, periodic_fd4, smooth_cutoff, spectral_deriv,
-    trace_identities, wirtinger,
+    _OscPlan, cauchy_inverse, complex_hessian, conj_cauchy_inverse, deriv,
+    oscillatory_dbar_inv, oscillatory_dbar_inv_conj, periodic_fd4,
+    smooth_cutoff, spectral_deriv, trace_identities, wirtinger,
 )
 from malab.grid import ComplexField, GridError, PaddedGrid, ScalarField, build_disk
 
@@ -230,6 +230,74 @@ def test_oscillatory_resolution_guard():
     with pytest.raises(GridError) as err:
         oscillatory_dbar_inv(f, psi, h=1e-4)
     assert "minimal admissible h" in str(err.value)
+
+
+@pytest.mark.parametrize("half, n, rc, h", [
+    (6.0, 512, None, 0.283),     # the CGO box: windows 341, 171; N = 512, 360
+    (3.0, 97, None, 1.0),        # odd n: the origin is not a node
+    (3.0, 129, 0.8, 0.5),
+    (4.0, 200, 1.1, 0.5),
+])
+def test_windowed_oscillatory_matches_full_box(half, n, rc, h):
+    # the windowed linear convolution equals the zero-padded full-box one
+    g = PaddedGrid(half=half, n=n)
+    X, Y = g.meshgrid()
+    rng = np.random.default_rng(n)
+    f = ((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+         * np.exp(-(X * X + Y * Y) / 2.0))
+    psi = 0.5 * X * Y - 0.2 * (X - 0.3) ** 2 + 0.1 * Y
+    r = rc if rc is not None else half / 3.0
+    core = g.core_mask(r)
+    E = smooth_cutoff(g, r, 2.0 * r)
+
+    def full_box(vals):
+        w = np.exp(-2j * psi / h) * E * vals
+        return np.where(core, cauchy_inverse(ComplexField(w, g)).values, 0.0)
+
+    # input spread over the cutoff window, and input inside the core only
+    # (the Neumann series terms), which takes the smaller FFT
+    for vals in (f, np.where(core, f, 0.0)):
+        want = full_box(vals)
+        got = oscillatory_dbar_inv(ComplexField(vals, g), psi, h, rc).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.all(got[~core] == 0.0)
+        want_c = np.conj(full_box(np.conj(vals)))
+        got_c = oscillatory_dbar_inv_conj(ComplexField(vals, g), psi, h,
+                                          rc).values
+        assert np.max(np.abs(got_c - want_c)) <= 1e-13 * np.max(np.abs(want_c))
+    if n == 512:
+        plan = _OscPlan(g, psi, h)
+        assert plan.khat.shape == (512, 512)
+        assert plan.khat_inner.shape == (360, 360)
+
+
+def test_oscillatory_wide_core_hits_wraparound_guard():
+    # rc = half/2 puts the cutoff's support out to the box edge
+    g = PaddedGrid(half=3.0, n=128)
+    f = ComplexField(np.ones((g.n, g.n)), g)
+    with pytest.raises(GridError, match="wraparound"):
+        oscillatory_dbar_inv(f, np.zeros((g.n, g.n)), 0.5, core_radius=1.5)
+
+
+def test_cauchy_transforms_reject_bad_input():
+    g = PaddedGrid(half=3.0, n=64)
+    f = _poly_bump(g, R=0.7).astype(complex)
+    psi = np.zeros((g.n, g.n))
+    bad = f.copy()
+    bad[0, 0] = np.nan           # outside every window: still refused
+    with pytest.raises(GridError, match="cauchy_inverse: non-finite"):
+        cauchy_inverse(ComplexField(bad, g))
+    for osc in (oscillatory_dbar_inv, oscillatory_dbar_inv_conj):
+        with pytest.raises(GridError, match="non-finite"):
+            osc(ComplexField(bad, g), psi, 0.3)
+        nan_psi = psi.copy()
+        nan_psi[0, -1] = np.inf
+        with pytest.raises(GridError, match="psi: non-finite"):
+            osc(ComplexField(f, g), nan_psi, 0.3)
+        with pytest.raises(GridError, match="psi: shape"):
+            osc(ComplexField(f, g), np.zeros((g.n, g.n + 1)), 0.3)
+        with pytest.raises(GridError, match="core radius"):
+            osc(ComplexField(f, g), psi, 0.3, core_radius=0.0)
 
 
 def test_oscillatory_decay_ordering():

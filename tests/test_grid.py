@@ -20,6 +20,15 @@ def test_build_disk_rejects_small_n():
         build_disk(1.0, 8)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, np.nan), (np.nan, 1.0),
+                                  (np.inf, 1.0)])
+def test_build_ellipse_rejects_non_finite_axes(a, b):
+    # (1, nan) used to build a grid with an empty mask and a NaN ring; the
+    # other two raised a bare ValueError from the ring size
+    with pytest.raises(GridError, match="finite"):
+        build_ellipse(a, b, 32)
+
+
 def test_disk_curvature_and_normals():
     g = build_disk(1.0, 128)
     assert np.allclose(g.boundary.curvature, 1.0)
