@@ -20,8 +20,9 @@ and the whole identity is checked numerically to spectral accuracy by
 factorization_check.  (The drift parts of Q appear in the literature with
 the opposite signs next to an outer weight 1/G_c and a middle weight
 |G|^-2; that sign set leaves an O(1) residual in the identity, so this
-module keeps the set the residual actually certifies.  potential_Q below
-retains the conventional signs for reference.)
+module keeps only the set the residual actually certifies.)  The gauge
+field alpha is the exact Fourier division of its source by the dzb symbol,
+so it carries no 1/z tail; the mean of the source rides on conj(z).
 
 Given the factorization, a solution v = G^-1 exp(Phi/h) (a + r) with
 holomorphic Phi and a requires the remainder r to satisfy a fixed-point
@@ -50,8 +51,10 @@ import numpy as np
 # the series applies one _OscPlan per bundle; oscillatory_dbar_inv stays
 # importable here as the public form of its inverse (CGOBundle.r is
 # -oscillatory_dbar_inv(V' s) bit for bit), and perfbench traces it here
-from .complexcalc import (_OscPlan, cauchy_inverse, oscillatory_dbar_inv,
-                          periodic_fd4, spectral_deriv)
+from .complexcalc import (_OscPlan, _require_finite, _support_guard,
+                          _wirtinger_symbol, oscillatory_dbar_inv,
+                          periodic_fd4, spectral_deriv, spectral_dz,
+                          spectral_dzb)
 from .grid import ComplexField, GridError, PaddedGrid
 from .linearize import VectorField
 
@@ -60,17 +63,7 @@ H_SWEEP = (0.4, 0.283, 0.2, 0.141, 0.1)  # standard decay-sweep values
 
 
 # ---------------------------------------------------------------------------
-# spectral Wirtinger helpers on raw arrays
-
-
-def _dz(vals: np.ndarray, grid: PaddedGrid) -> np.ndarray:
-    return 0.5 * (spectral_deriv(vals, grid, 1, 0)
-                  - 1j * spectral_deriv(vals, grid, 0, 1))
-
-
-def _dzb(vals: np.ndarray, grid: PaddedGrid) -> np.ndarray:
-    return 0.5 * (spectral_deriv(vals, grid, 1, 0)
-                  + 1j * spectral_deriv(vals, grid, 0, 1))
+# helpers
 
 
 def _l2(vals: np.ndarray, grid: PaddedGrid, where=None) -> float:
@@ -102,85 +95,49 @@ def oneform_split(X: VectorField) -> tuple[ComplexField, ComplexField]:
             ComplexField(0.5 * w, grid, backend="oneform"))
 
 
-def _gauge_source(X: VectorField) -> np.ndarray:
-    """Right side of the gauge equation dzb(alpha) = (i/4)(X1 + i X2)."""
-    return 0.25j * (X.c1 + 1j * X.c2)
-
-
 def gauge(X: VectorField) -> tuple[ComplexField, ComplexField, ComplexField]:
     """Gauge transform killing the drift: alpha, exp(i alpha), conj partner.
 
-    alpha is the Cauchy transform of the dzb-coefficient source, so it
-    carries the usual 1/z tail; exp(i alpha) never vanishes, with |G| >=
-    exp(-max |Im alpha|) nodewise.  Drifts reaching the outer third of the
-    box are rejected by the transform's support guard.
+    alpha solves dzb(alpha) = (i/4)(X1 + i X2) to spectral accuracy: every
+    Fourier mode of the source but the mean is divided exactly by the dzb
+    symbol, Nyquist modes included (a periodic field cannot produce the
+    mean, so that one mode rides on an explicit conj(z) term).  exp(i alpha)
+    never vanishes, with |G| >= exp(-max |Im alpha|) nodewise.  Non-finite
+    drifts, and drifts reaching the outer third of the box, are rejected by
+    the guards the Cauchy transform runs.
     """
     grid = _require_padded(X.grid)
-    src = ComplexField(_gauge_source(X), grid, backend="gauge")
-    alpha = cauchy_inverse(src)
-    ga = np.exp(1j * alpha.values)
-    gc = np.exp(1j * np.conj(alpha.values))
-    return (alpha,
-            ComplexField(ga, grid, backend="gauge"),
-            ComplexField(gc, grid, backend="gauge"))
-
-
-def _spectral_gauge(X: VectorField) -> np.ndarray:
-    """Gauge field with dzb(alpha) = (i/4)(X1 + i X2) to spectral accuracy.
-
-    A periodic field cannot produce the lattice mean of the source, so that
-    one mode rides on an explicit conj(z) term; every other Fourier mode is
-    divided exactly.  Used internally where the factorization identity must
-    hold far below the Cauchy-transform quadrature floor.
-    """
-    grid = _require_padded(X.grid)
-    src = _gauge_source(X)
-    K1, K2 = grid.wavenumbers()
-    sym = 0.5 * (1j * K1 - K2)          # spectral symbol of dzb
+    src = _require_finite(0.25j * (X.c1 + 1j * X.c2), grid, "gauge")
+    XX, YY = grid.meshgrid()
+    _support_guard(src, np.maximum(np.abs(XX), np.abs(YY)), grid.half, "gauge")
+    sym = _wirtinger_symbol(grid, 1, odd=False)
     sh = np.fft.fft2(src)
     mean = sh[0, 0] / grid.n ** 2
     sym[0, 0] = 1.0
     sh = sh / sym
     sh[0, 0] = 0.0
-    return np.fft.ifft2(sh) + mean * np.conj(grid.zz)
+    alpha = np.fft.ifft2(sh) + mean * np.conj(grid.zz)
+    return (ComplexField(alpha, grid, backend="gauge"),
+            ComplexField(np.exp(1j * alpha), grid, backend="gauge"),
+            ComplexField(np.exp(1j * np.conj(alpha)), grid, backend="gauge"))
 
 
 # ---------------------------------------------------------------------------
 # zeroth-order coefficients
 
 
-def _drift_scalars(X: VectorField):
-    grid = X.grid
-    div = spectral_deriv(X.c1, grid, 1, 0) + spectral_deriv(X.c2, grid, 0, 1)
-    curl = spectral_deriv(X.c2, grid, 1, 0) - spectral_deriv(X.c1, grid, 0, 1)
-    absq = X.c1 * X.c1 + X.c2 * X.c2
-    return absq, div, curl
-
-
-def potential_Q(X: VectorField, q=0.0) -> ComplexField:
-    """Conventional zeroth-order coefficient (i/2) curl X - |X|^2/4 + div X/2 + q.
-
-    Complex unless X is curl-free.  For X = grad(rho) this is
-    -|grad rho|^2/4 + lap(rho)/2 + q.  Note the verified factorization
-    carries factor_potential, whose drift part is the negative of this one.
-    """
-    grid = _require_padded(X.grid)
-    absq, div, curl = _drift_scalars(X)
-    vals = 0.5j * curl - 0.25 * absq + 0.5 * div + np.asarray(q)
-    return ComplexField(vals.astype(complex), grid, backend="spectral")
-
-
 def factor_potential(X: VectorField, q=0.0) -> ComplexField:
     """Zeroth-order coefficient the verified factorization carries.
 
-    |X|^2/4 - div X/2 - (i/2) curl X + q: the drift part is the negative of
-    potential_Q's, a sign set fixed by driving the factorization residual
-    to the spectral floor (the conventional set leaves O(1)).
+    |X|^2/4 - div X/2 - (i/2) curl X + q, computed as
+    |X|^2/4 - dz(X1 + i X2) + q.  The drift part's sign set is fixed by
+    driving the factorization residual to the spectral floor (the
+    conventional, opposite set leaves O(1)).
     """
     grid = _require_padded(X.grid)
-    absq, div, curl = _drift_scalars(X)
-    vals = 0.25 * absq - 0.5 * div - 0.5j * curl + np.asarray(q)
-    return ComplexField(vals.astype(complex), grid, backend="spectral")
+    vals = (0.25 * (X.c1 * X.c1 + X.c2 * X.c2)
+            - spectral_dz(X.c1 + 1j * X.c2, grid) + np.asarray(q))
+    return ComplexField(vals, grid, backend="spectral")
 
 
 def _zero_drift(grid: PaddedGrid) -> VectorField:
@@ -209,11 +166,10 @@ def factorization_check(X: VectorField, q=0.0, f=None) -> float:
            + X.c1 * spectral_deriv(fv, grid, 1, 0)
            + X.c2 * spectral_deriv(fv, grid, 0, 1) + qv * fv)
 
-    alpha = _spectral_gauge(X)
-    ga = np.exp(1j * alpha)
-    gc = np.exp(1j * np.conj(alpha))
+    alpha, ga, gc = (a.values for a in gauge(X))
     mid = np.exp(-1j * (alpha + np.conj(alpha)))
-    bracket = 2.0 * gc * (-2.0 * _dz(mid * _dzb(ga * fv, grid), grid))
+    bracket = 2.0 * gc * (-2.0 * spectral_dz(mid * spectral_dzb(ga * fv, grid),
+                                             grid))
     rhs = bracket + factor_potential(X, qv).values * fv
     return _l2(lhs - rhs, grid) / _l2(lhs, grid)
 
@@ -490,9 +446,9 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     trivial = (X.norm_max() == 0.0 and np.all(qv == 0))
     if trivial:
         alpha = np.zeros((grid.n, grid.n), dtype=complex)
+        ga = np.ones_like(alpha)
     else:
-        alpha = _spectral_gauge(X)
-    ga = np.exp(1j * alpha)
+        alpha, ga = (a.values for a in gauge(X)[:2])
     im_max = float(np.max(np.abs(np.imag(alpha))))
     if float(np.min(np.abs(ga))) < np.exp(-im_max) * (1.0 - 1e-12):
         raise GridError("gauge factor fell below its lower bound")
@@ -616,7 +572,7 @@ def remainder_expansion(phase: PhaseSpec, f: ComplexField, N: int) -> tuple:
     cur = fv * inv
     out.append(ComplexField(cur, grid, backend="expansion"))
     for _ in range(N):
-        cur = -_dzb(cur, grid) * inv
+        cur = -spectral_dzb(cur, grid) * inv
         out.append(ComplexField(cur, grid, backend="expansion"))
     return tuple(out)
 

@@ -15,7 +15,8 @@ with constant Gaussian-integer matrices A, B defined below.
 Two derivative backends exist: spectral (periodic padded boxes) and finite
 differences (4th-order central inside a masked lattice, degrading to
 one-sided second order against the boundary). Every result records which
-backend produced it.
+backend produced it. On a box, dz and dzb are one FFT pair each
+(spectral_dz, spectral_dzb), with spectral_deriv's odd-order Nyquist rule.
 
 The Cauchy transforms convolve with the kernel h^2/(pi z) sampled on the
 box lattice (origin weight zero).  cauchy_inverse is the linear
@@ -61,20 +62,50 @@ def trace_identities() -> dict:
 # derivative backends
 
 
+def _wavenumbers(grid: PaddedGrid, odd1: bool, odd2: bool):
+    """Box wavenumbers as a column (axis 0) and a row (axis 1).
+
+    On an even box the Nyquist wavenumber of an axis flagged odd is zeroed:
+    that unbalanced mode has no real odd derivative.
+    """
+    ks = []
+    for odd in (odd1, odd2):
+        k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+        if odd and grid.n % 2 == 0:
+            k[grid.n // 2] = 0.0
+        ks.append(k)
+    return ks[0][:, None], ks[1][None, :]
+
+
 def spectral_deriv(vals: np.ndarray, grid: PaddedGrid, o1: int, o2: int) -> np.ndarray:
     """(d/dx1)^o1 (d/dx2)^o2 by FFT on the periodic box.
 
     The unbalanced Nyquist mode is zeroed for odd derivative orders.
     """
-    K1, K2 = grid.wavenumbers()
-    mult = (1j * K1) ** o1 * (1j * K2) ** o2
-    if grid.n % 2 == 0:
-        kny = np.min(2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx))
-        if o1 % 2:
-            mult[np.isclose(K1, kny)] = 0.0
-        if o2 % 2:
-            mult[np.isclose(K2, kny)] = 0.0
+    k1, k2 = _wavenumbers(grid, o1 % 2, o2 % 2)
+    mult = (1j * k1) ** o1 * (1j * k2) ** o2
     return np.fft.ifft2(mult * np.fft.fft2(vals))
+
+
+def _wirtinger_symbol(grid: PaddedGrid, sign: int, odd: bool = True) -> np.ndarray:
+    """Fourier symbol (i k1 - sign k2)/2 of (d/dx1 + sign i d/dx2)/2.
+
+    sign = -1 gives dz, +1 gives dzb. With odd, the Nyquist wavenumbers
+    follow spectral_deriv's odd-order rule; dividing by the symbol (the
+    gauge) needs them kept, or a whole row would be zero.
+    """
+    k1, k2 = _wavenumbers(grid, odd, odd)
+    return 0.5 * (1j * k1 - sign * k2)
+
+
+def spectral_dz(vals: np.ndarray, grid: PaddedGrid) -> np.ndarray:
+    """dz = (d/dx1 - i d/dx2)/2 by one FFT pair on the periodic box."""
+    return np.fft.ifft2(_wirtinger_symbol(grid, -1) * np.fft.fft2(vals))
+
+
+def spectral_dzb(vals: np.ndarray, grid: PaddedGrid) -> np.ndarray:
+    """dzb = (d/dx1 + i d/dx2)/2 by one FFT pair on the periodic box."""
+    return np.fft.ifft2(_wirtinger_symbol(grid, 1) * np.fft.fft2(vals))
 
 
 _C4_1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0     # offsets -2..2
@@ -208,11 +239,14 @@ def _backend_name(grid, backend):
 def wirtinger(f, backend: str = "auto"):
     """Holomorphic and antiholomorphic first derivatives (dz f, dzb f)."""
     vals, grid = f.values, f.grid
-    d1 = deriv(vals, grid, 1, 0, backend)
-    d2 = deriv(vals, grid, 0, 1, backend)
     name = _backend_name(grid, backend)
-    dz = 0.5 * (d1 - 1j * d2)
-    dzb = 0.5 * (d1 + 1j * d2)
+    if name == "spectral":
+        dz, dzb = spectral_dz(vals, grid), spectral_dzb(vals, grid)
+    else:
+        d1 = deriv(vals, grid, 1, 0, backend)
+        d2 = deriv(vals, grid, 0, 1, backend)
+        dz = 0.5 * (d1 - 1j * d2)
+        dzb = 0.5 * (d1 + 1j * d2)
     return (ComplexField(dz, grid, backend=name),
             ComplexField(dzb, grid, backend=name))
 

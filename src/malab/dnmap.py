@@ -9,7 +9,8 @@ trace of the base normal derivative, the boundary values of the source,
 and the curvature determine the full Hessian of the base solution on the
 boundary pointwise, and one more normal derivative of the source
 determines the third normal derivative. All tangential differentiation
-is spectral in the periodic ring parameter.
+is spectral in the periodic ring parameter (grid.tangential_derivative,
+re-exported here).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
-                   ScalarField, boundary_restrict, normal_derivative)
+                   ScalarField, boundary_restrict, normal_derivative,
+                   tangential_derivative)
 from .linearize import metric_from_solution, nondiv_solve, nondiv_solve_many
 from .maforward import eval_boundary_data, solve_ma
 
@@ -36,35 +38,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# spectral calculus on the boundary ring
-
-
-def _circle_deriv(vals: np.ndarray) -> np.ndarray:
-    """d/dtheta of ring samples, theta the uniform parameter in [0, 2pi)."""
-    M = len(vals)
-    fh = np.fft.rfft(vals)
-    k = np.arange(len(fh), dtype=float)
-    fh *= 1j * k
-    if M % 2 == 0:
-        fh[-1] = 0.0            # the Nyquist mode has no odd derivative
-    return np.fft.irfft(fh, n=M)
-
-
-def _ring_speed(grid: DomainGrid) -> np.ndarray:
-    """|dp/dtheta| along the ring, from the stored boundary points."""
-    b = grid.boundary
-    return np.hypot(_circle_deriv(b.points[:, 0]),
-                    _circle_deriv(b.points[:, 1]))
-
-
-def tangential_derivative(grid: DomainGrid, vals: np.ndarray,
-                          order: int = 1) -> np.ndarray:
-    """d^order/ds^order of ring samples, s the arclength parameter."""
-    speed = _ring_speed(grid)
-    out = np.asarray(vals, dtype=float)
-    for _ in range(order):
-        out = _circle_deriv(out) / speed
-    return out
+# ring helpers
 
 
 def _ring_eval(grid: DomainGrid, data) -> np.ndarray:

@@ -12,11 +12,14 @@ Diffeomorphisms are stored through their displacement, J(x) = x + d(x):
 the Jacobian of the identity is then exact, spectral differentiation of
 d stays legitimate on periodic boxes (the map itself grows linearly and
 has no Fourier series), and deviation-from-identity readings are direct.
-Pullbacks interpolate on the periodic box with local 4x4 cubic Lagrange
-blocks whose indices wrap through the period, so lattice points and
-cubic polynomials are reproduced exactly; maps whose displacement
-exceeds the wraparound margin of the box are rejected, since their
-images alias through the period and no interpolation can be trusted.
+Pullbacks sample on the periodic box with the lattice's one cubic
+sampler (grid._CubicBlock: local 4x4 Lagrange blocks, indices wrapped
+through the period), so lattice points and cubic polynomials are
+reproduced exactly; fields sampled at the same points share one block.
+Maps whose displacement exceeds the wraparound margin of the box are
+rejected, since their images alias through the period and no
+interpolation can be trusted, and so are non-finite displacements and
+Jacobians.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcalc import deriv, spectral_deriv
+from .complexcalc import deriv, spectral_dz
 from .grid import (ComplexField, DomainGrid, GridError, MetricField,
-                   PaddedGrid, ScalarField, _snap, interp_masked)
+                   PaddedGrid, ScalarField, _CubicBlock)
 from .linearize import VectorField, divergence_form_apply, nondiv_solve_many
 
 __all__ = [
@@ -212,10 +215,15 @@ class DiffeoField:
         expect = (grid.n, grid.n)
         if self.d1.shape != expect or self.d2.shape != expect:
             raise GridError(f"displacement shape does not match grid {expect}")
+        if not (np.all(np.isfinite(self.d1)) and np.all(np.isfinite(self.d2))):
+            raise GridError("displacement contains non-finite values")
         self.grid = grid
         self.backend = backend
         self._jac = None if jac is None else tuple(
             np.broadcast_to(np.asarray(a, dtype=float), expect) for a in jac)
+        if self._jac is not None and not all(np.all(np.isfinite(a))
+                                             for a in self._jac):
+            raise GridError("attached Jacobian contains non-finite values")
 
     @classmethod
     def identity(cls, grid) -> "DiffeoField":
@@ -259,42 +267,6 @@ class DiffeoField:
         return self
 
 
-def _box_sampler(values: np.ndarray, grid: PaddedGrid):
-    """4x4 Lagrange sampler on the periodic box.
-
-    The same local cubic as the masked domain sampler, with indices
-    wrapped through the period, so it is exact at lattice points and on
-    cubic polynomials of the local coordinates. Callers are responsible
-    for the wraparound-margin check on the displacement itself; the
-    indexing wraps regardless.
-    """
-    n = grid.n
-    vals = np.asarray(values)
-
-    def lag(t):
-        w = np.empty((4,) + t.shape)
-        w[0] = -(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0
-        w[1] = t * (t - 2.0) * (t - 3.0) / 2.0
-        w[2] = -t * (t - 1.0) * (t - 3.0) / 2.0
-        w[3] = t * (t - 1.0) * (t - 2.0) / 6.0
-        return w
-
-    def at(p1, p2):
-        u = _snap((np.asarray(p1, dtype=float) + grid.half) / grid.dx)
-        v = _snap((np.asarray(p2, dtype=float) + grid.half) / grid.dx)
-        gi = np.floor(u).astype(int) - 1
-        gj = np.floor(v).astype(int) - 1
-        wu, wv = lag(u - gi), lag(v - gj)
-        out = np.zeros(np.shape(p1), dtype=vals.dtype)
-        for a in range(4):
-            ia = (gi + a) % n
-            for b in range(4):
-                out += wu[a] * wv[b] * vals[ia, (gj + b) % n]
-        return out
-
-    return at
-
-
 def _check_reach(J: DiffeoField):
     grid = J.grid
     if not isinstance(grid, PaddedGrid):
@@ -318,17 +290,15 @@ def _inverse_jacobian(J: DiffeoField):
 def pullback_scalar(J: DiffeoField, v: ScalarField) -> ScalarField:
     """(J* v)(x) = v(J(x))."""
     _check_reach(J)
-    p1, p2 = J.points()
-    out = _box_sampler(v.values, v.grid)(p1, p2)
+    out = _CubicBlock(J.grid, *J.points())(v.values)
     return ScalarField(out, v.grid, backend=v.backend + "+pullback")
 
 
 def pullback_vector(J: DiffeoField, X: VectorField) -> VectorField:
     """Pushforward by the inverse map: (J* X)(x) = (dJ)^{-1} X(J(x))."""
     _check_reach(J)
-    p1, p2 = J.points()
-    x1 = _box_sampler(X.c1, J.grid)(p1, p2)
-    x2 = _box_sampler(X.c2, J.grid)(p1, p2)
+    at = _CubicBlock(J.grid, *J.points())
+    x1, x2 = at(X.c1), at(X.c2)
     b11, b12, b21, b22 = _inverse_jacobian(J)
     return VectorField(b11 * x1 + b12 * x2, b21 * x1 + b22 * x2, J.grid,
                        backend=X.backend + "+pullback")
@@ -341,10 +311,8 @@ def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
     contravariant tensor S, with B the inverse Jacobian.
     """
     _check_reach(J)
-    p1, p2 = J.points()
-    t11 = _box_sampler(g.g11, J.grid)(p1, p2)
-    t12 = _box_sampler(g.g12, J.grid)(p1, p2)
-    t22 = _box_sampler(g.g22, J.grid)(p1, p2)
+    at = _CubicBlock(J.grid, *J.points())
+    t11, t12, t22 = at(g.g11), at(g.g12), at(g.g22)
     b11, b12, b21, b22 = _inverse_jacobian(J)
     s11 = b11 * b11 * t11 + 2.0 * b11 * b12 * t12 + b12 * b12 * t22
     s12 = b11 * b21 * t11 + (b11 * b22 + b12 * b21) * t12 + b12 * b22 * t22
@@ -358,11 +326,10 @@ def compose_diffeos(outer: DiffeoField, inner: DiffeoField) -> DiffeoField:
     _check_reach(outer)
     if outer.grid is not inner.grid:
         raise GridError("maps live on different grids")
-    p1, p2 = inner.points()
-    d1 = inner.d1 + _box_sampler(outer.d1, outer.grid)(p1, p2)
-    d2 = inner.d2 + _box_sampler(outer.d2, outer.grid)(p1, p2)
-    a11, a12, a21, a22 = (_box_sampler(a, outer.grid)(p1, p2)
-                          for a in outer.jacobian())
+    at = _CubicBlock(outer.grid, *inner.points())
+    d1 = inner.d1 + at(outer.d1)
+    d2 = inner.d2 + at(outer.d2)
+    a11, a12, a21, a22 = (at(a) for a in outer.jacobian())
     i11, i12, i21, i22 = inner.jacobian()
     jac = (a11 * i11 + a12 * i21, a11 * i12 + a12 * i22,
            a21 * i11 + a22 * i21, a21 * i12 + a22 * i22)
@@ -386,8 +353,6 @@ def invert_diffeo(J: DiffeoField, *, rtol: float = 1e-12,
     if gap >= 1.0:
         raise GridError(f"displacement gradient reaches {gap:.3f}; the "
                         "inversion fixed point does not contract")
-    s1 = _box_sampler(J.d1, grid)
-    s2 = _box_sampler(J.d2, grid)
     P1, P2 = grid.meshgrid()
     z1, z2 = P1.copy(), P2.copy()
     scale = max(float(np.max(np.hypot(J.d1, J.d2))), 1e-300)
@@ -396,8 +361,10 @@ def invert_diffeo(J: DiffeoField, *, rtol: float = 1e-12,
     # convergence, a stall above it is a genuine failure
     floor, prev, stall = 1e-6 * scale, np.inf, 0
     for _ in range(maxiter):
-        n1 = P1 - s1(z1, z2)
-        n2 = P2 - s2(z1, z2)
+        at = _CubicBlock(grid, z1, z2)
+        n1 = P1 - at(J.d1)
+        n2 = P2 - at(J.d2)
+        del at                  # one block alive at a time bounds the peak
         move = float(np.max(np.hypot(n1 - z1, n2 - z2)))
         z1, z2 = n1, n2
         if move <= rtol * scale:
@@ -411,10 +378,8 @@ def invert_diffeo(J: DiffeoField, *, rtol: float = 1e-12,
     else:
         if move > floor:
             raise GridError(f"inversion stalled at step size {move:.3e}")
-    a11 = _box_sampler(j11, grid)(z1, z2)
-    a12 = _box_sampler(j12, grid)(z1, z2)
-    a21 = _box_sampler(j21, grid)(z1, z2)
-    a22 = _box_sampler(j22, grid)(z1, z2)
+    at = _CubicBlock(grid, z1, z2)
+    a11, a12, a21, a22 = at(j11), at(j12), at(j21), at(j22)
     det = a11 * a22 - a12 * a21
     if np.min(det) <= 0.0:
         raise GridError("map is not orientation preserving along the inverse")
@@ -435,22 +400,6 @@ class TransformReport:
     base_residual: float
     nodes: int
     backend: str
-
-
-def _masked_sample_ok(grid: DomainGrid, p1, p2) -> np.ndarray:
-    """Nodes whose mapped interpolation block stays inside the mask.
-
-    Uses the same snapped block arithmetic as the interpolator so the
-    inclusion test and the sampler always agree on the block.
-    """
-    x0, dx, n = grid.x1[0], grid.dx, grid.n
-    gi = np.clip(np.floor(_snap((p1 - x0) / dx)).astype(int) - 1, 0, n - 4)
-    gj = np.clip(np.floor(_snap((p2 - x0) / dx)).astype(int) - 1, 0, n - 4)
-    ok = np.ones(p1.shape, dtype=bool)
-    for a in range(4):
-        for b in range(4):
-            ok &= grid.mask[gi + a, gj + b]
-    return ok
 
 
 def _erode(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -484,11 +433,8 @@ def transform_solution_check(g2: MetricField, X2: VectorField, J: DiffeoField,
     if J.grid is not grid or v2.grid is not grid:
         raise GridError("inputs live on different grids")
     p1, p2 = J.points()
-    ok = _masked_sample_ok(grid, p1, p2) & grid.mask
-    pts = np.stack([p1.ravel(), p2.ravel()], axis=-1)
-
-    def sample(values):
-        return interp_masked(values, grid, pts, strict=False).reshape(p1.shape)
+    sample = _CubicBlock(grid, p1, p2)
+    ok = sample.inside() & grid.mask
 
     vt = (np.asarray(v2_call(p1, p2), dtype=float) if v2_call is not None
           else sample(v2.values))
@@ -607,9 +553,7 @@ def isothermal(g: MetricField, *, tol: float = 1e-2, margin: float = 0.1,
     ratio = np.nan
     for _ in range(maxiter):
         cphi = cauchy_inverse(ComplexField(phi, grid))
-        pi_phi = 0.5 * (spectral_deriv(cphi.values, grid, 1, 0)
-                        - 1j * spectral_deriv(cphi.values, grid, 0, 1))
-        nxt = mu_b * (1.0 + pi_phi)
+        nxt = mu_b * (1.0 + spectral_dz(cphi.values, grid))
         step = float(np.max(np.abs(nxt - phi)))
         if last is not None and last > 0.0:
             ratio = step / last
@@ -622,8 +566,7 @@ def isothermal(g: MetricField, *, tol: float = 1e-2, margin: float = 0.1,
                         f"(last contraction ratio {ratio:.3f})")
 
     cphi = cauchy_inverse(ComplexField(phi, grid))
-    dzw = 1.0 + 0.5 * (spectral_deriv(cphi.values, grid, 1, 0)
-                       - 1j * spectral_deriv(cphi.values, grid, 0, 1))
+    dzw = 1.0 + spectral_dz(cphi.values, grid)
     dzbw = phi
 
     # Jacobian of w from the Wirtinger pair, then the inverse chart

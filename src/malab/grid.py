@@ -14,6 +14,15 @@ ring of points on the exact curve at uniform parameter angle, carrying
 arclength, outward unit normal, and signed curvature. A periodic padded
 box embeds the domain for FFT-based transforms.
 
+Both lattices share one cubic sampler, _CubicBlock: per point the snapped
+4x4 Lagrange block (flat node indices and weights), clipped to the
+lattice on a domain and wrapped through the period on a box, built once
+and applied to every field sampled at those points. interp_masked, the
+boundary ray fits, the metric rim extrapolation and the geomkit
+pullbacks and inversions all go through it. The
+ring's one derivative, tangential_derivative, is spectral in the uniform
+ring parameter and divides by the stored speed ds M / 2 pi.
+
 Everything here is immutable after construction and safe to share across
 threads.
 """
@@ -419,6 +428,26 @@ def boundary_quadrature(t: BoundaryTrace) -> float:
     return float(np.sum(np.asarray(t.values) * t.grid.boundary.ds))
 
 
+def tangential_derivative(grid: DomainGrid, vals: np.ndarray,
+                          order: int = 1) -> np.ndarray:
+    """d^order/ds^order of ring samples, s the arclength parameter.
+
+    Spectral in the uniform ring parameter theta (the Nyquist mode has no
+    odd derivative and is zeroed), divided by the ring's speed
+    |dp/dtheta| = ds M / 2 pi at every step.
+    """
+    b = grid.boundary
+    M = len(b)
+    speed = b.ds * M / (2.0 * np.pi)
+    ik = 1j * np.arange(M // 2 + 1, dtype=float)
+    if M % 2 == 0:
+        ik[-1] = 0.0
+    out = np.asarray(vals, dtype=float)
+    for _ in range(order):
+        out = np.fft.irfft(ik * np.fft.rfft(out), n=M) / speed
+    return out
+
+
 def _snap(t: np.ndarray, eps: float = 1e-9) -> np.ndarray:
     """Snap lattice coordinates within eps of a node onto the node.
 
@@ -430,6 +459,75 @@ def _snap(t: np.ndarray, eps: float = 1e-9) -> np.ndarray:
     return np.where(np.abs(t - r) < eps, r, t)
 
 
+def _lagrange4(t: np.ndarray) -> np.ndarray:
+    """Weights of the cubic through nodes 0..3 at local coordinate t."""
+    w = np.empty((4,) + t.shape)
+    w[0] = -(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0
+    w[1] = t * (t - 2.0) * (t - 3.0) / 2.0
+    w[2] = -t * (t - 1.0) * (t - 3.0) / 2.0
+    w[3] = t * (t - 1.0) * (t - 2.0) / 6.0
+    return w
+
+
+class _CubicBlock:
+    """Snapped 4x4 cubic Lagrange blocks of the points (p1, p2), any shape.
+
+    Holds each point's 16 flat node indices and weight products, so one
+    block samples any number of fields at the same points. Lattice
+    coordinates are (p + half)/dx on both lattices; block corners are
+    clipped to [0, n-4] on a DomainGrid (extrapolating at its edge) and
+    wrap mod n on a PaddedGrid. Exact at lattice points and on cubics per
+    axis of the local coordinates.
+    """
+
+    def __init__(self, grid, p1, p2):
+        p1 = np.asarray(p1, dtype=float)
+        p2 = np.asarray(p2, dtype=float)
+        n = grid.n
+        u = _snap((p1 + grid.half) / grid.dx)
+        v = _snap((p2 + grid.half) / grid.dx)
+        gi = np.floor(u).astype(int) - 1
+        gj = np.floor(v).astype(int) - 1
+        if isinstance(grid, PaddedGrid):
+            rows = [(gi + a) % n * n for a in range(4)]
+            cols = [(gj + b) % n for b in range(4)]
+        else:
+            gi = np.clip(gi, 0, n - 4)
+            gj = np.clip(gj, 0, n - 4)
+            rows = [(gi + a) * n for a in range(4)]
+            cols = [gj + b for b in range(4)]
+        wu, wv = _lagrange4(u - gi), _lagrange4(v - gj)
+        self.grid = grid
+        self.p1, self.p2 = p1, p2
+        self.idx = [r + c for r in rows for c in cols]
+        self.w = [a * b for a in wu for b in wv]
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        flat = np.asarray(values).ravel()
+        out = np.zeros(self.p1.shape, dtype=flat.dtype)
+        for w, idx in zip(self.w, self.idx):
+            out += w * flat.take(idx)
+        return out
+
+    def inside(self) -> np.ndarray:
+        """Points whose 16 block nodes all lie in the domain mask."""
+        flat = self.grid.mask.ravel()
+        ok = np.ones(self.p1.shape, dtype=bool)
+        for idx in self.idx:
+            ok &= flat[idx]
+        return ok
+
+    def require_inside(self) -> "_CubicBlock":
+        """GridError naming a point whose block leaves the domain mask."""
+        bad = ~self.inside()
+        if np.any(bad):
+            k = np.unravel_index(int(np.flatnonzero(bad)[0]), bad.shape)
+            raise GridError(
+                f"interpolation stencil exits the mask near point "
+                f"({self.p1[k]:.4f}, {self.p2[k]:.4f})")
+        return self
+
+
 def interp_masked(values: np.ndarray, grid: DomainGrid, pts: np.ndarray,
                   strict: bool = True) -> np.ndarray:
     """Cubic Lagrange interpolation on local 4x4 lattice blocks.
@@ -439,36 +537,10 @@ def interp_masked(values: np.ndarray, grid: DomainGrid, pts: np.ndarray,
     within 1e-9 dx of a node read the node exactly.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    x0, dx, n = grid.x1[0], grid.dx, grid.n
-    ui = _snap((pts[:, 0] - x0) / dx)
-    vi = _snap((pts[:, 1] - x0) / dx)
-    gi = np.clip(np.floor(ui).astype(int) - 1, 0, n - 4)
-    gj = np.clip(np.floor(vi).astype(int) - 1, 0, n - 4)
-    u = ui - gi                               # local coordinate in [0,3]
-    v = vi - gj
-
-    def lag(t):
-        w = np.empty((len(t), 4))
-        w[:, 0] = -(t - 1) * (t - 2) * (t - 3) / 6.0
-        w[:, 1] = t * (t - 2) * (t - 3) / 2.0
-        w[:, 2] = -t * (t - 1) * (t - 3) / 2.0
-        w[:, 3] = t * (t - 1) * (t - 2) / 6.0
-        return w
-
-    wu, wv = lag(u), lag(v)
-    out = np.zeros(len(pts), dtype=values.dtype)
-    for a in range(4):
-        for b in range(4):
-            ii, jj = gi + a, gj + b
-            if strict:
-                bad = ~grid.mask[ii, jj]
-                if np.any(bad):
-                    k = int(np.nonzero(bad)[0][0])
-                    raise GridError(
-                        f"interpolation stencil exits the mask near point "
-                        f"({pts[k,0]:.4f}, {pts[k,1]:.4f})")
-            out += wu[:, a] * wv[:, b] * values[ii, jj]
-    return out
+    block = _CubicBlock(grid, pts[:, 0], pts[:, 1])
+    if strict:
+        block.require_inside()
+    return block(values)
 
 
 _RAY_DEPTHS = np.array([5.0, 7.0, 9.0, 11.0])
@@ -490,8 +562,9 @@ def _ray_fit(f: ScalarField, anchor: BoundaryTrace | None):
     if depths[-1] >= grid.inradius():
         raise GridError("one-sided boundary stencil exits the mask; grid too coarse")
     b = grid.boundary
-    samples = [interp_masked(f.values, grid, b.points - d * b.normal)
-               for d in depths]
+    p = b.points[None] - depths[:, None, None] * b.normal[None]
+    samples = list(_CubicBlock(grid, p[..., 0], p[..., 1])
+                   .require_inside()(f.values))
     t = _RAY_DEPTHS
     if anchor is not None:
         if anchor.grid is not grid:

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .complexcalc import deriv
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
-                   ScalarField, boundary_restrict, interp_masked)
+                   ScalarField, _CubicBlock, boundary_restrict)
 from .maforward import (LinearSolveFailure, MASolution, SparseLU, StencilOps,
                         boundary_vector, build_stencil_ops, eval_boundary_data,
                         solve_ma, solve_ma_zero, source_grid, stencil_hessian)
@@ -150,12 +150,12 @@ def rim_extrapolated(g: MetricField, band: float = 5.0,
     px, py, depth = X[sel], Y[sel], t[sel]
     t1, t2 = depths[0] * grid.dx, depths[1] * grid.dx
     frac = (depth - t1) / (t2 - t1)
+    shift = np.stack([t1 - depth, t2 - depth])
+    block = _CubicBlock(grid, px - shift * nx[sel], py - shift * ny[sel])
+    block.require_inside()
     fixed = []
     for comp in (g.g11, g.g12, g.g22):
-        v1 = interp_masked(comp, grid, np.column_stack(
-            [px - (t1 - depth) * nx[sel], py - (t1 - depth) * ny[sel]]))
-        v2 = interp_masked(comp, grid, np.column_stack(
-            [px - (t2 - depth) * nx[sel], py - (t2 - depth) * ny[sel]]))
+        v1, v2 = block(comp)
         out = comp.copy()
         out[sel] = v1 + (v2 - v1) * frac
         fixed.append(out)

@@ -32,7 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import BoundaryTrace, DomainGrid, GridError, ScalarField
+from .grid import (BoundaryTrace, DomainGrid, GridError, ScalarField,
+                   tangential_derivative)
 
 __all__ = [
     "LinearSolveFailure",
@@ -173,16 +174,12 @@ def data_norm_surrogate(grid: DomainGrid, data) -> float:
     """Discrete stand-in for a high-order boundary norm of the data.
 
     Maximum of the value and the first two arclength-derivative magnitudes
-    on the ring, differentiated spectrally in the ring parameter.
+    on the ring (grid.tangential_derivative).
     """
     b = grid.boundary
     vals = eval_boundary_data(grid, data, b.points[:, 0], b.points[:, 1])
-    M = len(vals)
-    speed = b.ds * M / (2.0 * np.pi)      # |dx/dparam| at the ring nodes
-    c = np.fft.fft(vals)
-    k = np.fft.fftfreq(M, d=1.0 / M)
-    d1 = np.fft.ifft(1j * k * c).real / speed
-    d2 = np.fft.ifft(1j * k * np.fft.fft(d1)).real / speed
+    d1 = tangential_derivative(grid, vals)
+    d2 = tangential_derivative(grid, d1)
     return float(max(np.max(np.abs(vals)), np.max(np.abs(d1)),
                      np.max(np.abs(d2))))
 

@@ -97,8 +97,8 @@ def test_oneform_split_reconstructs(box, drift):
 
 def test_gauge_solves_its_equation_locally(box, drift):
     # local 4th-order residual of dzb(alpha) = (i/4)(X1+iX2) over the core;
-    # measured 2.9e-4 at n=512 (the spectral residual sits at 1.5e-2 from
-    # the legitimate non-periodic 1/z tail of the transform)
+    # measured 7.1e-7 at n=512 (the spectral division leaves no 1/z tail;
+    # what remains is the 4th-order difference error)
     alpha, fa, fab = cgo.gauge(drift)
     dzb = 0.5 * (periodic_fd4(alpha.values, box, 0, 1)
                  + 1j * periodic_fd4(alpha.values, box, 1, 1))
@@ -128,6 +128,19 @@ def test_gauge_rejects_wide_drift(box, coords):
     wide = np.exp(-r2 / 20.0)
     with pytest.raises(GridError):
         cgo.gauge(VectorField(wide, wide.copy(), box))
+    nan = np.zeros((box.n, box.n))
+    nan[5, 7] = np.nan
+    with pytest.raises(GridError, match="non-finite"):
+        cgo.gauge(VectorField(nan, nan.copy(), box))
+
+
+def test_bundle_rejects_wide_drift(box, coords, phases):
+    # the construction path runs the gauge's support guard too
+    _, _, r2 = coords
+    wide = np.exp(-r2 / 20.0)
+    with pytest.raises(GridError, match="gauge"):
+        cgo.build_cgo_holo(phases["morse"], 0.283,
+                           VectorField(wide, wide.copy(), box))
 
 
 # ---------------------------------------------------------------------------
@@ -135,29 +148,23 @@ def test_gauge_rejects_wide_drift(box, coords):
 
 
 def test_potential_gradient_field_example(box, coords):
-    # X = grad(rho) -> Q = -|grad rho|^2/4 + lap(rho)/2, curl term absent;
-    # measured deviation 7e-14
+    # X = grad(rho) -> Q = |grad rho|^2/4 - lap(rho)/2, curl term absent;
+    # measured deviation 6.9e-14, imaginary part 5.5e-13
     _, _, r2 = coords
     rho = 0.5 * np.exp(-r2 / 0.7)
     gx = spectral_deriv(rho, box, 1, 0)
     gy = spectral_deriv(rho, box, 0, 1)
-    Q = cgo.potential_Q(VectorField(gx, gy, box))
+    Q = cgo.factor_potential(VectorField(gx, gy, box))
     lap = spectral_deriv(rho, box, 2, 0) + spectral_deriv(rho, box, 0, 2)
-    ref = -0.25 * (gx * gx + gy * gy) + 0.5 * lap
+    ref = 0.25 * (gx * gx + gy * gy) - 0.5 * lap
     assert float(np.max(np.abs(Q.values - ref))) <= 1e-10
     assert float(np.max(np.abs(Q.values.imag))) <= 1e-10
 
 
 def test_potential_shifts_with_q(box, drift, qpot):
-    base = cgo.potential_Q(drift)
-    shifted = cgo.potential_Q(drift, qpot)
+    base = cgo.factor_potential(drift)
+    shifted = cgo.factor_potential(drift, qpot)
     assert np.allclose(shifted.values - base.values, qpot, atol=1e-12)
-
-
-def test_factor_potential_negates_drift_part(box, drift):
-    conventional = cgo.potential_Q(drift)
-    carried = cgo.factor_potential(drift)
-    assert np.allclose(carried.values, -conventional.values, atol=1e-12)
 
 
 def test_factorization_residual_random_drifts(box, coords, qpot):
@@ -226,7 +233,7 @@ def test_neumann_zero_weight_and_linearity(box, coords, phases, drift, qpot):
     zero = ComplexField(np.zeros((box.n, box.n), dtype=complex), box)
     out = cgo.neumann_T(f1, psi, 0.283, zero, zero)
     assert np.array_equal(out.values, np.zeros_like(out.values))
-    alpha = cgo._spectral_gauge(drift)
+    alpha = cgo.gauge(drift)[0].values
     V, vp = cgo.series_weights(alpha, drift, qpot)
     both = cgo.neumann_T(ComplexField(f1.values + f2.values, box),
                          psi, 0.283, V, vp)
@@ -241,7 +248,7 @@ def test_neumann_application_decays_in_h(box, coords, phases, drift, qpot):
     X, Y, _ = coords
     f = ComplexField(np.exp(-((X - 0.9) ** 2 + (Y + 0.6) ** 2) / 0.3)
                      .astype(complex), box)
-    alpha = cgo._spectral_gauge(drift)
+    alpha = cgo.gauge(drift)[0].values
     V, vp = cgo.series_weights(alpha, drift, qpot)
     psi = phases["morse"].psi
     norms = [l2(box, cgo.neumann_T(f, psi, h, V, vp).values) for h in HS]
@@ -251,7 +258,7 @@ def test_neumann_application_decays_in_h(box, coords, phases, drift, qpot):
 
 def test_neumann_norm_proxy_contracts(box, phases, drift, qpot):
     # power-iteration proxy; measured 0.062 at h=0.4 and 0.025 at h=0.141
-    alpha = cgo._spectral_gauge(drift)
+    alpha = cgo.gauge(drift)[0].values
     V, vp = cgo.series_weights(alpha, drift, qpot)
     psi = phases["morse"].psi
     p_hi = cgo.t_norm_proxy(psi, 0.4, V, vp)

@@ -350,6 +350,19 @@ def test_pullback_rejects_folding_map():
         pullback_metric(J, flat(grid))
 
 
+def test_diffeo_rejects_nonfinite_input():
+    grid = box(n=64)
+    X, Y = grid.meshgrid()
+    d1 = 0.05 * np.exp(-(X ** 2 + Y ** 2))
+    bad = d1.copy()
+    bad[10, 20] = np.nan
+    with pytest.raises(GridError, match="displacement.*non-finite"):
+        DiffeoField(bad, np.zeros_like(X), grid)
+    one, zero = np.ones_like(X), np.zeros_like(X)
+    with pytest.raises(GridError, match="Jacobian.*non-finite"):
+        DiffeoField(d1, zero, grid, jac=(one, zero, np.inf, one))
+
+
 def test_invert_rejects_noncontracting_map():
     grid = box(n=64)
     X, Y = grid.meshgrid()

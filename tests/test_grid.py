@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from malab.grid import (
-    BoundaryTrace, GridError, ScalarField, boundary_quadrature,
-    boundary_restrict, build_disk, build_ellipse,
+    BoundaryTrace, GridError, PaddedGrid, ScalarField, _CubicBlock,
+    boundary_quadrature, boundary_restrict, build_disk, build_ellipse,
     interp_masked, normal_derivative, quadrature,
 )
 
@@ -188,6 +188,19 @@ def test_interp_masked_quartic_exact_order():
     # cubic Lagrange reproduces cubics exactly; the x^3 y term is degree 4
     # jointly but cubic per axis, so it is reproduced too
     assert np.max(np.abs(got - exact)) < 1e-12
+
+    # the same sampler on the periodic box, whose blocks wrap through the
+    # period: exact away from the edge, where no block wraps
+    box = PaddedGrid(half=1.0, n=96)
+    X, Y = box.meshgrid()
+    at = _CubicBlock(box, pts[:, 0], pts[:, 1])
+    got = at(X ** 3 * Y - 2 * X * Y + 0.5 * Y ** 2)
+    assert np.max(np.abs(got - exact)) < 1e-12
+    # sampling a periodic field one period over reads the same values
+    per = np.sin(np.pi * X) * np.cos(2 * np.pi * Y) + np.cos(np.pi * Y)
+    shifted = _CubicBlock(box, pts[:, 0] + 2 * box.half,
+                          pts[:, 1] - 2 * box.half)
+    assert np.max(np.abs(shifted(per) - at(per))) < 1e-12
 
 
 def test_interp_masked_strict_rejection():
