@@ -91,8 +91,7 @@ def oneform_split(X: VectorField) -> tuple[ComplexField, ComplexField]:
     """
     grid = _require_padded(X.grid)
     w = X.c1 + 1j * X.c2
-    return (ComplexField(0.5 * np.conj(w), grid, backend="oneform"),
-            ComplexField(0.5 * w, grid, backend="oneform"))
+    return ComplexField(0.5 * np.conj(w), grid), ComplexField(0.5 * w, grid)
 
 
 def gauge(X: VectorField) -> tuple[ComplexField, ComplexField, ComplexField]:
@@ -117,9 +116,9 @@ def gauge(X: VectorField) -> tuple[ComplexField, ComplexField, ComplexField]:
     sh = sh / sym
     sh[0, 0] = 0.0
     alpha = np.fft.ifft2(sh) + mean * np.conj(grid.zz)
-    return (ComplexField(alpha, grid, backend="gauge"),
-            ComplexField(np.exp(1j * alpha), grid, backend="gauge"),
-            ComplexField(np.exp(1j * np.conj(alpha)), grid, backend="gauge"))
+    return (ComplexField(alpha, grid),
+            ComplexField(np.exp(1j * alpha), grid),
+            ComplexField(np.exp(1j * np.conj(alpha)), grid))
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +136,12 @@ def factor_potential(X: VectorField, q=0.0) -> ComplexField:
     grid = _require_padded(X.grid)
     vals = (0.25 * (X.c1 * X.c1 + X.c2 * X.c2)
             - spectral_dz(X.c1 + 1j * X.c2, grid) + np.asarray(q))
-    return ComplexField(vals, grid, backend="spectral")
+    return ComplexField(vals, grid)
 
 
 def _zero_drift(grid: PaddedGrid) -> VectorField:
     z = np.zeros((grid.n, grid.n))
-    return VectorField(z, z.copy(), grid, backend="zero")
+    return VectorField(z, z.copy(), grid)
 
 
 def factorization_check(X: VectorField, q=0.0, f=None) -> float:
@@ -257,8 +256,7 @@ def series_weights(alpha: np.ndarray, X: VectorField, q=0.0
     re2 = 2.0 * np.real(alpha)
     v = 0.5 * factor_potential(X, q).values * np.exp(-1j * re2)
     vp = -np.exp(1j * re2)
-    return (ComplexField(v, grid, backend="series"),
-            ComplexField(vp, grid, backend="series"))
+    return ComplexField(v, grid), ComplexField(vp, grid)
 
 
 def _dbar_star_inv(vals: np.ndarray, plan: _OscPlan) -> np.ndarray:
@@ -283,8 +281,7 @@ def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
     """
     grid = _require_padded(f.grid)
     plan = _OscPlan(grid, psi, h, core_radius)
-    return ComplexField(_neumann_step(f.values, plan, V, vp), grid,
-                        backend="neumann")
+    return ComplexField(_neumann_step(f.values, plan, V, vp), grid)
 
 
 def t_norm_proxy(psi, h: float, V: ComplexField, vp: ComplexField,
@@ -345,7 +342,6 @@ class CGOBundle:
     residual: float
     term_norms: tuple
     r_norm: float
-    backend: str = "oscillatory-series"
 
     def diagnostics(self) -> dict:
         return {
@@ -476,15 +472,14 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     s_vals = zero.copy()
     for t in terms[:k_eff + 1]:
         s_vals = s_vals + t.values
-    s = ComplexField(s_vals, grid, backend="neumann-series")
+    s = ComplexField(s_vals, grid)
     if trivial:
-        r = ComplexField(zero.copy(), grid, backend="neumann-series")
+        r = ComplexField(zero.copy(), grid)
     else:
-        r = ComplexField(-plan.apply(vp.values * s_vals), grid,
-                         backend="neumann-series")
+        r = ComplexField(-plan.apply(vp.values * s_vals), grid)
 
     v_vals = np.exp(-1j * alpha) * np.exp(phase.values / h) * (a_vals + r.values)
-    v = ComplexField(v_vals, grid, backend="oscillatory-series")
+    v = ComplexField(v_vals, grid)
     res = drift_residual(v_vals, X, qv, h, grid, rc)
     return CGOBundle("holo", phase, float(h), int(K), int(k_eff), float(rc),
                      alpha, ga, a_vals, s, r, v, res, tuple(norms),
@@ -512,9 +507,9 @@ def build_cgo_antiholo(phase: PhaseSpec, h: float,
     return CGOBundle("antiholo", phase, float(h), int(K), nb.K_effective,
                      nb.core_radius, nb.alpha, np.conj(nb.gauge_factor),
                      np.conj(nb.amplitude),
-                     ComplexField(np.conj(nb.s.values), grid, backend=nb.s.backend),
-                     ComplexField(np.conj(nb.r.values), grid, backend=nb.r.backend),
-                     ComplexField(v_vals, grid, backend=nb.v.backend),
+                     ComplexField(np.conj(nb.s.values), grid),
+                     ComplexField(np.conj(nb.r.values), grid),
+                     ComplexField(v_vals, grid),
                      res, nb.term_norms, nb.r_norm)
 
 
@@ -533,7 +528,7 @@ def build_cgo_adjoint(phase: PhaseSpec, h: float,
     X = drift if drift is not None else _zero_drift(grid)
     div = (spectral_deriv(X.c1, grid, 1, 0)
            + spectral_deriv(X.c2, grid, 0, 1))
-    Xneg = VectorField(-X.c1, -X.c2, grid, backend=X.backend)
+    Xneg = VectorField(-X.c1, -X.c2, grid)
     nb = build_cgo_holo(phase, h, Xneg, np.asarray(q) - div, amplitude, K,
                         core_radius)
     res = drift_residual(nb.v.values, X, np.asarray(q), h, grid,
@@ -570,10 +565,10 @@ def remainder_expansion(phase: PhaseSpec, f: ComplexField, N: int) -> tuple:
                    0.0)
     out = []
     cur = fv * inv
-    out.append(ComplexField(cur, grid, backend="expansion"))
+    out.append(ComplexField(cur, grid))
     for _ in range(N):
         cur = -spectral_dzb(cur, grid) * inv
-        out.append(ComplexField(cur, grid, backend="expansion"))
+        out.append(ComplexField(cur, grid))
     return tuple(out)
 
 

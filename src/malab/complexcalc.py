@@ -12,11 +12,13 @@ The real Hessian of a (possibly complex) function splits as
 
 with constant Gaussian-integer matrices A, B defined below.
 
-Two derivative backends exist: spectral (periodic padded boxes) and finite
-differences (4th-order central inside a masked lattice, degrading to
-one-sided second order against the boundary). Every result records which
-backend produced it. On a box, dz and dzb are one FFT pair each
-(spectral_dz, spectral_dzb), with spectral_deriv's odd-order Nyquist rule.
+Each lattice has one derivative, chosen by deriv from the grid type:
+spectral on a periodic padded box (spectral_deriv; dz and dzb are one FFT
+pair each, spectral_dz and spectral_dzb, with spectral_deriv's odd-order
+Nyquist rule), and masked differences on a domain lattice (4th-order
+central inside, degrading to one-sided second order against the
+boundary).  periodic_fd4 stays as an independent check of the spectral
+route on boxes.
 
 The Cauchy transforms convolve with the kernel h^2/(pi z) sampled on the
 box lattice (origin weight zero).  cauchy_inverse is the linear
@@ -40,26 +42,14 @@ import numpy as np
 
 from .grid import ComplexField, DomainGrid, GridError, PaddedGrid, ScalarField
 
-# constant matrices of the Hessian split; entries are Gaussian integers and
-# every advertised trace identity is exact
+# constant matrices of the Hessian split; entries are Gaussian integers, so
+# the traces of their products are exact
 A_MAT = np.array([[1, 1j], [1j, -1]])
 B_MAT = np.array([[1, -1j], [-1j, -1]])
 
 
-def trace_identities() -> dict:
-    """Exact trace identities of the split matrices (integer arithmetic)."""
-    tr = lambda m: complex(m[0, 0] + m[1, 1])
-    return {
-        "tr_A": tr(A_MAT),
-        "tr_B": tr(B_MAT),
-        "tr_AB": tr(A_MAT @ B_MAT),
-        "tr_AA": tr(A_MAT @ A_MAT),
-        "tr_BB": tr(B_MAT @ B_MAT),
-    }
-
-
 # ---------------------------------------------------------------------------
-# derivative backends
+# derivatives
 
 
 def _wavenumbers(grid: PaddedGrid, odd1: bool, odd2: bool):
@@ -127,37 +117,57 @@ def _shift(vals, di, dj):
     return np.roll(np.roll(vals, -di, axis=0), -dj, axis=1)
 
 
-def masked_deriv1(vals: np.ndarray, grid: DomainGrid, axis: int) -> np.ndarray:
-    """First derivative on the masked lattice.
+# per masked stencil: the mask offsets it needs along the axis and its
+# formula in (shifted values s, spacing dx), in rising priority; a node
+# takes the last stencil that fits
+_MASKED_D1 = (
+    ((-1, -2), lambda s, dx: (3 * s(0) - 4 * s(-1) + s(-2)) / (2 * dx)),
+    ((1, 2), lambda s, dx: (-3 * s(0) + 4 * s(1) - s(2)) / (2 * dx)),
+    ((-1, 1), lambda s, dx: (s(1) - s(-1)) / (2 * dx)),
+    ((-2, -1, 1, 2),
+     lambda s, dx: (s(-2) - 8 * s(-1) + 8 * s(1) - s(2)) / (12 * dx)),
+)
+_MASKED_D2 = (
+    ((-1, -2, -3),
+     lambda s, dx: (2 * s(0) - 5 * s(-1) + 4 * s(-2) - s(-3)) / (dx * dx)),
+    ((1, 2, 3),
+     lambda s, dx: (2 * s(0) - 5 * s(1) + 4 * s(2) - s(3)) / (dx * dx)),
+    ((-1, 1), lambda s, dx: (s(1) - 2 * s(0) + s(-1)) / (dx * dx)),
+    ((-2, -1, 1, 2),
+     lambda s, dx: (-s(-2) + 16 * s(-1) - 30 * s(0) + 16 * s(1) - s(2))
+     / (12 * dx * dx)),
+)
 
-    4th-order central deep inside, 2nd-order central one node from the rim,
-    one-sided 2nd order on the rim itself. Nodes with no admissible stencil
-    raise (they would mean a sliver thinner than three nodes).
+
+def _masked_stencil(vals: np.ndarray, grid: DomainGrid, axis: int,
+                    stencils) -> np.ndarray:
+    """Apply per node the last of stencils whose offsets stay in the mask.
+
+    Mask nodes where none fits raise (they would mean a sliver thinner
+    than three nodes); nodes off the mask read zero.
     """
     m = grid.mask
-    dx = grid.dx
     e = (1, 0) if axis == 0 else (0, 1)
     sh = lambda k: _shift(vals, k * e[0], k * e[1])
-    av = lambda k: _shift(m, k * e[0], k * e[1])
-
     out = np.full(vals.shape, np.nan, dtype=np.result_type(vals, float))
-    c4 = av(-2) & av(-1) & av(1) & av(2)
-    c2 = av(-1) & av(1)
-    fwd = av(1) & av(2)
-    bwd = av(-1) & av(-2)
-
-    r4 = (sh(-2) - 8 * sh(-1) + 8 * sh(1) - sh(2)) / (12 * dx)
-    r2 = (sh(1) - sh(-1)) / (2 * dx)
-    rf = (-3 * vals + 4 * sh(1) - sh(2)) / (2 * dx)
-    rb = (3 * vals - 4 * sh(-1) + sh(-2)) / (2 * dx)
-
-    for cond, val in ((bwd, rb), (fwd, rf), (c2, r2), (c4, r4)):
-        out = np.where(cond, val, out)
+    for offsets, formula in stencils:
+        fits = np.logical_and.reduce([_shift(m, k * e[0], k * e[1])
+                                      for k in offsets])
+        out = np.where(fits, formula(sh, grid.dx), out)
     bad = m & ~np.isfinite(out if np.isrealobj(out) else out.real)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise GridError(f"no difference stencil fits at node ({i}, {j})")
     return np.where(m, out, 0.0)
+
+
+def masked_deriv1(vals: np.ndarray, grid: DomainGrid, axis: int) -> np.ndarray:
+    """First derivative on the masked lattice.
+
+    4th-order central deep inside, 2nd-order central one node from the rim,
+    one-sided 2nd order on the rim itself.
+    """
+    return _masked_stencil(vals, grid, axis, _MASKED_D1)
 
 
 def masked_deriv2(vals: np.ndarray, grid: DomainGrid, axes: tuple[int, int]) -> np.ndarray:
@@ -165,90 +175,41 @@ def masked_deriv2(vals: np.ndarray, grid: DomainGrid, axes: tuple[int, int]) -> 
     if axes[0] != axes[1]:
         # composition keeps every leg inside the mask
         return masked_deriv1(masked_deriv1(vals, grid, axes[1]), grid, axes[0])
-    m = grid.mask
-    dx = grid.dx
-    e = (1, 0) if axes[0] == 0 else (0, 1)
-    sh = lambda k: _shift(vals, k * e[0], k * e[1])
-    av = lambda k: _shift(m, k * e[0], k * e[1])
-
-    out = np.full(vals.shape, np.nan, dtype=np.result_type(vals, float))
-    c4 = av(-2) & av(-1) & av(1) & av(2)
-    c2 = av(-1) & av(1)
-    fwd = av(1) & av(2) & av(3)
-    bwd = av(-1) & av(-2) & av(-3)
-
-    r4 = (-sh(-2) + 16 * sh(-1) - 30 * vals + 16 * sh(1) - sh(2)) / (12 * dx * dx)
-    r2 = (sh(1) - 2 * vals + sh(-1)) / (dx * dx)
-    rf = (2 * vals - 5 * sh(1) + 4 * sh(2) - sh(3)) / (dx * dx)
-    rb = (2 * vals - 5 * sh(-1) + 4 * sh(-2) - sh(-3)) / (dx * dx)
-
-    for cond, val in ((bwd, rb), (fwd, rf), (c2, r2), (c4, r4)):
-        out = np.where(cond, val, out)
-    bad = m & ~np.isfinite(out if np.isrealobj(out) else out.real)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise GridError(f"no difference stencil fits at node ({i}, {j})")
-    return np.where(m, out, 0.0)
+    return _masked_stencil(vals, grid, axes[0], _MASKED_D2)
 
 
-def deriv(vals: np.ndarray, grid, o1: int, o2: int, backend: str = "auto") -> np.ndarray:
-    """Mixed partial derivative dispatching on grid type and backend."""
+def deriv(vals: np.ndarray, grid, o1: int, o2: int) -> np.ndarray:
+    """(d/dx1)^o1 (d/dx2)^o2 of total order 1 or 2 on the grid's lattice.
+
+    Spectral on a padded box, masked differences on a domain.
+    """
+    if min(o1, o2) < 0 or o1 + o2 not in (1, 2):
+        raise GridError(f"derivative order ({o1}, {o2}) is not 1 or 2")
     if isinstance(grid, PaddedGrid):
-        if backend in ("auto", "spectral"):
-            return spectral_deriv(vals, grid, o1, o2)
-        out = np.asarray(vals, dtype=complex)
-        for _ in range(o1):
-            out = periodic_fd4(out, grid, 0, 1)
-        for _ in range(o2):
-            out = periodic_fd4(out, grid, 1, 1)
-        return out
+        return spectral_deriv(vals, grid, o1, o2)
     if isinstance(grid, DomainGrid):
-        order = o1 + o2
-        if order == 1:
-            return masked_deriv1(vals, grid, 0 if o1 else 1)
-        if order == 2:
-            if o1 == 2:
-                return masked_deriv2(vals, grid, (0, 0))
-            if o2 == 2:
-                return masked_deriv2(vals, grid, (1, 1))
-            return masked_deriv2(vals, grid, (0, 1))
-        # higher orders by composition
-        out = vals
-        rem1, rem2 = o1, o2
-        while rem1 + rem2 > 0:
-            if rem1:
-                out = masked_deriv1(out, grid, 0)
-                rem1 -= 1
-            else:
-                out = masked_deriv1(out, grid, 1)
-                rem2 -= 1
-        return out
+        axes = (0,) * o1 + (1,) * o2
+        if len(axes) == 1:
+            return masked_deriv1(vals, grid, axes[0])
+        return masked_deriv2(vals, grid, axes)
     raise GridError(f"unsupported grid type {type(grid).__name__}")
-
-
-def _backend_name(grid, backend):
-    if isinstance(grid, PaddedGrid):
-        return "spectral" if backend in ("auto", "spectral") else "fd4-periodic"
-    return "fd-masked"
 
 
 # ---------------------------------------------------------------------------
 # wirtinger derivatives and the complex Hessian
 
 
-def wirtinger(f, backend: str = "auto"):
+def wirtinger(f):
     """Holomorphic and antiholomorphic first derivatives (dz f, dzb f)."""
     vals, grid = f.values, f.grid
-    name = _backend_name(grid, backend)
-    if name == "spectral":
+    if isinstance(grid, PaddedGrid):
         dz, dzb = spectral_dz(vals, grid), spectral_dzb(vals, grid)
     else:
-        d1 = deriv(vals, grid, 1, 0, backend)
-        d2 = deriv(vals, grid, 0, 1, backend)
+        d1 = deriv(vals, grid, 1, 0)
+        d2 = deriv(vals, grid, 0, 1)
         dz = 0.5 * (d1 - 1j * d2)
         dzb = 0.5 * (d1 + 1j * d2)
-    return (ComplexField(dz, grid, backend=name),
-            ComplexField(dzb, grid, backend=name))
+    return ComplexField(dz, grid), ComplexField(dzb, grid)
 
 
 @dataclass(frozen=True)
@@ -257,22 +218,21 @@ class ComplexHessian:
     dzb2: np.ndarray       # dzb^2 f
     dzdzb: np.ndarray      # dz dzb f
     hessian: np.ndarray    # (n, n, 2, 2) assembled through A, B
-    backend: str
 
 
-def complex_hessian(f, backend: str = "auto") -> ComplexHessian:
+def complex_hessian(f) -> ComplexHessian:
     """Complex second derivatives and the assembled 2x2 Hessian field."""
     vals, grid = f.values, f.grid
-    d11 = deriv(vals, grid, 2, 0, backend)
-    d22 = deriv(vals, grid, 0, 2, backend)
-    d12 = deriv(vals, grid, 1, 1, backend)
+    d11 = deriv(vals, grid, 2, 0)
+    d22 = deriv(vals, grid, 0, 2)
+    d12 = deriv(vals, grid, 1, 1)
     dz2 = 0.25 * (d11 - d22) - 0.5j * d12
     dzb2 = 0.25 * (d11 - d22) + 0.5j * d12
     dzdzb = 0.25 * (d11 + d22)
     H = (A_MAT[None, None] * dz2[..., None, None]
          + B_MAT[None, None] * dzb2[..., None, None]
          + 2.0 * np.eye(2)[None, None] * dzdzb[..., None, None])
-    return ComplexHessian(dz2, dzb2, dzdzb, H, _backend_name(grid, backend))
+    return ComplexHessian(dz2, dzb2, dzdzb, H)
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +332,13 @@ def cauchy_inverse(omega: ComplexField) -> ComplexField:
                    "cauchy_inverse")
     n = grid.n
     khat = _kernel_hat(grid, (2 * n, 2 * n), (n, n), (0, 0))
-    return ComplexField(_cauchy_conv(vals, khat, (n, n)), grid,
-                        backend="cauchy-fft")
+    return ComplexField(_cauchy_conv(vals, khat, (n, n)), grid)
 
 
 def conj_cauchy_inverse(omega: ComplexField) -> ComplexField:
     """Right inverse of dz, via the conjugation identity."""
-    inner = ComplexField(np.conj(omega.values), omega.grid, backend=omega.backend)
-    out = cauchy_inverse(inner)
-    return ComplexField(np.conj(out.values), omega.grid, backend="conj-cauchy-fft")
+    out = cauchy_inverse(ComplexField(np.conj(omega.values), omega.grid))
+    return ComplexField(np.conj(out.values), omega.grid)
 
 
 def smooth_cutoff(grid: PaddedGrid, r_inner: float, r_outer: float) -> np.ndarray:
@@ -498,7 +456,7 @@ def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
     360^2 for core-supported f, in place of 1024^2.
     """
     out = _OscPlan(f.grid, psi, h, core_radius, nodes_per_osc).apply(f.values)
-    return ComplexField(out, f.grid, backend="oscillatory-cauchy")
+    return ComplexField(out, f.grid)
 
 
 def oscillatory_dbar_inv_conj(f: ComplexField, psi, h: float,
@@ -510,4 +468,4 @@ def oscillatory_dbar_inv_conj(f: ComplexField, psi, h: float,
     pair shares one resolution guard and one cutoff.
     """
     out = _OscPlan(f.grid, psi, h, core_radius, nodes_per_osc).apply_conj(f.values)
-    return ComplexField(out, f.grid, backend="oscillatory-conj-cauchy")
+    return ComplexField(out, f.grid)

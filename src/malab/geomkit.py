@@ -98,13 +98,12 @@ class ChristoffelField:
 
     values: np.ndarray
     grid: object
-    backend: str = "grid"
 
     def component(self, i: int, k: int, l: int) -> np.ndarray:
         return self.values[i, k, l]
 
 
-def _assemble_symbols(parts, grid, backend) -> ChristoffelField:
+def _assemble_symbols(parts, grid) -> ChristoffelField:
     """Stack {(i, kl): array} with shared mixed-slot arrays."""
     n = grid.n
     vals = np.empty((2, 2, 2, n, n))
@@ -113,15 +112,15 @@ def _assemble_symbols(parts, grid, backend) -> ChristoffelField:
         vals[i, 0, 1] = parts[i, 1]
         vals[i, 1, 0] = parts[i, 1]
         vals[i, 1, 1] = parts[i, 2]
-    return ChristoffelField(vals, grid, backend)
+    return ChristoffelField(vals, grid)
 
 
 def christoffel(g: MetricField) -> ChristoffelField:
     """Symbols 1/2 g^{im} (d_l g_{mk} + d_k g_{ml} - d_m g_{kl}).
 
-    The derivatives act on the covariant components; the contraction
-    uses the stored contravariant tensor directly. Backend follows the
-    grid type (spectral on boxes, masked differences on domains).
+    The derivatives act on the covariant components and are the grid's
+    own (deriv: spectral on boxes, masked differences on domains); the
+    contraction uses the stored contravariant tensor directly.
     """
     grid = g.grid
     c11, c12, c22 = _covariant(g)
@@ -144,15 +143,14 @@ def christoffel(g: MetricField) -> ChristoffelField:
     for i, (gi1, gi2) in enumerate(((g.g11, g.g12), (g.g12, g.g22))):
         for kl in (0, 1, 2):
             parts[i, kl] = 0.5 * (gi1 * b[kl, 1] + gi2 * b[kl, 2])
-    backend = "spectral" if isinstance(grid, PaddedGrid) else "fd-masked"
-    return _assemble_symbols(parts, grid, backend)
+    return _assemble_symbols(parts, grid)
 
 
 def contracted_drift(g: MetricField) -> VectorField:
     """Drift through the connection: X^i = -g^{kl} Gamma^i_{kl}.
 
     Matches drift_field (the divergence formula) within the accuracy of
-    the differentiation backend; on conformal metrics the contraction
+    the grid's derivative; on conformal metrics the contraction
     cancels algebraically and the result is exactly zero.
     """
     gam = christoffel(g)
@@ -161,7 +159,7 @@ def contracted_drift(g: MetricField) -> VectorField:
         comps.append(-(g.g11 * gam.values[i, 0, 0]
                        + 2.0 * g.g12 * gam.values[i, 0, 1]
                        + g.g22 * gam.values[i, 1, 1]))
-    return VectorField(comps[0], comps[1], g.grid, backend=gam.backend)
+    return VectorField(comps[0], comps[1], g.grid)
 
 
 def conformal_christoffel(gam: ChristoffelField, g: MetricField,
@@ -193,7 +191,7 @@ def conformal_christoffel(gam: ChristoffelField, g: MetricField,
                          + (L[k] if i == l else 0.0)
                          - cov[k, l] * raised[i])
             parts[i, j] = gam.values[i, k, l] + add
-    return _assemble_symbols(parts, grid, gam.backend + "+conformal")
+    return _assemble_symbols(parts, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +203,11 @@ class DiffeoField:
 
     An explicit Jacobian may be attached when the caller knows it in
     closed form (affine maps, Beltrami solutions); otherwise it is
-    computed once from the displacement with the grid's differentiation
-    backend and cached.
+    computed once from the displacement with the grid's derivative
+    (deriv) and cached.
     """
 
-    def __init__(self, d1, d2, grid, jac=None, backend: str = "grid"):
+    def __init__(self, d1, d2, grid, jac=None):
         self.d1 = np.asarray(d1, dtype=float)
         self.d2 = np.asarray(d2, dtype=float)
         expect = (grid.n, grid.n)
@@ -218,7 +216,6 @@ class DiffeoField:
         if not (np.all(np.isfinite(self.d1)) and np.all(np.isfinite(self.d2))):
             raise GridError("displacement contains non-finite values")
         self.grid = grid
-        self.backend = backend
         self._jac = None if jac is None else tuple(
             np.broadcast_to(np.asarray(a, dtype=float), expect) for a in jac)
         if self._jac is not None and not all(np.all(np.isfinite(a))
@@ -229,7 +226,7 @@ class DiffeoField:
     def identity(cls, grid) -> "DiffeoField":
         z = np.zeros((grid.n, grid.n))
         one = np.ones_like(z)
-        return cls(z, z.copy(), grid, jac=(one, z, z, one), backend="identity")
+        return cls(z, z.copy(), grid, jac=(one, z, z, one))
 
     @classmethod
     def affine(cls, M, grid) -> "DiffeoField":
@@ -238,8 +235,7 @@ class DiffeoField:
         X, Y = grid.meshgrid()
         d1 = (M[0, 0] - 1.0) * X + M[0, 1] * Y
         d2 = M[1, 0] * X + (M[1, 1] - 1.0) * Y
-        return cls(d1, d2, grid, jac=(M[0, 0], M[0, 1], M[1, 0], M[1, 1]),
-                   backend="affine")
+        return cls(d1, d2, grid, jac=(M[0, 0], M[0, 1], M[1, 0], M[1, 1]))
 
     def points(self):
         X, Y = self.grid.meshgrid()
@@ -291,7 +287,7 @@ def pullback_scalar(J: DiffeoField, v: ScalarField) -> ScalarField:
     """(J* v)(x) = v(J(x))."""
     _check_reach(J)
     out = _CubicBlock(J.grid, *J.points())(v.values)
-    return ScalarField(out, v.grid, backend=v.backend + "+pullback")
+    return ScalarField(out, v.grid)
 
 
 def pullback_vector(J: DiffeoField, X: VectorField) -> VectorField:
@@ -300,8 +296,7 @@ def pullback_vector(J: DiffeoField, X: VectorField) -> VectorField:
     at = _CubicBlock(J.grid, *J.points())
     x1, x2 = at(X.c1), at(X.c2)
     b11, b12, b21, b22 = _inverse_jacobian(J)
-    return VectorField(b11 * x1 + b12 * x2, b21 * x1 + b22 * x2, J.grid,
-                       backend=X.backend + "+pullback")
+    return VectorField(b11 * x1 + b12 * x2, b21 * x1 + b22 * x2, J.grid)
 
 
 def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
@@ -317,7 +312,7 @@ def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
     s11 = b11 * b11 * t11 + 2.0 * b11 * b12 * t12 + b12 * b12 * t22
     s12 = b11 * b21 * t11 + (b11 * b22 + b12 * b21) * t12 + b12 * b22 * t22
     s22 = b21 * b21 * t11 + 2.0 * b21 * b22 * t12 + b22 * b22 * t22
-    return MetricField(s11, s12, s22, J.grid, backend=g.backend + "+pullback")
+    return MetricField(s11, s12, s22, J.grid)
 
 
 def compose_diffeos(outer: DiffeoField, inner: DiffeoField) -> DiffeoField:
@@ -333,8 +328,7 @@ def compose_diffeos(outer: DiffeoField, inner: DiffeoField) -> DiffeoField:
     i11, i12, i21, i22 = inner.jacobian()
     jac = (a11 * i11 + a12 * i21, a11 * i12 + a12 * i22,
            a21 * i11 + a22 * i21, a21 * i12 + a22 * i22)
-    return DiffeoField(d1, d2, inner.grid, jac=jac,
-                       backend=f"{outer.backend}o{inner.backend}")
+    return DiffeoField(d1, d2, inner.grid, jac=jac)
 
 
 def invert_diffeo(J: DiffeoField, *, rtol: float = 1e-12,
@@ -384,8 +378,7 @@ def invert_diffeo(J: DiffeoField, *, rtol: float = 1e-12,
     if np.min(det) <= 0.0:
         raise GridError("map is not orientation preserving along the inverse")
     jac = (a22 / det, -a12 / det, -a21 / det, a11 / det)
-    return DiffeoField(z1 - P1, z2 - P2, grid, jac=jac,
-                       backend=J.backend + "-inverse")
+    return DiffeoField(z1 - P1, z2 - P2, grid, jac=jac)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +392,6 @@ class TransformReport:
     residual: float
     base_residual: float
     nodes: int
-    backend: str
 
 
 def _erode(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -418,7 +410,7 @@ def transform_solution_check(g2: MetricField, X2: VectorField, J: DiffeoField,
 
     Transported coefficients are built pointwise from the Jacobian and
     masked cubic sampling at the mapped nodes; the drift-form operator is
-    then applied with the masked difference backend and the residual is
+    then applied with masked differences and the residual is
     reported over the nodes whose every interpolation and differentiation
     stencil stayed inside the mask. base_residual is the same operator
     applied to v2 itself in the untransported equation over the same
@@ -457,9 +449,9 @@ def transform_solution_check(g2: MetricField, X2: VectorField, J: DiffeoField,
     s12 = (b11 * b21 * t11 + (b11 * b22 + b12 * b21) * t12
            + b12 * b22 * t22) / cv
     s22 = (b21 * b21 * t11 + 2.0 * b21 * b22 * t12 + b22 * b22 * t22) / cv
-    g1 = MetricField(s11, s12, s22, grid, backend=g2.backend + "+transport")
+    g1 = MetricField(s11, s12, s22, grid)
     X1 = VectorField((b11 * x1 + b12 * x2) / cv, (b21 * x1 + b22 * x2) / cv,
-                     grid, backend=X2.backend + "+transport")
+                     grid)
 
     out, deep = divergence_form_apply(g1, X1, vt)
     trust = deep & _erode(ok, 4)
@@ -469,8 +461,7 @@ def transform_solution_check(g2: MetricField, X2: VectorField, J: DiffeoField,
 
     base, _ = divergence_form_apply(g2, X2, v2.values)
     base_residual = float(np.max(np.abs(base[trust])))
-    return TransformReport(residual, base_residual, int(np.sum(trust)),
-                           backend="fd-masked")
+    return TransformReport(residual, base_residual, int(np.sum(trust)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +489,7 @@ def diffeo_rigidity_solve(g1: MetricField, domain: DomainGrid | None = None,
     X, Y = grid.meshgrid()
     d1 = np.where(grid.mask, w1.values - X, 0.0)
     d2 = np.where(grid.mask, w2.values - Y, 0.0)
-    return DiffeoField(d1, d2, grid, backend="rigidity")
+    return DiffeoField(d1, d2, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +525,7 @@ def isothermal(g: MetricField, *, tol: float = 1e-2, margin: float = 0.1,
                    float(np.max(np.abs(c11 - c22))))
     if flat_gap <= 1e-12 * scale:
         mu = 0.5 * (c11 + c22)
-        return (DiffeoField.identity(grid),
-                ScalarField(mu, grid, backend="isothermal-flat"))
+        return DiffeoField.identity(grid), ScalarField(mu, grid)
 
     if not isinstance(grid, PaddedGrid):
         raise GridError("general isothermal charts need the metric on a "
@@ -575,7 +565,7 @@ def isothermal(g: MetricField, *, tol: float = 1e-2, margin: float = 0.1,
     uy = (dzbw - dzw).imag
     vy = (dzw - dzbw).real
     w_map = DiffeoField(cphi.values.real, cphi.values.imag, grid,
-                        jac=(ux, uy, vx, vy), backend="beltrami")
+                        jac=(ux, uy, vx, vy))
     chi = invert_diffeo(w_map)
 
     pulled = pullback_metric(chi, g)
@@ -588,4 +578,4 @@ def isothermal(g: MetricField, *, tol: float = 1e-2, margin: float = 0.1,
         raise GridError(f"conformality defect {defect:.3e} exceeds "
                         f"{tol:.1e} of the metric scale {scale:.3e}")
     mu = 0.5 * (p11 + p22)
-    return chi, ScalarField(mu, grid, backend="isothermal-beltrami")
+    return chi, ScalarField(mu, grid)

@@ -316,10 +316,6 @@ class PaddedGrid:
         X, Y = self.meshgrid()
         return X + 1j * Y
 
-    def wavenumbers(self):
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-        return np.meshgrid(k, k, indexing="ij")
-
     def core_mask(self, radius: float) -> np.ndarray:
         X, Y = self.meshgrid()
         return X * X + Y * Y <= radius * radius
@@ -332,17 +328,21 @@ class PaddedGrid:
 # fields
 
 
+def _on_lattice(values, grid, dtype=None) -> np.ndarray:
+    """values as an (n, n) lattice array, or a GridError naming the shape."""
+    values = np.asarray(values, dtype=dtype)
+    expect = (grid.n, grid.n)
+    if values.shape != expect:
+        raise GridError(f"field shape {values.shape} != grid {expect}")
+    return values
+
+
 class ScalarField:
     """Real values on a DomainGrid lattice (or a PaddedGrid box)."""
 
-    def __init__(self, values: np.ndarray, grid, backend: str = "grid"):
-        values = np.asarray(values, dtype=float)
-        expect = (grid.n, grid.n)
-        if values.shape != expect:
-            raise GridError(f"field shape {values.shape} != grid {expect}")
-        self.values = values
+    def __init__(self, values: np.ndarray, grid):
+        self.values = _on_lattice(values, grid, float)
         self.grid = grid
-        self.backend = backend
 
     def check_finite(self, where=None):
         vals = self.values if where is None else self.values[where]
@@ -352,16 +352,13 @@ class ScalarField:
 
 
 class ComplexField:
-    """Complex values on a padded periodic box."""
+    """Complex values on either lattice: the Wirtinger calculus and the
+    Cauchy transforms on a padded box, masked Wirtinger derivatives on a
+    domain."""
 
-    def __init__(self, values: np.ndarray, grid, backend: str = "grid"):
-        values = np.asarray(values, dtype=complex)
-        expect = (grid.n, grid.n)
-        if values.shape != expect:
-            raise GridError(f"field shape {values.shape} != grid {expect}")
-        self.values = values
+    def __init__(self, values: np.ndarray, grid):
+        self.values = _on_lattice(values, grid, complex)
         self.grid = grid
-        self.backend = backend
 
 
 class BoundaryTrace:
@@ -382,14 +379,11 @@ class BoundaryTrace:
 class MetricField:
     """Symmetric 2x2 tensor field on a lattice (metric, inverse metric, ...)."""
 
-    def __init__(self, g11, g12, g22, grid, backend: str = "grid"):
-        self.g11 = np.asarray(g11, dtype=float)
-        self.g12 = np.asarray(g12, dtype=float)
-        self.g22 = np.asarray(g22, dtype=float)
+    def __init__(self, g11, g12, g22, grid):
+        self.g11 = _on_lattice(g11, grid, float)
+        self.g12 = _on_lattice(g12, grid, float)
+        self.g22 = _on_lattice(g22, grid, float)
         self.grid = grid
-        self.backend = backend
-        if not (self.g11.shape == self.g12.shape == self.g22.shape):
-            raise GridError("metric components must share a shape")
 
     def det(self) -> np.ndarray:
         return self.g11 * self.g22 - self.g12 ** 2
@@ -397,7 +391,7 @@ class MetricField:
     def inv(self) -> "MetricField":
         d = self.det()
         return MetricField(self.g22 / d, -self.g12 / d, self.g11 / d,
-                           self.grid, backend=self.backend)
+                           self.grid)
 
     def eig_bounds(self, where=None):
         """Min and max eigenvalue over the given mask (SPD diagnostics)."""

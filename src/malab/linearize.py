@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .complexcalc import deriv
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
-                   ScalarField, _CubicBlock, boundary_restrict)
+                   ScalarField, _CubicBlock, _on_lattice, boundary_restrict)
 from .maforward import (LinearSolveFailure, MASolution, SparseLU, StencilOps,
                         boundary_vector, build_stencil_ops, eval_boundary_data,
                         solve_ma, solve_ma_zero, source_grid, stencil_hessian)
@@ -57,7 +57,10 @@ class VectorField:
     c1: np.ndarray
     c2: np.ndarray
     grid: object
-    backend: str = "grid"
+
+    def __post_init__(self):
+        _on_lattice(self.c1, self.grid)
+        _on_lattice(self.c2, self.grid)
 
     def norm_max(self, where=None) -> float:
         mag = np.hypot(self.c1, self.c2)
@@ -112,7 +115,7 @@ def metric_from_solution(sol: MASolution) -> MetricField:
     m11 = ops.scatter(h22 / det)
     m12 = ops.scatter(-h12 / det)
     m22 = ops.scatter(h11 / det)
-    return MetricField(m11, m12, m22, sol.u.grid, backend="hessian-inverse")
+    return MetricField(m11, m12, m22, sol.u.grid)
 
 
 def rim_extrapolated(g: MetricField, band: float = 5.0,
@@ -159,8 +162,7 @@ def rim_extrapolated(g: MetricField, band: float = 5.0,
         out = comp.copy()
         out[sel] = v1 + (v2 - v1) * frac
         fixed.append(out)
-    return MetricField(fixed[0], fixed[1], fixed[2], grid,
-                       backend=g.backend + "+rim-extrapolated")
+    return MetricField(fixed[0], fixed[1], fixed[2], grid)
 
 
 def _volume_weight(g: MetricField, where) -> np.ndarray:
@@ -177,16 +179,15 @@ def drift_field(g: MetricField) -> VectorField:
     """Drift of the Hessian geometry: X^b = |g|^{-1/2} d_a(|g|^{1/2} g^{ab}).
 
     g^{ab} is the stored coefficient matrix and |g|^{1/2} the covariant
-    volume weight. The differentiation backend follows the grid type:
-    spectral on periodic boxes, masked differences on domain grids.
+    volume weight. The derivatives are the grid's own (deriv): spectral on
+    periodic boxes, masked differences on domain grids.
     """
     grid = g.grid
     where = grid.mask if isinstance(grid, DomainGrid) else slice(None)
     w = _volume_weight(g, where)
     c1 = deriv(w * g.g11, grid, 1, 0) + deriv(w * g.g12, grid, 0, 1)
     c2 = deriv(w * g.g12, grid, 1, 0) + deriv(w * g.g22, grid, 0, 1)
-    backend = "spectral" if not isinstance(grid, DomainGrid) else "fd-masked"
-    return VectorField(c1 / w, c2 / w, grid, backend=backend)
+    return VectorField(c1 / w, c2 / w, grid)
 
 
 def divergence_form_apply(g: MetricField, X: VectorField, v: np.ndarray):
@@ -311,8 +312,7 @@ def nondiv_solve_many(g: MetricField, datas, f=None, *, rtol: float = 1e-10,
                 f"coefficient route: {resB[j]:.3e} vs {resA[j]:.3e}",
                 [float(resA[j]), float(resB[j])])
 
-    return [ScalarField(ops.scatter(v), grid, backend="nondiv-lu")
-            for v in V.T]
+    return [ScalarField(ops.scatter(v), grid) for v in V.T]
 
 
 def nondiv_solve(g: MetricField, phi, f=None, *, rtol: float = 1e-10,
@@ -352,7 +352,7 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
     A = _nondiv_matrix(ops, a11, a12, a22, X1, X2, c0)
     rhs = _nondiv_rhs(ops, phi_star, a11, a12, a22, f=fvec, X1=X1, X2=X2)
     v = SparseLU(A).solve(rhs, rtol)
-    return ScalarField(ops.scatter(v), grid, backend="adjoint-lu")
+    return ScalarField(ops.scatter(v), grid)
 
 
 def second_solve(g: MetricField, X: VectorField, v1: ScalarField,

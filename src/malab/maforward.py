@@ -15,10 +15,12 @@ gives the Poisson initial guess and preconditions GMRES on every Newton
 Jacobian, which is inexact Newton with the forcing term
 eta = min(0.1, 0.1 * max|res|) (Eisenstat and Walker, SIAM J. Sci. Comput.
 17, 1996). A step whose GMRES solve misses eta still has to pass the line
-search. The same layer, SparseLU, solves the linearized systems of
-`linearize` and `dnmap`: one factorization per matrix, any number of right
-sides, and a residual check on every column. No factorization is kept
-beyond the call that made it.
+search; if it runs out of damping, the step is solved again once with a
+sparse LU of the Jacobian and the line search restarts from a full step
+(MASolution.lu_steps records where). The same layer, SparseLU, solves
+the linearized systems of `linearize` and `dnmap`: one factorization per
+matrix, any number of right sides, and a residual check on every column.
+No factorization is kept beyond the call that made it.
 """
 
 from __future__ import annotations
@@ -65,13 +67,14 @@ KRYLOV_CYCLES = 2
 
 
 class NewtonFailure(RuntimeError):
-    """Newton iteration failed; carries the iteration log and the GMRES
-    iteration count of every step taken."""
+    """Newton iteration failed; carries the iteration log, the GMRES
+    iteration count of every step taken and the LU-retried iterations."""
 
-    def __init__(self, msg: str, log, krylov_iters=()):
+    def __init__(self, msg: str, log, krylov_iters=(), lu_steps=()):
         super().__init__(msg)
         self.log = log
         self.krylov_iters = list(krylov_iters)
+        self.lu_steps = list(lu_steps)
 
 
 class LinearSolveFailure(RuntimeError):
@@ -404,6 +407,7 @@ class MASolution:
     data_norm: float = 0.0
     admissible: bool = True
     krylov_iters: list = field(default_factory=list)   # GMRES per step
+    lu_steps: list = field(default_factory=list)   # iterations redone by LU
 
     def log_csv(self) -> str:
         buf = io.StringIO()
@@ -473,8 +477,11 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
     F may be a ScalarField, an array, a scalar, or a callable; phi may be a
     BoundaryTrace, a scalar, a callable, or None for zero data. The
     residual target is tol * max F in the max norm. Steps are damped by
-    backtracking and rejected if any interior Hessian loses positivity;
-    running out of damping raises NewtonFailure with the iteration log.
+    backtracking and rejected if any interior Hessian loses positivity.
+    A step whose GMRES solve missed its forcing term and runs out of
+    damping is redone once with a sparse LU of the Jacobian; running out
+    of damping otherwise raises NewtonFailure with the iteration log,
+    naming whether convexity or descent gave out.
     """
     grid = source_grid(F, grid)
     Fv = _as_field_values(F, grid)
@@ -495,7 +502,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
     pde = ops.pde
     Ftarget = tol * float(np.max(np.abs(Fvec)))
 
-    log, krylov = [], []
+    log, krylov, lu_steps = [], [], []
     h11, h22, h12 = stencil_hessian(ops, U, bvecs=bvecs)
     res = np.where(pde, h11 * h22 - h12 ** 2 - Fvec, 0.0)
     rnorm = float(np.max(np.abs(res)))
@@ -508,10 +515,10 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
         J = (sp.diags(h22) @ ops.L11 + sp.diags(h11) @ ops.L22
              - 2.0 * sp.diags(h12) @ ops.L12 + ops.R).tocsr()
         count = []
-        step, _ = spla.gmres(J, -res, M=precond, rtol=min(0.1, 0.1 * rnorm),
-                             atol=0.0, restart=KRYLOV_RESTART,
-                             maxiter=KRYLOV_CYCLES, callback=count.append,
-                             callback_type="pr_norm")
+        step, info = spla.gmres(J, -res, M=precond,
+                                rtol=min(0.1, 0.1 * rnorm), atol=0.0,
+                                restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES,
+                                callback=count.append, callback_type="pr_norm")
         krylov.append(len(count))
 
         lam = 1.0
@@ -524,26 +531,34 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
             if le > 0.0 and rn <= (1.0 - 1e-4 * lam) * rnorm:
                 break
             lam *= 0.5
-            if lam < damping_min:
+            if lam < damping_min and info != 0:
+                # the Krylov solve missed eta: redo the step exactly, once
+                step, info, lam = SparseLU(J).solve(-res), 0, 1.0
+                lu_steps.append(it)
+            elif lam < damping_min:
                 log.append((it, rn, lam, le))
+                lost = (f"convexity lost (min eigenvalue {le:.3e})"
+                        if le <= 0.0 else "descent lost")
+                if it in lu_steps:
+                    lost += " on the LU-retried step"
                 raise NewtonFailure(
-                    "damping exhausted (convexity or descent lost) at "
-                    f"iteration {it}; residual {rnorm:.3e}", log, krylov)
+                    f"damping exhausted at iteration {it}: {lost}; "
+                    f"residual {rnorm:.3e}", log, krylov, lu_steps)
         U, h11, h22, h12, res, rnorm = Ut, t11, t22, t12, rt, rn
         log.append((it, rnorm, lam, le))
     else:
         raise NewtonFailure(
             f"no convergence in {max_iter} iterations; residual {rnorm:.3e}",
-            log, krylov)
+            log, krylov, lu_steps)
 
     detH = h11 * h22 - h12 ** 2
     convex = (_min_eig(h11, h22, h12, pde) > 0.0
               and float(np.min(detH[pde])) >= 0.5 * float(np.min(Fvec)))
     sol = MASolution(
-        u=ScalarField(ops.scatter(U), grid, backend="ma-newton"),
+        u=ScalarField(ops.scatter(U), grid),
         F=ScalarField(Fv, grid), phi=_as_trace(grid, phi), log=log,
         convex=convex, data_norm=norm_phi, admissible=norm_phi <= delta,
-        krylov_iters=krylov)
+        krylov_iters=krylov, lu_steps=lu_steps)
     return sol
 
 
@@ -553,8 +568,9 @@ _zero_cache: dict = {}
 def solve_ma_zero(F, grid: DomainGrid | None = None, **opts) -> MASolution:
     """solve_ma with zero boundary data, cached as the linearization base.
 
-    Every caller gets its own MASolution, with its own log and Krylov
-    counts, over the cached u, F and phi, whose values are read-only.
+    Every caller gets its own MASolution, with its own log, Krylov counts
+    and LU-retried steps, over the cached u, F and phi, whose values are
+    read-only.
     """
     grid = source_grid(F, grid)
     Fv = _as_field_values(F, grid)
@@ -567,7 +583,8 @@ def solve_ma_zero(F, grid: DomainGrid | None = None, **opts) -> MASolution:
             arr.flags.writeable = False
         _zero_cache[key] = sol
     sol = _zero_cache[key]
-    return replace(sol, log=list(sol.log), krylov_iters=list(sol.krylov_iters))
+    return replace(sol, log=list(sol.log), krylov_iters=list(sol.krylov_iters),
+                   lu_steps=list(sol.lu_steps))
 
 
 @dataclass(frozen=True)

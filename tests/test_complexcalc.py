@@ -2,31 +2,38 @@ import numpy as np
 import pytest
 
 from malab.complexcalc import (
-    _OscPlan, cauchy_inverse, complex_hessian, conj_cauchy_inverse, deriv,
-    oscillatory_dbar_inv, oscillatory_dbar_inv_conj, periodic_fd4,
-    smooth_cutoff, spectral_deriv, trace_identities, wirtinger,
+    A_MAT, B_MAT, _OscPlan, cauchy_inverse, complex_hessian,
+    conj_cauchy_inverse, deriv, oscillatory_dbar_inv,
+    oscillatory_dbar_inv_conj, periodic_fd4, smooth_cutoff, spectral_deriv,
+    wirtinger,
 )
 from malab.grid import ComplexField, GridError, PaddedGrid, ScalarField, build_disk
 
 
 def test_trace_identities_exact():
-    t = trace_identities()
-    assert t["tr_AB"] == 4.0 + 0.0j
-    for k in ("tr_A", "tr_B", "tr_AA", "tr_BB"):
-        assert t[k] == 0.0 + 0.0j
+    tr = lambda m: complex(m[0, 0] + m[1, 1])
+    assert tr(A_MAT @ B_MAT) == 4.0 + 0.0j
+    for m in (A_MAT, B_MAT, A_MAT @ A_MAT, B_MAT @ B_MAT):
+        assert tr(m) == 0.0 + 0.0j
+
+
+def _fd4_wirtinger(vals, g):
+    """(dz, dzb) from the periodic 4th-order differences."""
+    d1 = periodic_fd4(vals, g, 0, 1)
+    d2 = periodic_fd4(vals, g, 1, 1)
+    return 0.5 * (d1 - 1j * d2), 0.5 * (d1 + 1j * d2)
 
 
 def test_wirtinger_monomials_fd4():
     g = PaddedGrid(half=3.0, n=128)
     z = g.zz
     core = g.core_mask(2.0)
-    dz, dzb = wirtinger(ComplexField(z, g), backend="fd4")
-    assert np.max(np.abs(dz.values[core] - 1.0)) < 1e-11
-    assert np.max(np.abs(dzb.values[core])) < 1e-11
-    dz2, dzb2 = wirtinger(ComplexField(np.conj(z), g), backend="fd4")
-    assert np.max(np.abs(dz2.values[core])) < 1e-11
-    assert np.max(np.abs(dzb2.values[core] - 1.0)) < 1e-11
-    assert dz.backend == "fd4-periodic"
+    dz, dzb = _fd4_wirtinger(z, g)
+    assert np.max(np.abs(dz[core] - 1.0)) < 1e-11
+    assert np.max(np.abs(dzb[core])) < 1e-11
+    dz2, dzb2 = _fd4_wirtinger(np.conj(z), g)
+    assert np.max(np.abs(dz2[core])) < 1e-11
+    assert np.max(np.abs(dzb2[core] - 1.0)) < 1e-11
 
 
 def test_wirtinger_spectral_vs_symbolic():
@@ -40,7 +47,6 @@ def test_wirtinger_spectral_vs_symbolic():
     want_dzb = 0.5 * (np.cos(X) * np.cos(Y) - 1j * np.sin(X) * np.sin(Y))
     assert np.max(np.abs(dz.values - want_dz)) < 1e-6
     assert np.max(np.abs(dzb.values - want_dzb)) < 1e-6
-    assert dz.backend == "spectral"
 
 
 def test_laplacian_identity():
@@ -53,11 +59,17 @@ def test_laplacian_identity():
     assert np.max(np.abs(4.0 * ch.dzdzb - lap)) < 1e-9
 
 
+def _disk_z(g):
+    X, Y = g.meshgrid()
+    return X + 1j * Y
+
+
 def test_complex_hessian_holomorphic_square():
-    g = PaddedGrid(half=3.0, n=128)
-    z = g.zz
-    core = g.core_mask(2.0)
-    ch = complex_hessian(ComplexField(z * z, g), backend="fd4")
+    # masked differences are exact on quadratics, rim stencils included
+    g = build_disk(1.0, 128)
+    z = _disk_z(g)
+    core = g.mask
+    ch = complex_hessian(ComplexField(z * z, g))
     want = np.array([[2, 2j], [2j, -2]])
     err = np.abs(ch.hessian[core] - want)
     assert np.max(err) < 1e-9
@@ -66,21 +78,20 @@ def test_complex_hessian_holomorphic_square():
 
 
 def test_complex_hessian_modulus_square():
-    g = PaddedGrid(half=3.0, n=128)
-    z = g.zz
-    core = g.core_mask(2.0)
-    ch = complex_hessian(ComplexField((z * np.conj(z)).real.astype(complex), g),
-                         backend="fd4")
+    g = build_disk(1.0, 128)
+    z = _disk_z(g)
+    core = g.mask
+    ch = complex_hessian(ComplexField((z * np.conj(z)).real.astype(complex), g))
     want = 2.0 * np.eye(2)
     assert np.max(np.abs(ch.hessian[core] - want)) < 1e-9
 
 
 def test_hessian_assembly_random_quartics():
-    # the A/B assembly identity against a direct real-Hessian route; FD4 is
-    # exact on quartics so this isolates the algebra
-    g = PaddedGrid(half=3.0, n=128)
+    # the A/B assembly identity against the real Hessian from the same
+    # masked differences, so this isolates the algebra
+    g = build_disk(1.0, 128)
     X, Y = g.meshgrid()
-    core = g.core_mask(1.5)
+    core = g.mask & (X ** 2 + Y ** 2 < 0.75 ** 2)
     rng = np.random.default_rng(11)
     for _ in range(20):
         c = rng.normal(size=15)
@@ -89,10 +100,9 @@ def test_hessian_assembly_random_quartics():
              + c[8] * X * Y ** 2 + c[9] * Y ** 3 + c[10] * X ** 4
              + c[11] * X ** 3 * Y + c[12] * X ** 2 * Y ** 2
              + c[13] * X * Y ** 3 + c[14] * Y ** 4)
-        ch = complex_hessian(ComplexField(f, g), backend="fd4")
-        d11 = periodic_fd4(periodic_fd4(f, g, 0, 1), g, 0, 1)
-        d22 = periodic_fd4(periodic_fd4(f, g, 1, 1), g, 1, 1)
-        d12 = periodic_fd4(periodic_fd4(f, g, 0, 1), g, 1, 1)
+        ch = complex_hessian(ComplexField(f, g))
+        d11, d22, d12 = (deriv(f, g, 2, 0), deriv(f, g, 0, 2),
+                         deriv(f, g, 1, 1))
         direct = np.empty(f.shape + (2, 2), dtype=complex)
         direct[..., 0, 0] = d11
         direct[..., 0, 1] = d12
@@ -111,9 +121,13 @@ def test_hessian_backends_agree():
     for _ in range(5):
         a, b = rng.integers(1, 3, 2)
         f += rng.normal() * np.sin(a * X + rng.normal()) * np.cos(b * Y)
-    ch = complex_hessian(ComplexField(f, g), backend="spectral")
-    direct = complex_hessian(ComplexField(f, g), backend="fd4")
-    assert np.max(np.abs(ch.hessian - direct.hessian)) < 1e-6
+    ch = complex_hessian(ComplexField(f, g))
+    d1 = lambda v, ax: periodic_fd4(v, g, ax, 1)
+    direct = np.empty(f.shape + (2, 2), dtype=complex)
+    direct[..., 0, 0] = d1(d1(f, 0), 0)
+    direct[..., 0, 1] = direct[..., 1, 0] = d1(d1(f, 0), 1)
+    direct[..., 1, 1] = d1(d1(f, 1), 1)
+    assert np.max(np.abs(ch.hessian - direct)) < 1e-6
 
 
 def test_masked_derivatives_quadratic_exact():
@@ -143,6 +157,14 @@ def test_masked_derivatives_cubic():
     assert np.max(np.abs((d11 - 6 * X)[m])) < 1e-8  # 4-point rim formula is cubic-exact
 
 
+def test_deriv_takes_orders_one_and_two_only():
+    for g in (build_disk(1.0, 32), PaddedGrid(half=3.0, n=32)):
+        f = np.ones((g.n, g.n))
+        for o1, o2 in ((0, 0), (2, 1), (3, 0), (-1, 2)):
+            with pytest.raises(GridError, match="order"):
+                deriv(f, g, o1, o2)
+
+
 def test_cauchy_inverse_zero():
     g = PaddedGrid(half=3.0, n=64)
     out = cauchy_inverse(ComplexField(np.zeros((64, 64)), g))
@@ -168,10 +190,8 @@ def test_cauchy_inverse_dbar_left_identity():
     g = PaddedGrid(half=3.0, n=256)
     f = (_poly_bump(g) * np.exp(1j * g.meshgrid()[0])).astype(complex)
     u = cauchy_inverse(ComplexField(f, g))
-    # check dzb u = f on the core with the local FD backend (u is not periodic)
-    d1 = deriv(u.values, g, 1, 0, backend="fd4")
-    d2 = deriv(u.values, g, 0, 1, backend="fd4")
-    dzb = 0.5 * (d1 + 1j * d2)
+    # check dzb u = f on the core with local differences (u is not periodic)
+    _, dzb = _fd4_wirtinger(u.values, g)
     core = g.core_mask(1.0)
     rel = (np.linalg.norm((dzb - f)[core]) / np.linalg.norm(f[core]))
     assert rel < 1e-2, rel

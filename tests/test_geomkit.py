@@ -523,7 +523,6 @@ def test_isothermal_conformal_metric_exact():
     chi, mu = isothermal(conformal_metric(X, grid))
     assert float(np.max(np.hypot(chi.d1, chi.d2))) == 0.0
     assert float(np.max(np.abs(mu.values - np.exp(2.0 * X)))) <= 1e-14
-    assert mu.backend == "isothermal-flat"
 
 
 def test_isothermal_general_metric_defect():
@@ -537,7 +536,7 @@ def test_isothermal_general_metric_defect():
     det = C11 * C22 - C12 ** 2
     g = MetricField(C22 / det, -C12 / det, C11 / det, grid)
     chi, mu = isothermal(g)
-    assert mu.backend == "isothermal-beltrami"
+    assert float(np.max(np.hypot(chi.d1, chi.d2))) > 0.0
     pulled = pullback_metric(chi, g)
     dd = pulled.g11 * pulled.g22 - pulled.g12 ** 2
     q11, q12, q22 = pulled.g22 / dd, -pulled.g12 / dd, pulled.g11 / dd

@@ -317,6 +317,21 @@ def test_nonfinite_metric_fails_fast():
         nondiv_solve(met, lambda x, y: x)
 
 
+def test_metric_of_another_shape_rejected():
+    # a 40^2 metric on an n = 48 disk used to reach the solver and the
+    # drift as a bare IndexError
+    g = build_disk(1.0, 48)
+    one = np.ones((40, 40))
+    with pytest.raises(GridError, match=r"\(40, 40\)"):
+        MetricField(one, 0.0 * one, one, g)
+
+
+def test_vector_field_of_another_shape_rejected():
+    g = build_disk(1.0, 48)
+    with pytest.raises(GridError, match=r"\(40, 40\)"):
+        VectorField(np.zeros((48, 48)), np.zeros((40, 40)), g)
+
+
 def test_block_solve_equals_column_solves():
     g = build_disk(1.0, 64)
     met = _smooth_metric(g)

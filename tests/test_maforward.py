@@ -225,6 +225,7 @@ def test_krylov_counts_per_newton_step():
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
     assert len(sol.krylov_iters) == len(sol.log) - 1
     assert all(isinstance(k, int) and k >= 1 for k in sol.krylov_iters)
+    assert sol.lu_steps == []
     assert sol.log_csv().splitlines()[0] == "iter,residual,damping,min_eig"
     with pytest.raises(NewtonFailure) as exc:
         solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar, max_iter=1)
@@ -263,8 +264,10 @@ def test_zero_cache_results_do_not_share_mutations():
     a.convex = False
     a.log.append((99, 0.0, 1.0, 0.0))
     a.krylov_iters.append(99)
+    a.lu_steps.append(99)
     b = solve_ma_zero(F)
     assert b.convex and b.log == log and b.krylov_iters == krylov
+    assert b.lu_steps == []
     assert b.u is a.u
 
 
@@ -316,3 +319,14 @@ def test_disk_is_the_ellipse_with_equal_axes():
         X, _ = g.meshgrid()
         sols.append(solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar, g))
     assert np.array_equal(sols[0].u.values, sols[1].u.values)
+
+
+@pytest.mark.parametrize("n", range(16, 290, 13))
+def test_radius_two_disk_converges(n):
+    # from n = 133 up, GMRES misses its forcing term at step 2 and the
+    # line search cannot descend along that step; the LU retry solves it
+    g = build_disk(2.0, n)
+    X, Y = g.meshgrid()
+    sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
+    err = np.max(np.abs((sol.u.values - _ustar(X, Y))[g.mask])) / g.dx ** 2
+    assert sol.convex and err <= 1.0
