@@ -23,7 +23,7 @@ from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
                    ScalarField, boundary_restrict, normal_derivative,
                    tangential_derivative)
 from .linearize import metric_from_solution, nondiv_solve, nondiv_solve_many
-from .maforward import eval_boundary_data, solve_ma
+from .maforward import ring_values, solve_ma
 
 __all__ = [
     "DNMatrix",
@@ -39,11 +39,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # ring helpers
-
-
-def _ring_eval(grid: DomainGrid, data) -> np.ndarray:
-    b = grid.boundary
-    return eval_boundary_data(grid, data, b.points[:, 0], b.points[:, 1])
 
 
 def _band_limit(vals: np.ndarray, kmax: int | None) -> np.ndarray:
@@ -105,7 +100,7 @@ def _conormal(v: ScalarField, phi, weights) -> BoundaryTrace:
     tangential part the spectral derivative of the data itself.
     """
     grid = v.grid
-    p = _ring_eval(grid, phi)
+    p = ring_values(grid, phi)
     dnu = normal_derivative(v, anchor=BoundaryTrace(p, grid)).values
     dtau = tangential_derivative(grid, p)
     return BoundaryTrace(weights[0] * dnu + weights[1] * dtau, grid)
@@ -144,7 +139,7 @@ def dn_full_derivative(base, phi, *, rtol: float = 1e-10) -> BoundaryTrace:
     g = metric_from_solution(base)
     grid = g.grid
     v = nondiv_solve(g, phi, rtol=rtol)
-    anchor = BoundaryTrace(_ring_eval(grid, phi), grid)
+    anchor = BoundaryTrace(ring_values(grid, phi), grid)
     return normal_derivative(v, anchor=anchor)
 
 
@@ -236,11 +231,11 @@ def recover_boundary_hessian(lam0: BoundaryTrace, Fb, grid: DomainGrid,
     if frame not in ("local", "cartesian"):
         raise GridError(f"unknown frame {frame!r}")
     lam = _band_limit(np.asarray(lam0.values, dtype=float), kmax)
-    fb = _ring_eval(grid, Fb)
+    fb = ring_values(grid, Fb)
     if np.min(fb) <= 0.0:
         raise GridError("boundary source values must be positive")
     kappa = grid.boundary.curvature
-    phi = np.zeros_like(lam) if data is None else _ring_eval(grid, data)
+    phi = np.zeros_like(lam) if data is None else ring_values(grid, data)
     dphi = tangential_derivative(grid, phi)
     ddphi = tangential_derivative(grid, dphi)
 
@@ -288,7 +283,7 @@ def recover_boundary_third(lam0: BoundaryTrace, Fb, dnu_F, second,
     if np.min(utt) <= 0.0:
         raise GridError("second-order recovery is not uniformly convex")
     kappa = grid.boundary.curvature
-    dF = _ring_eval(grid, dnu_F)
+    dF = ring_values(grid, dnu_F)
     uttn = tangential_derivative(grid, utn) + kappa * (unn - utt)
     utnn = tangential_derivative(grid, unn) - 2.0 * kappa * utn
     unnn = (dF - uttn * unn + 2.0 * utn * utnn) / utt

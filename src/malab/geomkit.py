@@ -30,7 +30,7 @@ import numpy as np
 
 from .complexcalc import deriv, spectral_dz
 from .grid import (ComplexField, DomainGrid, GridError, MetricField,
-                   PaddedGrid, ScalarField, _CubicBlock)
+                   PaddedGrid, ScalarField, _CubicBlock, lattice_values)
 from .linearize import VectorField, divergence_form_apply, nondiv_solve_many
 
 __all__ = [
@@ -63,24 +63,6 @@ def _covariant(g: MetricField):
     if np.min(det) <= 0.0:
         raise GridError("metric is not positive definite")
     return g.g22 / det, -g.g12 / det, g.g11 / det
-
-
-def _eval_scalar(c, grid) -> np.ndarray:
-    """Coefficient field from a callable, field, array, or constant."""
-    if callable(c):
-        X, Y = grid.meshgrid()
-        return np.asarray(c(X, Y), dtype=float)
-    if isinstance(c, ScalarField):
-        if c.grid is not grid:
-            raise GridError("coefficient lives on a different grid")
-        return c.values
-    arr = np.asarray(c, dtype=float)
-    if arr.ndim == 0:
-        return float(arr) * np.ones((grid.n, grid.n))
-    if arr.shape != (grid.n, grid.n):
-        raise GridError(f"coefficient shape {arr.shape} != grid "
-                        f"({grid.n}, {grid.n})")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +156,7 @@ def conformal_christoffel(gam: ChristoffelField, g: MetricField,
     grid = g.grid
     if gam.grid is not grid:
         raise GridError("symbols and metric live on different grids")
-    cv = _eval_scalar(c, grid)
+    cv = lattice_values(c, grid)
     if np.min(cv) <= 0.0:
         raise GridError("conformal factor must be positive")
     logc = np.log(cv)
@@ -440,7 +422,7 @@ def transform_solution_check(g2: MetricField, X2: VectorField, J: DiffeoField,
     x1[bad] = x2[bad] = 0.0
     vt[bad] = 0.0
 
-    cv = _eval_scalar(c, grid)
+    cv = lattice_values(c, grid)
     if np.min(cv[grid.mask]) <= 0.0:
         raise GridError("conformal factor must be positive")
     cv = np.where(grid.mask, cv, 1.0)

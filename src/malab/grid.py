@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,6 +336,37 @@ def _on_lattice(values, grid, dtype=None) -> np.ndarray:
     if values.shape != expect:
         raise GridError(f"field shape {values.shape} != grid {expect}")
     return values
+
+
+def _same_grid(g, h) -> bool:
+    """g is h, or an equal lattice: domains with the same (a, b, n), or
+    boxes with the same (half, n)."""
+    if isinstance(g, DomainGrid) and isinstance(h, DomainGrid):
+        return (g.a, g.b, g.n) == (h.a, h.b, h.n)
+    return g is h or (isinstance(g, PaddedGrid) and g == h)
+
+
+def lattice_values(value, grid) -> np.ndarray:
+    """A lattice input as an (n, n) float array on grid.
+
+    Accepts a ScalarField on grid or an equal grid, a real scalar, an
+    (n, n) array, or a callable (x, y) -> either of the last two,
+    evaluated on the lattice. Anything else is a GridError naming its
+    type, shape or grid.
+    """
+    if isinstance(value, ScalarField):
+        if not _same_grid(value.grid, grid):
+            raise GridError("field lives on a different grid")
+        return value.values
+    if callable(value):
+        value = value(*grid.meshgrid())
+    if not isinstance(value, (numbers.Real, np.ndarray, list, tuple)):
+        raise GridError(
+            f"cannot read {type(value).__name__} as lattice values")
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        return np.full((grid.n, grid.n), float(arr))
+    return _on_lattice(arr, grid)
 
 
 class ScalarField:

@@ -8,12 +8,16 @@ linearization solves g^{ab} d_ab v = 0 with the perturbation's boundary
 data; the second linearization solves g^{ab} d_ab w = tr(G V1 G V2) with
 zero data, where V_k are the Hessians of first-order solutions and G the
 coefficient matrix; the adjoint problem carries the drift in divergence
-form. Linear systems go through the sparse-LU layer of `maforward`, split
-per metric: the system matrix is assembled and factored once, together
-with the divergence-form cross-check matrix, and every right side of that
+form. One list of coefficients, one per stencil operator of `maforward`,
+gives both halves of a system: the matrix A on the interior values and
+the boundary matrix G_A on the crossing values of the data, so every row
+reads A v + G_A phi = f, with f = 0 on the interpolation rows. Linear
+systems go through the sparse-LU layer of `maforward`, split per metric:
+the system is assembled and factored once, and every right side of that
 metric is solved against the one factorization (nondiv_solve_many takes a
-block of boundary data). Every column must meet the residual bound
-||A v - b|| <= rtol ||b|| and pass the cross-check, or the solve raises
+block of boundary data as one block G_A Phi). Every column must meet the
+residual bound ||A v - b|| <= rtol ||b|| and agree with the divergence-
+form assembly of the same equation, or the solve raises
 LinearSolveFailure.
 """
 
@@ -26,10 +30,11 @@ import scipy.sparse as sp
 
 from .complexcalc import deriv
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
-                   ScalarField, _CubicBlock, _on_lattice, boundary_restrict)
+                   ScalarField, _CubicBlock, _on_lattice, boundary_restrict,
+                   lattice_values)
 from .maforward import (LinearSolveFailure, MASolution, SparseLU, StencilOps,
-                        boundary_vector, build_stencil_ops, eval_boundary_data,
-                        solve_ma, solve_ma_zero, source_grid, stencil_hessian)
+                        build_stencil_ops, ring_values, solve_ma,
+                        solve_ma_zero, source_grid, stencil_hessian)
 
 __all__ = [
     "VectorField",
@@ -81,7 +86,8 @@ def solution_hessian(sol: MASolution):
     """
     grid = sol.u.grid
     ops = build_stencil_ops(grid)
-    h11, h22, h12 = stencil_hessian(ops, sol.u.values[grid.mask], sol.phi)
+    h11, h22, h12 = stencil_hessian(ops, sol.u.values[grid.mask],
+                                    ops.crossing_values(sol.phi))
 
     # anchor chase: every interpolation row copies its neighbor until all
     # values originate at PDE rows
@@ -238,45 +244,36 @@ def _coeffs_at_nodes(g: MetricField):
     return a11, a12, a22
 
 
-def _nondiv_matrix(ops: StencilOps, a11, a12, a22, X1=None, X2=None, c0=None):
-    A = (sp.diags(a11) @ ops.L11 + 2.0 * sp.diags(a12) @ ops.L12
-         + sp.diags(a22) @ ops.L22)
+def _nondiv_system(ops: StencilOps, a11, a12, a22, X1=None, X2=None, c0=None,
+                   *, boundary: bool = True):
+    """(A, G_A) of a11 d_11 + 2 a12 d_12 + a22 d_22 [+ X1 d_1 + X2 d_2 + c0].
+
+    Every row reads A v + G_A phi = f for crossing values phi, with f = 0
+    on the interpolation rows; boundary=False leaves G_A out (None).
+    """
+    terms = [(a11, ops.L11, ops.G11), (2.0 * a12, ops.L12, ops.G12),
+             (a22, ops.L22, ops.G22)]
     if X1 is not None:
-        A = A + sp.diags(X1) @ ops.L1 + sp.diags(X2) @ ops.L2
+        terms += [(X1, ops.L1, ops.G1), (X2, ops.L2, ops.G2)]
+    # R and GR hold the interpolation rows, which no term touches
+    A = sum((sp.diags(c) @ L for c, L, _ in terms), ops.R)
     if c0 is not None:
         A = A + sp.diags(np.where(ops.pde, c0, 0.0))
-    return (A + ops.R).tocsr()
+    if not boundary:
+        return A, None
+    return A, sum((sp.diags(c) @ G for c, _, G in terms), ops.GR)
 
 
-def _nondiv_rhs(ops: StencilOps, data, a11, a12, a22, f=None,
-                X1=None, X2=None):
-    rhs = np.zeros(ops.N) if f is None else np.array(f, dtype=float)
-    rhs -= a11 * boundary_vector(ops, ops.g11, data)
-    rhs -= 2.0 * a12 * boundary_vector(ops, ops.g12, data)
-    rhs -= a22 * boundary_vector(ops, ops.g22, data)
-    if X1 is not None:
-        rhs -= X1 * boundary_vector(ops, ops.g1, data)
-        rhs -= X2 * boundary_vector(ops, ops.g2, data)
-    rhs[~ops.pde] = boundary_vector(ops, ops.r_ghost, data)[~ops.pde]
-    return rhs
-
-
-def _source_vec(f, grid: DomainGrid):
-    """Interior source as a vector over the masked numbering, or None."""
+def _interior_source(ops: StencilOps, f) -> np.ndarray:
+    """f (default 0) on the PDE rows of the interior numbering, 0 on the
+    interpolation rows."""
     if f is None:
-        return None
-    if isinstance(f, ScalarField):
-        f = f.values
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim == 2:
-        return arr[grid.mask]
-    if arr.ndim == 0:
-        return np.full(int(grid.mask.sum()), float(arr))
-    return arr
+        return np.zeros(ops.N)
+    return np.where(ops.pde, lattice_values(f, ops.grid)[ops.grid.mask], 0.0)
 
 
-def nondiv_solve_many(g: MetricField, datas, f=None, *, rtol: float = 1e-10,
-                      cross_check: bool = True) -> list:
+def nondiv_solve_many(g: MetricField, datas, f=None, *,
+                      rtol: float = 1e-10) -> list:
     """Solve g^{ab} d_ab v = f (default 0) once per Dirichlet data in datas.
 
     The system is assembled and factored once for the metric, and all
@@ -291,39 +288,37 @@ def nondiv_solve_many(g: MetricField, datas, f=None, *, rtol: float = 1e-10,
         raise GridError("nondiv_solve expects a domain grid")
     coeffs = _coeffs_at_nodes(g)
     ops = build_stencil_ops(grid)
-    lu = SparseLU(_nondiv_matrix(ops, *coeffs))
-    fvec = _source_vec(f, grid)
-    rhs = np.column_stack([_nondiv_rhs(ops, phi, *coeffs, f=fvec)
-                           for phi in datas])
-    V = lu.solve(rhs, rtol)
+    fvec = _interior_source(ops, f)
+    Phi = np.column_stack([ops.crossing_values(phi) for phi in datas])
+    A, G = _nondiv_system(ops, *coeffs)
+    rhs = fvec[:, None] - G @ Phi
+    V = SparseLU(A).solve(rhs, rtol)
 
-    if cross_check:
-        w = _volume_weight(g, grid.mask)[grid.mask]
-        B = _nondiv_matrix(ops, *(w * a for a in coeffs))
-        B = sp.diags(np.where(ops.pde, 1.0 / w, 1.0)) @ B
-        scale = np.max(np.abs(rhs), axis=0) + 1.0
-        resA = np.max(np.abs(lu.A @ V - rhs), axis=0)
-        resB = np.max(np.abs(B @ V - rhs), axis=0)
-        bad = resB > 10.0 * np.maximum(resA, rtol * scale)
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise LinearSolveFailure(
-                "divergence-form assembly disagrees with the bare-"
-                f"coefficient route: {resB[j]:.3e} vs {resA[j]:.3e}",
-                [float(resA[j]), float(resB[j])])
+    w = _volume_weight(g, grid.mask)[grid.mask]
+    B, _ = _nondiv_system(ops, *(w * a for a in coeffs), boundary=False)
+    B = sp.diags(np.where(ops.pde, 1.0 / w, 1.0)) @ B
+    scale = np.max(np.abs(rhs), axis=0) + 1.0
+    resA = np.max(np.abs(A @ V - rhs), axis=0)
+    resB = np.max(np.abs(B @ V - rhs), axis=0)
+    bad = resB > 10.0 * np.maximum(resA, rtol * scale)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise LinearSolveFailure(
+            "divergence-form assembly disagrees with the bare-"
+            f"coefficient route: {resB[j]:.3e} vs {resA[j]:.3e}",
+            [float(resA[j]), float(resB[j])])
 
     return [ScalarField(ops.scatter(v), grid) for v in V.T]
 
 
-def nondiv_solve(g: MetricField, phi, f=None, *, rtol: float = 1e-10,
-                 cross_check: bool = True) -> ScalarField:
+def nondiv_solve(g: MetricField, phi, f=None, *,
+                 rtol: float = 1e-10) -> ScalarField:
     """Solve g^{ab} d_ab v = f (default 0) with Dirichlet data phi.
 
     One column of nondiv_solve_many, with the same residual bound and
     divergence-form cross-check.
     """
-    return nondiv_solve_many(g, [phi], f, rtol=rtol,
-                             cross_check=cross_check)[0]
+    return nondiv_solve_many(g, [phi], f, rtol=rtol)[0]
 
 
 def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
@@ -338,6 +333,8 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
         raise GridError("adjoint_solve expects a domain grid")
     a11, a12, a22 = _coeffs_at_nodes(g)
     ops = build_stencil_ops(grid)
+    fvec = _interior_source(ops, f)
+    phic = ops.crossing_values(phi_star)
     Xg = drift_field(g)
     w = _volume_weight(g, grid.mask)
     c0_full = (deriv(w * X.c1, grid, 1, 0) + deriv(w * X.c2, grid, 0, 1)) / w
@@ -348,10 +345,8 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
     if not (np.all(np.isfinite(X1)) and np.all(np.isfinite(X2))
             and np.all(np.isfinite(c0))):
         raise GridError("drift has non-finite entries on the domain")
-    fvec = _source_vec(f, grid)
-    A = _nondiv_matrix(ops, a11, a12, a22, X1, X2, c0)
-    rhs = _nondiv_rhs(ops, phi_star, a11, a12, a22, f=fvec, X1=X1, X2=X2)
-    v = SparseLU(A).solve(rhs, rtol)
+    A, G = _nondiv_system(ops, a11, a12, a22, X1, X2, c0)
+    v = SparseLU(A).solve(fvec - G @ phic, rtol)
     return ScalarField(ops.scatter(v), grid)
 
 
@@ -374,8 +369,9 @@ def second_solve(g: MetricField, X: VectorField, v1: ScalarField,
     if phi2 is None:
         phi2 = boundary_restrict(v2)
     m = g.grid.mask
-    p11, p22, p12 = stencil_hessian(ops, v1.values[m], phi1)
-    q11, q22, q12 = stencil_hessian(ops, v2.values[m], phi2)
+    (p11, p22, p12), (q11, q22, q12) = (
+        stencil_hessian(ops, v.values[m], ops.crossing_values(phi))
+        for v, phi in ((v1, phi1), (v2, phi2)))
 
     # entries of G V_k, then tr(G V1 G V2) = sum_ij (G V1)_ij (G V2)_ji
     b11 = a11 * p11 + a12 * p12
@@ -387,9 +383,7 @@ def second_solve(g: MetricField, X: VectorField, v1: ScalarField,
     c21 = a12 * q11 + a22 * q12
     c22 = a12 * q12 + a22 * q22
     rhs_trace = b11 * c11 + b12 * c21 + b21 * c12 + b22 * c22
-    rhs_trace[~ops.pde] = 0.0
-
-    return nondiv_solve(g, 0.0, f=rhs_trace, rtol=rtol)
+    return nondiv_solve(g, 0.0, f=ops.scatter(rhs_trace), rtol=rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +420,7 @@ def eps_consistency(F, phi1, phi2, eps1: float = 0.1, eps2: float = 0.1,
     v1, v2 = nondiv_solve_many(g, [phi1, phi2])
     w = second_solve(g, X, v1, v2, phi1, phi2)
 
-    b = grid.boundary
-    p1 = eval_boundary_data(grid, phi1, b.points[:, 0], b.points[:, 1])
-    p2 = eval_boundary_data(grid, phi2, b.points[:, 0], b.points[:, 1])
+    p1, p2 = ring_values(grid, phi1), ring_values(grid, phi2)
     m = grid.mask
 
     e1s, e2s, rems = [], [], []

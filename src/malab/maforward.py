@@ -8,6 +8,13 @@ along the stencil ray to the exact boundary crossing. Interior nodes whose
 nearest axis crossing is closer than a quarter cell become interpolation
 rows instead of PDE rows, which keeps every matrix row bounded.
 
+The Dirichlet data enter through one vector per grid, their values at the
+boundary crossings that some stencil row reads (StencilOps.crossing_values;
+ring_values gives them on the boundary ring). Each operator is a pair of
+sparse matrices, L on the interior values and G on the crossing values, so
+every row of a system reads A u + G_A phi = f, with f = 0 on the
+interpolation rows.
+
 The Newton step solves cof(D^2 u) : D^2 delta = F - det D^2 u with zero
 boundary data, damped by backtracking under a convexity guard. Each solve
 factors the Laplacian L11 + L22 + R once (sparse LU); that factorization
@@ -28,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, ScalarField,
-                   tangential_derivative)
+                   _same_grid, lattice_values, tangential_derivative)
 
 __all__ = [
     "LinearSolveFailure",
@@ -43,10 +51,10 @@ __all__ = [
     "NewtonFailure",
     "StencilOps",
     "build_stencil_ops",
-    "boundary_vector",
     "data_norm_surrogate",
     "eval_boundary_data",
     "poisson_init",
+    "ring_values",
     "solve_ma",
     "solve_ma_zero",
     "perturbation_stability",
@@ -134,25 +142,40 @@ class SparseLU:
 def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
     """Evaluate Dirichlet data at arbitrary points of the boundary curve.
 
-    ``data`` may be a callable (x, y) -> value, a scalar, or a
-    BoundaryTrace. Trace values live on the ring nodes, which sit at
-    uniform angles t of the parametrization (a cos t, b sin t); a point is
-    assigned the angle of its image (x/a, y/b) on the unit disk
-    (DomainGrid.param_angle), and off-node evaluation is trigonometric
-    interpolation in t, exact for band-limited data.
+    ``data`` may be None (zero data), a callable (x, y) -> value, a real
+    scalar, or a BoundaryTrace on grid or an equal grid. Trace values live
+    on the ring nodes, which sit at uniform angles t of the
+    parametrization (a cos t, b sin t); a point is assigned the angle of
+    its image (x/a, y/b) on the unit disk (DomainGrid.param_angle), and
+    off-node evaluation is trigonometric interpolation in t, exact for
+    band-limited data. Any other type, a trace from another grid, or a
+    non-finite value is a GridError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if data is None:
         return np.zeros_like(x)
-    if callable(data):
-        return np.asarray(data(x, y), dtype=float) + np.zeros_like(x)
-    if np.isscalar(data):
-        return np.full_like(x, float(data))
+    if isinstance(data, BoundaryTrace):
+        if not _same_grid(data.grid, grid):
+            raise GridError("boundary trace lives on a different grid")
+        out = _trig_interp(np.asarray(data.values, dtype=float),
+                           grid.param_angle(x, y))
+    elif callable(data):
+        out = np.asarray(data(x, y), dtype=float) + np.zeros_like(x)
+    elif isinstance(data, numbers.Real):
+        out = np.full_like(x, float(data))
+    else:
+        raise GridError(
+            "boundary data must be None, a callable, a real scalar or a "
+            f"BoundaryTrace, not {type(data).__name__}")
+    if not np.all(np.isfinite(out)):
+        raise GridError("boundary data has non-finite values")
+    return out
 
-    vals = np.asarray(data.values, dtype=float)
+
+def _trig_interp(vals: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Trigonometric interpolant of uniform ring samples at angles theta."""
     M = len(vals)
-    theta = grid.param_angle(x, y)
     c = np.fft.rfft(vals)
     w = np.full(len(c), 2.0)
     w[0] = 1.0
@@ -170,7 +193,13 @@ def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
     lo = np.exp(1j * np.outer(t, np.arange(B)))
     hi = np.exp(1j * np.outer(t, B * np.arange(Q)))
     out = np.einsum("pq,pq->p", hi, lo @ cw.reshape(Q, B).T).real
-    return out.reshape(x.shape)
+    return out.reshape(theta.shape)
+
+
+def ring_values(grid: DomainGrid, data) -> np.ndarray:
+    """Dirichlet data at the boundary ring nodes."""
+    b = grid.boundary
+    return eval_boundary_data(grid, data, b.points[:, 0], b.points[:, 1])
 
 
 def data_norm_surrogate(grid: DomainGrid, data) -> float:
@@ -179,8 +208,7 @@ def data_norm_surrogate(grid: DomainGrid, data) -> float:
     Maximum of the value and the first two arclength-derivative magnitudes
     on the ring (grid.tangential_derivative).
     """
-    b = grid.boundary
-    vals = eval_boundary_data(grid, data, b.points[:, 0], b.points[:, 1])
+    vals = ring_values(grid, data)
     d1 = tangential_derivative(grid, vals)
     d2 = tangential_derivative(grid, d1)
     return float(max(np.max(np.abs(vals)), np.max(np.abs(d1)),
@@ -192,44 +220,35 @@ def data_norm_surrogate(grid: DomainGrid, data) -> float:
 
 
 @dataclass(frozen=True)
-class GhostTable:
-    """Boundary contributions of one operator: row k gains coef * phi(q)."""
-
-    rows: np.ndarray
-    coef: np.ndarray
-    qx: np.ndarray
-    qy: np.ndarray
-
-
-@dataclass(frozen=True)
 class StencilOps:
-    """Sparse second-difference operators on the masked lattice.
+    """Sparse difference operators on the masked lattice.
 
-    L11, L22, L12 hold the interior-to-interior couplings on PDE rows; the
-    matching GhostTable carries each row's boundary-data coefficients, so
-    the full difference is L @ u + boundary_vector(table, data). R holds
-    the interpolation rows for quasi-boundary nodes, with their data
-    coefficients in r_ghost.
+    (qx, qy) are the boundary crossings that some row reads: every
+    exterior direction of a PDE row and the cut direction of an
+    interpolation row. Each operator is a pair, L on the interior values
+    and G on the data at the crossings (crossing_values), so the closed
+    difference of u with data phi is L u + G phi: the second differences
+    L11/G11, L22/G22, L12/G12 and central first differences L1/G1, L2/G2
+    on PDE rows, and the interpolation rows R u + GR phi = 0.
     """
 
     grid: DomainGrid
     N: int
-    idx: np.ndarray            # (n, n) interior numbering, -1 outside
-    ii: np.ndarray
-    jj: np.ndarray
     pde: np.ndarray            # PDE rows (True) vs interpolation rows
+    qx: np.ndarray             # crossing points, one per column of every G
+    qy: np.ndarray
     L11: sp.csr_matrix
+    G11: sp.csr_matrix
     L22: sp.csr_matrix
+    G22: sp.csr_matrix
     L12: sp.csr_matrix
+    G12: sp.csr_matrix
     L1: sp.csr_matrix
+    G1: sp.csr_matrix
     L2: sp.csr_matrix
-    g11: GhostTable
-    g22: GhostTable
-    g12: GhostTable
-    g1: GhostTable
-    g2: GhostTable
+    G2: sp.csr_matrix
     R: sp.csr_matrix
-    r_ghost: GhostTable
+    GR: sp.csr_matrix
 
     def scatter(self, vec: np.ndarray) -> np.ndarray:
         """Interior vector -> full (n, n) array, zero outside the mask."""
@@ -237,12 +256,22 @@ class StencilOps:
         out[self.grid.mask] = vec
         return out
 
+    def crossing_values(self, data) -> np.ndarray:
+        """The data at the crossing points: the vector every G acts on."""
+        return eval_boundary_data(self.grid, data, self.qx, self.qy)
+
 
 _ops_cache: dict = {}
 
 
 def _grid_key(grid: DomainGrid):
     return (grid.a, grid.b, grid.n)
+
+
+def _csr(parts, shape) -> sp.csr_matrix:
+    """Sum of (rows, cols, vals) triples as a CSR matrix."""
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 def build_stencil_ops(grid: DomainGrid) -> StencilOps:
@@ -285,82 +314,64 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
     interp = amin < CUT_FRACTION
     pde = ~interp
 
-    # interpolation rows: u_C = (a u_W + phi(Q)) / (1 + a), W opposite the cut
-    r_rows, r_cols, r_vals = [], [], []
-    rg_rows, rg_coef, rg_qx, rg_qy = [], [], [], []
-    for k in np.nonzero(interp)[0]:
-        di, dj = axis_dirs[which[k]]
-        a = alpha[(di, dj)][k]
-        wi, wj = ii[k] - di, jj[k] - dj
-        if not mask[wi, wj]:
-            raise GridError(
-                f"grid too coarse near node ({ii[k]}, {jj[k]}): no interior "
-                "neighbor to anchor the quasi-boundary interpolation")
-        r_rows += [k, k]
-        r_cols += [k, idx[wi, wj]]
-        r_vals += [1.0, -a / (1.0 + a)]
-        rg_rows.append(k)
-        rg_coef.append(1.0 / (1.0 + a))
-        rg_qx.append(X[k] + a * di * dx)
-        rg_qy.append(Y[k] + a * dj * dx)
+    # number the crossings some row reads: every exterior direction of a
+    # PDE row and the cut direction of an interpolation row
+    cross, qx, qy = {}, [], []
+    nq = 0
+    for d, (di, dj) in enumerate(axis_dirs + diag_dirs):
+        k = np.nonzero(~inside[(di, dj)] & (pde | ((which == d) & interp)))[0]
+        cross[(di, dj)] = np.full(N, -1, dtype=np.int64)
+        cross[(di, dj)][k] = nq + np.arange(len(k))
+        nq += len(k)
+        qx.append(X[k] + alpha[(di, dj)][k] * di * dx)
+        qy.append(Y[k] + alpha[(di, dj)][k] * dj * dx)
+
+    # interpolation rows: u_C - a/(1 + a) u_W - phi(Q)/(1 + a) = 0, W
+    # opposite the cut
+    k = np.nonzero(interp)[0]
+    di, dj = np.array(axis_dirs)[which[k]].T
+    a = axis_alpha[which[k], k]
+    wi, wj = ii[k] - di, jj[k] - dj
+    if not np.all(mask[wi, wj]):
+        j = k[np.argmin(mask[wi, wj])]
+        raise GridError(
+            f"grid too coarse near node ({ii[j]}, {jj[j]}): no interior "
+            "neighbor to anchor the quasi-boundary interpolation")
+    q = np.stack([cross[d] for d in axis_dirs])[which[k], k]
+    R = _csr([(k, k, np.ones(len(k))), (k, idx[wi, wj], -a / (1.0 + a))],
+             (N, N))
+    GR = _csr([(k, q, -1.0 / (1.0 + a))], (N, nq))
 
     def _assemble(dirs, weights, denom, center_base):
-        rows, cols, vals = [], [], []
-        grows, gcoef, gqx, gqy = [], [], [], []
+        lparts, gparts = [], []
         center = np.zeros(N)
         for (di, dj), w in zip(dirs, weights):
             inb = inside[(di, dj)]
             a = alpha[(di, dj)]
-            nb = idx[ii + di, jj + dj]
             sel = pde & inb
-            rows.append(np.nonzero(sel)[0])
-            cols.append(nb[sel])
-            vals.append(np.full(sel.sum(), w / denom))
+            lparts.append((np.nonzero(sel)[0], idx[ii + di, jj + dj][sel],
+                           np.full(sel.sum(), w / denom)))
             gh = pde & ~inb
             center[gh] += w * (1.0 - 1.0 / a[gh]) / denom
-            grows.append(np.nonzero(gh)[0])
-            gcoef.append(w / (a[gh] * denom))
-            gqx.append(X[gh] + a[gh] * di * dx)
-            gqy.append(Y[gh] + a[gh] * dj * dx)
+            gparts.append((np.nonzero(gh)[0], cross[(di, dj)][gh],
+                           w / (a[gh] * denom)))
         ctr = np.nonzero(pde)[0]
-        rows.append(ctr)
-        cols.append(ctr)
-        vals.append(center_base / denom + center[ctr])
-        L = sp.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(N, N)).tocsr()
-        table = GhostTable(np.concatenate(grows), np.concatenate(gcoef),
-                           np.concatenate(gqx), np.concatenate(gqy))
-        return L, table
+        lparts.append((ctr, ctr, center_base / denom + center[ctr]))
+        return _csr(lparts, (N, N)), _csr(gparts, (N, nq))
 
     h2 = dx * dx
-    L11, g11 = _assemble([(1, 0), (-1, 0)], [1.0, 1.0], h2, -2.0)
-    L22, g22 = _assemble([(0, 1), (0, -1)], [1.0, 1.0], h2, -2.0)
-    L12, g12 = _assemble(diag_dirs, [1.0, 1.0, -1.0, -1.0], 4.0 * h2, 0.0)
-    L1, g1 = _assemble([(1, 0), (-1, 0)], [0.5, -0.5], dx, 0.0)
-    L2, g2 = _assemble([(0, 1), (0, -1)], [0.5, -0.5], dx, 0.0)
+    L11, G11 = _assemble([(1, 0), (-1, 0)], [1.0, 1.0], h2, -2.0)
+    L22, G22 = _assemble([(0, 1), (0, -1)], [1.0, 1.0], h2, -2.0)
+    L12, G12 = _assemble(diag_dirs, [1.0, 1.0, -1.0, -1.0], 4.0 * h2, 0.0)
+    L1, G1 = _assemble([(1, 0), (-1, 0)], [0.5, -0.5], dx, 0.0)
+    L2, G2 = _assemble([(0, 1), (0, -1)], [0.5, -0.5], dx, 0.0)
 
-    R = sp.coo_matrix((r_vals, (r_rows, r_cols)), shape=(N, N)).tocsr()
-    r_ghost = GhostTable(np.asarray(rg_rows, dtype=np.int64),
-                         np.asarray(rg_coef), np.asarray(rg_qx),
-                         np.asarray(rg_qy))
-
-    ops = StencilOps(grid=grid, N=N, idx=idx, ii=ii, jj=jj, pde=pde,
-                     L11=L11, L22=L22, L12=L12, L1=L1, L2=L2,
-                     g11=g11, g22=g22, g12=g12, g1=g1, g2=g2,
-                     R=R, r_ghost=r_ghost)
+    ops = StencilOps(grid=grid, N=N, pde=pde, qx=np.concatenate(qx),
+                     qy=np.concatenate(qy), L11=L11, G11=G11, L22=L22,
+                     G22=G22, L12=L12, G12=G12, L1=L1, G1=G1, L2=L2, G2=G2,
+                     R=R, GR=GR)
     _ops_cache[key] = ops
     return ops
-
-
-def boundary_vector(ops: StencilOps, table: GhostTable, data) -> np.ndarray:
-    """Boundary-data contribution of one operator as a dense vector."""
-    b = np.zeros(ops.N)
-    if len(table.rows):
-        vals = eval_boundary_data(ops.grid, data, table.qx, table.qy)
-        np.add.at(b, table.rows, table.coef * vals)
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +382,12 @@ def _laplacian(ops: StencilOps) -> SparseLU:
     return SparseLU(ops.L11 + ops.L22 + ops.R)
 
 
-def _poisson_rhs(ops: StencilOps, F: np.ndarray, data) -> np.ndarray:
-    rhs = 2.0 * np.sqrt(F[ops.grid.mask])
-    rhs -= boundary_vector(ops, ops.g11, data)
-    rhs -= boundary_vector(ops, ops.g22, data)
-    rhs[~ops.pde] = boundary_vector(ops, ops.r_ghost, data)[~ops.pde]
+def _poisson_rhs(ops: StencilOps, Fvec: np.ndarray, phi: np.ndarray):
+    """Right side of (L11 + L22 + R) u = 2 sqrt(F) for crossing values phi."""
+    rhs = np.where(ops.pde, 2.0 * np.sqrt(Fvec), 0.0)
+    rhs -= ops.G11 @ phi
+    rhs -= ops.G22 @ phi
+    rhs -= ops.GR @ phi
     return rhs
 
 
@@ -388,7 +400,9 @@ def poisson_init(grid: DomainGrid, F: np.ndarray, data) -> np.ndarray:
     its Newton steps.
     """
     ops = build_stencil_ops(grid)
-    return _laplacian(ops).solve(_poisson_rhs(ops, F, data))
+    rhs = _poisson_rhs(ops, lattice_values(F, grid)[grid.mask],
+                       ops.crossing_values(data))
+    return _laplacian(ops).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +431,11 @@ class MASolution:
         return buf.getvalue()
 
 
-def stencil_hessian(ops: StencilOps, U: np.ndarray, data=None, bvecs=None):
-    """Stencil Hessian entries (h11, h22, h12) of interior values U.
-
-    The ghost values close the stencils with the Dirichlet data, as the
-    boundary vectors (b11, b22, b12); pass those as bvecs to reuse them.
-    """
-    if bvecs is None:
-        bvecs = [boundary_vector(ops, t, data)
-                 for t in (ops.g11, ops.g22, ops.g12)]
-    b11, b22, b12 = bvecs
-    return ops.L11 @ U + b11, ops.L22 @ U + b22, ops.L12 @ U + b12
+def stencil_hessian(ops: StencilOps, U: np.ndarray, phi: np.ndarray):
+    """Stencil Hessian entries (h11, h22, h12) of interior values U, the
+    stencils closed by the crossing values phi (ops.crossing_values)."""
+    return (ops.L11 @ U + ops.G11 @ phi, ops.L22 @ U + ops.G22 @ phi,
+            ops.L12 @ U + ops.G12 @ phi)
 
 
 def _min_eig(h11, h22, h12, where):
@@ -446,29 +454,6 @@ def source_grid(F, grid: DomainGrid | None) -> DomainGrid:
     return F.grid
 
 
-def _as_field_values(F, grid) -> np.ndarray:
-    if isinstance(F, ScalarField):
-        if F.grid is not grid and not (isinstance(F.grid, DomainGrid)
-                                       and _grid_key(F.grid) == _grid_key(grid)):
-            raise GridError("source field lives on a different grid")
-        return np.asarray(F.values, dtype=float)
-    if callable(F):
-        X, Y = grid.meshgrid()
-        return np.asarray(F(X, Y), dtype=float) + np.zeros((grid.n, grid.n))
-    arr = np.asarray(F, dtype=float)
-    if arr.ndim == 0:
-        return np.full((grid.n, grid.n), float(arr))
-    if arr.shape != (grid.n, grid.n):
-        raise GridError("source array shape does not match the grid")
-    return arr
-
-
-def _as_trace(grid: DomainGrid, data) -> BoundaryTrace:
-    b = grid.boundary
-    vals = eval_boundary_data(grid, data, b.points[:, 0], b.points[:, 1])
-    return BoundaryTrace(vals, grid)
-
-
 def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
              tol: float = 1e-10, max_iter: int = 30, delta: float = 0.1,
              damping_min: float = 1e-4) -> MASolution:
@@ -484,7 +469,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
     naming whether convexity or descent gave out.
     """
     grid = source_grid(F, grid)
-    Fv = _as_field_values(F, grid)
+    Fv = lattice_values(F, grid)
     Fvec = Fv[grid.mask]
     if not np.all(np.isfinite(Fvec)):
         raise GridError("source has non-finite values on the domain")
@@ -492,18 +477,17 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
         raise GridError("source must be uniformly positive on the domain")
 
     ops = build_stencil_ops(grid)
-    bvecs = [boundary_vector(ops, t, phi) for t in (ops.g11, ops.g22, ops.g12)]
-
+    phic = ops.crossing_values(phi)
     norm_phi = data_norm_surrogate(grid, phi)
 
     lap = _laplacian(ops)
-    U = lap.solve(_poisson_rhs(ops, Fv, phi))
+    U = lap.solve(_poisson_rhs(ops, Fvec, phic))
     precond = spla.LinearOperator((ops.N, ops.N), matvec=lap.solve)
     pde = ops.pde
     Ftarget = tol * float(np.max(np.abs(Fvec)))
 
     log, krylov, lu_steps = [], [], []
-    h11, h22, h12 = stencil_hessian(ops, U, bvecs=bvecs)
+    h11, h22, h12 = stencil_hessian(ops, U, phic)
     res = np.where(pde, h11 * h22 - h12 ** 2 - Fvec, 0.0)
     rnorm = float(np.max(np.abs(res)))
     lam_min = _min_eig(h11, h22, h12, pde)
@@ -524,7 +508,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
         lam = 1.0
         while True:
             Ut = U + lam * step
-            t11, t22, t12 = stencil_hessian(ops, Ut, bvecs=bvecs)
+            t11, t22, t12 = stencil_hessian(ops, Ut, phic)
             rt = np.where(pde, t11 * t22 - t12 ** 2 - Fvec, 0.0)
             rn = float(np.max(np.abs(rt)))
             le = _min_eig(t11, t22, t12, pde)
@@ -554,12 +538,11 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
     detH = h11 * h22 - h12 ** 2
     convex = (_min_eig(h11, h22, h12, pde) > 0.0
               and float(np.min(detH[pde])) >= 0.5 * float(np.min(Fvec)))
-    sol = MASolution(
-        u=ScalarField(ops.scatter(U), grid),
-        F=ScalarField(Fv, grid), phi=_as_trace(grid, phi), log=log,
+    return MASolution(
+        u=ScalarField(ops.scatter(U), grid), F=ScalarField(Fv, grid),
+        phi=BoundaryTrace(ring_values(grid, phi), grid), log=log,
         convex=convex, data_norm=norm_phi, admissible=norm_phi <= delta,
         krylov_iters=krylov, lu_steps=lu_steps)
-    return sol
 
 
 _zero_cache: dict = {}
@@ -573,7 +556,7 @@ def solve_ma_zero(F, grid: DomainGrid | None = None, **opts) -> MASolution:
     read-only.
     """
     grid = source_grid(F, grid)
-    Fv = _as_field_values(F, grid)
+    Fv = lattice_values(F, grid)
     key = (_grid_key(grid), hashlib.sha256(Fv[grid.mask].tobytes()).hexdigest(),
            tuple(sorted(opts.items())))
     if key not in _zero_cache:
@@ -606,8 +589,7 @@ def perturbation_stability(F, phi, grid: DomainGrid | None = None,
     """Measure ||u_phi - u_0|| / ||phi|| across a data-amplitude sweep."""
     grid = source_grid(F, grid)
     base = solve_ma_zero(F, grid, **opts)
-    b = grid.boundary
-    pvals = eval_boundary_data(grid, phi, b.points[:, 0], b.points[:, 1])
+    pvals = ring_values(grid, phi)
     pmax = float(np.max(np.abs(pvals)))
     if pmax == 0.0:
         return PerturbationReport(tuple(amplitudes),

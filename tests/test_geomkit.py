@@ -413,6 +413,17 @@ def test_transform_check_identity_matches_base():
     assert rep.nodes > 1000
 
 
+def test_transform_check_accepts_a_constant_callable():
+    grid = build_disk(n=64)
+    g = flat(grid)
+    v = nondiv_solve(g, lambda x, y: x * x - y * y + 0.3 * x)
+    X = drift_field(g)
+    one = transform_solution_check(g, X, DiffeoField.identity(grid), 1.0, v)
+    call = transform_solution_check(g, X, DiffeoField.identity(grid),
+                                    lambda x, y: 1.0, v)
+    assert call.residual == one.residual
+
+
 def test_transform_check_rotated_harmonic():
     grid = build_disk(n=64)
     X, Y = grid.meshgrid()

@@ -6,7 +6,7 @@ import pytest
 from malab.grid import (
     BoundaryTrace, GridError, PaddedGrid, ScalarField, _CubicBlock,
     boundary_quadrature, boundary_restrict, build_disk, build_ellipse,
-    interp_masked, normal_derivative, quadrature,
+    interp_masked, lattice_values, normal_derivative, quadrature,
 )
 
 
@@ -254,3 +254,33 @@ def test_every_mask_node_cuts_its_exterior_rays(build):
             out = ~g.mask[ii + di, jj + dj]
             t = g.ray_cut(g.x1[ii[out]], g.x2[jj[out]], di * g.dx, dj * g.dx)
             assert np.all((t >= 0.0) & (t <= 1.0)), (n, di, dj)
+
+
+def test_lattice_values_accepts_the_documented_inputs():
+    g = build_disk(1.0, 48)
+    X, Y = g.meshgrid()
+    assert np.array_equal(lattice_values(lambda x, y: 1.0, g),
+                          np.ones((48, 48)))
+    assert np.array_equal(lattice_values(lambda x, y: x + y, g), X + Y)
+    assert np.array_equal(lattice_values(2.5, g), np.full((48, 48), 2.5))
+    assert np.array_equal(lattice_values(X.tolist(), g), X)
+    twin = ScalarField(X, build_disk(1.0, 48))       # an equal grid
+    assert lattice_values(twin, g) is twin.values
+    box = PaddedGrid(half=4.0, n=16)
+    f = ScalarField(np.ones((16, 16)), PaddedGrid(half=4.0, n=16))
+    assert lattice_values(f, box) is f.values
+
+
+@pytest.mark.parametrize("value, msg", [
+    (ScalarField(np.zeros((48, 48)), build_disk(0.9, 48)), "different grid"),
+    (ScalarField(np.zeros((16, 16)), PaddedGrid(half=4.0, n=16)),
+     "different grid"),
+    (np.zeros((40, 40)), r"\(40, 40\)"),
+    (np.zeros(7), r"\(7,\)"),
+    (lambda x, y: np.zeros(7), r"shape \(7,\)"),
+    ("1.0", "str"),
+    (None, "NoneType"),
+])
+def test_lattice_values_rejects_with_a_named_cause(value, msg):
+    with pytest.raises(GridError, match=msg):
+        lattice_values(value, build_disk(1.0, 48))

@@ -231,8 +231,7 @@ def test_dual_assembly_agreement_random_metrics():
         s22 = 1.0 + c * np.cos(2 * X - Y) + a * Y ** 2
         s12 = 0.2 * b * np.sin(X * Y)
         met = MetricField(s11, s12, s22, g)
-        v = nondiv_solve(met, lambda x, y: x + 0.3 * x * y,
-                         cross_check=True)
+        v = nondiv_solve(met, lambda x, y: x + 0.3 * x * y)
         assert np.all(np.isfinite(v.values[g.mask]))
 
 
@@ -348,3 +347,29 @@ def test_residual_check_is_live():
     with pytest.raises(LinearSolveFailure) as exc:
         nondiv_solve(_smooth_metric(g), lambda x, y: x * y, rtol=1e-20)
     assert exc.value.residuals and min(exc.value.residuals) > 0.0
+
+
+@pytest.mark.parametrize("f, msg", [
+    (ScalarField(np.ones((48, 48)), build_disk(0.9, 48)), "different grid"),
+    (np.ones((40, 40)), r"\(40, 40\)"),
+    (np.ones(7), r"\(7,\)"),
+])
+def test_source_inputs_fail_with_a_named_cause(f, msg):
+    g = build_disk(1.0, 48)
+    met = flat_metric(g)
+    zero = np.zeros((48, 48))
+    with pytest.raises(GridError, match=msg):
+        nondiv_solve(met, 0.0, f=f)
+    with pytest.raises(GridError, match=msg):
+        adjoint_solve(met, VectorField(zero, zero, g), 0.0, f=f)
+
+
+def test_source_on_an_equal_grid_and_as_a_callable():
+    g = build_disk(1.0, 48)
+    X, Y = g.meshgrid()
+    met = flat_metric(g)
+    ref = nondiv_solve(met, 0.0, f=np.ones((48, 48))).values
+    twin = ScalarField(np.ones((48, 48)), build_disk(1.0, 48))
+    assert np.array_equal(nondiv_solve(met, 0.0, f=twin).values, ref)
+    assert np.array_equal(nondiv_solve(met, 0.0, f=lambda x, y: 1.0).values,
+                          ref)

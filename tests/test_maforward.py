@@ -1,12 +1,18 @@
 """Forward Monge-Ampere solver tests: benchmarks with known solutions,
 Newton behavior, and the data-norm bookkeeping."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from malab.grid import BoundaryTrace, GridError, ScalarField, boundary_restrict
+from malab.grid import (BoundaryTrace, GridError, MetricField, ScalarField,
+                        boundary_restrict)
 from malab.grid import build_disk, build_ellipse
 from malab import maforward
+from malab.dnmap import dn_lin
+from malab.linearize import VectorField, adjoint_solve, nondiv_solve
 from malab.maforward import (LinearSolveFailure, NewtonFailure, SparseLU,
                              build_stencil_ops, data_norm_surrogate,
                              eval_boundary_data, perturbation_stability,
@@ -202,6 +208,39 @@ def test_source_from_another_grid_of_same_n_rejected():
     assert sol.convex
 
 
+def _flat_pair(g):
+    one, zero = np.ones((g.n, g.n)), np.zeros((g.n, g.n))
+    return MetricField(one, zero, one, g), VectorField(zero, zero, g)
+
+
+_ENTRY_POINTS = {
+    "solve_ma": lambda g, phi: solve_ma(1.0, phi, g),
+    "nondiv_solve": lambda g, phi: nondiv_solve(_flat_pair(g)[0], phi),
+    "adjoint_solve": lambda g, phi: adjoint_solve(*_flat_pair(g), phi),
+    "dn_lin": lambda g, phi: dn_lin(*_flat_pair(g), phi),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_bad_boundary_data_fails_before_any_factorization(entry, monkeypatch):
+    g = build_disk(1.0, 48)
+    coarse = build_disk(1.0, 64)
+    other = BoundaryTrace(np.zeros(len(coarse.boundary)), coarse)
+    twin = build_disk(1.0, 48)
+    equal = BoundaryTrace(np.ones(len(twin.boundary)), twin)
+    assert np.all(eval_boundary_data(g, equal, 0.6, 0.8) == 1.0)
+
+    def factor(self, A):
+        raise AssertionError("factorized before the data were checked")
+    monkeypatch.setattr(SparseLU, "__init__", factor)
+    for phi, msg in [(lambda x, y: np.nan * x, "non-finite"),
+                     (np.nan, "non-finite"), (np.inf, "non-finite"),
+                     (np.ones(5), "ndarray"), ([0.0, 1.0], "list"),
+                     (other, "different grid")]:
+        with pytest.raises(GridError, match=msg):
+            _ENTRY_POINTS[entry](g, phi)
+
+
 def test_zero_cache_hands_out_read_only_arrays():
     n = 40
     g = build_disk(1.0, n)
@@ -285,25 +324,38 @@ _NODE_ON_CURVE = [
 ]
 
 
-def test_stencils_build_with_mask_nodes_on_the_curve():
+@contextlib.contextmanager
+def _scoped_ops_cache():
+    """Drop the stencil-cache entries made inside the block."""
     cached = set(maforward._ops_cache)
     try:
-        for build, ns in _NODE_ON_CURVE:
-            for n in ns:
-                ops = build_stencil_ops(build(n))
-                for L in (ops.L11, ops.L22, ops.L12, ops.L1, ops.L2, ops.R):
-                    assert np.all(np.isfinite(L.data)), n
-                for t in (ops.g11, ops.g22, ops.g12, ops.g1, ops.g2,
-                          ops.r_ghost):
-                    assert np.all(np.isfinite(t.coef)), n
+        yield
     finally:
         for key in set(maforward._ops_cache) - cached:
             del maforward._ops_cache[key]
+
+
+def test_stencils_build_with_mask_nodes_on_the_curve():
+    with _scoped_ops_cache():
+        for build, ns in _NODE_ON_CURVE:
+            for n in ns:
+                ops = build_stencil_ops(build(n))
+                for L in (ops.L11, ops.L22, ops.L12, ops.L1, ops.L2, ops.R,
+                          ops.G11, ops.G22, ops.G12, ops.G1, ops.G2, ops.GR):
+                    assert np.all(np.isfinite(L.data)), n
     g = build_disk(1.0, 59)
     X, Y = g.meshgrid()
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
     err = np.max(np.abs((sol.u.values - _ustar(X, Y))[g.mask])) / g.dx ** 2
     assert sol.convex and err < 1.0
+
+
+def test_interpolation_row_without_an_anchor_is_a_grid_error():
+    # a sliver one node thick: the quasi-boundary node has no interior
+    # neighbor opposite its cut
+    sliver = build_ellipse(2.0, 0.03, 17)
+    with _scoped_ops_cache(), pytest.raises(GridError, match=r"\(1, 8\)"):
+        build_stencil_ops(sliver)
 
 
 def test_disk_is_the_ellipse_with_equal_axes():
@@ -328,5 +380,49 @@ def test_radius_two_disk_converges(n):
     g = build_disk(2.0, n)
     X, Y = g.meshgrid()
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
+    err = np.max(np.abs((sol.u.values - _ustar(X, Y))[g.mask])) / g.dx ** 2
+    assert sol.convex and err <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# properties over random ellipses
+
+
+_AXIS = st.floats(0.5, 2.0)
+_COEF = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=40)
+@given(a=_AXIS, b=_AXIS, n=st.integers(16, 150), c0=_COEF, c1=_COEF,
+       c2=_COEF)
+def test_crossings_and_affine_exactness(a, b, n, c0, c1, c2):
+    with _scoped_ops_cache():
+        g = build_ellipse(a, b, n)
+        ops = build_stencil_ops(g)
+    assert np.max(np.abs(g.level(ops.qx, ops.qy)), initial=0.0) <= 1e-14
+    pairs = [(ops.L11, ops.G11, 0.0, 2), (ops.L22, ops.G22, 0.0, 2),
+             (ops.L12, ops.G12, 0.0, 2), (ops.L1, ops.G1, c1, 1),
+             (ops.L2, ops.G2, c2, 1), (ops.R, ops.GR, 0.0, 0)]
+    read = np.zeros(len(ops.qx), dtype=bool)
+    for _, G, _, _ in pairs:
+        read[G.indices] = True
+    assert np.all(read)
+
+    def u(x, y):
+        return c0 + c1 * x + c2 * y
+    X, Y = g.meshgrid()
+    U, phi = u(X, Y)[g.mask], ops.crossing_values(u)
+    for L, G, exact, order in pairs:
+        err = L @ U + G @ phi - np.where(ops.pde, exact, 0.0)
+        assert np.max(np.abs(err)) * g.dx ** order <= 1e-12
+
+
+@settings(max_examples=20)
+@given(a=_AXIS, b=_AXIS, n=st.integers(16, 150))
+def test_every_grid_that_constructs_solves(a, b, n):
+    with _scoped_ops_cache():
+        g = build_ellipse(a, b, n)
+        X, Y = g.meshgrid()
+        sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar, g)
     err = np.max(np.abs((sol.u.values - _ustar(X, Y))[g.mask])) / g.dx ** 2
     assert sol.convex and err <= 1.0
