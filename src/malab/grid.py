@@ -593,7 +593,7 @@ def _ray_fit(f: ScalarField, anchor: BoundaryTrace | None):
                    .require_inside()(f.values))
     t = _RAY_DEPTHS
     if anchor is not None:
-        if anchor.grid is not grid:
+        if not _same_grid(anchor.grid, grid):
             raise GridError("anchor trace belongs to a different grid")
         t = np.concatenate([[0.0], t])
         samples = [np.broadcast_to(np.asarray(anchor.values, dtype=float),

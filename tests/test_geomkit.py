@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from malab.geomkit import (ChristoffelField, DiffeoField, christoffel,
                            compose_diffeos, conformal_christoffel,
                            contracted_drift, diffeo_rigidity_solve,
                            invert_diffeo, isothermal, pullback_metric,
                            pullback_scalar, pullback_vector,
-                           transform_solution_check, _erode)
+                           transform_solution_check, _beltrami_map,
+                           _covariant, _erode)
 from malab.grid import (GridError, MetricField, PaddedGrid, ScalarField,
-                        build_disk)
+                        _CubicBlock, build_disk)
 from malab.linearize import VectorField, drift_field, nondiv_solve
 
 
@@ -371,6 +373,58 @@ def test_invert_rejects_noncontracting_map():
         invert_diffeo(DiffeoField(fold, np.zeros_like(X), grid))
 
 
+def _inverse_residual(J, Ji):
+    """max over every node p of |z + d(z) - p|, z = Ji(p), over max |d|."""
+    z1, z2 = Ji.points()
+    at = _CubicBlock(J.grid, z1, z2)
+    X, Y = J.grid.meshgrid()
+    r = np.hypot(z1 + at(J.d1) - X, z2 + at(J.d2) - Y)
+    return float(np.max(r)) / float(np.max(np.hypot(J.d1, J.d2)))
+
+
+def chart_metric(grid, a, b, c, w):
+    """Stored form of the seeded non-conformal bump metric of the charts."""
+    X, Y = grid.meshgrid()
+    bump = np.exp(-(X * X + Y * Y) / w)
+    C11, C22, C12 = 1.0 + a * bump, 1.0 - b * bump, c * X * Y * bump
+    det = C11 * C22 - C12 ** 2
+    return MetricField(C22 / det, -C12 / det, C11 / det, grid)
+
+
+def _w_map(g):
+    return _beltrami_map(*_covariant(g), g.grid, 0.1, 1e-12, 64)
+
+
+def test_invert_converges_at_every_node():
+    # the seam nodes of the Beltrami map, where C phi ~ c/z does not wrap,
+    # converge last; every node must still meet the step tolerance
+    grid = box()
+    rng = np.random.default_rng(8)
+    g = chart_metric(grid, *rng.uniform([0.15, 0.08, 0.05, 0.4],
+                                        [0.3, 0.2, 0.15, 0.6]))
+    for J in (_w_map(g), _compact_diffeo(grid)):
+        res = _inverse_residual(J, invert_diffeo(J))
+        assert res <= 10 * 1e-12, res
+
+
+def test_invert_exhausted_iteration_raises():
+    J = _compact_diffeo(box(n=64))
+    with pytest.raises(GridError, match="stalled"):
+        invert_diffeo(J, maxiter=3)
+    assert _inverse_residual(J, invert_diffeo(J)) <= 10 * 1e-12
+
+
+def test_compose_accepts_an_equal_box():
+    grid, twin = box(n=64), box(n=64)
+    assert twin is not grid
+    J1 = _compact_diffeo(grid)
+    K = compose_diffeos(J1, _compact_diffeo(twin, a=0.1, b=0.3))
+    same = compose_diffeos(J1, _compact_diffeo(grid, a=0.1, b=0.3))
+    assert np.array_equal(K.d1, same.d1) and np.array_equal(K.d2, same.d2)
+    with pytest.raises(GridError, match="different grids"):
+        compose_diffeos(J1, _compact_diffeo(box(n=64, half=3.0)))
+
+
 def test_compose_rotations_adds_angles():
     # affine displacements are linear in x, so sampling them wraps badly
     # at the box seam; the composition is exact over the core
@@ -575,3 +629,21 @@ def test_isothermal_general_needs_padded_grid():
     g = MetricField(1.0 / C11, np.zeros_like(X), np.ones_like(X), grid)
     with pytest.raises(GridError, match="padded"):
         isothermal(g)
+
+
+@settings(max_examples=10)
+@given(a=st.floats(0.15, 0.3), b=st.floats(0.08, 0.2),
+       c=st.floats(0.05, 0.15), w=st.floats(0.4, 0.6))
+def test_isothermal_chart_properties(a, b, c, w):
+    # the amplitude ranges of the beltrami-chart benchmark inputs
+    grid = box()
+    g = chart_metric(grid, a, b, c, w)
+    chi, mu = isothermal(g)
+    p11, p12, p22 = _covariant(pullback_metric(chi, g))
+    core = grid.core_mask(grid.half / 3.0)
+    defect = max(float(np.max(np.abs(p12[core]))),
+                 float(np.max(np.abs(p11 - p22)[core])))
+    assert defect <= 1e-3, defect
+    assert float(np.min(mu.values[core])) > 0.0
+    J = _w_map(g)
+    assert _inverse_residual(J, chi) <= 10 * 1e-12

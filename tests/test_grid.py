@@ -164,6 +164,20 @@ def test_normal_derivative_anchor_improves():
     assert anchored < plain
 
 
+def test_normal_derivative_anchor_on_an_equal_grid():
+    g, twin = build_disk(1.0, 48), build_disk(1.0, 48)
+    assert twin is not g
+    fld = field_from(g, lambda x, y: x * x + y)
+    p = twin.boundary.points
+    tr = BoundaryTrace(p[:, 0] ** 2 + p[:, 1], twin)
+    same = normal_derivative(fld, anchor=BoundaryTrace(tr.values, g))
+    assert np.array_equal(normal_derivative(fld, anchor=tr).values, same.values)
+    other = build_disk(1.1, 48)
+    with pytest.raises(GridError, match="different grid"):
+        normal_derivative(fld, anchor=BoundaryTrace(
+            np.zeros(len(other.boundary)), other))
+
+
 def test_trace_rejects_coarse_grid():
     g = build_disk(1.0, 32)
     f = field_from(g, lambda x, y: x)
