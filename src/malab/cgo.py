@@ -433,7 +433,7 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     if K < 0:
         raise GridError("series depth must be nonnegative")
     X = drift if drift is not None else _zero_drift(grid)
-    if X.grid is not grid:
+    if X.grid != grid:
         raise GridError("drift lives on a different grid")
     rc = core_radius if core_radius is not None else grid.half / 3.0
     a_vals = _eval_amplitude(amplitude, grid)

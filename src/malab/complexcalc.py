@@ -36,6 +36,7 @@ non-finite input on the full box before any FFT.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,9 +280,7 @@ def _fft_size(m: int) -> int:
         m += 1
 
 
-_kernel_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
                 shift: tuple) -> np.ndarray:
     """FFT of the kernel h^2/(pi z) laid out for a circular convolution.
@@ -293,20 +292,20 @@ def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
     n_out - 1 keeps those offsets apart, so the circular sum is the linear
     one.  The exact integral of 1/(pi z) over the centered origin cell
     vanishes by odd symmetry, so the origin weight is zero; every other
-    cell is point sampled at its center.  Cached per box and layout.
+    cell is point sampled at its center.  Cached per box and layout (the
+    four used last), read-only.
     """
-    key = (grid.n, grid.half, shape, n_out, shift)
-    if key not in _kernel_cache:
-        h = grid.dx
-        d1, d2 = ((np.arange(N) + N - L) % N - (N - L) + s
-                  for N, L, s in zip(shape, n_out, shift))
-        ZX, ZY = np.meshgrid(d1 * h, d2 * h, indexing="ij")
-        Z = ZX + 1j * ZY
-        with np.errstate(divide="ignore", invalid="ignore"):
-            K = h * h / (np.pi * Z)
-        K[Z == 0] = 0.0
-        _kernel_cache[key] = np.fft.fft2(K)
-    return _kernel_cache[key]
+    h = grid.dx
+    d1, d2 = ((np.arange(N) + N - L) % N - (N - L) + s
+              for N, L, s in zip(shape, n_out, shift))
+    ZX, ZY = np.meshgrid(d1 * h, d2 * h, indexing="ij")
+    Z = ZX + 1j * ZY
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = h * h / (np.pi * Z)
+    K[Z == 0] = 0.0
+    khat = np.fft.fft2(K)
+    khat.flags.writeable = False
+    return khat
 
 
 def _cauchy_conv(vals: np.ndarray, khat: np.ndarray, n_out: tuple) -> np.ndarray:

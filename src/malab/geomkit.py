@@ -34,8 +34,7 @@ import numpy as np
 
 from .complexcalc import cauchy_inverse, deriv, spectral_dz
 from .grid import (ComplexField, DomainGrid, GridError, MetricField,
-                   PaddedGrid, ScalarField, _CubicBlock, _same_grid,
-                   lattice_values)
+                   PaddedGrid, ScalarField, _CubicBlock, lattice_values)
 from .linearize import VectorField, divergence_form_apply, nondiv_solve_many
 
 __all__ = [
@@ -159,7 +158,7 @@ def conformal_christoffel(gam: ChristoffelField, g: MetricField,
     law additive in log c.
     """
     grid = g.grid
-    if gam.grid is not grid:
+    if gam.grid != grid:
         raise GridError("symbols and metric live on different grids")
     cv = lattice_values(c, grid)
     if np.min(cv) <= 0.0:
@@ -236,19 +235,6 @@ class DiffeoField:
                          _dre(self.d2, g, 1, 0), 1.0 + _dre(self.d2, g, 0, 1))
         return self._jac
 
-    def jac_det(self) -> np.ndarray:
-        j11, j12, j21, j22 = self.jacobian()
-        return j11 * j22 - j12 * j21
-
-    def require_orientation(self, where=None):
-        det = self.jac_det()
-        if where is not None:
-            det = det[where]
-        if np.min(det) <= 0.0:
-            raise GridError("map is not orientation preserving "
-                            f"(min Jacobian determinant {np.min(det):.3e})")
-        return self
-
 
 def _check_reach(J: DiffeoField):
     grid = J.grid
@@ -270,6 +256,20 @@ def _inverse_jacobian(J: DiffeoField):
     return j22 / det, -j12 / det, -j21 / det, j11 / det
 
 
+def _transport(B, comps):
+    """The transport law with B = (dJ)^{-1} at the nodes: B x for the
+    components (x1, x2) of a vector, B S B^T for the stored components
+    (s11, s12, s22) of a symmetric tensor."""
+    b11, b12, b21, b22 = B
+    if len(comps) == 2:
+        x1, x2 = comps
+        return b11 * x1 + b12 * x2, b21 * x1 + b22 * x2
+    t11, t12, t22 = comps
+    return (b11 * b11 * t11 + 2.0 * b11 * b12 * t12 + b12 * b12 * t22,
+            b11 * b21 * t11 + (b11 * b22 + b12 * b21) * t12 + b12 * b22 * t22,
+            b21 * b21 * t11 + 2.0 * b21 * b22 * t12 + b22 * b22 * t22)
+
+
 def pullback_scalar(J: DiffeoField, v: ScalarField) -> ScalarField:
     """(J* v)(x) = v(J(x))."""
     _check_reach(J)
@@ -281,9 +281,8 @@ def pullback_vector(J: DiffeoField, X: VectorField) -> VectorField:
     """Pushforward by the inverse map: (J* X)(x) = (dJ)^{-1} X(J(x))."""
     _check_reach(J)
     at = _CubicBlock(J.grid, *J.points())
-    x1, x2 = at(X.c1), at(X.c2)
-    b11, b12, b21, b22 = _inverse_jacobian(J)
-    return VectorField(b11 * x1 + b12 * x2, b21 * x1 + b22 * x2, J.grid)
+    x = (at(X.c1), at(X.c2))
+    return VectorField(*_transport(_inverse_jacobian(J), x), J.grid)
 
 
 def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
@@ -294,19 +293,15 @@ def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
     """
     _check_reach(J)
     at = _CubicBlock(J.grid, *J.points())
-    t11, t12, t22 = at(g.g11), at(g.g12), at(g.g22)
-    b11, b12, b21, b22 = _inverse_jacobian(J)
-    s11 = b11 * b11 * t11 + 2.0 * b11 * b12 * t12 + b12 * b12 * t22
-    s12 = b11 * b21 * t11 + (b11 * b22 + b12 * b21) * t12 + b12 * b22 * t22
-    s22 = b21 * b21 * t11 + 2.0 * b21 * b22 * t12 + b22 * b22 * t22
-    return MetricField(s11, s12, s22, J.grid)
+    t = (at(g.g11), at(g.g12), at(g.g22))
+    return MetricField(*_transport(_inverse_jacobian(J), t), J.grid)
 
 
 def compose_diffeos(outer: DiffeoField, inner: DiffeoField) -> DiffeoField:
     """The map x -> outer(inner(x)), with the chain-rule Jacobian."""
     _check_reach(inner)
     _check_reach(outer)
-    if not _same_grid(outer.grid, inner.grid):
+    if outer.grid != inner.grid:
         raise GridError("maps live on different grids")
     at = _CubicBlock(outer.grid, *inner.points())
     d1 = inner.d1 + at(outer.d1)
@@ -422,7 +417,7 @@ def transform_solution_check(g2: MetricField, X2: VectorField, J: DiffeoField,
     grid = g2.grid
     if not isinstance(grid, DomainGrid):
         raise GridError("transform checks run on a domain grid")
-    if J.grid is not grid or v2.grid is not grid:
+    if J.grid != grid or v2.grid != grid:
         raise GridError("inputs live on different grids")
     p1, p2 = J.points()
     sample = _CubicBlock(grid, p1, p2)
@@ -444,14 +439,9 @@ def transform_solution_check(g2: MetricField, X2: VectorField, J: DiffeoField,
     if np.min(cv[grid.mask]) <= 0.0:
         raise GridError("conformal factor must be positive")
     cv = np.where(grid.mask, cv, 1.0)
-    b11, b12, b21, b22 = _inverse_jacobian(J)
-    s11 = (b11 * b11 * t11 + 2.0 * b11 * b12 * t12 + b12 * b12 * t22) / cv
-    s12 = (b11 * b21 * t11 + (b11 * b22 + b12 * b21) * t12
-           + b12 * b22 * t22) / cv
-    s22 = (b21 * b21 * t11 + 2.0 * b21 * b22 * t12 + b22 * b22 * t22) / cv
-    g1 = MetricField(s11, s12, s22, grid)
-    X1 = VectorField((b11 * x1 + b12 * x2) / cv, (b21 * x1 + b22 * x2) / cv,
-                     grid)
+    B = _inverse_jacobian(J)
+    g1 = MetricField(*(s / cv for s in _transport(B, (t11, t12, t22))), grid)
+    X1 = VectorField(*(x / cv for x in _transport(B, (x1, x2))), grid)
 
     out, deep = divergence_form_apply(g1, X1, vt)
     trust = deep & _erode(ok, 4)
@@ -481,7 +471,7 @@ def diffeo_rigidity_solve(g1: MetricField, domain: DomainGrid | None = None,
     grid = g1.grid if domain is None else domain
     if not isinstance(grid, DomainGrid):
         raise GridError("rigidity system runs on a domain grid")
-    if grid is not g1.grid:
+    if grid != g1.grid:
         raise GridError("metric lives on a different grid")
     phi1, phi2 = data if data is not None else (lambda x, y: x,
                                                 lambda x, y: y)

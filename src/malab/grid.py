@@ -23,6 +23,12 @@ pullbacks and inversions all go through it. The
 ring's one derivative, tangential_derivative, is spectral in the uniform
 ring parameter and divides by the stored speed ds M / 2 pi.
 
+Two grids are equal when they are the same lattice: domains with the same
+(a, b, n), boxes with the same (half, n). Every check that a field, trace
+or map lives on a grid is a != test, and the caches keyed by a grid
+(the stencil operators, the Cauchy kernels) hit for an equal grid built
+twice.
+
 Everything here is immutable after construction and safe to share across
 threads.
 """
@@ -115,7 +121,7 @@ def _level(a: float, b: float, x, y):
     return sx * sx + sy * sy - 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainGrid:
     """Square lattice over the ellipse with semi-axes (a, b), plus its ring.
 
@@ -135,6 +141,15 @@ class DomainGrid:
     mask: np.ndarray
     boundary: BoundaryRing
     weights: np.ndarray           # quadrature weights per node (0 outside)
+
+    # every other field follows from (a, b, n)
+    def __eq__(self, other):
+        if not isinstance(other, DomainGrid):
+            return NotImplemented
+        return (self.a, self.b, self.n) == (other.a, other.b, other.n)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.n))
 
     # -- geometry ------------------------------------------------------
 
@@ -338,14 +353,6 @@ def _on_lattice(values, grid, dtype=None) -> np.ndarray:
     return values
 
 
-def _same_grid(g, h) -> bool:
-    """g is h, or an equal lattice: domains with the same (a, b, n), or
-    boxes with the same (half, n)."""
-    if isinstance(g, DomainGrid) and isinstance(h, DomainGrid):
-        return (g.a, g.b, g.n) == (h.a, h.b, h.n)
-    return g is h or (isinstance(g, PaddedGrid) and g == h)
-
-
 def lattice_values(value, grid) -> np.ndarray:
     """A lattice input as an (n, n) float array on grid.
 
@@ -355,7 +362,7 @@ def lattice_values(value, grid) -> np.ndarray:
     type, shape or grid.
     """
     if isinstance(value, ScalarField):
-        if not _same_grid(value.grid, grid):
+        if value.grid != grid:
             raise GridError("field lives on a different grid")
         return value.values
     if callable(value):
@@ -375,12 +382,6 @@ class ScalarField:
     def __init__(self, values: np.ndarray, grid):
         self.values = _on_lattice(values, grid, float)
         self.grid = grid
-
-    def check_finite(self, where=None):
-        vals = self.values if where is None else self.values[where]
-        if not np.all(np.isfinite(vals)):
-            raise GridError("field contains non-finite values")
-        return self
 
 
 class ComplexField:
@@ -444,7 +445,7 @@ def quadrature(f: ScalarField, d: DomainGrid | None = None) -> float:
     """Second-order area integral of f over the domain interior."""
     if d is None:
         d = f.grid
-    if f.grid is not d:
+    if f.grid != d:
         raise GridError("field and grid do not match")
     return float(np.sum(f.values[d.mask] * d.weights[d.mask]))
 
@@ -593,7 +594,7 @@ def _ray_fit(f: ScalarField, anchor: BoundaryTrace | None):
                    .require_inside()(f.values))
     t = _RAY_DEPTHS
     if anchor is not None:
-        if not _same_grid(anchor.grid, grid):
+        if anchor.grid != grid:
             raise GridError("anchor trace belongs to a different grid")
         t = np.concatenate([[0.0], t])
         samples = [np.broadcast_to(np.asarray(anchor.values, dtype=float),

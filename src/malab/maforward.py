@@ -27,23 +27,27 @@ sparse LU of the Jacobian and the line search restarts from a full step
 (MASolution.lu_steps records where). The same layer, SparseLU, solves
 the linearized systems of `linearize` and `dnmap`: one factorization per
 matrix, any number of right sides, and a residual check on every column.
-No factorization is kept beyond the call that made it.
+No factorization is kept beyond the call that made it. Only the stencil
+operators outlive a call: build_stencil_ops is a functools.lru_cache
+keyed by the grid, so it keeps the four grids used last and an equal grid
+built twice hits. Their arrays are read-only, so no caller can change
+what another is handed.
 """
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import io
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, ScalarField,
-                   _same_grid, lattice_values, tangential_derivative)
+                   lattice_values, tangential_derivative)
 
 __all__ = [
     "LinearSolveFailure",
@@ -156,7 +160,7 @@ def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
     if data is None:
         return np.zeros_like(x)
     if isinstance(data, BoundaryTrace):
-        if not _same_grid(data.grid, grid):
+        if data.grid != grid:
             raise GridError("boundary trace lives on a different grid")
         out = _trig_interp(np.asarray(data.values, dtype=float),
                            grid.param_angle(x, y))
@@ -261,25 +265,18 @@ class StencilOps:
         return eval_boundary_data(self.grid, data, self.qx, self.qy)
 
 
-_ops_cache: dict = {}
-
-
-def _grid_key(grid: DomainGrid):
-    return (grid.a, grid.b, grid.n)
-
-
 def _csr(parts, shape) -> sp.csr_matrix:
     """Sum of (rows, cols, vals) triples as a CSR matrix."""
     rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
+@functools.lru_cache(maxsize=4)
 def build_stencil_ops(grid: DomainGrid) -> StencilOps:
-    """Assemble (and cache) the masked difference operators for a grid."""
-    key = _grid_key(grid)
-    if key in _ops_cache:
-        return _ops_cache[key]
+    """Assemble (and cache) the masked difference operators for a grid.
 
+    Every array of the result is read-only: equal grids share it.
+    """
     mask = grid.mask
     n, dx = grid.n, grid.dx
     idx = np.full((n, n), -1, dtype=np.int64)
@@ -370,7 +367,11 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
                      qy=np.concatenate(qy), L11=L11, G11=G11, L22=L22,
                      G22=G22, L12=L12, G12=G12, L1=L1, G1=G1, L2=L2, G2=G2,
                      R=R, GR=GR)
-    _ops_cache[key] = ops
+    for arr in (ops.pde, ops.qx, ops.qy):
+        arr.flags.writeable = False
+    for m in (L11, G11, L22, G22, L12, G12, L1, G1, L2, G2, R, GR):
+        for arr in (m.data, m.indices, m.indptr):
+            arr.flags.writeable = False
     return ops
 
 
@@ -545,29 +546,10 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
         krylov_iters=krylov, lu_steps=lu_steps)
 
 
-_zero_cache: dict = {}
-
-
 def solve_ma_zero(F, grid: DomainGrid | None = None, **opts) -> MASolution:
-    """solve_ma with zero boundary data, cached as the linearization base.
-
-    Every caller gets its own MASolution, with its own log, Krylov counts
-    and LU-retried steps, over the cached u, F and phi, whose values are
-    read-only.
-    """
-    grid = source_grid(F, grid)
-    Fv = lattice_values(F, grid)
-    key = (_grid_key(grid), hashlib.sha256(Fv[grid.mask].tobytes()).hexdigest(),
-           tuple(sorted(opts.items())))
-    if key not in _zero_cache:
-        # a copy, so freezing it leaves the caller's array writable
-        sol = solve_ma(Fv.copy(), None, grid, **opts)
-        for arr in (sol.u.values, sol.F.values, sol.phi.values):
-            arr.flags.writeable = False
-        _zero_cache[key] = sol
-    sol = _zero_cache[key]
-    return replace(sol, log=list(sol.log), krylov_iters=list(sol.krylov_iters),
-                   lu_steps=list(sol.lu_steps))
+    """solve_ma with zero boundary data: the base every linearization and
+    DN map is taken around. Nothing is cached; each call solves."""
+    return solve_ma(F, None, grid, **opts)
 
 
 @dataclass(frozen=True)

@@ -352,16 +352,21 @@ def test_antiholomorphic_amplitude_rejected(box, phases, drift):
                            amplitude=lambda z: np.conj(z))
 
 
-def test_bundle_input_guards(box, phases, drift):
+def test_bundle_input_guards(box, phases, drift, qpot, morse_sweep):
     with pytest.raises(GridError):
         cgo.build_cgo_holo(phases["morse"], 0.0, drift)
     with pytest.raises(GridError):
         cgo.build_cgo_holo(phases["morse"], 0.2, drift, K=-1)
     other = PaddedGrid(half=6.0, n=256)
     zero = np.zeros((other.n, other.n))
-    with pytest.raises(GridError):
+    with pytest.raises(GridError, match="different grid"):
         cgo.build_cgo_holo(phases["morse"], 0.2,
                            VectorField(zero, zero.copy(), other))
+    # a drift on an equal box is the same drift
+    twin = PaddedGrid(half=6.0, n=512)
+    same = cgo.build_cgo_holo(phases["morse"], 0.4,
+                              VectorField(drift.c1, drift.c2, twin), q=qpot)
+    assert np.array_equal(same.v.values, morse_sweep[0.4].v.values)
 
 
 def test_bundle_diagnostics_json(morse_sweep):

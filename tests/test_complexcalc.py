@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from malab.complexcalc import (
-    A_MAT, B_MAT, _OscPlan, cauchy_inverse, complex_hessian,
+    A_MAT, B_MAT, _OscPlan, _kernel_hat, cauchy_inverse, complex_hessian,
     conj_cauchy_inverse, deriv, oscillatory_dbar_inv,
     oscillatory_dbar_inv_conj, periodic_fd4, smooth_cutoff, spectral_deriv,
     wirtinger,
@@ -169,6 +169,15 @@ def test_cauchy_inverse_zero():
     g = PaddedGrid(half=3.0, n=64)
     out = cauchy_inverse(ComplexField(np.zeros((64, 64)), g))
     assert np.all(out.values == 0)
+
+
+def test_cached_kernel_is_shared_by_equal_boxes_and_read_only():
+    layout = ((128, 128), (64, 64), (0, 0))
+    khat = _kernel_hat(PaddedGrid(half=3.0, n=64), *layout)
+    assert _kernel_hat(PaddedGrid(half=3.0, n=64), *layout) is khat
+    assert _kernel_hat(PaddedGrid(half=2.0, n=64), *layout) is not khat
+    with pytest.raises(ValueError):
+        khat[0, 0] = 0.0
 
 
 def _poly_bump(g, R=0.8, power=4):

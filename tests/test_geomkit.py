@@ -197,6 +197,13 @@ def test_conformal_law_trivial_factor():
     gam = christoffel(g)
     out = conformal_christoffel(gam, g, 1.0)
     assert np.array_equal(out.values, gam.values)
+    # symbols on an equal box are accepted, on another box refused
+    twin = MetricField(g.g11, g.g12, g.g22, box(n=64))
+    assert np.array_equal(conformal_christoffel(gam, twin, 1.0).values,
+                          gam.values)
+    other = MetricField(g.g11, g.g12, g.g22, box(n=64, half=3.0))
+    with pytest.raises(GridError, match="different grids"):
+        conformal_christoffel(gam, other, 1.0)
 
 
 def test_conformal_law_matches_direct():
@@ -465,6 +472,19 @@ def test_transform_check_identity_matches_base():
                                    DiffeoField.identity(grid), 1.0, v)
     assert rep.residual == rep.base_residual
     assert rep.nodes > 1000
+    # a map and a solution on an equal disk are accepted, on another refused
+    twin = build_disk(n=64)
+    same = transform_solution_check(g, drift_field(g),
+                                    DiffeoField.identity(twin), 1.0,
+                                    ScalarField(v.values, twin))
+    assert same == rep
+    other = build_disk(0.9, 64)
+    with pytest.raises(GridError, match="different grids"):
+        transform_solution_check(g, drift_field(g),
+                                 DiffeoField.identity(other), 1.0, v)
+    with pytest.raises(GridError, match="different grids"):
+        transform_solution_check(g, drift_field(g), DiffeoField.identity(grid),
+                                 1.0, ScalarField(v.values, other))
 
 
 def test_transform_check_accepts_a_constant_callable():
@@ -537,6 +557,11 @@ def test_rigidity_returns_identity():
     J = diffeo_rigidity_solve(g)
     dev = float(np.max(np.hypot(J.d1, J.d2)[grid.mask]))
     assert dev <= 1e-8, dev
+    # an equal domain is accepted, another one refused
+    same = diffeo_rigidity_solve(g, build_disk(n=64))
+    assert np.array_equal(same.d1, J.d1) and np.array_equal(same.d2, J.d2)
+    with pytest.raises(GridError, match="different grid"):
+        diffeo_rigidity_solve(g, build_disk(0.9, 64))
 
 
 def test_rigidity_conformal_metric():

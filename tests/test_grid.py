@@ -71,7 +71,13 @@ def test_quadrature_zero_and_mismatch():
     g = build_disk(1.0, 64)
     z = field_from(g, lambda x, y: np.zeros_like(x))
     assert quadrature(z) == 0.0
-    g2 = build_disk(1.0, 64)
+    twin = build_disk(1.0, 64)
+    assert twin == g and hash(twin) == hash(g)
+    assert g != PaddedGrid(half=1.0, n=64)
+    f = field_from(g, lambda x, y: x * x)
+    assert quadrature(f, twin) == quadrature(f)
+    g2 = build_disk(0.9, 64)
+    assert g2 != g
     with pytest.raises(GridError):
         quadrature(ScalarField(np.zeros((64, 64)), g), g2)
 

@@ -1,8 +1,6 @@
 """Forward Monge-Ampere solver tests: benchmarks with known solutions,
 Newton behavior, and the data-norm bookkeeping."""
 
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from malab.grid import (BoundaryTrace, GridError, MetricField, ScalarField,
                         boundary_restrict)
 from malab.grid import build_disk, build_ellipse
-from malab import maforward
 from malab.dnmap import dn_lin
 from malab.linearize import VectorField, adjoint_solve, nondiv_solve
 from malab.maforward import (LinearSolveFailure, NewtonFailure, SparseLU,
@@ -50,14 +47,39 @@ def test_zero_data_radial_scaling():
 
 
 def test_zero_cache_matches_explicit_call():
-    n = 48
-    g = build_disk(1.0, n)
+    """solve_ma_zero is solve_ma with zero data, bitwise, on every call."""
+    g = build_disk(1.0, 48)
     X, _ = g.meshgrid()
-    F = ScalarField(X**2 + 1.0, g)
+    F = ScalarField(X ** 2 + 1.0, g)
     a = solve_ma_zero(F)
-    b = solve_ma(F, None)
-    assert np.array_equal(a.u.values, b.u.values)
-    assert solve_ma_zero(F).u is a.u          # served from the cache
+    ref = solve_ma(F, None)
+    for name in ("u", "F", "phi"):
+        assert np.array_equal(getattr(a, name).values,
+                              getattr(ref, name).values), name
+    assert (a.log, a.krylov_iters, a.lu_steps) == (ref.log, ref.krylov_iters,
+                                                   ref.lu_steps)
+    assert np.array_equal(solve_ma_zero(F).u.values, a.u.values)
+
+
+def test_zero_cache_hands_out_read_only_arrays():
+    """What a zero-data solve shares is read-only; what it hands out is
+    its own: writing one result's arrays does not reach the next call, and
+    the caller's source array stays writable."""
+    g = build_disk(1.0, 40)
+    X, _ = g.meshgrid()
+    Fvals = X ** 2 + 1.0
+    a = solve_ma_zero(ScalarField(Fvals, g))
+    saved = (a.u.values.copy(), a.phi.values.copy())
+    ops = build_stencil_ops(g)
+    for arr in (ops.pde, ops.qx, ops.qy, ops.L11.data):
+        with pytest.raises(ValueError):
+            arr[0] += 1.0
+    a.u.values[0] += 1.0
+    a.phi.values[0] += 1.0
+    Fvals[0, 0] = 7.0                  # the caller's own array stays writable
+    b = solve_ma_zero(ScalarField(X ** 2 + 1.0, g))
+    for arr, ref in zip((b.u.values, b.phi.values), saved):
+        assert np.array_equal(arr, ref)
 
 
 def _ustar(x, y):
@@ -241,21 +263,18 @@ def test_bad_boundary_data_fails_before_any_factorization(entry, monkeypatch):
             _ENTRY_POINTS[entry](g, phi)
 
 
-def test_zero_cache_hands_out_read_only_arrays():
-    n = 40
-    g = build_disk(1.0, n)
-    X, _ = g.meshgrid()
-    Fvals = X ** 2 + 1.0
-    a = solve_ma_zero(ScalarField(Fvals, g))
-    saved = (a.u.values.copy(), a.F.values.copy(), a.phi.values.copy())
-    for arr in (a.u.values, a.F.values, a.phi.values):
+def test_cached_stencils_are_shared_by_equal_grids_and_read_only():
+    g, twin = build_disk(1.0, 48), build_disk(1.0, 48)
+    ops = build_stencil_ops(g)
+    assert build_stencil_ops(twin) is ops
+    assert build_stencil_ops(build_disk(0.9, 48)) is not ops
+    mats = (ops.L11, ops.G11, ops.L22, ops.G22, ops.L12, ops.G12, ops.L1,
+            ops.G1, ops.L2, ops.G2, ops.R, ops.GR)
+    arrays = [ops.pde, ops.qx, ops.qy]
+    arrays += [arr for m in mats for arr in (m.data, m.indices, m.indptr)]
+    for arr in arrays:
         with pytest.raises(ValueError):
-            arr[0] += 1.0
-    Fvals[0, 0] = 7.0                  # the caller's own array stays writable
-    b = solve_ma_zero(ScalarField(X ** 2 + 1.0, g))
-    assert b.u is a.u
-    for arr, ref in zip((b.u.values, b.F.values, b.phi.values), saved):
-        assert np.array_equal(arr, ref)
+            arr[:] = 0
 
 
 def test_krylov_counts_per_newton_step():
@@ -307,7 +326,6 @@ def test_zero_cache_results_do_not_share_mutations():
     b = solve_ma_zero(F)
     assert b.convex and b.log == log and b.krylov_iters == krylov
     assert b.lu_steps == []
-    assert b.u is a.u
 
 
 # n at which a mask node lay on the curve to rounding, got no ray cut, and
@@ -324,25 +342,13 @@ _NODE_ON_CURVE = [
 ]
 
 
-@contextlib.contextmanager
-def _scoped_ops_cache():
-    """Drop the stencil-cache entries made inside the block."""
-    cached = set(maforward._ops_cache)
-    try:
-        yield
-    finally:
-        for key in set(maforward._ops_cache) - cached:
-            del maforward._ops_cache[key]
-
-
 def test_stencils_build_with_mask_nodes_on_the_curve():
-    with _scoped_ops_cache():
-        for build, ns in _NODE_ON_CURVE:
-            for n in ns:
-                ops = build_stencil_ops(build(n))
-                for L in (ops.L11, ops.L22, ops.L12, ops.L1, ops.L2, ops.R,
-                          ops.G11, ops.G22, ops.G12, ops.G1, ops.G2, ops.GR):
-                    assert np.all(np.isfinite(L.data)), n
+    for build, ns in _NODE_ON_CURVE:
+        for n in ns:
+            ops = build_stencil_ops(build(n))
+            for L in (ops.L11, ops.L22, ops.L12, ops.L1, ops.L2, ops.R,
+                      ops.G11, ops.G22, ops.G12, ops.G1, ops.G2, ops.GR):
+                assert np.all(np.isfinite(L.data)), n
     g = build_disk(1.0, 59)
     X, Y = g.meshgrid()
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
@@ -354,7 +360,7 @@ def test_interpolation_row_without_an_anchor_is_a_grid_error():
     # a sliver one node thick: the quasi-boundary node has no interior
     # neighbor opposite its cut
     sliver = build_ellipse(2.0, 0.03, 17)
-    with _scoped_ops_cache(), pytest.raises(GridError, match=r"\(1, 8\)"):
+    with pytest.raises(GridError, match=r"\(1, 8\)"):
         build_stencil_ops(sliver)
 
 
@@ -396,9 +402,8 @@ _COEF = st.floats(-2.0, 2.0)
 @given(a=_AXIS, b=_AXIS, n=st.integers(16, 150), c0=_COEF, c1=_COEF,
        c2=_COEF)
 def test_crossings_and_affine_exactness(a, b, n, c0, c1, c2):
-    with _scoped_ops_cache():
-        g = build_ellipse(a, b, n)
-        ops = build_stencil_ops(g)
+    g = build_ellipse(a, b, n)
+    ops = build_stencil_ops(g)
     assert np.max(np.abs(g.level(ops.qx, ops.qy)), initial=0.0) <= 1e-14
     pairs = [(ops.L11, ops.G11, 0.0, 2), (ops.L22, ops.G22, 0.0, 2),
              (ops.L12, ops.G12, 0.0, 2), (ops.L1, ops.G1, c1, 1),
@@ -420,9 +425,8 @@ def test_crossings_and_affine_exactness(a, b, n, c0, c1, c2):
 @settings(max_examples=20)
 @given(a=_AXIS, b=_AXIS, n=st.integers(16, 150))
 def test_every_grid_that_constructs_solves(a, b, n):
-    with _scoped_ops_cache():
-        g = build_ellipse(a, b, n)
-        X, Y = g.meshgrid()
-        sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar, g)
+    g = build_ellipse(a, b, n)
+    X, Y = g.meshgrid()
+    sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar, g)
     err = np.max(np.abs((sol.u.values - _ustar(X, Y))[g.mask])) / g.dx ** 2
     assert sol.convex and err <= 1.0
