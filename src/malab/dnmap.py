@@ -3,24 +3,26 @@
 The nonlinear map sends Dirichlet data to the outward normal derivative
 of the Monge-Ampere solution; its linearization at a base solution sends
 data to the conormal derivative sqrt|g| g^{ik} d_i v nu_k of the
-first-linearized solution, and projects onto a Fourier basis on the
-boundary ring to give a matrix. In the opposite direction, the boundary
-trace of the base normal derivative, the boundary values of the source,
-and the curvature determine the full Hessian of the base solution on the
-boundary pointwise, and one more normal derivative of the source
-determines the third normal derivative. All tangential differentiation
-is spectral in the periodic ring parameter (grid.tangential_derivative,
-re-exported here).
+first-linearized solution, and projects onto the ring Fourier basis
+1, cos kt, sin kt (t = DomainGrid.param_angle) to give a matrix, one
+block computation over all basis columns. In the opposite direction, the
+boundary trace of the base normal derivative, the boundary values of the
+source, and the curvature determine the full Hessian of the base solution
+on the boundary pointwise, and one more normal derivative of the source
+determines the third normal derivative. Every map between ring samples
+and modes is grid's ring calculus: tangential_derivative (re-exported
+here), _ring_modes and _ring_eval.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
-                   ScalarField, boundary_restrict, normal_derivative,
+                   _ray_fit, _ring_eval, _ring_modes, normal_derivative,
                    tangential_derivative)
 from .linearize import metric_from_solution, nondiv_solve, nondiv_solve_many
 from .maforward import ring_values, solve_ma
@@ -38,32 +40,6 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# ring helpers
-
-
-def _band_limit(vals: np.ndarray, kmax: int | None) -> np.ndarray:
-    """Drop ring modes above kmax from a measured trace.
-
-    Traces extracted from solved fields carry node-decorrelated
-    interpolation noise; spectral differentiation amplifies mode k by k,
-    so formulas that differentiate a measured trace twice are dominated
-    by its highest modes. Truncation is exact on band-limited truth and
-    spectrally accurate on analytic traces.
-    """
-    if kmax is None:
-        return vals
-    fh = np.fft.rfft(vals)
-    fh[kmax + 1:] = 0.0
-    return np.fft.irfft(fh, n=len(vals))
-
-
-def _tangent(grid: DomainGrid) -> np.ndarray:
-    """Counterclockwise unit tangent: outward normal rotated by +90 deg."""
-    nu = grid.boundary.normal
-    return np.column_stack([-nu[:, 1], nu[:, 0]])
-
-
-# ---------------------------------------------------------------------------
 # measurement maps
 
 
@@ -77,33 +53,36 @@ def _conormal_weights(g: MetricField):
     """Ring coefficients of the normal and tangential derivative in the
     conormal derivative sqrt|g| g^{ik} d_i v nu_k, from the metric's trace."""
     grid = g.grid
-    b11 = boundary_restrict(ScalarField(g.g11, grid)).values
-    b12 = boundary_restrict(ScalarField(g.g12, grid)).values
-    b22 = boundary_restrict(ScalarField(g.g22, grid)).values
+    b11, b12, b22 = _ray_fit(grid, np.stack([g.g11, g.g12, g.g22]))[0].T
     det = b11 * b22 - b12 ** 2
     if np.min(det) <= 0.0:
         raise GridError("metric trace is not positive definite on the ring")
     weight = 1.0 / np.sqrt(det)
 
-    nu = grid.boundary.normal
-    tau = _tangent(grid)
+    nu, tau = grid.boundary.normal, grid.boundary.tangent
     gn1 = b11 * nu[:, 0] + b12 * nu[:, 1]
     gn2 = b12 * nu[:, 0] + b22 * nu[:, 1]
     return (weight * (nu[:, 0] * gn1 + nu[:, 1] * gn2),
             weight * (tau[:, 0] * gn1 + tau[:, 1] * gn2))
 
 
-def _conormal(v: ScalarField, phi, weights) -> BoundaryTrace:
-    """Conormal derivative of a solved field v with Dirichlet data phi.
+def _dn_lin_block(g: MetricField, datas, rtol: float) -> np.ndarray:
+    """Conormal derivatives (M, k) of the first-linearized solutions with
+    the k Dirichlet data in datas.
 
-    The normal part is a one-sided ray fit anchored at the exact data, the
-    tangential part the spectral derivative of the data itself.
+    All k solves share one factorization. The normal part is one ray fit
+    of the stacked solutions anchored at the exact data, the tangential
+    part one spectral derivative of the stacked data itself.
     """
-    grid = v.grid
-    p = ring_values(grid, phi)
-    dnu = normal_derivative(v, anchor=BoundaryTrace(p, grid)).values
-    dtau = tangential_derivative(grid, p)
-    return BoundaryTrace(weights[0] * dnu + weights[1] * dtau, grid)
+    grid = g.grid
+    if not isinstance(grid, DomainGrid):
+        raise GridError("the linearized DN map expects a domain grid")
+    weights = _conormal_weights(g)
+    vs = nondiv_solve_many(g, datas, rtol=rtol)
+    P = np.column_stack([ring_values(grid, phi) for phi in datas])
+    _, dnu = _ray_fit(grid, np.stack([v.values for v in vs]), P)
+    dtau = tangential_derivative(grid, P)
+    return weights[0][:, None] * dnu + weights[1][:, None] * dtau
 
 
 def dn_lin(g: MetricField, X, phi, *, rtol: float = 1e-10) -> BoundaryTrace:
@@ -112,14 +91,12 @@ def dn_lin(g: MetricField, X, phi, *, rtol: float = 1e-10) -> BoundaryTrace:
     Solves g^{ab} d_ab v = 0 with data phi and evaluates
     sqrt|g| g^{ik} d_i v nu_k on the ring, splitting the gradient into the
     normal part (one-sided ray fit anchored at the exact data) and the
-    tangential part (spectral derivative of the data itself). X is
-    accepted for signature uniformity with the adjoint-side maps; the
-    first-linearized equation carries no drift.
+    tangential part (spectral derivative of the data itself): the
+    one-column case of dn_lin_matrix. X is accepted for signature
+    uniformity with the adjoint-side maps; the first-linearized equation
+    carries no drift.
     """
-    if not isinstance(g.grid, DomainGrid):
-        raise GridError("dn_lin expects a domain grid")
-    v = nondiv_solve(g, phi, rtol=rtol)
-    return _conormal(v, phi, _conormal_weights(g))
+    return BoundaryTrace(_dn_lin_block(g, [phi], rtol)[:, 0], g.grid)
 
 
 def dn_full_derivative(base, phi, *, rtol: float = 1e-10) -> BoundaryTrace:
@@ -164,25 +141,14 @@ class DNMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _basis_values(theta: np.ndarray, K: int):
-    cols = [np.ones_like(theta)]
-    labels = ["1"]
-    for k in range(1, K + 1):
-        cols.append(np.cos(k * theta))
-        labels.append(f"cos{k}")
-        cols.append(np.sin(k * theta))
-        labels.append(f"sin{k}")
-    return cols, labels
-
-
 def _basis_project(vals: np.ndarray, K: int) -> np.ndarray:
-    M = len(vals)
-    fh = np.fft.rfft(vals)
-    out = np.empty(2 * K + 1)
-    out[0] = fh[0].real / M
-    for k in range(1, K + 1):
-        out[2 * k - 1] = 2.0 * fh[k].real / M
-        out[2 * k] = -2.0 * fh[k].imag / M
+    """Coefficients on 1, cos kt, sin kt (k <= K) of ring samples (M,) or
+    (M, k), along axis 0."""
+    c = _ring_modes(vals)[:K + 1]
+    out = np.empty((2 * K + 1,) + c.shape[1:])
+    out[0] = c[0].real
+    out[1::2] = c[1:].real
+    out[2::2] = -c[1:].imag
     return out
 
 
@@ -190,23 +156,23 @@ def dn_lin_matrix(g: MetricField, X, K: int = 6, *,
                   rtol: float = 1e-10) -> DNMatrix:
     """Assemble the linearized map over the Fourier basis.
 
-    Column j is the basis projection of dn_lin of basis function j; all
-    2K + 1 first-linearized solves share one factorization of the metric's
-    system, and the metric is restricted to the ring once.
+    Column j is the basis projection of dn_lin of basis function j, an
+    exact function of the ring parameter t; all 2K + 1 columns share one
+    factorization, one ray fit of the solutions and one of the metric.
     """
     grid = g.grid
     if not isinstance(grid, DomainGrid):
         raise GridError("dn_lin_matrix expects a domain grid")
+    if not isinstance(K, numbers.Integral) or K < 0:
+        raise GridError(f"basis order must be a non-negative integer, not {K!r}")
     M = len(grid.boundary)
     if 2 * K + 1 > M // 2:
         raise GridError(f"basis order {K} too large for a ring of {M} nodes")
-    theta = 2.0 * np.pi * np.arange(M) / M
-    cols, labels = _basis_values(theta, K)
-    data = [BoundaryTrace(col, grid) for col in cols]
-    weights = _conormal_weights(g)
-    vs = nondiv_solve_many(g, data, rtol=rtol)
-    A = np.column_stack([_basis_project(_conormal(v, phi, weights).values, K)
-                         for v, phi in zip(vs, data)])
+    t = grid.param_angle
+    funcs = [1.0] + [lambda x, y, k=k, f=f: f(k * t(x, y))
+                     for k in range(1, K + 1) for f in (np.cos, np.sin)]
+    labels = ["1"] + [f"{f}{k}" for k in range(1, K + 1) for f in ("cos", "sin")]
+    A = _basis_project(_dn_lin_block(g, funcs, rtol), K)
     return DNMatrix(A, tuple(labels), K, grid)
 
 
@@ -225,12 +191,24 @@ def recover_boundary_hessian(lam0: BoundaryTrace, Fb, grid: DomainGrid,
     u_tn = (dnu_u)' - kappa * phi'; and the equation itself closes the
     system with u_nn = (F + u_tn^2) / u_tt. Returns the three traces
     (u_tt, u_tn, u_nn), or the Cartesian entries (u_11, u_12, u_22) when
-    frame="cartesian". kmax band-limits the measured trace before
-    arclength differentiation; exact inputs need none.
+    frame="cartesian". kmax, a non-negative integer, keeps only the ring
+    modes k <= kmax of the measured trace before arclength
+    differentiation; exact inputs need none.
     """
     if frame not in ("local", "cartesian"):
         raise GridError(f"unknown frame {frame!r}")
-    lam = _band_limit(np.asarray(lam0.values, dtype=float), kmax)
+    lam = np.asarray(lam0.values, dtype=float)
+    if kmax is not None:
+        # a measured trace carries node-decorrelated interpolation noise,
+        # and each arclength derivative amplifies mode k by k; truncation
+        # is exact on band-limited truth
+        if not isinstance(kmax, numbers.Integral) or kmax < 0:
+            raise GridError(
+                f"kmax must be a non-negative integer, not {kmax!r}")
+        c = _ring_modes(lam)
+        c[kmax + 1:] = 0.0
+        p = grid.boundary.points
+        lam = _ring_eval(c, grid.param_angle(p[:, 0], p[:, 1]))
     fb = ring_values(grid, Fb)
     if np.min(fb) <= 0.0:
         raise GridError("boundary source values must be positive")
@@ -250,8 +228,7 @@ def recover_boundary_hessian(lam0: BoundaryTrace, Fb, grid: DomainGrid,
     if frame == "local":
         traces = (utt, utn, unn)
     else:
-        nu = grid.boundary.normal
-        tau = _tangent(grid)
+        nu, tau = grid.boundary.normal, grid.boundary.tangent
         t1, t2 = tau[:, 0], tau[:, 1]
         n1, n2 = nu[:, 0], nu[:, 1]
         traces = (

@@ -19,9 +19,11 @@ Both lattices share one cubic sampler, _CubicBlock: per point the snapped
 lattice on a domain and wrapped through the period on a box, built once
 and applied to every field sampled at those points. interp_masked, the
 boundary ray fits, the metric rim extrapolation and the geomkit
-pullbacks and inversions all go through it. The
-ring's one derivative, tangential_derivative, is spectral in the uniform
-ring parameter and divides by the stored speed ds M / 2 pi.
+pullbacks and inversions all go through it; _ray_fit samples a whole
+stack of fields along the ring's normals with one block. The ring
+calculus is spectral in the uniform ring parameter and lives here only:
+tangential_derivative divides by the stored speed ds M / 2 pi,
+_ring_modes is the half spectrum and _ring_eval its interpolant.
 
 Two grids are equal when they are the same lattice: domains with the same
 (a, b, n), boxes with the same (half, n). Every check that a field, trace
@@ -29,8 +31,8 @@ or map lives on a grid is a != test, and the caches keyed by a grid
 (the stencil operators, the Cauchy kernels) hit for an equal grid built
 twice.
 
-Everything here is immutable after construction and safe to share across
-threads.
+Everything here is immutable after construction (a domain grid's arrays
+are read-only) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -245,6 +247,9 @@ def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
                         curvature=a * b / speed ** 3, ds=ds)
 
     weights = _coverage_weights(x1, x2, dx, a, b, mask)
+    # read-only: equal grids share caches built from the first one
+    for arr in (x1, x2, mask, weights, *vars(ring).values()):
+        arr.flags.writeable = False
     return DomainGrid(a=a, b=b, n=n, half=half, dx=dx, x1=x1, x2=x2,
                       mask=mask, boundary=ring, weights=weights)
 
@@ -457,7 +462,7 @@ def boundary_quadrature(t: BoundaryTrace) -> float:
 
 def tangential_derivative(grid: DomainGrid, vals: np.ndarray,
                           order: int = 1) -> np.ndarray:
-    """d^order/ds^order of ring samples, s the arclength parameter.
+    """d^order/ds^order of ring samples (M,) or (M, k), s the arclength.
 
     Spectral in the uniform ring parameter theta (the Nyquist mode has no
     odd derivative and is zeroed), divided by the ring's speed
@@ -467,12 +472,37 @@ def tangential_derivative(grid: DomainGrid, vals: np.ndarray,
     M = len(b)
     speed = b.ds * M / (2.0 * np.pi)
     ik = 1j * np.arange(M // 2 + 1, dtype=float)
-    if M % 2 == 0:
-        ik[-1] = 0.0
-    out = np.asarray(vals, dtype=float)
+    ik[-1] = 0.0
+    out = np.asarray(vals, dtype=float).T       # the ring along the last axis
     for _ in range(order):
         out = np.fft.irfft(ik * np.fft.rfft(out), n=M) / speed
-    return out
+    return out.T
+
+
+def _ring_modes(vals: np.ndarray) -> np.ndarray:
+    """Half spectrum c_k, k = 0..M/2, of ring samples along axis 0, scaled
+    so that Re sum_k c_k e^{ikt} interpolates them at t_j = 2 pi j / M;
+    the Nyquist mode carries cos only."""
+    c = np.fft.rfft(np.asarray(vals, dtype=float), axis=0)
+    c[-1] = c[-1].real
+    c[1:-1] *= 2.0
+    return c / len(vals)
+
+
+def _ring_eval(c: np.ndarray, theta) -> np.ndarray:
+    """Re sum_k c_k e^{ikt} at angles theta of any shape, for the modes c
+    of one ring: its samples' trigonometric interpolant."""
+    # e^{ikt} = e^{iqBt} e^{irt} for k = qB + r: two exponential tables
+    # of about sqrt(#k) columns replace one per k
+    B = math.isqrt(len(c) - 1) + 1
+    Q = -(-len(c) // B)
+    cw = np.zeros(Q * B, dtype=complex)
+    cw[:len(c)] = c
+    t = np.ravel(theta)
+    lo = np.exp(1j * np.outer(t, np.arange(B)))
+    hi = np.exp(1j * np.outer(t, B * np.arange(Q)))
+    out = np.einsum("pq,pq->p", hi, lo @ cw.reshape(Q, B).T).real
+    return out.reshape(np.shape(theta))
 
 
 def _snap(t: np.ndarray, eps: float = 1e-9) -> np.ndarray:
@@ -530,10 +560,12 @@ class _CubicBlock:
         self.w = [a * b for a in wu for b in wv]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        flat = np.asarray(values).ravel()
-        out = np.zeros(self.p1.shape, dtype=flat.dtype)
+        """Samples of an (n, n) field or a (k, n, n) stack, shape (k,) + p."""
+        values = np.asarray(values)
+        flat = values.reshape(values.shape[:-2] + (-1,))
+        out = np.zeros(flat.shape[:-1] + self.p1.shape, dtype=flat.dtype)
         for w, idx in zip(self.w, self.idx):
-            out += w * flat.take(idx)
+            out += w * flat.take(idx, axis=-1)
         return out
 
     def inside(self) -> np.ndarray:
@@ -573,34 +605,35 @@ def interp_masked(values: np.ndarray, grid: DomainGrid, pts: np.ndarray,
 _RAY_DEPTHS = np.array([5.0, 7.0, 9.0, 11.0])
 
 
-def _ray_fit(f: ScalarField, anchor: BoundaryTrace | None):
-    """Polynomial fit along the inward normal at every boundary node.
+def _ray_fit(grid: DomainGrid, values: np.ndarray, anchor=None):
+    """Value and outward slope on the ring of polynomial fits along the
+    inward normal, for an (n, n) field or a (k, n, n) stack: traces (M,)
+    or (M, k); an anchor of that shape is interpolated at depth 0.
 
     Samples at depths {5,7,9,11} dx by local cubic interpolation. The
     shallowest depth must keep the 4x4 blocks inside the mask (needs
     more than 2*sqrt(2) cells); it is set deeper than that because
     solved fields carry a geometric error layer at the cut cells, and
     sampling inside it would put lattice-frequency noise on the ring,
-    which spectral tangential differentiation then amplifies. Returns
-    fit coefficients in the scaled depth variable t/dx.
+    which spectral tangential differentiation then amplifies.
     """
-    grid = f.grid
     depths = _RAY_DEPTHS * grid.dx
     if depths[-1] >= grid.inradius():
         raise GridError("one-sided boundary stencil exits the mask; grid too coarse")
     b = grid.boundary
     p = b.points[None] - depths[:, None, None] * b.normal[None]
-    samples = list(_CubicBlock(grid, p[..., 0], p[..., 1])
-                   .require_inside()(f.values))
+    # (depth, field..., node): the fit runs along axis 0
+    samples = np.moveaxis(_CubicBlock(grid, p[..., 0], p[..., 1])
+                          .require_inside()(values), -2, 0)
     t = _RAY_DEPTHS
     if anchor is not None:
-        if anchor.grid != grid:
-            raise GridError("anchor trace belongs to a different grid")
         t = np.concatenate([[0.0], t])
-        samples = [np.broadcast_to(np.asarray(anchor.values, dtype=float),
-                                   samples[0].shape)] + samples
+        samples = np.concatenate([np.asarray(anchor, dtype=float).T[None],
+                                  samples])
+    # fit in the scaled depth t/dx, inward, so d/dnu = -d/dt / dx at t = 0
     V = np.vander(t, len(t), increasing=True)
-    return np.linalg.solve(V, np.stack(samples)), grid
+    coef = np.linalg.solve(V, samples.reshape(len(t), -1)).reshape(samples.shape)
+    return coef[0].T, -coef[1].T / grid.dx
 
 
 def boundary_restrict(f: ScalarField) -> BoundaryTrace:
@@ -609,8 +642,7 @@ def boundary_restrict(f: ScalarField) -> BoundaryTrace:
     One-sided extrapolation along the inward normal; exceeds the O(dx^2)
     contract (cubic fit).
     """
-    coef, grid = _ray_fit(f, None)
-    return BoundaryTrace(coef[0], grid)
+    return BoundaryTrace(_ray_fit(f.grid, f.values)[0], f.grid)
 
 
 def normal_derivative(f: ScalarField, anchor: BoundaryTrace | None = None) -> BoundaryTrace:
@@ -620,6 +652,8 @@ def normal_derivative(f: ScalarField, anchor: BoundaryTrace | None = None) -> Bo
     given, the fit interpolates the anchor exactly, which removes the
     extrapolation leg and tightens the constant.
     """
-    coef, grid = _ray_fit(f, anchor)
-    # depth increases inward, so d/dnu = -d/dt at t = 0; t was scaled by dx
-    return BoundaryTrace(-coef[1] / grid.dx, grid)
+    grid = f.grid
+    if anchor is not None and anchor.grid != grid:
+        raise GridError("anchor trace belongs to a different grid")
+    values = None if anchor is None else anchor.values
+    return BoundaryTrace(_ray_fit(grid, f.values, values)[1], grid)

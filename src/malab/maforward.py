@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import io
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -47,7 +46,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, ScalarField,
-                   lattice_values, tangential_derivative)
+                   _ring_eval, _ring_modes, lattice_values,
+                   tangential_derivative)
 
 __all__ = [
     "LinearSolveFailure",
@@ -151,7 +151,8 @@ def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
     on the ring nodes, which sit at uniform angles t of the
     parametrization (a cos t, b sin t); a point is assigned the angle of
     its image (x/a, y/b) on the unit disk (DomainGrid.param_angle), and
-    off-node evaluation is trigonometric interpolation in t, exact for
+    off-node evaluation is the trigonometric interpolant in t of the
+    grid's ring calculus (grid._ring_modes, grid._ring_eval), exact for
     band-limited data. Any other type, a trace from another grid, or a
     non-finite value is a GridError.
     """
@@ -162,8 +163,7 @@ def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
     if isinstance(data, BoundaryTrace):
         if data.grid != grid:
             raise GridError("boundary trace lives on a different grid")
-        out = _trig_interp(np.asarray(data.values, dtype=float),
-                           grid.param_angle(x, y))
+        out = _ring_eval(_ring_modes(data.values), grid.param_angle(x, y))
     elif callable(data):
         out = np.asarray(data(x, y), dtype=float) + np.zeros_like(x)
     elif isinstance(data, numbers.Real):
@@ -175,29 +175,6 @@ def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise GridError("boundary data has non-finite values")
     return out
-
-
-def _trig_interp(vals: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolant of uniform ring samples at angles theta."""
-    M = len(vals)
-    c = np.fft.rfft(vals)
-    w = np.full(len(c), 2.0)
-    w[0] = 1.0
-    if M % 2 == 0:
-        # Nyquist column carries cos only
-        c[-1] = c[-1].real
-        w[-1] = 1.0
-    # sum_k w_k c_k e^{ikt} with k = qB + r: e^{ikt} = e^{iqBt} e^{irt}, so
-    # two exponential tables of about sqrt(#k) columns replace one per k
-    B = math.isqrt(len(c) - 1) + 1
-    Q = -(-len(c) // B)
-    cw = np.zeros(Q * B, dtype=complex)
-    cw[:len(c)] = w * c / M
-    t = theta.ravel()
-    lo = np.exp(1j * np.outer(t, np.arange(B)))
-    hi = np.exp(1j * np.outer(t, B * np.arange(Q)))
-    out = np.einsum("pq,pq->p", hi, lo @ cw.reshape(Q, B).T).real
-    return out.reshape(theta.shape)
 
 
 def ring_values(grid: DomainGrid, data) -> np.ndarray:
@@ -540,7 +517,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
     convex = (_min_eig(h11, h22, h12, pde) > 0.0
               and float(np.min(detH[pde])) >= 0.5 * float(np.min(Fvec)))
     return MASolution(
-        u=ScalarField(ops.scatter(U), grid), F=ScalarField(Fv, grid),
+        u=ScalarField(ops.scatter(U), grid), F=ScalarField(Fv.copy(), grid),
         phi=BoundaryTrace(ring_values(grid, phi), grid), log=log,
         convex=convex, data_norm=norm_phi, admissible=norm_phi <= delta,
         krylov_iters=krylov, lu_steps=lu_steps)

@@ -140,6 +140,9 @@ def test_dn_lin_matrix_rejects_unresolved_basis():
     g = build_disk(1.0, 32)
     with pytest.raises(GridError):
         dn_lin_matrix(flat_metric(g), None, K=25)
+    for K in (-1, 1.5):
+        with pytest.raises(GridError, match="non-negative integer"):
+            dn_lin_matrix(flat_metric(g), None, K=K)
 
 
 def test_dn_full_derivative_quadratic_remainder():
@@ -236,6 +239,11 @@ def test_recover_hessian_guards():
         recover_boundary_hessian(BoundaryTrace(-np.ones(M), g), one, g)
     with pytest.raises(GridError):
         recover_boundary_hessian(lam, one, g, frame="polar")
+    # kmax = -1 used to zero every mode and blame convexity, -2 to drop
+    # only the Nyquist mode
+    for kmax in (-1, -2, 1.5):
+        with pytest.raises(GridError, match="kmax"):
+            recover_boundary_hessian(lam, one, g, kmax=kmax)
 
 
 def test_recover_third_flat_base():

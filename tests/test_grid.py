@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from malab.grid import (
-    BoundaryTrace, GridError, PaddedGrid, ScalarField, _CubicBlock,
-    boundary_quadrature, boundary_restrict, build_disk, build_ellipse,
-    interp_masked, lattice_values, normal_derivative, quadrature,
+    BoundaryTrace, GridError, PaddedGrid, ScalarField, _CubicBlock, _ray_fit,
+    _ring_eval, _ring_modes, boundary_quadrature, boundary_restrict,
+    build_disk, build_ellipse, interp_masked, lattice_values,
+    normal_derivative, quadrature, tangential_derivative,
 )
+from malab.maforward import build_stencil_ops
 
 
 def field_from(grid, fn):
@@ -182,6 +184,57 @@ def test_normal_derivative_anchor_on_an_equal_grid():
     with pytest.raises(GridError, match="different grid"):
         normal_derivative(fld, anchor=BoundaryTrace(
             np.zeros(len(other.boundary)), other))
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.3, 0.8)])
+def test_ring_modes_round_trip(a, b):
+    # the interpolant of the half spectrum returns the samples at the ring
+    # nodes, the cos-only Nyquist mode included
+    g = build_ellipse(a, b, 64)
+    M = len(g.boundary)
+    p = g.boundary.points
+    t = g.param_angle(p[:, 0], p[:, 1])
+    noise = np.random.default_rng(11).standard_normal(M)
+    for vals in (noise, (-1.0) ** np.arange(M)):
+        assert np.max(np.abs(_ring_eval(_ring_modes(vals), t) - vals)) < 1e-12
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.3, 0.8)])
+def test_stacked_ring_operators_equal_their_columns(a, b):
+    # one ray fit over a stack of fields and one tangential derivative over
+    # a block of traces give the one-field results bitwise
+    g = build_ellipse(a, b, 64)
+    X, Y = g.meshgrid()
+    fields = np.stack([np.exp(X) * np.sin(Y), X ** 2 - Y, np.cos(2 * X * Y)])
+    anchor = np.random.default_rng(5).standard_normal((len(g.boundary), 3))
+    value, slope = _ray_fit(g, fields)
+    _, anchored = _ray_fit(g, fields, anchor)
+    for j in range(3):
+        f = ScalarField(fields[j], g)
+        assert np.array_equal(boundary_restrict(f).values, value[:, j])
+        assert np.array_equal(normal_derivative(f).values, slope[:, j])
+        nd = normal_derivative(f, anchor=BoundaryTrace(anchor[:, j], g))
+        assert np.array_equal(nd.values, anchored[:, j])
+        for order in (1, 2):
+            assert np.array_equal(tangential_derivative(g, anchor, order)[:, j],
+                                  tangential_derivative(g, anchor[:, j], order))
+
+
+def test_domain_grid_arrays_are_read_only():
+    # equal grids share the stencil operators built from the first one, so
+    # no grid may change the arrays those were built from
+    g = build_disk(1.0, 48)
+    b = g.boundary
+    ops = build_stencil_ops(g)
+    for arr in (g.x1, g.x2, g.mask, g.weights, b.s, b.points, b.normal,
+                b.tangent, b.curvature, b.ds):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    with pytest.raises(ValueError):
+        g.mask[24, 24] = False
+    twin = build_disk(1.0, 48)
+    vec = np.arange(ops.N, dtype=float)
+    assert np.array_equal(build_stencil_ops(twin).scatter(vec)[twin.mask], vec)
 
 
 def test_trace_rejects_coarse_grid():

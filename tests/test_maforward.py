@@ -82,6 +82,16 @@ def test_zero_cache_hands_out_read_only_arrays():
         assert np.array_equal(arr, ref)
 
 
+def test_solution_source_is_a_copy():
+    """Writing a solution's F leaves the caller's source unchanged."""
+    g = build_disk(1.0, 40)
+    X, _ = g.meshgrid()
+    F = ScalarField(X ** 2 + 1.0, g)
+    sol = solve_ma(F)
+    sol.F.values[:] = 7.0
+    assert np.array_equal(F.values, X ** 2 + 1.0)
+
+
 def _ustar(x, y):
     return x**4 / 12 + x**2 / 2 + y**2 / 2
 
