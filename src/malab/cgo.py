@@ -42,7 +42,6 @@ decay sweeps measure.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -356,9 +355,6 @@ class CGOBundle:
             "has_critical_point": self.phase.has_critical_point,
         }
 
-    def diagnostics_json(self) -> str:
-        return json.dumps(self.diagnostics(), indent=2, sort_keys=True)
-
 
 def _eval_amplitude(amplitude, grid: PaddedGrid) -> np.ndarray:
     """Holomorphic amplitude as a lattice field, with a dzb guard."""
@@ -384,12 +380,6 @@ def _eval_amplitude(amplitude, grid: PaddedGrid) -> np.ndarray:
     return vals
 
 
-def _measure_mask(grid: PaddedGrid, rc: float) -> np.ndarray:
-    XX, YY = grid.meshgrid()
-    rim = rc - 3.0 * grid.dx
-    return XX * XX + YY * YY <= rim * rim
-
-
 def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
                    grid: PaddedGrid, rc: float,
                    conservative: bool = False) -> float:
@@ -410,7 +400,7 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     else:
         res = (-lap + X.c1 * periodic_fd4(vals, grid, 0, 1)
                + X.c2 * periodic_fd4(vals, grid, 1, 1) + qv * vals)
-    mask = _measure_mask(grid, rc)
+    mask = grid.core_mask(rc - 3.0 * grid.dx)
     scale = _l2(vals, grid, mask) / h ** 2
     return _l2(res, grid, mask) / scale
 
@@ -592,7 +582,7 @@ def cz_diagnostic(bundle: CGOBundle, eps: float = 0.1) -> float:
     XX, YY = grid.meshgrid()
     r2 = XX * XX + YY * YY
     rc = bundle.core_radius
-    bump = np.exp(-4.0 * r2 / rc ** 2) * _measure_mask(grid, rc)
+    bump = np.exp(-4.0 * r2 / rc ** 2) * grid.core_mask(rc - 3.0 * grid.dx)
     mass = np.sqrt(np.abs(rxx) ** 2 + 2.0 * np.abs(rxy) ** 2
                    + np.abs(ryy) ** 2)
     return _l2(bump * mass, grid) * bundle.h ** (0.5 - eps)

@@ -134,12 +134,6 @@ class DNMatrix:
     order: int
     grid: DomainGrid
 
-    def to_csv(self) -> str:
-        lines = ["basis," + ",".join(self.labels)]
-        for lab, row in zip(self.labels, self.values):
-            lines.append(lab + "," + ",".join("%.16e" % x for x in row))
-        return "\n".join(lines) + "\n"
-
 
 def _basis_project(vals: np.ndarray, K: int) -> np.ndarray:
     """Coefficients on 1, cos kt, sin kt (k <= K) of ring samples (M,) or
@@ -197,6 +191,8 @@ def recover_boundary_hessian(lam0: BoundaryTrace, Fb, grid: DomainGrid,
     """
     if frame not in ("local", "cartesian"):
         raise GridError(f"unknown frame {frame!r}")
+    if lam0.grid != grid:
+        raise GridError("normal derivative trace lives on a different grid")
     lam = np.asarray(lam0.values, dtype=float)
     if kmax is not None:
         # a measured trace carries node-decorrelated interpolation noise,
@@ -254,6 +250,10 @@ def recover_boundary_third(lam0: BoundaryTrace, Fb, dnu_F, second,
     and the differentiated equation gives
     u_nnn = (dnu_F - u_ttn u_nn + 2 u_tn u_tnn) / u_tt.
     """
+    if lam0.grid != grid:
+        raise GridError("normal derivative trace lives on a different grid")
+    if any(t.grid != grid for t in second):
+        raise GridError("second-order trace lives on a different grid")
     utt = np.asarray(second[0].values, dtype=float)
     utn = np.asarray(second[1].values, dtype=float)
     unn = np.asarray(second[2].values, dtype=float)

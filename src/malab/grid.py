@@ -14,6 +14,13 @@ ring of points on the exact curve at uniform parameter angle, carrying
 arclength, outward unit normal, and signed curvature. A periodic padded
 box embeds the domain for FFT-based transforms.
 
+A node's quadrature weight is the exact area of its cell inside the
+domain: a b times the unit disk's coverage of the cell's scaled image,
+whole for the cells well inside, by a breakpoint formula in x for the
+cells in a band about the curve, all in one array pass. The coverage of
+an exterior node's cell (an orphan sliver) then moves to the nearest mask
+node, ties broken by (d^2, di, dj), so the weights sum to the exact area.
+
 Both lattices share one cubic sampler, _CubicBlock: per point the snapped
 4x4 Lagrange block (flat node indices and weights), clipped to the
 lattice on a domain and wrapped through the period on a box, built once
@@ -66,51 +73,6 @@ class BoundaryRing:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-# ---------------------------------------------------------------------------
-# exact cell coverage of the unit disk
-
-
-def _arc_antideriv(x: float) -> float:
-    # antiderivative of sqrt(1 - x^2)
-    x = min(max(x, -1.0), 1.0)
-    return 0.5 * (x * math.sqrt(max(1.0 - x * x, 0.0)) + math.asin(x))
-
-
-def _disk_rect_area(x0: float, x1: float, y0: float, y1: float) -> float:
-    """Exact area of the unit disk intersected with [x0,x1] x [y0,y1]."""
-    lo, hi = max(x0, -1.0), min(x1, 1.0)
-    if lo >= hi:
-        return 0.0
-    # breakpoints where the circle crosses the horizontal cell edges
-    cuts = {lo, hi}
-    for yv in (y0, y1):
-        if abs(yv) < 1.0:
-            xc = math.sqrt(1.0 - yv * yv)
-            for c in (-xc, xc):
-                if lo < c < hi:
-                    cuts.add(c)
-    xs = sorted(cuts)
-    area = 0.0
-    for a, b in zip(xs[:-1], xs[1:]):
-        m = 0.5 * (a + b)
-        c = math.sqrt(max(1.0 - m * m, 0.0))
-        top_is_arc = c < y1
-        bot_is_arc = -c > y0
-        top = min(y1, c)
-        bot = max(y0, -c)
-        if top <= bot:
-            continue
-        if top_is_arc:
-            area += _arc_antideriv(b) - _arc_antideriv(a)
-        else:
-            area += y1 * (b - a)
-        if bot_is_arc:
-            area += _arc_antideriv(b) - _arc_antideriv(a)
-        else:
-            area -= y0 * (b - a)
-    return area
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +208,7 @@ def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
     ring = BoundaryRing(s=s, points=pts, normal=nor, tangent=tan,
                         curvature=a * b / speed ** 3, ds=ds)
 
-    weights = _coverage_weights(x1, x2, dx, a, b, mask)
+    weights = _adopt_orphans(_coverage_weights(x1, x2, dx, a, b), mask)
     # read-only: equal grids share caches built from the first one
     for arr in (x1, x2, mask, weights, *vars(ring).values()):
         arr.flags.writeable = False
@@ -262,52 +224,94 @@ def build_disk(radius: float = 1.0, n: int = 128) -> DomainGrid:
 # -- quadrature weights -----------------------------------------------------
 
 
-def _adopt_orphans(weights_ext, mask, n):
+def _arc_antideriv(x):
+    """Antiderivative of sqrt(1 - x^2), x clipped to [-1, 1]."""
+    x = np.clip(x, -1.0, 1.0)
+    return 0.5 * (x * np.sqrt(np.maximum(1.0 - x * x, 0.0)) + np.arcsin(x))
+
+
+def _disk_cell_areas(x0, x1, y0, y1):
+    """Exact areas of the unit disk within the cells [x0,x1] x [y0,y1].
+
+    Per cell, the sorted breakpoints are the ends of the clipped x-range
+    and the circle's crossings of the horizontal cell edges inside it;
+    unused slots repeat the left end, adding an empty interval. On each
+    interval the top edge is the arc or y1 and the bottom edge the arc or
+    y0, read at its midpoint.
+    """
+    lo, hi = np.maximum(x0, -1.0), np.minimum(x1, 1.0)
+    cuts = [lo, hi]
+    for yv in (y0, y1):
+        xc = np.sqrt(np.maximum(1.0 - yv * yv, 0.0))
+        for c in (-xc, xc):
+            cuts.append(np.where((np.abs(yv) < 1.0) & (lo < c) & (c < hi), c, lo))
+    xs = np.sort(cuts, axis=0)
+    area = np.zeros_like(lo)
+    for a, b in zip(xs[:-1], xs[1:]):
+        m = 0.5 * (a + b)
+        c = np.sqrt(np.maximum(1.0 - m * m, 0.0))
+        keep = np.minimum(y1, c) > np.maximum(y0, -c)
+        arc = _arc_antideriv(b) - _arc_antideriv(a)
+        area += np.where(keep, np.where(c < y1, arc, y1 * (b - a)), 0.0)
+        area += np.where(keep, np.where(-c > y0, arc, -y0 * (b - a)), 0.0)
+    return np.where(lo < hi, area, 0.0)
+
+
+def _coverage_weights(x1, x2, dx, a, b):
+    """Exact cell areas: a b times the unit disk's coverage of the cell's
+    image under (x, y) -> (x/a, y/b)."""
+    w = np.zeros((len(x1), len(x2)))
+    h = 0.5 * dx
+    X, Y = np.meshgrid(x1, x2, indexing="ij")
+    r = np.sqrt((X / a) ** 2 + (Y / b) ** 2)
+    # conservative edge band in scaled coordinates
+    pad = math.sqrt(2.0) * h * (1.0 / min(a, b))
+    full = r <= 1.0 - pad
+    w[full] = dx * dx
+    i, j = np.nonzero(~full & (r < 1.0 + pad))
+    w[i, j] = a * b * _disk_cell_areas((x1[i] - h) / a, (x1[i] + h) / a,
+                                       (x2[j] - h) / b, (x2[j] + h) / b)
+    return w
+
+
+# offsets of the reach-3 window in the order np.argmin over a row-major
+# window picks them: nearest first, ties to the smaller di, then dj
+_ADOPT_OFFSETS = sorted(((di, dj) for di in range(-3, 4) for dj in range(-3, 4)),
+                        key=lambda o: (o[0] ** 2 + o[1] ** 2, o[0], o[1]))
+
+
+def _adopt_orphans(weights_ext, mask):
     """Fold coverage of exterior-node cells into the nearest interior node.
 
     Keeps the quadrature rule exact on constants (total weight = exact area)
     at an O(dx) displacement of a sliver's worth of mass, which preserves
     second order overall.
     """
-    w = np.where(mask, weights_ext, 0.0)
-    orphan = (~mask) & (weights_ext > 0)
-    for i, j in zip(*np.nonzero(orphan)):
-        best, bd = None, np.inf
-        for reach in (3, 6, n):
-            i0, i1 = max(i - reach, 0), min(i + reach + 1, n)
-            j0, j1 = max(j - reach, 0), min(j + reach + 1, n)
-            ii, jj = np.nonzero(mask[i0:i1, j0:j1])
+    n = mask.shape[0]
+    oi, oj = np.nonzero((~mask) & (weights_ext > 0))
+    ti = np.full(len(oi), -1)
+    tj = np.full(len(oi), -1)
+    rimmed = np.pad(mask, 3)            # no mask node beyond the lattice
+    for di, dj in _ADOPT_OFFSETS:
+        hit = (ti < 0) & rimmed[oi + 3 + di, oj + 3 + dj]
+        ti[hit], tj[hit] = oi[hit] + di, oj[hit] + dj
+    # thin domains leave orphans with no mask node within reach 3
+    for k in np.flatnonzero(ti < 0):
+        i, j = oi[k], oj[k]
+        for reach in (6, n):
+            i0, j0 = max(i - reach, 0), max(j - reach, 0)
+            ii, jj = np.nonzero(mask[i0:i + reach + 1, j0:j + reach + 1])
             if len(ii):
-                d2 = (ii + i0 - i) ** 2 + (jj + j0 - j) ** 2
-                k = int(np.argmin(d2))
-                best, bd = (ii[k] + i0, jj[k] + j0), d2[k]
+                best = int(np.argmin((ii + i0 - i) ** 2 + (jj + j0 - j) ** 2))
+                ti[k], tj[k] = ii[best] + i0, jj[best] + j0
                 break
-        if best is None:
+        else:
             raise GridError("no interior node found to adopt boundary sliver")
-        w[best] += weights_ext[i, j]
+    w = np.where(mask, weights_ext, 0.0)
+    # unbuffered, in orphan order: a node adopting several slivers sums
+    # them in a fixed order
+    np.add.at(w, (ti, tj), weights_ext[oi, oj])
     return w
-
-
-def _coverage_weights(x1, x2, dx, a, b, mask):
-    """Exact cell areas: a b times the unit disk's coverage of the cell's
-    image under (x, y) -> (x/a, y/b)."""
-    n = len(x1)
-    w = np.zeros((n, n))
-    h = 0.5 * dx
-    X, Y = np.meshgrid(x1, x2, indexing="ij")
-    lev = (X / a) ** 2 + (Y / b) ** 2
-    # conservative edge band in scaled coordinates
-    pad = math.sqrt(2.0) * h * (1.0 / min(a, b))
-    full = np.sqrt(lev) <= 1.0 - pad
-    none = np.sqrt(lev) >= 1.0 + pad
-    w[full] = dx * dx
-    edge = ~(full | none)
-    # per-cell arithmetic on Python floats, much cheaper than on numpy scalars
-    xs, ys, h = x1.tolist(), x2.tolist(), float(h)
-    for i, j in zip(*np.nonzero(edge)):
-        w[i, j] = a * b * _disk_rect_area((xs[i] - h) / a, (xs[i] + h) / a,
-                                          (ys[j] - h) / b, (ys[j] + h) / b)
-    return _adopt_orphans(w, mask, n)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +410,8 @@ class BoundaryTrace:
         values = np.asarray(values)
         if values.shape != (len(grid.boundary),):
             raise GridError("trace length does not match boundary node count")
+        if not np.all(np.isfinite(values)):
+            raise GridError("boundary trace has non-finite values")
         self.values = values
         self.grid = grid
 

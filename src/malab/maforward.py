@@ -37,7 +37,6 @@ what another is handed.
 from __future__ import annotations
 
 import functools
-import io
 import numbers
 from dataclasses import dataclass, field
 
@@ -400,13 +399,6 @@ class MASolution:
     admissible: bool = True
     krylov_iters: list = field(default_factory=list)   # GMRES per step
     lu_steps: list = field(default_factory=list)   # iterations redone by LU
-
-    def log_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("iter,residual,damping,min_eig\n")
-        for row in self.log:
-            buf.write("%d,%.16e,%.6f,%.16e\n" % tuple(row))
-        return buf.getvalue()
 
 
 def stencil_hessian(ops: StencilOps, U: np.ndarray, phi: np.ndarray):

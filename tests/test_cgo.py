@@ -7,7 +7,6 @@ geometry to pass the oscillation-resolution guard.  All tolerances frozen
 from measured values (see comments on each test).
 """
 
-import json
 import warnings
 
 import numpy as np
@@ -370,7 +369,7 @@ def test_bundle_input_guards(box, phases, drift, qpot, morse_sweep):
 
 
 def test_bundle_diagnostics_json(morse_sweep):
-    d = json.loads(morse_sweep[0.4].diagnostics_json())
+    d = morse_sweep[0.4].diagnostics()
     assert d["kind"] == "holo"
     assert d["has_critical_point"] is True
     assert d["K_effective"] == 6

@@ -110,11 +110,6 @@ def test_dn_lin_matrix_flat_spectrum():
     assert mat.labels == ("1", "cos1", "sin1", "cos2", "sin2",
                           "cos3", "sin3", "cos4", "sin4")
     assert np.abs(mat.values - expected).max() < 1e-2
-    text = mat.to_csv()
-    assert text.splitlines()[0] == "basis,1,cos1,sin1,cos2,sin2,cos3,sin3,cos4,sin4"
-    body = np.array([[float(v) for v in line.split(",")[1:]]
-                     for line in text.splitlines()[1:]])
-    assert np.array_equal(body, mat.values)
 
 
 def test_dn_lin_matrix_columns_equal_dn_lin():
@@ -244,6 +239,25 @@ def test_recover_hessian_guards():
     for kmax in (-1, -2, 1.5):
         with pytest.raises(GridError, match="kmax"):
             recover_boundary_hessian(lam, one, g, kmax=kmax)
+
+
+def test_recover_rejects_traces_from_another_grid():
+    # the ring size depends on n only, so a trace measured on the radius-1.3
+    # disk has the length of one on the unit disk
+    g, other = build_disk(1.0, 64), build_disk(1.3, 64)
+    M = len(g.boundary)
+    lam = BoundaryTrace(np.ones(M), g)
+    foreign = BoundaryTrace(np.ones(M), other)
+    with pytest.raises(GridError, match="different grid"):
+        recover_boundary_hessian(foreign, one, g)
+    sec = recover_boundary_hessian(lam, one, g)
+    zero = lambda x, y: np.zeros_like(x)
+    with pytest.raises(GridError, match="different grid"):
+        recover_boundary_third(foreign, one, zero, sec, g)
+    with pytest.raises(GridError, match="different grid"):
+        recover_boundary_third(lam, one, zero, (sec[0], foreign, sec[2]), g)
+    with pytest.raises(GridError, match="non-finite"):
+        BoundaryTrace(np.full(M, np.nan), g)
 
 
 def test_recover_third_flat_base():

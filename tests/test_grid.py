@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from malab.grid import (
-    BoundaryTrace, GridError, PaddedGrid, ScalarField, _CubicBlock, _ray_fit,
-    _ring_eval, _ring_modes, boundary_quadrature, boundary_restrict,
+    BoundaryTrace, GridError, PaddedGrid, ScalarField, _adopt_orphans,
+    _coverage_weights, _CubicBlock, _ray_fit, _ring_eval, _ring_modes,
+    boundary_quadrature, boundary_restrict,
     build_disk, build_ellipse, interp_masked, lattice_values,
     normal_derivative, quadrature, tangential_derivative,
 )
@@ -60,6 +61,84 @@ def test_quadrature_area_disk():
     assert abs(quadrature(one) - 4 * np.pi) < 0.01 * 4 * np.pi
     # exact coverage: total weight equals the exact area to roundoff
     assert abs(np.sum(g.weights) - 4 * np.pi) < 1e-10
+
+
+@pytest.mark.parametrize("a, b, n", [(1.0, 0.02, 110), (1.0, 0.01, 102)])
+def test_thin_ellipse_weights_sum_to_the_area(a, b, n):
+    # 16 of 116 and 164 of 176 slivers have no mask node within 3 cells
+    # and are adopted by the wider search
+    g = build_ellipse(a, b, n)
+    area = np.pi * a * b
+    assert abs(np.sum(g.weights) - area) < 1e-14 * area
+
+
+def _adopt_orphans_loop(cov, mask):
+    """Per-orphan reference adoption: np.argmin of d^2 over the mask nodes
+    of the smallest window (reach 3, 6, n) that has any."""
+    n = mask.shape[0]
+    w = np.where(mask, cov, 0.0)
+    for i, j in zip(*np.nonzero(~mask & (cov > 0))):
+        for reach in (3, 6, n):
+            i0, j0 = max(i - reach, 0), max(j - reach, 0)
+            ii, jj = np.nonzero(mask[i0:i + reach + 1, j0:j + reach + 1])
+            if len(ii):
+                k = int(np.argmin((ii + i0 - i) ** 2 + (jj + j0 - j) ** 2))
+                w[ii[k] + i0, jj[k] + j0] += cov[i, j]
+                break
+    return w
+
+
+@pytest.mark.parametrize("a, b, n", [
+    (1.0, 1.0, 64), (1.0, 1.0, 97), (1.3, 0.8, 211), (1.0, 0.02, 110),
+    (1.0, 0.01, 102),
+])
+def test_orphan_adoption_equals_the_per_orphan_loop(a, b, n):
+    g = build_ellipse(a, b, n)
+    cov = _coverage_weights(g.x1, g.x2, g.dx, a, b)
+    w = _adopt_orphans(cov, g.mask)
+    assert np.array_equal(w, _adopt_orphans_loop(cov, g.mask))
+    assert np.array_equal(w, g.weights)
+
+
+def _disk_cell_area_mp(mp, x0, x1, y0, y1):
+    """Unit disk area in the cell [x0,x1] x [y0,y1] by the breakpoint
+    formula of the grid's coverage, at mp's working precision."""
+    x0, x1, y0, y1 = (mp.mpf(float(v)) for v in (x0, x1, y0, y1))
+    lo, hi = max(x0, -1), min(x1, 1)
+    if lo >= hi:
+        return mp.mpf(0)
+    cuts = {lo, hi}
+    for yv in (y0, y1):
+        if abs(yv) < 1:
+            xc = mp.sqrt(1 - yv * yv)
+            cuts.update(c for c in (-xc, xc) if lo < c < hi)
+    xs = sorted(cuts)
+    F = lambda x: (x * mp.sqrt(1 - x * x) + mp.asin(x)) / 2
+    area = mp.mpf(0)
+    for p, q in zip(xs, xs[1:]):
+        c = mp.sqrt(max(1 - ((p + q) / 2) ** 2, 0))
+        if min(y1, c) > max(y0, -c):
+            area += F(q) - F(p) if c < y1 else y1 * (q - p)
+            area += F(q) - F(p) if -c > y0 else -y0 * (q - p)
+    return area
+
+
+@pytest.mark.parametrize("a, b, n", [(1.0, 1.0, 232), (1.3, 0.8, 211)])
+def test_edge_cell_coverage_matches_a_40_digit_reference(a, b, n):
+    mp = pytest.importorskip("mpmath")
+    g = build_ellipse(a, b, n)
+    h = 0.5 * g.dx
+    X, Y = g.meshgrid()
+    # the cells within half a diagonal of the curve, in scaled coordinates
+    r = np.sqrt((X / a) ** 2 + (Y / b) ** 2)
+    ii, jj = np.nonzero(np.abs(r - 1.0) < np.sqrt(2.0) * h / min(a, b))
+    cov = _coverage_weights(g.x1, g.x2, g.dx, a, b)[ii, jj]
+    with mp.workdps(40):
+        ref = [float(mp.mpf(a) * b * _disk_cell_area_mp(
+            mp, (g.x1[i] - h) / a, (g.x1[i] + h) / a,
+            (g.x2[j] - h) / b, (g.x2[j] + h) / b)) for i, j in zip(ii, jj)]
+    err = np.max(np.abs(cov - np.array(ref))) / g.dx ** 2
+    assert err < 3e-11, err
 
 
 def test_quadrature_moment():

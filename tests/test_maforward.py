@@ -294,7 +294,6 @@ def test_krylov_counts_per_newton_step():
     assert len(sol.krylov_iters) == len(sol.log) - 1
     assert all(isinstance(k, int) and k >= 1 for k in sol.krylov_iters)
     assert sol.lu_steps == []
-    assert sol.log_csv().splitlines()[0] == "iter,residual,damping,min_eig"
     with pytest.raises(NewtonFailure) as exc:
         solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar, max_iter=1)
     assert len(exc.value.krylov_iters) == 1
