@@ -42,20 +42,20 @@ decay sweeps measure.
 
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 # the series applies one _OscPlan per bundle; oscillatory_dbar_inv stays
 # importable here as the public form of its inverse (CGOBundle.r is
 # -oscillatory_dbar_inv(V' s) bit for bit), and perfbench traces it here
-from .complexcalc import (_OscPlan, _require_finite, _support_guard,
-                          _wirtinger_symbol, oscillatory_dbar_inv,
-                          periodic_fd4, spectral_deriv, spectral_dz,
-                          spectral_dzb)
-from .grid import ComplexField, GridError, PaddedGrid
-from .linearize import VectorField
+from .complexcalc import (_OscPlan, _require_finite, _require_h,
+                          _support_guard, _wirtinger_symbol,
+                          oscillatory_dbar_inv, periodic_fd4, spectral_deriv,
+                          spectral_dz, spectral_dzb)
+from .grid import ComplexField, GridError, PaddedGrid, VectorField
 
 DEPTH_DEFAULT = 6                       # series truncation depth
 H_SWEEP = (0.4, 0.283, 0.2, 0.141, 0.1)  # standard decay-sweep values
@@ -191,7 +191,6 @@ class PhaseSpec:
     grid: PaddedGrid
     values: np.ndarray                   # Phi on the lattice
     dvalues: np.ndarray                  # dPhi/dz on the lattice
-    phi: np.ndarray                      # Re Phi
     psi: np.ndarray                      # Im Phi
     critical_points: tuple               # roots of dPhi/dz (z-plane)
     has_critical_point: bool             # any root inside the core disk
@@ -223,7 +222,7 @@ def phase_spec(coeffs, grid: PaddedGrid, center=0j) -> PhaseSpec:
         roots = tuple(complex(center) + complex(z) for z in rr)
         has_cp = any(abs(z) <= grid.half / 3.0 for z in roots)
     return PhaseSpec(cs, complex(center), grid, vals, dvals,
-                     vals.real.copy(), vals.imag.copy(), roots, has_cp)
+                     vals.imag.copy(), roots, has_cp)
 
 
 def standard_phases(grid: PaddedGrid) -> dict:
@@ -318,12 +317,15 @@ def t_norm_proxy(psi, h: float, V: ComplexField, vp: ComplexField,
 class CGOBundle:
     """One constructed solution with its series bookkeeping.
 
-    r always equals -osc(V' s) for the stored s and gauge, bit for bit; the
-    residual is the drift operator applied to v by 4th-order differences
-    over the measurement disk, normalized by h^-2 times the solution norm
-    there.  term_norms records the series decay; K_effective is where the
-    sum was actually truncated (argmin of term_norms when they fail to
-    decrease, K otherwise).
+    Every input, zero drift and potential included, runs the one series of
+    build_cgo_holo, so r always equals -osc(V' s) for the stored s and
+    gauge, bit for bit, and term_norms holds K + 1 norms; the antiholo and
+    adjoint bundles are that holo bundle with its kind, conjugated fields
+    and re-measured residual replaced.  The residual is the drift operator
+    applied to v by 4th-order differences over the measurement disk,
+    normalized by h^-2 times the solution norm there.  K_effective is
+    where the sum was actually truncated (argmin of term_norms when they
+    fail to decrease, K otherwise).
     """
 
     kind: str                            # "holo" | "antiholo" | "adjoint"
@@ -333,7 +335,6 @@ class CGOBundle:
     K_effective: int
     core_radius: float
     alpha: np.ndarray
-    gauge_factor: np.ndarray             # exp(i alpha), conj partner for antiholo
     amplitude: np.ndarray
     s: ComplexField
     r: ComplexField
@@ -366,8 +367,7 @@ def _eval_amplitude(amplitude, grid: PaddedGrid) -> np.ndarray:
         vals = amplitude.values.astype(complex)
     else:
         vals = complex(amplitude) * np.ones((grid.n, grid.n), dtype=complex)
-    if vals.shape != (grid.n, grid.n):
-        raise GridError("amplitude shape does not match the grid")
+    vals = _require_finite(vals, grid, "amplitude")
     # interior holomorphy check by local differences (exact on polynomials
     # through degree 4, seam rows excluded)
     dzb = 0.5 * (periodic_fd4(vals, grid, 0, 1)
@@ -410,70 +410,56 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
                    core_radius: float | None = None) -> CGOBundle:
     """Holomorphically growing solution exp(i alpha)^-1 e^{Phi/h} (a + r).
 
-    The remainder r comes from the truncated Neumann series of neumann_T
-    applied to the gauge-weighted amplitude; its 2K + 2 oscillatory
-    transforms share one plan (cutoff, phase, guards and kernels built
-    once per bundle).  If the series terms ever grow
-    instead of decaying, a warning is issued and the sum is truncated at
-    the observed minimum.  Zero drift and potential give r = 0 exactly.
+    Every input runs the same series: the gauge, the weights (V, V') and
+    the truncated Neumann series of neumann_T applied to the gauge-weighted
+    amplitude, whose 2K + 2 oscillatory transforms share one plan (cutoff,
+    phase, guards and kernels built once per bundle).  Zero drift and
+    potential give an exactly zero gauge, V and series, so r = 0.  If the
+    series terms ever grow instead of decaying, a warning is issued and the
+    sum is truncated at the observed minimum.  A non-finite or nonpositive
+    h, a K that is not a nonnegative integer, and a non-finite q, amplitude
+    or drift raise a GridError before any FFT.
     """
     grid = _require_padded(phase.grid)
-    if h <= 0:
-        raise GridError("h must be positive")
-    if K < 0:
-        raise GridError("series depth must be nonnegative")
+    _require_h(h)
+    if not (isinstance(K, numbers.Integral) and K >= 0):
+        raise GridError(
+            f"series depth must be a nonnegative integer, got {K!r}")
     X = drift if drift is not None else _zero_drift(grid)
     if X.grid != grid:
         raise GridError("drift lives on a different grid")
+    qv = np.asarray(q)
+    if not np.all(np.isfinite(qv)):
+        raise GridError("q: non-finite values")
     rc = core_radius if core_radius is not None else grid.half / 3.0
     a_vals = _eval_amplitude(amplitude, grid)
-    qv = np.asarray(q)
 
-    trivial = (X.norm_max() == 0.0 and np.all(qv == 0))
-    if trivial:
-        alpha = np.zeros((grid.n, grid.n), dtype=complex)
-        ga = np.ones_like(alpha)
-    else:
-        alpha, ga = (a.values for a in gauge(X)[:2])
+    alpha, ga = (a.values for a in gauge(X)[:2])
     im_max = float(np.max(np.abs(np.imag(alpha))))
     if float(np.min(np.abs(ga))) < np.exp(-im_max) * (1.0 - 1e-12):
         raise GridError("gauge factor fell below its lower bound")
 
     V, vp = series_weights(alpha, X, qv)
-    zero = np.zeros((grid.n, grid.n), dtype=complex)
-    if trivial:
-        terms = [ComplexField(zero.copy(), grid)]
-        norms = [0.0]
-    else:
-        plan = _OscPlan(grid, phase.psi, h, rc)
-        first = ComplexField(-_dbar_star_inv(V.values * a_vals, plan), grid)
-        terms, norms = [first], [_l2(first.values, grid)]
-        for _ in range(K):
-            nxt = ComplexField(_neumann_step(terms[-1].values, plan, V, vp),
-                               grid)
-            terms.append(nxt)
-            norms.append(_l2(nxt.values, grid))
-    k_eff = len(terms) - 1
-    if any(norms[j + 1] > norms[j] for j in range(len(norms) - 1)):
+    plan = _OscPlan(grid, phase.psi, h, rc)
+    terms = [-_dbar_star_inv(V.values * a_vals, plan)]
+    for _ in range(K):
+        terms.append(_neumann_step(terms[-1], plan, V, vp))
+    norms = [_l2(t, grid) for t in terms]
+    k_eff = K
+    if any(norms[j + 1] > norms[j] for j in range(K)):
         k_eff = int(np.argmin(norms))
         warnings.warn(
             f"remainder series stopped decreasing; truncating at {k_eff}",
             RuntimeWarning, stacklevel=2)
-    s_vals = zero.copy()
-    for t in terms[:k_eff + 1]:
-        s_vals = s_vals + t.values
-    s = ComplexField(s_vals, grid)
-    if trivial:
-        r = ComplexField(zero.copy(), grid)
-    else:
-        r = ComplexField(-plan.apply(vp.values * s_vals), grid)
+    s_vals = sum(terms[:k_eff + 1])
+    r_vals = -plan.apply(vp.values * s_vals)
 
-    v_vals = np.exp(-1j * alpha) * np.exp(phase.values / h) * (a_vals + r.values)
-    v = ComplexField(v_vals, grid)
+    v_vals = np.exp(-1j * alpha) * np.exp(phase.values / h) * (a_vals + r_vals)
     res = drift_residual(v_vals, X, qv, h, grid, rc)
     return CGOBundle("holo", phase, float(h), int(K), int(k_eff), float(rc),
-                     alpha, ga, a_vals, s, r, v, res, tuple(norms),
-                     _l2(r.values, grid))
+                     alpha, a_vals, ComplexField(s_vals, grid),
+                     ComplexField(r_vals, grid), ComplexField(v_vals, grid),
+                     res, tuple(norms), _l2(r_vals, grid))
 
 
 def build_cgo_antiholo(phase: PhaseSpec, h: float,
@@ -494,13 +480,11 @@ def build_cgo_antiholo(phase: PhaseSpec, h: float,
     X = drift if drift is not None else _zero_drift(grid)
     v_vals = np.conj(nb.v.values)
     res = drift_residual(v_vals, X, np.asarray(q), h, grid, nb.core_radius)
-    return CGOBundle("antiholo", phase, float(h), int(K), nb.K_effective,
-                     nb.core_radius, nb.alpha, np.conj(nb.gauge_factor),
-                     np.conj(nb.amplitude),
-                     ComplexField(np.conj(nb.s.values), grid),
-                     ComplexField(np.conj(nb.r.values), grid),
-                     ComplexField(v_vals, grid),
-                     res, nb.term_norms, nb.r_norm)
+    return replace(nb, kind="antiholo", phase=phase,
+                   amplitude=np.conj(nb.amplitude),
+                   s=ComplexField(np.conj(nb.s.values), grid),
+                   r=ComplexField(np.conj(nb.r.values), grid),
+                   v=ComplexField(v_vals, grid), residual=res)
 
 
 def build_cgo_adjoint(phase: PhaseSpec, h: float,
@@ -523,9 +507,7 @@ def build_cgo_adjoint(phase: PhaseSpec, h: float,
                         core_radius)
     res = drift_residual(nb.v.values, X, np.asarray(q), h, grid,
                          nb.core_radius, conservative=True)
-    return CGOBundle("adjoint", phase, float(h), int(K), nb.K_effective,
-                     nb.core_radius, nb.alpha, nb.gauge_factor, nb.amplitude,
-                     nb.s, nb.r, nb.v, res, nb.term_norms, nb.r_norm)
+    return replace(nb, kind="adjoint", residual=res)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,10 @@ from .grid import ComplexField, DomainGrid, GridError, PaddedGrid, ScalarField
 A_MAT = np.array([[1, 1j], [1j, -1]])
 B_MAT = np.array([[1, -1j], [-1j, -1]])
 
+# lattice nodes per local wavelength pi h / |grad psi| of exp(-2i psi / h)
+# that the oscillatory inverses' resolution guard demands
+NODES_PER_OSC = 6.0
+
 
 # ---------------------------------------------------------------------------
 # derivatives
@@ -250,6 +254,12 @@ def _require_finite(vals, grid: PaddedGrid, what: str) -> np.ndarray:
     return vals
 
 
+def _require_h(h) -> None:
+    """GridError unless the semiclassical parameter h is finite and > 0."""
+    if not (np.isfinite(h) and h > 0):
+        raise GridError(f"h must be positive and finite, got {h}")
+
+
 def _support_guard(vals: np.ndarray, cheb: np.ndarray, half: float, what: str):
     # Spectrally differentiated C^2 cutoffs ring at ~1e-6 relative across
     # the whole box; only mass above the leakage tolerance threatens the
@@ -370,12 +380,10 @@ class _OscPlan:
     """
 
     def __init__(self, grid: PaddedGrid, psi, h: float,
-                 core_radius: float | None = None,
-                 nodes_per_osc: float = 6.0):
+                 core_radius: float | None = None):
         if not isinstance(grid, PaddedGrid):
             raise GridError("oscillatory inverses expect a field on a padded box")
-        if h <= 0:
-            raise GridError("h must be positive")
+        _require_h(h)
         psi_vals = _require_finite(psi.values if hasattr(psi, "values") else psi,
                                    grid, "psi")
         rc = core_radius if core_radius is not None else grid.half / 3.0
@@ -390,8 +398,7 @@ class _OscPlan:
         g1, g2 = np.gradient(np.real(psi_vals), grid.dx, edge_order=2)
         gmax = float(np.max(np.hypot(g1, g2)[E > 0]))
         if gmax > 0:
-            # local wavelength of exp(-2i psi / h) is pi h / |grad psi|
-            h_min = nodes_per_osc * grid.dx * gmax / np.pi
+            h_min = NODES_PER_OSC * grid.dx * gmax / np.pi
             if h < h_min:
                 raise GridError(
                     f"h = {h:.4g} unresolved at this resolution; "
@@ -435,8 +442,7 @@ class _OscPlan:
 
 
 def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
-                         core_radius: float | None = None,
-                         nodes_per_osc: float = 6.0) -> ComplexField:
+                         core_radius: float | None = None) -> ComplexField:
     """Oscillatory inverse: restrict(cauchy_inverse(exp(-2i psi/h) E f)).
 
     E is a fixed C^2 cutoff equal to 1 on the core disk (radius rc, default
@@ -454,17 +460,17 @@ def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
     rc = 2 the windows are 341 and 171 nodes wide: a 512^2 FFT pair, or
     360^2 for core-supported f, in place of 1024^2.
     """
-    out = _OscPlan(f.grid, psi, h, core_radius, nodes_per_osc).apply(f.values)
+    out = _OscPlan(f.grid, psi, h, core_radius).apply(f.values)
     return ComplexField(out, f.grid)
 
 
 def oscillatory_dbar_inv_conj(f: ComplexField, psi, h: float,
-                              core_radius: float | None = None,
-                              nodes_per_osc: float = 6.0) -> ComplexField:
+                              core_radius: float | None = None
+                              ) -> ComplexField:
     """Oscillatory right inverse of dz with phase exp(+2i psi / h).
 
     Mirrors oscillatory_dbar_inv through the conjugation identity, so the
     pair shares one resolution guard and one cutoff.
     """
-    out = _OscPlan(f.grid, psi, h, core_radius, nodes_per_osc).apply_conj(f.values)
+    out = _OscPlan(f.grid, psi, h, core_radius).apply_conj(f.values)
     return ComplexField(out, f.grid)

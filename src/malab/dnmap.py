@@ -235,8 +235,7 @@ def recover_boundary_hessian(lam0: BoundaryTrace, Fb, grid: DomainGrid,
     return tuple(BoundaryTrace(t, grid) for t in traces)
 
 
-def recover_boundary_third(lam0: BoundaryTrace, Fb, dnu_F, second,
-                           grid: DomainGrid, data=None) -> BoundaryTrace:
+def recover_boundary_third(dnu_F, second, grid: DomainGrid) -> BoundaryTrace:
     """Third normal derivative of the base solution on the boundary.
 
     Differentiates det D^2 u = F along the normal and solves for the pure
@@ -250,8 +249,6 @@ def recover_boundary_third(lam0: BoundaryTrace, Fb, dnu_F, second,
     and the differentiated equation gives
     u_nnn = (dnu_F - u_ttn u_nn + 2 u_tn u_tnn) / u_tt.
     """
-    if lam0.grid != grid:
-        raise GridError("normal derivative trace lives on a different grid")
     if any(t.grid != grid for t in second):
         raise GridError("second-order trace lives on a different grid")
     utt = np.asarray(second[0].values, dtype=float)

@@ -34,8 +34,9 @@ import numpy as np
 
 from .complexcalc import cauchy_inverse, deriv, spectral_dz
 from .grid import (ComplexField, DomainGrid, GridError, MetricField,
-                   PaddedGrid, ScalarField, _CubicBlock, lattice_values)
-from .linearize import VectorField, divergence_form_apply, nondiv_solve_many
+                   PaddedGrid, ScalarField, VectorField, _CubicBlock,
+                   lattice_values)
+from .linearize import divergence_form_apply, nondiv_solve_many
 
 __all__ = [
     "ChristoffelField",

@@ -44,7 +44,6 @@ are read-only) and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -165,21 +164,6 @@ class DomainGrid:
         if n is None:
             n = int(2 ** math.ceil(math.log2(max(2 * half / self.dx, 16))))
         return PaddedGrid(half=half, n=n)
-
-    # -- serialization --------------------------------------------------
-
-    def to_json(self) -> str:
-        b = self.boundary
-        table = [
-            {"s": float(b.s[i]),
-             "x": [float(b.points[i, 0]), float(b.points[i, 1])],
-             "nu": [float(b.normal[i, 0]), float(b.normal[i, 1])],
-             "kappa": float(b.curvature[i])}
-            for i in range(len(b))
-        ]
-        doc = {"semi_axes": [self.a, self.b], "n": self.n, "spacing": self.dx,
-               "bounds": [-self.half, self.half], "boundary": table}
-        return json.dumps(doc, indent=1)
 
 
 def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
@@ -403,11 +387,28 @@ class ComplexField:
         self.grid = grid
 
 
+@dataclass(frozen=True)
+class VectorField:
+    """Two-component field on a grid (drift vectors, gradients)."""
+
+    c1: np.ndarray
+    c2: np.ndarray
+    grid: object
+
+    def __post_init__(self):
+        _on_lattice(self.c1, self.grid)
+        _on_lattice(self.c2, self.grid)
+
+    def norm_max(self, where=None) -> float:
+        mag = np.hypot(self.c1, self.c2)
+        return float(np.max(mag if where is None else mag[where]))
+
+
 class BoundaryTrace:
-    """Values at the boundary ring nodes."""
+    """Values at the boundary ring nodes (a copy of the caller's array)."""
 
     def __init__(self, values: np.ndarray, grid: DomainGrid):
-        values = np.asarray(values)
+        values = np.array(values)
         if values.shape != (len(grid.boundary),):
             raise GridError("trace length does not match boundary node count")
         if not np.all(np.isfinite(values)):
@@ -593,19 +594,17 @@ class _CubicBlock:
         return self
 
 
-def interp_masked(values: np.ndarray, grid: DomainGrid, pts: np.ndarray,
-                  strict: bool = True) -> np.ndarray:
+def interp_masked(values: np.ndarray, grid: DomainGrid,
+                  pts: np.ndarray) -> np.ndarray:
     """Cubic Lagrange interpolation on local 4x4 lattice blocks.
 
-    All 16 nodes of each block must lie in the interior mask when strict
-    (raises GridError naming the offending point otherwise). Points
-    within 1e-9 dx of a node read the node exactly.
+    All 16 nodes of each block must lie in the interior mask (raises
+    GridError naming the offending point otherwise). Points within 1e-9 dx
+    of a node read the node exactly.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     block = _CubicBlock(grid, pts[:, 0], pts[:, 1])
-    if strict:
-        block.require_inside()
-    return block(values)
+    return block.require_inside()(values)
 
 
 _RAY_DEPTHS = np.array([5.0, 7.0, 9.0, 11.0])

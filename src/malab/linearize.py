@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .complexcalc import deriv
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
-                   ScalarField, _CubicBlock, _on_lattice, boundary_restrict,
+                   ScalarField, VectorField, _CubicBlock, boundary_restrict,
                    lattice_values)
 from .maforward import (LinearSolveFailure, MASolution, SparseLU, StencilOps,
                         build_stencil_ops, ring_values, solve_ma,
@@ -53,23 +53,6 @@ __all__ = [
 ]
 
 ANISOTROPY_LIMIT = 20.0
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Two-component field on a grid (drift vectors, gradients)."""
-
-    c1: np.ndarray
-    c2: np.ndarray
-    grid: object
-
-    def __post_init__(self):
-        _on_lattice(self.c1, self.grid)
-        _on_lattice(self.c2, self.grid)
-
-    def norm_max(self, where=None) -> float:
-        mag = np.hypot(self.c1, self.c2)
-        return float(np.max(mag if where is None else mag[where]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,15 @@ geometry to pass the oscillation-resolution guard.  All tolerances frozen
 from measured values (see comments on each test).
 """
 
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from malab import cgo
 from malab.complexcalc import (oscillatory_dbar_inv, periodic_fd4,
@@ -272,12 +277,22 @@ def test_neumann_norm_proxy_contracts(box, phases, drift, qpot):
 
 
 def test_trivial_bundle_is_pure_exponential(box, phases):
+    # zero drift and potential run the full series, whose terms are all zero
     bundle = cgo.build_cgo_holo(phases["morse"], 0.2)
     assert np.array_equal(bundle.r.values, np.zeros_like(bundle.r.values))
     assert np.array_equal(bundle.v.values,
                           np.exp(phases["morse"].values / 0.2))
+    assert bundle.K_effective == bundle.K == cgo.DEPTH_DEFAULT
+    assert bundle.term_norms == (0.0,) * (bundle.K + 1)
     # 4th-order residual floor of the exact solution; measured 2.0e-8
     assert bundle.residual <= 1e-6
+
+
+def test_zero_drift_meets_the_resolution_guard(phases, drift):
+    # h_min = 6 dx max|grad psi| / pi = 0.09 for the Morse phase at n = 512
+    for X in (None, drift):
+        with pytest.raises(GridError, match="unresolved"):
+            cgo.build_cgo_holo(phases["morse"], 0.05, X)
 
 
 def test_remainder_decay_morse(morse_sweep):
@@ -366,6 +381,80 @@ def test_bundle_input_guards(box, phases, drift, qpot, morse_sweep):
     same = cgo.build_cgo_holo(phases["morse"], 0.4,
                               VectorField(drift.c1, drift.c2, twin), q=qpot)
     assert np.array_equal(same.v.values, morse_sweep[0.4].v.values)
+
+
+def _bad_inputs(small: PaddedGrid):
+    """Strategies for invalid build_cgo_holo inputs on the small box, each
+    paired with the GridError message it must raise."""
+    n = small.n
+    X, Y = small.meshgrid()
+    bump = np.exp(-(X * X + Y * Y) / 0.6)
+    ok = VectorField(0.8 * bump, -0.6 * bump, small)
+    node = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    bad_value = st.sampled_from([np.nan, np.inf, -np.inf])
+
+    def poisoned(ij, value, base):
+        out = np.array(base)
+        out[ij] = value
+        return out
+
+    def drift_with(ij, value):
+        return {"drift": VectorField(poisoned(ij, value, ok.c1), ok.c2, small)}
+
+    # nodes with |x| > 4, the start of the 6 / 3 wraparound margin
+    rim = st.one_of(st.integers(0, 10), st.integers(54, n - 1))
+    return {
+        "h must be positive": st.fixed_dictionaries({
+            "h": st.one_of(bad_value, st.floats(max_value=0.0)),
+            "drift": st.sampled_from([None, ok])}),
+        "series depth": st.fixed_dictionaries({
+            "K": st.one_of(st.integers(max_value=-1), st.floats(),
+                           st.just(1.5))}),
+        "q: non-finite": st.builds(
+            lambda ij, v: {"q": poisoned(ij, v, 0.25 * bump)}, node,
+            bad_value),
+        "amplitude: non-finite": st.builds(
+            lambda ij, v: {"amplitude": ComplexField(
+                poisoned(ij, v, np.ones((n, n), dtype=complex)), small)},
+            node, bad_value),
+        "gauge: non-finite": st.builds(drift_with, node, bad_value),
+        "wraparound": st.builds(drift_with,
+                                st.tuples(rim, st.integers(0, n - 1)),
+                                st.just(1.0)),
+    }
+
+
+_SMALL = PaddedGrid(half=6.0, n=64)
+_BAD = _bad_inputs(_SMALL)
+
+
+def _no_fft(*args, **kwargs):
+    raise AssertionError("an FFT ran before the input guards")
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_bad_inputs_fail_before_any_fft(data):
+    phase = cgo.phase_spec((0.0, 0.0, -0.25), _SMALL)
+    # an infinite drift turns NaN in the gauge source, which its guard names
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        mp.setattr(np.fft, "fft2", _no_fft)
+        mp.setattr(np.fft, "ifft2", _no_fft)
+        for message, inputs in _BAD.items():
+            kw = {"h": 0.4, "drift": None, **data.draw(inputs, label=message)}
+            with pytest.raises(GridError, match=message):
+                cgo.build_cgo_holo(phase, **kw)
+
+
+def test_import_loads_no_domain_solver():
+    code = ("import sys, malab.cgo; print(sorted(m for m in sys.modules if "
+            "m.split('.')[0] == 'scipy' or m in ('malab.linearize', "
+            "'malab.maforward')))")
+    env = {**os.environ,
+           "PYTHONPATH": str(pathlib.Path(cgo.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_bundle_diagnostics_json(morse_sweep):

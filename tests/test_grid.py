@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -362,18 +360,19 @@ def test_interp_masked_strict_rejection():
         interp_masked(X, g, np.array([[0.99, 0.0]]))
 
 
+def test_boundary_trace_keeps_its_own_values():
+    g = build_disk(1.0, 64)
+    v = np.ones(len(g.boundary))
+    t = BoundaryTrace(v, g)
+    v[0] = np.nan
+    assert t.values is not v
+    assert np.array_equal(t.values, np.ones_like(v))
+
+
 def test_boundary_quadrature_circumference():
     g = build_disk(1.5, 64)
     one = BoundaryTrace(np.ones(len(g.boundary)), g)
     assert abs(boundary_quadrature(one) - 2 * np.pi * 1.5) < 1e-12
-
-
-def test_json_roundtrip():
-    g = build_disk(1.0, 32)
-    doc = json.loads(g.to_json())
-    assert doc["spacing"] == pytest.approx(g.dx)
-    assert len(doc["boundary"]) == len(g.boundary)
-    assert set(doc["boundary"][0]) == {"s", "x", "nu", "kappa"}
 
 
 def test_padded_grid():
