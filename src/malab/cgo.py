@@ -51,10 +51,11 @@ import numpy as np
 # the series applies one _OscPlan per bundle; oscillatory_dbar_inv stays
 # importable here as the public form of its inverse (CGOBundle.r is
 # -oscillatory_dbar_inv(V' s) bit for bit), and perfbench traces it here
-from .complexcalc import (_OscPlan, _require_finite, _require_h,
-                          _support_guard, _wirtinger_symbol,
-                          oscillatory_dbar_inv, periodic_fd4, spectral_deriv,
-                          spectral_dz, spectral_dzb)
+from .complexcalc import (_bounding_slices, _core_radius, _fd4, _OscPlan,
+                          _require_finite, _require_h, _support_guard,
+                          _wirtinger_symbol, oscillatory_dbar_inv,
+                          periodic_fd4, spectral_deriv, spectral_dz,
+                          spectral_dzb)
 from .grid import ComplexField, GridError, PaddedGrid, VectorField
 
 DEPTH_DEFAULT = 6                       # series truncation depth
@@ -104,8 +105,17 @@ def gauge(X: VectorField) -> tuple[ComplexField, ComplexField, ComplexField]:
     drifts, and drifts reaching the outer third of the box, are rejected by
     the guards the Cauchy transform runs.
     """
+    alpha, ga = _gauge(X)
+    return (ComplexField(alpha, X.grid), ComplexField(ga, X.grid),
+            ComplexField(np.exp(1j * np.conj(alpha)), X.grid))
+
+
+def _gauge(X: VectorField) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and exp(i alpha) of gauge, without the conjugate partner."""
     grid = _require_padded(X.grid)
-    src = _require_finite(0.25j * (X.c1 + 1j * X.c2), grid, "gauge")
+    for c in (X.c1, X.c2):
+        _require_finite(c, grid, "gauge")
+    src = 0.25j * (X.c1 + 1j * X.c2)
     XX, YY = grid.meshgrid()
     _support_guard(src, np.maximum(np.abs(XX), np.abs(YY)), grid.half, "gauge")
     sym = _wirtinger_symbol(grid, 1, odd=False)
@@ -115,9 +125,7 @@ def gauge(X: VectorField) -> tuple[ComplexField, ComplexField, ComplexField]:
     sh = sh / sym
     sh[0, 0] = 0.0
     alpha = np.fft.ifft2(sh) + mean * np.conj(grid.zz)
-    return (ComplexField(alpha, grid),
-            ComplexField(np.exp(1j * alpha), grid),
-            ComplexField(np.exp(1j * np.conj(alpha)), grid))
+    return alpha, np.exp(1j * alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +259,31 @@ def series_weights(alpha: np.ndarray, X: VectorField, q=0.0
     V' = -exp(+2i Re alpha) is the unimodular return weight.
     """
     grid = _require_padded(X.grid)
-    re2 = 2.0 * np.real(alpha)
-    v = 0.5 * factor_potential(X, q).values * np.exp(-1j * re2)
-    vp = -np.exp(1j * re2)
+    box = (slice(None), slice(None))
+    v, vp = _weights(alpha, X, q, box, box)
     return ComplexField(v, grid), ComplexField(vp, grid)
 
 
-def _dbar_star_inv(vals: np.ndarray, plan: _OscPlan) -> np.ndarray:
-    """Oscillatory right inverse of dzb* = -2 dz with phase exp(+2i psi/h)."""
-    return -0.5 * plan.apply_conj(vals)
+def _weights(alpha: np.ndarray, X: VectorField, q, v_at: tuple,
+             vp_at: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """series_weights' V on the window v_at and V' on vp_at (slice pairs):
+    the exponentials run only where they are read."""
+    re2v, re2p = (2.0 * np.real(alpha[at]) for at in (v_at, vp_at))
+    v = 0.5 * factor_potential(X, q).values[v_at] * np.exp(-1j * re2v)
+    return v, -np.exp(1j * re2p)
 
 
-def _neumann_step(vals: np.ndarray, plan: _OscPlan, V: ComplexField,
-                  vp: ComplexField) -> np.ndarray:
-    """T applied to vals through a prepared oscillatory plan."""
-    return _dbar_star_inv(V.values * plan.apply(vp.values * vals), plan)
+def _dbar_star_inv(vals: np.ndarray, apply) -> np.ndarray:
+    """Oscillatory right inverse of dzb* = -2 dz with phase exp(+2i psi/h),
+    through apply, one of an _OscPlan's forms of the dzb inverse."""
+    return -0.5 * np.conj(apply(np.conj(vals)))
+
+
+def _neumann_step(win: np.ndarray, plan: _OscPlan, Vw: np.ndarray,
+                  vpw: np.ndarray) -> np.ndarray:
+    """T on the core window: win, the weights Vw and vpw and the result
+    are all arrays on plan.out."""
+    return _dbar_star_inv(Vw * plan.apply_core(vpw * win), plan.apply_core)
 
 
 def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
@@ -275,11 +293,14 @@ def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
 
     T f = (dzb*-inverse with phase +2i psi/h) [ V x (dzb-inverse with phase
     -2i psi/h)( V' f ) ]; linear in f, zero when V is, and contracting in h
-    at the oscillatory decay rate.
+    at the oscillatory decay rate.  The inner inverse reads f on the whole
+    cutoff window and returns on the core window, where the outer one
+    runs; the result is zero outside the core window.
     """
     grid = _require_padded(f.grid)
     plan = _OscPlan(grid, psi, h, core_radius)
-    return ComplexField(_neumann_step(f.values, plan, V, vp), grid)
+    Vu = V.values[plan.out] * plan.apply(vp.values * f.values)
+    return ComplexField(plan.embed(_dbar_star_inv(Vu, plan.apply_core)), grid)
 
 
 def t_norm_proxy(psi, h: float, V: ComplexField, vp: ComplexField,
@@ -287,7 +308,8 @@ def t_norm_proxy(psi, h: float, V: ComplexField, vp: ComplexField,
                  core_radius: float | None = None) -> float:
     """Operator-norm proxy for the series operator: short power iteration.
 
-    Starts from a seeded random bump-localized field and returns the last
+    Starts from a seeded random bump-localized field on the core window,
+    where the series applies the operator, and returns the last
     norm-growth ratio after the iterates align.
     """
     grid = _require_padded(V.grid)
@@ -297,10 +319,11 @@ def t_norm_proxy(psi, h: float, V: ComplexField, vp: ComplexField,
     f = bump * (rng.standard_normal((grid.n, grid.n))
                 + 1j * rng.standard_normal((grid.n, grid.n)))
     plan = _OscPlan(grid, psi, h, core_radius)
+    f, Vw, vpw = (a[plan.out] for a in (f, V.values, vp.values))
     ratio = 0.0
     nf = _l2(f, grid)
     for _ in range(steps):
-        g = _neumann_step(f, plan, V, vp)
+        g = _neumann_step(f, plan, Vw, vpw)
         ng = _l2(g, grid)
         if ng == 0.0 or nf == 0.0:
             return 0.0
@@ -366,7 +389,7 @@ def _eval_amplitude(amplitude, grid: PaddedGrid) -> np.ndarray:
     elif hasattr(amplitude, "values"):
         vals = amplitude.values.astype(complex)
     else:
-        vals = complex(amplitude) * np.ones((grid.n, grid.n), dtype=complex)
+        vals = np.full((grid.n, grid.n), complex(amplitude))
     vals = _require_finite(vals, grid, "amplitude")
     # interior holomorphy check by local differences (exact on polynomials
     # through degree 4, seam rows excluded)
@@ -389,19 +412,35 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     conservative form) with 4th-order periodic differences, measures the L2
     norm over the eroded core disk, and normalizes by h^-2 times the
     solution's norm there: the natural size of any single second-order
-    term.
+    term.  The differences run only on the disk's bounding box grown by
+    their 2-node reach (wrapping as periodic_fd4 does), with the same
+    per-node arithmetic as on the whole box.
     """
-    qv = np.asarray(q)
-    lap = (periodic_fd4(vals, grid, 0, 2) + periodic_fd4(vals, grid, 1, 2))
-    if conservative:
-        flux = (periodic_fd4(X.c1 * vals, grid, 0, 1)
-                + periodic_fd4(X.c2 * vals, grid, 1, 1))
-        res = -lap - flux + qv * vals
-    else:
-        res = (-lap + X.c1 * periodic_fd4(vals, grid, 0, 1)
-               + X.c2 * periodic_fd4(vals, grid, 1, 1) + qv * vals)
     mask = grid.core_mask(rc - 3.0 * grid.dx)
-    scale = _l2(vals, grid, mask) / h ** 2
+    if not mask.any():
+        raise GridError(f"core radius {rc:.4g} leaves no node to measure "
+                        "the residual on")
+    box = _bounding_slices(mask)
+    grown = np.ix_(*(np.arange(b.start - 2, b.stop + 2) % grid.n
+                     for b in box))
+    mask, v = mask[box], vals[grown]
+    c1, c2 = X.c1[grown], X.c2[grown]
+
+    def fd4(f, axis, order):
+        # f on the grown box, the derivative on the bounding box
+        return _fd4(f[:, 2:-2] if axis == 0 else f[2:-2, :], grid.dx, axis,
+                    order)
+
+    mid = (slice(2, -2), slice(2, -2))
+    qv = np.broadcast_to(np.asarray(q), vals.shape)[box]
+    lap = fd4(v, 0, 2) + fd4(v, 1, 2)
+    if conservative:
+        flux = fd4(c1 * v, 0, 1) + fd4(c2 * v, 1, 1)
+        res = -lap - flux + qv * v[mid]
+    else:
+        res = (-lap + c1[mid] * fd4(v, 0, 1) + c2[mid] * fd4(v, 1, 1)
+               + qv * v[mid])
+    scale = _l2(v[mid], grid, mask) / h ** 2
     return _l2(res, grid, mask) / scale
 
 
@@ -413,11 +452,17 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     Every input runs the same series: the gauge, the weights (V, V') and
     the truncated Neumann series of neumann_T applied to the gauge-weighted
     amplitude, whose 2K + 2 oscillatory transforms share one plan (cutoff,
-    phase, guards and kernels built once per bundle).  Zero drift and
-    potential give an exactly zero gauge, V and series, so r = 0.  If the
-    series terms ever grow instead of decaying, a warning is issued and the
-    sum is truncated at the observed minimum.  A non-finite or nonpositive
-    h, a K that is not a nonnegative integer, and a non-finite q, amplitude
+    phase, guards and kernels built once per bundle).  The first term reads
+    V a on the full box through the plan's input window; every term after
+    it, the sum s and r = -osc(V' s) live on the core window (the bounding
+    box of the core disk, outside which they vanish), with V and V' sliced
+    to it once, and s and r are embedded into the box once.  The residual
+    is measured on the core disk plus the differences' 2-node reach.  Zero
+    drift and potential give an exactly zero gauge, V and series, so r = 0.
+    If the series terms ever grow instead of decaying, a warning is issued
+    and the sum is truncated at the observed minimum.  A non-finite or
+    nonpositive h or core radius, a K that is not a nonnegative integer, a
+    q that is not a finite scalar or box field, and a non-finite amplitude
     or drift raise a GridError before any FFT.
     """
     grid = _require_padded(phase.grid)
@@ -429,21 +474,27 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     if X.grid != grid:
         raise GridError("drift lives on a different grid")
     qv = np.asarray(q)
-    if not np.all(np.isfinite(qv)):
+    if qv.ndim:
+        _require_finite(qv, grid, "q")
+    elif not np.isfinite(qv):
         raise GridError("q: non-finite values")
-    rc = core_radius if core_radius is not None else grid.half / 3.0
+    rc = _core_radius(grid, core_radius)
     a_vals = _eval_amplitude(amplitude, grid)
 
-    alpha, ga = (a.values for a in gauge(X)[:2])
+    alpha, ga = _gauge(X)
     im_max = float(np.max(np.abs(np.imag(alpha))))
     if float(np.min(np.abs(ga))) < np.exp(-im_max) * (1.0 - 1e-12):
         raise GridError("gauge factor fell below its lower bound")
 
-    V, vp = series_weights(alpha, X, qv)
     plan = _OscPlan(grid, phase.psi, h, rc)
-    terms = [-_dbar_star_inv(V.values * a_vals, plan)]
+    # V is read on the input window, V' and every later V on the core window
+    Vin, vpw = _weights(alpha, X, qv, plan.inp, plan.out)
+    Vw = Vin[plan.inner]
+    Va = np.zeros_like(a_vals)
+    Va[plan.inp] = Vin * a_vals[plan.inp]
+    terms = [-_dbar_star_inv(Va, plan.apply)]
     for _ in range(K):
-        terms.append(_neumann_step(terms[-1], plan, V, vp))
+        terms.append(_neumann_step(terms[-1], plan, Vw, vpw))
     norms = [_l2(t, grid) for t in terms]
     k_eff = K
     if any(norms[j + 1] > norms[j] for j in range(K)):
@@ -451,15 +502,18 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
         warnings.warn(
             f"remainder series stopped decreasing; truncating at {k_eff}",
             RuntimeWarning, stacklevel=2)
-    s_vals = sum(terms[:k_eff + 1])
-    r_vals = -plan.apply(vp.values * s_vals)
+    s_win = sum(terms[:k_eff + 1])
+    r_win = plan.apply_core(vpw * s_win)
+    # negated after embedding, so r's zeros outside the window are -0.0 as
+    # in -oscillatory_dbar_inv(V' s)
+    s_vals, r_vals = plan.embed(s_win), -plan.embed(r_win)
 
     v_vals = np.exp(-1j * alpha) * np.exp(phase.values / h) * (a_vals + r_vals)
     res = drift_residual(v_vals, X, qv, h, grid, rc)
     return CGOBundle("holo", phase, float(h), int(K), int(k_eff), float(rc),
                      alpha, a_vals, ComplexField(s_vals, grid),
                      ComplexField(r_vals, grid), ComplexField(v_vals, grid),
-                     res, tuple(norms), _l2(r_vals, grid))
+                     res, tuple(norms), _l2(r_win, grid))
 
 
 def build_cgo_antiholo(phase: PhaseSpec, h: float,

@@ -30,8 +30,11 @@ lengths in nodes along an axis, a circular FFT of any size N >= L_in +
 L_out - 1 reproduces the full-box sum term for term (N is chosen
 2,3,5-smooth); input that vanishes outside the core window is convolved
 from there.  Their per-(box, psi, h, rc) data lives in one _OscPlan,
-which the CGO series builds once per bundle.  Every transform refuses
-non-finite input on the full box before any FFT.
+which the CGO series builds once per bundle; every term of that series
+after the first, its sum and the remainder stay on the core window, and
+only the stored sum and remainder are embedded into the box, once.  Every
+transform refuses non-finite input before any FFT: on the full box for a
+full-box field, on the core window for the series' core-window terms.
 """
 
 from __future__ import annotations
@@ -107,15 +110,25 @@ _C4_1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0     # offsets -2..2
 _C4_2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
-def periodic_fd4(vals: np.ndarray, grid: PaddedGrid, axis: int, order: int) -> np.ndarray:
-    """4th-order central difference with periodic wrap on the padded box."""
+def _fd4(vals: np.ndarray, dx: float, axis: int, order: int) -> np.ndarray:
+    """4th-order central difference at the nodes two or more in from both
+    ends of axis (the output is 4 nodes shorter along it).  Each node sums
+    its terms from offset -2 up, starting from zero, so any window of the
+    same values gives the same bits."""
     coeff = _C4_1 if order == 1 else _C4_2
-    scale = grid.dx ** order
-    out = np.zeros_like(np.asarray(vals, dtype=complex))
+    m = vals.shape[axis] - 4
+    out = np.zeros(vals.shape[:axis] + (m,) + vals.shape[axis + 1:],
+                   dtype=complex)
     for k, c in zip(range(-2, 3), coeff):
         if c != 0.0:
-            out += c * np.roll(vals, -k, axis=axis)
-    return out / scale
+            out += c * vals[(slice(None),) * axis + (slice(2 + k, 2 + k + m),)]
+    return out / dx ** order
+
+
+def periodic_fd4(vals: np.ndarray, grid: PaddedGrid, axis: int, order: int) -> np.ndarray:
+    """4th-order central difference with periodic wrap on the padded box."""
+    pad = [(2, 2) if a == axis else (0, 0) for a in (0, 1)]
+    return _fd4(np.pad(vals, pad, mode="wrap"), grid.dx, axis, order)
 
 
 def _shift(vals, di, dj):
@@ -260,6 +273,14 @@ def _require_h(h) -> None:
         raise GridError(f"h must be positive and finite, got {h}")
 
 
+def _core_radius(grid: PaddedGrid, core_radius) -> float:
+    """The core radius (default half/3), or a GridError unless finite > 0."""
+    rc = grid.half / 3.0 if core_radius is None else core_radius
+    if not (np.isfinite(rc) and rc > 0):
+        raise GridError(f"core radius must be positive and finite, got {rc}")
+    return rc
+
+
 def _support_guard(vals: np.ndarray, cheb: np.ndarray, half: float, what: str):
     # Spectrally differentiated C^2 cutoffs ring at ~1e-6 relative across
     # the whole box; only mass above the leakage tolerance threatens the
@@ -369,14 +390,21 @@ class _OscPlan:
     """The oscillatory inverse for one (box, psi, h, core radius).
 
     Holds what every application shares: the input window (bounding box of
-    the cutoff E's support, inside |x|, |y| < 2 rc), the output window
+    the cutoff E's support, inside |x|, |y| < 2 rc), the core window out
     (bounding box of the core disk, inside |x|, |y| <= rc), the windowed
-    weight exp(-2i psi/h) E, the core mask on the output window and two
-    kernel FFTs: one from the input window and one from the output window
-    to itself, for inputs that vanish outside the core window (every
-    term of the remainder series after the first).  The constructor runs
-    the h and psi checks and the resolution guard on the full box; apply
-    runs the finiteness and support guards on every call.
+    weight exp(-2i psi/h) E, the core mask on the core window and two
+    kernel FFTs: one from the input window to the core window, and one
+    from the core window to itself.  The constructor runs the h, psi and
+    core-radius checks and the resolution guard on the full box.
+
+    Every result lives on the core window, and embed puts one on the box.
+    apply takes a full-box field and checks it for finite values on the
+    whole box first.  apply_core takes a field on the core window and
+    checks it there; apply hands it its input when the weighted input
+    vanishes outside the core window.  The CGO remainder series lives on
+    the core window after its first term: it calls apply_core and embeds
+    s and r into the box once.  Each call runs the support guard once, on
+    the window it convolves.
     """
 
     def __init__(self, grid: PaddedGrid, psi, h: float,
@@ -386,9 +414,7 @@ class _OscPlan:
         _require_h(h)
         psi_vals = _require_finite(psi.values if hasattr(psi, "values") else psi,
                                    grid, "psi")
-        rc = core_radius if core_radius is not None else grid.half / 3.0
-        if not (np.isfinite(rc) and rc > 0):
-            raise GridError(f"core radius must be positive and finite, got {rc}")
+        rc = _core_radius(grid, core_radius)
         core = grid.core_mask(rc)
         if not core.any():
             raise GridError(f"core radius {rc:.4g} holds no node of the box")
@@ -415,30 +441,41 @@ class _OscPlan:
         shape = tuple(_fft_size(a + b - 1) for a, b in zip(n_in, n_out))
         shift = tuple(o.start - i.start for o, i in zip(self.out, self.inp))
         self.khat = _kernel_hat(grid, shape, n_out, shift)
-        # the output window inside the input window, and the rest of it
+        # the core window inside the input window, and the rest of it
         self.inner = tuple(slice(d, d + m) for d, m in zip(shift, n_out))
         self.frame = np.ones(n_in, dtype=bool)
         self.frame[self.inner] = False
+        self.weight_inner = self.weight[self.inner].copy()
+        self.cheb_inner = self.cheb[self.inner]
         self.khat_inner = _kernel_hat(
             grid, tuple(_fft_size(2 * m - 1) for m in n_out), n_out, (0, 0))
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
-        """restrict(cauchy_inverse(exp(-2i psi/h) E vals)) on the full box."""
-        grid = self.grid
-        vals = _require_finite(vals, grid, "oscillatory_dbar_inv")
+        """restrict(cauchy_inverse(exp(-2i psi/h) E vals)) on the core
+        window, for a full-box vals checked finite on the whole box."""
+        vals = _require_finite(vals, self.grid, "oscillatory_dbar_inv")
         w = self.weight * vals[self.inp]
-        _support_guard(w, self.cheb, grid.half, "oscillatory_dbar_inv")
         if w[self.frame].any():
-            conv = _cauchy_conv(w, self.khat, self.core.shape)
-        else:
-            conv = _cauchy_conv(w[self.inner], self.khat_inner, self.core.shape)
-        out = np.zeros((grid.n, grid.n), dtype=complex)
-        out[self.out] = np.where(self.core, conv, 0.0)
-        return out
+            return self._convolve(w, self.cheb, self.khat)
+        return self.apply_core(vals[self.out])
 
-    def apply_conj(self, vals: np.ndarray) -> np.ndarray:
-        """The right inverse of dz with phase exp(+2i psi/h), by conjugation."""
-        return np.conj(self.apply(np.conj(vals)))
+    def apply_core(self, win: np.ndarray) -> np.ndarray:
+        """apply for an input that lives on the core window too."""
+        if not np.all(np.isfinite(win)):
+            raise GridError("oscillatory_dbar_inv: non-finite values")
+        return self._convolve(self.weight_inner * win, self.cheb_inner,
+                              self.khat_inner)
+
+    def _convolve(self, w: np.ndarray, cheb: np.ndarray,
+                  khat: np.ndarray) -> np.ndarray:
+        _support_guard(w, cheb, self.grid.half, "oscillatory_dbar_inv")
+        return np.where(self.core, _cauchy_conv(w, khat, self.core.shape), 0.0)
+
+    def embed(self, win: np.ndarray) -> np.ndarray:
+        """A core-window array on the full box, zero outside the window."""
+        out = np.zeros((self.grid.n, self.grid.n), dtype=complex)
+        out[self.out] = win
+        return out
 
 
 def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
@@ -460,8 +497,8 @@ def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
     rc = 2 the windows are 341 and 171 nodes wide: a 512^2 FFT pair, or
     360^2 for core-supported f, in place of 1024^2.
     """
-    out = _OscPlan(f.grid, psi, h, core_radius).apply(f.values)
-    return ComplexField(out, f.grid)
+    plan = _OscPlan(f.grid, psi, h, core_radius)
+    return ComplexField(plan.embed(plan.apply(f.values)), f.grid)
 
 
 def oscillatory_dbar_inv_conj(f: ComplexField, psi, h: float,
@@ -472,5 +509,6 @@ def oscillatory_dbar_inv_conj(f: ComplexField, psi, h: float,
     Mirrors oscillatory_dbar_inv through the conjugation identity, so the
     pair shares one resolution guard and one cutoff.
     """
-    out = _OscPlan(f.grid, psi, h, core_radius).apply_conj(f.values)
-    return ComplexField(out, f.grid)
+    plan = _OscPlan(f.grid, psi, h, core_radius)
+    return ComplexField(np.conj(plan.embed(plan.apply(np.conj(f.values)))),
+                        f.grid)

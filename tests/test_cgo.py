@@ -15,10 +15,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from malab import cgo
-from malab.complexcalc import (oscillatory_dbar_inv, periodic_fd4,
+from malab.complexcalc import (oscillatory_dbar_inv,
+                               oscillatory_dbar_inv_conj, periodic_fd4,
                                spectral_deriv)
 from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
 from malab.linearize import VectorField
@@ -335,6 +336,92 @@ def test_remainder_rebuilds_bitwise(box, morse_sweep, drift, qpot):
     assert np.array_equal(bundle.r.values, redo)
 
 
+def test_windowed_series_equals_full_box_rebuild(box, morse_sweep, drift,
+                                                qpot):
+    # the series rebuilt on the full box from the public transforms; the
+    # bundle runs every term after the first on the core window and embeds
+    # s and r once, with the same arithmetic at every node
+    bundle = morse_sweep[0.283]
+    psi, h, rc = bundle.phase.psi, bundle.h, bundle.core_radius
+    V, vp = (w.values for w in cgo.series_weights(bundle.alpha, drift, qpot))
+
+    def osc(vals):
+        return oscillatory_dbar_inv(ComplexField(vals, box), psi, h, rc).values
+
+    def osc_star(vals):
+        return -0.5 * oscillatory_dbar_inv_conj(ComplexField(vals, box), psi,
+                                                h, rc).values
+
+    terms = [-osc_star(V * bundle.amplitude)]
+    for _ in range(bundle.K):
+        terms.append(osc_star(osc(vp * terms[-1]) * V))
+    s = sum(terms[:bundle.K_effective + 1])
+    r = -osc(vp * s)
+    assert s.tobytes() == bundle.s.values.tobytes()
+    assert r.tobytes() == bundle.r.values.tobytes()
+
+
+_C4 = {1: np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0,
+       2: np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0}
+
+
+def _roll_fd4(vals, dx, axis, order):
+    """The full-box np.roll form of the 4th-order periodic difference."""
+    out = np.zeros(np.shape(vals), dtype=complex)
+    for k, c in zip(range(-2, 3), _C4[order]):
+        if c != 0.0:
+            out += c * np.roll(vals, -k, axis=axis)
+    return out / dx ** order
+
+
+def _roll_residual(vals, X, q, h, grid, rc, conservative):
+    """drift_residual evaluated on the full box with np.roll differences."""
+    d = lambda f, axis, order: _roll_fd4(f, grid.dx, axis, order)
+    lap = d(vals, 0, 2) + d(vals, 1, 2)
+    if conservative:
+        res = -lap - (d(X.c1 * vals, 0, 1) + d(X.c2 * vals, 1, 1)) + q * vals
+    else:
+        res = (-lap + X.c1 * d(vals, 0, 1) + X.c2 * d(vals, 1, 1)
+               + q * vals)
+    mask = grid.core_mask(rc - 3.0 * grid.dx)
+    return (l2(grid, np.where(mask, res, 0.0))
+            / (l2(grid, np.where(mask, vals, 0.0)) / h ** 2))
+
+
+def test_drift_residual_matches_the_full_box_formula(box, morse_sweep, drift,
+                                                     qpot):
+    for conservative in (False, True):
+        for h in (0.4, 0.141):
+            b = morse_sweep[h]
+            want = _roll_residual(b.v.values, drift, qpot, h, box,
+                                  b.core_radius, conservative)
+            got = cgo.drift_residual(b.v.values, drift, qpot, h, box,
+                                     b.core_radius, conservative)
+            assert abs(got - want) <= 1e-14 * want
+    # a core radius whose measurement box, grown by 2 nodes, wraps around
+    # the seam (rc - 3 dx = 2.92 reaches the second node from the edge)
+    small = PaddedGrid(half=3.0, n=64)
+    rng = np.random.default_rng(3)
+    vals, c1, c2, q = (rng.standard_normal((64, 64)) for _ in range(4))
+    vals = vals + 1j * rng.standard_normal((64, 64))
+    X = VectorField(c1, c2, small)
+    for conservative in (False, True):
+        want = _roll_residual(vals, X, q, 0.3, small, 3.2, conservative)
+        got = cgo.drift_residual(vals, X, q, 0.3, small, 3.2, conservative)
+        assert abs(got - want) <= 1e-14 * want
+    # odd n: the origin is not a node, so a measurement radius of 0 holds none
+    odd = PaddedGrid(half=3.0, n=63)
+    ones = np.ones((63, 63))
+    with pytest.raises(GridError, match="no node to measure"):
+        cgo.drift_residual(ones, VectorField(ones, ones, odd), 0.0, 0.3, odd,
+                           3.0 * odd.dx)
+    # periodic_fd4 is the sliced kernel on a wrap-padded array, node for node
+    for axis in (0, 1):
+        for order in (1, 2):
+            assert np.array_equal(periodic_fd4(vals, small, axis, order),
+                                  _roll_fd4(vals, small.dx, axis, order))
+
+
 def test_series_decay_recorded(morse_sweep):
     norms = morse_sweep[0.283].term_norms
     assert len(norms) == 7
@@ -403,16 +490,20 @@ def _bad_inputs(small: PaddedGrid):
 
     # nodes with |x| > 4, the start of the 6 / 3 wraparound margin
     rim = st.one_of(st.integers(0, 10), st.integers(54, n - 1))
+    not_positive = st.one_of(bad_value, st.floats(max_value=0.0))
     return {
         "h must be positive": st.fixed_dictionaries({
-            "h": st.one_of(bad_value, st.floats(max_value=0.0)),
-            "drift": st.sampled_from([None, ok])}),
+            "h": not_positive, "drift": st.sampled_from([None, ok])}),
+        "core radius must be positive": st.fixed_dictionaries({
+            "core_radius": not_positive, "drift": st.sampled_from([None, ok])}),
         "series depth": st.fixed_dictionaries({
             "K": st.one_of(st.integers(max_value=-1), st.floats(),
                            st.just(1.5))}),
         "q: non-finite": st.builds(
             lambda ij, v: {"q": poisoned(ij, v, 0.25 * bump)}, node,
             bad_value),
+        "q: shape": st.builds(lambda m: {"q": np.full((m, m), 0.1)},
+                              st.sampled_from([1, n // 2, n + 1])),
         "amplitude: non-finite": st.builds(
             lambda ij, v: {"amplitude": ComplexField(
                 poisoned(ij, v, np.ones((n, n), dtype=complex)), small)},
@@ -436,14 +527,42 @@ def _no_fft(*args, **kwargs):
 @given(data=st.data())
 def test_bad_inputs_fail_before_any_fft(data):
     phase = cgo.phase_spec((0.0, 0.0, -0.25), _SMALL)
-    # an infinite drift turns NaN in the gauge source, which its guard names
-    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+    # every guard fires before numpy could warn about the bad value
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         mp.setattr(np.fft, "fft2", _no_fft)
         mp.setattr(np.fft, "ifft2", _no_fft)
         for message, inputs in _BAD.items():
             kw = {"h": 0.4, "drift": None, **data.draw(inputs, label=message)}
             with pytest.raises(GridError, match=message):
                 cgo.build_cgo_holo(phase, **kw)
+
+
+# K = 0 and 1 are out of range by design: at the strongest corner they leave
+# residuals of 3.2e-3 and 2.7e-4; K >= 2 gives at most 3.8e-5
+@settings(max_examples=7)
+@example(h=0.4, K=2, a1=1.0, a2=0.75, q0=0.35, cx=0.15, cy=-0.15)
+@given(h=st.floats(0.141, 0.4), K=st.integers(2, 6),
+       a1=st.floats(0.6, 1.0), a2=st.floats(0.45, 0.75),
+       q0=st.floats(0.15, 0.35), cx=st.floats(-0.15, 0.15),
+       cy=st.floats(-0.15, 0.15))
+def test_in_range_bundles_solve_or_name_the_fault(box, coords, h, K, a1, a2,
+                                                  q0, cx, cy):
+    # the cgo-sweep ranges: a finite bundle with a small residual, or a
+    # GridError that names its cause
+    X, Y, r2 = coords
+    bump = np.exp(-r2 / 0.6)
+    drift = VectorField(a1 * bump * np.cos(1.3 * X + 0.4 * Y),
+                        -a2 * bump * np.sin(0.9 * Y - 0.2 * X), box)
+    phase = cgo.phase_spec((0.0, 0.0, -0.25), box, complex(cx, cy))
+    try:
+        b = cgo.build_cgo_holo(phase, h, drift, q=q0 * np.exp(-r2 / 0.7), K=K)
+    except GridError as err:
+        assert str(err)
+        return
+    for field in (b.v, b.r, b.s):
+        assert np.all(np.isfinite(field.values))
+    assert b.residual <= 1e-4
 
 
 def test_import_loads_no_domain_solver():

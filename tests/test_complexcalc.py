@@ -298,6 +298,11 @@ def test_windowed_oscillatory_matches_full_box(half, n, rc, h):
         plan = _OscPlan(g, psi, h)
         assert plan.khat.shape == (512, 512)
         assert plan.khat_inner.shape == (360, 360)
+        # the core-window form guards its own window
+        win = np.where(core, f, 0.0)[plan.out]
+        win[3, 5] = np.nan
+        with pytest.raises(GridError, match="non-finite"):
+            plan.apply_core(win)
 
 
 def test_oscillatory_wide_core_hits_wraparound_guard():
