@@ -73,6 +73,16 @@ def _l2(vals: np.ndarray, grid: PaddedGrid, where=None) -> float:
     return float(np.sqrt(np.real(grid.quadrature(v2))))
 
 
+def _measurement_disk(grid: PaddedGrid, rc: float) -> np.ndarray:
+    """The core disk less the 3-node reach of the 4th-order differences,
+    or a GridError if that holds no node."""
+    mask = grid.core_mask(max(rc - 3.0 * grid.dx, 0.0))
+    if rc <= 3.0 * grid.dx or not mask.any():
+        raise GridError(f"core radius {rc:.4g} leaves no node to measure "
+                        "the residual on")
+    return mask
+
+
 def _require_padded(grid) -> PaddedGrid:
     if not isinstance(grid, PaddedGrid):
         raise GridError("CGO machinery needs a padded periodic box")
@@ -416,10 +426,7 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     their 2-node reach (wrapping as periodic_fd4 does), with the same
     per-node arithmetic as on the whole box.
     """
-    mask = grid.core_mask(rc - 3.0 * grid.dx)
-    if not mask.any():
-        raise GridError(f"core radius {rc:.4g} leaves no node to measure "
-                        "the residual on")
+    mask = _measurement_disk(grid, rc)
     box = _bounding_slices(mask)
     grown = np.ix_(*(np.arange(b.start - 2, b.stop + 2) % grid.n
                      for b in box))
@@ -461,9 +468,10 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     drift and potential give an exactly zero gauge, V and series, so r = 0.
     If the series terms ever grow instead of decaying, a warning is issued
     and the sum is truncated at the observed minimum.  A non-finite or
-    nonpositive h or core radius, a K that is not a nonnegative integer, a
-    q that is not a finite scalar or box field, and a non-finite amplitude
-    or drift raise a GridError before any FFT.
+    nonpositive h or core radius, one whose measurement disk holds no node,
+    a K that is not a nonnegative integer, a q that is not a finite scalar
+    or box field, and a non-finite amplitude or drift raise a GridError
+    before any FFT.
     """
     grid = _require_padded(phase.grid)
     _require_h(h)
@@ -479,6 +487,7 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     elif not np.isfinite(qv):
         raise GridError("q: non-finite values")
     rc = _core_radius(grid, core_radius)
+    _measurement_disk(grid, rc)
     a_vals = _eval_amplitude(amplitude, grid)
 
     alpha, ga = _gauge(X)
@@ -611,14 +620,15 @@ def cz_diagnostic(bundle: CGOBundle, eps: float = 0.1) -> float:
     when the remainder obeys the expected Calderon-Zygmund bounds.
     """
     grid = bundle.r.grid
+    rc = bundle.core_radius
+    disk = _measurement_disk(grid, rc)
     rv = bundle.r.values
     rxx = periodic_fd4(rv, grid, 0, 2)
     ryy = periodic_fd4(rv, grid, 1, 2)
     rxy = periodic_fd4(periodic_fd4(rv, grid, 0, 1), grid, 1, 1)
     XX, YY = grid.meshgrid()
     r2 = XX * XX + YY * YY
-    rc = bundle.core_radius
-    bump = np.exp(-4.0 * r2 / rc ** 2) * grid.core_mask(rc - 3.0 * grid.dx)
+    bump = np.exp(-4.0 * r2 / rc ** 2) * disk
     mass = np.sqrt(np.abs(rxx) ** 2 + 2.0 * np.abs(rxy) ** 2
                    + np.abs(ryy) ** 2)
     return _l2(bump * mass, grid) * bundle.h ** (0.5 - eps)

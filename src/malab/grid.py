@@ -304,10 +304,17 @@ def _adopt_orphans(weights_ext, mask):
 
 @dataclass(frozen=True)
 class PaddedGrid:
-    """Uniform periodic grid on [-half, half)^2 for FFT transforms."""
+    """Uniform periodic grid on [-half, half)^2 for FFT transforms; half
+    is positive and finite, n an integer >= 16 (build_ellipse's floor)."""
 
     half: float
     n: int
+
+    def __post_init__(self):
+        if not (np.isfinite(self.half) and self.half > 0
+                and isinstance(self.n, numbers.Integral) and self.n >= 16):
+            raise GridError("box needs a positive finite half and an integer "
+                            f"n >= 16, got half={self.half}, n={self.n!r}")
 
     @property
     def dx(self) -> float:
@@ -326,6 +333,8 @@ class PaddedGrid:
         return X + 1j * Y
 
     def core_mask(self, radius: float) -> np.ndarray:
+        if not radius >= 0.0:
+            raise GridError(f"core radius must be non-negative, got {radius}")
         X, Y = self.meshgrid()
         return X * X + Y * Y <= radius * radius
 

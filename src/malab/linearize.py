@@ -8,17 +8,14 @@ linearization solves g^{ab} d_ab v = 0 with the perturbation's boundary
 data; the second linearization solves g^{ab} d_ab w = tr(G V1 G V2) with
 zero data, where V_k are the Hessians of first-order solutions and G the
 coefficient matrix; the adjoint problem carries the drift in divergence
-form. One list of coefficients, one per stencil operator of `maforward`,
-gives both halves of a system: the matrix A on the interior values and
-the boundary matrix G_A on the crossing values of the data, so every row
-reads A v + G_A phi = f, with f = 0 on the interpolation rows. Linear
-systems go through the sparse-LU layer of `maforward`, split per metric:
-the system is assembled and factored once, and every right side of that
-metric is solved against the one factorization (nondiv_solve_many takes a
-block of boundary data as one block G_A Phi). Every column must meet the
-residual bound ||A v - b|| <= rtol ||b|| and agree with the divergence-
-form assembly of the same equation, or the solve raises
-LinearSolveFailure.
+form. Every system is assembled by `maforward.StencilOps.system`, the
+assembler the Newton Jacobian uses too, and goes through the sparse-LU
+layer of `maforward`, split per metric: the system is assembled and
+factored once, and every right side of that metric is solved against the
+one factorization (nondiv_solve_many takes a block of boundary data as
+one block). Every column must meet the residual bound
+||A v - b|| <= rtol ||b|| and agree with the divergence-form assembly of
+the same equation, or the solve raises LinearSolveFailure.
 """
 
 from __future__ import annotations
@@ -227,32 +224,12 @@ def _coeffs_at_nodes(g: MetricField):
     return a11, a12, a22
 
 
-def _nondiv_system(ops: StencilOps, a11, a12, a22, X1=None, X2=None, c0=None,
-                   *, boundary: bool = True):
-    """(A, G_A) of a11 d_11 + 2 a12 d_12 + a22 d_22 [+ X1 d_1 + X2 d_2 + c0].
-
-    Every row reads A v + G_A phi = f for crossing values phi, with f = 0
-    on the interpolation rows; boundary=False leaves G_A out (None).
-    """
-    terms = [(a11, ops.L11, ops.G11), (2.0 * a12, ops.L12, ops.G12),
-             (a22, ops.L22, ops.G22)]
-    if X1 is not None:
-        terms += [(X1, ops.L1, ops.G1), (X2, ops.L2, ops.G2)]
-    # R and GR hold the interpolation rows, which no term touches
-    A = sum((sp.diags(c) @ L for c, L, _ in terms), ops.R)
-    if c0 is not None:
-        A = A + sp.diags(np.where(ops.pde, c0, 0.0))
-    if not boundary:
-        return A, None
-    return A, sum((sp.diags(c) @ G for c, _, G in terms), ops.GR)
-
-
-def _interior_source(ops: StencilOps, f) -> np.ndarray:
-    """f (default 0) on the PDE rows of the interior numbering, 0 on the
-    interpolation rows."""
-    if f is None:
-        return np.zeros(ops.N)
-    return np.where(ops.pde, lattice_values(f, ops.grid)[ops.grid.mask], 0.0)
+def _rhs(ops: StencilOps, G, Phi: np.ndarray, f) -> np.ndarray:
+    """f - G Phi for crossing values Phi (a vector or a block of columns),
+    with f (default 0) on the PDE rows and 0 on the interpolation rows."""
+    fvec = np.zeros(ops.N) if f is None else np.where(
+        ops.pde, lattice_values(f, ops.grid)[ops.grid.mask], 0.0)
+    return (fvec if Phi.ndim == 1 else fvec[:, None]) - G @ Phi
 
 
 def nondiv_solve_many(g: MetricField, datas, f=None, *,
@@ -271,14 +248,13 @@ def nondiv_solve_many(g: MetricField, datas, f=None, *,
         raise GridError("nondiv_solve expects a domain grid")
     coeffs = _coeffs_at_nodes(g)
     ops = build_stencil_ops(grid)
-    fvec = _interior_source(ops, f)
     Phi = np.column_stack([ops.crossing_values(phi) for phi in datas])
-    A, G = _nondiv_system(ops, *coeffs)
-    rhs = fvec[:, None] - G @ Phi
+    A, G = ops.system(*coeffs)
+    rhs = _rhs(ops, G, Phi, f)
     V = SparseLU(A).solve(rhs, rtol)
 
     w = _volume_weight(g, grid.mask)[grid.mask]
-    B, _ = _nondiv_system(ops, *(w * a for a in coeffs), boundary=False)
+    B, _ = ops.system(*(w * a for a in coeffs))
     B = sp.diags(np.where(ops.pde, 1.0 / w, 1.0)) @ B
     scale = np.max(np.abs(rhs), axis=0) + 1.0
     resA = np.max(np.abs(A @ V - rhs), axis=0)
@@ -316,7 +292,6 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
         raise GridError("adjoint_solve expects a domain grid")
     a11, a12, a22 = _coeffs_at_nodes(g)
     ops = build_stencil_ops(grid)
-    fvec = _interior_source(ops, f)
     phic = ops.crossing_values(phi_star)
     Xg = drift_field(g)
     w = _volume_weight(g, grid.mask)
@@ -328,8 +303,9 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
     if not (np.all(np.isfinite(X1)) and np.all(np.isfinite(X2))
             and np.all(np.isfinite(c0))):
         raise GridError("drift has non-finite entries on the domain")
-    A, G = _nondiv_system(ops, a11, a12, a22, X1, X2, c0)
-    v = SparseLU(A).solve(fvec - G @ phic, rtol)
+    A, G = ops.system(a11, a12, a22, X1, X2, c0)
+    rhs = _rhs(ops, G, phic, f)
+    v = SparseLU(A).solve(rhs, rtol)
     return ScalarField(ops.scatter(v), grid)
 
 

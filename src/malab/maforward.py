@@ -11,27 +11,30 @@ rows instead of PDE rows, which keeps every matrix row bounded.
 The Dirichlet data enter through one vector per grid, their values at the
 boundary crossings that some stencil row reads (StencilOps.crossing_values;
 ring_values gives them on the boundary ring). Each operator is a pair of
-sparse matrices, L on the interior values and G on the crossing values, so
-every row of a system reads A u + G_A phi = f, with f = 0 on the
-interpolation rows.
+sparse matrices, L on the interior values and G on the crossing values, and
+StencilOps.system is the one assembler that turns coefficients into a
+system (A, G_A), each row reading A u + G_A phi = f (f = 0 on the
+interpolation rows): the Newton Jacobian, the Laplacian, and every solve
+of `linearize`.
 
 The Newton step solves cof(D^2 u) : D^2 delta = F - det D^2 u with zero
-boundary data, damped by backtracking under a convexity guard. Each solve
-factors the Laplacian L11 + L22 + R once (sparse LU); that factorization
-gives the Poisson initial guess and preconditions GMRES on every Newton
-Jacobian, which is inexact Newton with the forcing term
-eta = min(0.1, 0.1 * max|res|) (Eisenstat and Walker, SIAM J. Sci. Comput.
-17, 1996). A step whose GMRES solve misses eta still has to pass the line
-search; if it runs out of damping, the step is solved again once with a
-sparse LU of the Jacobian and the line search restarts from a full step
-(MASolution.lu_steps records where). The same layer, SparseLU, solves
-the linearized systems of `linearize` and `dnmap`: one factorization per
-matrix, any number of right sides, and a residual check on every column.
-No factorization is kept beyond the call that made it. Only the stencil
-operators outlive a call: build_stencil_ops is a functools.lru_cache
-keyed by the grid, so it keeps the four grids used last and an equal grid
-built twice hits. Their arrays are read-only, so no caller can change
-what another is handed.
+boundary data, damped by backtracking under a convexity guard. As
+cof(D^2 u) = F (D^2 u)^{-1} at a solution, the Jacobian is F times the
+linearized operator of `linearize`. Each solve factors the Laplacian
+L11 + L22 + R once (sparse LU); that factorization gives the Poisson
+initial guess and preconditions GMRES on every Newton Jacobian, which is
+inexact Newton with the forcing term eta = min(0.1, 0.1 * max|res|)
+(Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996). A step whose GMRES
+solve misses eta still has to pass the line search; if it runs out of
+damping, the step is solved again once with a sparse LU of the Jacobian
+and the line search restarts from a full step (its MASolution.log row
+says so). The same layer, SparseLU, solves the linearized systems of
+`linearize` and `dnmap`: one factorization per matrix, any number of
+right sides, and a residual check on every column. No factorization is
+kept beyond the call that made it. Only the stencil operators outlive a
+call: build_stencil_ops is a functools.lru_cache keyed by the grid, so it
+keeps the four grids used last and an equal grid built twice hits. Their
+arrays are read-only, so no caller can change what another is handed.
 """
 
 from __future__ import annotations
@@ -78,14 +81,13 @@ KRYLOV_CYCLES = 2
 
 
 class NewtonFailure(RuntimeError):
-    """Newton iteration failed; carries the iteration log, the GMRES
-    iteration count of every step taken and the LU-retried iterations."""
+    """Newton iteration failed; carries the log, rows as in MASolution.log
+    (iter, residual, damping, min_eig, gmres_iters, lu_redone), the last
+    one the rejected step if the damping ran out."""
 
-    def __init__(self, msg: str, log, krylov_iters=(), lu_steps=()):
+    def __init__(self, msg: str, log):
         super().__init__(msg)
         self.log = log
-        self.krylov_iters = list(krylov_iters)
-        self.lu_steps = list(lu_steps)
 
 
 class LinearSolveFailure(RuntimeError):
@@ -152,8 +154,9 @@ def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
     its image (x/a, y/b) on the unit disk (DomainGrid.param_angle), and
     off-node evaluation is the trigonometric interpolant in t of the
     grid's ring calculus (grid._ring_modes, grid._ring_eval), exact for
-    band-limited data. Any other type, a trace from another grid, or a
-    non-finite value is a GridError.
+    band-limited data. Any other type, a trace from another grid, a
+    callable whose result is not real or does not broadcast to the
+    points, or a non-finite value is a GridError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -164,7 +167,14 @@ def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
             raise GridError("boundary trace lives on a different grid")
         out = _ring_eval(_ring_modes(data.values), grid.param_angle(x, y))
     elif callable(data):
-        out = np.asarray(data(x, y), dtype=float) + np.zeros_like(x)
+        val = np.asarray(data(x, y))
+        try:
+            out = np.broadcast_to(val, x.shape).astype(
+                float, casting="same_kind")
+        except (TypeError, ValueError):
+            raise GridError(
+                f"boundary data callable returned {val.dtype} values of shape "
+                f"{val.shape} for points of shape {x.shape}") from None
     elif isinstance(data, numbers.Real):
         out = np.full_like(x, float(data))
     else:
@@ -239,6 +249,24 @@ class StencilOps:
     def crossing_values(self, data) -> np.ndarray:
         """The data at the crossing points: the vector every G acts on."""
         return eval_boundary_data(self.grid, data, self.qx, self.qy)
+
+    def system(self, a11, a12, a22, X1=None, X2=None, c0=None):
+        """(A, G_A) of a11 d_11 + 2 a12 d_12 + a22 d_22 [+ X1 d_1 + X2 d_2
+        + c0], coefficients scalar or on the interior numbering, summed in
+        the order L11, L22, L12, drift, then R/GR (the interpolation rows,
+        which no term touches), then c0."""
+        terms = [(a11, self.L11, self.G11), (a22, self.L22, self.G22),
+                 (2.0 * a12, self.L12, self.G12)]
+        if X1 is not None:
+            terms += [(X1, self.L1, self.G1), (X2, self.L2, self.G2)]
+        def scaled(c, M):                   # diag(c) @ M
+            return c * M if np.ndim(c) == 0 else sp.diags(c) @ M
+        LA = [scaled(c, L) for c, L, _ in terms]
+        GA = [scaled(c, G) for c, _, G in terms]
+        A = sum(LA[1:], LA[0]) + self.R
+        if c0 is not None:
+            A = A + sp.diags(np.where(self.pde, c0, 0.0))
+        return A, sum(GA[1:], GA[0]) + self.GR
 
 
 def _csr(parts, shape) -> sp.csr_matrix:
@@ -355,17 +383,13 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
 # Poisson initialization
 
 
-def _laplacian(ops: StencilOps) -> SparseLU:
-    return SparseLU(ops.L11 + ops.L22 + ops.R)
-
-
-def _poisson_rhs(ops: StencilOps, Fvec: np.ndarray, phi: np.ndarray):
-    """Right side of (L11 + L22 + R) u = 2 sqrt(F) for crossing values phi."""
-    rhs = np.where(ops.pde, 2.0 * np.sqrt(Fvec), 0.0)
-    rhs -= ops.G11 @ phi
-    rhs -= ops.G22 @ phi
-    rhs -= ops.GR @ phi
-    return rhs
+def _poisson(ops: StencilOps, Fvec: np.ndarray, phi: np.ndarray):
+    """The factored Laplacian L11 + L22 + R and the solution of
+    Laplace u = 2 sqrt(F) for crossing values phi."""
+    A, G = ops.system(1.0, 0.0, 1.0)
+    lap = SparseLU(A)
+    rhs = np.where(ops.pde, 2.0 * np.sqrt(Fvec), 0.0) - G @ phi
+    return lap, lap.solve(rhs)
 
 
 def poisson_init(grid: DomainGrid, F: np.ndarray, data) -> np.ndarray:
@@ -377,9 +401,8 @@ def poisson_init(grid: DomainGrid, F: np.ndarray, data) -> np.ndarray:
     its Newton steps.
     """
     ops = build_stencil_ops(grid)
-    rhs = _poisson_rhs(ops, lattice_values(F, grid)[grid.mask],
-                       ops.crossing_values(data))
-    return _laplacian(ops).solve(rhs)
+    return _poisson(ops, lattice_values(F, grid)[grid.mask],
+                    ops.crossing_values(data))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +411,21 @@ def poisson_init(grid: DomainGrid, F: np.ndarray, data) -> np.ndarray:
 
 @dataclass
 class MASolution:
-    """Solution of det D^2 u = F with its Newton iteration record."""
+    """Solution of det D^2 u = F with its Newton iteration record.
+
+    log has one row (iter, residual, damping, min_eig, gmres_iters,
+    lu_redone) per iterate: the residual max norm and least Hessian
+    eigenvalue there, and the damping, GMRES count and LU redo of the step
+    that reached it; row 0, the Poisson guess, reads 1.0, 0 and False.
+    """
 
     u: ScalarField
     F: ScalarField
     phi: BoundaryTrace
-    log: list = field(default_factory=list)   # (iter, residual, damping, min_eig)
+    log: list = field(default_factory=list)
     convex: bool = False
     data_norm: float = 0.0
     admissible: bool = True
-    krylov_iters: list = field(default_factory=list)   # GMRES per step
-    lu_steps: list = field(default_factory=list)   # iterations redone by LU
 
 
 def stencil_hessian(ops: StencilOps, U: np.ndarray, phi: np.ndarray):
@@ -450,69 +477,63 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
     phic = ops.crossing_values(phi)
     norm_phi = data_norm_surrogate(grid, phi)
 
-    lap = _laplacian(ops)
-    U = lap.solve(_poisson_rhs(ops, Fvec, phic))
+    lap, U = _poisson(ops, Fvec, phic)
     precond = spla.LinearOperator((ops.N, ops.N), matvec=lap.solve)
     pde = ops.pde
     Ftarget = tol * float(np.max(np.abs(Fvec)))
 
-    log, krylov, lu_steps = [], [], []
-    h11, h22, h12 = stencil_hessian(ops, U, phic)
-    res = np.where(pde, h11 * h22 - h12 ** 2 - Fvec, 0.0)
-    rnorm = float(np.max(np.abs(res)))
-    lam_min = _min_eig(h11, h22, h12, pde)
-    log.append((0, rnorm, 1.0, lam_min))
+    def state(U):
+        """Stencil Hessian, residual, its max norm and the min eigenvalue."""
+        h = stencil_hessian(ops, U, phic)
+        res = np.where(pde, h[0] * h[1] - h[2] ** 2 - Fvec, 0.0)
+        return h, res, float(np.max(np.abs(res))), _min_eig(*h, pde)
+
+    (h11, h22, h12), res, rnorm, lam_min = state(U)
+    log = [(0, rnorm, 1.0, lam_min, 0, False)]
 
     for it in range(1, max_iter + 1):
         if rnorm <= Ftarget:
             break
-        J = (sp.diags(h22) @ ops.L11 + sp.diags(h11) @ ops.L22
-             - 2.0 * sp.diags(h12) @ ops.L12 + ops.R).tocsr()
+        J, _ = ops.system(h22, -h12, h11)
         count = []
         step, info = spla.gmres(J, -res, M=precond,
                                 rtol=min(0.1, 0.1 * rnorm), atol=0.0,
                                 restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES,
                                 callback=count.append, callback_type="pr_norm")
-        krylov.append(len(count))
-
-        lam = 1.0
+        lam, redone = 1.0, False
         while True:
             Ut = U + lam * step
-            t11, t22, t12 = stencil_hessian(ops, Ut, phic)
-            rt = np.where(pde, t11 * t22 - t12 ** 2 - Fvec, 0.0)
-            rn = float(np.max(np.abs(rt)))
-            le = _min_eig(t11, t22, t12, pde)
+            ht, rt, rn, le = state(Ut)
             if le > 0.0 and rn <= (1.0 - 1e-4 * lam) * rnorm:
                 break
             lam *= 0.5
             if lam < damping_min and info != 0:
                 # the Krylov solve missed eta: redo the step exactly, once
                 step, info, lam = SparseLU(J).solve(-res), 0, 1.0
-                lu_steps.append(it)
+                redone = True
             elif lam < damping_min:
-                log.append((it, rn, lam, le))
+                log.append((it, rn, lam, le, len(count), redone))
                 lost = (f"convexity lost (min eigenvalue {le:.3e})"
                         if le <= 0.0 else "descent lost")
-                if it in lu_steps:
+                if redone:
                     lost += " on the LU-retried step"
                 raise NewtonFailure(
                     f"damping exhausted at iteration {it}: {lost}; "
-                    f"residual {rnorm:.3e}", log, krylov, lu_steps)
-        U, h11, h22, h12, res, rnorm = Ut, t11, t22, t12, rt, rn
-        log.append((it, rnorm, lam, le))
+                    f"residual {rnorm:.3e}", log)
+        U, (h11, h22, h12), res, rnorm, lam_min = Ut, ht, rt, rn, le
+        log.append((it, rnorm, lam, lam_min, len(count), redone))
     else:
         raise NewtonFailure(
             f"no convergence in {max_iter} iterations; residual {rnorm:.3e}",
-            log, krylov, lu_steps)
+            log)
 
     detH = h11 * h22 - h12 ** 2
-    convex = (_min_eig(h11, h22, h12, pde) > 0.0
+    convex = (lam_min > 0.0
               and float(np.min(detH[pde])) >= 0.5 * float(np.min(Fvec)))
     return MASolution(
         u=ScalarField(ops.scatter(U), grid), F=ScalarField(Fv.copy(), grid),
         phi=BoundaryTrace(ring_values(grid, phi), grid), log=log,
-        convex=convex, data_norm=norm_phi, admissible=norm_phi <= delta,
-        krylov_iters=krylov, lu_steps=lu_steps)
+        convex=convex, data_norm=norm_phi, admissible=norm_phi <= delta)
 
 
 def solve_ma_zero(F, grid: DomainGrid | None = None, **opts) -> MASolution:

@@ -496,6 +496,11 @@ def _bad_inputs(small: PaddedGrid):
             "h": not_positive, "drift": st.sampled_from([None, ok])}),
         "core radius must be positive": st.fixed_dictionaries({
             "core_radius": not_positive, "drift": st.sampled_from([None, ok])}),
+        # the 3-node erosion of the measurement disk leaves no node: the
+        # residual used to be measured on the disk of radius 3 dx - rc
+        "no node to measure": st.fixed_dictionaries({
+            "core_radius": st.floats(0.0, 3.0 * small.dx,
+                                     exclude_min=True)}),
         "series depth": st.fixed_dictionaries({
             "K": st.one_of(st.integers(max_value=-1), st.floats(),
                            st.just(1.5))}),

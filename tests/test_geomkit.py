@@ -501,7 +501,7 @@ def test_transform_check_accepts_a_constant_callable():
 def test_transform_check_rotated_harmonic():
     grid = build_disk(n=64)
     X, Y = grid.meshgrid()
-    R, _ = _rotation(box(n=8), 0.3)
+    R, _ = _rotation(box(n=16), 0.3)
     d1 = (R[0, 0] - 1) * X + R[0, 1] * Y
     d2 = R[1, 0] * X + (R[1, 1] - 1) * Y
     J = DiffeoField(np.where(grid.mask, d1, 0.0),

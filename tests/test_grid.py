@@ -435,3 +435,26 @@ def test_lattice_values_accepts_the_documented_inputs():
 def test_lattice_values_rejects_with_a_named_cause(value, msg):
     with pytest.raises(GridError, match=msg):
         lattice_values(value, build_disk(1.0, 48))
+
+
+@pytest.mark.parametrize("half, n, msg", [
+    (np.nan, 64, "half=nan"),       # used to give NaN Cauchy transforms
+    (np.inf, 64, "half=inf"),
+    (-3.0, 64, "half=-3.0"),        # used to give dx < 0
+    (0.0, 64, "half=0.0"),
+    (3.0, 0, "n=0"),                # used to raise ZeroDivisionError
+    (3.0, 15, "n=15"),
+    (3.0, 64.0, "n=64.0"),
+    (3.0, None, "n=None"),
+])
+def test_padded_grid_rejects_invalid_sizes(half, n, msg):
+    with pytest.raises(GridError, match=msg):
+        PaddedGrid(half=half, n=n)
+
+
+def test_padded_grid_floor_odd_sizes_and_core_radius():
+    assert PaddedGrid(half=3.0, n=16).dx == 0.375
+    odd = PaddedGrid(half=3.0, n=np.int64(63))
+    assert odd.core_mask(0.0).sum() == 0 and odd.core_mask(odd.dx).sum() == 4
+    with pytest.raises(GridError, match="non-negative"):
+        odd.core_mask(-odd.dx)      # used to select the disk of radius dx

@@ -11,10 +11,12 @@ extrapolation.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from malab.grid import (GridError, MetricField, ScalarField, build_disk,
                         build_ellipse, quadrature)
-from malab.maforward import solve_ma, solve_ma_zero
+from malab.maforward import (build_stencil_ops, solve_ma, solve_ma_zero,
+                             stencil_hessian)
 from malab.complexcalc import deriv
 from malab.linearize import (LinearSolveFailure, VectorField, adjoint_solve,
                              divergence_form_apply, drift_field,
@@ -165,6 +167,25 @@ def test_second_solve_constant_argument_gives_zero():
     w = second_solve(met, drift_field(met), ones, v2, 1.0,
                      lambda x, y: 2.0 * x * y)
     assert np.abs(w.values[g.mask]).max() < 1e-8
+
+
+def test_newton_jacobian_is_F_times_the_linearized_operator():
+    # cof(D^2 u) = det(D^2 u) (D^2 u)^{-1}, and det D^2 u = F at a solution,
+    # so the Newton Jacobian is diag(F) A_g on the PDE rows; both share R
+    def ustar(x, y):
+        return x ** 4 / 12 + x ** 2 / 2 + y ** 2 / 2
+    g = build_ellipse(1.03, 0.92, 168)
+    X, _ = g.meshgrid()
+    sol = solve_ma(ScalarField(X ** 2 + 1.0, g), ustar)
+    ops = build_stencil_ops(g)
+    h11, h22, h12 = stencil_hessian(ops, sol.u.values[g.mask],
+                                    ops.crossing_values(ustar))
+    J, _ = ops.system(h22, -h12, h11)
+    met = metric_from_solution(sol)
+    A, _ = ops.system(*(c[g.mask] for c in (met.g11, met.g12, met.g22)))
+    Fdiag = sp.diags(np.where(ops.pde, sol.F.values[g.mask], 1.0))
+    # measured 6.9e-12
+    assert abs(J - Fdiag @ A).max() <= 1e-9 * abs(J).max()
 
 
 def test_metric_from_solution_deep_accuracy():
