@@ -115,19 +115,24 @@ def gauge(X: VectorField) -> tuple[ComplexField, ComplexField, ComplexField]:
     drifts, and drifts reaching the outer third of the box, are rejected by
     the guards the Cauchy transform runs.
     """
-    alpha, ga = _gauge(X)
+    alpha, ga = _gauge(_gauge_source(X), X.grid)
     return (ComplexField(alpha, X.grid), ComplexField(ga, X.grid),
             ComplexField(np.exp(1j * np.conj(alpha)), X.grid))
 
 
-def _gauge(X: VectorField) -> tuple[np.ndarray, np.ndarray]:
-    """alpha and exp(i alpha) of gauge, without the conjugate partner."""
+def _gauge_source(X: VectorField) -> np.ndarray:
+    """The source (i/4)(X1 + i X2) of gauge, after the drift's guards."""
     grid = _require_padded(X.grid)
     for c in (X.c1, X.c2):
         _require_finite(c, grid, "gauge")
     src = 0.25j * (X.c1 + 1j * X.c2)
     XX, YY = grid.meshgrid()
     _support_guard(src, np.maximum(np.abs(XX), np.abs(YY)), grid.half, "gauge")
+    return src
+
+
+def _gauge(src: np.ndarray, grid: PaddedGrid) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and exp(i alpha) of gauge for its checked source."""
     sym = _wirtinger_symbol(grid, 1, odd=False)
     sh = np.fft.fft2(src)
     mean = sh[0, 0] / grid.n ** 2
@@ -451,6 +456,28 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     return _l2(res, grid, mask) / scale
 
 
+def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude, K,
+                   core_radius) -> tuple:
+    """(grid, drift, q, core radius, amplitude values, gauge source) of a
+    bundle, every input guarded before any FFT (build_cgo_holo)."""
+    grid = _require_padded(phase.grid)
+    _require_h(h)
+    if not (isinstance(K, numbers.Integral) and K >= 0):
+        raise GridError(
+            f"series depth must be a nonnegative integer, got {K!r}")
+    X = drift if drift is not None else _zero_drift(grid)
+    if X.grid != grid:
+        raise GridError("drift lives on a different grid")
+    qv = np.asarray(q)
+    if qv.ndim:
+        _require_finite(qv, grid, "q")
+    elif not np.isfinite(qv):
+        raise GridError("q: non-finite values")
+    rc = _core_radius(grid, core_radius)
+    _measurement_disk(grid, rc)
+    return grid, X, qv, rc, _eval_amplitude(amplitude, grid), _gauge_source(X)
+
+
 def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
                    q=0.0, amplitude=None, K: int = DEPTH_DEFAULT,
                    core_radius: float | None = None) -> CGOBundle:
@@ -473,24 +500,9 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     or box field, and a non-finite amplitude or drift raise a GridError
     before any FFT.
     """
-    grid = _require_padded(phase.grid)
-    _require_h(h)
-    if not (isinstance(K, numbers.Integral) and K >= 0):
-        raise GridError(
-            f"series depth must be a nonnegative integer, got {K!r}")
-    X = drift if drift is not None else _zero_drift(grid)
-    if X.grid != grid:
-        raise GridError("drift lives on a different grid")
-    qv = np.asarray(q)
-    if qv.ndim:
-        _require_finite(qv, grid, "q")
-    elif not np.isfinite(qv):
-        raise GridError("q: non-finite values")
-    rc = _core_radius(grid, core_radius)
-    _measurement_disk(grid, rc)
-    a_vals = _eval_amplitude(amplitude, grid)
-
-    alpha, ga = _gauge(X)
+    grid, X, qv, rc, a_vals, src = _bundle_inputs(phase, h, drift, q,
+                                                  amplitude, K, core_radius)
+    alpha, ga = _gauge(src, grid)
     im_max = float(np.max(np.abs(np.imag(alpha))))
     if float(np.min(np.abs(ga))) < np.exp(-im_max) * (1.0 - 1e-12):
         raise GridError("gauge factor fell below its lower bound")
@@ -559,17 +571,17 @@ def build_cgo_adjoint(phase: PhaseSpec, h: float,
     Expanding the divergence turns the adjoint into the forward operator
     with drift -X and potential q - div X, so the construction reduces to
     build_cgo_holo there; the stored residual is re-measured in the
-    conservative (divergence) form of the adjoint itself.
+    conservative (divergence) form of the adjoint itself.  The inputs pass
+    build_cgo_holo's guards before the divergence is taken.
     """
-    grid = _require_padded(phase.grid)
-    X = drift if drift is not None else _zero_drift(grid)
+    grid, X, qv, *_ = _bundle_inputs(phase, h, drift, q, amplitude, K,
+                                     core_radius)
     div = (spectral_deriv(X.c1, grid, 1, 0)
            + spectral_deriv(X.c2, grid, 0, 1))
     Xneg = VectorField(-X.c1, -X.c2, grid)
-    nb = build_cgo_holo(phase, h, Xneg, np.asarray(q) - div, amplitude, K,
-                        core_radius)
-    res = drift_residual(nb.v.values, X, np.asarray(q), h, grid,
-                         nb.core_radius, conservative=True)
+    nb = build_cgo_holo(phase, h, Xneg, qv - div, amplitude, K, core_radius)
+    res = drift_residual(nb.v.values, X, qv, h, grid, nb.core_radius,
+                         conservative=True)
     return replace(nb, kind="adjoint", residual=res)
 
 

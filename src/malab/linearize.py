@@ -72,7 +72,7 @@ def solution_hessian(sol: MASolution):
     # anchor chase: every interpolation row copies its neighbor until all
     # values originate at PDE rows
     anchor = np.arange(ops.N)
-    rows, cols = ops.R.nonzero()
+    rows, cols = ops.operator("L", "R").nonzero()
     off = cols != rows
     anchor[rows[off]] = cols[off]
     for _ in range(8):
@@ -232,6 +232,40 @@ def _rhs(ops: StencilOps, G, Phi: np.ndarray, f) -> np.ndarray:
     return (fvec if Phi.ndim == 1 else fvec[:, None]) - G @ Phi
 
 
+def _metric_solver(g: MetricField):
+    """solve(datas, f, rtol) of nondiv_solve_many for g: both assemblies
+    are made once, and the factorization once, at the first solve, after
+    its data have passed their checks."""
+    grid = g.grid
+    if not isinstance(grid, DomainGrid):
+        raise GridError("nondiv_solve expects a domain grid")
+    coeffs = _coeffs_at_nodes(g)
+    ops = build_stencil_ops(grid)
+    A, G, lu = ops.system(*coeffs), ops.crossing_system(*coeffs), []
+    w = _volume_weight(g, grid.mask)[grid.mask]
+    B = sp.diags(np.where(ops.pde, 1.0 / w, 1.0)) @ ops.system(
+        *(w * a for a in coeffs))
+
+    def solve(datas, f, rtol):
+        Phi = np.column_stack([ops.crossing_values(phi) for phi in datas])
+        rhs = _rhs(ops, G, Phi, f)
+        if not lu:
+            lu.append(SparseLU(A))
+        V = lu[0].solve(rhs, rtol)
+        scale = np.max(np.abs(rhs), axis=0) + 1.0
+        resA = np.max(np.abs(A @ V - rhs), axis=0)
+        resB = np.max(np.abs(B @ V - rhs), axis=0)
+        bad = resB > 10.0 * np.maximum(resA, rtol * scale)
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise LinearSolveFailure(
+                "divergence-form assembly disagrees with the bare-"
+                f"coefficient route: {resB[j]:.3e} vs {resA[j]:.3e}",
+                [float(resA[j]), float(resB[j])])
+        return [ScalarField(ops.scatter(v), grid) for v in V.T]
+    return solve
+
+
 def nondiv_solve_many(g: MetricField, datas, f=None, *,
                       rtol: float = 1e-10) -> list:
     """Solve g^{ab} d_ab v = f (default 0) once per Dirichlet data in datas.
@@ -243,31 +277,7 @@ def nondiv_solve_many(g: MetricField, datas, f=None, *,
     volume-weight wiring: every column's divergence-route residual must
     stay within a factor 10 of its primary one.
     """
-    grid = g.grid
-    if not isinstance(grid, DomainGrid):
-        raise GridError("nondiv_solve expects a domain grid")
-    coeffs = _coeffs_at_nodes(g)
-    ops = build_stencil_ops(grid)
-    Phi = np.column_stack([ops.crossing_values(phi) for phi in datas])
-    A, G = ops.system(*coeffs)
-    rhs = _rhs(ops, G, Phi, f)
-    V = SparseLU(A).solve(rhs, rtol)
-
-    w = _volume_weight(g, grid.mask)[grid.mask]
-    B, _ = ops.system(*(w * a for a in coeffs))
-    B = sp.diags(np.where(ops.pde, 1.0 / w, 1.0)) @ B
-    scale = np.max(np.abs(rhs), axis=0) + 1.0
-    resA = np.max(np.abs(A @ V - rhs), axis=0)
-    resB = np.max(np.abs(B @ V - rhs), axis=0)
-    bad = resB > 10.0 * np.maximum(resA, rtol * scale)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise LinearSolveFailure(
-            "divergence-form assembly disagrees with the bare-"
-            f"coefficient route: {resB[j]:.3e} vs {resA[j]:.3e}",
-            [float(resA[j]), float(resB[j])])
-
-    return [ScalarField(ops.scatter(v), grid) for v in V.T]
+    return _metric_solver(g)(datas, f, rtol)
 
 
 def nondiv_solve(g: MetricField, phi, f=None, *,
@@ -303,8 +313,8 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
     if not (np.all(np.isfinite(X1)) and np.all(np.isfinite(X2))
             and np.all(np.isfinite(c0))):
         raise GridError("drift has non-finite entries on the domain")
-    A, G = ops.system(a11, a12, a22, X1, X2, c0)
-    rhs = _rhs(ops, G, phic, f)
+    A = ops.system(a11, a12, a22, X1, X2, c0)
+    rhs = _rhs(ops, ops.crossing_system(a11, a12, a22, X1, X2), phic, f)
     v = SparseLU(A).solve(rhs, rtol)
     return ScalarField(ops.scatter(v), grid)
 
@@ -321,6 +331,13 @@ def second_solve(g: MetricField, X: VectorField, v1: ScalarField,
     fitted from the interior. X is accepted for interface uniformity with
     the adjoint; the non-divergence form of the equation does not use it.
     """
+    return nondiv_solve(g, 0.0, f=_trace_source(g, v1, v2, phi1, phi2),
+                        rtol=rtol)
+
+
+def _trace_source(g: MetricField, v1: ScalarField, v2: ScalarField,
+                  phi1, phi2) -> np.ndarray:
+    """tr(G V1 G V2) of second_solve on the lattice."""
     a11, a12, a22 = _coeffs_at_nodes(g)
     ops = build_stencil_ops(g.grid)
     if phi1 is None:
@@ -341,8 +358,7 @@ def second_solve(g: MetricField, X: VectorField, v1: ScalarField,
     c12 = a11 * q12 + a12 * q22
     c21 = a12 * q11 + a22 * q12
     c22 = a12 * q12 + a22 * q22
-    rhs_trace = b11 * c11 + b12 * c21 + b21 * c12 + b22 * c22
-    return nondiv_solve(g, 0.0, f=ops.scatter(rhs_trace), rtol=rtol)
+    return ops.scatter(b11 * c11 + b12 * c21 + b21 * c12 + b22 * c22)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +391,9 @@ def eps_consistency(F, phi1, phi2, eps1: float = 0.1, eps2: float = 0.1,
     grid = source_grid(F, grid)
     base = solve_ma_zero(F, grid, **opts)
     g = metric_from_solution(base)
-    X = drift_field(g)
-    v1, v2 = nondiv_solve_many(g, [phi1, phi2])
-    w = second_solve(g, X, v1, v2, phi1, phi2)
+    solve = _metric_solver(g)            # one factorization for both
+    v1, v2 = solve([phi1, phi2], None, 1e-10)
+    w = solve([0.0], _trace_source(g, v1, v2, phi1, phi2), 1e-10)[0]
 
     p1, p2 = ring_values(grid, phi1), ring_values(grid, phi2)
     m = grid.mask

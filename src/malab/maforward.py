@@ -10,31 +10,33 @@ rows instead of PDE rows, which keeps every matrix row bounded.
 
 The Dirichlet data enter through one vector per grid, their values at the
 boundary crossings that some stencil row reads (StencilOps.crossing_values;
-ring_values gives them on the boundary ring). Each operator is a pair of
-sparse matrices, L on the interior values and G on the crossing values, and
-StencilOps.system is the one assembler that turns coefficients into a
-system (A, G_A), each row reading A u + G_A phi = f (f = 0 on the
-interpolation rows): the Newton Jacobian, the Laplacian, and every solve
-of `linearize`.
+ring_values gives them on the boundary ring). Each operator is a pair, L on
+the interior values and G on the crossing values, stored as values on one
+sparsity pattern per grid for all L and one for all G, and
+StencilOps.system and crossing_system turn coefficients into a system
+(A, G_A) by vector arithmetic, each row reading A u + G_A phi = f (f = 0
+on the interpolation rows): the Newton Jacobian, the Laplacian, and every
+solve of `linearize`.
 
 The Newton step solves cof(D^2 u) : D^2 delta = F - det D^2 u with zero
 boundary data, damped by backtracking under a convexity guard. As
 cof(D^2 u) = F (D^2 u)^{-1} at a solution, the Jacobian is F times the
-linearized operator of `linearize`. Each solve factors the Laplacian
-L11 + L22 + R once (sparse LU); that factorization gives the Poisson
-initial guess and preconditions GMRES on every Newton Jacobian, which is
-inexact Newton with the forcing term eta = min(0.1, 0.1 * max|res|)
-(Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996). A step whose GMRES
-solve misses eta still has to pass the line search; if it runs out of
-damping, the step is solved again once with a sparse LU of the Jacobian
-and the line search restarts from a full step (its MASolution.log row
-says so). The same layer, SparseLU, solves the linearized systems of
-`linearize` and `dnmap`: one factorization per matrix, any number of
-right sides, and a residual check on every column. No factorization is
-kept beyond the call that made it. Only the stencil operators outlive a
-call: build_stencil_ops is a functools.lru_cache keyed by the grid, so it
-keeps the four grids used last and an equal grid built twice hits. Their
-arrays are read-only, so no caller can change what another is handed.
+linearized operator of `linearize`. The sparse LU of the Laplacian
+L11 + L22 + R gives the Poisson initial guess and preconditions GMRES on
+every Newton Jacobian, which is inexact Newton with the forcing term
+eta = min(0.1, 0.1 * max|res|) (Eisenstat and Walker, SIAM J. Sci.
+Comput. 17, 1996). A step whose GMRES solve misses eta still has to pass
+the line search; if it runs out of damping, the step is solved again once
+with a sparse LU of the Jacobian and the line search restarts from a full
+step (its MASolution.log row says so). The same layer, SparseLU, solves
+the linearized systems of `linearize` and `dnmap`: one factorization per
+matrix, any number of right sides, and a residual check on every column.
+Two things outlive a call, both keyed by the grid, so an equal grid built
+twice hits: build_stencil_ops is a functools.lru_cache that keeps the
+operators of the four grids used last, and the Laplacian's LU is kept for
+the one grid solved on last, dropped before another grid's is factored
+(about 24 MB at n = 232). Their arrays are read-only, so no caller can
+change what another is handed. No other factorization outlives its call.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -208,6 +211,33 @@ def data_norm_surrogate(grid: DomainGrid, data) -> float:
 # ---------------------------------------------------------------------------
 # stencil assembly
 
+# A row's slots, each run in CSR column order: its 3 x 3 stencil (the
+# interior numbering is row-major) and its exterior directions (their
+# crossings are numbered in this order). _LAYOUT gives each operator's
+# (stencil slots, direction slots); R reads the center and an axis
+# neighbor, GR an axis direction.
+_SLOTS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+_DIRS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]
+_X, _Y = (slice(1, 9, 3), slice(0, 2)), (slice(3, 6), slice(2, 4))
+_LAYOUT = {"11": _X, "22": _Y, "12": (slice(0, 9, 2), slice(4, 8)),
+           "1": _X, "2": _Y, "R": (slice(1, 8), slice(0, 4))}
+
+
+def _csr(vals, cols, rows, shape) -> sp.csr_matrix:
+    """CSR matrix of slot values vals (slot, row) in columns cols, rows
+    `rows` of shape; exact zeros are not stored."""
+    keep = vals != 0.0
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    indptr[1:][rows] = keep.sum(axis=0)
+    np.cumsum(indptr, dtype=np.int32, out=indptr)
+    return sp.csr_matrix((vals.T[keep.T], cols.T[keep.T], indptr), shape)
+
+
+def _terms(a11, a12, a22, X1, X2):
+    """(coefficient, operator) in the order they are summed."""
+    drift = [(X1, "1"), (X2, "2")] if X1 is not None else []
+    return [(a11, "11"), (a22, "22"), (2.0 * a12, "12"), *drift, (1.0, "R")]
+
 
 @dataclass(frozen=True)
 class StencilOps:
@@ -215,11 +245,21 @@ class StencilOps:
 
     (qx, qy) are the boundary crossings that some row reads: every
     exterior direction of a PDE row and the cut direction of an
-    interpolation row. Each operator is a pair, L on the interior values
-    and G on the data at the crossings (crossing_values), so the closed
-    difference of u with data phi is L u + G phi: the second differences
-    L11/G11, L22/G22, L12/G12 and central first differences L1/G1, L2/G2
-    on PDE rows, and the interpolation rows R u + GR phi = 0.
+    interpolation row. Each operator is a pair, L[k] on the interior
+    values and G[k] on the data at the crossings (crossing_values), so the
+    closed difference of u with data phi is L u + G phi: the second
+    differences k = '11', '22', '12' and central first differences '1',
+    '2' on PDE rows, and the interpolation rows L['R'] u + G['R'] phi = 0.
+
+    The L share one N x N pattern, the 3 x 3 stencil (_SLOTS) of every
+    row: cols[s] is the column of slot s, the row itself where that node
+    is outside the mask. The G share one N x nq pattern, the exterior
+    directions (_DIRS) of the rows qrows that read a crossing: qcols[s] is
+    the column of direction s. An operator holds one row of values per
+    slot it uses (_LAYOUT), zero where it has no entry, and operator()
+    gives it as a CSR matrix. Every array is read-only; build_stencil_ops
+    keeps the operators of the four grids used last, and _LAPLACIAN the
+    LU of system(1, 0, 1) for the one grid solved on last, keyed by grid.
     """
 
     grid: DomainGrid
@@ -227,18 +267,11 @@ class StencilOps:
     pde: np.ndarray            # PDE rows (True) vs interpolation rows
     qx: np.ndarray             # crossing points, one per column of every G
     qy: np.ndarray
-    L11: sp.csr_matrix
-    G11: sp.csr_matrix
-    L22: sp.csr_matrix
-    G22: sp.csr_matrix
-    L12: sp.csr_matrix
-    G12: sp.csr_matrix
-    L1: sp.csr_matrix
-    G1: sp.csr_matrix
-    L2: sp.csr_matrix
-    G2: sp.csr_matrix
-    R: sp.csr_matrix
-    GR: sp.csr_matrix
+    cols: np.ndarray           # (9, N)
+    qrows: np.ndarray
+    qcols: np.ndarray          # (8, len(qrows))
+    L: MappingProxyType        # operator -> its slot values
+    G: MappingProxyType
 
     def scatter(self, vec: np.ndarray) -> np.ndarray:
         """Interior vector -> full (n, n) array, zero outside the mask."""
@@ -250,29 +283,41 @@ class StencilOps:
         """The data at the crossing points: the vector every G acts on."""
         return eval_boundary_data(self.grid, data, self.qx, self.qy)
 
-    def system(self, a11, a12, a22, X1=None, X2=None, c0=None):
-        """(A, G_A) of a11 d_11 + 2 a12 d_12 + a22 d_22 [+ X1 d_1 + X2 d_2
-        + c0], coefficients scalar or on the interior numbering, summed in
-        the order L11, L22, L12, drift, then R/GR (the interpolation rows,
-        which no term touches), then c0."""
-        terms = [(a11, self.L11, self.G11), (a22, self.L22, self.G22),
-                 (2.0 * a12, self.L12, self.G12)]
-        if X1 is not None:
-            terms += [(X1, self.L1, self.G1), (X2, self.L2, self.G2)]
-        def scaled(c, M):                   # diag(c) @ M
-            return c * M if np.ndim(c) == 0 else sp.diags(c) @ M
-        LA = [scaled(c, L) for c, L, _ in terms]
-        GA = [scaled(c, G) for c, _, G in terms]
-        A = sum(LA[1:], LA[0]) + self.R
+    def operator(self, side: str, k: str) -> sp.csr_matrix:
+        """L[k] (side 'L') or G[k] (side 'G') as a CSR matrix."""
+        ls, gs = _LAYOUT[k]
+        if side == "L":
+            return _csr(self.L[k], self.cols[ls], slice(None),
+                        (self.N, self.N))
+        return _csr(self.G[k], self.qcols[gs], self.qrows,
+                    (self.N, len(self.qx)))
+
+    def system(self, a11, a12, a22, X1=None, X2=None,
+               c0=None) -> sp.csr_matrix:
+        """A of a11 d_11 + 2 a12 d_12 + a22 d_22 [+ X1 d_1 + X2 d_2 + c0],
+        coefficients scalar or on the interior numbering: each row reads
+        A u + G_A phi = f, G_A = crossing_system(a11, a12, a22, X1, X2),
+        and f = 0 on the interpolation rows. Each entry is summed as
+        diag(c) L over the terms in the order '11', '22', '12', drift, then
+        R (whose rows no term touches), then c0 on the PDE rows; exact
+        zeros are dropped, so the pattern is that of the sparse sum. The
+        Laplacian system(1, 0, 1) is factored once per grid: _LAPLACIAN
+        keeps its LU for the one grid solved on last, keyed by grid."""
+        vals = np.zeros((9, self.N))
+        for c, k in _terms(a11, a12, a22, X1, X2):
+            vals[_LAYOUT[k][0]] += c * self.L[k]
         if c0 is not None:
-            A = A + sp.diags(np.where(self.pde, c0, 0.0))
-        return A, sum(GA[1:], GA[0]) + self.GR
+            vals[4] += np.where(self.pde, c0, 0.0)
+        return _csr(vals, self.cols, slice(None), (self.N, self.N))
 
-
-def _csr(parts, shape) -> sp.csr_matrix:
-    """Sum of (rows, cols, vals) triples as a CSR matrix."""
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    def crossing_system(self, a11, a12, a22, X1=None,
+                        X2=None) -> sp.csr_matrix:
+        """G_A of system: the same sum over the G."""
+        vals = np.zeros((8, len(self.qrows)))
+        for c, k in _terms(a11, a12, a22, X1, X2):
+            vals[_LAYOUT[k][1]] += np.broadcast_to(
+                c, (self.N,))[self.qrows] * self.G[k]
+        return _csr(vals, self.qcols, self.qrows, (self.N, len(self.qx)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -281,101 +326,81 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
 
     Every array of the result is read-only: equal grids share it.
     """
-    mask = grid.mask
-    n, dx = grid.n, grid.dx
-    idx = np.full((n, n), -1, dtype=np.int64)
+    mask, dx = grid.mask, grid.dx
     ii, jj = np.nonzero(mask)
     N = len(ii)
+    idx = np.full(mask.shape, -1, dtype=np.int32)
     idx[ii, jj] = np.arange(N)
-    X = grid.x1[ii]
-    Y = grid.x2[jj]
+    X, Y = grid.x1[ii], grid.x2[jj]
+    di, dj = np.array(_DIRS).T[:, :, None]
 
-    axis_dirs = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    diag_dirs = [(1, 1), (-1, -1), (1, -1), (-1, 1)]
-
-    inside = {}
-    alpha = {}
-    for di, dj in axis_dirs + diag_dirs:
-        inb = mask[ii + di, jj + dj]
-        a = np.ones(N)
-        out = ~inb
-        if np.any(out):
-            t = grid.ray_cut(X[out], Y[out], di * dx, dj * dx)
-            if np.any(~np.isfinite(t)):
-                raise GridError("exterior neighbor without boundary crossing")
-            a[out] = t
-        inside[(di, dj)] = inb
-        alpha[(di, dj)] = a
+    # per direction: the neighbor is inside, or the ray to it crosses the
+    # boundary at the fraction alpha of the step
+    inside = mask[ii + di, jj + dj]
+    alpha = np.ones((8, N))
+    d, r = np.nonzero(~inside)
+    alpha[d, r] = grid.ray_cut(X[r], Y[r], di[d, 0] * dx, dj[d, 0] * dx)
+    if not np.all(np.isfinite(alpha)):
+        raise GridError("exterior neighbor without boundary crossing")
 
     # classify quasi-boundary nodes by their smallest axis cut
-    axis_alpha = np.stack([np.where(inside[d], 1.0, alpha[d])
-                           for d in axis_dirs], axis=0)
-    amin = axis_alpha.min(axis=0)
-    which = axis_alpha.argmin(axis=0)
-    interp = amin < CUT_FRACTION
+    which = alpha[:4].argmin(axis=0)
+    interp = alpha[:4].min(axis=0) < CUT_FRACTION
     pde = ~interp
 
-    # number the crossings some row reads: every exterior direction of a
-    # PDE row and the cut direction of an interpolation row
-    cross, qx, qy = {}, [], []
-    nq = 0
-    for d, (di, dj) in enumerate(axis_dirs + diag_dirs):
-        k = np.nonzero(~inside[(di, dj)] & (pde | ((which == d) & interp)))[0]
-        cross[(di, dj)] = np.full(N, -1, dtype=np.int64)
-        cross[(di, dj)][k] = nq + np.arange(len(k))
-        nq += len(k)
-        qx.append(X[k] + alpha[(di, dj)][k] * di * dx)
-        qy.append(Y[k] + alpha[(di, dj)][k] * dj * dx)
+    # number the crossings some row reads, direction by direction: every
+    # exterior direction of a PDE row and the cut direction of an
+    # interpolation row
+    read = ~inside & (pde | (np.arange(8)[:, None] == which) & interp)
+    d, r = np.nonzero(read)
+    cross = np.zeros((8, N), dtype=np.int32)
+    cross[d, r] = np.arange(len(r))
+    qx = X[r] + alpha[d, r] * di[d, 0] * dx
+    qy = Y[r] + alpha[d, r] * dj[d, 0] * dx
+    qrows = np.nonzero(np.any(read, axis=0))[0]
+    cols = np.stack([idx[ii + a, jj + b] for a, b in _SLOTS])
+    cols = np.where(cols >= 0, cols, np.arange(N, dtype=np.int32))
 
     # interpolation rows: u_C - a/(1 + a) u_W - phi(Q)/(1 + a) = 0, W
     # opposite the cut
     k = np.nonzero(interp)[0]
-    di, dj = np.array(axis_dirs)[which[k]].T
-    a = axis_alpha[which[k], k]
-    wi, wj = ii[k] - di, jj[k] - dj
+    cut = which[k]
+    a = alpha[cut, k]
+    wi, wj = ii[k] - di[cut, 0], jj[k] - dj[cut, 0]
     if not np.all(mask[wi, wj]):
         j = k[np.argmin(mask[wi, wj])]
         raise GridError(
             f"grid too coarse near node ({ii[j]}, {jj[j]}): no interior "
             "neighbor to anchor the quasi-boundary interpolation")
-    q = np.stack([cross[d] for d in axis_dirs])[which[k], k]
-    R = _csr([(k, k, np.ones(len(k))), (k, idx[wi, wj], -a / (1.0 + a))],
-             (N, N))
-    GR = _csr([(k, q, -1.0 / (1.0 + a))], (N, nq))
+    L, G = {"R": np.zeros((7, N))}, {"R": np.zeros((4, len(qrows)))}
+    L["R"][3, k] = 1.0
+    L["R"][3 - 3 * di[cut, 0] - dj[cut, 0], k] = -a / (1.0 + a)
+    G["R"][cut, np.searchsorted(qrows, k)] = -1.0 / (1.0 + a)
 
-    def _assemble(dirs, weights, denom, center_base):
-        lparts, gparts = [], []
-        center = np.zeros(N)
-        for (di, dj), w in zip(dirs, weights):
-            inb = inside[(di, dj)]
-            a = alpha[(di, dj)]
-            sel = pde & inb
-            lparts.append((np.nonzero(sel)[0], idx[ii + di, jj + dj][sel],
-                           np.full(sel.sum(), w / denom)))
-            gh = pde & ~inb
-            center[gh] += w * (1.0 - 1.0 / a[gh]) / denom
-            gparts.append((np.nonzero(gh)[0], cross[(di, dj)][gh],
-                           w / (a[gh] * denom)))
-        ctr = np.nonzero(pde)[0]
-        lparts.append((ctr, ctr, center_base / denom + center[ctr]))
-        return _csr(lparts, (N, N)), _csr(gparts, (N, nq))
-
+    # the PDE rows: a ghost value past the crossing extrapolates linearly
     h2 = dx * dx
-    L11, G11 = _assemble([(1, 0), (-1, 0)], [1.0, 1.0], h2, -2.0)
-    L22, G22 = _assemble([(0, 1), (0, -1)], [1.0, 1.0], h2, -2.0)
-    L12, G12 = _assemble(diag_dirs, [1.0, 1.0, -1.0, -1.0], 4.0 * h2, 0.0)
-    L1, G1 = _assemble([(1, 0), (-1, 0)], [0.5, -0.5], dx, 0.0)
-    L2, G2 = _assemble([(0, 1), (0, -1)], [0.5, -0.5], dx, 0.0)
+    for key, w, denom, center_base in [
+            ("11", [1.0, 1.0], h2, -2.0), ("22", [1.0, 1.0], h2, -2.0),
+            ("12", [1.0, 1.0, -1.0, -1.0], 4.0 * h2, 0.0),
+            ("1", [0.5, -0.5], dx, 0.0), ("2", [0.5, -0.5], dx, 0.0)]:
+        ls, gs = _LAYOUT[key]
+        w, slots = np.array(w)[:, None], range(9)[ls]
+        ghost = pde & ~inside[gs]
+        frac = np.where(ghost, alpha[gs], 1.0)
+        L[key] = np.zeros((len(slots), N))
+        L[key][[slots.index(_SLOTS.index(_DIRS[d])) for d in range(8)[gs]]] = (
+            np.where(pde & inside[gs], w / denom, 0.0))
+        center = (w * (1.0 - 1.0 / frac) / denom).sum(axis=0)
+        L[key][slots.index(4)] = np.where(pde, center_base / denom + center,
+                                          0.0)
+        G[key] = np.where(ghost, w / (frac * denom), 0.0)[:, qrows]
 
-    ops = StencilOps(grid=grid, N=N, pde=pde, qx=np.concatenate(qx),
-                     qy=np.concatenate(qy), L11=L11, G11=G11, L22=L22,
-                     G22=G22, L12=L12, G12=G12, L1=L1, G1=G1, L2=L2, G2=G2,
-                     R=R, GR=GR)
-    for arr in (ops.pde, ops.qx, ops.qy):
+    ops = StencilOps(grid=grid, N=N, pde=pde, qx=qx, qy=qy, cols=cols,
+                     qrows=qrows, qcols=cross[:, qrows],
+                     L=MappingProxyType(L), G=MappingProxyType(G))
+    for arr in (pde, qx, qy, cols, qrows, ops.qcols, *L.values(),
+                *G.values()):
         arr.flags.writeable = False
-    for m in (L11, G11, L22, G22, L12, G12, L1, G1, L2, G2, R, GR):
-        for arr in (m.data, m.indices, m.indptr):
-            arr.flags.writeable = False
     return ops
 
 
@@ -383,12 +408,21 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
 # Poisson initialization
 
 
+# the factored Laplacian of the grid solved on last, keyed by the grid
+_LAPLACIAN: dict = {}
+
+
 def _poisson(ops: StencilOps, Fvec: np.ndarray, phi: np.ndarray):
-    """The factored Laplacian L11 + L22 + R and the solution of
-    Laplace u = 2 sqrt(F) for crossing values phi."""
-    A, G = ops.system(1.0, 0.0, 1.0)
-    lap = SparseLU(A)
-    rhs = np.where(ops.pde, 2.0 * np.sqrt(Fvec), 0.0) - G @ phi
+    """The factored Laplacian L11 + L22 + R (from _LAPLACIAN, read-only)
+    and the solution of Laplace u = 2 sqrt(F) for crossing values phi."""
+    lap = _LAPLACIAN.get(ops.grid)
+    if lap is None:
+        _LAPLACIAN.clear()         # the old LU goes before the new is made
+        lap = _LAPLACIAN[ops.grid] = SparseLU(ops.system(1.0, 0.0, 1.0))
+        for arr in (lap.A.data, lap.A.indices, lap.A.indptr):
+            arr.flags.writeable = False
+    rhs = (np.where(ops.pde, 2.0 * np.sqrt(Fvec), 0.0)
+           - ops.crossing_system(1.0, 0.0, 1.0) @ phi)
     return lap, lap.solve(rhs)
 
 
@@ -430,9 +464,16 @@ class MASolution:
 
 def stencil_hessian(ops: StencilOps, U: np.ndarray, phi: np.ndarray):
     """Stencil Hessian entries (h11, h22, h12) of interior values U, the
-    stencils closed by the crossing values phi (ops.crossing_values)."""
-    return (ops.L11 @ U + ops.G11 @ phi, ops.L22 @ U + ops.G22 @ phi,
-            ops.L12 @ U + ops.G12 @ phi)
+    stencils closed by the crossing values phi (ops.crossing_values): each
+    is L U + G phi, each summed over a row's slots in column order."""
+    out = []
+    for k in ("11", "22", "12"):
+        ls, gs = _LAYOUT[k]
+        h = sum(v * U[c] for v, c in zip(ops.L[k], ops.cols[ls]))
+        h[ops.qrows] += sum(v * phi[c]
+                            for v, c in zip(ops.G[k], ops.qcols[gs]))
+        out.append(h)
+    return tuple(out)
 
 
 def _min_eig(h11, h22, h12, where):
@@ -494,7 +535,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
     for it in range(1, max_iter + 1):
         if rnorm <= Ftarget:
             break
-        J, _ = ops.system(h22, -h12, h11)
+        J = ops.system(h22, -h12, h11)
         count = []
         step, info = spla.gmres(J, -res, M=precond,
                                 rtol=min(0.1, 0.1 * rnorm), atol=0.0,

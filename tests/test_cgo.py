@@ -543,6 +543,27 @@ def test_bad_inputs_fail_before_any_fft(data):
                 cgo.build_cgo_holo(phase, **kw)
 
 
+@settings(max_examples=25)
+@given(data=st.data())
+def test_adjoint_bad_inputs_fail_before_any_fft(data):
+    # the adjoint takes a spectral divergence of the drift, so its guards
+    # must run before that: count every fft2 up to each refusal
+    phase = cgo.phase_spec((0.0, 0.0, -0.25), _SMALL)
+    calls, fft2 = [], np.fft.fft2
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fft2(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mp.setattr(np.fft, "fft2", counted)
+        for message, inputs in _BAD.items():
+            kw = {"h": 0.4, "drift": None, **data.draw(inputs, label=message)}
+            with pytest.raises(GridError, match=message):
+                cgo.build_cgo_adjoint(phase, **kw)
+            assert len(calls) == 0, message
+
+
 # K = 0 and 1 are out of range by design: at the strongest corner they leave
 # residuals of 3.2e-3 and 2.7e-4; K >= 2 gives at most 3.8e-5
 @settings(max_examples=7)

@@ -15,8 +15,8 @@ import scipy.sparse as sp
 
 from malab.grid import (GridError, MetricField, ScalarField, build_disk,
                         build_ellipse, quadrature)
-from malab.maforward import (build_stencil_ops, solve_ma, solve_ma_zero,
-                             stencil_hessian)
+from malab.maforward import (SparseLU, build_stencil_ops, solve_ma,
+                             solve_ma_zero, stencil_hessian)
 from malab.complexcalc import deriv
 from malab.linearize import (LinearSolveFailure, VectorField, adjoint_solve,
                              divergence_form_apply, drift_field,
@@ -180,9 +180,9 @@ def test_newton_jacobian_is_F_times_the_linearized_operator():
     ops = build_stencil_ops(g)
     h11, h22, h12 = stencil_hessian(ops, sol.u.values[g.mask],
                                     ops.crossing_values(ustar))
-    J, _ = ops.system(h22, -h12, h11)
+    J = ops.system(h22, -h12, h11)
     met = metric_from_solution(sol)
-    A, _ = ops.system(*(c[g.mask] for c in (met.g11, met.g12, met.g22)))
+    A = ops.system(*(c[g.mask] for c in (met.g11, met.g12, met.g22)))
     Fdiag = sp.diags(np.where(ops.pde, sol.F.values[g.mask], 1.0))
     # measured 6.9e-12
     assert abs(J - Fdiag @ A).max() <= 1e-9 * abs(J).max()
@@ -290,6 +290,22 @@ def test_eps_consistency_flat_base():
     assert np.all(ratios > 3.2) and np.all(ratios < 4.8)
     assert rep.slope1 > 0.9
     assert rep.slope2 > 0.9
+
+
+def test_eps_consistency_factors_the_metric_once(monkeypatch):
+    # the first and second linearizations share one factorization, and
+    # every solve on the grid shares its Laplacian's
+    g = build_disk(1.0, 48)
+    solve_ma_zero(1.0, g)
+    factored, factor = [], SparseLU.__init__
+
+    def spy(self, A):
+        factored.append(A.shape)
+        factor(self, A)
+    monkeypatch.setattr(SparseLU, "__init__", spy)
+    phi = lambda x, y: 2.0 * x * y
+    eps_consistency(1.0, phi, phi, scales=(1.0, 0.5), grid=g)
+    assert len(factored) == 1
 
 
 def test_eps_consistency_affine_data_sits_at_floor():

@@ -3,8 +3,10 @@ Newton behavior, and the data-norm bookkeeping."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from malab import maforward
 from malab.grid import (BoundaryTrace, GridError, MetricField, ScalarField,
                         boundary_restrict)
 from malab.grid import build_disk, build_ellipse
@@ -70,7 +72,7 @@ def test_zero_cache_hands_out_read_only_arrays():
     a = solve_ma_zero(ScalarField(Fvals, g))
     saved = (a.u.values.copy(), a.phi.values.copy())
     ops = build_stencil_ops(g)
-    for arr in (ops.pde, ops.qx, ops.qy, ops.L11.data):
+    for arr in (ops.pde, ops.qx, ops.qy, ops.L["11"]):
         with pytest.raises(ValueError):
             arr[0] += 1.0
     a.u.values[0] += 1.0
@@ -195,9 +197,10 @@ def test_stencil_structure():
     ops = build_stencil_ops(g)
     assert ops.N == int(g.mask.sum())
     assert np.any(~ops.pde)            # some quasi-boundary rows exist
-    assert ops.R.getnnz() > 0
+    R = ops.operator("L", "R")
+    assert R.getnnz() > 0
     # interpolation rows never collide with PDE rows
-    rows_R = np.unique(ops.R.nonzero()[0])
+    rows_R = np.unique(R.nonzero()[0])
     assert not np.any(ops.pde[rows_R])
 
 
@@ -279,13 +282,14 @@ def test_cached_stencils_are_shared_by_equal_grids_and_read_only():
     ops = build_stencil_ops(g)
     assert build_stencil_ops(twin) is ops
     assert build_stencil_ops(build_disk(0.9, 48)) is not ops
-    mats = (ops.L11, ops.G11, ops.L22, ops.G22, ops.L12, ops.G12, ops.L1,
-            ops.G1, ops.L2, ops.G2, ops.R, ops.GR)
-    arrays = [ops.pde, ops.qx, ops.qy]
-    arrays += [arr for m in mats for arr in (m.data, m.indices, m.indptr)]
+    arrays = [ops.pde, ops.qx, ops.qy, ops.cols, ops.qrows, ops.qcols]
+    arrays += [*ops.L.values(), *ops.G.values()]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[:] = 0
+    for blocks in (ops.L, ops.G):
+        with pytest.raises(TypeError):
+            blocks["11"] = np.zeros(1)
 
 
 def test_krylov_counts_per_newton_step():
@@ -307,13 +311,91 @@ def test_lu_retried_step_is_flagged_in_its_row():
     # forcing term at step 2 and the line search runs out of damping
     g = build_disk(2.0, 133)
     X, _ = g.meshgrid()
-    sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
-    assert [row[0] for row in sol.log if row[5]] == [2]
+    maforward._LAPLACIAN.clear()
+    for _ in ("cold", "cached Laplacian"):
+        sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
+        assert [row[0] for row in sol.log if row[5]] == [2]
+
+
+def test_laplacian_factorization_is_kept_for_the_last_grid(monkeypatch):
+    g = build_disk(1.0, 48)
+    X, _ = g.meshgrid()
+    maforward._LAPLACIAN.clear()
+    cold = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
+    lap = maforward._LAPLACIAN[g]
+    for arr in (lap.A.data, lap.A.indices, lap.A.indptr):
+        with pytest.raises(ValueError):
+            arr[:1] = 0
+    # record how many Laplacians are held whenever a factorization starts
+    held, factor = [], SparseLU.__init__
+
+    def spy(self, A):
+        held.append(len(maforward._LAPLACIAN))
+        factor(self, A)
+    monkeypatch.setattr(SparseLU, "__init__", spy)
+    twin = build_disk(1.0, 48)
+    warm = solve_ma(ScalarField(X ** 2 + 1.0, twin), _ustar)
+    assert held == [] and maforward._LAPLACIAN[g] is lap
+    assert np.array_equal(warm.u.values, cold.u.values)
+    assert warm.log == cold.log
+    other = build_disk(0.9, 48)
+    solve_ma(ScalarField(X ** 2 + 1.0, other), _ustar)
+    assert held == [0] and list(maforward._LAPLACIAN) == [other]
+
+
+def _reference_sum(ops, side, coeffs, c0=None):
+    # diag(c) L summed term by term as sparse matrices, each operator read
+    # off its slots as (row, column, value) triples, then R and c0: the
+    # sum the assembler replaces
+    def matrix(k):
+        ls, gs = maforward._LAYOUT[k]
+        if side == "L":
+            vals, cols, rows = ops.L[k], ops.cols[ls], np.arange(ops.N)
+        else:
+            vals, cols, rows = ops.G[k], ops.qcols[gs], ops.qrows
+        rows = np.broadcast_to(rows, vals.shape)
+        shape = (ops.N, ops.N if side == "L" else len(ops.qx))
+        return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                             shape).tocsr()
+    a11, a12, a22, X1, X2 = coeffs
+    terms = [(a11, "11"), (a22, "22"), (2.0 * a12, "12")]
+    if X1 is not None:
+        terms += [(X1, "1"), (X2, "2")]
+    parts = [c * matrix(k) if np.ndim(c) == 0 else sp.diags(c) @ matrix(k)
+             for c, k in terms]
+    out = sum(parts[1:], parts[0]) + matrix("R")
+    if c0 is not None:
+        out = out + sp.diags(np.where(ops.pde, c0, 0.0))
+    return out
+
+
+@pytest.mark.parametrize("build", [lambda: build_disk(1.0, 128),
+                                   lambda: build_ellipse(1.03, 0.92, 168)],
+                         ids=["disk", "ellipse"])
+def test_system_equals_the_sparse_sum_of_its_terms(build):
+    ops = build_stencil_ops(build())
+    rng = np.random.default_rng(16)
+    c = [rng.standard_normal(ops.N) for _ in range(6)]
+    c[1][::7] = 0.0                    # zero coefficients drop their entries
+    for coeffs, c0 in [((1.0, 0.0, 1.0, None, None), None),
+                       ((*c[:3], None, None), None), ((*c[:5],), None),
+                       ((*c[:5],), c[5])]:
+        got = [ops.system(*coeffs, c0=c0), ops.crossing_system(*coeffs)]
+        ref = [_reference_sum(ops, "L", coeffs, c0),
+               _reference_sum(ops, "G", coeffs)]
+        for M, R in zip(got, ref):
+            assert np.all(M.data != 0.0)           # no explicit zero
+            R.sort_indices()
+            assert M.has_sorted_indices
+            assert np.array_equal(M.indptr, R.indptr)
+            assert np.array_equal(M.indices, R.indices)
+            assert np.array_equal(M.data.view(np.int64),
+                                  R.data.view(np.int64))
 
 
 def _laplacian_lu(n):
     ops = build_stencil_ops(build_disk(1.0, n))
-    return SparseLU(ops.L11 + ops.L22 + ops.R), ops.N
+    return SparseLU(ops.system(1.0, 0.0, 1.0)), ops.N
 
 
 def test_sparse_lu_block_solve_equals_column_solves():
@@ -364,9 +446,8 @@ def test_stencils_build_with_mask_nodes_on_the_curve():
     for build, ns in _NODE_ON_CURVE:
         for n in ns:
             ops = build_stencil_ops(build(n))
-            for L in (ops.L11, ops.L22, ops.L12, ops.L1, ops.L2, ops.R,
-                      ops.G11, ops.G22, ops.G12, ops.G1, ops.G2, ops.GR):
-                assert np.all(np.isfinite(L.data)), n
+            for block in (*ops.L.values(), *ops.G.values()):
+                assert np.all(np.isfinite(block)), n
     g = build_disk(1.0, 59)
     X, Y = g.meshgrid()
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
@@ -423,9 +504,10 @@ def test_crossings_and_affine_exactness(a, b, n, c0, c1, c2):
     g = build_ellipse(a, b, n)
     ops = build_stencil_ops(g)
     assert np.max(np.abs(g.level(ops.qx, ops.qy)), initial=0.0) <= 1e-14
-    pairs = [(ops.L11, ops.G11, 0.0, 2), (ops.L22, ops.G22, 0.0, 2),
-             (ops.L12, ops.G12, 0.0, 2), (ops.L1, ops.G1, c1, 1),
-             (ops.L2, ops.G2, c2, 1), (ops.R, ops.GR, 0.0, 0)]
+    pairs = [(ops.operator("L", k), ops.operator("G", k), exact, order)
+             for k, exact, order in [("11", 0.0, 2), ("22", 0.0, 2),
+                                     ("12", 0.0, 2), ("1", c1, 1),
+                                     ("2", c2, 1), ("R", 0.0, 0)]]
     read = np.zeros(len(ops.qx), dtype=bool)
     for _, G, _, _ in pairs:
         read[G.indices] = True
