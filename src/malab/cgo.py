@@ -59,7 +59,6 @@ from .complexcalc import (_bounding_slices, _core_radius, _fd4, _OscPlan,
 from .grid import ComplexField, GridError, PaddedGrid, VectorField
 
 DEPTH_DEFAULT = 6                       # series truncation depth
-H_SWEEP = (0.4, 0.283, 0.2, 0.141, 0.1)  # standard decay-sweep values
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +89,7 @@ def _require_padded(grid) -> PaddedGrid:
 
 
 # ---------------------------------------------------------------------------
-# one-form bookkeeping and gauge transform
-
-
-def oneform_split(X: VectorField) -> tuple[ComplexField, ComplexField]:
-    """Split X1 dx1 + X2 dx2 into its dz and dzb coefficients.
-
-    X1 dx1 + X2 dx2 = (X1 - i X2)/2 dz + (X1 + i X2)/2 dzb; returns the
-    coefficient pair (dz part, dzb part).
-    """
-    grid = _require_padded(X.grid)
-    w = X.c1 + 1j * X.c2
-    return ComplexField(0.5 * np.conj(w), grid), ComplexField(0.5 * w, grid)
+# gauge transform
 
 
 def gauge(X: VectorField) -> tuple[ComplexField, ComplexField, ComplexField]:
@@ -248,20 +236,6 @@ def phase_spec(coeffs, grid: PaddedGrid, center=0j) -> PhaseSpec:
                      vals.imag.copy(), roots, has_cp)
 
 
-def standard_phases(grid: PaddedGrid) -> dict:
-    """The three phases every sweep uses.
-
-    cp_free         z + z^2/8   no critical point inside the core
-    morse           -z^2/4      nondegenerate critical point at the origin
-    adjoint_partner -z + z^2/8  growth opposite to cp_free
-    """
-    return {
-        "cp_free": phase_spec((0.0, 1.0, 0.125), grid),
-        "morse": phase_spec((0.0, 0.0, -0.25), grid),
-        "adjoint_partner": phase_spec((0.0, -1.0, 0.125), grid),
-    }
-
-
 # ---------------------------------------------------------------------------
 # oscillatory Neumann operator
 
@@ -316,35 +290,6 @@ def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
     plan = _OscPlan(grid, psi, h, core_radius)
     Vu = V.values[plan.out] * plan.apply(vp.values * f.values)
     return ComplexField(plan.embed(_dbar_star_inv(Vu, plan.apply_core)), grid)
-
-
-def t_norm_proxy(psi, h: float, V: ComplexField, vp: ComplexField,
-                 steps: int = 5, seed: int = 0,
-                 core_radius: float | None = None) -> float:
-    """Operator-norm proxy for the series operator: short power iteration.
-
-    Starts from a seeded random bump-localized field on the core window,
-    where the series applies the operator, and returns the last
-    norm-growth ratio after the iterates align.
-    """
-    grid = _require_padded(V.grid)
-    rng = np.random.default_rng(seed)
-    XX, YY = grid.meshgrid()
-    bump = np.exp(-(XX * XX + YY * YY) / 1.5)
-    f = bump * (rng.standard_normal((grid.n, grid.n))
-                + 1j * rng.standard_normal((grid.n, grid.n)))
-    plan = _OscPlan(grid, psi, h, core_radius)
-    f, Vw, vpw = (a[plan.out] for a in (f, V.values, vp.values))
-    ratio = 0.0
-    nf = _l2(f, grid)
-    for _ in range(steps):
-        g = _neumann_step(f, plan, Vw, vpw)
-        ng = _l2(g, grid)
-        if ng == 0.0 or nf == 0.0:
-            return 0.0
-        ratio = ng / nf
-        f, nf = g, ng
-    return float(ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Wirtinger calculus, the complex Hessian split, and Cauchy-transform inverses.
+"""Wirtinger calculus, lattice derivatives, and Cauchy-transform inverses.
 
 Derivative conventions: with z = x1 + i x2,
 
@@ -6,11 +6,6 @@ Derivative conventions: with z = x1 + i x2,
     dzb = (d/dx1 + i d/dx2) / 2        (antiholomorphic derivative)
 
 so dzb annihilates holomorphic functions and 4 dz dzb equals the Laplacian.
-The real Hessian of a (possibly complex) function splits as
-
-    D^2 f = A dz^2 f + B dzb^2 f + 2 I dz dzb f
-
-with constant Gaussian-integer matrices A, B defined below.
 
 Each lattice has one derivative, chosen by deriv from the grid type:
 spectral on a periodic padded box (spectral_deriv; dz and dzb are one FFT
@@ -40,16 +35,10 @@ full-box field, on the core window for the series' core-window terms.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, DomainGrid, GridError, PaddedGrid, ScalarField
-
-# constant matrices of the Hessian split; entries are Gaussian integers, so
-# the traces of their products are exact
-A_MAT = np.array([[1, 1j], [1j, -1]])
-B_MAT = np.array([[1, -1j], [-1j, -1]])
+from .grid import ComplexField, DomainGrid, GridError, PaddedGrid
 
 # lattice nodes per local wavelength pi h / |grad psi| of exp(-2i psi / h)
 # that the oscillatory inverses' resolution guard demands
@@ -211,46 +200,6 @@ def deriv(vals: np.ndarray, grid, o1: int, o2: int) -> np.ndarray:
             return masked_deriv1(vals, grid, axes[0])
         return masked_deriv2(vals, grid, axes)
     raise GridError(f"unsupported grid type {type(grid).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# wirtinger derivatives and the complex Hessian
-
-
-def wirtinger(f):
-    """Holomorphic and antiholomorphic first derivatives (dz f, dzb f)."""
-    vals, grid = f.values, f.grid
-    if isinstance(grid, PaddedGrid):
-        dz, dzb = spectral_dz(vals, grid), spectral_dzb(vals, grid)
-    else:
-        d1 = deriv(vals, grid, 1, 0)
-        d2 = deriv(vals, grid, 0, 1)
-        dz = 0.5 * (d1 - 1j * d2)
-        dzb = 0.5 * (d1 + 1j * d2)
-    return ComplexField(dz, grid), ComplexField(dzb, grid)
-
-
-@dataclass(frozen=True)
-class ComplexHessian:
-    dz2: np.ndarray        # dz^2 f
-    dzb2: np.ndarray       # dzb^2 f
-    dzdzb: np.ndarray      # dz dzb f
-    hessian: np.ndarray    # (n, n, 2, 2) assembled through A, B
-
-
-def complex_hessian(f) -> ComplexHessian:
-    """Complex second derivatives and the assembled 2x2 Hessian field."""
-    vals, grid = f.values, f.grid
-    d11 = deriv(vals, grid, 2, 0)
-    d22 = deriv(vals, grid, 0, 2)
-    d12 = deriv(vals, grid, 1, 1)
-    dz2 = 0.25 * (d11 - d22) - 0.5j * d12
-    dzb2 = 0.25 * (d11 - d22) + 0.5j * d12
-    dzdzb = 0.25 * (d11 + d22)
-    H = (A_MAT[None, None] * dz2[..., None, None]
-         + B_MAT[None, None] * dzb2[..., None, None]
-         + 2.0 * np.eye(2)[None, None] * dzdzb[..., None, None])
-    return ComplexHessian(dz2, dzb2, dzdzb, H)
 
 
 # ---------------------------------------------------------------------------
@@ -500,15 +449,3 @@ def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
     plan = _OscPlan(f.grid, psi, h, core_radius)
     return ComplexField(plan.embed(plan.apply(f.values)), f.grid)
 
-
-def oscillatory_dbar_inv_conj(f: ComplexField, psi, h: float,
-                              core_radius: float | None = None
-                              ) -> ComplexField:
-    """Oscillatory right inverse of dz with phase exp(+2i psi / h).
-
-    Mirrors oscillatory_dbar_inv through the conjugation identity, so the
-    pair shares one resolution guard and one cutoff.
-    """
-    plan = _OscPlan(f.grid, psi, h, core_radius)
-    return ComplexField(np.conj(plan.embed(plan.apply(np.conj(f.values)))),
-                        f.grid)

@@ -10,8 +10,8 @@ boundary trace of the base normal derivative, the boundary values of the
 source, and the curvature determine the full Hessian of the base solution
 on the boundary pointwise, and one more normal derivative of the source
 determines the third normal derivative. Every map between ring samples
-and modes is grid's ring calculus: tangential_derivative (re-exported
-here), _ring_modes and _ring_eval.
+and modes is grid's ring calculus: tangential_derivative, _ring_modes and
+_ring_eval.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "dn_lin_matrix",
     "recover_boundary_hessian",
     "recover_boundary_third",
-    "tangential_derivative",
 ]
 
 
@@ -43,9 +42,9 @@ __all__ = [
 # measurement maps
 
 
-def dn_full(F, phi=None, grid: DomainGrid | None = None, **opts) -> BoundaryTrace:
+def dn_full(F, phi=None, grid: DomainGrid | None = None) -> BoundaryTrace:
     """Normal derivative trace of the Monge-Ampere solution with data phi."""
-    sol = solve_ma(F, phi, grid, **opts)
+    sol = solve_ma(F, phi, grid)
     return normal_derivative(sol.u, anchor=sol.phi)
 
 

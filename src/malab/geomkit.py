@@ -1,12 +1,11 @@
-"""Christoffel symbols, transformation laws, pullbacks, and isothermal charts.
+"""Diffeomorphisms, pullbacks, isothermal charts, and the rigidity solve.
 
 Conventions. A MetricField stores the contravariant components g^{ab}
 (that is how the solution-induced geometry arrives from the linearized
-solver), so the covariant tensor used inside the Christoffel formula is
-the nodewise 2x2 inverse of the stored one, and the index-raising matrix
-is the stored tensor itself. Metrics written mathematically, like
-e^{2 sigma} I, are therefore handed in through their contravariant
-representation e^{-2 sigma} I.
+solver), so the covariant tensor (the conformality defect of a chart,
+the Beltrami coefficient) is the nodewise 2x2 inverse of the stored one.
+Metrics written mathematically, like e^{2 sigma} I, are therefore handed
+in through their contravariant representation e^{-2 sigma} I.
 
 Diffeomorphisms are stored through their displacement, J(x) = x + d(x):
 the Jacobian of the identity is then exact, spectral differentiation of
@@ -22,8 +21,7 @@ box seam cost a block over a few points, not over the whole lattice.
 Maps whose displacement exceeds the wraparound margin of the box are
 rejected, since their images alias through the period and no
 interpolation can be trusted, and so are non-finite displacements and
-Jacobians. Maps on equal lattices compose; maps on different ones do
-not.
+Jacobians.
 """
 
 from __future__ import annotations
@@ -39,19 +37,12 @@ from .grid import (ComplexField, DomainGrid, GridError, MetricField,
 from .linearize import divergence_form_apply, nondiv_solve_many
 
 __all__ = [
-    "ChristoffelField",
     "DiffeoField",
     "TransformReport",
-    "christoffel",
-    "compose_diffeos",
-    "conformal_christoffel",
-    "contracted_drift",
     "diffeo_rigidity_solve",
     "invert_diffeo",
     "isothermal",
     "pullback_metric",
-    "pullback_scalar",
-    "pullback_vector",
     "transform_solution_check",
 ]
 
@@ -68,117 +59,6 @@ def _covariant(g: MetricField):
     if np.min(det) <= 0.0:
         raise GridError("metric is not positive definite")
     return g.g22 / det, -g.g12 / det, g.g11 / det
-
-
-# ---------------------------------------------------------------------------
-# Christoffel symbols and the contracted drift
-
-
-@dataclass(frozen=True)
-class ChristoffelField:
-    """Connection coefficients of a metric, symmetric in the lower pair.
-
-    values[i, k, l] holds the (n, n) array of the symbol with upper
-    index i and lower indices k, l; the [i, 0, 1] and [i, 1, 0] slices
-    are the same array, so the symmetry is exact by construction.
-    """
-
-    values: np.ndarray
-    grid: object
-
-    def component(self, i: int, k: int, l: int) -> np.ndarray:
-        return self.values[i, k, l]
-
-
-def _assemble_symbols(parts, grid) -> ChristoffelField:
-    """Stack {(i, kl): array} with shared mixed-slot arrays."""
-    n = grid.n
-    vals = np.empty((2, 2, 2, n, n))
-    for i in range(2):
-        vals[i, 0, 0] = parts[i, 0]
-        vals[i, 0, 1] = parts[i, 1]
-        vals[i, 1, 0] = parts[i, 1]
-        vals[i, 1, 1] = parts[i, 2]
-    return ChristoffelField(vals, grid)
-
-
-def christoffel(g: MetricField) -> ChristoffelField:
-    """Symbols 1/2 g^{im} (d_l g_{mk} + d_k g_{ml} - d_m g_{kl}).
-
-    The derivatives act on the covariant components and are the grid's
-    own (deriv: spectral on boxes, masked differences on domains); the
-    contraction uses the stored contravariant tensor directly.
-    """
-    grid = g.grid
-    c11, c12, c22 = _covariant(g)
-    d = {}
-    for name, comp in (("11", c11), ("12", c12), ("22", c22)):
-        for ax, (o1, o2) in (("1", (1, 0)), ("2", (0, 1))):
-            d[ax + name] = _dre(comp, grid, o1, o2)
-
-    # lower-index blocks b_m(kl) = d_l g_{mk} + d_k g_{ml} - d_m g_{kl};
-    # symmetry of g collapses four of the six to a single derivative
-    b = {
-        (0, 1): d["111"],
-        (0, 2): 2.0 * d["112"] - d["211"],
-        (1, 1): d["211"],
-        (1, 2): d["122"],
-        (2, 1): 2.0 * d["212"] - d["122"],
-        (2, 2): d["222"],
-    }
-    parts = {}
-    for i, (gi1, gi2) in enumerate(((g.g11, g.g12), (g.g12, g.g22))):
-        for kl in (0, 1, 2):
-            parts[i, kl] = 0.5 * (gi1 * b[kl, 1] + gi2 * b[kl, 2])
-    return _assemble_symbols(parts, grid)
-
-
-def contracted_drift(g: MetricField) -> VectorField:
-    """Drift through the connection: X^i = -g^{kl} Gamma^i_{kl}.
-
-    Matches drift_field (the divergence formula) within the accuracy of
-    the grid's derivative; on conformal metrics the contraction
-    cancels algebraically and the result is exactly zero.
-    """
-    gam = christoffel(g)
-    comps = []
-    for i in range(2):
-        comps.append(-(g.g11 * gam.values[i, 0, 0]
-                       + 2.0 * g.g12 * gam.values[i, 0, 1]
-                       + g.g22 * gam.values[i, 1, 1]))
-    return VectorField(comps[0], comps[1], g.grid)
-
-
-def conformal_christoffel(gam: ChristoffelField, g: MetricField,
-                          c) -> ChristoffelField:
-    """Symbols of the scaled metric c g from those of g.
-
-    The law adds 1/2 (delta^i_k d_l log c + delta^i_l d_k log c
-    - g_{kl} g^{ij} d_j log c); the covariant/contravariant pair in the
-    last term belongs to the unscaled metric, which is what makes the
-    law additive in log c.
-    """
-    grid = g.grid
-    if gam.grid != grid:
-        raise GridError("symbols and metric live on different grids")
-    cv = lattice_values(c, grid)
-    if np.min(cv) <= 0.0:
-        raise GridError("conformal factor must be positive")
-    logc = np.log(cv)
-    L1 = _dre(logc, grid, 1, 0)
-    L2 = _dre(logc, grid, 0, 1)
-    c11, c12, c22 = _covariant(g)
-    raised = (g.g11 * L1 + g.g12 * L2, g.g12 * L1 + g.g22 * L2)
-    L = (L1, L2)
-    cov = {(0, 0): c11, (0, 1): c12, (1, 1): c22}
-    parts = {}
-    for i in range(2):
-        for j, (k, l) in enumerate(((0, 0), (0, 1), (1, 1))):
-            add = 0.5 * ((L[l] if i == k else 0.0)
-                         + (L[k] if i == l else 0.0)
-                         - cov[k, l] * raised[i])
-            parts[i, j] = gam.values[i, k, l] + add
-    return _assemble_symbols(parts, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +151,6 @@ def _transport(B, comps):
             b21 * b21 * t11 + 2.0 * b21 * b22 * t12 + b22 * b22 * t22)
 
 
-def pullback_scalar(J: DiffeoField, v: ScalarField) -> ScalarField:
-    """(J* v)(x) = v(J(x))."""
-    _check_reach(J)
-    out = _CubicBlock(J.grid, *J.points())(v.values)
-    return ScalarField(out, v.grid)
-
-
-def pullback_vector(J: DiffeoField, X: VectorField) -> VectorField:
-    """Pushforward by the inverse map: (J* X)(x) = (dJ)^{-1} X(J(x))."""
-    _check_reach(J)
-    at = _CubicBlock(J.grid, *J.points())
-    x = (at(X.c1), at(X.c2))
-    return VectorField(*_transport(_inverse_jacobian(J), x), J.grid)
-
-
 def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
     """J* g = (dJ)^T (g o J) dJ, carried out on the stored components.
 
@@ -296,22 +161,6 @@ def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
     at = _CubicBlock(J.grid, *J.points())
     t = (at(g.g11), at(g.g12), at(g.g22))
     return MetricField(*_transport(_inverse_jacobian(J), t), J.grid)
-
-
-def compose_diffeos(outer: DiffeoField, inner: DiffeoField) -> DiffeoField:
-    """The map x -> outer(inner(x)), with the chain-rule Jacobian."""
-    _check_reach(inner)
-    _check_reach(outer)
-    if outer.grid != inner.grid:
-        raise GridError("maps live on different grids")
-    at = _CubicBlock(outer.grid, *inner.points())
-    d1 = inner.d1 + at(outer.d1)
-    d2 = inner.d2 + at(outer.d2)
-    a11, a12, a21, a22 = (at(a) for a in outer.jacobian())
-    i11, i12, i21, i22 = inner.jacobian()
-    jac = (a11 * i11 + a12 * i21, a11 * i12 + a12 * i22,
-           a21 * i11 + a22 * i21, a21 * i12 + a22 * i22)
-    return DiffeoField(d1, d2, inner.grid, jac=jac)
 
 
 def invert_diffeo(J: DiffeoField, *, rtol: float = 1e-12,
@@ -459,8 +308,7 @@ def transform_solution_check(g2: MetricField, X2: VectorField, J: DiffeoField,
 # rigidity of the coordinate system
 
 
-def diffeo_rigidity_solve(g1: MetricField, domain: DomainGrid | None = None,
-                          data=None, **opts) -> DiffeoField:
+def diffeo_rigidity_solve(g1: MetricField, data=None) -> DiffeoField:
     """Solve g1^{kl} d_kl J^m = 0 with J = x on the boundary, per component.
 
     Coordinate functions are exact solutions of the discrete system (the
@@ -469,14 +317,12 @@ def diffeo_rigidity_solve(g1: MetricField, domain: DomainGrid | None = None,
     is the computable content of the rigidity claim. data, when given,
     replaces the coordinate boundary traces (sensitivity studies).
     """
-    grid = g1.grid if domain is None else domain
+    grid = g1.grid
     if not isinstance(grid, DomainGrid):
         raise GridError("rigidity system runs on a domain grid")
-    if grid != g1.grid:
-        raise GridError("metric lives on a different grid")
     phi1, phi2 = data if data is not None else (lambda x, y: x,
                                                 lambda x, y: y)
-    w1, w2 = nondiv_solve_many(g1, [phi1, phi2], **opts)
+    w1, w2 = nondiv_solve_many(g1, [phi1, phi2])
     X, Y = grid.meshgrid()
     d1 = np.where(grid.mask, w1.values - X, 0.0)
     d2 = np.where(grid.mask, w2.values - Y, 0.0)

@@ -3,10 +3,10 @@
 The domain is the axis-aligned ellipse with semi-axes (a, b): the image of
 the unit disk under (x, y) -> (a x, b y), and the disk when a = b. All of
 its geometry comes from the inverse map (x, y) -> (x/a, y/b): the level
-function C = (x/a)^2 + (y/b)^2 - 1, the ring's parameter angle, the
-normals of the level curves, and the exact cell coverage, which is the
-unit disk's. C < 0 is the only test for "inside": it defines the lattice
-mask, and the stencil ray cut is the root of the same C along the ray.
+function C = (x/a)^2 + (y/b)^2 - 1, the ring's parameter angle, and the
+exact cell coverage, which is the unit disk's. C < 0 is the only test for
+"inside": it defines the lattice mask, and the stencil ray cut is the
+root of the same C along the ray.
 
 The domain is discretized on a regular square lattice covering its
 bounding box. Nodes with C < 0 carry unknowns; the boundary is a separate
@@ -24,10 +24,10 @@ node, ties broken by (d^2, di, dj), so the weights sum to the exact area.
 Both lattices share one cubic sampler, _CubicBlock: per point the snapped
 4x4 Lagrange block (flat node indices and weights), clipped to the
 lattice on a domain and wrapped through the period on a box, built once
-and applied to every field sampled at those points. interp_masked, the
-boundary ray fits, the metric rim extrapolation and the geomkit
-pullbacks and inversions all go through it; _ray_fit samples a whole
-stack of fields along the ring's normals with one block. The ring
+and applied to every field sampled at those points. The boundary ray
+fits and the geomkit pullbacks, inversions and transport checks all go
+through it; _ray_fit samples a whole stack of fields along the ring's
+normals with one block. The ring
 calculus is spectral in the uniform ring parameter and lives here only:
 tangential_derivative divides by the stored speed ds M / 2 pi,
 _ring_modes is the half spectrum and _ring_eval its interpolant.
@@ -145,16 +145,6 @@ class DomainGrid:
     def param_angle(self, x, y):
         """Angle t of the ring parametrization (a cos t, b sin t)."""
         return np.arctan2(y / self.b, x / self.a)
-
-    def level_normal(self, x, y):
-        """Outward unit normal of the level curve of C through (x, y).
-
-        Zero at the center, where C has no direction.
-        """
-        nx, ny = x / self.a ** 2, y / self.b ** 2
-        mag = np.hypot(nx, ny)
-        mag = np.where(mag == 0.0, 1.0, mag)
-        return nx / mag, ny / mag
 
     # -- construction helpers -----------------------------------------
 
@@ -471,11 +461,6 @@ def quadrature(f: ScalarField, d: DomainGrid | None = None) -> float:
     return float(np.sum(f.values[d.mask] * d.weights[d.mask]))
 
 
-def boundary_quadrature(t: BoundaryTrace) -> float:
-    """Line integral of a boundary trace over the closed boundary."""
-    return float(np.sum(np.asarray(t.values) * t.grid.boundary.ds))
-
-
 def tangential_derivative(grid: DomainGrid, vals: np.ndarray,
                           order: int = 1) -> np.ndarray:
     """d^order/ds^order of ring samples (M,) or (M, k), s the arclength.
@@ -601,19 +586,6 @@ class _CubicBlock:
                 f"interpolation stencil exits the mask near point "
                 f"({self.p1[k]:.4f}, {self.p2[k]:.4f})")
         return self
-
-
-def interp_masked(values: np.ndarray, grid: DomainGrid,
-                  pts: np.ndarray) -> np.ndarray:
-    """Cubic Lagrange interpolation on local 4x4 lattice blocks.
-
-    All 16 nodes of each block must lie in the interior mask (raises
-    GridError naming the offending point otherwise). Points within 1e-9 dx
-    of a node read the node exactly.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    block = _CubicBlock(grid, pts[:, 0], pts[:, 1])
-    return block.require_inside()(values)
 
 
 _RAY_DEPTHS = np.array([5.0, 7.0, 9.0, 11.0])

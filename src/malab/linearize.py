@@ -20,6 +20,7 @@ the same equation, or the solve raises LinearSolveFailure.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,7 @@ import scipy.sparse as sp
 
 from .complexcalc import deriv
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
-                   ScalarField, VectorField, _CubicBlock, boundary_restrict,
-                   lattice_values)
+                   ScalarField, VectorField, boundary_restrict, lattice_values)
 from .maforward import (LinearSolveFailure, MASolution, SparseLU, StencilOps,
                         build_stencil_ops, ring_values, solve_ma,
                         solve_ma_zero, source_grid, stencil_hessian)
@@ -38,7 +38,6 @@ __all__ = [
     "LinearSolveFailure",
     "solution_hessian",
     "metric_from_solution",
-    "rim_extrapolated",
     "drift_field",
     "divergence_form_apply",
     "nondiv_solve",
@@ -102,53 +101,6 @@ def metric_from_solution(sol: MASolution) -> MetricField:
     m12 = ops.scatter(-h12 / det)
     m22 = ops.scatter(h11 / det)
     return MetricField(m11, m12, m22, sol.u.grid)
-
-
-def rim_extrapolated(g: MetricField, band: float = 5.0,
-                     depths: tuple = (6.0, 9.0)) -> MetricField:
-    """Metric with the shallow boundary band rebuilt by normal-ray
-    extrapolation from clean depths.
-
-    Discrete Hessians of a solved field carry a lattice boundary layer:
-    entry errors of order one at cut rows, decaying geometrically inward
-    and independent of resolution when measured in cells. The layer is
-    harmless to the linear solves, which want exactly those stencil
-    values, but masked differentiation amplifies it, so the drift and any
-    other derivative of the metric blow up near the rim. Here every node
-    shallower than `band` cells gets each component replaced by a linear
-    extrapolation along the inward normal from samples at `depths` cells,
-    where the layer has died off. The result is smooth along rays at the
-    cost of second-order accuracy in the band.
-    """
-    grid = g.grid
-    if not isinstance(grid, DomainGrid):
-        raise GridError("rim extrapolation expects a domain grid")
-    if len(depths) != 2 or depths[0] >= depths[1] or band > depths[0]:
-        raise GridError("need band <= depths[0] < depths[1]")
-    X, Y = grid.meshgrid()
-    nx, ny = grid.level_normal(X, Y)
-
-    reach = (band + 1.0) * grid.dx
-    t = np.full(grid.mask.shape, np.inf)
-    m = grid.mask
-    t[m] = grid.ray_cut(X[m], Y[m], reach * nx[m], reach * ny[m]) * reach
-    sel = m & (t < band * grid.dx)
-    if not np.any(sel):
-        return g
-
-    px, py, depth = X[sel], Y[sel], t[sel]
-    t1, t2 = depths[0] * grid.dx, depths[1] * grid.dx
-    frac = (depth - t1) / (t2 - t1)
-    shift = np.stack([t1 - depth, t2 - depth])
-    block = _CubicBlock(grid, px - shift * nx[sel], py - shift * ny[sel])
-    block.require_inside()
-    fixed = []
-    for comp in (g.g11, g.g12, g.g22):
-        v1, v2 = block(comp)
-        out = comp.copy()
-        out[sel] = v1 + (v2 - v1) * frac
-        fixed.append(out)
-    return MetricField(fixed[0], fixed[1], fixed[2], grid)
 
 
 def _volume_weight(g: MetricField, where) -> np.ndarray:
@@ -232,6 +184,13 @@ def _rhs(ops: StencilOps, G, Phi: np.ndarray, f) -> np.ndarray:
     return (fvec if Phi.ndim == 1 else fvec[:, None]) - G @ Phi
 
 
+def _require_positive(name: str, value) -> None:
+    """GridError naming `name` unless value is a finite real > 0."""
+    if not (isinstance(value, numbers.Real) and np.isfinite(value)
+            and value > 0):
+        raise GridError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _metric_solver(g: MetricField):
     """solve(datas, f, rtol) of nondiv_solve_many for g: both assemblies
     are made once, and the factorization once, at the first solve, after
@@ -275,8 +234,10 @@ def nondiv_solve_many(g: MetricField, datas, f=None, *,
     cross-check assembles the equation a second time, through the
     divergence-form expansion whose drift terms cancel, which guards the
     volume-weight wiring: every column's divergence-route residual must
-    stay within a factor 10 of its primary one.
+    stay within a factor 10 of its primary one. A non-finite or
+    nonpositive rtol is a GridError before any assembly.
     """
+    _require_positive("rtol", rtol)
     return _metric_solver(g)(datas, f, rtol)
 
 
@@ -297,6 +258,7 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
     Expanded, the operator is g^{ab} d_ab + (X_g + X) . grad + c0 with
     c0 = (1/w) d_b(w X^b); w is the covariant volume weight.
     """
+    _require_positive("rtol", rtol)
     grid = g.grid
     if not isinstance(grid, DomainGrid):
         raise GridError("adjoint_solve expects a domain grid")
@@ -319,17 +281,15 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
     return ScalarField(ops.scatter(v), grid)
 
 
-def second_solve(g: MetricField, X: VectorField, v1: ScalarField,
-                 v2: ScalarField, phi1=None, phi2=None, *,
-                 rtol: float = 1e-10) -> ScalarField:
+def second_solve(g: MetricField, v1: ScalarField, v2: ScalarField,
+                 phi1=None, phi2=None, *, rtol: float = 1e-10) -> ScalarField:
     """Second-linearization solve: g^{ab} d_ab w = tr(G V1 G V2), w = 0 on
     the boundary.
 
     V_k are the discrete Hessians of the first-order solutions and G the
     coefficient matrix. Supplying phi1/phi2 closes the Hessian stencils
     with the exact boundary data of v1/v2; otherwise their traces are
-    fitted from the interior. X is accepted for interface uniformity with
-    the adjoint; the non-divergence form of the equation does not use it.
+    fitted from the interior.
     """
     return nondiv_solve(g, 0.0, f=_trace_source(g, v1, v2, phi1, phi2),
                         rtol=rtol)
@@ -380,16 +340,24 @@ class EpsReport:
 
 
 def eps_consistency(F, phi1, phi2, eps1: float = 0.1, eps2: float = 0.1,
-                    scales=(1.0, 0.3, 0.1), grid: DomainGrid | None = None,
-                    **opts) -> EpsReport:
+                    scales=(1.0, 0.3, 0.1),
+                    grid: DomainGrid | None = None) -> EpsReport:
     """Check the two-parameter expansion of the solved family.
 
     For boundary data s eps1 phi1 + s eps2 phi2, the first divided
     difference converges to the first linearization and the mixed second
-    difference to the second linearization, both at rate O(s).
+    difference to the second linearization, both at rate O(s). eps1, eps2
+    and every scale must be positive and finite, with at least two
+    distinct scales for the slopes, or GridError before any solve.
     """
+    _require_positive("eps1", eps1)
+    _require_positive("eps2", eps2)
+    for s in scales:
+        _require_positive("scales", s)
+    if len(set(scales)) < 2:
+        raise GridError(f"scales need two distinct values, got {scales!r}")
     grid = source_grid(F, grid)
-    base = solve_ma_zero(F, grid, **opts)
+    base = solve_ma_zero(F, grid)
     g = metric_from_solution(base)
     solve = _metric_solver(g)            # one factorization for both
     v1, v2 = solve([phi1, phi2], None, 1e-10)
@@ -401,9 +369,9 @@ def eps_consistency(F, phi1, phi2, eps1: float = 0.1, eps2: float = 0.1,
     e1s, e2s, rems = [], [], []
     for s in scales:
         a, c = s * eps1, s * eps2
-        u10 = solve_ma(F, BoundaryTrace(a * p1, grid), grid, **opts)
-        u01 = solve_ma(F, BoundaryTrace(c * p2, grid), grid, **opts)
-        u11 = solve_ma(F, BoundaryTrace(a * p1 + c * p2, grid), grid, **opts)
+        u10 = solve_ma(F, BoundaryTrace(a * p1, grid), grid)
+        u01 = solve_ma(F, BoundaryTrace(c * p2, grid), grid)
+        u11 = solve_ma(F, BoundaryTrace(a * p1 + c * p2, grid), grid)
         d1 = (u10.u.values - base.u.values) / a - v1.values
         mixed = (u11.u.values - u10.u.values - u01.u.values
                  + base.u.values) / (a * c)

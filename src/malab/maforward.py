@@ -51,8 +51,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, ScalarField,
-                   _ring_eval, _ring_modes, lattice_values,
-                   tangential_derivative)
+                   _ring_eval, _ring_modes, lattice_values)
 
 __all__ = [
     "LinearSolveFailure",
@@ -60,13 +59,11 @@ __all__ = [
     "NewtonFailure",
     "StencilOps",
     "build_stencil_ops",
-    "data_norm_surrogate",
     "eval_boundary_data",
     "poisson_init",
     "ring_values",
     "solve_ma",
     "solve_ma_zero",
-    "perturbation_stability",
     "source_grid",
     "SparseLU",
     "stencil_hessian",
@@ -81,6 +78,12 @@ CUT_FRACTION = 0.25
 # with the Laplacian preconditioner a step takes 2-15 iterations
 KRYLOV_RESTART = 40
 KRYLOV_CYCLES = 2
+
+# Newton: the residual target as a fraction of max F, the step budget, and
+# the damping below which the line search gives up
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 30
+DAMPING_MIN = 1e-4
 
 
 class NewtonFailure(RuntimeError):
@@ -193,19 +196,6 @@ def ring_values(grid: DomainGrid, data) -> np.ndarray:
     """Dirichlet data at the boundary ring nodes."""
     b = grid.boundary
     return eval_boundary_data(grid, data, b.points[:, 0], b.points[:, 1])
-
-
-def data_norm_surrogate(grid: DomainGrid, data) -> float:
-    """Discrete stand-in for a high-order boundary norm of the data.
-
-    Maximum of the value and the first two arclength-derivative magnitudes
-    on the ring (grid.tangential_derivative).
-    """
-    vals = ring_values(grid, data)
-    d1 = tangential_derivative(grid, vals)
-    d2 = tangential_derivative(grid, d1)
-    return float(max(np.max(np.abs(vals)), np.max(np.abs(d1)),
-                     np.max(np.abs(d2))))
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +448,6 @@ class MASolution:
     phi: BoundaryTrace
     log: list = field(default_factory=list)
     convex: bool = False
-    data_norm: float = 0.0
-    admissible: bool = True
 
 
 def stencil_hessian(ops: StencilOps, U: np.ndarray, phi: np.ndarray):
@@ -492,14 +480,13 @@ def source_grid(F, grid: DomainGrid | None) -> DomainGrid:
     return F.grid
 
 
-def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
-             tol: float = 1e-10, max_iter: int = 30, delta: float = 0.1,
-             damping_min: float = 1e-4) -> MASolution:
+def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
     """Solve det D^2 u = F, u = phi on the boundary, by damped Newton.
 
     F may be a ScalarField, an array, a scalar, or a callable; phi may be a
     BoundaryTrace, a scalar, a callable, or None for zero data. The
-    residual target is tol * max F in the max norm. Steps are damped by
+    residual target is NEWTON_TOL * max F in the max norm, within
+    NEWTON_MAX_ITER steps. Steps are damped by
     backtracking and rejected if any interior Hessian loses positivity.
     A step whose GMRES solve missed its forcing term and runs out of
     damping is redone once with a sparse LU of the Jacobian; running out
@@ -516,12 +503,11 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
 
     ops = build_stencil_ops(grid)
     phic = ops.crossing_values(phi)
-    norm_phi = data_norm_surrogate(grid, phi)
 
     lap, U = _poisson(ops, Fvec, phic)
     precond = spla.LinearOperator((ops.N, ops.N), matvec=lap.solve)
     pde = ops.pde
-    Ftarget = tol * float(np.max(np.abs(Fvec)))
+    Ftarget = NEWTON_TOL * float(np.max(np.abs(Fvec)))
 
     def state(U):
         """Stencil Hessian, residual, its max norm and the min eigenvalue."""
@@ -532,7 +518,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
     (h11, h22, h12), res, rnorm, lam_min = state(U)
     log = [(0, rnorm, 1.0, lam_min, 0, False)]
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         if rnorm <= Ftarget:
             break
         J = ops.system(h22, -h12, h11)
@@ -548,11 +534,11 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
             if le > 0.0 and rn <= (1.0 - 1e-4 * lam) * rnorm:
                 break
             lam *= 0.5
-            if lam < damping_min and info != 0:
+            if lam < DAMPING_MIN and info != 0:
                 # the Krylov solve missed eta: redo the step exactly, once
                 step, info, lam = SparseLU(J).solve(-res), 0, 1.0
                 redone = True
-            elif lam < damping_min:
+            elif lam < DAMPING_MIN:
                 log.append((it, rn, lam, le, len(count), redone))
                 lost = (f"convexity lost (min eigenvalue {le:.3e})"
                         if le <= 0.0 else "descent lost")
@@ -565,8 +551,8 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
         log.append((it, rnorm, lam, lam_min, len(count), redone))
     else:
         raise NewtonFailure(
-            f"no convergence in {max_iter} iterations; residual {rnorm:.3e}",
-            log)
+            f"no convergence in {NEWTON_MAX_ITER} iterations; residual "
+            f"{rnorm:.3e}", log)
 
     detH = h11 * h22 - h12 ** 2
     convex = (lam_min > 0.0
@@ -574,47 +560,10 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None, *,
     return MASolution(
         u=ScalarField(ops.scatter(U), grid), F=ScalarField(Fv.copy(), grid),
         phi=BoundaryTrace(ring_values(grid, phi), grid), log=log,
-        convex=convex, data_norm=norm_phi, admissible=norm_phi <= delta)
+        convex=convex)
 
 
-def solve_ma_zero(F, grid: DomainGrid | None = None, **opts) -> MASolution:
+def solve_ma_zero(F, grid: DomainGrid | None = None) -> MASolution:
     """solve_ma with zero boundary data: the base every linearization and
     DN map is taken around. Nothing is cached; each call solves."""
-    return solve_ma(F, None, grid, **opts)
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Response of the solution to shrinking boundary data."""
-
-    amplitudes: tuple
-    deviations: tuple          # max |u_eps - u_0| per amplitude
-    ratios: tuple              # deviation / (eps * max |phi|)
-    spread: float              # max/min ratio - 1 over the sweep
-
-    def stable(self, rel: float = 0.2) -> bool:
-        return self.spread < rel
-
-
-def perturbation_stability(F, phi, grid: DomainGrid | None = None,
-                           amplitudes=(0.1, 0.01, 0.001),
-                           **opts) -> PerturbationReport:
-    """Measure ||u_phi - u_0|| / ||phi|| across a data-amplitude sweep."""
-    grid = source_grid(F, grid)
-    base = solve_ma_zero(F, grid, **opts)
-    pvals = ring_values(grid, phi)
-    pmax = float(np.max(np.abs(pvals)))
-    if pmax == 0.0:
-        return PerturbationReport(tuple(amplitudes),
-                                  (0.0,) * len(amplitudes),
-                                  (0.0,) * len(amplitudes), 0.0)
-    devs, ratios = [], []
-    for eps in amplitudes:
-        scaled = BoundaryTrace(eps * pvals, grid)
-        sol = solve_ma(F, scaled, grid, **opts)
-        dev = float(np.max(np.abs(sol.u.values - base.u.values)))
-        devs.append(dev)
-        ratios.append(dev / (eps * pmax))
-    spread = max(ratios) / min(ratios) - 1.0 if min(ratios) > 0 else np.inf
-    return PerturbationReport(tuple(amplitudes), tuple(devs), tuple(ratios),
-                              spread)
+    return solve_ma(F, None, grid)

@@ -2,19 +2,11 @@ import numpy as np
 import pytest
 
 from malab.complexcalc import (
-    A_MAT, B_MAT, _OscPlan, _kernel_hat, cauchy_inverse, complex_hessian,
-    conj_cauchy_inverse, deriv, oscillatory_dbar_inv,
-    oscillatory_dbar_inv_conj, periodic_fd4, smooth_cutoff, spectral_deriv,
-    wirtinger,
+    _OscPlan, _kernel_hat, cauchy_inverse, conj_cauchy_inverse, deriv,
+    oscillatory_dbar_inv, periodic_fd4, smooth_cutoff, spectral_deriv,
+    spectral_dz, spectral_dzb,
 )
-from malab.grid import ComplexField, GridError, PaddedGrid, ScalarField, build_disk
-
-
-def test_trace_identities_exact():
-    tr = lambda m: complex(m[0, 0] + m[1, 1])
-    assert tr(A_MAT @ B_MAT) == 4.0 + 0.0j
-    for m in (A_MAT, B_MAT, A_MAT @ A_MAT, B_MAT @ B_MAT):
-        assert tr(m) == 0.0 + 0.0j
+from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
 
 
 def _fd4_wirtinger(vals, g):
@@ -40,13 +32,13 @@ def test_wirtinger_spectral_vs_symbolic():
     # box period 2*pi makes sin x1 cos x2 exactly periodic
     g = PaddedGrid(half=np.pi, n=64)
     X, Y = g.meshgrid()
-    f = ComplexField(np.sin(X) * np.cos(Y), g)
-    dz, dzb = wirtinger(f)
+    f = np.sin(X) * np.cos(Y)
+    dz, dzb = spectral_dz(f, g), spectral_dzb(f, g)
     # symbolic: dz = (cos x1 cos x2 + i sin x1 sin x2)/2
     want_dz = 0.5 * (np.cos(X) * np.cos(Y) + 1j * np.sin(X) * np.sin(Y))
     want_dzb = 0.5 * (np.cos(X) * np.cos(Y) - 1j * np.sin(X) * np.sin(Y))
-    assert np.max(np.abs(dz.values - want_dz)) < 1e-6
-    assert np.max(np.abs(dzb.values - want_dzb)) < 1e-6
+    assert np.max(np.abs(dz - want_dz)) < 1e-6
+    assert np.max(np.abs(dzb - want_dzb)) < 1e-6
 
 
 def test_laplacian_identity():
@@ -54,9 +46,9 @@ def test_laplacian_identity():
     g = PaddedGrid(half=np.pi, n=64)
     X, Y = g.meshgrid()
     f = np.sin(2 * X) * np.cos(Y)
-    ch = complex_hessian(ComplexField(f, g))
+    dzdzb = spectral_dz(spectral_dzb(f, g), g)
     lap = spectral_deriv(f, g, 2, 0) + spectral_deriv(f, g, 0, 2)
-    assert np.max(np.abs(4.0 * ch.dzdzb - lap)) < 1e-9
+    assert np.max(np.abs(4.0 * dzdzb - lap)) < 1e-9
 
 
 def _disk_z(g):
@@ -64,52 +56,32 @@ def _disk_z(g):
     return X + 1j * Y
 
 
+def _hessian(f, g):
+    """(n, n, 2, 2) Hessian of f from the grid's own derivative."""
+    d12 = deriv(f, g, 1, 1)
+    return np.stack([np.stack([deriv(f, g, 2, 0), d12], axis=-1),
+                     np.stack([d12, deriv(f, g, 0, 2)], axis=-1)], axis=-2)
+
+
 def test_complex_hessian_holomorphic_square():
     # masked differences are exact on quadratics, rim stencils included
     g = build_disk(1.0, 128)
     z = _disk_z(g)
-    core = g.mask
-    ch = complex_hessian(ComplexField(z * z, g))
-    want = np.array([[2, 2j], [2j, -2]])
-    err = np.abs(ch.hessian[core] - want)
-    assert np.max(err) < 1e-9
-    assert np.max(np.abs(ch.dzb2[core])) < 1e-10
-    assert np.max(np.abs(ch.dzdzb[core])) < 1e-10
+    H = _hessian(z * z, g)[g.mask]
+    assert np.max(np.abs(H - np.array([[2, 2j], [2j, -2]]))) < 1e-9
+    # dzb^2 and dz dzb from the real second derivatives
+    dzb2 = 0.25 * (H[:, 0, 0] - H[:, 1, 1]) + 0.5j * H[:, 0, 1]
+    dzdzb = 0.25 * (H[:, 0, 0] + H[:, 1, 1])
+    assert np.max(np.abs(dzb2)) < 1e-10
+    assert np.max(np.abs(dzdzb)) < 1e-10
 
 
 def test_complex_hessian_modulus_square():
     g = build_disk(1.0, 128)
     z = _disk_z(g)
     core = g.mask
-    ch = complex_hessian(ComplexField((z * np.conj(z)).real.astype(complex), g))
-    want = 2.0 * np.eye(2)
-    assert np.max(np.abs(ch.hessian[core] - want)) < 1e-9
-
-
-def test_hessian_assembly_random_quartics():
-    # the A/B assembly identity against the real Hessian from the same
-    # masked differences, so this isolates the algebra
-    g = build_disk(1.0, 128)
-    X, Y = g.meshgrid()
-    core = g.mask & (X ** 2 + Y ** 2 < 0.75 ** 2)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        c = rng.normal(size=15)
-        f = (c[0] + c[1] * X + c[2] * Y + c[3] * X * Y + c[4] * X ** 2
-             + c[5] * Y ** 2 + c[6] * X ** 3 + c[7] * X ** 2 * Y
-             + c[8] * X * Y ** 2 + c[9] * Y ** 3 + c[10] * X ** 4
-             + c[11] * X ** 3 * Y + c[12] * X ** 2 * Y ** 2
-             + c[13] * X * Y ** 3 + c[14] * Y ** 4)
-        ch = complex_hessian(ComplexField(f, g))
-        d11, d22, d12 = (deriv(f, g, 2, 0), deriv(f, g, 0, 2),
-                         deriv(f, g, 1, 1))
-        direct = np.empty(f.shape + (2, 2), dtype=complex)
-        direct[..., 0, 0] = d11
-        direct[..., 0, 1] = d12
-        direct[..., 1, 0] = d12
-        direct[..., 1, 1] = d22
-        scale = np.max(np.abs(direct[core]))
-        assert np.max(np.abs((ch.hessian - direct)[core])) < 1e-6 * scale
+    H = _hessian((z * np.conj(z)).real.astype(complex), g)
+    assert np.max(np.abs(H[core] - 2.0 * np.eye(2))) < 1e-9
 
 
 def test_hessian_backends_agree():
@@ -121,13 +93,12 @@ def test_hessian_backends_agree():
     for _ in range(5):
         a, b = rng.integers(1, 3, 2)
         f += rng.normal() * np.sin(a * X + rng.normal()) * np.cos(b * Y)
-    ch = complex_hessian(ComplexField(f, g))
     d1 = lambda v, ax: periodic_fd4(v, g, ax, 1)
     direct = np.empty(f.shape + (2, 2), dtype=complex)
     direct[..., 0, 0] = d1(d1(f, 0), 0)
     direct[..., 0, 1] = direct[..., 1, 0] = d1(d1(f, 0), 1)
     direct[..., 1, 1] = d1(d1(f, 1), 1)
-    assert np.max(np.abs(ch.hessian - direct)) < 1e-6
+    assert np.max(np.abs(_hessian(f, g) - direct)) < 1e-6
 
 
 def test_masked_derivatives_quadratic_exact():
@@ -290,10 +261,6 @@ def test_windowed_oscillatory_matches_full_box(half, n, rc, h):
         got = oscillatory_dbar_inv(ComplexField(vals, g), psi, h, rc).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.all(got[~core] == 0.0)
-        want_c = np.conj(full_box(np.conj(vals)))
-        got_c = oscillatory_dbar_inv_conj(ComplexField(vals, g), psi, h,
-                                          rc).values
-        assert np.max(np.abs(got_c - want_c)) <= 1e-13 * np.max(np.abs(want_c))
     if n == 512:
         plan = _OscPlan(g, psi, h)
         assert plan.khat.shape == (512, 512)
@@ -321,17 +288,17 @@ def test_cauchy_transforms_reject_bad_input():
     bad[0, 0] = np.nan           # outside every window: still refused
     with pytest.raises(GridError, match="cauchy_inverse: non-finite"):
         cauchy_inverse(ComplexField(bad, g))
-    for osc in (oscillatory_dbar_inv, oscillatory_dbar_inv_conj):
-        with pytest.raises(GridError, match="non-finite"):
-            osc(ComplexField(bad, g), psi, 0.3)
-        nan_psi = psi.copy()
-        nan_psi[0, -1] = np.inf
-        with pytest.raises(GridError, match="psi: non-finite"):
-            osc(ComplexField(f, g), nan_psi, 0.3)
-        with pytest.raises(GridError, match="psi: shape"):
-            osc(ComplexField(f, g), np.zeros((g.n, g.n + 1)), 0.3)
-        with pytest.raises(GridError, match="core radius"):
-            osc(ComplexField(f, g), psi, 0.3, core_radius=0.0)
+    osc = oscillatory_dbar_inv
+    with pytest.raises(GridError, match="non-finite"):
+        osc(ComplexField(bad, g), psi, 0.3)
+    nan_psi = psi.copy()
+    nan_psi[0, -1] = np.inf
+    with pytest.raises(GridError, match="psi: non-finite"):
+        osc(ComplexField(f, g), nan_psi, 0.3)
+    with pytest.raises(GridError, match="psi: shape"):
+        osc(ComplexField(f, g), np.zeros((g.n, g.n + 1)), 0.3)
+    with pytest.raises(GridError, match="core radius"):
+        osc(ComplexField(f, g), psi, 0.3, core_radius=0.0)
 
 
 def test_oscillatory_decay_ordering():

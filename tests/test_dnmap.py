@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from malab.grid import (BoundaryTrace, GridError, MetricField, build_disk,
-                        build_ellipse)
+                        build_ellipse, tangential_derivative)
 from malab.maforward import solve_ma
 from malab.dnmap import (_basis_project, dn_full, dn_full_derivative, dn_lin,
                          dn_lin_matrix, recover_boundary_hessian,
-                         recover_boundary_third, tangential_derivative)
+                         recover_boundary_third)
 
 
 def flat_metric(grid):

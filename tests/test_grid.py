@@ -4,8 +4,7 @@ import pytest
 from malab.grid import (
     BoundaryTrace, GridError, PaddedGrid, ScalarField, _adopt_orphans,
     _coverage_weights, _CubicBlock, _ray_fit, _ring_eval, _ring_modes,
-    boundary_quadrature, boundary_restrict,
-    build_disk, build_ellipse, interp_masked, lattice_values,
+    boundary_restrict, build_disk, build_ellipse, lattice_values,
     normal_derivative, quadrature, tangential_derivative,
 )
 from malab.maforward import build_stencil_ops
@@ -333,7 +332,7 @@ def test_interp_masked_quartic_exact_order():
     t = rng.uniform(0, 2 * np.pi, 40)
     rr = rng.uniform(0, 0.5, 40)
     pts = np.stack([rr * np.cos(t), rr * np.sin(t)], axis=1)
-    got = interp_masked(vals, g, pts)
+    got = _CubicBlock(g, pts[:, 0], pts[:, 1]).require_inside()(vals)
     exact = pts[:, 0] ** 3 * pts[:, 1] - 2 * pts[:, 0] * pts[:, 1] + 0.5 * pts[:, 1] ** 2
     # cubic Lagrange reproduces cubics exactly; the x^3 y term is degree 4
     # jointly but cubic per axis, so it is reproduced too
@@ -355,9 +354,8 @@ def test_interp_masked_quartic_exact_order():
 
 def test_interp_masked_strict_rejection():
     g = build_disk(1.0, 64)
-    X, Y = g.meshgrid()
-    with pytest.raises(GridError):
-        interp_masked(X, g, np.array([[0.99, 0.0]]))
+    with pytest.raises(GridError, match="exits the mask"):
+        _CubicBlock(g, np.array([0.99]), np.array([0.0])).require_inside()
 
 
 def test_boundary_trace_keeps_its_own_values():
@@ -371,8 +369,7 @@ def test_boundary_trace_keeps_its_own_values():
 
 def test_boundary_quadrature_circumference():
     g = build_disk(1.5, 64)
-    one = BoundaryTrace(np.ones(len(g.boundary)), g)
-    assert abs(boundary_quadrature(one) - 2 * np.pi * 1.5) < 1e-12
+    assert abs(np.sum(g.boundary.ds) - 2 * np.pi * 1.5) < 1e-12
 
 
 def test_padded_grid():
