@@ -7,8 +7,12 @@ that realize one step, the functions that certify it (each returns a
 measured residual or slope of the step's identity) and the tests that
 hold it to a bound. Functions are module.name under malab, tests are
 file::test under tests/. tests/test_packaging.py resolves every name
-here, and it fails on a public name of malab that no step, no other
-module of malab and no benchmark workload in perfbench/ needs.
+here. It fails on a public name of malab that no step names, no other
+module of malab imports and no benchmark workload in perfbench/ uses;
+on a public method or property that no step names and no code in src/
+or perfbench/ reads; on a dataclass field that nothing reads; and on a
+keyword default that no caller sets (a refused test call sets nothing):
+a fixed choice is a module constant, named at its step.
 
 1. The Monge-Ampere DN map phi -> d_nu u, with det D^2 u = F, u = phi.
    Realized by dnmap.dn_full over maforward.solve_ma: damped Newton on
@@ -35,16 +39,20 @@ module of malab and no benchmark workload in perfbench/ needs.
    Certified by dnmap.dn_full_derivative (the derivative of step 1),
    linearize.divergence_form_apply (the divergence form with the drift)
    and linearize.eps_consistency (a linearize.EpsReport of the expansion
-   slopes).
+   slopes, at the data steps linearize.EPS1 and linearize.EPS2).
    Tests: test_dnmap.py::test_dn_full_derivative_quadratic_remainder,
    test_linearize.py::test_divergence_form_identity_deep,
    test_linearize.py::test_eps_consistency_quartic_base,
    test_dnmap.py::test_dn_lin_steklov_diagonal.
 5. The conformal class of g, without diffeomorphism invariance.
-   Realized by geomkit.isothermal (the isothermal chart),
-   geomkit.diffeo_rigidity_solve (the coordinates are fixed by their
-   boundary values), geomkit.pullback_metric and geomkit.invert_diffeo
-   on a geomkit.DiffeoField.
+   Realized by geomkit.isothermal (the isothermal chart, conformal to
+   geomkit.CONFORMAL_TOL over the core disk; its Beltrami iteration keeps
+   geomkit.BELTRAMI_MARGIN from 1 and stops at geomkit.BELTRAMI_RTOL
+   within geomkit.BELTRAMI_MAX_ITER steps), geomkit.diffeo_rigidity_solve
+   (the coordinates are fixed by their boundary values),
+   geomkit.pullback_metric and geomkit.invert_diffeo (a fixed point to
+   geomkit.INVERSION_RTOL within geomkit.INVERSION_MAX_ITER steps) on a
+   geomkit.DiffeoField.
    Certified by geomkit.transform_solution_check (a
    geomkit.TransformReport).
    Tests: test_geomkit.py::test_isothermal_chart_properties,
@@ -53,22 +61,25 @@ module of malab and no benchmark workload in perfbench/ needs.
 6. The CGO asymptotics of -lap v + X . grad v + q v = 0.
    Realized by cgo.build_cgo_holo, cgo.build_cgo_antiholo and
    cgo.build_cgo_adjoint (each a cgo.CGOBundle of series depth
-   cgo.DEPTH_DEFAULT, on a cgo.PhaseSpec from cgo.phase_spec), through
+   cgo.DEPTH_DEFAULT, on a cgo.PhaseSpec from cgo.phase_spec, measured
+   on the core disk of radius half / complexcalc.CORE_DIVISOR), through
    cgo.gauge, cgo.factor_potential, cgo.series_weights, cgo.neumann_T
    and cgo.drift_residual; the oscillatory inverse
    complexcalc.oscillatory_dbar_inv cuts off with
    complexcalc.smooth_cutoff and resolves complexcalc.NODES_PER_OSC
    nodes per wavelength.
    Certified by cgo.remainder_expansion (the h-expansion of the
-   remainder), cgo.factorization_check (the gauge factorization) and
-   cgo.cz_diagnostic (the Calderon-Zygmund bound).
+   remainder), cgo.factorization_check (the gauge factorization on a
+   fixed probe) and cgo.cz_diagnostic (the Calderon-Zygmund bound,
+   weighted by h^(1/2 - cgo.CZ_EPS)).
    Tests: test_cgo.py::test_remainder_expansion_slopes,
    test_cgo.py::test_factorization_residual_random_drifts,
    test_cgo.py::test_cz_diagnostic_bounded_on_sweep,
    test_cgo.py::test_bundle_residuals_small.
 7. The nonlocal dbar equation. Its inputs are the second linearization
-   linearize.second_solve and the adjoint solve linearize.adjoint_solve;
-   no code forms the identity itself.
+   linearize.second_solve and the adjoint solve linearize.adjoint_solve,
+   and grid.quadrature integrates their pairing; no code forms the
+   identity itself.
    Tests: test_linearize.py::test_second_solve_poisson_oracle,
    test_linearize.py::test_adjoint_duality_quadrature.
 8. F. No code recovers F yet.

@@ -51,7 +51,7 @@ import numpy as np
 # the series applies one _OscPlan per bundle; oscillatory_dbar_inv stays
 # importable here as the public form of its inverse (CGOBundle.r is
 # -oscillatory_dbar_inv(V' s) bit for bit), and perfbench traces it here
-from .complexcalc import (_bounding_slices, _core_radius, _fd4, _OscPlan,
+from .complexcalc import (CORE_DIVISOR, _bounding_slices, _fd4, _OscPlan,
                           _require_finite, _require_h, _support_guard,
                           _wirtinger_symbol, oscillatory_dbar_inv,
                           periodic_fd4, spectral_deriv, spectral_dz,
@@ -59,6 +59,7 @@ from .complexcalc import (_bounding_slices, _core_radius, _fd4, _OscPlan,
 from .grid import ComplexField, GridError, PaddedGrid, VectorField
 
 DEPTH_DEFAULT = 6                       # series truncation depth
+CZ_EPS = 0.1                            # cz_diagnostic weighs by h^(1/2 - CZ_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -154,21 +155,19 @@ def _zero_drift(grid: PaddedGrid) -> VectorField:
     return VectorField(z, z.copy(), grid)
 
 
-def factorization_check(X: VectorField, q=0.0, f=None) -> float:
+def factorization_check(X: VectorField, q=0.0) -> float:
     """Relative residual of the gauge factorization on a test function.
 
     Compares (-lap + X.grad + q) f against
-    2 G_c dzb*[ m dzb(G f) ] + factor_potential(X, q) f with dzb* = -2 dz,
-    all derivatives spectral and the gauge solved spectrally, so the
-    residual sits at rounding level when the identity is exact.
+    2 G_c dzb*[ m dzb(G f) ] + factor_potential(X, q) f with dzb* = -2 dz
+    for the fixed probe f = exp(-|x|^2 / 0.8) (1 + 0.4 x - 0.3 y), all
+    derivatives spectral and the gauge solved spectrally, so the residual
+    sits at rounding level when the identity is exact.
     """
     grid = _require_padded(X.grid)
-    if f is None:
-        XX, YY = grid.meshgrid()
-        r2 = XX * XX + YY * YY
-        f = np.exp(-r2 / 0.8) * (1.0 + 0.4 * XX - 0.3 * YY)
-    fv = f.values if hasattr(f, "values") else np.asarray(f)
-    fv = fv.astype(complex)
+    XX, YY = grid.meshgrid()
+    r2 = XX * XX + YY * YY
+    fv = (np.exp(-r2 / 0.8) * (1.0 + 0.4 * XX - 0.3 * YY)).astype(complex)
     qv = np.asarray(q)
 
     lhs = (-(spectral_deriv(fv, grid, 2, 0) + spectral_deriv(fv, grid, 0, 2))
@@ -193,8 +192,8 @@ class PhaseSpec:
 
     Evaluated from its coefficients, so dzb(Phi) = 0 holds by construction;
     the critical-point flag reports whether any root of the derivative
-    polynomial lies inside the core disk (radius half/3) where the
-    oscillatory machinery operates.
+    polynomial lies inside the core disk (radius half / CORE_DIVISOR)
+    where the oscillatory machinery operates.
     """
 
     coeffs: tuple                        # ascending powers of (z - center)
@@ -203,8 +202,7 @@ class PhaseSpec:
     values: np.ndarray                   # Phi on the lattice
     dvalues: np.ndarray                  # dPhi/dz on the lattice
     psi: np.ndarray                      # Im Phi
-    critical_points: tuple               # roots of dPhi/dz (z-plane)
-    has_critical_point: bool             # any root inside the core disk
+    has_critical_point: bool             # any root of dPhi/dz in the core disk
 
     def negated(self) -> "PhaseSpec":
         return phase_spec(tuple(-c for c in self.coeffs), self.grid,
@@ -226,14 +224,13 @@ def phase_spec(coeffs, grid: PaddedGrid, center=0j) -> PhaseSpec:
     for c in reversed(dcs):
         dvals = dvals * w + c
     if not dcs or all(c == 0 for c in dcs):
-        roots = ()
         has_cp = True                    # derivative vanishes identically
     else:
-        rr = np.roots(list(reversed(dcs)))
-        roots = tuple(complex(center) + complex(z) for z in rr)
-        has_cp = any(abs(z) <= grid.half / 3.0 for z in roots)
+        roots = np.roots(list(reversed(dcs)))
+        has_cp = any(abs(complex(center) + complex(z))
+                     <= grid.half / CORE_DIVISOR for z in roots)
     return PhaseSpec(cs, complex(center), grid, vals, dvals,
-                     vals.imag.copy(), roots, has_cp)
+                     vals.imag.copy(), has_cp)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +273,7 @@ def _neumann_step(win: np.ndarray, plan: _OscPlan, Vw: np.ndarray,
 
 
 def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
-              vp: ComplexField, core_radius: float | None = None
-              ) -> ComplexField:
+              vp: ComplexField) -> ComplexField:
     """One application of the remainder-series operator.
 
     T f = (dzb*-inverse with phase +2i psi/h) [ V x (dzb-inverse with phase
@@ -287,7 +283,7 @@ def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
     runs; the result is zero outside the core window.
     """
     grid = _require_padded(f.grid)
-    plan = _OscPlan(grid, psi, h, core_radius)
+    plan = _OscPlan(grid, psi, h)
     Vu = V.values[plan.out] * plan.apply(vp.values * f.values)
     return ComplexField(plan.embed(_dbar_star_inv(Vu, plan.apply_core)), grid)
 
@@ -325,19 +321,6 @@ class CGOBundle:
     residual: float
     term_norms: tuple
     r_norm: float
-
-    def diagnostics(self) -> dict:
-        return {
-            "kind": self.kind,
-            "h": self.h,
-            "K": self.K,
-            "K_effective": self.K_effective,
-            "core_radius": self.core_radius,
-            "residual": self.residual,
-            "r_norm": self.r_norm,
-            "term_norms": list(self.term_norms),
-            "has_critical_point": self.phase.has_critical_point,
-        }
 
 
 def _eval_amplitude(amplitude, grid: PaddedGrid) -> np.ndarray:
@@ -401,8 +384,8 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     return _l2(res, grid, mask) / scale
 
 
-def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude, K,
-                   core_radius) -> tuple:
+def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude,
+                   K) -> tuple:
     """(grid, drift, q, core radius, amplitude values, gauge source) of a
     bundle, every input guarded before any FFT (build_cgo_holo)."""
     grid = _require_padded(phase.grid)
@@ -418,14 +401,13 @@ def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude, K,
         _require_finite(qv, grid, "q")
     elif not np.isfinite(qv):
         raise GridError("q: non-finite values")
-    rc = _core_radius(grid, core_radius)
+    rc = grid.half / CORE_DIVISOR
     _measurement_disk(grid, rc)
     return grid, X, qv, rc, _eval_amplitude(amplitude, grid), _gauge_source(X)
 
 
 def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
-                   q=0.0, amplitude=None, K: int = DEPTH_DEFAULT,
-                   core_radius: float | None = None) -> CGOBundle:
+                   q=0.0, amplitude=None, K: int = DEPTH_DEFAULT) -> CGOBundle:
     """Holomorphically growing solution exp(i alpha)^-1 e^{Phi/h} (a + r).
 
     Every input runs the same series: the gauge, the weights (V, V') and
@@ -436,17 +418,17 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     it, the sum s and r = -osc(V' s) live on the core window (the bounding
     box of the core disk, outside which they vanish), with V and V' sliced
     to it once, and s and r are embedded into the box once.  The residual
-    is measured on the core disk plus the differences' 2-node reach.  Zero
-    drift and potential give an exactly zero gauge, V and series, so r = 0.
-    If the series terms ever grow instead of decaying, a warning is issued
-    and the sum is truncated at the observed minimum.  A non-finite or
-    nonpositive h or core radius, one whose measurement disk holds no node,
-    a K that is not a nonnegative integer, a q that is not a finite scalar
-    or box field, and a non-finite amplitude or drift raise a GridError
-    before any FFT.
+    is measured on the core disk (radius half / CORE_DIVISOR) plus the
+    differences' 2-node reach.  Zero drift and potential give an exactly
+    zero gauge, V and series, so r = 0.  If the series terms ever grow
+    instead of decaying, a warning is issued and the sum is truncated at
+    the observed minimum.  A non-finite or nonpositive h, a box whose
+    measurement disk holds no node, a K that is not a nonnegative
+    integer, a q that is not a finite scalar or box field, and a
+    non-finite amplitude or drift raise a GridError before any FFT.
     """
     grid, X, qv, rc, a_vals, src = _bundle_inputs(phase, h, drift, q,
-                                                  amplitude, K, core_radius)
+                                                  amplitude, K)
     alpha, ga = _gauge(src, grid)
     im_max = float(np.max(np.abs(np.imag(alpha))))
     if float(np.min(np.abs(ga))) < np.exp(-im_max) * (1.0 - 1e-12):
@@ -483,9 +465,7 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
 
 
 def build_cgo_antiholo(phase: PhaseSpec, h: float,
-                       drift: VectorField | None = None, q=0.0,
-                       K: int = DEPTH_DEFAULT,
-                       core_radius: float | None = None) -> CGOBundle:
+                       drift: VectorField | None = None, q=0.0) -> CGOBundle:
     """Antiholomorphically growing partner exp(i conj alpha) e^{-conj Phi/h} (1 + r).
 
     For the real drift and potential this operator carries, conjugating a
@@ -496,7 +476,7 @@ def build_cgo_antiholo(phase: PhaseSpec, h: float,
     grid = _require_padded(phase.grid)
     if np.iscomplexobj(np.asarray(q)):
         raise GridError("antiholo construction needs a real potential")
-    nb = build_cgo_holo(phase.negated(), h, drift, q, None, K, core_radius)
+    nb = build_cgo_holo(phase.negated(), h, drift, q)
     X = drift if drift is not None else _zero_drift(grid)
     v_vals = np.conj(nb.v.values)
     res = drift_residual(v_vals, X, np.asarray(q), h, grid, nb.core_radius)
@@ -508,9 +488,7 @@ def build_cgo_antiholo(phase: PhaseSpec, h: float,
 
 
 def build_cgo_adjoint(phase: PhaseSpec, h: float,
-                      drift: VectorField | None = None, q=0.0,
-                      amplitude=None, K: int = DEPTH_DEFAULT,
-                      core_radius: float | None = None) -> CGOBundle:
+                      drift: VectorField | None = None, q=0.0) -> CGOBundle:
     """Solution of the adjoint equation -lap u - div(X u) + q u = 0.
 
     Expanding the divergence turns the adjoint into the forward operator
@@ -519,12 +497,12 @@ def build_cgo_adjoint(phase: PhaseSpec, h: float,
     conservative (divergence) form of the adjoint itself.  The inputs pass
     build_cgo_holo's guards before the divergence is taken.
     """
-    grid, X, qv, *_ = _bundle_inputs(phase, h, drift, q, amplitude, K,
-                                     core_radius)
+    grid, X, qv, *_ = _bundle_inputs(phase, h, drift, q, None,
+                                     DEPTH_DEFAULT)
     div = (spectral_deriv(X.c1, grid, 1, 0)
            + spectral_deriv(X.c2, grid, 0, 1))
     Xneg = VectorField(-X.c1, -X.c2, grid)
-    nb = build_cgo_holo(phase, h, Xneg, qv - div, amplitude, K, core_radius)
+    nb = build_cgo_holo(phase, h, Xneg, qv - div)
     res = drift_residual(nb.v.values, X, qv, h, grid, nb.core_radius,
                          conservative=True)
     return replace(nb, kind="adjoint", residual=res)
@@ -568,12 +546,12 @@ def remainder_expansion(phase: PhaseSpec, f: ComplexField, N: int) -> tuple:
 # Calderon-Zygmund style diagnostic
 
 
-def cz_diagnostic(bundle: CGOBundle, eps: float = 0.1) -> float:
-    """h^{1/2 - eps}-weighted second-derivative mass of the remainder.
+def cz_diagnostic(bundle: CGOBundle) -> float:
+    """h^{1/2 - CZ_EPS}-weighted second-derivative mass of the remainder.
 
     Computes the Hessian of r by 4th-order differences, localizes it with a
     fixed Gaussian bump inside the measurement disk, and returns
-    ||bump . D2 r||_L2 x h^{1/2 - eps}.  Bounded along the standard sweep
+    ||bump . D2 r||_L2 x h^{1/2 - CZ_EPS}.  Bounded along the standard sweep
     when the remainder obeys the expected Calderon-Zygmund bounds.
     """
     grid = bundle.r.grid
@@ -588,4 +566,4 @@ def cz_diagnostic(bundle: CGOBundle, eps: float = 0.1) -> float:
     bump = np.exp(-4.0 * r2 / rc ** 2) * disk
     mass = np.sqrt(np.abs(rxx) ** 2 + 2.0 * np.abs(rxy) ** 2
                    + np.abs(ryy) ** 2)
-    return _l2(bump * mass, grid) * bundle.h ** (0.5 - eps)
+    return _l2(bump * mass, grid) * bundle.h ** (0.5 - CZ_EPS)

@@ -44,6 +44,10 @@ from .grid import ComplexField, DomainGrid, GridError, PaddedGrid
 # that the oscillatory inverses' resolution guard demands
 NODES_PER_OSC = 6.0
 
+# the core disk, where the oscillatory inverses and the CGO bundles are
+# measured, has radius half / CORE_DIVISOR unless a caller sets one
+CORE_DIVISOR = 3.0
+
 
 # ---------------------------------------------------------------------------
 # derivatives
@@ -222,14 +226,6 @@ def _require_h(h) -> None:
         raise GridError(f"h must be positive and finite, got {h}")
 
 
-def _core_radius(grid: PaddedGrid, core_radius) -> float:
-    """The core radius (default half/3), or a GridError unless finite > 0."""
-    rc = grid.half / 3.0 if core_radius is None else core_radius
-    if not (np.isfinite(rc) and rc > 0):
-        raise GridError(f"core radius must be positive and finite, got {rc}")
-    return rc
-
-
 def _support_guard(vals: np.ndarray, cheb: np.ndarray, half: float, what: str):
     # Spectrally differentiated C^2 cutoffs ring at ~1e-6 relative across
     # the whole box; only mass above the leakage tolerance threatens the
@@ -363,7 +359,10 @@ class _OscPlan:
         _require_h(h)
         psi_vals = _require_finite(psi.values if hasattr(psi, "values") else psi,
                                    grid, "psi")
-        rc = _core_radius(grid, core_radius)
+        rc = grid.half / CORE_DIVISOR if core_radius is None else core_radius
+        if not (np.isfinite(rc) and rc > 0):
+            raise GridError(
+                f"core radius must be positive and finite, got {rc}")
         core = grid.core_mask(rc)
         if not core.any():
             raise GridError(f"core radius {rc:.4g} holds no node of the box")

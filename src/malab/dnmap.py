@@ -84,16 +84,14 @@ def _dn_lin_block(g: MetricField, datas, rtol: float) -> np.ndarray:
     return weights[0][:, None] * dnu + weights[1][:, None] * dtau
 
 
-def dn_lin(g: MetricField, X, phi, *, rtol: float = 1e-10) -> BoundaryTrace:
+def dn_lin(g: MetricField, phi, *, rtol: float = 1e-10) -> BoundaryTrace:
     """Conormal derivative of the first-linearized solution.
 
     Solves g^{ab} d_ab v = 0 with data phi and evaluates
     sqrt|g| g^{ik} d_i v nu_k on the ring, splitting the gradient into the
     normal part (one-sided ray fit anchored at the exact data) and the
     tangential part (spectral derivative of the data itself): the
-    one-column case of dn_lin_matrix. X is accepted for signature
-    uniformity with the adjoint-side maps; the first-linearized equation
-    carries no drift.
+    one-column case of dn_lin_matrix.
     """
     return BoundaryTrace(_dn_lin_block(g, [phi], rtol)[:, 0], g.grid)
 
@@ -125,12 +123,11 @@ class DNMatrix:
 
     Row i holds the coefficients of basis function i in the image of
     basis function j; labels order the basis as 1, cos k, sin k for
-    k = 1..order.
+    k = 1..K.
     """
 
     values: np.ndarray
     labels: tuple
-    order: int
     grid: DomainGrid
 
 
@@ -152,6 +149,8 @@ def dn_lin_matrix(g: MetricField, X, K: int = 6, *,
     Column j is the basis projection of dn_lin of basis function j, an
     exact function of the ring parameter t; all 2K + 1 columns share one
     factorization, one ray fit of the solutions and one of the metric.
+    X is not read, as the first-linearized equation carries no drift; it
+    stays because the dn-inverse benchmark passes the drift positionally.
     """
     grid = g.grid
     if not isinstance(grid, DomainGrid):
@@ -166,7 +165,7 @@ def dn_lin_matrix(g: MetricField, X, K: int = 6, *,
                      for k in range(1, K + 1) for f in (np.cos, np.sin)]
     labels = ["1"] + [f"{f}{k}" for k in range(1, K + 1) for f in ("cos", "sin")]
     A = _basis_project(_dn_lin_block(g, funcs, rtol), K)
-    return DNMatrix(A, tuple(labels), K, grid)
+    return DNMatrix(A, tuple(labels), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcalc import cauchy_inverse, deriv, spectral_dz
+from .complexcalc import CORE_DIVISOR, cauchy_inverse, deriv, spectral_dz
 from .grid import (ComplexField, DomainGrid, GridError, MetricField,
                    PaddedGrid, ScalarField, VectorField, _CubicBlock,
                    lattice_values)
@@ -45,6 +45,20 @@ __all__ = [
     "pullback_metric",
     "transform_solution_check",
 ]
+
+# isothermal: the conformality defect over the core disk (radius
+# half / CORE_DIVISOR) as a fraction of the metric scale, the distance
+# from 1 that the Beltrami coefficient must keep, and the Neumann
+# iteration's relative step target and step budget
+CONFORMAL_TOL = 1e-2
+BELTRAMI_MARGIN = 0.1
+BELTRAMI_RTOL = 1e-12
+BELTRAMI_MAX_ITER = 64
+
+# invert_diffeo: a node's move, relative to the displacement scale, at
+# which it freezes, and the fixed point's step budget
+INVERSION_RTOL = 1e-12
+INVERSION_MAX_ITER = 80
 
 
 def _dre(vals, grid, o1, o2):
@@ -94,15 +108,6 @@ class DiffeoField:
         z = np.zeros((grid.n, grid.n))
         one = np.ones_like(z)
         return cls(z, z.copy(), grid, jac=(one, z, z, one))
-
-    @classmethod
-    def affine(cls, M, grid) -> "DiffeoField":
-        """J(x) = M x with the exact constant Jacobian attached."""
-        M = np.asarray(M, dtype=float)
-        X, Y = grid.meshgrid()
-        d1 = (M[0, 0] - 1.0) * X + M[0, 1] * Y
-        d2 = M[1, 0] * X + (M[1, 1] - 1.0) * Y
-        return cls(d1, d2, grid, jac=(M[0, 0], M[0, 1], M[1, 0], M[1, 1]))
 
     def points(self):
         X, Y = self.grid.meshgrid()
@@ -163,19 +168,18 @@ def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
     return MetricField(*_transport(_inverse_jacobian(J), t), J.grid)
 
 
-def invert_diffeo(J: DiffeoField, *, rtol: float = 1e-12,
-                  maxiter: int = 80) -> DiffeoField:
+def invert_diffeo(J: DiffeoField) -> DiffeoField:
     """Inverse map on the same lattice by displacement fixed point.
 
     Solves z + d(z) = p per node through z <- p - d(z), which contracts
     whenever sup |grad d| < 1. Each node freezes once its own move is
-    within rtol of the displacement scale, and every step samples d at
+    within INVERSION_RTOL of the displacement scale, and every step samples d at
     the still-moving nodes only. Most nodes freeze within about 14
     steps; the stragglers sit at the box seam, where a displacement that
     decays like c/z (a Cauchy transform) does not wrap periodically and
     the contraction slows to about 0.5 per step. The step's largest move
     is also the largest over all nodes, since frozen ones moved within
-    rtol, so the stall and exhaustion checks read it unchanged. The
+    INVERSION_RTOL, so the stall and exhaustion checks read it unchanged. The
     inverse Jacobian is the nodewise matrix inverse of dJ sampled at the
     preimage, so no derivative of the computed inverse displacement is
     ever taken.
@@ -197,7 +201,7 @@ def invert_diffeo(J: DiffeoField, *, rtol: float = 1e-12,
     # displacement; a stall far below any downstream tolerance is
     # convergence, a stall above it is a genuine failure
     floor, prev, stall = 1e-6 * scale, np.inf, 0
-    for _ in range(maxiter):
+    for _ in range(INVERSION_MAX_ITER):
         at = _CubicBlock(grid, f1[active], f2[active])
         n1 = p1[active] - at(J.d1)
         n2 = p2[active] - at(J.d2)
@@ -205,7 +209,7 @@ def invert_diffeo(J: DiffeoField, *, rtol: float = 1e-12,
         step = np.hypot(n1 - f1[active], n2 - f2[active])
         f1[active], f2[active] = n1, n2
         move = float(np.max(step))
-        active = active[step > rtol * scale]
+        active = active[step > INVERSION_RTOL * scale]
         if not active.size:
             break
         stall = stall + 1 if move > 0.9 * prev else 0
@@ -338,18 +342,19 @@ def _beltrami_coefficient(c11, c12, c22):
     return (c11 - c22 + 2.0j * c12) / (c11 + c22 + 2.0 * np.sqrt(det))
 
 
-def _beltrami_map(c11, c12, c22, grid, margin, rtol, maxiter) -> DiffeoField:
+def _beltrami_map(c11, c12, c22, grid) -> DiffeoField:
     """The map w = z + C phi solving dzb w = mu_B dz w, Jacobian attached."""
     mu_b = _beltrami_coefficient(c11, c12, c22)
     worst = float(np.max(np.abs(mu_b)))
-    if worst >= 1.0 - margin:
+    if worst >= 1.0 - BELTRAMI_MARGIN:
         raise GridError(f"Beltrami coefficient reaches {worst:.3f}, inside "
-                        f"the margin {margin:.2f} of losing quasi-conformality")
+                        f"the margin {BELTRAMI_MARGIN:.2f} of losing "
+                        "quasi-conformality")
 
     phi = mu_b.copy()
     last = None
     ratio = np.nan
-    for _ in range(maxiter):
+    for _ in range(BELTRAMI_MAX_ITER):
         cphi = cauchy_inverse(ComplexField(phi, grid))
         nxt = mu_b * (1.0 + spectral_dz(cphi.values, grid))
         step = float(np.max(np.abs(nxt - phi)))
@@ -357,7 +362,7 @@ def _beltrami_map(c11, c12, c22, grid, margin, rtol, maxiter) -> DiffeoField:
             ratio = step / last
         phi = nxt
         last = step
-        if step <= rtol * max(worst, 1e-300):
+        if step <= BELTRAMI_RTOL * max(worst, 1e-300):
             break
     else:
         raise GridError("Beltrami series did not converge "
@@ -376,9 +381,7 @@ def _beltrami_map(c11, c12, c22, grid, margin, rtol, maxiter) -> DiffeoField:
                        jac=(ux, uy, vx, vy))
 
 
-def isothermal(g: MetricField, *, tol: float = 1e-2, margin: float = 0.1,
-               rtol: float = 1e-12, maxiter: int = 64,
-               core_radius: float | None = None):
+def isothermal(g: MetricField):
     """Chart flattening the metric to a conformal factor: chi* g = mu I.
 
     Conformally flat inputs return the identity chart and the factor
@@ -390,8 +393,8 @@ def isothermal(g: MetricField, *, tol: float = 1e-2, margin: float = 0.1,
     Wirtinger derivatives dz w = 1 + dz C phi and dzb w = phi sampled at
     the preimage, both available in closed form on the grid, so the
     inversion never differentiates interpolated data. The conformality
-    defect of chi* g over the core is checked against tol times the
-    covariant scale.
+    defect of chi* g over the core disk is checked against CONFORMAL_TOL
+    times the covariant scale.
     """
     grid = g.grid
     c11, c12, c22 = _covariant(g)
@@ -405,17 +408,15 @@ def isothermal(g: MetricField, *, tol: float = 1e-2, margin: float = 0.1,
     if not isinstance(grid, PaddedGrid):
         raise GridError("general isothermal charts need the metric on a "
                         "padded box (the Beltrami solve is spectral)")
-    chi = invert_diffeo(_beltrami_map(c11, c12, c22, grid, margin, rtol,
-                                      maxiter))
+    chi = invert_diffeo(_beltrami_map(c11, c12, c22, grid))
 
     pulled = pullback_metric(chi, g)
     p11, p12, p22 = _covariant(pulled)
-    radius = grid.half / 3.0 if core_radius is None else core_radius
-    core = grid.core_mask(radius)
+    core = grid.core_mask(grid.half / CORE_DIVISOR)
     defect = max(float(np.max(np.abs(p12[core]))),
                  float(np.max(np.abs(p11 - p22)[core])))
-    if defect > tol * scale:
+    if defect > CONFORMAL_TOL * scale:
         raise GridError(f"conformality defect {defect:.3e} exceeds "
-                        f"{tol:.1e} of the metric scale {scale:.3e}")
+                        f"{CONFORMAL_TOL:.1e} of the metric scale {scale:.3e}")
     mu = 0.5 * (p11 + p22)
     return chi, ScalarField(mu, grid)

@@ -146,15 +146,6 @@ class DomainGrid:
         """Angle t of the ring parametrization (a cos t, b sin t)."""
         return np.arctan2(y / self.b, x / self.a)
 
-    # -- construction helpers -----------------------------------------
-
-    def padded(self, factor: float = 3.0, n: int | None = None) -> "PaddedGrid":
-        """Periodic box containing the domain, side >= factor * diameter."""
-        half = factor * self.half
-        if n is None:
-            n = int(2 ** math.ceil(math.log2(max(2 * half / self.dx, 16))))
-        return PaddedGrid(half=half, n=n)
-
 
 def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
     """Axis-aligned ellipse x^2/a^2 + y^2/b^2 = 1 on a lattice covering its box."""
@@ -162,8 +153,8 @@ def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
         raise GridError(f"semi-axes must be finite, got ({a}, {b})")
     if min(a, b) <= 0:
         raise GridError("semi-axes must be positive")
-    if n < 16:
-        raise GridError("n must be at least 16")
+    if not (isinstance(n, numbers.Integral) and n >= 16):
+        raise GridError(f"n must be an integer of at least 16, got {n!r}")
     half = max(a, b)
     x1 = np.linspace(-half, half, n)
     x2 = x1.copy()
@@ -336,6 +327,15 @@ class PaddedGrid:
 # fields
 
 
+def _real(values) -> np.ndarray:
+    """values as a float array, or a GridError naming a dtype that is not
+    real (a cast would drop an imaginary part without a word)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise GridError(f"a real field cannot hold {values.dtype} values")
+    return values.astype(float, copy=False)
+
+
 def _on_lattice(values, grid, dtype=None) -> np.ndarray:
     """values as an (n, n) lattice array, or a GridError naming the shape."""
     values = np.asarray(values, dtype=dtype)
@@ -351,7 +351,7 @@ def lattice_values(value, grid) -> np.ndarray:
     Accepts a ScalarField on grid or an equal grid, a real scalar, an
     (n, n) array, or a callable (x, y) -> either of the last two,
     evaluated on the lattice. Anything else is a GridError naming its
-    type, shape or grid.
+    type, dtype, shape or grid.
     """
     if isinstance(value, ScalarField):
         if value.grid != grid:
@@ -362,7 +362,7 @@ def lattice_values(value, grid) -> np.ndarray:
     if not isinstance(value, (numbers.Real, np.ndarray, list, tuple)):
         raise GridError(
             f"cannot read {type(value).__name__} as lattice values")
-    arr = np.asarray(value, dtype=float)
+    arr = _real(value)
     if arr.ndim == 0:
         return np.full((grid.n, grid.n), float(arr))
     return _on_lattice(arr, grid)
@@ -372,7 +372,7 @@ class ScalarField:
     """Real values on a DomainGrid lattice (or a PaddedGrid box)."""
 
     def __init__(self, values: np.ndarray, grid):
-        self.values = _on_lattice(values, grid, float)
+        self.values = _on_lattice(_real(values), grid)
         self.grid = grid
 
 
@@ -398,16 +398,13 @@ class VectorField:
         _on_lattice(self.c1, self.grid)
         _on_lattice(self.c2, self.grid)
 
-    def norm_max(self, where=None) -> float:
-        mag = np.hypot(self.c1, self.c2)
-        return float(np.max(mag if where is None else mag[where]))
-
 
 class BoundaryTrace:
-    """Values at the boundary ring nodes (a copy of the caller's array)."""
+    """Real values at the boundary ring nodes (a float copy of the
+    caller's array)."""
 
     def __init__(self, values: np.ndarray, grid: DomainGrid):
-        values = np.array(values)
+        values = np.array(_real(values))
         if values.shape != (len(grid.boundary),):
             raise GridError("trace length does not match boundary node count")
         if not np.all(np.isfinite(values)):
@@ -415,27 +412,17 @@ class BoundaryTrace:
         self.values = values
         self.grid = grid
 
-    @property
-    def s(self) -> np.ndarray:
-        return self.grid.boundary.s
-
 
 class MetricField:
     """Symmetric 2x2 tensor field on a lattice (metric, inverse metric, ...)."""
 
     def __init__(self, g11, g12, g22, grid):
-        self.g11 = _on_lattice(g11, grid, float)
-        self.g12 = _on_lattice(g12, grid, float)
-        self.g22 = _on_lattice(g22, grid, float)
+        self.g11, self.g12, self.g22 = (_on_lattice(_real(c), grid)
+                                        for c in (g11, g12, g22))
         self.grid = grid
 
     def det(self) -> np.ndarray:
         return self.g11 * self.g22 - self.g12 ** 2
-
-    def inv(self) -> "MetricField":
-        d = self.det()
-        return MetricField(self.g22 / d, -self.g12 / d, self.g11 / d,
-                           self.grid)
 
     def eig_bounds(self, where=None):
         """Min and max eigenvalue over the given mask (SPD diagnostics)."""
@@ -456,6 +443,9 @@ def quadrature(f: ScalarField, d: DomainGrid | None = None) -> float:
     """Second-order area integral of f over the domain interior."""
     if d is None:
         d = f.grid
+    if not isinstance(d, DomainGrid):
+        raise GridError(f"quadrature integrates over a DomainGrid, not a "
+                        f"{type(d).__name__}")
     if f.grid != d:
         raise GridError("field and grid do not match")
     return float(np.sum(f.values[d.mask] * d.weights[d.mask]))

@@ -50,6 +50,10 @@ __all__ = [
 
 ANISOTROPY_LIMIT = 20.0
 
+# eps_consistency's boundary data steps: s EPS1 phi1 + s EPS2 phi2 per scale s
+EPS1 = 0.1
+EPS2 = 0.1
+
 
 # ---------------------------------------------------------------------------
 # geometry from the base solution
@@ -235,9 +239,13 @@ def nondiv_solve_many(g: MetricField, datas, f=None, *,
     divergence-form expansion whose drift terms cancel, which guards the
     volume-weight wiring: every column's divergence-route residual must
     stay within a factor 10 of its primary one. A non-finite or
-    nonpositive rtol is a GridError before any assembly.
+    nonpositive rtol, and an empty datas, are a GridError before any
+    assembly.
     """
     _require_positive("rtol", rtol)
+    datas = list(datas)
+    if not datas:
+        raise GridError("nondiv_solve_many needs at least one boundary data")
     return _metric_solver(g)(datas, f, rtol)
 
 
@@ -329,29 +337,23 @@ def _trace_source(g: MetricField, v1: ScalarField, v2: ScalarField,
 class EpsReport:
     """Measured agreement between solver differences and linearizations."""
 
-    eps1: float
-    eps2: float
-    scales: tuple
-    e1: tuple                # |(u_{e1,0} - u0)/e1 - v1| per scale
     e2: tuple                # mixed-difference error against w per scale
-    rem1: tuple              # raw remainder |u_{e1,0} - u0 - e1 v1|
-    slope1: float
+    rem1: tuple              # raw remainder |u_{a,0} - u0 - a v1|, a = s EPS1
+    slope1: float            # fitted slopes of the two errors in s
     slope2: float
 
 
-def eps_consistency(F, phi1, phi2, eps1: float = 0.1, eps2: float = 0.1,
-                    scales=(1.0, 0.3, 0.1),
+def eps_consistency(F, phi1, phi2, scales=(1.0, 0.3, 0.1),
                     grid: DomainGrid | None = None) -> EpsReport:
     """Check the two-parameter expansion of the solved family.
 
-    For boundary data s eps1 phi1 + s eps2 phi2, the first divided
+    For boundary data s EPS1 phi1 + s EPS2 phi2, the first divided
     difference converges to the first linearization and the mixed second
-    difference to the second linearization, both at rate O(s). eps1, eps2
-    and every scale must be positive and finite, with at least two
+    difference to the second linearization, both at rate O(s); slope1 is
+    the first one's, fitted to |(u_{s EPS1, 0} - u0)/(s EPS1) - v1| per
+    scale. Every scale must be positive and finite, with at least two
     distinct scales for the slopes, or GridError before any solve.
     """
-    _require_positive("eps1", eps1)
-    _require_positive("eps2", eps2)
     for s in scales:
         _require_positive("scales", s)
     if len(set(scales)) < 2:
@@ -368,7 +370,7 @@ def eps_consistency(F, phi1, phi2, eps1: float = 0.1, eps2: float = 0.1,
 
     e1s, e2s, rems = [], [], []
     for s in scales:
-        a, c = s * eps1, s * eps2
+        a, c = s * EPS1, s * EPS2
         u10 = solve_ma(F, BoundaryTrace(a * p1, grid), grid)
         u01 = solve_ma(F, BoundaryTrace(c * p2, grid), grid)
         u11 = solve_ma(F, BoundaryTrace(a * p1 + c * p2, grid), grid)
@@ -383,5 +385,4 @@ def eps_consistency(F, phi1, phi2, eps1: float = 0.1, eps2: float = 0.1,
     ls = np.log(np.asarray(scales, dtype=float))
     slope1 = float(np.polyfit(ls, np.log(e1s), 1)[0])
     slope2 = float(np.polyfit(ls, np.log(e2s), 1)[0])
-    return EpsReport(eps1, eps2, tuple(scales), tuple(e1s), tuple(e2s),
-                     tuple(rems), slope1, slope2)
+    return EpsReport(tuple(e2s), tuple(rems), slope1, slope2)

@@ -472,12 +472,16 @@ def _min_eig(h11, h22, h12, where):
 
 
 def source_grid(F, grid: DomainGrid | None) -> DomainGrid:
-    """The grid to solve on: grid if given, else the one F lives on."""
-    if grid is not None:
-        return grid
-    if not isinstance(F, ScalarField):
-        raise GridError("pass a grid when F is not a ScalarField")
-    return F.grid
+    """The grid to solve on: grid if given, else the one F lives on; a
+    GridError unless that is a DomainGrid."""
+    if grid is None:
+        if not isinstance(F, ScalarField):
+            raise GridError("pass a grid when F is not a ScalarField")
+        grid = F.grid
+    if not isinstance(grid, DomainGrid):
+        raise GridError(f"the Monge-Ampere solve needs a DomainGrid, not a "
+                        f"{type(grid).__name__}")
+    return grid
 
 
 def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:

@@ -473,7 +473,8 @@ def test_bundle_input_guards(box, phases, drift, qpot, morse_sweep):
 
 def _bad_inputs(small: PaddedGrid):
     """Strategies for invalid build_cgo_holo inputs on the small box, each
-    paired with the GridError message it must raise."""
+    paired with the GridError message it must raise; a phase they draw
+    replaces the small box's."""
     n = small.n
     X, Y = small.meshgrid()
     bump = np.exp(-(X * X + Y * Y) / 0.6)
@@ -495,13 +496,13 @@ def _bad_inputs(small: PaddedGrid):
     return {
         "h must be positive": st.fixed_dictionaries({
             "h": not_positive, "drift": st.sampled_from([None, ok])}),
-        "core radius must be positive": st.fixed_dictionaries({
-            "core_radius": not_positive, "drift": st.sampled_from([None, ok])}),
+        # on a box of n <= 18 the core radius half/3 is at most 3 dx, so
         # the 3-node erosion of the measurement disk leaves no node: the
         # residual used to be measured on the disk of radius 3 dx - rc
-        "no node to measure": st.fixed_dictionaries({
-            "core_radius": st.floats(0.0, 3.0 * small.dx,
-                                     exclude_min=True)}),
+        "no node to measure": st.builds(
+            lambda m: {"phase": cgo.phase_spec(
+                (0.0, 0.0, -0.25), PaddedGrid(half=small.half, n=m))},
+            st.integers(16, 18)),
         "series depth": st.fixed_dictionaries({
             "K": st.one_of(st.integers(max_value=-1), st.floats(),
                            st.just(1.5))}),
@@ -523,6 +524,9 @@ def _bad_inputs(small: PaddedGrid):
 
 _SMALL = PaddedGrid(half=6.0, n=64)
 _BAD = _bad_inputs(_SMALL)
+# the adjoint takes no amplitude and no series depth
+_ADJOINT_BAD = {message: inputs for message, inputs in _BAD.items()
+                if message not in ("series depth", "amplitude: non-finite")}
 
 
 def _no_fft(*args, **kwargs):
@@ -539,9 +543,10 @@ def test_bad_inputs_fail_before_any_fft(data):
         mp.setattr(np.fft, "fft2", _no_fft)
         mp.setattr(np.fft, "ifft2", _no_fft)
         for message, inputs in _BAD.items():
-            kw = {"h": 0.4, "drift": None, **data.draw(inputs, label=message)}
+            kw = {"phase": phase, "h": 0.4, "drift": None,
+                  **data.draw(inputs, label=message)}
             with pytest.raises(GridError, match=message):
-                cgo.build_cgo_holo(phase, **kw)
+                cgo.build_cgo_holo(**kw)
 
 
 @settings(max_examples=25)
@@ -558,10 +563,11 @@ def test_adjoint_bad_inputs_fail_before_any_fft(data):
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         mp.setattr(np.fft, "fft2", counted)
-        for message, inputs in _BAD.items():
-            kw = {"h": 0.4, "drift": None, **data.draw(inputs, label=message)}
+        for message, inputs in _ADJOINT_BAD.items():
+            kw = {"phase": phase, "h": 0.4, "drift": None,
+                  **data.draw(inputs, label=message)}
             with pytest.raises(GridError, match=message):
-                cgo.build_cgo_adjoint(phase, **kw)
+                cgo.build_cgo_adjoint(**kw)
             assert len(calls) == 0, message
 
 
@@ -604,11 +610,11 @@ def test_import_loads_no_domain_solver():
 
 
 def test_bundle_diagnostics_json(morse_sweep):
-    d = morse_sweep[0.4].diagnostics()
-    assert d["kind"] == "holo"
-    assert d["has_critical_point"] is True
-    assert d["K_effective"] == 6
-    assert len(d["term_norms"]) == 7
+    b = morse_sweep[0.4]
+    assert b.kind == "holo"
+    assert b.phase.has_critical_point is True
+    assert b.K_effective == 6
+    assert len(b.term_norms) == 7
 
 
 # ---------------------------------------------------------------------------

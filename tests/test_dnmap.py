@@ -80,7 +80,7 @@ def test_dn_lin_steklov_diagonal():
          1.2e-2),
     ]
     for phi, expected, tol in cases:
-        out = dn_lin(met, None, phi)
+        out = dn_lin(met, phi)
         assert np.abs(out.values - expected).max() < tol
 
 
@@ -90,8 +90,8 @@ def test_dn_lin_conformal_invariance():
     g = build_disk(1.0, 64)
     n2 = (g.n, g.n)
     half = MetricField(0.5 * np.ones(n2), np.zeros(n2), 0.5 * np.ones(n2), g)
-    a = dn_lin(flat_metric(g), None, lambda x, y: 2 * x * y)
-    b = dn_lin(half, None, lambda x, y: 2 * x * y)
+    a = dn_lin(flat_metric(g), lambda x, y: 2 * x * y)
+    b = dn_lin(half, lambda x, y: 2 * x * y)
     assert np.abs(a.values - b.values).max() < 1e-7
 
 
@@ -100,7 +100,7 @@ def test_dn_lin_rejects_indefinite_ring_trace():
     n2 = (g.n, g.n)
     met = MetricField(np.ones(n2), 2.0 * np.ones(n2), np.ones(n2), g)
     with pytest.raises(GridError):
-        dn_lin(met, None, lambda x, y: x)
+        dn_lin(met, lambda x, y: x)
 
 
 def test_dn_lin_matrix_flat_spectrum():
@@ -126,7 +126,7 @@ def test_dn_lin_matrix_columns_equal_dn_lin():
     for k in range(1, K + 1):
         basis += [np.cos(k * theta), np.sin(k * theta)]
     for j, col in enumerate(basis):
-        out = dn_lin(met, None, BoundaryTrace(col, g))
+        out = dn_lin(met, BoundaryTrace(col, g))
         assert np.max(np.abs(D.values[:, j]
                              - _basis_project(out.values, K))) <= 1e-12
 

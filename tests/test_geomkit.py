@@ -3,12 +3,15 @@
 Two reference routes live here as oracles: the Christoffel symbols with
 their contracted drift, against which drift_field is checked, and the
 composition of maps, with which pullback_metric is checked functorial.
+The linear maps J(x) = M x of the rotation tests come from affine, with
+their exact Jacobian attached.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from malab import geomkit
 from malab.geomkit import (DiffeoField, diffeo_rigidity_solve, invert_diffeo,
                            isothermal, pullback_metric,
                            transform_solution_check, _beltrami_map,
@@ -246,9 +249,18 @@ def test_pullback_identity_exact():
     assert np.array_equal(gp.g22, g.g22)
 
 
+def affine(M, grid):
+    """J(x) = M x with the exact constant Jacobian attached."""
+    M = np.asarray(M, dtype=float)
+    X, Y = grid.meshgrid()
+    d1 = (M[0, 0] - 1.0) * X + M[0, 1] * Y
+    d2 = M[1, 0] * X + (M[1, 1] - 1.0) * Y
+    return DiffeoField(d1, d2, grid, jac=(M[0, 0], M[0, 1], M[1, 0], M[1, 1]))
+
+
 def _rotation(grid, th):
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    return R, DiffeoField.affine(R, grid)
+    return R, affine(R, grid)
 
 
 def test_pullback_rotation_preserves_flat_metric():
@@ -397,7 +409,7 @@ def chart_metric(grid, a, b, c, w):
 
 
 def _w_map(g):
-    return _beltrami_map(*_covariant(g), g.grid, 0.1, 1e-12, 64)
+    return _beltrami_map(*_covariant(g), g.grid)
 
 
 def test_invert_converges_at_every_node():
@@ -412,10 +424,12 @@ def test_invert_converges_at_every_node():
         assert res <= 10 * 1e-12, res
 
 
-def test_invert_exhausted_iteration_raises():
+def test_invert_exhausted_iteration_raises(monkeypatch):
     J = _compact_diffeo(box(n=64))
-    with pytest.raises(GridError, match="stalled"):
-        invert_diffeo(J, maxiter=3)
+    with monkeypatch.context() as mp:
+        mp.setattr(geomkit, "INVERSION_MAX_ITER", 3)
+        with pytest.raises(GridError, match="stalled"):
+            invert_diffeo(J)
     assert _inverse_residual(J, invert_diffeo(J)) <= 10 * 1e-12
 
 
@@ -630,14 +644,15 @@ def test_isothermal_general_metric_defect():
     assert float(np.min(mu.values[core])) > 0.0
 
 
-def test_isothermal_rejects_large_beltrami_coefficient():
+def test_isothermal_rejects_large_beltrami_coefficient(monkeypatch):
     grid = box(n=64)
     X, Y = grid.meshgrid()
     bump = np.exp(-(X ** 2 + Y ** 2) / 0.5)
     C11 = 1.0 + 1.0 * bump
     g = MetricField(1.0 / C11, np.zeros_like(X), np.ones_like(X), grid)
+    monkeypatch.setattr(geomkit, "BELTRAMI_MARGIN", 0.9)
     with pytest.raises(GridError, match="Beltrami"):
-        isothermal(g, margin=0.9)
+        isothermal(g)
 
 
 def test_isothermal_general_needs_padded_grid():

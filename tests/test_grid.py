@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from malab.grid import (
-    BoundaryTrace, GridError, PaddedGrid, ScalarField, _adopt_orphans,
+    BoundaryTrace, GridError, MetricField, PaddedGrid, ScalarField,
+    _adopt_orphans,
     _coverage_weights, _CubicBlock, _ray_fit, _ring_eval, _ring_modes,
     boundary_restrict, build_disk, build_ellipse, lattice_values,
     normal_derivative, quadrature, tangential_derivative,
@@ -18,6 +19,42 @@ def field_from(grid, fn):
 def test_build_disk_rejects_small_n():
     with pytest.raises(GridError):
         build_disk(1.0, 8)
+
+
+@pytest.mark.parametrize("n", [16.5, np.inf, "64", None])
+def test_build_ellipse_rejects_non_integer_n(n):
+    # 16.5, inf and "64" used to raise a bare TypeError from np.linspace
+    with pytest.raises(GridError, match=f"n must be an integer .*{n!r}"):
+        build_ellipse(1.0, 0.8, n)
+
+
+def test_build_ellipse_accepts_numpy_integer_n():
+    assert build_ellipse(1.0, 0.8, np.int64(32)) == build_ellipse(1.0, 0.8, 32)
+
+
+@pytest.mark.parametrize("make", [
+    lambda g, v: ScalarField(v, g),
+    lambda g, v: MetricField(np.ones_like(v, dtype=float), v, v, g),
+], ids=["ScalarField", "MetricField"])
+def test_real_fields_refuse_complex_values(make):
+    # the cast to float used to drop the imaginary part with only a
+    # ComplexWarning
+    g = build_disk(1.0, 32)
+    with pytest.raises(GridError, match="complex128"):
+        make(g, np.full((32, 32), 1.0 + 1.0j))
+
+
+@pytest.mark.parametrize("values, dtype", [
+    (np.full(8, 1.0 + 1.0j), "complex128"),
+    (np.array(["1.0"] * 8), "<U3"),
+])
+def test_boundary_trace_refuses_values_that_are_not_real(values, dtype):
+    # complex values used to be kept, and _ring_modes then dropped their
+    # imaginary part; strings raised a bare TypeError from np.isfinite
+    g = build_disk(1.0, 32)
+    values = np.resize(values, len(g.boundary))
+    with pytest.raises(GridError, match=dtype):
+        BoundaryTrace(values, g)
 
 
 @pytest.mark.parametrize("a, b", [(1.0, np.nan), (np.nan, 1.0),
@@ -158,6 +195,10 @@ def test_quadrature_zero_and_mismatch():
     assert g2 != g
     with pytest.raises(GridError):
         quadrature(ScalarField(np.zeros((64, 64)), g), g2)
+    # a box field used to raise AttributeError: no attribute 'mask'
+    box = PaddedGrid(half=3.0, n=16)
+    with pytest.raises(GridError, match="DomainGrid, not a PaddedGrid"):
+        quadrature(ScalarField(np.ones((16, 16)), box))
 
 
 def test_quadrature_second_order():
@@ -373,10 +414,9 @@ def test_boundary_quadrature_circumference():
 
 
 def test_padded_grid():
-    g = build_disk(1.0, 64)
-    p = g.padded()
-    assert p.half >= 3.0            # at least 3x the diameter as box side
-    assert p.dx <= g.dx * 1.05
+    p = PaddedGrid(half=3.0, n=64)
+    assert p.dx == 2.0 * p.half / p.n
+    assert np.allclose(np.diff(p.x), p.dx, rtol=0.0, atol=1e-15)
     X, Y = p.meshgrid()
     assert X.shape == (p.n, p.n)
     # periodic spacing excludes the right endpoint
@@ -428,6 +468,9 @@ def test_lattice_values_accepts_the_documented_inputs():
     (lambda x, y: np.zeros(7), r"shape \(7,\)"),
     ("1.0", "str"),
     (None, "NoneType"),
+    # complex values used to lose their imaginary part to a ComplexWarning
+    (np.full((48, 48), 1.0 + 1.0j), "complex128"),
+    (lambda x, y: x + 1j * y, "complex128"),
 ])
 def test_lattice_values_rejects_with_a_named_cause(value, msg):
     with pytest.raises(GridError, match=msg):

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from malab import maforward
-from malab.grid import (BoundaryTrace, GridError, MetricField, ScalarField,
-                        boundary_restrict)
+from malab.grid import (BoundaryTrace, GridError, MetricField, PaddedGrid,
+                        ScalarField, boundary_restrict)
 from malab.grid import build_disk, build_ellipse
 from malab.dnmap import dn_lin
 from malab.linearize import VectorField, adjoint_solve, nondiv_solve
@@ -208,6 +208,26 @@ def test_nonfinite_source_fails_fast():
         solve_ma_zero(ScalarField(F, g))
 
 
+def test_source_refuses_complex_values():
+    # used to solve the real part after a ComplexWarning
+    with pytest.raises(GridError, match="complex128"):
+        solve_ma(np.ones((48, 48)) * (1 + 1j), None, build_disk(1.0, 48))
+
+
+def test_box_grids_fail_before_any_assembly(monkeypatch):
+    # used to raise AttributeError: 'PaddedGrid' object has no attribute
+    # 'mask'
+    def no_assembly(*args):
+        raise AssertionError("assembled before refusing")
+    monkeypatch.setattr(maforward, "build_stencil_ops", no_assembly)
+    box = PaddedGrid(half=3.0, n=16)
+    for call in (lambda: solve_ma(ScalarField(np.ones((16, 16)), box)),
+                 lambda: solve_ma(1.0, None, box),
+                 lambda: solve_ma_zero(ScalarField(np.ones((16, 16)), box))):
+        with pytest.raises(GridError, match="DomainGrid, not a PaddedGrid"):
+            call()
+
+
 def test_source_from_another_grid_of_same_n_rejected():
     disk = build_disk(1.0, 48)
     ell = build_ellipse(1.2, 0.8, 48)
@@ -229,7 +249,7 @@ _ENTRY_POINTS = {
     "solve_ma": lambda g, phi: solve_ma(1.0, phi, g),
     "nondiv_solve": lambda g, phi: nondiv_solve(_flat_pair(g)[0], phi),
     "adjoint_solve": lambda g, phi: adjoint_solve(*_flat_pair(g), phi),
-    "dn_lin": lambda g, phi: dn_lin(*_flat_pair(g), phi),
+    "dn_lin": lambda g, phi: dn_lin(_flat_pair(g)[0], phi),
 }
 
 
