@@ -48,14 +48,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# the series applies one _OscPlan per bundle; oscillatory_dbar_inv stays
-# importable here as the public form of its inverse (CGOBundle.r is
-# -oscillatory_dbar_inv(V' s) bit for bit), and perfbench traces it here
+# a bundle puts one _OscPlan at its h on the _OscWindows its sweep shares;
+# oscillatory_dbar_inv stays importable here as the public form of that
+# inverse (CGOBundle.r is -oscillatory_dbar_inv(V' s) bit for bit), and
+# perfbench traces it here
 from .complexcalc import (CORE_DIVISOR, _bounding_slices, _fd4, _OscPlan,
-                          _require_finite, _require_h, _support_guard,
-                          _wirtinger_symbol, oscillatory_dbar_inv,
-                          periodic_fd4, spectral_deriv, spectral_dz,
-                          spectral_dzb)
+                          _OscWindows, _require_finite, _require_h,
+                          _support_guard, _wirtinger_symbol,
+                          oscillatory_dbar_inv, periodic_fd4, spectral_deriv,
+                          spectral_dz, spectral_dzb)
 from .grid import ComplexField, GridError, PaddedGrid, VectorField
 
 DEPTH_DEFAULT = 6                       # series truncation depth
@@ -284,7 +285,7 @@ def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
     """
     grid = _require_padded(f.grid)
     plan = _OscPlan(grid, psi, h)
-    Vu = V.values[plan.out] * plan.apply(vp.values * f.values)
+    Vu = V.values[plan.windows.out] * plan.apply(vp.values * f.values)
     return ComplexField(plan.embed(_dbar_star_inv(Vu, plan.apply_core)), grid)
 
 
@@ -386,8 +387,9 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
 
 def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude,
                    K) -> tuple:
-    """(grid, drift, q, core radius, amplitude values, gauge source) of a
-    bundle, every input guarded before any FFT (build_cgo_holo)."""
+    """(grid, drift, q, core radius, amplitude values) of a bundle, after
+    the guards every call runs before any FFT (build_cgo_holo); the
+    drift's own guards run in _gauge_source."""
     grid = _require_padded(phase.grid)
     _require_h(h)
     if not (isinstance(K, numbers.Integral) and K >= 0):
@@ -403,55 +405,80 @@ def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude,
         raise GridError("q: non-finite values")
     rc = grid.half / CORE_DIVISOR
     _measurement_disk(grid, rc)
-    return grid, X, qv, rc, _eval_amplitude(amplitude, grid), _gauge_source(X)
+    return grid, X, qv, rc, _eval_amplitude(amplitude, grid)
 
 
-def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
-                   q=0.0, amplitude=None, K: int = DEPTH_DEFAULT) -> CGOBundle:
-    """Holomorphically growing solution exp(i alpha)^-1 e^{Phi/h} (a + r).
+class _Setup:
+    """The h-independent half of build_cgo_holo for one (box, psi, drift, q).
 
-    Every input runs the same series: the gauge, the weights (V, V') and
-    the truncated Neumann series of neumann_T applied to the gauge-weighted
-    amplitude, whose 2K + 2 oscillatory transforms share one plan (cutoff,
-    phase, guards and kernels built once per bundle).  The first term reads
-    V a on the full box through the plan's input window; every term after
-    it, the sum s and r = -osc(V' s) live on the core window (the bounding
-    box of the core disk, outside which they vanish), with V and V' sliced
-    to it once, and s and r are embedded into the box once.  The residual
-    is measured on the core disk (radius half / CORE_DIVISOR) plus the
-    differences' 2-node reach.  Zero drift and potential give an exactly
-    zero gauge, V and series, so r = 0.  If the series terms ever grow
-    instead of decaying, a warning is issued and the sum is truncated at
-    the observed minimum.  A non-finite or nonpositive h, a box whose
-    measurement disk holds no node, a K that is not a nonnegative
-    integer, a q that is not a finite scalar or box field, and a
-    non-finite amplitude or drift raise a GridError before any FFT.
+    The gauge field alpha, after the drift's guards and the gauge factor's
+    lower-bound check; the _OscWindows of (box, psi, core radius); and the
+    series weights, V on the input window and V' and V on the core
+    window.  key holds copies of psi, X.c1, X.c2 and q, which matches
+    compares with a later call's by value.  Every array it holds is
+    read-only.
     """
-    grid, X, qv, rc, a_vals, src = _bundle_inputs(phase, h, drift, q,
-                                                  amplitude, K)
-    alpha, ga = _gauge(src, grid)
-    im_max = float(np.max(np.abs(np.imag(alpha))))
-    if float(np.min(np.abs(ga))) < np.exp(-im_max) * (1.0 - 1e-12):
-        raise GridError("gauge factor fell below its lower bound")
 
-    plan = _OscPlan(grid, phase.psi, h, rc)
-    # V is read on the input window, V' and every later V on the core window
-    Vin, vpw = _weights(alpha, X, qv, plan.inp, plan.out)
-    Vw = Vin[plan.inner]
+    def __init__(self, grid: PaddedGrid, psi, X: VectorField, qv, rc: float):
+        self.grid, self.rc = grid, rc
+        self.key = tuple(np.array(a) for a in (psi, X.c1, X.c2, qv))
+        alpha, ga = _gauge(_gauge_source(X), grid)
+        im_max = float(np.max(np.abs(np.imag(alpha))))
+        if float(np.min(np.abs(ga))) < np.exp(-im_max) * (1.0 - 1e-12):
+            raise GridError("gauge factor fell below its lower bound")
+        self.alpha = alpha
+        ws = self.windows = _OscWindows(grid, self.key[0], rc)
+        # V is read on the input window, V' and every later V on the core
+        # window
+        self.Vin, self.vpw = _weights(alpha, X, qv, ws.inp, ws.out)
+        self.Vw = self.Vin[ws.inner]
+        for arr in (*self.key, alpha, self.Vin, self.vpw, self.Vw, ws.psi,
+                    ws.cutoff, ws.cheb, ws.cheb_inner, ws.core, ws.frame):
+            arr.flags.writeable = False
+
+    def matches(self, grid: PaddedGrid, psi, X: VectorField, qv) -> bool:
+        return self.grid == grid and all(
+            a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in zip(self.key, (np.asarray(psi), X.c1, X.c2, qv)))
+
+
+# _SETUP keeps the one _Setup built last (about 17 MB on the 512 box) and
+# is emptied before the next is built, so two never coexist
+_SETUP: list = []
+
+
+def _setup(grid: PaddedGrid, psi, X: VectorField, qv, rc: float) -> _Setup:
+    """The _Setup of these inputs: the stored one when they equal its key,
+    else a new one that replaces it."""
+    for setup in _SETUP:
+        if setup.matches(grid, psi, X, qv):
+            return setup
+    _SETUP.clear()
+    _SETUP.append(_Setup(grid, psi, X, qv, rc))
+    return _SETUP[0]
+
+
+def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
+               X: VectorField, qv, a_vals: np.ndarray) -> CGOBundle:
+    """The per-h half of build_cgo_holo: the resolution guard, the weight
+    at h, the series, v and its residual."""
+    grid, rc, alpha = setup.grid, setup.rc, setup.alpha
+    plan = _OscPlan.at(setup.windows, h)
+    Vin, inp = setup.Vin, setup.windows.inp
     Va = np.zeros_like(a_vals)
-    Va[plan.inp] = Vin * a_vals[plan.inp]
+    Va[inp] = Vin * a_vals[inp]
     terms = [-_dbar_star_inv(Va, plan.apply)]
     for _ in range(K):
-        terms.append(_neumann_step(terms[-1], plan, Vw, vpw))
+        terms.append(_neumann_step(terms[-1], plan, setup.Vw, setup.vpw))
     norms = [_l2(t, grid) for t in terms]
     k_eff = K
     if any(norms[j + 1] > norms[j] for j in range(K)):
         k_eff = int(np.argmin(norms))
         warnings.warn(
             f"remainder series stopped decreasing; truncating at {k_eff}",
-            RuntimeWarning, stacklevel=2)
+            RuntimeWarning, stacklevel=3)
     s_win = sum(terms[:k_eff + 1])
-    r_win = plan.apply_core(vpw * s_win)
+    r_win = plan.apply_core(setup.vpw * s_win)
     # negated after embedding, so r's zeros outside the window are -0.0 as
     # in -oscillatory_dbar_inv(V' s)
     s_vals, r_vals = plan.embed(s_win), -plan.embed(r_win)
@@ -462,6 +489,37 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
                      alpha, a_vals, ComplexField(s_vals, grid),
                      ComplexField(r_vals, grid), ComplexField(v_vals, grid),
                      res, tuple(norms), _l2(r_win, grid))
+
+
+def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
+                   q=0.0, amplitude=None, K: int = DEPTH_DEFAULT) -> CGOBundle:
+    """Holomorphically growing solution exp(i alpha)^-1 e^{Phi/h} (a + r).
+
+    Every input runs the same series: the gauge, the weights (V, V') and
+    the truncated Neumann series of neumann_T applied to the gauge-weighted
+    amplitude, whose 2K + 2 oscillatory transforms share one plan.  What
+    does not depend on h (the gauge, the weights, the cutoff, the phase
+    gradient bound, the windows and the kernels) is built once per sweep
+    over h: a call whose box, psi, drift and q equal the last build's by
+    value reuses that build, read-only, and puts only the weight
+    exp(-2i psi/h) E, the resolution guard, the series and v on it.  The
+    first term reads V a on the full box through the plan's input window;
+    every term after it, the sum s and r = -osc(V' s) live on the core
+    window (the bounding box of the core disk, outside which they vanish),
+    with V and V' sliced to it once, and s and r are embedded into the box
+    once.  The residual is measured on the core disk (radius half /
+    CORE_DIVISOR) plus the differences' 2-node reach.  Zero drift and
+    potential give an exactly zero gauge, V and series, so r = 0.  If the
+    series terms ever grow instead of decaying, a warning is issued and
+    the sum is truncated at the observed minimum.  A non-finite or
+    nonpositive h, a box whose measurement disk holds no node, a K that is
+    not a nonnegative integer, a q that is not a finite scalar or box
+    field, and a non-finite amplitude or drift raise a GridError before
+    any FFT.
+    """
+    grid, X, qv, rc, a_vals = _bundle_inputs(phase, h, drift, q, amplitude, K)
+    return _bundle_at(_setup(grid, phase.psi, X, qv, rc), phase, h, K, X, qv,
+                      a_vals)
 
 
 def build_cgo_antiholo(phase: PhaseSpec, h: float,
@@ -499,6 +557,7 @@ def build_cgo_adjoint(phase: PhaseSpec, h: float,
     """
     grid, X, qv, *_ = _bundle_inputs(phase, h, drift, q, None,
                                      DEPTH_DEFAULT)
+    _gauge_source(X)                    # the drift's guards
     div = (spectral_deriv(X.c1, grid, 1, 0)
            + spectral_deriv(X.c2, grid, 0, 1))
     Xneg = VectorField(-X.c1, -X.c2, grid)

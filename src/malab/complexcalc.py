@@ -24,12 +24,14 @@ where the cutoff E is nonzero, and write output only on the core window
 lengths in nodes along an axis, a circular FFT of any size N >= L_in +
 L_out - 1 reproduces the full-box sum term for term (N is chosen
 2,3,5-smooth); input that vanishes outside the core window is convolved
-from there.  Their per-(box, psi, h, rc) data lives in one _OscPlan,
-which the CGO series builds once per bundle; every term of that series
-after the first, its sum and the remainder stay on the core window, and
-only the stored sum and remainder are embedded into the box, once.  Every
-transform refuses non-finite input before any FFT: on the full box for a
-full-box field, on the core window for the series' core-window terms.
+from there.  Their per-(box, psi, rc) data lives in one _OscWindows,
+which the CGO series builds once per sweep over h, and one _OscPlan adds
+what h changes (the weight and the resolution guard) once per bundle;
+every term of that series after the first, its sum and the remainder stay
+on the core window, and only the stored sum and remainder are embedded
+into the box, once.  Every transform refuses non-finite input before any
+FFT: on the full box for a full-box field, on the core window for the
+series' core-window terms.
 """
 
 from __future__ import annotations
@@ -331,16 +333,65 @@ def _bounding_slices(mask: np.ndarray) -> tuple:
                              np.flatnonzero(mask.any(axis=0))))
 
 
+class _OscWindows:
+    """The h-free half of an _OscPlan, for one (box, psi, core radius).
+
+    Holds the input window inp (bounding box of the cutoff E's support,
+    inside |x|, |y| < 2 rc), the core window out (bounding box of the core
+    disk, inside |x|, |y| <= rc), psi and E on the input window, max |grad
+    psi| over E > 0, the core mask on the core window and two kernel
+    FFTs: one from the input window to the core window, and one from the
+    core window to itself.  The constructor runs the psi and core-radius
+    checks.  psi on the input window is a view of the caller's array;
+    every other array is the windows' own.
+    """
+
+    def __init__(self, grid: PaddedGrid, psi, core_radius: float | None = None):
+        psi_vals = _require_finite(psi.values if hasattr(psi, "values") else psi,
+                                   grid, "psi")
+        rc = grid.half / CORE_DIVISOR if core_radius is None else core_radius
+        if not (np.isfinite(rc) and rc > 0):
+            raise GridError(
+                f"core radius must be positive and finite, got {rc}")
+        core = grid.core_mask(rc)
+        if not core.any():
+            raise GridError(f"core radius {rc:.4g} holds no node of the box")
+        E = smooth_cutoff(grid, rc, 2.0 * rc)
+
+        # np.gradient, not spectral: the phase is generally not box periodic
+        g1, g2 = np.gradient(np.real(psi_vals), grid.dx, edge_order=2)
+        self.grad_max = float(np.max(np.hypot(g1, g2)[E > 0]))
+
+        self.grid = grid
+        self.inp = _bounding_slices(E > 0)
+        self.out = _bounding_slices(core)
+        self.psi = psi_vals[self.inp]
+        self.cutoff = E[self.inp].copy()
+        X, Y = grid.meshgrid()
+        self.cheb = np.maximum(np.abs(X), np.abs(Y))[self.inp].copy()
+        self.core = core[self.out].copy()
+        n_in, n_out = self.cutoff.shape, self.core.shape
+        shape = tuple(_fft_size(a + b - 1) for a, b in zip(n_in, n_out))
+        shift = tuple(o.start - i.start for o, i in zip(self.out, self.inp))
+        self.khat = _kernel_hat(grid, shape, n_out, shift)
+        # the core window inside the input window, and the rest of it
+        self.inner = tuple(slice(d, d + m) for d, m in zip(shift, n_out))
+        self.frame = np.ones(n_in, dtype=bool)
+        self.frame[self.inner] = False
+        self.cheb_inner = self.cheb[self.inner]
+        self.khat_inner = _kernel_hat(
+            grid, tuple(_fft_size(2 * m - 1) for m in n_out), n_out, (0, 0))
+
+
 class _OscPlan:
     """The oscillatory inverse for one (box, psi, h, core radius).
 
-    Holds what every application shares: the input window (bounding box of
-    the cutoff E's support, inside |x|, |y| < 2 rc), the core window out
-    (bounding box of the core disk, inside |x|, |y| <= rc), the windowed
-    weight exp(-2i psi/h) E, the core mask on the core window and two
-    kernel FFTs: one from the input window to the core window, and one
-    from the core window to itself.  The constructor runs the h, psi and
-    core-radius checks and the resolution guard on the full box.
+    An _OscWindows, windows, and what h adds to it: the resolution guard
+    and the windowed weight exp(-2i psi/h) E.  The constructor runs the
+    h, psi and core-radius checks and the resolution guard; at(windows,
+    h) puts a plan on windows built before, so a sweep over h at one
+    (box, psi, core radius) builds them once (cgo's bundles keep theirs
+    from one call to the next).
 
     Every result lives on the core window, and embed puts one on the box.
     apply takes a full-box field and checks it for finite values on the
@@ -357,72 +408,56 @@ class _OscPlan:
         if not isinstance(grid, PaddedGrid):
             raise GridError("oscillatory inverses expect a field on a padded box")
         _require_h(h)
-        psi_vals = _require_finite(psi.values if hasattr(psi, "values") else psi,
-                                   grid, "psi")
-        rc = grid.half / CORE_DIVISOR if core_radius is None else core_radius
-        if not (np.isfinite(rc) and rc > 0):
-            raise GridError(
-                f"core radius must be positive and finite, got {rc}")
-        core = grid.core_mask(rc)
-        if not core.any():
-            raise GridError(f"core radius {rc:.4g} holds no node of the box")
-        E = smooth_cutoff(grid, rc, 2.0 * rc)
+        self._weigh(_OscWindows(grid, psi, core_radius), h)
 
-        # np.gradient, not spectral: the phase is generally not box periodic
-        g1, g2 = np.gradient(np.real(psi_vals), grid.dx, edge_order=2)
-        gmax = float(np.max(np.hypot(g1, g2)[E > 0]))
-        if gmax > 0:
-            h_min = NODES_PER_OSC * grid.dx * gmax / np.pi
+    @classmethod
+    def at(cls, windows: _OscWindows, h: float) -> "_OscPlan":
+        """The plan at h on windows built before, for an h that passed
+        _require_h."""
+        plan = cls.__new__(cls)
+        plan._weigh(windows, h)
+        return plan
+
+    def _weigh(self, ws: _OscWindows, h: float) -> None:
+        if ws.grad_max > 0:
+            h_min = NODES_PER_OSC * ws.grid.dx * ws.grad_max / np.pi
             if h < h_min:
                 raise GridError(
                     f"h = {h:.4g} unresolved at this resolution; "
                     f"minimal admissible h = {h_min:.4g}")
-
-        self.grid = grid
-        self.inp = _bounding_slices(E > 0)
-        self.out = _bounding_slices(core)
-        self.weight = np.exp(-2j * psi_vals[self.inp] / h) * E[self.inp]
-        X, Y = grid.meshgrid()
-        self.cheb = np.maximum(np.abs(X), np.abs(Y))[self.inp]
-        self.core = core[self.out]
-        n_in, n_out = self.weight.shape, self.core.shape
-        shape = tuple(_fft_size(a + b - 1) for a, b in zip(n_in, n_out))
-        shift = tuple(o.start - i.start for o, i in zip(self.out, self.inp))
-        self.khat = _kernel_hat(grid, shape, n_out, shift)
-        # the core window inside the input window, and the rest of it
-        self.inner = tuple(slice(d, d + m) for d, m in zip(shift, n_out))
-        self.frame = np.ones(n_in, dtype=bool)
-        self.frame[self.inner] = False
-        self.weight_inner = self.weight[self.inner].copy()
-        self.cheb_inner = self.cheb[self.inner]
-        self.khat_inner = _kernel_hat(
-            grid, tuple(_fft_size(2 * m - 1) for m in n_out), n_out, (0, 0))
+        self.windows = ws
+        self.weight = np.exp(-2j * ws.psi / h) * ws.cutoff
+        self.weight_inner = self.weight[ws.inner].copy()
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
         """restrict(cauchy_inverse(exp(-2i psi/h) E vals)) on the core
         window, for a full-box vals checked finite on the whole box."""
-        vals = _require_finite(vals, self.grid, "oscillatory_dbar_inv")
-        w = self.weight * vals[self.inp]
-        if w[self.frame].any():
-            return self._convolve(w, self.cheb, self.khat)
-        return self.apply_core(vals[self.out])
+        ws = self.windows
+        vals = _require_finite(vals, ws.grid, "oscillatory_dbar_inv")
+        w = self.weight * vals[ws.inp]
+        if w[ws.frame].any():
+            return self._convolve(w, ws.cheb, ws.khat)
+        return self.apply_core(vals[ws.out])
 
     def apply_core(self, win: np.ndarray) -> np.ndarray:
         """apply for an input that lives on the core window too."""
         if not np.all(np.isfinite(win)):
             raise GridError("oscillatory_dbar_inv: non-finite values")
-        return self._convolve(self.weight_inner * win, self.cheb_inner,
-                              self.khat_inner)
+        ws = self.windows
+        return self._convolve(self.weight_inner * win, ws.cheb_inner,
+                              ws.khat_inner)
 
     def _convolve(self, w: np.ndarray, cheb: np.ndarray,
                   khat: np.ndarray) -> np.ndarray:
-        _support_guard(w, cheb, self.grid.half, "oscillatory_dbar_inv")
-        return np.where(self.core, _cauchy_conv(w, khat, self.core.shape), 0.0)
+        ws = self.windows
+        _support_guard(w, cheb, ws.grid.half, "oscillatory_dbar_inv")
+        return np.where(ws.core, _cauchy_conv(w, khat, ws.core.shape), 0.0)
 
     def embed(self, win: np.ndarray) -> np.ndarray:
         """A core-window array on the full box, zero outside the window."""
-        out = np.zeros((self.grid.n, self.grid.n), dtype=complex)
-        out[self.out] = win
+        n = self.windows.grid.n
+        out = np.zeros((n, n), dtype=complex)
+        out[self.windows.out] = win
         return out
 
 

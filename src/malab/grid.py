@@ -388,15 +388,16 @@ class ComplexField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Two-component field on a grid (drift vectors, gradients)."""
+    """Two real components on a grid (drift vectors, gradients)."""
 
     c1: np.ndarray
     c2: np.ndarray
     grid: object
 
     def __post_init__(self):
-        _on_lattice(self.c1, self.grid)
-        _on_lattice(self.c2, self.grid)
+        for name in ("c1", "c2"):
+            object.__setattr__(self, name,
+                               _on_lattice(_real(getattr(self, name)), self.grid))
 
 
 class BoundaryTrace:

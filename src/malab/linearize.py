@@ -122,13 +122,17 @@ def drift_field(g: MetricField) -> VectorField:
 
     g^{ab} is the stored coefficient matrix and |g|^{1/2} the covariant
     volume weight. The derivatives are the grid's own (deriv): spectral on
-    periodic boxes, masked differences on domain grids.
+    periodic boxes, masked differences on domain grids. On a box the
+    components are the real parts of the spectral derivatives, whose
+    imaginary parts for a real metric are rounding.
     """
     grid = g.grid
-    where = grid.mask if isinstance(grid, DomainGrid) else slice(None)
-    w = _volume_weight(g, where)
+    domain = isinstance(grid, DomainGrid)
+    w = _volume_weight(g, grid.mask if domain else slice(None))
     c1 = deriv(w * g.g11, grid, 1, 0) + deriv(w * g.g12, grid, 0, 1)
     c2 = deriv(w * g.g12, grid, 1, 0) + deriv(w * g.g22, grid, 0, 1)
+    if not domain:
+        c1, c2 = c1.real, c2.real
     return VectorField(c1 / w, c2 / w, grid)
 
 

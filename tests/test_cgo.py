@@ -139,11 +139,13 @@ def test_bundle_rejects_wide_drift(box, coords, phases):
 
 def test_potential_gradient_field_example(box, coords):
     # X = grad(rho) -> Q = |grad rho|^2/4 - lap(rho)/2, curl term absent;
-    # measured deviation 6.9e-14, imaginary part 5.5e-13
+    # measured deviation 5.6e-13, imaginary part 8.6e-15
     _, _, r2 = coords
     rho = 0.5 * np.exp(-r2 / 0.7)
-    gx = spectral_deriv(rho, box, 1, 0)
-    gy = spectral_deriv(rho, box, 0, 1)
+    # a VectorField holds real components: the spectral gradient of a real
+    # rho is real up to rounding
+    gx = spectral_deriv(rho, box, 1, 0).real
+    gy = spectral_deriv(rho, box, 0, 1).real
     Q = cgo.factor_potential(VectorField(gx, gy, box))
     lap = spectral_deriv(rho, box, 2, 0) + spectral_deriv(rho, box, 0, 2)
     ref = 0.25 * (gx * gx + gy * gy) - 0.5 * lap
@@ -469,6 +471,98 @@ def test_bundle_input_guards(box, phases, drift, qpot, morse_sweep):
     same = cgo.build_cgo_holo(phases["morse"], 0.4,
                               VectorField(drift.c1, drift.c2, twin), q=qpot)
     assert np.array_equal(same.v.values, morse_sweep[0.4].v.values)
+
+
+# ---------------------------------------------------------------------------
+# the h-independent setup kept between calls
+
+
+_MID = PaddedGrid(half=6.0, n=256)      # h_min of the Morse phase: 0.18
+_FIELDS = ("v", "s", "r", "alpha")
+
+
+def _mid_inputs():
+    """Fresh (phase, drift, q) on the n = 256 box, for tests that write
+    them in place."""
+    X, Y = _MID.meshgrid()
+    r2 = X * X + Y * Y
+    b = np.exp(-r2 / 0.6)
+    drift = VectorField(0.8 * b * np.cos(1.3 * X + 0.4 * Y),
+                        -0.6 * b * np.sin(0.9 * Y - 0.2 * X), _MID)
+    return (cgo.phase_spec((0.0, 0.0, -0.25), _MID, 0.1 - 0.05j), drift,
+            0.25 * np.exp(-r2 / 0.7))
+
+
+def _bytes(bundle) -> tuple:
+    return tuple(np.asarray(getattr(getattr(bundle, f), "values",
+                                    getattr(bundle, f))).tobytes()
+                 for f in _FIELDS)
+
+
+def _fresh(build, *args, **kwargs):
+    cgo._SETUP.clear()
+    return build(*args, **kwargs)
+
+
+def _gauge_must_not_run(*args, **kwargs):
+    raise AssertionError("the gauge was rebuilt for a new h")
+
+
+def test_setup_hit_is_bitwise_a_fresh_build():
+    phase, drift, q = _mid_inputs()
+    _fresh(cgo.build_cgo_holo, phase, 0.4, drift, q=q)
+    hit = cgo.build_cgo_holo(phase, 0.283, drift, q=q)
+    fresh = _fresh(cgo.build_cgo_holo, phase, 0.283, drift, q=q)
+    assert _bytes(hit) == _bytes(fresh)
+    assert hit.term_norms == fresh.term_norms
+    assert hit.residual == fresh.residual
+
+
+@pytest.mark.parametrize("target", ["drift", "q", "psi"])
+def test_inputs_written_in_place_are_rebuilt(target):
+    phase, drift, q = _mid_inputs()
+    before = _fresh(cgo.build_cgo_holo, phase, 0.283, drift, q=q)
+    written = {"drift": drift.c1, "q": q, "psi": phase.psi}[target]
+    written *= 1.25
+    after = cgo.build_cgo_holo(phase, 0.283, drift, q=q)
+    fresh = _fresh(cgo.build_cgo_holo, phase, 0.283, drift, q=q)
+    assert _bytes(after) == _bytes(fresh)
+    assert before.r.values.tobytes() != after.r.values.tobytes()
+
+
+def test_bundle_writes_cannot_reach_the_next_bundle():
+    phase, drift, q = _mid_inputs()
+    first = _fresh(cgo.build_cgo_holo, phase, 0.283, drift, q=q)
+    want = _bytes(first)
+    for field in (first.v, first.s, first.r):
+        field.values[:] = np.nan
+    first.amplitude[:] = np.nan
+    # the gauge field is the kept setup's own, so it is read-only
+    with pytest.raises(ValueError, match="read-only"):
+        first.alpha[0, 0] = np.nan
+    assert _bytes(cgo.build_cgo_holo(phase, 0.283, drift, q=q)) == want
+
+
+def test_unresolved_h_on_a_hit_names_the_minimal_h(monkeypatch):
+    phase, drift, q = _mid_inputs()
+    with pytest.raises(GridError, match="minimal admissible h") as fresh:
+        _fresh(cgo.build_cgo_holo, phase, 0.1, drift, q=q)
+    cgo.build_cgo_holo(phase, 0.4, drift, q=q)
+    monkeypatch.setattr(cgo, "_gauge", _gauge_must_not_run)
+    with pytest.raises(GridError, match="minimal admissible h") as hit:
+        cgo.build_cgo_holo(phase, 0.1, drift, q=q)
+    assert str(hit.value) == str(fresh.value)
+
+
+@pytest.mark.parametrize("build", [cgo.build_cgo_holo, cgo.build_cgo_antiholo,
+                                   cgo.build_cgo_adjoint])
+def test_sweep_over_h_builds_the_gauge_once(monkeypatch, build):
+    phase, drift, q = _mid_inputs()
+    _fresh(build, phase, 0.4, drift, q=q)
+    monkeypatch.setattr(cgo, "_gauge", _gauge_must_not_run)
+    hit = build(phase, 0.283, drift, q=q)
+    monkeypatch.undo()
+    assert _bytes(hit) == _bytes(_fresh(build, phase, 0.283, drift, q=q))
 
 
 def _bad_inputs(small: PaddedGrid):

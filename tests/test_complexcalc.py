@@ -263,10 +263,10 @@ def test_windowed_oscillatory_matches_full_box(half, n, rc, h):
         assert np.all(got[~core] == 0.0)
     if n == 512:
         plan = _OscPlan(g, psi, h)
-        assert plan.khat.shape == (512, 512)
-        assert plan.khat_inner.shape == (360, 360)
+        assert plan.windows.khat.shape == (512, 512)
+        assert plan.windows.khat_inner.shape == (360, 360)
         # the core-window form guards its own window
-        win = np.where(core, f, 0.0)[plan.out]
+        win = np.where(core, f, 0.0)[plan.windows.out]
         win[3, 5] = np.nan
         with pytest.raises(GridError, match="non-finite"):
             plan.apply_core(win)

@@ -15,8 +15,8 @@ import scipy.sparse.linalg as spla
 
 from malab import linearize
 from malab.dnmap import dn_full_derivative, dn_lin, dn_lin_matrix
-from malab.grid import (GridError, MetricField, ScalarField, build_disk,
-                        build_ellipse, quadrature)
+from malab.grid import (GridError, MetricField, PaddedGrid, ScalarField,
+                        build_disk, build_ellipse, quadrature)
 from malab.maforward import (SparseLU, build_stencil_ops, solve_ma,
                              solve_ma_zero, stencil_hessian)
 from malab.complexcalc import deriv
@@ -367,6 +367,23 @@ def test_vector_field_of_another_shape_rejected():
     g = build_disk(1.0, 48)
     with pytest.raises(GridError, match=r"\(40, 40\)"):
         VectorField(np.zeros((48, 48)), np.zeros((40, 40)), g)
+
+
+def test_vector_field_holds_real_components():
+    # a complex drift used to reach adjoint_solve and fail in the sparse
+    # assembly as numpy's bare UFuncTypeError
+    g = build_disk(1.0, 32)
+    z = np.zeros((32, 32))
+    with pytest.raises(GridError, match="complex128"):
+        VectorField(z + 1j, z, g)
+    # on a box drift_field keeps the real part of its spectral derivatives
+    box = PaddedGrid(half=3.0, n=64)
+    X, Y = box.meshgrid()
+    bump = np.exp(-(X * X + Y * Y))
+    dr = drift_field(MetricField(1.0 + 0.2 * bump, 0.1 * X * bump,
+                                 1.0 - 0.1 * bump, box))
+    assert dr.c1.dtype == dr.c2.dtype == np.float64
+    assert np.max(np.abs(dr.c1)) > 0.0
 
 
 def test_block_solve_equals_column_solves():
