@@ -48,10 +48,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# a bundle puts one _OscPlan at its h on the _OscWindows its sweep shares;
-# oscillatory_dbar_inv stays importable here as the public form of that
-# inverse (CGOBundle.r is -oscillatory_dbar_inv(V' s) bit for bit), and
-# perfbench traces it here
+# a bundle builds one _OscPlan(windows, h) on the _OscWindows its sweep
+# shares; oscillatory_dbar_inv stays importable here as the public form of
+# that inverse (CGOBundle.r is -oscillatory_dbar_inv(V' s) bit for bit),
+# and perfbench traces it here
 from .complexcalc import (CORE_DIVISOR, _bounding_slices, _fd4, _OscPlan,
                           _OscWindows, _require_finite, _require_h,
                           _support_guard, _wirtinger_symbol,
@@ -90,6 +90,19 @@ def _require_padded(grid) -> PaddedGrid:
     return grid
 
 
+def _require_terms(grid: PaddedGrid, X: VectorField, q) -> np.ndarray:
+    """q as an array, once X is checked to live on grid and q to be a
+    finite scalar or box field."""
+    if X.grid != grid:
+        raise GridError("drift lives on a different grid")
+    qv = np.asarray(q)
+    if qv.ndim:
+        _require_finite(qv, grid, "q")
+    elif not np.isfinite(qv):
+        raise GridError("q: non-finite values")
+    return qv
+
+
 # ---------------------------------------------------------------------------
 # gauge transform
 
@@ -116,8 +129,7 @@ def _gauge_source(X: VectorField) -> np.ndarray:
     for c in (X.c1, X.c2):
         _require_finite(c, grid, "gauge")
     src = 0.25j * (X.c1 + 1j * X.c2)
-    XX, YY = grid.meshgrid()
-    _support_guard(src, np.maximum(np.abs(XX), np.abs(YY)), grid.half, "gauge")
+    _support_guard(src, grid.cheb, grid.half, "gauge")
     return src
 
 
@@ -284,7 +296,8 @@ def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
     runs; the result is zero outside the core window.
     """
     grid = _require_padded(f.grid)
-    plan = _OscPlan(grid, psi, h)
+    _require_h(h)
+    plan = _OscPlan(_OscWindows(grid, psi), h)
     Vu = V.values[plan.windows.out] * plan.apply(vp.values * f.values)
     return ComplexField(plan.embed(_dbar_star_inv(Vu, plan.apply_core)), grid)
 
@@ -339,8 +352,7 @@ def _eval_amplitude(amplitude, grid: PaddedGrid) -> np.ndarray:
     # through degree 4, seam rows excluded)
     dzb = 0.5 * (periodic_fd4(vals, grid, 0, 1)
                  + 1j * periodic_fd4(vals, grid, 1, 1))
-    XX, YY = grid.meshgrid()
-    inner = np.maximum(np.abs(XX), np.abs(YY)) <= grid.half - 4 * grid.dx
+    inner = grid.cheb <= grid.half - 4 * grid.dx
     scale = float(np.max(np.abs(vals))) or 1.0
     if float(np.max(np.abs(dzb)[inner])) > 1e-6 * scale:
         raise GridError("amplitude is not holomorphic")
@@ -358,8 +370,11 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     solution's norm there: the natural size of any single second-order
     term.  The differences run only on the disk's bounding box grown by
     their 2-node reach (wrapping as periodic_fd4 does), with the same
-    per-node arithmetic as on the whole box.
+    per-node arithmetic as on the whole box.  A bad h, drift or q is a
+    GridError before any difference, as in build_cgo_holo.
     """
+    _require_h(h)
+    qv = _require_terms(grid, X, q)
     mask = _measurement_disk(grid, rc)
     box = _bounding_slices(mask)
     grown = np.ix_(*(np.arange(b.start - 2, b.stop + 2) % grid.n
@@ -373,7 +388,7 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
                     order)
 
     mid = (slice(2, -2), slice(2, -2))
-    qv = np.broadcast_to(np.asarray(q), vals.shape)[box]
+    qv = np.broadcast_to(qv, vals.shape)[box]
     lap = fd4(v, 0, 2) + fd4(v, 1, 2)
     if conservative:
         flux = fd4(c1 * v, 0, 1) + fd4(c2 * v, 1, 1)
@@ -396,13 +411,7 @@ def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude,
         raise GridError(
             f"series depth must be a nonnegative integer, got {K!r}")
     X = drift if drift is not None else _zero_drift(grid)
-    if X.grid != grid:
-        raise GridError("drift lives on a different grid")
-    qv = np.asarray(q)
-    if qv.ndim:
-        _require_finite(qv, grid, "q")
-    elif not np.isfinite(qv):
-        raise GridError("q: non-finite values")
+    qv = _require_terms(grid, X, q)
     rc = grid.half / CORE_DIVISOR
     _measurement_disk(grid, rc)
     return grid, X, qv, rc, _eval_amplitude(amplitude, grid)
@@ -463,7 +472,7 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
     """The per-h half of build_cgo_holo: the resolution guard, the weight
     at h, the series, v and its residual."""
     grid, rc, alpha = setup.grid, setup.rc, setup.alpha
-    plan = _OscPlan.at(setup.windows, h)
+    plan = _OscPlan(setup.windows, h)
     Vin, inp = setup.Vin, setup.windows.inp
     Va = np.zeros_like(a_vals)
     Va[inp] = Vin * a_vals[inp]

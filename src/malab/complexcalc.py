@@ -25,13 +25,13 @@ lengths in nodes along an axis, a circular FFT of any size N >= L_in +
 L_out - 1 reproduces the full-box sum term for term (N is chosen
 2,3,5-smooth); input that vanishes outside the core window is convolved
 from there.  Their per-(box, psi, rc) data lives in one _OscWindows,
-which the CGO series builds once per sweep over h, and one _OscPlan adds
-what h changes (the weight and the resolution guard) once per bundle;
-every term of that series after the first, its sum and the remainder stay
-on the core window, and only the stored sum and remainder are embedded
-into the box, once.  Every transform refuses non-finite input before any
-FFT: on the full box for a full-box field, on the core window for the
-series' core-window terms.
+which the CGO series builds once per sweep over h, and one
+_OscPlan(windows, h) adds what h changes (the weight and the resolution
+guard) once per bundle; every term of that series after the first, its
+sum and the remainder stay on the core window, and only the stored sum
+and remainder are embedded into the box, once.  Every transform refuses
+non-finite input before any FFT: on the full box for a full-box field,
+on the core window for the series' core-window terms.
 """
 
 from __future__ import annotations
@@ -304,9 +304,7 @@ def cauchy_inverse(omega: ComplexField) -> ComplexField:
     if not isinstance(grid, PaddedGrid):
         raise GridError("cauchy_inverse expects a field on a padded box")
     vals = _require_finite(omega.values, grid, "cauchy_inverse")
-    X, Y = grid.meshgrid()
-    _support_guard(vals, np.maximum(np.abs(X), np.abs(Y)), grid.half,
-                   "cauchy_inverse")
+    _support_guard(vals, grid.cheb, grid.half, "cauchy_inverse")
     n = grid.n
     khat = _kernel_hat(grid, (2 * n, 2 * n), (n, n), (0, 0))
     return ComplexField(_cauchy_conv(vals, khat, (n, n)), grid)
@@ -320,8 +318,7 @@ def conj_cauchy_inverse(omega: ComplexField) -> ComplexField:
 
 def smooth_cutoff(grid: PaddedGrid, r_inner: float, r_outer: float) -> np.ndarray:
     """C^2 radial bump: 1 inside r_inner, 0 outside r_outer (quintic step)."""
-    X, Y = grid.meshgrid()
-    r = np.hypot(X, Y)
+    r = np.hypot(grid.x[:, None], grid.x[None, :])
     t = np.clip((r - r_inner) / (r_outer - r_inner), 0.0, 1.0)
     return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
@@ -341,14 +338,16 @@ class _OscWindows:
     disk, inside |x|, |y| <= rc), psi and E on the input window, max |grad
     psi| over E > 0, the core mask on the core window and two kernel
     FFTs: one from the input window to the core window, and one from the
-    core window to itself.  The constructor runs the psi and core-radius
-    checks.  psi on the input window is a view of the caller's array;
-    every other array is the windows' own.
+    core window to itself.  The constructor runs the psi (finite, real)
+    and core-radius checks.  psi on the input window is a view of the
+    caller's array; every other array is the windows' own.
     """
 
     def __init__(self, grid: PaddedGrid, psi, core_radius: float | None = None):
         psi_vals = _require_finite(psi.values if hasattr(psi, "values") else psi,
                                    grid, "psi")
+        if psi_vals.dtype.kind not in "biuf":
+            raise GridError(f"psi must be real, got {psi_vals.dtype} values")
         rc = grid.half / CORE_DIVISOR if core_radius is None else core_radius
         if not (np.isfinite(rc) and rc > 0):
             raise GridError(
@@ -359,7 +358,7 @@ class _OscWindows:
         E = smooth_cutoff(grid, rc, 2.0 * rc)
 
         # np.gradient, not spectral: the phase is generally not box periodic
-        g1, g2 = np.gradient(np.real(psi_vals), grid.dx, edge_order=2)
+        g1, g2 = np.gradient(psi_vals, grid.dx, edge_order=2)
         self.grad_max = float(np.max(np.hypot(g1, g2)[E > 0]))
 
         self.grid = grid
@@ -367,8 +366,7 @@ class _OscWindows:
         self.out = _bounding_slices(core)
         self.psi = psi_vals[self.inp]
         self.cutoff = E[self.inp].copy()
-        X, Y = grid.meshgrid()
-        self.cheb = np.maximum(np.abs(X), np.abs(Y))[self.inp].copy()
+        self.cheb = grid.cheb[self.inp].copy()
         self.core = core[self.out].copy()
         n_in, n_out = self.cutoff.shape, self.core.shape
         shape = tuple(_fft_size(a + b - 1) for a, b in zip(n_in, n_out))
@@ -387,11 +385,9 @@ class _OscPlan:
     """The oscillatory inverse for one (box, psi, h, core radius).
 
     An _OscWindows, windows, and what h adds to it: the resolution guard
-    and the windowed weight exp(-2i psi/h) E.  The constructor runs the
-    h, psi and core-radius checks and the resolution guard; at(windows,
-    h) puts a plan on windows built before, so a sweep over h at one
-    (box, psi, core radius) builds them once (cgo's bundles keep theirs
-    from one call to the next).
+    and the windowed weight exp(-2i psi/h) E, for an h that passed
+    _require_h.  A sweep over h at one (box, psi, core radius) builds its
+    windows once (cgo's bundles keep theirs from one call to the next).
 
     Every result lives on the core window, and embed puts one on the box.
     apply takes a full-box field and checks it for finite values on the
@@ -403,31 +399,16 @@ class _OscPlan:
     the window it convolves.
     """
 
-    def __init__(self, grid: PaddedGrid, psi, h: float,
-                 core_radius: float | None = None):
-        if not isinstance(grid, PaddedGrid):
-            raise GridError("oscillatory inverses expect a field on a padded box")
-        _require_h(h)
-        self._weigh(_OscWindows(grid, psi, core_radius), h)
-
-    @classmethod
-    def at(cls, windows: _OscWindows, h: float) -> "_OscPlan":
-        """The plan at h on windows built before, for an h that passed
-        _require_h."""
-        plan = cls.__new__(cls)
-        plan._weigh(windows, h)
-        return plan
-
-    def _weigh(self, ws: _OscWindows, h: float) -> None:
-        if ws.grad_max > 0:
-            h_min = NODES_PER_OSC * ws.grid.dx * ws.grad_max / np.pi
+    def __init__(self, windows: _OscWindows, h: float):
+        if windows.grad_max > 0:
+            h_min = NODES_PER_OSC * windows.grid.dx * windows.grad_max / np.pi
             if h < h_min:
                 raise GridError(
                     f"h = {h:.4g} unresolved at this resolution; "
                     f"minimal admissible h = {h_min:.4g}")
-        self.windows = ws
-        self.weight = np.exp(-2j * ws.psi / h) * ws.cutoff
-        self.weight_inner = self.weight[ws.inner].copy()
+        self.windows = windows
+        self.weight = np.exp(-2j * windows.psi / h) * windows.cutoff
+        self.weight_inner = self.weight[windows.inner].copy()
 
     def apply(self, vals: np.ndarray) -> np.ndarray:
         """restrict(cauchy_inverse(exp(-2i psi/h) E vals)) on the core
@@ -467,8 +448,9 @@ def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
 
     E is a fixed C^2 cutoff equal to 1 on the core disk (radius rc, default
     half/3) and 0 beyond 2 rc; the result is restricted (zeroed) outside
-    the core.  Rejects non-finite f or psi, and h too small for the grid
-    to resolve the oscillation, reporting the minimal admissible h.
+    the core.  Rejects non-finite f, a non-finite or complex psi, and h
+    too small for the grid to resolve the oscillation, reporting the
+    minimal admissible h.
 
     The input exp(-2i psi/h) E f vanishes outside the window |x|, |y| <
     2 rc and the output is read on |x|, |y| <= rc only, so the transform is
@@ -480,6 +462,9 @@ def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
     rc = 2 the windows are 341 and 171 nodes wide: a 512^2 FFT pair, or
     360^2 for core-supported f, in place of 1024^2.
     """
-    plan = _OscPlan(f.grid, psi, h, core_radius)
+    if not isinstance(f.grid, PaddedGrid):
+        raise GridError("oscillatory inverses expect a field on a padded box")
+    _require_h(h)
+    plan = _OscPlan(_OscWindows(f.grid, psi, core_radius), h)
     return ComplexField(plan.embed(plan.apply(f.values)), f.grid)
 

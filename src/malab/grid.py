@@ -310,14 +310,20 @@ class PaddedGrid:
 
     @property
     def zz(self) -> np.ndarray:
-        X, Y = self.meshgrid()
-        return X + 1j * Y
+        x = self.x
+        return x[:, None] + 1j * x[None, :]
+
+    @property
+    def cheb(self) -> np.ndarray:
+        """max(|x1|, |x2|) at the nodes."""
+        ax = np.abs(self.x)
+        return np.maximum(ax[:, None], ax[None, :])
 
     def core_mask(self, radius: float) -> np.ndarray:
         if not radius >= 0.0:
             raise GridError(f"core radius must be non-negative, got {radius}")
-        X, Y = self.meshgrid()
-        return X * X + Y * Y <= radius * radius
+        x2 = self.x * self.x
+        return x2[:, None] + x2[None, :] <= radius * radius
 
     def quadrature(self, vals: np.ndarray) -> complex:
         return complex(np.sum(vals) * self.dx ** 2)

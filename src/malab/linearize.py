@@ -13,9 +13,9 @@ assembler the Newton Jacobian uses too, and goes through the sparse-LU
 layer of `maforward`, split per metric: the system is assembled and
 factored once, and every right side of that metric is solved against the
 one factorization (nondiv_solve_many takes a block of boundary data as
-one block). Every column must meet the residual bound
-||A v - b|| <= rtol ||b|| and agree with the divergence-form assembly of
-the same equation, or the solve raises LinearSolveFailure.
+one block); adjoint_solve adds its lower-order terms to that one
+assembly. Every column must meet the residual bound ||A v - b|| <=
+rtol ||b||, or the solve raises LinearSolveFailure.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complexcalc import deriv
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
                    ScalarField, VectorField, boundary_restrict, lattice_values)
-from .maforward import (LinearSolveFailure, MASolution, SparseLU, StencilOps,
+from .maforward import (LinearSolveFailure, MASolution, SparseLU,
                         build_stencil_ops, ring_values, solve_ma,
                         solve_ma_zero, source_grid, stencil_hessian)
 
@@ -184,14 +183,6 @@ def _coeffs_at_nodes(g: MetricField):
     return a11, a12, a22
 
 
-def _rhs(ops: StencilOps, G, Phi: np.ndarray, f) -> np.ndarray:
-    """f - G Phi for crossing values Phi (a vector or a block of columns),
-    with f (default 0) on the PDE rows and 0 on the interpolation rows."""
-    fvec = np.zeros(ops.N) if f is None else np.where(
-        ops.pde, lattice_values(f, ops.grid)[ops.grid.mask], 0.0)
-    return (fvec if Phi.ndim == 1 else fvec[:, None]) - G @ Phi
-
-
 def _require_positive(name: str, value) -> None:
     """GridError naming `name` unless value is a finite real > 0."""
     if not (isinstance(value, numbers.Real) and np.isfinite(value)
@@ -199,38 +190,44 @@ def _require_positive(name: str, value) -> None:
         raise GridError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _metric_solver(g: MetricField):
-    """solve(datas, f, rtol) of nondiv_solve_many for g: both assemblies
-    are made once, and the factorization once, at the first solve, after
-    its data have passed their checks."""
+def _metric_solver(g: MetricField, X: VectorField | None = None):
+    """solve(datas, f, rtol) of nondiv_solve_many for g, or of adjoint_solve
+    with a drift X: the system is assembled once, and factored once, at
+    the first solve, after its data have passed their checks."""
     grid = g.grid
     if not isinstance(grid, DomainGrid):
-        raise GridError("nondiv_solve expects a domain grid")
+        raise GridError("linearized solves expect a domain grid")
     coeffs = _coeffs_at_nodes(g)
     ops = build_stencil_ops(grid)
-    A, G, lu = ops.system(*coeffs), ops.crossing_system(*coeffs), []
-    w = _volume_weight(g, grid.mask)[grid.mask]
-    B = sp.diags(np.where(ops.pde, 1.0 / w, 1.0)) @ ops.system(
-        *(w * a for a in coeffs))
+    lower = () if X is None else _adjoint_terms(g, X)
+    A = ops.system(*coeffs, *lower)
+    G, lu = ops.crossing_system(*coeffs, *lower[:2]), []
 
     def solve(datas, f, rtol):
+        # f - G Phi, with f (default 0) on the PDE rows only
         Phi = np.column_stack([ops.crossing_values(phi) for phi in datas])
-        rhs = _rhs(ops, G, Phi, f)
+        fvec = np.zeros(ops.N) if f is None else np.where(
+            ops.pde, lattice_values(f, grid)[grid.mask], 0.0)
+        rhs = fvec[:, None] - G @ Phi
         if not lu:
             lu.append(SparseLU(A))
-        V = lu[0].solve(rhs, rtol)
-        scale = np.max(np.abs(rhs), axis=0) + 1.0
-        resA = np.max(np.abs(A @ V - rhs), axis=0)
-        resB = np.max(np.abs(B @ V - rhs), axis=0)
-        bad = resB > 10.0 * np.maximum(resA, rtol * scale)
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise LinearSolveFailure(
-                "divergence-form assembly disagrees with the bare-"
-                f"coefficient route: {resB[j]:.3e} vs {resA[j]:.3e}",
-                [float(resA[j]), float(resB[j])])
-        return [ScalarField(ops.scatter(v), grid) for v in V.T]
+        return [ScalarField(ops.scatter(v), grid)
+                for v in lu[0].solve(rhs, rtol).T]
     return solve
+
+
+def _adjoint_terms(g: MetricField, X: VectorField) -> tuple:
+    """adjoint_solve's lower-order coefficients X1, X2 (of X_g + X) and
+    c0 = (1/w) d_b(w X^b), on the interior numbering."""
+    grid, m = g.grid, g.grid.mask
+    if X.grid != grid:
+        raise GridError("drift lives on a different grid")
+    Xg, w = drift_field(g), _volume_weight(g, m)
+    c0 = (deriv(w * X.c1, grid, 1, 0) + deriv(w * X.c2, grid, 0, 1)) / w
+    terms = tuple(a[m] for a in (Xg.c1 + X.c1, Xg.c2 + X.c2, c0))
+    if not all(np.all(np.isfinite(a)) for a in terms):
+        raise GridError("drift has non-finite entries on the domain")
+    return terms
 
 
 def nondiv_solve_many(g: MetricField, datas, f=None, *,
@@ -238,12 +235,9 @@ def nondiv_solve_many(g: MetricField, datas, f=None, *,
     """Solve g^{ab} d_ab v = f (default 0) once per Dirichlet data in datas.
 
     The system is assembled and factored once for the metric, and all
-    right sides go through that factorization in one block solve. The
-    cross-check assembles the equation a second time, through the
-    divergence-form expansion whose drift terms cancel, which guards the
-    volume-weight wiring: every column's divergence-route residual must
-    stay within a factor 10 of its primary one. A non-finite or
-    nonpositive rtol, and an empty datas, are a GridError before any
+    right sides go through that factorization in one block solve; every
+    column must meet the residual bound of SparseLU.solve. A non-finite
+    or nonpositive rtol, and an empty datas, are a GridError before any
     assembly.
     """
     _require_positive("rtol", rtol)
@@ -257,8 +251,7 @@ def nondiv_solve(g: MetricField, phi, f=None, *,
                  rtol: float = 1e-10) -> ScalarField:
     """Solve g^{ab} d_ab v = f (default 0) with Dirichlet data phi.
 
-    One column of nondiv_solve_many, with the same residual bound and
-    divergence-form cross-check.
+    One column of nondiv_solve_many, with the same residual bound.
     """
     return nondiv_solve_many(g, [phi], f, rtol=rtol)[0]
 
@@ -268,29 +261,12 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
     """Solve the adjoint problem Lap_g v* + (1/w) d_b(w X^b v*) = f.
 
     Expanded, the operator is g^{ab} d_ab + (X_g + X) . grad + c0 with
-    c0 = (1/w) d_b(w X^b); w is the covariant volume weight.
+    c0 = (1/w) d_b(w X^b); w is the covariant volume weight. It goes
+    through nondiv_solve's solver, with these lower-order terms added to
+    the one assembly, and meets the same residual bound.
     """
     _require_positive("rtol", rtol)
-    grid = g.grid
-    if not isinstance(grid, DomainGrid):
-        raise GridError("adjoint_solve expects a domain grid")
-    a11, a12, a22 = _coeffs_at_nodes(g)
-    ops = build_stencil_ops(grid)
-    phic = ops.crossing_values(phi_star)
-    Xg = drift_field(g)
-    w = _volume_weight(g, grid.mask)
-    c0_full = (deriv(w * X.c1, grid, 1, 0) + deriv(w * X.c2, grid, 0, 1)) / w
-    m = grid.mask
-    X1 = (Xg.c1 + X.c1)[m]
-    X2 = (Xg.c2 + X.c2)[m]
-    c0 = c0_full[m]
-    if not (np.all(np.isfinite(X1)) and np.all(np.isfinite(X2))
-            and np.all(np.isfinite(c0))):
-        raise GridError("drift has non-finite entries on the domain")
-    A = ops.system(a11, a12, a22, X1, X2, c0)
-    rhs = _rhs(ops, ops.crossing_system(a11, a12, a22, X1, X2), phic, f)
-    v = SparseLU(A).solve(rhs, rtol)
-    return ScalarField(ops.scatter(v), grid)
+    return _metric_solver(g, X)([phi_star], f, rtol)[0]
 
 
 def second_solve(g: MetricField, v1: ScalarField, v2: ScalarField,

@@ -418,6 +418,17 @@ def test_drift_residual_matches_the_full_box_formula(box, morse_sweep, drift,
     with pytest.raises(GridError, match="no node to measure"):
         cgo.drift_residual(ones, VectorField(ones, ones, odd), 0.0, 0.3, odd,
                            3.0 * odd.dx)
+    # h = -0.3 used to give h = 0.3's residual, h = 0 a ZeroDivisionError and
+    # nan a nan; a drift from another box was read on this one, and a q of
+    # another shape raised numpy's broadcast ValueError
+    for h in (-0.3, 0.0, np.nan):
+        with pytest.raises(GridError, match="h must be positive"):
+            cgo.drift_residual(vals, X, q, h, small, 2.0)
+    with pytest.raises(GridError, match="different grid"):
+        cgo.drift_residual(vals, VectorField(ones, ones, odd), q, 0.3, small,
+                           2.0)
+    with pytest.raises(GridError, match="q: shape"):
+        cgo.drift_residual(vals, X, ones, 0.3, small, 2.0)
     # periodic_fd4 is the sliced kernel on a wrap-padded array, node for node
     for axis in (0, 1):
         for order in (1, 2):

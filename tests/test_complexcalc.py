@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from malab.complexcalc import (
-    _OscPlan, _kernel_hat, cauchy_inverse, conj_cauchy_inverse, deriv,
-    oscillatory_dbar_inv, periodic_fd4, smooth_cutoff, spectral_deriv,
+    _OscPlan, _OscWindows, _kernel_hat, cauchy_inverse, conj_cauchy_inverse,
+    deriv, oscillatory_dbar_inv, periodic_fd4, smooth_cutoff, spectral_deriv,
     spectral_dz, spectral_dzb,
 )
 from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
@@ -262,7 +262,7 @@ def test_windowed_oscillatory_matches_full_box(half, n, rc, h):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.all(got[~core] == 0.0)
     if n == 512:
-        plan = _OscPlan(g, psi, h)
+        plan = _OscPlan(_OscWindows(g, psi), h)
         assert plan.windows.khat.shape == (512, 512)
         assert plan.windows.khat_inner.shape == (360, 360)
         # the core-window form guards its own window
@@ -299,6 +299,10 @@ def test_cauchy_transforms_reject_bad_input():
         osc(ComplexField(f, g), np.zeros((g.n, g.n + 1)), 0.3)
     with pytest.raises(GridError, match="core radius"):
         osc(ComplexField(f, g), psi, 0.3, core_radius=0.0)
+    # a complex psi used to pass: the guard bounds the resolution by Re psi
+    # while the weight exponentiated all of psi (2.2x the real-psi field)
+    with pytest.raises(GridError, match="complex128"):
+        osc(ComplexField(f, g), psi + 0.2j, 0.5)
 
 
 def test_oscillatory_decay_ordering():

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from malab import linearize
+from malab import linearize, maforward
 from malab.dnmap import dn_full_derivative, dn_lin, dn_lin_matrix
 from malab.grid import (GridError, MetricField, PaddedGrid, ScalarField,
                         build_disk, build_ellipse, quadrature)
@@ -227,8 +227,7 @@ def test_divergence_form_identity_deep():
 
 
 def test_dual_assembly_agreement_random_metrics():
-    # the divergence-form cross-check inside nondiv_solve must accept the
-    # computed solution for a spread of smooth SPD coefficient fields
+    # a spread of smooth SPD coefficient fields solves to finite values
     rng = np.random.default_rng(7)
     g = build_disk(1.0, 48)
     X, Y = g.meshgrid()
@@ -367,6 +366,12 @@ def test_vector_field_of_another_shape_rejected():
     g = build_disk(1.0, 48)
     with pytest.raises(GridError, match=r"\(40, 40\)"):
         VectorField(np.zeros((48, 48)), np.zeros((40, 40)), g)
+    # a drift of the right shape on another domain used to be read as if
+    # it lived on this one
+    zero = np.zeros((48, 48))
+    other = VectorField(zero, zero, build_disk(0.8, 48))
+    with pytest.raises(GridError, match="different grid"):
+        adjoint_solve(flat_metric(g), other, lambda x, y: x)
 
 
 def test_vector_field_holds_real_components():
@@ -384,6 +389,34 @@ def test_vector_field_holds_real_components():
                                  1.0 - 0.1 * bump, box))
     assert dr.c1.dtype == dr.c2.dtype == np.float64
     assert np.max(np.abs(dr.c1)) > 0.0
+
+
+@pytest.mark.parametrize("solve", [
+    lambda met, X: nondiv_solve_many(
+        met, [lambda x, y: x, lambda x, y: x * y, 0.5]),
+    lambda met, X: adjoint_solve(met, X, lambda x, y: x * y,
+                                 f=lambda x, y: x - y),
+], ids=["nondiv_solve_many", "adjoint_solve"])
+def test_one_assembly_per_solve(monkeypatch, solve):
+    # nondiv_solve used to assemble its equation a second time, rescaled by
+    # the volume weight, as a cross-check; adjoint_solve shares its solver
+    g = build_disk(1.0, 48)
+    X, Y = g.meshgrid()
+    drift = VectorField(0.3 * np.sin(X + Y), -0.2 * np.cos(X * Y), g)
+    systems, lus = [], []
+    system, factor = maforward.StencilOps.system, SparseLU.__init__
+
+    def count_system(self, *args):
+        systems.append(1)
+        return system(self, *args)
+
+    def count_lu(self, A):
+        lus.append(1)
+        factor(self, A)
+    monkeypatch.setattr(maforward.StencilOps, "system", count_system)
+    monkeypatch.setattr(SparseLU, "__init__", count_lu)
+    solve(_smooth_metric(g), drift)
+    assert (len(systems), len(lus)) == (1, 1)
 
 
 def test_block_solve_equals_column_solves():
