@@ -86,10 +86,14 @@ a fixed choice is a module constant, named at its step.
    test_linearize.py::test_adjoint_duality_quadrature.
 8. F. No code recovers F yet.
 
-Both halves share the lattices and fields of grid (the domain's ring is
-a grid.BoundaryRing) and one derivative per lattice, complexcalc.deriv:
+Steps 1-4 are the domain half, steps 5-6 the padded-box half (apart
+from geomkit.diffeo_rigidity_solve, a domain solve). Both halves share
+the lattices and fields of grid (the domain's ring is a
+grid.BoundaryRing) and one derivative per lattice, complexcalc.deriv:
 spectral on the box, complexcalc.masked_deriv1 and
-complexcalc.masked_deriv2 on the domain.
+complexcalc.masked_deriv2 on the domain. The box work of steps 5-6
+needs numpy only; the domain half loads scipy.sparse at the first
+maforward.build_stencil_ops that builds operators.
 """
 
 __version__ = "0.1.0"

@@ -370,11 +370,13 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     solution's norm there: the natural size of any single second-order
     term.  The differences run only on the disk's bounding box grown by
     their 2-node reach (wrapping as periodic_fd4 does), with the same
-    per-node arithmetic as on the whole box.  A bad h, drift or q is a
-    GridError before any difference, as in build_cgo_holo.
+    per-node arithmetic as on the whole box.  A bad h, drift or q, and a
+    candidate that is not a finite field of the box, are a GridError
+    before any difference, as in build_cgo_holo.
     """
     _require_h(h)
     qv = _require_terms(grid, X, q)
+    vals = _require_finite(vals, grid, "drift_residual")
     mask = _measurement_disk(grid, rc)
     box = _bounding_slices(mask)
     grown = np.ix_(*(np.arange(b.start - 2, b.stop + 2) % grid.n
@@ -421,9 +423,9 @@ class _Setup:
     """The h-independent half of build_cgo_holo for one (box, psi, drift, q).
 
     The gauge field alpha, after the drift's guards and the gauge factor's
-    lower-bound check; the _OscWindows of (box, psi, core radius); and the
-    series weights, V on the input window and V' and V on the core
-    window.  key holds copies of psi, X.c1, X.c2 and q, which matches
+    lower-bound check, and G^-1 = exp(-i alpha); the _OscWindows of (box,
+    psi, core radius); and the series weights, V on the input window and
+    V' and V on the core window.  key holds copies of psi, X.c1, X.c2 and q, which matches
     compares with a later call's by value.  Every array it holds is
     read-only.
     """
@@ -435,14 +437,15 @@ class _Setup:
         im_max = float(np.max(np.abs(np.imag(alpha))))
         if float(np.min(np.abs(ga))) < np.exp(-im_max) * (1.0 - 1e-12):
             raise GridError("gauge factor fell below its lower bound")
-        self.alpha = alpha
+        self.alpha, self.Ginv = alpha, np.exp(-1j * alpha)
         ws = self.windows = _OscWindows(grid, self.key[0], rc)
         # V is read on the input window, V' and every later V on the core
         # window
         self.Vin, self.vpw = _weights(alpha, X, qv, ws.inp, ws.out)
         self.Vw = self.Vin[ws.inner]
-        for arr in (*self.key, alpha, self.Vin, self.vpw, self.Vw, ws.psi,
-                    ws.cutoff, ws.cheb, ws.cheb_inner, ws.core, ws.frame):
+        for arr in (*self.key, alpha, self.Ginv, self.Vin, self.vpw, self.Vw,
+                    ws.psi, ws.cutoff, ws.cheb, ws.cheb_inner, ws.core,
+                    ws.frame):
             arr.flags.writeable = False
 
     def matches(self, grid: PaddedGrid, psi, X: VectorField, qv) -> bool:
@@ -451,7 +454,7 @@ class _Setup:
             for a, b in zip(self.key, (np.asarray(psi), X.c1, X.c2, qv)))
 
 
-# _SETUP keeps the one _Setup built last (about 17 MB on the 512 box) and
+# _SETUP keeps the one _Setup built last (about 21 MB on the 512 box) and
 # is emptied before the next is built, so two never coexist
 _SETUP: list = []
 
@@ -492,7 +495,10 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
     # in -oscillatory_dbar_inv(V' s)
     s_vals, r_vals = plan.embed(s_win), -plan.embed(r_win)
 
-    v_vals = np.exp(-1j * alpha) * np.exp(phase.values / h) * (a_vals + r_vals)
+    # e^{Phi/h} is named: numpy writes a product with a temporary right
+    # operand into that operand, by a loop that rounds differently
+    grow = np.exp(phase.values / h)
+    v_vals = setup.Ginv * grow * (a_vals + r_vals)
     res = drift_residual(v_vals, X, qv, h, grid, rc)
     return CGOBundle("holo", phase, float(h), int(K), int(k_eff), float(rc),
                      alpha, a_vals, ComplexField(s_vals, grid),

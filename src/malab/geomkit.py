@@ -69,6 +69,8 @@ def _dre(vals, grid, o1, o2):
 
 def _covariant(g: MetricField):
     """Nodewise inverse of the stored contravariant components."""
+    if not all(np.all(np.isfinite(c)) for c in (g.g11, g.g12, g.g22)):
+        raise GridError("metric has non-finite entries")
     det = g.det()
     if np.min(det) <= 0.0:
         raise GridError("metric is not positive definite")
@@ -160,9 +162,12 @@ def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
     """J* g = (dJ)^T (g o J) dJ, carried out on the stored components.
 
     The covariant law above turns into B (S o J) B^T for the stored
-    contravariant tensor S, with B the inverse Jacobian.
+    contravariant tensor S, with B the inverse Jacobian. g must live on
+    J's box (an equal box is the same box).
     """
     _check_reach(J)
+    if g.grid != J.grid:
+        raise GridError("map and metric live on different grids")
     at = _CubicBlock(J.grid, *J.points())
     t = (at(g.g11), at(g.g12), at(g.g22))
     return MetricField(*_transport(_inverse_jacobian(J), t), J.grid)

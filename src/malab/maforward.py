@@ -37,6 +37,11 @@ operators of the four grids used last, and the Laplacian's LU is kept for
 the one grid solved on last, dropped before another grid's is factored
 (about 24 MB at n = 232). Their arrays are read-only, so no caller can
 change what another is handed. No other factorization outlives its call.
+
+scipy.sparse is the only part of scipy that malab uses, and it loads at
+the first build_stencil_ops that misses its cache: every solve starts there,
+so no solve pays for the import, and the padded-box half, which never
+builds operators, never loads it.
 """
 
 from __future__ import annotations
@@ -47,8 +52,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, ScalarField,
                    _ring_eval, _ring_modes, lattice_values)
@@ -120,6 +123,8 @@ class SparseLU:
     """
 
     def __init__(self, A):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
         self.A = sp.csr_matrix(A)
         try:
             self._lu = spla.splu(
@@ -213,9 +218,10 @@ _LAYOUT = {"11": _X, "22": _Y, "12": (slice(0, 9, 2), slice(4, 8)),
            "1": _X, "2": _Y, "R": (slice(1, 8), slice(0, 4))}
 
 
-def _csr(vals, cols, rows, shape) -> sp.csr_matrix:
+def _csr(vals, cols, rows, shape) -> "scipy.sparse.csr_matrix":
     """CSR matrix of slot values vals (slot, row) in columns cols, rows
     `rows` of shape; exact zeros are not stored."""
+    import scipy.sparse as sp
     keep = vals != 0.0
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
     indptr[1:][rows] = keep.sum(axis=0)
@@ -273,7 +279,7 @@ class StencilOps:
         """The data at the crossing points: the vector every G acts on."""
         return eval_boundary_data(self.grid, data, self.qx, self.qy)
 
-    def operator(self, side: str, k: str) -> sp.csr_matrix:
+    def operator(self, side: str, k: str) -> "scipy.sparse.csr_matrix":
         """L[k] (side 'L') or G[k] (side 'G') as a CSR matrix."""
         ls, gs = _LAYOUT[k]
         if side == "L":
@@ -283,7 +289,7 @@ class StencilOps:
                     (self.N, len(self.qx)))
 
     def system(self, a11, a12, a22, X1=None, X2=None,
-               c0=None) -> sp.csr_matrix:
+               c0=None) -> "scipy.sparse.csr_matrix":
         """A of a11 d_11 + 2 a12 d_12 + a22 d_22 [+ X1 d_1 + X2 d_2 + c0],
         coefficients scalar or on the interior numbering: each row reads
         A u + G_A phi = f, G_A = crossing_system(a11, a12, a22, X1, X2),
@@ -301,7 +307,7 @@ class StencilOps:
         return _csr(vals, self.cols, slice(None), (self.N, self.N))
 
     def crossing_system(self, a11, a12, a22, X1=None,
-                        X2=None) -> sp.csr_matrix:
+                        X2=None) -> "scipy.sparse.csr_matrix":
         """G_A of system: the same sum over the G."""
         vals = np.zeros((8, len(self.qrows)))
         for c, k in _terms(a11, a12, a22, X1, X2):
@@ -316,6 +322,8 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
 
     Every array of the result is read-only: equal grids share it.
     """
+    # every domain-half solve starts here, so no solve pays for the import
+    import scipy.sparse.linalg
     mask, dx = grid.mask, grid.dx
     ii, jj = np.nonzero(mask)
     N = len(ii)
@@ -508,6 +516,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
     ops = build_stencil_ops(grid)
     phic = ops.crossing_values(phi)
 
+    import scipy.sparse.linalg as spla
     lap, U = _poisson(ops, Fvec, phic)
     precond = spla.LinearOperator((ops.N, ops.N), matvec=lap.solve)
     pde = ops.pde

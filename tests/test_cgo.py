@@ -429,6 +429,16 @@ def test_drift_residual_matches_the_full_box_formula(box, morse_sweep, drift,
                            2.0)
     with pytest.raises(GridError, match="q: shape"):
         cgo.drift_residual(vals, X, ones, 0.3, small, 2.0)
+    # a (63, 63) candidate used to return a residual, a (64,) vector a bare
+    # IndexError and a NaN field nan
+    with pytest.raises(GridError, match="drift_residual: shape"):
+        cgo.drift_residual(ones, X, 0.0, 0.3, small, 2.0)
+    with pytest.raises(GridError, match="drift_residual: shape"):
+        cgo.drift_residual(vals[0], X, q, 0.3, small, 2.0)
+    nan = vals.copy()
+    nan[30, 30] = np.nan
+    with pytest.raises(GridError, match="drift_residual: non-finite"):
+        cgo.drift_residual(nan, X, q, 0.3, small, 2.0)
     # periodic_fd4 is the sliced kernel on a wrap-padded array, node for node
     for axis in (0, 1):
         for order in (1, 2):

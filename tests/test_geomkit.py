@@ -369,6 +369,21 @@ def test_pullback_rejects_folding_map():
         pullback_metric(J, flat(grid))
 
 
+def test_pullback_rejects_a_metric_of_another_box():
+    # the metric used to be sampled with the map's lattice indices
+    grid = box(n=64)
+    J = _compact_diffeo(grid)
+    rng = np.random.default_rng(5)
+    for other in (box(n=128), box(n=64, half=3.0)):
+        with pytest.raises(GridError, match="different grids"):
+            pullback_metric(J, random_box_metric(rng, other))
+    twin = box(n=64)
+    g = random_box_metric(np.random.default_rng(6), grid)
+    gt = MetricField(g.g11, g.g12, g.g22, twin)
+    assert np.array_equal(pullback_metric(J, gt).g11,
+                          pullback_metric(J, g).g11)
+
+
 def test_diffeo_rejects_nonfinite_input():
     grid = box(n=64)
     X, Y = grid.meshgrid()
@@ -652,6 +667,19 @@ def test_isothermal_rejects_large_beltrami_coefficient(monkeypatch):
     g = MetricField(1.0 / C11, np.zeros_like(X), np.ones_like(X), grid)
     monkeypatch.setattr(geomkit, "BELTRAMI_MARGIN", 0.9)
     with pytest.raises(GridError, match="Beltrami"):
+        isothermal(g)
+
+
+def test_isothermal_rejects_nonfinite_metric(monkeypatch):
+    # one NaN used to surface as "cauchy_inverse: non-finite values"
+    grid = box(n=64)
+    X, Y = grid.meshgrid()
+    C11 = 1.0 + 0.2 * np.exp(-(X ** 2 + Y ** 2))
+    g11 = 1.0 / C11
+    g11[20, 30] = np.nan
+    g = MetricField(g11, np.zeros_like(X), np.ones_like(X), grid)
+    monkeypatch.setattr(geomkit, "cauchy_inverse", None)
+    with pytest.raises(GridError, match="metric has non-finite entries"):
         isothermal(g)
 
 

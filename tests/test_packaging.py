@@ -1,6 +1,7 @@
-"""Packaging metadata: every declared console script resolves, and the
+"""Packaging metadata: every declared console script resolves, the
 claim map in malab.__doc__ names real code and accounts for every
-public name, member and keyword default of malab.
+public name, member and keyword default of malab, and the padded-box
+half runs without scipy.sparse.
 
 The rule the scans hold: a public thing exists because a step of the map,
 another module of malab or the benchmark in perfbench/ needs it. They
@@ -10,8 +11,11 @@ read the sources as ASTs, so they see code, not docstrings or comments.
 import ast
 import collections
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tomllib
 
 import malab
@@ -235,3 +239,46 @@ def unset_defaults() -> list:
 def test_every_keyword_default_is_set():
     # a default that no caller sets is a module constant in disguise
     assert unset_defaults() == []
+
+
+# imports every module of malab and runs the padded-box half (steps 5-6)
+# before the domain half loads scipy.sparse at its first operator set
+IMPORT_BOUNDARY = """
+import importlib, pathlib, pkgutil, sys
+import numpy as np
+import malab
+assert pathlib.Path(malab.__file__).is_relative_to(sys.argv[1]), malab.__file__
+for m in pkgutil.iter_modules(malab.__path__):
+    importlib.import_module("malab." + m.name)
+from malab import cgo, geomkit, maforward
+from malab.grid import MetricField, PaddedGrid, VectorField, build_disk
+
+box = PaddedGrid(4.0, 64)
+X, Y = box.meshgrid()
+bump = np.exp(-(X * X + Y * Y) / 0.5)
+c11, c22, c12 = 1.0 + 0.25 * bump, 1.0 - 0.15 * bump, 0.1 * X * Y * bump
+det = c11 * c22 - c12 ** 2
+geomkit.isothermal(MetricField(c22 / det, -c12 / det, c11 / det, box))
+box = PaddedGrid(6.0, 128)
+X, Y = box.meshgrid()
+bump = np.exp(-(X * X + Y * Y) / 0.6)
+cgo.build_cgo_holo(cgo.phase_spec((0.0, 0.0, -0.25), box), 0.4,
+                   VectorField(0.5 * bump, -0.3 * bump, box), q=0.2 * bump)
+loaded = [m for m in sys.modules if m.startswith("scipy.sparse")]
+assert loaded == [], loaded
+
+ops = maforward.build_stencil_ops(build_disk(1.0, 32))
+assert "scipy.sparse.linalg" in sys.modules
+lu = maforward.SparseLU(ops.system(1.0, 0.0, 1.0))
+assert np.all(np.isfinite(lu.solve(np.ones(ops.N), rtol=1e-10)))
+"""
+
+
+def test_box_half_runs_without_scipy_sparse():
+    # a child interpreter: pytest's filterwarnings already loaded
+    # scipy.sparse in this one
+    src = ROOT / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, str(src)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
