@@ -54,10 +54,14 @@ a fixed choice is a module constant, named at its step.
    (the coordinates are fixed by their boundary values),
    geomkit.pullback_metric and geomkit.invert_diffeo (a fixed point to
    geomkit.INVERSION_RTOL within geomkit.INVERSION_MAX_ITER steps) on a
-   geomkit.DiffeoField.
+   geomkit.DiffeoField. The inverse, and so the chart, is defined on the
+   box's data region inside the wraparound margin, which holds the core
+   disk; in the margin, where preimages alias through the period, the
+   chart is the identity.
    Certified by geomkit.transform_solution_check (a
    geomkit.TransformReport).
    Tests: test_geomkit.py::test_isothermal_chart_properties,
+   test_geomkit.py::test_isothermal_converges_on_the_quartic_family,
    test_geomkit.py::test_rigidity_returns_identity,
    test_geomkit.py::test_transform_check_generic_triple.
 6. The CGO asymptotics of -lap v + X . grad v + q v = 0.

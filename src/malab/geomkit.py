@@ -16,12 +16,14 @@ sampler (grid._CubicBlock: local 4x4 Lagrange blocks, indices wrapped
 through the period), so lattice points and cubic polynomials are
 reproduced exactly; fields sampled at the same points share one block.
 Inverse maps come from a per-node fixed point that samples the
-displacement only at the nodes still moving, so the slow nodes at the
-box seam cost a block over a few points, not over the whole lattice.
-Maps whose displacement exceeds the wraparound margin of the box are
-rejected, since their images alias through the period and no
-interpolation can be trusted, and so are non-finite displacements and
-Jacobians.
+displacement only at the nodes still moving. They are defined on the
+data region, the nodes within Chebyshev radius half - half/3, and are
+the identity in the wraparound margin outside it: a preimage there
+aliases through the period, and a displacement that decays like c/z (a
+Cauchy transform) jumps across the box seam, where no sampler can be
+trusted. Maps whose displacement exceeds the wraparound margin of the
+box are rejected, since their images alias through the period, and so
+are non-finite displacements and Jacobians.
 """
 
 from __future__ import annotations
@@ -176,18 +178,24 @@ def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
 def invert_diffeo(J: DiffeoField) -> DiffeoField:
     """Inverse map on the same lattice by displacement fixed point.
 
-    Solves z + d(z) = p per node through z <- p - d(z), which contracts
-    whenever sup |grad d| < 1. Each node freezes once its own move is
-    within INVERSION_RTOL of the displacement scale, and every step samples d at
-    the still-moving nodes only. Most nodes freeze within about 14
-    steps; the stragglers sit at the box seam, where a displacement that
-    decays like c/z (a Cauchy transform) does not wrap periodically and
-    the contraction slows to about 0.5 per step. The step's largest move
-    is also the largest over all nodes, since frozen ones moved within
-    INVERSION_RTOL, so the stall and exhaustion checks read it unchanged. The
-    inverse Jacobian is the nodewise matrix inverse of dJ sampled at the
-    preimage, so no derivative of the computed inverse displacement is
-    ever taken.
+    The inverse is defined on the data region only: the nodes within
+    Chebyshev radius half - half/3, the wraparound margin that
+    _check_reach and the Cauchy transform's support guard also keep.
+    There z + d(z) = p has a preimage that cannot alias through the
+    period; nodes in the margin get the identity, displacement 0 and
+    Jacobian I exactly.
+
+    Solves z + d(z) = p per region node through z <- p - d(z), which
+    contracts whenever sup |grad d| < 1. Each node freezes once its own
+    move is within INVERSION_RTOL of the displacement scale, and every
+    step samples d at the still-moving nodes only. The first step starts
+    at the nodes themselves, where the sampler returns the stored d
+    bitwise, so it reads d directly and builds no block. The step's
+    largest move is also the largest over the region, since frozen nodes
+    moved within INVERSION_RTOL, so the stall and exhaustion checks read
+    it unchanged. The inverse Jacobian is the nodewise matrix inverse of
+    dJ sampled at the preimage, so no derivative of the computed inverse
+    displacement is ever taken.
     """
     _check_reach(J)
     grid = J.grid
@@ -196,23 +204,25 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
     if gap >= 1.0:
         raise GridError(f"displacement gradient reaches {gap:.3f}; the "
                         "inversion fixed point does not contract")
-    P1, P2 = grid.meshgrid()
-    z1, z2 = P1.copy(), P2.copy()
-    # flat views: writing f1[active] moves those nodes of z1
-    f1, f2, p1, p2 = (a.reshape(-1) for a in (z1, z2, P1, P2))
-    active = np.arange(f1.size)
+    region = np.flatnonzero(grid.cheb <= grid.half - grid.half / 3.0)
+    p1, p2 = (a.reshape(-1)[region] for a in grid.meshgrid())
+    z1, z2 = p1.copy(), p2.copy()
+    d1, d2 = J.d1.reshape(-1)[region], J.d2.reshape(-1)[region]
+    active = np.arange(region.size)
     scale = max(float(np.max(np.hypot(J.d1, J.d2))), 1e-300)
     # the iteration contracts down to the resampling jitter of the
     # displacement; a stall far below any downstream tolerance is
     # convergence, a stall above it is a genuine failure
     floor, prev, stall = 1e-6 * scale, np.inf, 0
-    for _ in range(INVERSION_MAX_ITER):
-        at = _CubicBlock(grid, f1[active], f2[active])
-        n1 = p1[active] - at(J.d1)
-        n2 = p2[active] - at(J.d2)
-        del at                  # one block alive at a time bounds the peak
-        step = np.hypot(n1 - f1[active], n2 - f2[active])
-        f1[active], f2[active] = n1, n2
+    for k in range(INVERSION_MAX_ITER):
+        if k:
+            at = _CubicBlock(grid, z1[active], z2[active])
+            d1, d2 = at(J.d1), at(J.d2)
+            del at              # one block alive at a time bounds the peak
+        n1 = p1[active] - d1
+        n2 = p2[active] - d2
+        step = np.hypot(n1 - z1[active], n2 - z2[active])
+        z1[active], z2[active] = n1, n2
         move = float(np.max(step))
         active = active[step > INVERSION_RTOL * scale]
         if not active.size:
@@ -231,8 +241,12 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
     det = a11 * a22 - a12 * a21
     if np.min(det) <= 0.0:
         raise GridError("map is not orientation preserving along the inverse")
-    jac = (a22 / det, -a12 / det, -a21 / det, a11 / det)
-    return DiffeoField(z1 - P1, z2 - P2, grid, jac=jac)
+    out = np.zeros((6, grid.n * grid.n))
+    out[2] = out[5] = 1.0
+    out[:, region] = (z1 - p1, z2 - p2, a22 / det, -a12 / det, -a21 / det,
+                      a11 / det)
+    out = out.reshape(6, grid.n, grid.n)
+    return DiffeoField(out[0], out[1], grid, jac=tuple(out[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +411,11 @@ def isothermal(g: MetricField):
     is the inverse of w = z + C phi. Its Jacobian comes from the
     Wirtinger derivatives dz w = 1 + dz C phi and dzb w = phi sampled at
     the preimage, both available in closed form on the grid, so the
-    inversion never differentiates interpolated data. The conformality
-    defect of chi* g over the core disk is checked against CONFORMAL_TOL
+    inversion never differentiates interpolated data. The chart is
+    invert_diffeo's: defined on the data region and the identity in the
+    wraparound margin, where mu is therefore half the trace of g's own
+    covariant tensor. The conformality defect of chi* g over the core
+    disk, well inside the data region, is checked against CONFORMAL_TOL
     times the covariant scale.
     """
     grid = g.grid

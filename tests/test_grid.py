@@ -393,6 +393,18 @@ def test_interp_masked_quartic_exact_order():
     assert np.max(np.abs(shifted(per) - at(per))) < 1e-12
 
 
+@pytest.mark.parametrize("grid", [PaddedGrid(half=4.0, n=128),
+                                  PaddedGrid(half=1.5, n=45),
+                                  build_disk(1.0, 64),
+                                  build_ellipse(1.0, 0.6, 48)])
+def test_cubic_block_is_exact_at_the_nodes(grid):
+    # invert_diffeo's first step reads d at the nodes instead of sampling
+    # it, which is the same only if the sampler returns stored values
+    f = np.random.default_rng(grid.n).standard_normal((3, grid.n, grid.n))
+    X, Y = grid.meshgrid()
+    assert np.array_equal(_CubicBlock(grid, X, Y)(f), f)
+
+
 def test_interp_masked_strict_rejection():
     g = build_disk(1.0, 64)
     with pytest.raises(GridError, match="exits the mask"):
