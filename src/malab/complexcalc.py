@@ -16,8 +16,12 @@ boundary).  periodic_fd4 stays as an independent check of the spectral
 route on boxes.
 
 The Cauchy transforms convolve with the kernel h^2/(pi z) sampled on the
-box lattice (origin weight zero).  cauchy_inverse is the linear
-convolution over the whole box, a 2n x 2n zero-padded FFT pair.  The
+box lattice (origin weight zero), through one pruned FFT pair: for an
+N0 x N1 transform of m0 input rows read on n1 output columns, m0 + N1
+forward and N0 + n1 inverse 1-D transforms, since padding rows transform
+to zero and unread columns need no inverse.  cauchy_inverse is the linear
+convolution over the whole box: on the 2n x 2n transform, n + 2n forward
+and 2n + n inverse 1-D transforms, in place of 4n + 4n.  The
 oscillatory inverses read their input only in the window |x|, |y| < 2 rc,
 where the cutoff E is nonzero, and write output only on the core window
 |x|, |y| <= rc, so they convolve windows: with L_in and L_out the window
@@ -287,9 +291,25 @@ def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
 
 
 def _cauchy_conv(vals: np.ndarray, khat: np.ndarray, n_out: tuple) -> np.ndarray:
-    """The first n_out nodes of the linear convolution that khat lays out."""
-    spec = np.fft.fft2(vals, s=khat.shape) * khat
-    return np.fft.ifft2(spec)[:n_out[0], :n_out[1]]
+    """The first n_out nodes of the linear convolution that khat lays out.
+
+    A pruned FFT pair: the forward transform along axis 1 runs only on the
+    rows of vals (the rest are zero padding), the inverse along axis 0
+    only on the n_out[1] columns returned.  The axes go in fft2's order,
+    so every 1-D transform sees the same data and the result equals
+    ifft2(fft2(vals, s) * khat) bitwise.  Every stage writes into one
+    spectrum array and the result is a view of it: a fresh array per
+    stage costs about three times the page faults.
+    """
+    m = vals.shape[0]
+    spec = np.empty(khat.shape, dtype=complex)
+    np.fft.fft(vals, n=khat.shape[1], axis=1, out=spec[:m])
+    spec[m:] = 0.0
+    np.fft.fft(spec, axis=0, out=spec)
+    spec *= khat
+    np.fft.ifft(spec, axis=1, out=spec)
+    cols = spec[:, :n_out[1]]
+    return np.fft.ifft(cols, axis=0, out=cols)[:n_out[0]]
 
 
 def cauchy_inverse(omega: ComplexField) -> ComplexField:
@@ -297,8 +317,9 @@ def cauchy_inverse(omega: ComplexField) -> ComplexField:
 
     The input must be finite and supported in the core of the padded box;
     the outer third of the box is reserved as wraparound margin.  The
-    transform is the linear convolution over the whole box, a 2n x 2n FFT
-    pair.
+    transform is the linear convolution over the whole box, a pruned 2n x
+    2n FFT pair: n + 2n forward and 2n + n inverse 1-D transforms of
+    length 2n.
     """
     grid = omega.grid
     if not isinstance(grid, PaddedGrid):
@@ -459,8 +480,10 @@ def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
     equals the zero-padded full-box sum term for term, with the same
     kernel samples.  When f vanishes outside the core window, the core
     window is the input window too.  On the half = 6, n = 512 box with
-    rc = 2 the windows are 341 and 171 nodes wide: a 512^2 FFT pair, or
-    360^2 for core-supported f, in place of 1024^2.
+    rc = 2 the windows are 341 and 171 nodes wide: N = 512 in place of
+    the full box's 1024, pruned to 341 + 512 forward and 512 + 171 inverse
+    1-D transforms (not 1024 + 1024), or for core-supported f N = 360
+    with 171 + 360 and 360 + 171 (not 720 + 720).
     """
     if not isinstance(f.grid, PaddedGrid):
         raise GridError("oscillatory inverses expect a field on a padded box")

@@ -165,13 +165,17 @@ def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
 
     The covariant law above turns into B (S o J) B^T for the stored
     contravariant tensor S, with B the inverse Jacobian. g must live on
-    J's box (an equal box is the same box).
+    J's box (an equal box is the same box). S o J is sampled only at the
+    nodes J moves; at a fixed node the sampler would return S bitwise, so
+    S is copied there (an invert_diffeo chart fixes its whole margin).
     """
     _check_reach(J)
     if g.grid != J.grid:
         raise GridError("map and metric live on different grids")
-    at = _CubicBlock(J.grid, *J.points())
-    t = (at(g.g11), at(g.g12), at(g.g22))
+    moved = np.flatnonzero((J.d1 != 0.0) | (J.d2 != 0.0))
+    at = _CubicBlock(J.grid, *(p.reshape(-1)[moved] for p in J.points()))
+    t = np.stack([g.g11, g.g12, g.g22])
+    t.reshape(3, -1)[:, moved] = at(t)
     return MetricField(*_transport(_inverse_jacobian(J), t), J.grid)
 
 

@@ -644,6 +644,11 @@ _ADJOINT_BAD = {message: inputs for message, inputs in _BAD.items()
                 if message not in ("series depth", "amplitude: non-finite")}
 
 
+# the 2-D transforms of the spectral calculus and the 1-D ones of the
+# pruned Cauchy convolution
+_FFTS = ("fft2", "ifft2", "fft", "ifft")
+
+
 def _no_fft(*args, **kwargs):
     raise AssertionError("an FFT ran before the input guards")
 
@@ -655,8 +660,8 @@ def test_bad_inputs_fail_before_any_fft(data):
     # every guard fires before numpy could warn about the bad value
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        mp.setattr(np.fft, "fft2", _no_fft)
-        mp.setattr(np.fft, "ifft2", _no_fft)
+        for name in _FFTS:
+            mp.setattr(np.fft, name, _no_fft)
         for message, inputs in _BAD.items():
             kw = {"phase": phase, "h": 0.4, "drift": None,
                   **data.draw(inputs, label=message)}
@@ -668,22 +673,25 @@ def test_bad_inputs_fail_before_any_fft(data):
 @given(data=st.data())
 def test_adjoint_bad_inputs_fail_before_any_fft(data):
     # the adjoint takes a spectral divergence of the drift, so its guards
-    # must run before that: count every fft2 up to each refusal
+    # must run before that: count every FFT up to each refusal
     phase = cgo.phase_spec((0.0, 0.0, -0.25), _SMALL)
-    calls, fft2 = [], np.fft.fft2
+    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fft2(*args, **kwargs)
+    def counted(fft):
+        def call(*args, **kwargs):
+            calls.append(fft.__name__)
+            return fft(*args, **kwargs)
+        return call
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        mp.setattr(np.fft, "fft2", counted)
+        for name in _FFTS:
+            mp.setattr(np.fft, name, counted(getattr(np.fft, name)))
         for message, inputs in _ADJOINT_BAD.items():
             kw = {"phase": phase, "h": 0.4, "drift": None,
                   **data.draw(inputs, label=message)}
             with pytest.raises(GridError, match=message):
                 cgo.build_cgo_adjoint(**kw)
-            assert len(calls) == 0, message
+            assert not calls, message
 
 
 # K = 0 and 1 are out of range by design: at the strongest corner they leave

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from malab.complexcalc import (
-    _OscPlan, _OscWindows, _kernel_hat, cauchy_inverse, conj_cauchy_inverse,
-    deriv, oscillatory_dbar_inv, periodic_fd4, smooth_cutoff, spectral_deriv,
-    spectral_dz, spectral_dzb,
+    _cauchy_conv, _OscPlan, _OscWindows, _kernel_hat, cauchy_inverse,
+    conj_cauchy_inverse, deriv, oscillatory_dbar_inv, periodic_fd4,
+    smooth_cutoff, spectral_deriv, spectral_dz, spectral_dzb,
 )
 from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
 
@@ -149,6 +149,32 @@ def test_cached_kernel_is_shared_by_equal_boxes_and_read_only():
     assert _kernel_hat(PaddedGrid(half=2.0, n=64), *layout) is not khat
     with pytest.raises(ValueError):
         khat[0, 0] = 0.0
+
+
+def _conv_layouts():
+    """(vals, khat, n_out) for every layout the Cauchy transforms build."""
+    rng = np.random.default_rng(7)
+
+    def noise(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for n in (128, 97):            # cauchy_inverse's full 2n box
+        g = PaddedGrid(half=4.0, n=n)
+        khat = _kernel_hat(g, (2 * n, 2 * n), (n, n), (0, 0))
+        yield noise((n, n)), khat, (n, n)
+    g = PaddedGrid(half=6.0, n=512)
+    X, Y = g.meshgrid()
+    ws = _OscWindows(g, 0.5 * X * Y - 0.2 * X)
+    assert ws.khat.shape == (512, 512) and ws.khat_inner.shape == (360, 360)
+    yield noise(ws.cutoff.shape), ws.khat, ws.core.shape     # input window to core
+    yield noise(ws.core.shape), ws.khat_inner, ws.core.shape  # core to itself
+
+
+def test_pruned_convolution_is_the_fft2_pair_bitwise():
+    for vals, khat, n_out in _conv_layouts():
+        for v in (vals, vals.real):
+            want = np.fft.ifft2(np.fft.fft2(v, s=khat.shape) * khat)
+            got = _cauchy_conv(v, khat, n_out)
+            assert np.array_equal(got, want[:n_out[0], :n_out[1]]), khat.shape
 
 
 def _poly_bump(g, R=0.8, power=4):

@@ -724,6 +724,26 @@ def test_isothermal_chart_properties(a, b, c, w):
     assert _inverse_residual(J, chi) <= 10 * 1e-12
 
 
+def test_pullback_samples_only_moved_nodes_bitwise():
+    # the pullback samples g at the nodes the map moves and copies it at
+    # the fixed ones; both must equal the full-lattice block bitwise
+    grid = box()
+    g = chart_metric(grid, 0.25, 0.12, 0.1, 0.5)
+    chi, _ = isothermal(g)
+    # a bump along x2 alone moves every node, with d1 = 0 at all of them
+    X, Y = grid.meshgrid()
+    rise = DiffeoField(np.zeros_like(X), 0.2 * np.exp(-(X ** 2 + Y ** 2)),
+                       grid)
+    for J, fixed in ((chi, True), (rise, False)):
+        assert np.any((J.d1 == 0.0) & (J.d2 == 0.0)) == fixed
+        at = _CubicBlock(grid, *J.points())
+        want = geomkit._transport(geomkit._inverse_jacobian(J),
+                                  (at(g.g11), at(g.g12), at(g.g22)))
+        got = pullback_metric(J, g)
+        for a, b in zip((got.g11, got.g12, got.g22), want):
+            assert np.array_equal(a, b)
+
+
 def quartic_metric(grid, s):
     """Stored form of diag(1 + s x^2, 1), blended to the identity between
     radii 1.2 and 2; s = 1 is the Hessian metric of u = x^4/12 + |x|^2/2,
