@@ -52,9 +52,9 @@ import numpy as np
 # shares; oscillatory_dbar_inv stays importable here as the public form of
 # that inverse (CGOBundle.r is -oscillatory_dbar_inv(V' s) bit for bit),
 # and perfbench traces it here
-from .complexcalc import (CORE_DIVISOR, _bounding_slices, _fd4, _OscPlan,
+from .complexcalc import (CORE_DIVISOR, _fd4, _OscPlan,
                           _OscWindows, _require_finite, _require_h,
-                          _support_guard, _wirtinger_symbol,
+                          _support_guard, _wirtinger, _wirtinger_symbol,
                           oscillatory_dbar_inv, periodic_fd4, spectral_deriv,
                           spectral_dz, spectral_dzb)
 from .grid import ComplexField, GridError, PaddedGrid, VectorField
@@ -74,14 +74,15 @@ def _l2(vals: np.ndarray, grid: PaddedGrid, where=None) -> float:
     return float(np.sqrt(np.real(grid.quadrature(v2))))
 
 
-def _measurement_disk(grid: PaddedGrid, rc: float) -> np.ndarray:
+def _measurement_disk(grid: PaddedGrid, rc: float) -> tuple:
     """The core disk less the 3-node reach of the 4th-order differences,
-    or a GridError if that holds no node."""
-    mask = grid.core_mask(max(rc - 3.0 * grid.dx, 0.0))
+    as the slices of its bounding box and the mask on them, or a
+    GridError if it holds no node."""
+    at, mask = grid.core_window(max(rc - 3.0 * grid.dx, 0.0))
     if rc <= 3.0 * grid.dx or not mask.any():
         raise GridError(f"core radius {rc:.4g} leaves no node to measure "
                         "the residual on")
-    return mask
+    return at, mask
 
 
 def _require_padded(grid) -> PaddedGrid:
@@ -134,15 +135,25 @@ def _gauge_source(X: VectorField) -> np.ndarray:
 
 
 def _gauge(src: np.ndarray, grid: PaddedGrid) -> tuple[np.ndarray, np.ndarray]:
-    """alpha and exp(i alpha) of gauge for its checked source."""
-    sym = _wirtinger_symbol(grid, 1, odd=False)
-    sh = np.fft.fft2(src)
+    """alpha and exp(i alpha) of gauge for its checked source, which it
+    overwrites: the spectrum and then alpha are written into src, and the
+    conj(z) term and exp(i alpha) take one box array each."""
+    sh = np.fft.fft2(src, out=src)
     mean = sh[0, 0] / grid.n ** 2
+    sym = _wirtinger_symbol(grid, 1, odd=False)
     sym[0, 0] = 1.0
-    sh = sh / sym
+    np.divide(sh, sym, out=sh)
+    del sym
     sh[0, 0] = 0.0
-    alpha = np.fft.ifft2(sh) + mean * np.conj(grid.zz)
-    return alpha, np.exp(1j * alpha)
+    alpha = np.fft.ifft2(sh, out=sh)
+    # mean stays the product's left operand: numpy's complex loops round
+    # the two operand orders differently, and the other order moves Im alpha
+    cz = grid.zz
+    np.conjugate(cz, out=cz)
+    alpha += np.multiply(mean, cz, out=cz)
+    del cz
+    ga = 1j * alpha
+    return alpha, np.exp(ga, out=ga)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +169,18 @@ def factor_potential(X: VectorField, q=0.0) -> ComplexField:
     conventional, opposite set leaves O(1)).
     """
     grid = _require_padded(X.grid)
-    vals = (0.25 * (X.c1 * X.c1 + X.c2 * X.c2)
-            - spectral_dz(X.c1 + 1j * X.c2, grid) + np.asarray(q))
-    return ComplexField(vals, grid)
+    return ComplexField(_potential(X, q, (slice(None), slice(None))), grid)
+
+
+def _potential(X: VectorField, q, at: tuple) -> np.ndarray:
+    """factor_potential's values on the window at (a slice pair): dz is
+    spectral, so it runs on the box; the nodewise rest runs on the
+    window."""
+    src = X.c1 + 1j * X.c2
+    dz = _wirtinger(np.fft.fft2(src, out=src), X.grid, -1)[at]
+    c1, c2 = X.c1[at], X.c2[at]
+    return (0.25 * (c1 * c1 + c2 * c2) - dz
+            + np.broadcast_to(np.asarray(q), X.c1.shape)[at])
 
 
 def _zero_drift(grid: PaddedGrid) -> VectorField:
@@ -229,13 +249,14 @@ def phase_spec(coeffs, grid: PaddedGrid, center=0j) -> PhaseSpec:
     if not cs:
         raise GridError("phase needs at least one coefficient")
     w = grid.zz - complex(center)
-    vals = np.zeros_like(w)
-    for c in reversed(cs):
-        vals = vals * w + c
+    vals, dvals = np.zeros_like(w), np.zeros_like(w)
     dcs = tuple(k * cs[k] for k in range(1, len(cs)))
-    dvals = np.zeros_like(w)
-    for c in reversed(dcs):
-        dvals = dvals * w + c
+    # Horner's rule in place
+    for p, cs_p in ((vals, cs), (dvals, dcs)):
+        for c in reversed(cs_p):
+            np.multiply(p, w, out=p)
+            p += c
+    del w
     if not dcs or all(c == 0 for c in dcs):
         has_cp = True                    # derivative vanishes identically
     else:
@@ -266,9 +287,9 @@ def series_weights(alpha: np.ndarray, X: VectorField, q=0.0
 def _weights(alpha: np.ndarray, X: VectorField, q, v_at: tuple,
              vp_at: tuple) -> tuple[np.ndarray, np.ndarray]:
     """series_weights' V on the window v_at and V' on vp_at (slice pairs):
-    the exponentials run only where they are read."""
+    everything but the spectral dz runs only where it is read."""
     re2v, re2p = (2.0 * np.real(alpha[at]) for at in (v_at, vp_at))
-    v = 0.5 * factor_potential(X, q).values[v_at] * np.exp(-1j * re2v)
+    v = 0.5 * _potential(X, q, v_at) * np.exp(-1j * re2v)
     return v, -np.exp(1j * re2p)
 
 
@@ -377,11 +398,10 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     _require_h(h)
     qv = _require_terms(grid, X, q)
     vals = _require_finite(vals, grid, "drift_residual")
-    mask = _measurement_disk(grid, rc)
-    box = _bounding_slices(mask)
+    box, mask = _measurement_disk(grid, rc)
     grown = np.ix_(*(np.arange(b.start - 2, b.stop + 2) % grid.n
                      for b in box))
-    mask, v = mask[box], vals[grown]
+    v = vals[grown]
     c1, c2 = X.c1[grown], X.c2[grown]
 
     def fd4(f, axis, order):
@@ -425,9 +445,15 @@ class _Setup:
     The gauge field alpha, after the drift's guards and the gauge factor's
     lower-bound check, and G^-1 = exp(-i alpha); the _OscWindows of (box,
     psi, core radius); and the series weights, V on the input window and
-    V' and V on the core window.  key holds copies of psi, X.c1, X.c2 and q, which matches
-    compares with a later call's by value.  Every array it holds is
-    read-only.
+    V' and V on the core window.  key holds copies of psi, X.c1, X.c2 and
+    q, which matches compares with a later call's by value.  Every array
+    it holds is read-only.
+
+    The box arrays: the key, alpha and G^-1, which is written into exp(i
+    alpha)'s array once the lower bound is checked.  The gauge's and dz's
+    FFT pairs run on the box, each written into its source array; E,
+    |grad psi|, |X|^2/4, q and the exponentials of V and V' run on the
+    windows.
     """
 
     def __init__(self, grid: PaddedGrid, psi, X: VectorField, qv, rc: float):
@@ -437,7 +463,9 @@ class _Setup:
         im_max = float(np.max(np.abs(np.imag(alpha))))
         if float(np.min(np.abs(ga))) < np.exp(-im_max) * (1.0 - 1e-12):
             raise GridError("gauge factor fell below its lower bound")
-        self.alpha, self.Ginv = alpha, np.exp(-1j * alpha)
+        # G^-1 = exp(-i alpha) is written into exp(i alpha)'s array
+        np.multiply(-1j, alpha, out=ga)
+        self.alpha, self.Ginv = alpha, np.exp(ga, out=ga)
         ws = self.windows = _OscWindows(grid, self.key[0], rc)
         # V is read on the input window, V' and every later V on the core
         # window
@@ -462,9 +490,8 @@ _SETUP: list = []
 def _setup(grid: PaddedGrid, psi, X: VectorField, qv, rc: float) -> _Setup:
     """The _Setup of these inputs: the stored one when they equal its key,
     else a new one that replaces it."""
-    for setup in _SETUP:
-        if setup.matches(grid, psi, X, qv):
-            return setup
+    if _SETUP and _SETUP[0].matches(grid, psi, X, qv):
+        return _SETUP[0]
     _SETUP.clear()
     _SETUP.append(_Setup(grid, psi, X, qv, rc))
     return _SETUP[0]
@@ -476,10 +503,9 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
     at h, the series, v and its residual."""
     grid, rc, alpha = setup.grid, setup.rc, setup.alpha
     plan = _OscPlan(setup.windows, h)
-    Vin, inp = setup.Vin, setup.windows.inp
-    Va = np.zeros_like(a_vals)
-    Va[inp] = Vin * a_vals[inp]
-    terms = [-_dbar_star_inv(Va, plan.apply)]
+    # V a vanishes outside the input window, where V lives
+    Va = setup.Vin * a_vals[setup.windows.inp]
+    terms = [-_dbar_star_inv(Va, plan.apply_window)]
     for _ in range(K):
         terms.append(_neumann_step(terms[-1], plan, setup.Vw, setup.vpw))
     norms = [_l2(t, grid) for t in terms]
@@ -490,16 +516,23 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
             f"remainder series stopped decreasing; truncating at {k_eff}",
             RuntimeWarning, stacklevel=3)
     s_win = sum(terms[:k_eff + 1])
+    del terms                 # freed before any box array, as is grow below
     r_win = plan.apply_core(setup.vpw * s_win)
     # negated after embedding, so r's zeros outside the window are -0.0 as
     # in -oscillatory_dbar_inv(V' s)
-    s_vals, r_vals = plan.embed(s_win), -plan.embed(r_win)
+    r_vals = plan.embed(r_win)
+    np.negative(r_vals, out=r_vals)
 
-    # e^{Phi/h} is named: numpy writes a product with a temporary right
-    # operand into that operand, by a loop that rounds differently
-    grow = np.exp(phase.values / h)
-    v_vals = setup.Ginv * grow * (a_vals + r_vals)
+    # v = (G^-1 e^{Phi/h}) (a + r) in two box arrays; each product keeps
+    # its operand order, which decides how numpy's complex loop rounds
+    grow = np.divide(phase.values, h)
+    np.exp(grow, out=grow)
+    np.multiply(setup.Ginv, grow, out=grow)
+    v_vals = a_vals + r_vals
+    np.multiply(grow, v_vals, out=v_vals)
+    del grow
     res = drift_residual(v_vals, X, qv, h, grid, rc)
+    s_vals = plan.embed(s_win)            # the last box array, after grow
     return CGOBundle("holo", phase, float(h), int(K), int(k_eff), float(rc),
                      alpha, a_vals, ComplexField(s_vals, grid),
                      ComplexField(r_vals, grid), ComplexField(v_vals, grid),
@@ -518,19 +551,19 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     over h: a call whose box, psi, drift and q equal the last build's by
     value reuses that build, read-only, and puts only the weight
     exp(-2i psi/h) E, the resolution guard, the series and v on it.  The
-    first term reads V a on the full box through the plan's input window;
-    every term after it, the sum s and r = -osc(V' s) live on the core
-    window (the bounding box of the core disk, outside which they vanish),
-    with V and V' sliced to it once, and s and r are embedded into the box
-    once.  The residual is measured on the core disk (radius half /
-    CORE_DIVISOR) plus the differences' 2-node reach.  Zero drift and
-    potential give an exactly zero gauge, V and series, so r = 0.  If the
-    series terms ever grow instead of decaying, a warning is issued and
-    the sum is truncated at the observed minimum.  A non-finite or
-    nonpositive h, a box whose measurement disk holds no node, a K that is
-    not a nonnegative integer, a q that is not a finite scalar or box
-    field, and a non-finite amplitude or drift raise a GridError before
-    any FFT.
+    first term is V a on the plan's input window, where V lives; every
+    term after it, the sum s and r = -osc(V' s) live on the core window
+    (the bounding box of the core disk, outside which they vanish), with V
+    and V' sliced to it once.  A bundle's box arrays are s, r and v, each
+    written once, and one temporary for G^-1 e^{Phi/h}.  The residual is
+    measured on the core disk (radius half / CORE_DIVISOR) plus the
+    differences' 2-node reach.  Zero drift and potential give an exactly
+    zero gauge, V and series, so r = 0.  If the series terms ever grow
+    instead of decaying, a warning is issued and the sum is truncated at
+    the observed minimum.  A non-finite or nonpositive h, a box whose
+    measurement disk holds no node, a K that is not a nonnegative
+    integer, a q that is not a finite scalar or box field, and a
+    non-finite amplitude or drift raise a GridError before any FFT.
     """
     grid, X, qv, rc, a_vals = _bundle_inputs(phase, h, drift, q, amplitude, K)
     return _bundle_at(_setup(grid, phase.psi, X, qv, rc), phase, h, K, X, qv,
@@ -630,7 +663,9 @@ def cz_diagnostic(bundle: CGOBundle) -> float:
     """
     grid = bundle.r.grid
     rc = bundle.core_radius
-    disk = _measurement_disk(grid, rc)
+    at, mask = _measurement_disk(grid, rc)
+    disk = np.zeros((grid.n, grid.n), dtype=bool)
+    disk[at] = mask
     rv = bundle.r.values
     rxx = periodic_fd4(rv, grid, 0, 2)
     ryy = periodic_fd4(rv, grid, 1, 2)

@@ -16,7 +16,8 @@ boundary).  periodic_fd4 stays as an independent check of the spectral
 route on boxes.
 
 The Cauchy transforms convolve with the kernel h^2/(pi z) sampled on the
-box lattice (origin weight zero), through one pruned FFT pair: for an
+box lattice (origin weight zero), whose FFT is built in one complex array
+and cached per layout, through one pruned FFT pair: for an
 N0 x N1 transform of m0 input rows read on n1 output columns, m0 + N1
 forward and N0 + n1 inverse 1-D transforms, since padding rows transform
 to zero and unread columns need no inverse.  cauchy_inverse is the linear
@@ -29,7 +30,8 @@ lengths in nodes along an axis, a circular FFT of any size N >= L_in +
 L_out - 1 reproduces the full-box sum term for term (N is chosen
 2,3,5-smooth); input that vanishes outside the core window is convolved
 from there.  Their per-(box, psi, rc) data lives in one _OscWindows,
-which the CGO series builds once per sweep over h, and one
+computed on the windows from the 1-D axis (only psi's finite check reads
+the whole box), which the CGO series builds once per sweep over h, and one
 _OscPlan(windows, h) adds what h changes (the weight and the resolution
 guard) once per bundle; every term of that series after the first, its
 sum and the remainder stay on the core window, and only the stored sum
@@ -95,14 +97,22 @@ def _wirtinger_symbol(grid: PaddedGrid, sign: int, odd: bool = True) -> np.ndarr
     return 0.5 * (1j * k1 - sign * k2)
 
 
+def _wirtinger(sh: np.ndarray, grid: PaddedGrid, sign: int) -> np.ndarray:
+    """(d/dx1 + sign i d/dx2)/2 of the box field whose fft2 is sh,
+    written into sh.  The symbol stays the product's left operand: numpy's
+    complex loops round the two orders differently."""
+    np.multiply(_wirtinger_symbol(grid, sign), sh, out=sh)
+    return np.fft.ifft2(sh, out=sh)
+
+
 def spectral_dz(vals: np.ndarray, grid: PaddedGrid) -> np.ndarray:
     """dz = (d/dx1 - i d/dx2)/2 by one FFT pair on the periodic box."""
-    return np.fft.ifft2(_wirtinger_symbol(grid, -1) * np.fft.fft2(vals))
+    return _wirtinger(np.fft.fft2(vals), grid, -1)
 
 
 def spectral_dzb(vals: np.ndarray, grid: PaddedGrid) -> np.ndarray:
     """dzb = (d/dx1 + i d/dx2)/2 by one FFT pair on the periodic box."""
-    return np.fft.ifft2(_wirtinger_symbol(grid, 1) * np.fft.fft2(vals))
+    return _wirtinger(np.fft.fft2(vals), grid, 1)
 
 
 _C4_1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0     # offsets -2..2
@@ -276,16 +286,24 @@ def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
     vanishes by odd symmetry, so the origin weight is zero; every other
     cell is point sampled at its center.  Cached per box and layout (the
     four used last), read-only.
+
+    The kernel is built in one complex array: its real and imaginary parts
+    are set from the 1-D offsets times h, and the scaling, the division
+    and fft2 write into it, with the same operations and operand order
+    as the meshgrid formula, so the bits are the same and the build peaks
+    at about the kernel's own size.
     """
     h = grid.dx
     d1, d2 = ((np.arange(N) + N - L) % N - (N - L) + s
               for N, L, s in zip(shape, n_out, shift))
-    ZX, ZY = np.meshgrid(d1 * h, d2 * h, indexing="ij")
-    Z = ZX + 1j * ZY
+    K = np.empty(shape, dtype=complex)
+    K.real = (d1 * h)[:, None]
+    K.imag = (d2 * h)[None, :]
+    np.multiply(K, np.pi, out=K)
     with np.errstate(divide="ignore", invalid="ignore"):
-        K = h * h / (np.pi * Z)
-    K[Z == 0] = 0.0
-    khat = np.fft.fft2(K)
+        np.divide(h * h, K, out=K)
+    K[np.ix_(d1 == 0, d2 == 0)] = 0.0
+    khat = np.fft.fft2(K, out=K)
     khat.flags.writeable = False
     return khat
 
@@ -339,7 +357,13 @@ def conj_cauchy_inverse(omega: ComplexField) -> ComplexField:
 
 def smooth_cutoff(grid: PaddedGrid, r_inner: float, r_outer: float) -> np.ndarray:
     """C^2 radial bump: 1 inside r_inner, 0 outside r_outer (quintic step)."""
-    r = np.hypot(grid.x[:, None], grid.x[None, :])
+    return _radial_step(grid.x, r_inner, r_outer)
+
+
+def _radial_step(x: np.ndarray, r_inner: float, r_outer: float) -> np.ndarray:
+    """smooth_cutoff on the square of nodes x along both axes (x a run of
+    the box axis), nodewise the full box's values."""
+    r = np.hypot(x[:, None], x[None, :])
     t = np.clip((r - r_inner) / (r_outer - r_inner), 0.0, 1.0)
     return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
@@ -361,7 +385,10 @@ class _OscWindows:
     FFTs: one from the input window to the core window, and one from the
     core window to itself.  The constructor runs the psi (finite, real)
     and core-radius checks.  psi on the input window is a view of the
-    caller's array; every other array is the windows' own.
+    caller's array; every other array is the windows' own.  Only the
+    finite check reads the whole box: E, |grad psi|, the cheb distances
+    and the core mask are computed on the windows, from the 1-D axis,
+    with the full-box values bit for bit.
     """
 
     def __init__(self, grid: PaddedGrid, psi, core_radius: float | None = None):
@@ -373,22 +400,36 @@ class _OscWindows:
         if not (np.isfinite(rc) and rc > 0):
             raise GridError(
                 f"core radius must be positive and finite, got {rc}")
-        core = grid.core_mask(rc)
-        if not core.any():
+        self.out, self.core = grid.core_window(rc)
+        if not self.core.any():
             raise GridError(f"core radius {rc:.4g} holds no node of the box")
-        E = smooth_cutoff(grid, rc, 2.0 * rc)
+        # E vanishes where r >= 2 rc, and r >= |x| on either axis: E's
+        # support lies in the nodes with |x| < 2 rc (one node of slack
+        # covers the rounding of r)
+        x, ax = grid.x, np.abs(grid.x)
+        near = np.flatnonzero(ax < 2.0 * rc + grid.dx)
+        near = slice(int(near[0]), int(near[-1]) + 1)
+        E = _radial_step(x[near], rc, 2.0 * rc)
+        sub = _bounding_slices(E > 0)
+        self.inp = tuple(slice(near.start + s.start, near.start + s.stop)
+                         for s in sub)
+        self.cutoff = E[sub].copy()
 
-        # np.gradient, not spectral: the phase is generally not box periodic
-        g1, g2 = np.gradient(psi_vals, grid.dx, edge_order=2)
-        self.grad_max = float(np.max(np.hypot(g1, g2)[E > 0]))
+        # np.gradient, not spectral: the phase is generally not box
+        # periodic; on the input window grown by one node (within the box)
+        # its differences at the window's nodes are the full box's
+        grown = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, grid.n))
+                      for s in self.inp)
+        g1, g2 = np.gradient(psi_vals[grown], grid.dx, edge_order=2)
+        keep = tuple(slice(s.start - g.start, s.stop - g.start)
+                     for s, g in zip(self.inp, grown))
+        self.grad_max = float(
+            np.max(np.hypot(g1[keep], g2[keep])[self.cutoff > 0]))
 
         self.grid = grid
-        self.inp = _bounding_slices(E > 0)
-        self.out = _bounding_slices(core)
         self.psi = psi_vals[self.inp]
-        self.cutoff = E[self.inp].copy()
-        self.cheb = grid.cheb[self.inp].copy()
-        self.core = core[self.out].copy()
+        self.cheb = np.maximum(ax[self.inp[0]][:, None],
+                               ax[self.inp[1]][None, :])
         n_in, n_out = self.cutoff.shape, self.core.shape
         shape = tuple(_fft_size(a + b - 1) for a, b in zip(n_in, n_out))
         shift = tuple(o.start - i.start for o, i in zip(self.out, self.inp))
@@ -411,13 +452,16 @@ class _OscPlan:
     windows once (cgo's bundles keep theirs from one call to the next).
 
     Every result lives on the core window, and embed puts one on the box.
-    apply takes a full-box field and checks it for finite values on the
-    whole box first.  apply_core takes a field on the core window and
-    checks it there; apply hands it its input when the weighted input
-    vanishes outside the core window.  The CGO remainder series lives on
-    the core window after its first term: it calls apply_core and embeds
-    s and r into the box once.  Each call runs the support guard once, on
-    the window it convolves.
+    apply takes a full-box field, checks it for finite values on the
+    whole box and hands its input window to apply_window, which checks
+    that window; a caller whose field vanishes outside the input window
+    calls apply_window with the window alone.  apply_core takes a field on
+    the core window and checks it there; apply_window hands it its input
+    when the weighted input vanishes outside the core window.  The CGO
+    remainder series feeds its first term through apply_window and lives
+    on the core window after it: it calls apply_core and embeds s and r
+    into the box once.  Each call runs the support guard once, on the
+    window it convolves.
     """
 
     def __init__(self, windows: _OscWindows, h: float):
@@ -436,10 +480,18 @@ class _OscPlan:
         window, for a full-box vals checked finite on the whole box."""
         ws = self.windows
         vals = _require_finite(vals, ws.grid, "oscillatory_dbar_inv")
-        w = self.weight * vals[ws.inp]
+        return self.apply_window(vals[ws.inp])
+
+    def apply_window(self, win: np.ndarray) -> np.ndarray:
+        """apply for a field on the input window, checked finite there:
+        the weight vanishes outside it."""
+        if not np.all(np.isfinite(win)):
+            raise GridError("oscillatory_dbar_inv: non-finite values")
+        ws = self.windows
+        w = self.weight * win
         if w[ws.frame].any():
             return self._convolve(w, ws.cheb, ws.khat)
-        return self.apply_core(vals[ws.out])
+        return self.apply_core(win[ws.inner])
 
     def apply_core(self, win: np.ndarray) -> np.ndarray:
         """apply for an input that lives on the core window too."""

@@ -320,10 +320,29 @@ class PaddedGrid:
         return np.maximum(ax[:, None], ax[None, :])
 
     def core_mask(self, radius: float) -> np.ndarray:
+        at, mask = self.core_window(radius)
+        out = np.zeros((self.n, self.n), dtype=bool)
+        out[at] = mask
+        return out
+
+    def core_window(self, radius: float) -> tuple:
+        """The disk of core_mask(radius) as the index slices of its
+        bounding box (empty when it holds no node) and the mask on them.
+
+        Both come from the 1-D axis: a row holds a node of the disk when
+        its x^2 plus the least x^2 of the axis is within radius^2, and
+        the sum is monotone in each term, so the mask is the full-box
+        one's bit for bit.
+        """
         if not radius >= 0.0:
             raise GridError(f"core radius must be non-negative, got {radius}")
         x2 = self.x * self.x
-        return x2[:, None] + x2[None, :] <= radius * radius
+        r2 = radius * radius
+        rows = np.flatnonzero(x2 + np.min(x2) <= r2)
+        span = (slice(int(rows[0]), int(rows[-1]) + 1) if rows.size
+                else slice(0, 0))
+        x2 = x2[span]
+        return (span, span), x2[:, None] + x2[None, :] <= r2
 
     def quadrature(self, vals: np.ndarray) -> complex:
         return complex(np.sum(vals) * self.dx ** 2)

@@ -479,6 +479,24 @@ def _min_eig(h11, h22, h12, where):
     return float(np.min(lam[where]))
 
 
+def _memo_solve(solve):
+    """solve with a one-entry memo keyed by the right side's values.
+
+    scipy's gmres applies the preconditioner to b once to scale its
+    tolerance, then again to its first residual r = b - A x0, which for
+    the zero start is b itself: the memo answers that second solve.  The
+    memo keeps its own copies, so a caller writing into a result or a
+    right side cannot change a later answer.
+    """
+    memo = []
+
+    def call(rhs):
+        if not (memo and np.array_equal(memo[0], rhs)):
+            memo[:] = (np.array(rhs), solve(rhs))
+        return memo[1].copy()
+    return call
+
+
 def source_grid(F, grid: DomainGrid | None) -> DomainGrid:
     """The grid to solve on: grid if given, else the one F lives on; a
     GridError unless that is a DomainGrid."""
@@ -518,7 +536,9 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
 
     import scipy.sparse.linalg as spla
     lap, U = _poisson(ops, Fvec, phic)
-    precond = spla.LinearOperator((ops.N, ops.N), matvec=lap.solve)
+    # with its dtype given, LinearOperator runs no probe solve to find it
+    precond = spla.LinearOperator((ops.N, ops.N), dtype=float,
+                                  matvec=_memo_solve(lap.solve))
     pde = ops.pde
     Ftarget = NEWTON_TOL * float(np.max(np.abs(Fvec)))
 

@@ -12,14 +12,16 @@ import pathlib
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from malab import cgo
-from malab.complexcalc import (_bounding_slices, oscillatory_dbar_inv,
-                               periodic_fd4, spectral_deriv)
+from malab.complexcalc import (_bounding_slices, _wirtinger_symbol,
+                               oscillatory_dbar_inv, periodic_fd4,
+                               spectral_deriv)
 from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
 from malab.linearize import VectorField
 
@@ -539,6 +541,68 @@ def test_setup_hit_is_bitwise_a_fresh_build():
     assert hit.residual == fresh.residual
 
 
+def test_in_place_arithmetic_is_the_plain_formula_bitwise():
+    # the padded-box half writes its box arrays in place; each must keep
+    # the bits of the plain expression, whose temporaries numpy allocates
+    # (and, for a temporary operand, writes into).  numpy's complex loops
+    # round a product's two operand orders differently on some inputs:
+    # the cubic phase and this drift are ones where they differ
+    phase, _, q = _mid_inputs()
+    cubic = cgo.phase_spec((0.3 + 0.2j, -1.1 + 0.4j, 0.125 - 0.3j,
+                            0.05 + 0.02j), _MID, 0.1 - 0.05j)
+    for ph in (phase, cubic):
+        cs, w = ph.coeffs, _MID.zz - ph.center
+        vals = dvals = np.zeros_like(w)
+        for c in reversed(cs):
+            vals = vals * w + c
+        for c in reversed(tuple(k * cs[k] for k in range(1, len(cs)))):
+            dvals = dvals * w + c
+        assert np.array_equal(ph.values, vals)
+        assert np.array_equal(ph.dvalues, dvals)
+
+    X, Y = _MID.meshgrid()
+    b = np.exp(-(X * X + Y * Y) / 0.6)
+    drift = VectorField(0.7 * b * np.cos(1.3 * X + 0.4 * Y),
+                        -0.5 * b * np.sin(0.9 * Y - 0.2 * X), _MID)
+    src = 0.25j * (drift.c1 + 1j * drift.c2)
+    sym = _wirtinger_symbol(_MID, 1, odd=False)
+    sh = np.fft.fft2(src)
+    mean = sh[0, 0] / _MID.n ** 2
+    sym[0, 0] = 1.0
+    sh = sh / sym
+    sh[0, 0] = 0.0
+    alpha = np.fft.ifft2(sh) + mean * np.conj(_MID.zz)
+    assert np.array_equal(cgo.gauge(drift)[1].values, np.exp(1j * alpha))
+    potential = (0.25 * (drift.c1 * drift.c1 + drift.c2 * drift.c2)
+                 - np.fft.ifft2(_wirtinger_symbol(_MID, -1)
+                                * np.fft.fft2(drift.c1 + 1j * drift.c2))
+                 + q)
+    assert np.array_equal(cgo.factor_potential(drift, q).values, potential)
+
+    bundle = _fresh(cgo.build_cgo_holo, phase, 0.283, drift, q=q)
+    assert np.array_equal(bundle.alpha, alpha)
+    assert np.array_equal(cgo._SETUP[0].Ginv, np.exp(-1j * alpha))
+    grow = np.exp(phase.values / 0.283)
+    v = cgo._SETUP[0].Ginv * grow * (bundle.amplitude + bundle.r.values)
+    assert np.array_equal(bundle.v.values, v)
+
+
+def test_the_kept_setup_is_freed_before_the_next_is_built(monkeypatch):
+    # two setups (about 21 MB each on the 512 box) never coexist: _setup
+    # holds no reference to the one it replaces
+    phase, drift, q = _mid_inputs()
+    _fresh(cgo.build_cgo_holo, phase, 0.4, drift, q=q)
+    old = weakref.ref(cgo._SETUP[0])
+    alive, init = [], cgo._Setup.__init__
+
+    def spy(self, *args):
+        alive.append(old() is not None)
+        init(self, *args)
+    monkeypatch.setattr(cgo._Setup, "__init__", spy)
+    cgo.build_cgo_holo(phase, 0.4, drift, q=1.5 * q)
+    assert alive == [False]
+
+
 @pytest.mark.parametrize("target", ["drift", "q", "psi"])
 def test_inputs_written_in_place_are_rebuilt(target):
     phase, drift, q = _mid_inputs()
@@ -562,6 +626,59 @@ def test_bundle_writes_cannot_reach_the_next_bundle():
     with pytest.raises(ValueError, match="read-only"):
         first.alpha[0, 0] = np.nan
     assert _bytes(cgo.build_cgo_holo(phase, 0.283, drift, q=q)) == want
+
+
+def test_first_term_window_entry_is_the_full_box_route():
+    # _bundle_at hands V a to the plan on the input window, where V lives;
+    # the full-box route zero-fills the box and checks all of it.  The
+    # drift reaches the window's frame; a zero drift and a potential
+    # inside r < 1 leave V a on the core, which takes the smaller FFT
+    phase, drift, q = _mid_inputs()
+    X, Y = _MID.meshgrid()
+    r2 = X * X + Y * Y
+    zero = np.zeros((_MID.n, _MID.n))
+    a = 1.0 + 0.25 * _MID.zz
+    for X_, q_, on_frame in ((drift, q, True),
+                             (VectorField(zero, zero.copy(), _MID),
+                              np.where(r2 < 1.0, (1.0 - r2) ** 3, 0.0),
+                              False)):
+        setup = cgo._Setup(_MID, phase.psi, X_, q_, _MID.half / 3.0)
+        ws = setup.windows
+        plan = cgo._OscPlan(ws, 0.283)
+        Va = setup.Vin * a[ws.inp]
+        assert (plan.weight * Va)[ws.frame].any() == on_frame
+        box = np.zeros_like(a)
+        box[ws.inp] = Va
+        want = -cgo._dbar_star_inv(box, plan.apply)
+        got = -cgo._dbar_star_inv(Va, plan.apply_window)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)),
+                              np.signbit(want.view(float)))
+        Va[ws.inner][4, 7] = np.inf
+        with pytest.raises(GridError, match="non-finite"):
+            plan.apply_window(Va)
+
+
+def test_measurement_disk_is_the_eroded_core_on_its_window():
+    for grid, rcs in ((_MID, (2.0, 0.5)),
+                      (PaddedGrid(half=3.0, n=64), (3.2, 1.0)),
+                      (PaddedGrid(half=3.0, n=63), (1.0, 18.0 / 63 + 0.1))):
+        x2 = grid.x * grid.x
+        for rc in rcs:
+            r = rc - 3.0 * grid.dx
+            full = x2[:, None] + x2[None, :] <= r * r
+            at, mask = cgo._measurement_disk(grid, rc)
+            assert np.array_equal(mask, full[at])
+            full[at] = False
+            assert not full.any()
+            # at is the bounding box: the mask reaches each of its edges
+            assert all(m.any() for m in (mask[0], mask[-1], mask[:, 0],
+                                         mask[:, -1]))
+        # rc <= 3 dx, and on the odd box, whose origin is no node, 3.1 dx
+        bad = (3.0, 2.0) + ((3.1,) if grid.n % 2 else ())
+        for rc in (k * grid.dx for k in bad):
+            with pytest.raises(GridError, match="no node to measure"):
+                cgo._measurement_disk(grid, rc)
 
 
 def test_unresolved_h_on_a_hit_names_the_minimal_h(monkeypatch):

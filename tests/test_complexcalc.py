@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from malab.complexcalc import (
-    _cauchy_conv, _OscPlan, _OscWindows, _kernel_hat, cauchy_inverse,
-    conj_cauchy_inverse, deriv, oscillatory_dbar_inv, periodic_fd4,
-    smooth_cutoff, spectral_deriv, spectral_dz, spectral_dzb,
+    _bounding_slices, _cauchy_conv, _OscPlan, _OscWindows, _kernel_hat,
+    cauchy_inverse, conj_cauchy_inverse, deriv, oscillatory_dbar_inv,
+    periodic_fd4, smooth_cutoff, spectral_deriv, spectral_dz, spectral_dzb,
 )
 from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
 
@@ -149,6 +151,85 @@ def test_cached_kernel_is_shared_by_equal_boxes_and_read_only():
     assert _kernel_hat(PaddedGrid(half=2.0, n=64), *layout) is not khat
     with pytest.raises(ValueError):
         khat[0, 0] = 0.0
+
+
+def _kernel_layouts():
+    """(grid, shape, n_out, shift) of every kernel the Cauchy transforms
+    build: cauchy_inverse's 2n box at n = 128 and 97, and on the 512 box
+    the input window to the core and the core to itself."""
+    for n in (128, 97):
+        yield PaddedGrid(half=4.0, n=n), (2 * n, 2 * n), (n, n), (0, 0)
+    g = PaddedGrid(half=6.0, n=512)
+    X, Y = g.meshgrid()
+    ws = _OscWindows(g, 0.5 * X * Y - 0.2 * X)
+    shift = tuple(o.start - i.start for o, i in zip(ws.out, ws.inp))
+    assert _kernel_hat(g, ws.khat.shape, ws.core.shape, shift) is ws.khat
+    yield g, ws.khat.shape, ws.core.shape, shift
+    assert _kernel_hat(g, ws.khat_inner.shape, ws.core.shape,
+                       (0, 0)) is ws.khat_inner
+    yield g, ws.khat_inner.shape, ws.core.shape, (0, 0)
+
+
+def test_kernel_is_built_in_one_array_bitwise():
+    # the meshgrid formula peaks at 5x the kernel's size, the in-place
+    # build at about 1x
+    for g, shape, n_out, shift in _kernel_layouts():
+        h = g.dx
+        d1, d2 = ((np.arange(N) + N - L) % N - (N - L) + s
+                  for N, L, s in zip(shape, n_out, shift))
+        ZX, ZY = np.meshgrid(d1 * h, d2 * h, indexing="ij")
+        Z = ZX + 1j * ZY
+        with np.errstate(divide="ignore", invalid="ignore"):
+            K = h * h / (np.pi * Z)
+        K[Z == 0] = 0.0
+        want = np.fft.fft2(K)
+        del ZX, ZY, Z, K
+        tracemalloc.start()
+        try:
+            got = _kernel_hat.__wrapped__(g, shape, n_out, shift)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want), shape
+        assert peak <= 1.5 * got.nbytes, (shape, peak / got.nbytes)
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+
+
+def _check_windows(g, psi, rc):
+    """_OscWindows(g, psi, rc) against the full-box arrays it windows."""
+    ws = _OscWindows(g, psi, rc)
+    r = g.half / 3.0 if rc is None else rc
+    E = smooth_cutoff(g, r, 2.0 * r)
+    x2 = g.x * g.x
+    core = x2[:, None] + x2[None, :] <= r * r
+    assert ws.inp == _bounding_slices(E > 0)
+    assert ws.out == _bounding_slices(core)
+    assert np.array_equal(ws.cutoff, E[ws.inp])
+    assert np.array_equal(ws.cheb, g.cheb[ws.inp])
+    assert np.array_equal(ws.core, core[ws.out])
+    g1, g2 = np.gradient(psi, g.dx, edge_order=2)
+    assert ws.grad_max == float(np.max(np.hypot(g1, g2)[E > 0]))
+    if rc is not None and rc < g.dx:
+        assert ws.core.shape == (1, 1) and ws.cutoff.shape == (3, 3)
+
+
+def test_windows_are_the_full_box_arrays_on_their_windows():
+    # _OscWindows computes E, |grad psi|, cheb and the core mask on its
+    # windows only; the full-box arrays, cut to the windows, are the same
+    # bits.  rc = 1.6 on the half = 3 box puts E's support on the box's
+    # edge rows, where np.gradient takes its one-sided formula, and rc =
+    # 0.6 dx holds the origin node alone.  |grad psi| of the exponential
+    # peaks on the input window's first row, where differences without
+    # the window's one-node halo would be one-sided
+    for g, rc in ((PaddedGrid(half=6.0, n=512), None),
+                  (PaddedGrid(half=4.0, n=97), None),
+                  (PaddedGrid(half=3.0, n=64), 1.6),
+                  (PaddedGrid(half=3.0, n=64), 0.6 * 6.0 / 64)):
+        X, Y = g.meshgrid()
+        for psi in (0.5 * X * Y - 0.2 * (X - 0.3) ** 2 + 0.1 * Y,
+                    np.exp(-0.7 * X) * np.cos(0.4 * Y)):
+            _check_windows(g, psi, rc)
 
 
 def _conv_layouts():

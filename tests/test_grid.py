@@ -510,3 +510,26 @@ def test_padded_grid_floor_odd_sizes_and_core_radius():
     assert odd.core_mask(0.0).sum() == 0 and odd.core_mask(odd.dx).sum() == 4
     with pytest.raises(GridError, match="non-negative"):
         odd.core_mask(-odd.dx)      # used to select the disk of radius dx
+
+
+def test_core_window_is_the_full_box_disk():
+    # the window and its mask come from the 1-D axis; cut from the box
+    # formula they are the same bits, and nothing lies outside them
+    for g in (PaddedGrid(half=3.0, n=64), PaddedGrid(half=3.0, n=63),
+              PaddedGrid(half=6.0, n=512)):
+        x2 = g.x * g.x
+        for radius in (0.0, 0.5 * g.dx, g.dx, 1.0, g.half / 3.0, g.half,
+                       2.0 * g.half, np.inf):
+            full = x2[:, None] + x2[None, :] <= radius * radius
+            at, mask = g.core_window(radius)
+            assert np.array_equal(g.core_mask(radius), full)
+            assert np.array_equal(mask, full[at])
+            full[at] = False
+            assert not full.any()
+            if mask.any():
+                assert all(m.any() for m in (mask[0], mask[-1], mask[:, 0],
+                                             mask[:, -1]))
+            else:
+                assert mask.size == 0
+    with pytest.raises(GridError, match="non-negative"):
+        g.core_window(np.nan)

@@ -305,6 +305,51 @@ def test_krylov_counts_per_newton_step(monkeypatch):
     assert len(exc.value.log) == 2 and exc.value.log[1][4] >= 1
 
 
+def test_newton_solves_each_preconditioned_rhs_once(monkeypatch):
+    # scipy's gmres solves M^-1 b for its tolerance and again as its first
+    # residual, and LinearOperator without a dtype runs a probe solve: the
+    # memo and the dtype save one LU solve per Newton step and one per call
+    g = build_disk(1.0, 64)
+    X, _ = g.meshgrid()
+    solves, solve = [], SparseLU.solve
+
+    def spy(self, rhs, rtol=None):
+        solves.append(1)
+        return solve(self, rhs, rtol)
+    monkeypatch.setattr(SparseLU, "solve", spy)
+    memo = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
+    n_memo = len(solves)
+
+    # the plain form: no memo, and LinearOperator left to probe its dtype
+    import scipy.sparse.linalg as spla
+    operator = spla.LinearOperator
+    monkeypatch.setattr(maforward, "_memo_solve", lambda solve: solve)
+    monkeypatch.setattr(spla, "LinearOperator",
+                        lambda shape, matvec, dtype: operator(shape, matvec))
+    solves.clear()
+    plain = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
+    steps = len(plain.log) - 1
+    assert steps >= 2 and len(solves) - n_memo == steps + 1
+    assert np.array_equal(plain.u.values, memo.u.values)
+    assert plain.log == memo.log
+
+
+def test_memo_solve_answers_equal_right_sides_from_its_own_copies():
+    calls = []
+
+    def solve(rhs):
+        calls.append(rhs.copy())
+        return 2.0 * rhs
+    memo = maforward._memo_solve(solve)
+    b = np.arange(4.0)
+    x = memo(b)
+    x[:] = -1.0                        # a caller writing into its result
+    b[0] = 7.0                         # and into its right side
+    assert np.array_equal(memo(np.arange(4.0)), 2.0 * np.arange(4.0))
+    assert len(calls) == 1
+    assert np.array_equal(memo(b), 2.0 * b) and len(calls) == 2
+
+
 def test_lu_retried_step_is_flagged_in_its_row():
     # the n = 133 radius-two disk of the sweep below: GMRES misses its
     # forcing term at step 2 and the line search runs out of damping
