@@ -21,22 +21,30 @@ solve of `linearize`.
 The Newton step solves cof(D^2 u) : D^2 delta = F - det D^2 u with zero
 boundary data, damped by backtracking under a convexity guard. As
 cof(D^2 u) = F (D^2 u)^{-1} at a solution, the Jacobian is F times the
-linearized operator of `linearize`. The sparse LU of the Laplacian
+linearized operator of `linearize`. The factored Laplacian
 L11 + L22 + R gives the Poisson initial guess and preconditions GMRES on
 every Newton Jacobian, which is inexact Newton with the forcing term
 eta = min(0.1, 0.1 * max|res|) (Eisenstat and Walker, SIAM J. Sci.
-Comput. 17, 1996). A step whose GMRES solve misses eta still has to pass
-the line search; if it runs out of damping, the step is solved again once
-with a sparse LU of the Jacobian and the line search restarts from a full
-step (its MASolution.log row says so). The same layer, SparseLU, solves
-the linearized systems of `linearize` and `dnmap`: one factorization per
-matrix, any number of right sides, and a residual check on every column.
+Comput. 17, 1996). The GMRES is right-preconditioned and restarted
+(_gmres): one Laplacian solve per iteration, and the residual it stops on
+is the true one, ||b - J x||_2 <= eta ||b||_2. A step whose GMRES solve
+misses eta still has to pass the line search; if it runs out of damping,
+the step is solved again once with a sparse LU of the Jacobian and the
+line search restarts from a full step (its MASolution.log row says so).
+The Laplacian reads only axis neighbors, so no two nodes of one color
+(i + j) mod 2 are coupled: _RedBlackLU eliminates the red half, a diagonal
+solve, and factors the Schur complement on the black half (Saad,
+Iterative Methods for Sparse Linear Systems, sections 3.3 and 13.2). That
+factorization, and the linearized systems of `linearize` and `dnmap`,
+go through one layer, SparseLU: one factorization per matrix, any number
+of right sides, and a residual check on every column when asked.
 Two things outlive a call, both keyed by the grid, so an equal grid built
 twice hits: build_stencil_ops is a functools.lru_cache that keeps the
-operators of the four grids used last, and the Laplacian's LU is kept for
-the one grid solved on last, dropped before another grid's is factored
-(about 24 MB at n = 232). Their arrays are read-only, so no caller can
-change what another is handed. No other factorization outlives its call.
+operators of the four grids used last, and the Laplacian's factors are
+kept for the one grid solved on last, dropped before another grid's are
+made (about 19 MB at n = 232, against 22 MB for an LU of the whole
+Laplacian). Their arrays are read-only, so no caller can change what
+another is handed. No other factorization outlives its call.
 
 scipy.sparse is the only part of scipy that malab uses, and it loads at
 the first build_stencil_ops that misses its cache: every solve starts there,
@@ -78,7 +86,8 @@ CUT_FRACTION = 0.25
 
 
 # GMRES on a Newton Jacobian: Krylov vectors kept per cycle and cycles;
-# with the Laplacian preconditioner a step takes 2-15 iterations
+# with the Laplacian preconditioner a step takes 1-15 iterations on
+# unit-scale domains
 KRYLOV_RESTART = 40
 KRYLOV_CYCLES = 2
 
@@ -255,7 +264,8 @@ class StencilOps:
     slot it uses (_LAYOUT), zero where it has no entry, and operator()
     gives it as a CSR matrix. Every array is read-only; build_stencil_ops
     keeps the operators of the four grids used last, and _LAPLACIAN the
-    LU of system(1, 0, 1) for the one grid solved on last, keyed by grid.
+    factors of system(1, 0, 1) for the one grid solved on last, keyed by
+    grid.
     """
 
     grid: DomainGrid
@@ -298,7 +308,7 @@ class StencilOps:
         R (whose rows no term touches), then c0 on the PDE rows; exact
         zeros are dropped, so the pattern is that of the sparse sum. The
         Laplacian system(1, 0, 1) is factored once per grid: _LAPLACIAN
-        keeps its LU for the one grid solved on last, keyed by grid."""
+        keeps its factors for the one grid solved on last, keyed by grid."""
         vals = np.zeros((9, self.N))
         for c, k in _terms(a11, a12, a22, X1, X2):
             vals[_LAYOUT[k][0]] += c * self.L[k]
@@ -406,6 +416,44 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
 # Poisson initialization
 
 
+class _RedBlackLU:
+    """The Laplacian L11 + L22 + R factored through its red-black Schur
+    complement.
+
+    Every row of the Laplacian reads only its axis neighbors, so no two
+    nodes of one color (i + j) mod 2 are coupled: the red block D is
+    diagonal. Eliminating the red nodes leaves S = A_bb - A_br D^-1 A_rb
+    on the black ones, and SparseLU factors S. A solve is one S solve and
+    two sparse products; the full Laplacian is not kept.
+    """
+
+    def __init__(self, ops: StencilOps):
+        import scipy.sparse as sp
+        A = ops.system(1.0, 0.0, 1.0)
+        ii, jj = np.nonzero(ops.grid.mask)
+        red = (ii + jj) % 2 == 0
+        self.red, self.black = np.nonzero(red)[0], np.nonzero(~red)[0]
+        Ar, Ab = A[self.red], A[self.black]
+        self.dinv = 1.0 / Ar[:, self.red].diagonal()
+        self.Arb, self.Abr = Ar[:, self.black], Ab[:, self.red]
+        S = Ab[:, self.black] - self.Abr @ sp.diags(self.dinv) @ self.Arb
+        del A, Ar, Ab          # the full Laplacian goes before S is factored
+        self.lu = SparseLU(S)
+        for arr in (self.red, self.black, self.dinv):
+            arr.flags.writeable = False
+        for M in (self.Arb, self.Abr, self.lu.A):
+            for arr in (M.data, M.indices, M.indptr):
+                arr.flags.writeable = False
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with (L11 + L22 + R) x = rhs, rhs a vector."""
+        y = self.dinv * rhs[self.red]
+        x = np.empty_like(rhs)
+        x[self.black] = xb = self.lu.solve(rhs[self.black] - self.Abr @ y)
+        x[self.red] = y - self.dinv * (self.Arb @ xb)
+        return x
+
+
 # the factored Laplacian of the grid solved on last, keyed by the grid
 _LAPLACIAN: dict = {}
 
@@ -415,10 +463,8 @@ def _poisson(ops: StencilOps, Fvec: np.ndarray, phi: np.ndarray):
     and the solution of Laplace u = 2 sqrt(F) for crossing values phi."""
     lap = _LAPLACIAN.get(ops.grid)
     if lap is None:
-        _LAPLACIAN.clear()         # the old LU goes before the new is made
-        lap = _LAPLACIAN[ops.grid] = SparseLU(ops.system(1.0, 0.0, 1.0))
-        for arr in (lap.A.data, lap.A.indices, lap.A.indptr):
-            arr.flags.writeable = False
+        _LAPLACIAN.clear()   # the old factors go before the new are made
+        lap = _LAPLACIAN[ops.grid] = _RedBlackLU(ops)
     rhs = (np.where(ops.pde, 2.0 * np.sqrt(Fvec), 0.0)
            - ops.crossing_system(1.0, 0.0, 1.0) @ phi)
     return lap, lap.solve(rhs)
@@ -447,8 +493,10 @@ class MASolution:
 
     log has one row (iter, residual, damping, min_eig, gmres_iters,
     lu_redone) per iterate: the residual max norm and least Hessian
-    eigenvalue there, and the damping, GMRES count and LU redo of the step
-    that reached it; row 0, the Poisson guess, reads 1.0, 0 and False.
+    eigenvalue there, and the damping, the count of right-preconditioned
+    GMRES iterations (one Laplacian solve each) and the LU redo of the
+    step that reached it; row 0, the Poisson guess, reads 1.0, 0 and
+    False.
     """
 
     u: ScalarField
@@ -479,22 +527,56 @@ def _min_eig(h11, h22, h12, where):
     return float(np.min(lam[where]))
 
 
-def _memo_solve(solve):
-    """solve with a one-entry memo keyed by the right side's values.
+def _gmres(J, b: np.ndarray, precond, rtol: float):
+    """Right-preconditioned restarted GMRES for J x = b from x = 0.
 
-    scipy's gmres applies the preconditioner to b once to scale its
-    tolerance, then again to its first residual r = b - A x0, which for
-    the zero start is b itself: the memo answers that second solve.  The
-    memo keeps its own copies, so a caller writing into a result or a
-    right side cannot change a later answer.
+    Each iteration takes one precond solve z = M^-1 v and one product J z;
+    the basis v and the z are kept as they are made, so a cycle ends with
+    x += Z y and no further solve. With M on the right the Arnoldi
+    residual is the true one, ||b - J x||_2, up to rounding (Saad and
+    Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): a cycle stops once it
+    reads rtol ||b||_2, and the residual formed at its end decides. At most
+    KRYLOV_CYCLES cycles of KRYLOV_RESTART iterations; returns x, the
+    iteration count and whether the bound was met.
     """
-    memo = []
-
-    def call(rhs):
-        if not (memo and np.array_equal(memo[0], rhs)):
-            memo[:] = (np.array(rhs), solve(rhs))
-        return memo[1].copy()
-    return call
+    target = rtol * np.linalg.norm(b)
+    x, r, iters = np.zeros_like(b), b, 0
+    for _ in range(KRYLOV_CYCLES):
+        beta = np.linalg.norm(r)
+        if beta <= target:
+            break
+        V, Z, R, rot, g = [r / beta], [], [], [], [beta]
+        for j in range(KRYLOV_RESTART):
+            Z.append(precond(V[j]))
+            w = J @ Z[j]
+            h = np.empty(j + 2)
+            for i, v in enumerate(V):          # modified Gram-Schmidt
+                h[i] = v @ w
+                w -= h[i] * v
+            h[j + 1] = np.linalg.norm(w)
+            for i, (c, s) in enumerate(rot):   # the past Givens rotations
+                h[i], h[i + 1] = (c * h[i] + s * h[i + 1],
+                                  c * h[i + 1] - s * h[i])
+            d = np.hypot(h[j], h[j + 1])
+            c, s = h[j] / d, h[j + 1] / d
+            rot.append((c, s))
+            h[j] = d
+            g.append(-s * g[j])
+            g[j] *= c
+            R.append(h[:j + 1])
+            iters += 1
+            if abs(g[j + 1]) <= target:        # h[j + 1] = 0 reads 0 too
+                break
+            V.append(w / h[j + 1])
+        y = np.array(g[:len(R)])
+        for k in range(len(R) - 1, -1, -1):    # back substitution
+            y[k] /= R[k][k]
+            for i in range(k):
+                y[i] -= R[k][i] * y[k]
+        for yk, z in zip(y, Z):
+            x += yk * z
+        r = b - J @ x
+    return x, iters, bool(np.linalg.norm(r) <= target)
 
 
 def source_grid(F, grid: DomainGrid | None) -> DomainGrid:
@@ -516,12 +598,14 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
     F may be a ScalarField, an array, a scalar, or a callable; phi may be a
     BoundaryTrace, a scalar, a callable, or None for zero data. The
     residual target is NEWTON_TOL * max F in the max norm, within
-    NEWTON_MAX_ITER steps. Steps are damped by
-    backtracking and rejected if any interior Hessian loses positivity.
-    A step whose GMRES solve missed its forcing term and runs out of
-    damping is redone once with a sparse LU of the Jacobian; running out
-    of damping otherwise raises NewtonFailure with the iteration log,
-    naming whether convexity or descent gave out.
+    NEWTON_MAX_ITER steps. Each step is a right-preconditioned GMRES
+    solve from zero, preconditioned by the grid's factored Laplacian and
+    stopped at ||b - J x||_2 <= eta ||b||_2, eta = min(0.1, 0.1 *
+    max|res|). Steps are damped by backtracking and rejected if any
+    interior Hessian loses positivity. A step whose GMRES solve missed
+    eta and runs out of damping is redone once with a sparse LU of the
+    Jacobian; running out of damping otherwise raises NewtonFailure with
+    the iteration log, naming whether convexity or descent gave out.
     """
     grid = source_grid(F, grid)
     Fv = lattice_values(F, grid)
@@ -534,11 +618,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
     ops = build_stencil_ops(grid)
     phic = ops.crossing_values(phi)
 
-    import scipy.sparse.linalg as spla
     lap, U = _poisson(ops, Fvec, phic)
-    # with its dtype given, LinearOperator runs no probe solve to find it
-    precond = spla.LinearOperator((ops.N, ops.N), dtype=float,
-                                  matvec=_memo_solve(lap.solve))
     pde = ops.pde
     Ftarget = NEWTON_TOL * float(np.max(np.abs(Fvec)))
 
@@ -555,11 +635,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
         if rnorm <= Ftarget:
             break
         J = ops.system(h22, -h12, h11)
-        count = []
-        step, info = spla.gmres(J, -res, M=precond,
-                                rtol=min(0.1, 0.1 * rnorm), atol=0.0,
-                                restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES,
-                                callback=count.append, callback_type="pr_norm")
+        step, iters, met = _gmres(J, -res, lap.solve, min(0.1, 0.1 * rnorm))
         lam, redone = 1.0, False
         while True:
             Ut = U + lam * step
@@ -567,12 +643,12 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
             if le > 0.0 and rn <= (1.0 - 1e-4 * lam) * rnorm:
                 break
             lam *= 0.5
-            if lam < DAMPING_MIN and info != 0:
+            if lam < DAMPING_MIN and not met:
                 # the Krylov solve missed eta: redo the step exactly, once
-                step, info, lam = SparseLU(J).solve(-res), 0, 1.0
+                step, met, lam = SparseLU(J).solve(-res), True, 1.0
                 redone = True
             elif lam < DAMPING_MIN:
-                log.append((it, rn, lam, le, len(count), redone))
+                log.append((it, rn, lam, le, iters, redone))
                 lost = (f"convexity lost (min eigenvalue {le:.3e})"
                         if le <= 0.0 else "descent lost")
                 if redone:
@@ -581,7 +657,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
                     f"damping exhausted at iteration {it}: {lost}; "
                     f"residual {rnorm:.3e}", log)
         U, (h11, h22, h12), res, rnorm, lam_min = Ut, ht, rt, rn, le
-        log.append((it, rnorm, lam, lam_min, len(count), redone))
+        log.append((it, rnorm, lam, lam_min, iters, redone))
     else:
         raise NewtonFailure(
             f"no convergence in {NEWTON_MAX_ITER} iterations; residual "
