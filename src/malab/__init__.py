@@ -21,6 +21,7 @@ a fixed choice is a module constant, named at its step.
    rules maforward.NEWTON_TOL, maforward.NEWTON_MAX_ITER and
    maforward.DAMPING_MIN; maforward.eval_boundary_data reads the data.
    Tests: test_maforward.py::test_manufactured_quartic,
+   test_maforward.py::test_radius_five_and_eight_disks_converge,
    test_dnmap.py::test_dn_full_quartic_solution.
 2. The boundary Hessian of u from the DN map.
    Realized by dnmap.recover_boundary_hessian and

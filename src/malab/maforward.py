@@ -22,25 +22,23 @@ The Newton step solves cof(D^2 u) : D^2 delta = F - det D^2 u with zero
 boundary data, damped by backtracking under a convexity guard. As
 cof(D^2 u) = F (D^2 u)^{-1} at a solution, the Jacobian is F times the
 linearized operator of `linearize`. The factored Laplacian
-L11 + L22 + R gives the Poisson initial guess and preconditions GMRES on
-every Newton Jacobian, which is inexact Newton with the forcing term
-eta = min(0.1, 0.1 * max|res|) (Eisenstat and Walker, SIAM J. Sci.
-Comput. 17, 1996). The GMRES is right-preconditioned and restarted
-(_gmres): one Laplacian solve per iteration, and the residual it stops on
-is the true one, ||b - J x||_2 <= eta ||b||_2. A step whose GMRES solve
-misses eta still has to pass the line search; if it runs out of damping,
-the step is solved again once with a sparse LU of the Jacobian and the
-line search restarts from a full step (its MASolution.log row says so).
-The Laplacian reads only axis neighbors, so no two nodes of one color
-(i + j) mod 2 are coupled: _RedBlackLU eliminates the red half, a diagonal
-solve, and factors the Schur complement on the black half (Saad,
-Iterative Methods for Sparse Linear Systems, sections 3.3 and 13.2). That
-factorization, and the linearized systems of `linearize` and `dnmap`,
-go through one layer, SparseLU: one factorization per matrix, any number
-of right sides, and a residual check on every column when asked.
+L11 + L22 + R runs the Poisson iteration of the initial guess
+(poisson_init) and preconditions GMRES on every Newton Jacobian, which
+is inexact Newton with the forcing term eta = min(0.1, 0.1 * max|res|)
+(Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996). The GMRES is
+right-preconditioned and restarted (_gmres): one Laplacian solve per
+iteration, and the residual it stops on is the true one,
+||b - J x||_2 <= eta ||b||_2. The Laplacian reads only axis neighbors,
+so no two nodes of one color (i + j) mod 2 are coupled: _RedBlackLU
+eliminates the red half, a diagonal solve, and factors the Schur
+complement on the black half (Saad, Iterative Methods for Sparse Linear
+Systems, sections 3.3 and 13.2). That factorization, and the linearized
+systems of `linearize` and `dnmap`, go through one layer, SparseLU: one
+factorization per matrix, any number of right sides, and a residual
+check on every column when asked.
 Two things outlive a call, both keyed by the grid, so an equal grid built
 twice hits: build_stencil_ops is a functools.lru_cache that keeps the
-operators of the four grids used last, and the Laplacian's factors are
+operators of the one grid used last, and the Laplacian's factors are
 kept for the one grid solved on last, dropped before another grid's are
 made (about 19 MB at n = 232, against 22 MB for an LU of the whole
 Laplacian). Their arrays are read-only, so no caller can change what
@@ -100,8 +98,8 @@ DAMPING_MIN = 1e-4
 
 class NewtonFailure(RuntimeError):
     """Newton iteration failed; carries the log, rows as in MASolution.log
-    (iter, residual, damping, min_eig, gmres_iters, lu_redone), the last
-    one the rejected step if the damping ran out."""
+    (iter, residual, damping, min_eig, gmres_iters), the last one the
+    rejected step if the damping ran out."""
 
     def __init__(self, msg: str, log):
         super().__init__(msg)
@@ -263,9 +261,7 @@ class StencilOps:
     the column of direction s. An operator holds one row of values per
     slot it uses (_LAYOUT), zero where it has no entry, and operator()
     gives it as a CSR matrix. Every array is read-only; build_stencil_ops
-    keeps the operators of the four grids used last, and _LAPLACIAN the
-    factors of system(1, 0, 1) for the one grid solved on last, keyed by
-    grid.
+    keeps the operators of the one grid used last.
     """
 
     grid: DomainGrid
@@ -326,7 +322,7 @@ class StencilOps:
         return _csr(vals, self.qcols, self.qrows, (self.N, len(self.qx)))
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def build_stencil_ops(grid: DomainGrid) -> StencilOps:
     """Assemble (and cache) the masked difference operators for a grid.
 
@@ -380,6 +376,8 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
         raise GridError(
             f"grid too coarse near node ({ii[j]}, {jj[j]}): no interior "
             "neighbor to anchor the quasi-boundary interpolation")
+    if not np.any(pde):
+        raise GridError("grid too coarse: every node is an interpolation row")
     L, G = {"R": np.zeros((7, N))}, {"R": np.zeros((4, len(qrows)))}
     L["R"][3, k] = 1.0
     L["R"][3 - 3 * di[cut, 0] - dj[cut, 0], k] = -a / (1.0 + a)
@@ -458,29 +456,42 @@ class _RedBlackLU:
 _LAPLACIAN: dict = {}
 
 
-def _poisson(ops: StencilOps, Fvec: np.ndarray, phi: np.ndarray):
-    """The factored Laplacian L11 + L22 + R (from _LAPLACIAN, read-only)
-    and the solution of Laplace u = 2 sqrt(F) for crossing values phi."""
+def _laplacian(ops: StencilOps) -> _RedBlackLU:
+    """The factored Laplacian L11 + L22 + R of ops.grid, from _LAPLACIAN."""
     lap = _LAPLACIAN.get(ops.grid)
     if lap is None:
         _LAPLACIAN.clear()   # the old factors go before the new are made
         lap = _LAPLACIAN[ops.grid] = _RedBlackLU(ops)
-    rhs = (np.where(ops.pde, 2.0 * np.sqrt(Fvec), 0.0)
-           - ops.crossing_system(1.0, 0.0, 1.0) @ phi)
-    return lap, lap.solve(rhs)
+    return lap
 
 
-def poisson_init(grid: DomainGrid, F: np.ndarray, data) -> np.ndarray:
-    """Initial guess: solve Laplace u = 2 sqrt(F) with the Dirichlet data.
+def poisson_init(grid: DomainGrid, F, data) -> tuple[np.ndarray, int]:
+    """Initial guess of solve_ma: interior values and iteration count.
 
-    At isotropic points det D^2 u = (Laplace u / 2)^2, so this starts the
-    Newton iteration at a convex function with the right volume scale.
-    solve_ma builds the same guess from the factorization it keeps for
-    its Newton steps.
+    From Laplace u = 2 sqrt(F) with the Dirichlet data (at isotropic
+    points det D^2 u = (Laplace u / 2)^2), iterate Laplace u = sqrt(h11^2 +
+    h22^2 + 2 h12^2 + 2F) on the stencil Hessian h, whose fixed points
+    with Laplace u > 0 solve det D^2 u = F (Benamou, Froese and Oberman,
+    ESAIM: M2AN 44, 2010), one factored-Laplacian solve each; stop once
+    the Hessian is positive and max|det D^2 u - F| < 0.1 max F, or drop
+    an iterate that does not lower that residual and stop.
     """
     ops = build_stencil_ops(grid)
-    return _poisson(ops, lattice_values(F, grid)[grid.mask],
-                    ops.crossing_values(data))[1]
+    Fvec = lattice_values(F, grid)[grid.mask]
+    phi = ops.crossing_values(data)
+    lap, G = _laplacian(ops), ops.crossing_system(1.0, 0.0, 1.0) @ phi
+    U = lap.solve(np.where(ops.pde, 2.0 * np.sqrt(Fvec), 0.0) - G)
+    h, _, rnorm, lam_min = _state(ops, U, phi, Fvec)
+    target, its = 0.1 * float(np.max(Fvec)), 0
+    while not (lam_min > 0.0 and rnorm < target):
+        its += 1
+        lap_u = np.sqrt(h[0] ** 2 + h[1] ** 2 + 2.0 * h[2] ** 2 + 2.0 * Fvec)
+        Un = lap.solve(np.where(ops.pde, lap_u, 0.0) - G)
+        hn, _, rn, le = _state(ops, Un, phi, Fvec)
+        if not rn < rnorm:      # NaN stops too
+            break
+        U, h, rnorm, lam_min = Un, hn, rn, le
+    return U, its
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +502,11 @@ def poisson_init(grid: DomainGrid, F: np.ndarray, data) -> np.ndarray:
 class MASolution:
     """Solution of det D^2 u = F with its Newton iteration record.
 
-    log has one row (iter, residual, damping, min_eig, gmres_iters,
-    lu_redone) per iterate: the residual max norm and least Hessian
-    eigenvalue there, and the damping, the count of right-preconditioned
-    GMRES iterations (one Laplacian solve each) and the LU redo of the
-    step that reached it; row 0, the Poisson guess, reads 1.0, 0 and
-    False.
+    log has one row (iter, residual, damping, min_eig, gmres_iters) per
+    iterate: the residual max norm and least Hessian eigenvalue there, and
+    the damping and right-preconditioned GMRES iterations of the step that
+    reached it; row 0, the guess of poisson_init, reads damping 1.0 and
+    its Poisson iterations. Either iteration is one Laplacian solve.
     """
 
     u: ScalarField
@@ -520,11 +530,12 @@ def stencil_hessian(ops: StencilOps, U: np.ndarray, phi: np.ndarray):
     return tuple(out)
 
 
-def _min_eig(h11, h22, h12, where):
-    tr = h11 + h22
-    gap = np.sqrt((h11 - h22) ** 2 + 4.0 * h12 ** 2)
-    lam = 0.5 * (tr - gap)
-    return float(np.min(lam[where]))
+def _state(ops: StencilOps, U: np.ndarray, phi: np.ndarray, Fvec):
+    """Stencil Hessian, residual, its max norm and the min eigenvalue."""
+    h11, h22, h12 = h = stencil_hessian(ops, U, phi)
+    res = np.where(ops.pde, h11 * h22 - h12 ** 2 - Fvec, 0.0)
+    lam = 0.5 * (h11 + h22 - np.sqrt((h11 - h22) ** 2 + 4.0 * h12 ** 2))
+    return h, res, float(np.max(np.abs(res))), float(np.min(lam[ops.pde]))
 
 
 def _gmres(J, b: np.ndarray, precond, rtol: float):
@@ -596,16 +607,15 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
     """Solve det D^2 u = F, u = phi on the boundary, by damped Newton.
 
     F may be a ScalarField, an array, a scalar, or a callable; phi may be a
-    BoundaryTrace, a scalar, a callable, or None for zero data. The
-    residual target is NEWTON_TOL * max F in the max norm, within
-    NEWTON_MAX_ITER steps. Each step is a right-preconditioned GMRES
-    solve from zero, preconditioned by the grid's factored Laplacian and
-    stopped at ||b - J x||_2 <= eta ||b||_2, eta = min(0.1, 0.1 *
-    max|res|). Steps are damped by backtracking and rejected if any
-    interior Hessian loses positivity. A step whose GMRES solve missed
-    eta and runs out of damping is redone once with a sparse LU of the
-    Jacobian; running out of damping otherwise raises NewtonFailure with
-    the iteration log, naming whether convexity or descent gave out.
+    BoundaryTrace, a scalar, a callable, or None for zero data. From the
+    guess of poisson_init, Newton aims at the residual NEWTON_TOL * max F
+    in the max norm within NEWTON_MAX_ITER steps. Each step is a GMRES
+    solve from zero, right-preconditioned by the grid's factored Laplacian
+    and stopped at ||b - J x||_2 <= eta ||b||_2, eta = min(0.1, 0.1 *
+    max|res|), damped by backtracking and rejected if any interior Hessian
+    loses positivity. Running out of damping raises NewtonFailure with the
+    iteration log, naming whether convexity or descent gave out and any
+    GMRES miss of eta with its iteration count.
     """
     grid = source_grid(F, grid)
     Fv = lattice_values(F, grid)
@@ -618,46 +628,35 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
     ops = build_stencil_ops(grid)
     phic = ops.crossing_values(phi)
 
-    lap, U = _poisson(ops, Fvec, phic)
-    pde = ops.pde
+    U, warm = poisson_init(grid, Fv, phi)
+    lap = _laplacian(ops)
     Ftarget = NEWTON_TOL * float(np.max(np.abs(Fvec)))
-
-    def state(U):
-        """Stencil Hessian, residual, its max norm and the min eigenvalue."""
-        h = stencil_hessian(ops, U, phic)
-        res = np.where(pde, h[0] * h[1] - h[2] ** 2 - Fvec, 0.0)
-        return h, res, float(np.max(np.abs(res))), _min_eig(*h, pde)
-
-    (h11, h22, h12), res, rnorm, lam_min = state(U)
-    log = [(0, rnorm, 1.0, lam_min, 0, False)]
+    (h11, h22, h12), res, rnorm, lam_min = _state(ops, U, phic, Fvec)
+    log = [(0, rnorm, 1.0, lam_min, warm)]
 
     for it in range(1, NEWTON_MAX_ITER + 1):
         if rnorm <= Ftarget:
             break
         J = ops.system(h22, -h12, h11)
         step, iters, met = _gmres(J, -res, lap.solve, min(0.1, 0.1 * rnorm))
-        lam, redone = 1.0, False
+        lam = 1.0
         while True:
             Ut = U + lam * step
-            ht, rt, rn, le = state(Ut)
+            ht, rt, rn, le = _state(ops, Ut, phic, Fvec)
             if le > 0.0 and rn <= (1.0 - 1e-4 * lam) * rnorm:
                 break
             lam *= 0.5
-            if lam < DAMPING_MIN and not met:
-                # the Krylov solve missed eta: redo the step exactly, once
-                step, met, lam = SparseLU(J).solve(-res), True, 1.0
-                redone = True
-            elif lam < DAMPING_MIN:
-                log.append((it, rn, lam, le, iters, redone))
+            if lam < DAMPING_MIN:
+                log.append((it, rn, lam, le, iters))
                 lost = (f"convexity lost (min eigenvalue {le:.3e})"
                         if le <= 0.0 else "descent lost")
-                if redone:
-                    lost += " on the LU-retried step"
+                miss = "" if met else (" after GMRES missed its forcing "
+                                       f"term in {iters} iterations")
                 raise NewtonFailure(
-                    f"damping exhausted at iteration {it}: {lost}; "
+                    f"damping exhausted at iteration {it}: {lost}{miss}; "
                     f"residual {rnorm:.3e}", log)
         U, (h11, h22, h12), res, rnorm, lam_min = Ut, ht, rt, rn, le
-        log.append((it, rnorm, lam, lam_min, iters, redone))
+        log.append((it, rnorm, lam, lam_min, iters))
     else:
         raise NewtonFailure(
             f"no convergence in {NEWTON_MAX_ITER} iterations; residual "
@@ -665,7 +664,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
 
     detH = h11 * h22 - h12 ** 2
     convex = (lam_min > 0.0
-              and float(np.min(detH[pde])) >= 0.5 * float(np.min(Fvec)))
+              and float(np.min(detH[ops.pde])) >= 0.5 * float(np.min(Fvec)))
     return MASolution(
         u=ScalarField(ops.scatter(U), grid), F=ScalarField(Fv.copy(), grid),
         phi=BoundaryTrace(ring_values(grid, phi), grid), log=log,

@@ -4,7 +4,7 @@ Newton behavior, and the stencil and solver layers."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from malab import maforward
 from malab.grid import (BoundaryTrace, GridError, MetricField, PaddedGrid,
@@ -280,6 +280,9 @@ def test_cached_stencils_are_shared_by_equal_grids_and_read_only():
     ops = build_stencil_ops(g)
     assert build_stencil_ops(twin) is ops
     assert build_stencil_ops(build_disk(0.9, 48)) is not ops
+    # only the grid used last is held
+    assert build_stencil_ops.cache_info().currsize == 1
+    assert build_stencil_ops(twin) is not ops
     arrays = [ops.pde, ops.qx, ops.qy, ops.cols, ops.qrows, ops.qcols]
     arrays += [*ops.L.values(), *ops.G.values()]
     for arr in arrays:
@@ -294,11 +297,11 @@ def test_krylov_counts_per_newton_step(monkeypatch):
     g = build_disk(1.0, 64)
     X, _ = g.meshgrid()
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
-    it, _, damping, _, gmres, redone = sol.log[0]     # the Poisson guess
-    assert (it, damping, gmres) == (0, 1.0, 0) and redone is False
-    for k, (it, _, damping, _, gmres, redone) in enumerate(sol.log[1:], 1):
+    it, _, damping, _, warm = sol.log[0]     # the Poisson guess
+    assert (it, damping) == (0, 1.0) and isinstance(warm, int) and warm >= 0
+    for k, (it, _, damping, _, gmres) in enumerate(sol.log[1:], 1):
         assert it == k and 0.0 < damping <= 1.0
-        assert isinstance(gmres, int) and gmres >= 1 and redone is False
+        assert isinstance(gmres, int) and gmres >= 1
     monkeypatch.setattr(maforward, "NEWTON_MAX_ITER", 1)
     with pytest.raises(NewtonFailure) as exc:
         solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
@@ -309,9 +312,9 @@ def test_krylov_counts_per_newton_step(monkeypatch):
                                    lambda: build_ellipse(1.03, 0.92, 136)],
                          ids=["disk", "ellipse"])
 def test_newton_takes_one_lu_solve_per_krylov_iteration(build, monkeypatch):
-    # the Poisson guess, then one preconditioner solve per right-
-    # preconditioned GMRES iteration: the z vectors are kept, so no cycle
-    # ends with a further solve
+    # the Poisson guess and one solve per Poisson iteration (row 0), then
+    # one preconditioner solve per right-preconditioned GMRES iteration:
+    # the z vectors are kept, so no cycle ends with a further solve
     g = build()
     X, _ = g.meshgrid()
     solves, solve = [], SparseLU.solve
@@ -322,7 +325,8 @@ def test_newton_takes_one_lu_solve_per_krylov_iteration(build, monkeypatch):
     monkeypatch.setattr(SparseLU, "solve", spy)
     maforward._LAPLACIAN.clear()
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
-    assert len(sol.log) >= 3 and not any(row[5] for row in sol.log)
+    assert len(sol.log) >= 3 and sol.log[0][4] >= 1
+    assert all(len(row) == 5 for row in sol.log)
     assert len(solves) == 1 + sum(row[4] for row in sol.log)
     assert solves == [None] * len(solves)   # no residual check on M^-1
 
@@ -353,22 +357,48 @@ def test_red_black_laplacian_solve_equals_the_full_lu(domain, n):
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_lu_retried_step_is_flagged_in_its_row(monkeypatch):
+def test_missed_forcing_term_is_named_in_the_failure(monkeypatch):
     # with no Krylov cycle every step misses its forcing term, the zero
-    # step cannot descend, the line search runs out of damping and the
-    # step is solved again with the LU of its Jacobian
+    # step cannot descend and the line search runs out of damping
     monkeypatch.setattr(maforward, "KRYLOV_CYCLES", 0)
-    g = build_disk(2.0, 133)
-    X, Y = g.meshgrid()
-    maforward._LAPLACIAN.clear()
-    for _ in ("cold", "cached Laplacian"):
-        sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
-        steps = [row[0] for row in sol.log[1:]]
-        assert len(steps) >= 2
-        assert [row[0] for row in sol.log if row[5]] == steps
-        assert all(row[4] == 0 and row[2] == 1.0 for row in sol.log[1:])
-        err = np.max(np.abs((sol.u.values - _ustar(X, Y))[g.mask]))
-        assert sol.convex and err / g.dx ** 2 <= 1.0
+    g = build_disk(1.0, 48)
+    X, _ = g.meshgrid()
+    with pytest.raises(NewtonFailure, match=(
+            "damping exhausted at iteration 1: descent lost after GMRES "
+            "missed its forcing term in 0 iterations")) as exc:
+        solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
+    assert [len(row) for row in exc.value.log] == [5, 5]
+    assert exc.value.log[1][4] == 0
+    assert exc.value.log[1][2] < maforward.DAMPING_MIN
+
+
+def test_newton_starts_from_poisson_init(monkeypatch):
+    # solve_ma takes its guess from the module's poisson_init, so a
+    # rebinding of that name (as the benchmark tracer does) sees the call
+    g = build_disk(2.0, 96)
+    X, _ = g.meshgrid()
+    F = ScalarField(X ** 2 + 1.0, g)
+    U, warm = maforward.poisson_init(g, F, _ustar)
+    ops = build_stencil_ops(g)
+    h11, h22, h12 = maforward.stencil_hessian(ops, U,
+                                              ops.crossing_values(_ustar))
+    res = np.where(ops.pde, h11 * h22 - h12 ** 2 - F.values[g.mask], 0.0)
+    calls, init = [], maforward.poisson_init
+
+    def spy(*args):
+        calls.append(args[0])
+        return init(*args)
+    monkeypatch.setattr(maforward, "poisson_init", spy)
+    sol = solve_ma(F, _ustar)
+    assert calls == [g] and warm >= 1
+    assert sol.log[0][1] == np.max(np.abs(res)) and sol.log[0][4] == warm
+
+
+def test_poisson_init_stops_on_a_non_finite_source():
+    # a NaN residual is never lower, so the iteration stops after one step
+    g = build_disk(1.0, 32)
+    U, its = maforward.poisson_init(g, np.full((32, 32), np.nan), None)
+    assert its == 1 and np.all(np.isnan(U))
 
 
 def test_laplacian_factorization_is_kept_for_the_last_grid(monkeypatch):
@@ -480,7 +510,7 @@ def test_zero_cache_results_do_not_share_mutations():
     a = solve_ma_zero(F)
     log = list(a.log)
     a.convex = False
-    a.log.append((99, 0.0, 1.0, 0.0, 99, True))
+    a.log.append((99, 0.0, 1.0, 0.0, 99))
     b = solve_ma_zero(F)
     assert b.convex and b.log == log
 
@@ -520,6 +550,14 @@ def test_interpolation_row_without_an_anchor_is_a_grid_error():
         build_stencil_ops(sliver)
 
 
+def test_grid_without_a_pde_row_is_a_grid_error():
+    # every node of this ellipse has an axis crossing within CUT_FRACTION
+    # of a cell, so no node carries the equation
+    g = build_ellipse(5.0, 0.5, 16)
+    with pytest.raises(GridError, match="every node is an interpolation"):
+        solve_ma(1.0, None, g)
+
+
 def test_disk_is_the_ellipse_with_equal_axes():
     r, n = 0.95, 64
     d, e = build_disk(r, n), build_ellipse(r, r, n)
@@ -537,8 +575,9 @@ def test_disk_is_the_ellipse_with_equal_axes():
 
 @pytest.mark.parametrize("n", range(16, 290, 13))
 def test_radius_two_disk_converges(n):
-    # from n = 133 up, GMRES misses its forcing term at step 2 and the
-    # line search cannot descend along that step; the LU retry solves it
+    # Newton once ran out of damping at step 2 here from n = 133 up; from
+    # the iterated Poisson guess of poisson_init every n takes three full
+    # Newton steps
     g = build_disk(2.0, n)
     X, Y = g.meshgrid()
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
@@ -548,9 +587,9 @@ def test_radius_two_disk_converges(n):
 
 @pytest.mark.parametrize("n", [96, 160])
 def test_radius_three_and_a_half_disk_converges(n):
-    # the exact Newton step from the Poisson guess loses convexity here;
-    # the right-preconditioned GMRES step meets its forcing term and keeps
-    # the Hessian positive, so no LU retry is taken.
+    # the exact Newton step from the plain Poisson guess Laplace u =
+    # 2 sqrt(F) loses convexity here; the iterated guess of poisson_init
+    # starts Newton from a convex iterate with a small residual.
     # The error bound is the radius-two one scaled by max |D^2 u*| on the
     # boundary, 1 + r^2 against 5: the ghost closure's local error is
     # (1 - alpha) / 2 times the second derivative along the stencil ray
@@ -559,6 +598,20 @@ def test_radius_three_and_a_half_disk_converges(n):
     X, Y = g.meshgrid()
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
     err = np.max(np.abs((sol.u.values - _ustar(X, Y))[g.mask])) / g.dx ** 2
+    assert sol.convex and err <= (1.0 + r * r) / 5.0
+
+
+@pytest.mark.parametrize("r", [5.0, 8.0])
+def test_radius_five_and_eight_disks_converge(r):
+    # the Newton step from the plain Poisson guess loses convexity on
+    # these disks, the exact step too; the Poisson iterations of
+    # poisson_init (one Laplacian solve each) start Newton from a convex
+    # iterate. The bound is the radius-three-and-a-half one
+    g = build_disk(r, 96)
+    X, Y = g.meshgrid()
+    sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
+    err = np.max(np.abs((sol.u.values - _ustar(X, Y))[g.mask])) / g.dx ** 2
+    assert sol.log[0][4] >= 1
     assert sol.convex and err <= (1.0 + r * r) / 5.0
 
 
@@ -596,10 +649,19 @@ def test_crossings_and_affine_exactness(a, b, n, c0, c1, c2):
 
 
 @settings(max_examples=20)
-@given(a=_AXIS, b=_AXIS, n=st.integers(16, 150))
+@given(a=st.floats(0.5, 8.0), b=st.floats(0.5, 8.0), n=st.integers(16, 150))
 def test_every_grid_that_constructs_solves(a, b, n):
-    g = build_ellipse(a, b, n)
+    # The ghost closure's local error is (1 - alpha) / 2 times the second
+    # derivative of u* along the stencil ray, and D^2 u* = diag(x^2 + 1, 1)
+    # peaks at a^2 + 1 on the boundary. So the bound 1 that holds for
+    # semi-axes up to 2 (radius two: a^2 + 1 = 5) scales as (1 + a^2) / 5
+    # above that, as in the radius-three-and-a-half disk test
+    try:
+        g = build_ellipse(a, b, n)
+        build_stencil_ops(g)
+    except GridError:     # too coarse for the ellipse, e.g. (8, 0.5, 16)
+        assume(False)
     X, Y = g.meshgrid()
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar, g)
     err = np.max(np.abs((sol.u.values - _ustar(X, Y))[g.mask])) / g.dx ** 2
-    assert sol.convex and err <= 1.0
+    assert sol.convex and err <= max(1.0, (1.0 + a * a) / 5.0)
