@@ -319,8 +319,9 @@ def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
     grid = _require_padded(f.grid)
     _require_h(h)
     plan = _OscPlan(_OscWindows(grid, psi), h)
-    Vu = V.values[plan.windows.out] * plan.apply(vp.values * f.values)
-    return ComplexField(plan.embed(_dbar_star_inv(Vu, plan.apply_core)), grid)
+    ws = plan.windows
+    Vu = V.values[ws.out] * plan.apply(vp.values * f.values)
+    return ComplexField(ws.embed(_dbar_star_inv(Vu, plan.apply_core)), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +340,9 @@ class CGOBundle:
     applied to v by 4th-order differences over the measurement disk,
     normalized by h^-2 times the solution norm there.  K_effective is
     where the sum was actually truncated (argmin of term_norms when they
-    fail to decrease, K otherwise).
+    fail to decrease, K otherwise).  build_cgo_holo stores a constant
+    amplitude (the default is 1) as a read-only zero-stride broadcast of
+    its value.
     """
 
     kind: str                            # "holo" | "antiholo" | "adjoint"
@@ -359,15 +362,17 @@ class CGOBundle:
 
 
 def _eval_amplitude(amplitude, grid: PaddedGrid) -> np.ndarray:
-    """Holomorphic amplitude as a lattice field, with a dzb guard."""
-    if amplitude is None:
-        return np.ones((grid.n, grid.n), dtype=complex)
+    """Holomorphic amplitude as a lattice field, with a dzb guard.  A
+    constant (None reads 1) is holomorphic, and its field is a read-only
+    zero-stride broadcast of its value, not a box array."""
     if callable(amplitude):
         vals = np.asarray(amplitude(grid.zz), dtype=complex)
     elif hasattr(amplitude, "values"):
         vals = amplitude.values.astype(complex)
     else:
-        vals = np.full((grid.n, grid.n), complex(amplitude))
+        const = complex(1.0 if amplitude is None else amplitude)
+        return _require_finite(np.broadcast_to(const, (grid.n, grid.n)),
+                               grid, "amplitude")
     vals = _require_finite(vals, grid, "amplitude")
     # interior holomorphy check by local differences (exact on polynomials
     # through degree 4, seam rows excluded)
@@ -501,10 +506,10 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
                X: VectorField, qv, a_vals: np.ndarray) -> CGOBundle:
     """The per-h half of build_cgo_holo: the resolution guard, the weight
     at h, the series, v and its residual."""
-    grid, rc, alpha = setup.grid, setup.rc, setup.alpha
-    plan = _OscPlan(setup.windows, h)
+    grid, rc, alpha, ws = setup.grid, setup.rc, setup.alpha, setup.windows
+    plan = _OscPlan(ws, h)
     # V a vanishes outside the input window, where V lives
-    Va = setup.Vin * a_vals[setup.windows.inp]
+    Va = setup.Vin * a_vals[ws.inp]
     terms = [-_dbar_star_inv(Va, plan.apply_window)]
     for _ in range(K):
         terms.append(_neumann_step(terms[-1], plan, setup.Vw, setup.vpw))
@@ -516,23 +521,28 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
             f"remainder series stopped decreasing; truncating at {k_eff}",
             RuntimeWarning, stacklevel=3)
     s_win = sum(terms[:k_eff + 1])
-    del terms                 # freed before any box array, as is grow below
     r_win = plan.apply_core(setup.vpw * s_win)
+    # the terms and the plan's weights go before the first box array
+    del terms, plan
     # negated after embedding, so r's zeros outside the window are -0.0 as
     # in -oscillatory_dbar_inv(V' s)
-    r_vals = plan.embed(r_win)
+    r_vals = ws.embed(r_win)
     np.negative(r_vals, out=r_vals)
 
-    # v = (G^-1 e^{Phi/h}) (a + r) in two box arrays; each product keeps
-    # its operand order, which decides how numpy's complex loop rounds
-    grow = np.divide(phase.values, h)
-    np.exp(grow, out=grow)
-    np.multiply(setup.Ginv, grow, out=grow)
-    v_vals = a_vals + r_vals
-    np.multiply(grow, v_vals, out=v_vals)
-    del grow
+    # v = (G^-1 e^{Phi/h}) (a + r), formed in v's own array; each product
+    # keeps its operand order, which decides how numpy's complex loop
+    # rounds.  Outside the core window r is -0.0 and a + r == a bitwise,
+    # so a + r takes only a window array
+    v_vals = np.divide(phase.values, h)
+    np.exp(v_vals, out=v_vals)
+    np.multiply(setup.Ginv, v_vals, out=v_vals)
+    a_r = a_vals[ws.out] + r_vals[ws.out]
+    np.multiply(v_vals[ws.out], a_r, out=a_r)
+    np.multiply(v_vals, a_vals, out=v_vals)
+    v_vals[ws.out] = a_r
+    del a_r
     res = drift_residual(v_vals, X, qv, h, grid, rc)
-    s_vals = plan.embed(s_win)            # the last box array, after grow
+    s_vals = ws.embed(s_win)
     return CGOBundle("holo", phase, float(h), int(K), int(k_eff), float(rc),
                      alpha, a_vals, ComplexField(s_vals, grid),
                      ComplexField(r_vals, grid), ComplexField(v_vals, grid),
@@ -554,8 +564,9 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     first term is V a on the plan's input window, where V lives; every
     term after it, the sum s and r = -osc(V' s) live on the core window
     (the bounding box of the core disk, outside which they vanish), with V
-    and V' sliced to it once.  A bundle's box arrays are s, r and v, each
-    written once, and one temporary for G^-1 e^{Phi/h}.  The residual is
+    and V' sliced to it once.  A bundle's box arrays are its outputs s, r
+    and v: G^-1 e^{Phi/h} is formed in v's array, and a constant
+    amplitude is a read-only broadcast of its value.  The residual is
     measured on the core disk (radius half / CORE_DIVISOR) plus the
     differences' 2-node reach.  Zero drift and potential give an exactly
     zero gauge, V and series, so r = 0.  If the series terms ever grow

@@ -17,10 +17,11 @@ route on boxes.
 
 The Cauchy transforms convolve with the kernel h^2/(pi z) sampled on the
 box lattice (origin weight zero), whose FFT is built in one complex array
-and cached per layout, through one pruned FFT pair: for an
-N0 x N1 transform of m0 input rows read on n1 output columns, m0 + N1
-forward and N0 + n1 inverse 1-D transforms, since padding rows transform
-to zero and unread columns need no inverse.  cauchy_inverse is the linear
+and cached per layout (the two used last, the most one call reads),
+through one pruned FFT pair: for an N0 x N1 transform of m0 input rows
+read on n1 output columns, m0 + N1 forward and N0 + n1 inverse 1-D
+transforms, since padding rows transform to zero and unread columns need
+no inverse.  cauchy_inverse is the linear
 convolution over the whole box: on the 2n x 2n transform, n + 2n forward
 and 2n + n inverse 1-D transforms, in place of 4n + 4n.  The
 oscillatory inverses read their input only in the window |x|, |y| < 2 rc,
@@ -272,7 +273,7 @@ def _fft_size(m: int) -> int:
         m += 1
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=2)
 def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
                 shift: tuple) -> np.ndarray:
     """FFT of the kernel h^2/(pi z) laid out for a circular convolution.
@@ -284,8 +285,12 @@ def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
     n_out - 1 keeps those offsets apart, so the circular sum is the linear
     one.  The exact integral of 1/(pi z) over the centered origin cell
     vanishes by odd symmetry, so the origin weight is zero; every other
-    cell is point sampled at its center.  Cached per box and layout (the
-    four used last), read-only.
+    cell is point sampled at its center.  Cached per box and layout,
+    read-only: the two used last, the most that one call reads (an
+    _OscWindows reads two, cauchy_inverse one), so a sweep's window
+    kernels push out a full-box kernel that no bundle reads.  The cost: a
+    caller that alternates full-box and windowed transforms on one box
+    rebuilds the full-box kernel each time.
 
     The kernel is built in one complex array: its real and imaginary parts
     are set from the 1-D offsets times h, and the scaling, the division
@@ -388,7 +393,8 @@ class _OscWindows:
     caller's array; every other array is the windows' own.  Only the
     finite check reads the whole box: E, |grad psi|, the cheb distances
     and the core mask are computed on the windows, from the 1-D axis,
-    with the full-box values bit for bit.
+    with the full-box values bit for bit.  embed puts a core-window array
+    on the box.
     """
 
     def __init__(self, grid: PaddedGrid, psi, core_radius: float | None = None):
@@ -442,6 +448,13 @@ class _OscWindows:
         self.khat_inner = _kernel_hat(
             grid, tuple(_fft_size(2 * m - 1) for m in n_out), n_out, (0, 0))
 
+    def embed(self, win: np.ndarray) -> np.ndarray:
+        """A core-window array on the full box, zero outside the window."""
+        n = self.grid.n
+        out = np.zeros((n, n), dtype=complex)
+        out[self.out] = win
+        return out
+
 
 class _OscPlan:
     """The oscillatory inverse for one (box, psi, h, core radius).
@@ -451,17 +464,17 @@ class _OscPlan:
     _require_h.  A sweep over h at one (box, psi, core radius) builds its
     windows once (cgo's bundles keep theirs from one call to the next).
 
-    Every result lives on the core window, and embed puts one on the box.
-    apply takes a full-box field, checks it for finite values on the
-    whole box and hands its input window to apply_window, which checks
-    that window; a caller whose field vanishes outside the input window
-    calls apply_window with the window alone.  apply_core takes a field on
-    the core window and checks it there; apply_window hands it its input
-    when the weighted input vanishes outside the core window.  The CGO
-    remainder series feeds its first term through apply_window and lives
-    on the core window after it: it calls apply_core and embeds s and r
-    into the box once.  Each call runs the support guard once, on the
-    window it convolves.
+    Every result lives on the core window, and windows.embed puts one on
+    the box.  apply takes a full-box field, checks it for finite values
+    on the whole box and hands its input window to apply_window, which
+    checks that window; a caller whose field vanishes outside the input
+    window calls apply_window with the window alone.  apply_core takes a
+    field on the core window and checks it there; apply_window hands it
+    its input when the weighted input vanishes outside the core window.
+    The CGO remainder series feeds its first term through apply_window and
+    lives on the core window after it: it calls apply_core and embeds s
+    and r into the box once.  Each call runs the support guard once, on
+    the window it convolves.
     """
 
     def __init__(self, windows: _OscWindows, h: float):
@@ -507,13 +520,6 @@ class _OscPlan:
         _support_guard(w, cheb, ws.grid.half, "oscillatory_dbar_inv")
         return np.where(ws.core, _cauchy_conv(w, khat, ws.core.shape), 0.0)
 
-    def embed(self, win: np.ndarray) -> np.ndarray:
-        """A core-window array on the full box, zero outside the window."""
-        n = self.windows.grid.n
-        out = np.zeros((n, n), dtype=complex)
-        out[self.windows.out] = win
-        return out
-
 
 def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
                          core_radius: float | None = None) -> ComplexField:
@@ -541,5 +547,5 @@ def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
         raise GridError("oscillatory inverses expect a field on a padded box")
     _require_h(h)
     plan = _OscPlan(_OscWindows(f.grid, psi, core_radius), h)
-    return ComplexField(plan.embed(plan.apply(f.values)), f.grid)
+    return ComplexField(plan.windows.embed(plan.apply(f.values)), f.grid)
 

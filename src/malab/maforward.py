@@ -465,6 +465,18 @@ def _laplacian(ops: StencilOps) -> _RedBlackLU:
     return lap
 
 
+def _source(F, grid: DomainGrid) -> tuple[np.ndarray, np.ndarray]:
+    """F on grid's lattice and on its domain nodes, or a GridError unless
+    it is finite and > 0 on the domain."""
+    Fv = lattice_values(F, grid)
+    Fvec = Fv[grid.mask]
+    if not np.all(np.isfinite(Fvec)):
+        raise GridError("source has non-finite values on the domain")
+    if np.min(Fvec) <= 0.0:
+        raise GridError("source must be uniformly positive on the domain")
+    return Fv, Fvec
+
+
 def poisson_init(grid: DomainGrid, F, data) -> tuple[np.ndarray, int]:
     """Initial guess of solve_ma: interior values and iteration count.
 
@@ -474,10 +486,11 @@ def poisson_init(grid: DomainGrid, F, data) -> tuple[np.ndarray, int]:
     with Laplace u > 0 solve det D^2 u = F (Benamou, Froese and Oberman,
     ESAIM: M2AN 44, 2010), one factored-Laplacian solve each; stop once
     the Hessian is positive and max|det D^2 u - F| < 0.1 max F, or drop
-    an iterate that does not lower that residual and stop.
+    an iterate that does not lower that residual and stop.  A source that
+    is not finite and > 0 on the domain is a GridError before any solve.
     """
+    _, Fvec = _source(F, grid)
     ops = build_stencil_ops(grid)
-    Fvec = lattice_values(F, grid)[grid.mask]
     phi = ops.crossing_values(data)
     lap, G = _laplacian(ops), ops.crossing_system(1.0, 0.0, 1.0) @ phi
     U = lap.solve(np.where(ops.pde, 2.0 * np.sqrt(Fvec), 0.0) - G)
@@ -618,13 +631,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
     GMRES miss of eta with its iteration count.
     """
     grid = source_grid(F, grid)
-    Fv = lattice_values(F, grid)
-    Fvec = Fv[grid.mask]
-    if not np.all(np.isfinite(Fvec)):
-        raise GridError("source has non-finite values on the domain")
-    if np.min(Fvec) <= 0.0:
-        raise GridError("source must be uniformly positive on the domain")
-
+    Fv, Fvec = _source(F, grid)
     ops = build_stencil_ops(grid)
     phic = ops.crossing_values(phi)
 

@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 
@@ -473,6 +474,17 @@ def test_holomorphic_amplitude_accepted_and_stored(box, phases, drift):
     assert np.array_equal(bundle.amplitude, 1.0 + 0.25 * box.zz)
 
 
+def test_constant_amplitude_is_a_read_only_broadcast(phases, drift):
+    # a constant is no box array: a zero-stride view of its value
+    for amplitude, value in ((None, 1.0), (2.0 - 0.5j, 2.0 - 0.5j)):
+        a = cgo.build_cgo_holo(phases["morse"], 0.283, drift,
+                               amplitude=amplitude).amplitude
+        assert a.strides == (0, 0) and not a.flags.writeable
+        assert a.dtype == complex and np.all(a == value)
+    with pytest.raises(GridError, match="amplitude: non-finite"):
+        cgo.build_cgo_holo(phases["morse"], 0.283, drift, amplitude=np.nan)
+
+
 def test_antiholomorphic_amplitude_rejected(box, phases, drift):
     with pytest.raises(GridError, match="holomorphic"):
         cgo.build_cgo_holo(phases["cp_free"], 0.283, drift,
@@ -617,15 +629,45 @@ def test_inputs_written_in_place_are_rebuilt(target):
 
 def test_bundle_writes_cannot_reach_the_next_bundle():
     phase, drift, q = _mid_inputs()
-    first = _fresh(cgo.build_cgo_holo, phase, 0.283, drift, q=q)
-    want = _bytes(first)
-    for field in (first.v, first.s, first.r):
-        field.values[:] = np.nan
-    first.amplitude[:] = np.nan
-    # the gauge field is the kept setup's own, so it is read-only
-    with pytest.raises(ValueError, match="read-only"):
-        first.alpha[0, 0] = np.nan
-    assert _bytes(cgo.build_cgo_holo(phase, 0.283, drift, q=q)) == want
+    # the default amplitude is a read-only broadcast; a callable's is an
+    # array of the bundle's own
+    for amplitude in (None, lambda z: 1.0 + 0.25 * z):
+        first = _fresh(cgo.build_cgo_holo, phase, 0.283, drift, q=q,
+                       amplitude=amplitude)
+        want = _bytes(first) + (first.amplitude.tobytes(),)
+        for field in (first.v, first.s, first.r):
+            field.values[:] = np.nan
+        if amplitude is None:
+            with pytest.raises(ValueError, match="read-only"):
+                first.amplitude[0, 0] = np.nan
+        else:
+            first.amplitude[:] = np.nan
+        # the gauge field is the kept setup's own, so it is read-only
+        with pytest.raises(ValueError, match="read-only"):
+            first.alpha[0, 0] = np.nan
+        again = cgo.build_cgo_holo(phase, 0.283, drift, q=q,
+                                   amplitude=amplitude)
+        assert _bytes(again) + (again.amplitude.tobytes(),) == want
+
+
+def test_a_bundle_allocates_no_box_array_beyond_its_outputs(box, phases,
+                                                            drift, qpot):
+    # with the setup warm, a bundle's box arrays are its outputs s, r and
+    # v (G^-1 e^{Phi/h} is formed in v's array, the default amplitude is a
+    # broadcast): 3 box arrays.  The series, the plan's weights, a + r and
+    # the residual's differences live on windows of at most 341^2 nodes,
+    # under half a box array each, and take at most 1.5 box arrays at
+    # once.  With a G^-1 e^{Phi/h} temporary, an amplitude of ones and the
+    # plan kept to the end, the peak read 5.33
+    cgo.build_cgo_holo(phases["morse"], 0.4, drift, q=qpot)
+    box_bytes = box.n ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        cgo.build_cgo_holo(phases["morse"], 0.283, drift, q=qpot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * box_bytes, peak / box_bytes
 
 
 def test_first_term_window_entry_is_the_full_box_route():

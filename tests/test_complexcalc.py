@@ -153,6 +153,19 @@ def test_cached_kernel_is_shared_by_equal_boxes_and_read_only():
         khat[0, 0] = 0.0
 
 
+def test_kernel_cache_keeps_what_one_call_reads():
+    # an _OscWindows reads two kernels and cauchy_inverse one, so the
+    # windows of a box push out its full-box kernel, which they never read
+    g = PaddedGrid(half=6.0, n=128)
+    X, Y = g.meshgrid()
+    cauchy_inverse(ComplexField(np.zeros((g.n, g.n)), g))
+    _OscWindows(g, 0.5 * X * Y - 0.2 * X)
+    info = _kernel_hat.cache_info()
+    assert info.currsize == 2
+    _kernel_hat(g, (2 * g.n, 2 * g.n), (g.n, g.n), (0, 0))
+    assert _kernel_hat.cache_info().misses == info.misses + 1
+
+
 def _kernel_layouts():
     """(grid, shape, n_out, shift) of every kernel the Cauchy transforms
     build: cauchy_inverse's 2n box at n = 128 and 97, and on the 512 box

@@ -394,11 +394,25 @@ def test_newton_starts_from_poisson_init(monkeypatch):
     assert sol.log[0][1] == np.max(np.abs(res)) and sol.log[0][4] == warm
 
 
-def test_poisson_init_stops_on_a_non_finite_source():
-    # a NaN residual is never lower, so the iteration stops after one step
+def _no_solve(*args):
+    raise AssertionError("the Laplacian was solved")
+
+
+def test_poisson_init_rejects_a_non_finite_source(monkeypatch):
+    # a NaN source would give an all-NaN guess; it is refused before any
+    # solve, as solve_ma refuses it
     g = build_disk(1.0, 32)
-    U, its = maforward.poisson_init(g, np.full((32, 32), np.nan), None)
-    assert its == 1 and np.all(np.isnan(U))
+    monkeypatch.setattr(maforward._RedBlackLU, "solve", _no_solve)
+    with pytest.raises(GridError, match="non-finite values on the domain"):
+        maforward.poisson_init(g, np.full((32, 32), np.nan), None)
+
+
+def test_poisson_init_rejects_a_negative_source(monkeypatch):
+    # sqrt(-1) would give an all-NaN guess
+    g = build_disk(1.0, 32)
+    monkeypatch.setattr(maforward._RedBlackLU, "solve", _no_solve)
+    with pytest.raises(GridError, match="uniformly positive on the domain"):
+        maforward.poisson_init(g, -1.0, None)
 
 
 def test_laplacian_factorization_is_kept_for_the_last_grid(monkeypatch):
