@@ -243,20 +243,27 @@ class PhaseSpec:
 
 
 def phase_spec(coeffs, grid: PaddedGrid, center=0j) -> PhaseSpec:
-    """Build a PhaseSpec from ascending polynomial coefficients."""
+    """Build a PhaseSpec from ascending polynomial coefficients.  A
+    non-finite coefficient or center, and a phase or derivative that
+    overflows on the box, are a GridError."""
     _require_padded(grid)
     cs = tuple(complex(c) for c in coeffs)
     if not cs:
         raise GridError("phase needs at least one coefficient")
+    if not np.all(np.isfinite((*cs, complex(center)))):
+        raise GridError("phase: non-finite coefficient or center")
     w = grid.zz - complex(center)
     vals, dvals = np.zeros_like(w), np.zeros_like(w)
     dcs = tuple(k * cs[k] for k in range(1, len(cs)))
     # Horner's rule in place
-    for p, cs_p in ((vals, cs), (dvals, dcs)):
-        for c in reversed(cs_p):
-            np.multiply(p, w, out=p)
-            p += c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, cs_p in ((vals, cs), (dvals, dcs)):
+            for c in reversed(cs_p):
+                np.multiply(p, w, out=p)
+                p += c
     del w
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
+        raise GridError("phase: values overflow on the box")
     if not dcs or all(c == 0 for c in dcs):
         has_cp = True                    # derivative vanishes identically
     else:
@@ -342,7 +349,7 @@ class CGOBundle:
     where the sum was actually truncated (argmin of term_norms when they
     fail to decrease, K otherwise).  build_cgo_holo stores a constant
     amplitude (the default is 1) as a read-only zero-stride broadcast of
-    its value.
+    its value, and build_cgo_antiholo the broadcast of its conjugate.
     """
 
     kind: str                            # "holo" | "antiholo" | "adjoint"
@@ -597,8 +604,11 @@ def build_cgo_antiholo(phase: PhaseSpec, h: float,
     X = drift if drift is not None else _zero_drift(grid)
     v_vals = np.conj(nb.v.values)
     res = drift_residual(v_vals, X, np.asarray(q), h, grid, nb.core_radius)
-    return replace(nb, kind="antiholo", phase=phase,
-                   amplitude=np.conj(nb.amplitude),
+    # nb has the default amplitude, a read-only broadcast of 1, and its
+    # conjugate is stored as one too
+    amplitude = np.broadcast_to(np.conj(nb.amplitude[0, 0]),
+                                nb.amplitude.shape)
+    return replace(nb, kind="antiholo", phase=phase, amplitude=amplitude,
                    s=ComplexField(np.conj(nb.s.values), grid),
                    r=ComplexField(np.conj(nb.r.values), grid),
                    v=ComplexField(v_vals, grid), residual=res)
@@ -636,11 +646,13 @@ def remainder_expansion(phase: PhaseSpec, f: ComplexField, N: int) -> tuple:
     Away from phase critical points, osc(f) = e^{-2i psi/h} sum_j h^j F_j +
     higher order, with F_1 = f / conj(dPhi) and F_{j+1} = -dzb(F_j) /
     conj(dPhi).  Returns (F_1, ..., F_{N+1}); rejects phases whose
-    derivative vanishes on the support of f.
+    derivative vanishes on the support of f, and an N that is not a
+    nonnegative integer.
     """
     grid = _require_padded(phase.grid)
-    if N < 0:
-        raise GridError("expansion order must be nonnegative")
+    if not (isinstance(N, numbers.Integral) and N >= 0):
+        raise GridError(
+            f"expansion order must be a nonnegative integer, got {N!r}")
     fv = f.values
     amax = float(np.max(np.abs(fv)))
     if amax == 0.0:

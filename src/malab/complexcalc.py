@@ -361,7 +361,12 @@ def conj_cauchy_inverse(omega: ComplexField) -> ComplexField:
 
 
 def smooth_cutoff(grid: PaddedGrid, r_inner: float, r_outer: float) -> np.ndarray:
-    """C^2 radial bump: 1 inside r_inner, 0 outside r_outer (quintic step)."""
+    """C^2 radial bump: 1 inside r_inner, 0 outside r_outer (quintic step).
+    Radii that are not finite with r_outer > r_inner are a GridError."""
+    if not (np.isfinite(r_inner) and np.isfinite(r_outer)
+            and r_outer > r_inner):
+        raise GridError(f"cutoff radii must be finite with r_outer > "
+                        f"r_inner, got ({r_inner}, {r_outer})")
     return _radial_step(grid.x, r_inner, r_outer)
 
 

@@ -483,8 +483,12 @@ def tangential_derivative(grid: DomainGrid, vals: np.ndarray,
 
     Spectral in the uniform ring parameter theta (the Nyquist mode has no
     odd derivative and is zeroed), divided by the ring's speed
-    |dp/dtheta| = ds M / 2 pi at every step.
+    |dp/dtheta| = ds M / 2 pi at every step.  An order that is not a
+    non-negative integer is a GridError.
     """
+    if not (isinstance(order, numbers.Integral) and order >= 0):
+        raise GridError(
+            f"derivative order must be a non-negative integer, not {order!r}")
     b = grid.boundary
     M = len(b)
     speed = b.ds * M / (2.0 * np.pi)

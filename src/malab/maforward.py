@@ -36,13 +36,14 @@ Systems, sections 3.3 and 13.2). That factorization, and the linearized
 systems of `linearize` and `dnmap`, go through one layer, SparseLU: one
 factorization per matrix, any number of right sides, and a residual
 check on every column when asked.
-Two things outlive a call, both keyed by the grid, so an equal grid built
-twice hits: build_stencil_ops is a functools.lru_cache that keeps the
-operators of the one grid used last, and the Laplacian's factors are
-kept for the one grid solved on last, dropped before another grid's are
-made (about 19 MB at n = 232, against 22 MB for an LU of the whole
-Laplacian). Their arrays are read-only, so no caller can change what
-another is handed. No other factorization outlives its call.
+One cache outlives a call: build_stencil_ops, a functools.lru_cache
+keyed by the grid, keeps the operators of the one grid used last, so an
+equal grid built twice hits. The operators own their factored Laplacian
+(StencilOps._laplacian, made at its first use: about 19 MB at n = 232,
+against 22 MB for an LU of the whole Laplacian), so an evicted grid's
+factors go with its operators, before the next grid's are made, unless a
+caller still holds them. Their arrays are read-only, so no caller can
+change what another is handed. No other factorization outlives its call.
 
 scipy.sparse is the only part of scipy that malab uses, and it loads at
 the first build_stencil_ops that misses its cache: every solve starts there,
@@ -261,7 +262,8 @@ class StencilOps:
     the column of direction s. An operator holds one row of values per
     slot it uses (_LAYOUT), zero where it has no entry, and operator()
     gives it as a CSR matrix. Every array is read-only; build_stencil_ops
-    keeps the operators of the one grid used last.
+    keeps the operators of the one grid used last, and _laplacian is their
+    Laplacian system(1, 0, 1), factored at its first use.
     """
 
     grid: DomainGrid
@@ -302,9 +304,7 @@ class StencilOps:
         and f = 0 on the interpolation rows. Each entry is summed as
         diag(c) L over the terms in the order '11', '22', '12', drift, then
         R (whose rows no term touches), then c0 on the PDE rows; exact
-        zeros are dropped, so the pattern is that of the sparse sum. The
-        Laplacian system(1, 0, 1) is factored once per grid: _LAPLACIAN
-        keeps its factors for the one grid solved on last, keyed by grid."""
+        zeros are dropped, so the pattern is that of the sparse sum."""
         vals = np.zeros((9, self.N))
         for c, k in _terms(a11, a12, a22, X1, X2):
             vals[_LAYOUT[k][0]] += c * self.L[k]
@@ -321,12 +321,20 @@ class StencilOps:
                 c, (self.N,))[self.qrows] * self.G[k]
         return _csr(vals, self.qcols, self.qrows, (self.N, len(self.qx)))
 
+    @functools.cached_property
+    def _laplacian(self) -> _RedBlackLU:
+        """The factored Laplacian L11 + L22 + R, kept with the operators."""
+        return _RedBlackLU(self)
+
 
 @functools.lru_cache(maxsize=1)
 def build_stencil_ops(grid: DomainGrid) -> StencilOps:
     """Assemble (and cache) the masked difference operators for a grid.
 
-    Every array of the result is read-only: equal grids share it.
+    Every array of the result is read-only: equal grids share it.  The
+    cache keeps the operators of the one grid used last, keyed by the
+    grid, and with them their factored Laplacian once a solve has made it;
+    building another grid's operators drops both.
     """
     # every domain-half solve starts here, so no solve pays for the import
     import scipy.sparse.linalg
@@ -452,19 +460,6 @@ class _RedBlackLU:
         return x
 
 
-# the factored Laplacian of the grid solved on last, keyed by the grid
-_LAPLACIAN: dict = {}
-
-
-def _laplacian(ops: StencilOps) -> _RedBlackLU:
-    """The factored Laplacian L11 + L22 + R of ops.grid, from _LAPLACIAN."""
-    lap = _LAPLACIAN.get(ops.grid)
-    if lap is None:
-        _LAPLACIAN.clear()   # the old factors go before the new are made
-        lap = _LAPLACIAN[ops.grid] = _RedBlackLU(ops)
-    return lap
-
-
 def _source(F, grid: DomainGrid) -> tuple[np.ndarray, np.ndarray]:
     """F on grid's lattice and on its domain nodes, or a GridError unless
     it is finite and > 0 on the domain."""
@@ -492,7 +487,7 @@ def poisson_init(grid: DomainGrid, F, data) -> tuple[np.ndarray, int]:
     _, Fvec = _source(F, grid)
     ops = build_stencil_ops(grid)
     phi = ops.crossing_values(data)
-    lap, G = _laplacian(ops), ops.crossing_system(1.0, 0.0, 1.0) @ phi
+    lap, G = ops._laplacian, ops.crossing_system(1.0, 0.0, 1.0) @ phi
     U = lap.solve(np.where(ops.pde, 2.0 * np.sqrt(Fvec), 0.0) - G)
     h, _, rnorm, lam_min = _state(ops, U, phi, Fvec)
     target, its = 0.1 * float(np.max(Fvec)), 0
@@ -636,7 +631,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
     phic = ops.crossing_values(phi)
 
     U, warm = poisson_init(grid, Fv, phi)
-    lap = _laplacian(ops)
+    lap = ops._laplacian
     Ftarget = NEWTON_TOL * float(np.max(np.abs(Fvec)))
     (h11, h22, h12), res, rnorm, lam_min = _state(ops, U, phic, Fvec)
     log = [(0, rnorm, 1.0, lam_min, warm)]

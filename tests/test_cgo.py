@@ -215,6 +215,19 @@ def test_phase_negation_and_degenerate_cases(box, phases):
         cgo.phase_spec((0.0, 1.0), build_disk(1.0, 32))
 
 
+@pytest.mark.parametrize("coeffs, center, cause", [
+    ((0.0, np.nan), 0j, "non-finite coefficient or center"),
+    ((0.0, np.inf), 0j, "non-finite coefficient or center"),
+    ((0.0, 1.0), complex(0.0, np.nan), "non-finite coefficient or center"),
+    ((0.0, 0.0, 0.0, 1e307), 0j, "values overflow on the box")])
+def test_phase_spec_rejects_non_finite_phases(coeffs, center, cause):
+    # (0, nan) used to give a phase of NaN that build_cgo_holo refused only
+    # after the gauge's FFTs, and (0, inf) a bare RuntimeWarning; 1e307 z^3
+    # overflows at |z| near 8.5, the corners of the half = 6 box
+    with pytest.raises(GridError, match=cause):
+        cgo.phase_spec(coeffs, PaddedGrid(half=6.0, n=32), center)
+
+
 # ---------------------------------------------------------------------------
 # Neumann operator
 
@@ -913,6 +926,17 @@ def test_antiholo_is_conjugate_of_negated_holo(box, phases, drift, qpot):
     assert anti.residual <= 2e-5        # measured 3.8e-6
 
 
+def test_antiholo_amplitude_is_a_read_only_broadcast(phases, drift):
+    # the conjugate of the holo bundle's constant is no box array either
+    anti = cgo.build_cgo_antiholo(phases["cp_free"], 0.283, drift)
+    holo = cgo.build_cgo_holo(phases["cp_free"].negated(), 0.283, drift)
+    a = anti.amplitude
+    assert a.strides == (0, 0) and not a.flags.writeable
+    ref = np.conj(holo.amplitude)
+    assert a.shape == ref.shape and a.dtype == ref.dtype
+    assert a.tobytes() == ref.tobytes()
+
+
 def test_antiholo_rejects_complex_potential(box, phases, drift):
     with pytest.raises(GridError):
         cgo.build_cgo_antiholo(phases["cp_free"], 0.283, drift, q=0.1j)
@@ -991,6 +1015,15 @@ def test_expansion_rejects_critical_point_on_support(box, coords, phases):
         cgo.remainder_expansion(
             phases["cp_free"],
             ComplexField(np.zeros((box.n, box.n), dtype=complex), box), 1)
+
+
+@pytest.mark.parametrize("N", [1.5, np.float64(2.0), -1])
+def test_expansion_rejects_a_non_integer_order(N):
+    # 1.5 used to raise a bare TypeError
+    g = PaddedGrid(half=6.0, n=32)
+    f = ComplexField(np.ones((g.n, g.n), dtype=complex), g)
+    with pytest.raises(GridError, match="nonnegative integer"):
+        cgo.remainder_expansion(cgo.phase_spec((0.0, 1.0), g), f, N)
 
 
 def test_cz_diagnostic_bounded_on_sweep(morse_sweep):

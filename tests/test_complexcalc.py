@@ -457,3 +457,11 @@ def test_smooth_cutoff_profile():
     assert np.all(E[r <= 1.0] == 1.0)
     assert np.all(E[r >= 2.0] == 0.0)
     assert np.all((E >= 0) & (E <= 1))
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (2.0, 1.0), (np.nan, 2.0),
+                                   (1.0, np.inf)])
+def test_smooth_cutoff_rejects_bad_radii(radii):
+    # (1, 1) used to divide by zero and (2, 1) to return a step
+    with pytest.raises(GridError, match="cutoff radii must be finite"):
+        smooth_cutoff(PaddedGrid(half=3.0, n=32), *radii)

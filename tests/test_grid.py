@@ -337,6 +337,14 @@ def test_stacked_ring_operators_equal_their_columns(a, b):
                                   tangential_derivative(g, anchor[:, j], order))
 
 
+@pytest.mark.parametrize("order", [-1, 1.5, "1"])
+def test_tangential_derivative_rejects_a_bad_order(order):
+    # -1 used to return the samples unchanged
+    g = build_disk(1.0, 32)
+    with pytest.raises(GridError, match="non-negative integer"):
+        tangential_derivative(g, np.ones(len(g.boundary)), order)
+
+
 def test_domain_grid_arrays_are_read_only():
     # equal grids share the stencil operators built from the first one, so
     # no grid may change the arrays those were built from

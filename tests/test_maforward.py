@@ -1,6 +1,8 @@
 """Forward Monge-Ampere solver tests: benchmarks with known solutions,
 Newton behavior, and the stencil and solver layers."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -47,7 +49,7 @@ def test_zero_data_radial_scaling():
     assert np.max(np.abs((sol.u.values - (X**2 + Y**2 - 1.0))[g.mask])) < 5e-4
 
 
-def test_zero_cache_matches_explicit_call():
+def test_solve_ma_zero_is_solve_ma_with_zero_data():
     """solve_ma_zero is solve_ma with zero data, bitwise, on every call."""
     g = build_disk(1.0, 48)
     X, _ = g.meshgrid()
@@ -61,7 +63,7 @@ def test_zero_cache_matches_explicit_call():
     assert np.array_equal(solve_ma_zero(F).u.values, a.u.values)
 
 
-def test_zero_cache_hands_out_read_only_arrays():
+def test_zero_data_solve_shares_only_read_only_arrays():
     """What a zero-data solve shares is read-only; what it hands out is
     its own: writing one result's arrays does not reach the next call, and
     the caller's source array stays writable."""
@@ -323,7 +325,7 @@ def test_newton_takes_one_lu_solve_per_krylov_iteration(build, monkeypatch):
         solves.append(rtol)
         return solve(self, rhs, rtol)
     monkeypatch.setattr(SparseLU, "solve", spy)
-    maforward._LAPLACIAN.clear()
+    build_stencil_ops.cache_clear()
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
     assert len(sol.log) >= 3 and sol.log[0][4] >= 1
     assert all(len(row) == 5 for row in sol.log)
@@ -418,30 +420,34 @@ def test_poisson_init_rejects_a_negative_source(monkeypatch):
 def test_laplacian_factorization_is_kept_for_the_last_grid(monkeypatch):
     g = build_disk(1.0, 48)
     X, _ = g.meshgrid()
-    maforward._LAPLACIAN.clear()
+    build_stencil_ops.cache_clear()
     cold = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
-    lap = maforward._LAPLACIAN[g]
+    lap = build_stencil_ops(g)._laplacian
     arrays = [lap.red, lap.black, lap.dinv]
     for M in (lap.Arb, lap.Abr, lap.lu.A):
         arrays += [M.data, M.indices, M.indptr]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[:1] = 0
-    # record how many Laplacians are held whenever a factorization starts
-    held, factor = [], SparseLU.__init__
+    # the test keeps only a weak reference, so the operators' cache entry
+    # is all that holds the factors; record at the start of every
+    # factorization whether the old grid's factors are still alive
+    old = weakref.ref(lap)
+    del lap, arrays, M, arr
+    alive, factor = [], SparseLU.__init__
 
     def spy(self, A):
-        held.append(len(maforward._LAPLACIAN))
+        alive.append(old() is not None)
         factor(self, A)
     monkeypatch.setattr(SparseLU, "__init__", spy)
     twin = build_disk(1.0, 48)
     warm = solve_ma(ScalarField(X ** 2 + 1.0, twin), _ustar)
-    assert held == [] and maforward._LAPLACIAN[g] is lap
+    assert alive == [] and build_stencil_ops(twin)._laplacian is old()
     assert np.array_equal(warm.u.values, cold.u.values)
     assert warm.log == cold.log
     other = build_disk(0.9, 48)
     solve_ma(ScalarField(X ** 2 + 1.0, other), _ustar)
-    assert held == [0] and list(maforward._LAPLACIAN) == [other]
+    assert alive == [False] and old() is None
 
 
 def _reference_sum(ops, side, coeffs, c0=None):
@@ -517,7 +523,7 @@ def test_sparse_lu_residual_check_is_live():
     assert np.all(np.isfinite(lu.solve(b, rtol=1e-10)))
 
 
-def test_zero_cache_results_do_not_share_mutations():
+def test_zero_data_results_do_not_share_mutations():
     g = build_disk(1.0, 44)
     X, _ = g.meshgrid()
     F = ScalarField(X ** 2 + 1.0, g)
