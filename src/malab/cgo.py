@@ -74,10 +74,11 @@ def _l2(vals: np.ndarray, grid: PaddedGrid, where=None) -> float:
     return float(np.sqrt(np.real(grid.quadrature(v2))))
 
 
-def _measurement_disk(grid: PaddedGrid, rc: float) -> tuple:
-    """The core disk less the 3-node reach of the 4th-order differences,
-    as the slices of its bounding box and the mask on them, or a
-    GridError if it holds no node."""
+def _measurement_disk(grid: PaddedGrid) -> tuple:
+    """The core disk (radius half / CORE_DIVISOR) less the 3-node reach of
+    the 4th-order differences, as the slices of its bounding box and the
+    mask on them, or a GridError if it holds no node."""
+    rc = grid.half / CORE_DIVISOR
     at, mask = grid.core_window(max(rc - 3.0 * grid.dx, 0.0))
     if rc <= 3.0 * grid.dx or not mask.any():
         raise GridError(f"core radius {rc:.4g} leaves no node to measure "
@@ -393,26 +394,25 @@ def _eval_amplitude(amplitude, grid: PaddedGrid) -> np.ndarray:
 
 
 def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
-                   grid: PaddedGrid, rc: float,
                    conservative: bool = False) -> float:
     """Normalized PDE residual of a candidate solution over the core.
 
     Applies -lap + X.grad + q (or the adjoint -lap - div(X .) + q in
-    conservative form) with 4th-order periodic differences, measures the L2
-    norm over the eroded core disk, and normalizes by h^-2 times the
-    solution's norm there: the natural size of any single second-order
-    term.  The differences run only on the disk's bounding box grown by
-    their 2-node reach (wrapping as periodic_fd4 does), with the same
-    per-node arithmetic as on the whole box.  A bad h, drift or q, and a
-    candidate that is not a finite field of the box, are a GridError
-    before any difference, as in build_cgo_holo.
+    conservative form) with 4th-order differences on the drift's box,
+    measures the L2 norm over the measurement disk, and normalizes by h^-2
+    times the solution's norm there: the natural size of any single
+    second-order term.  The differences run only on the disk's bounding
+    box grown by their 2-node reach (|x| <= rc - dx, inside the box), with
+    the same per-node arithmetic as on the whole box.  A bad h, drift or q, and a candidate
+    that is not a finite field of the box, are a GridError before any
+    difference, as in build_cgo_holo.
     """
     _require_h(h)
+    grid = _require_padded(X.grid)
     qv = _require_terms(grid, X, q)
     vals = _require_finite(vals, grid, "drift_residual")
-    box, mask = _measurement_disk(grid, rc)
-    grown = np.ix_(*(np.arange(b.start - 2, b.stop + 2) % grid.n
-                     for b in box))
+    box, mask = _measurement_disk(grid)
+    grown = tuple(slice(b.start - 2, b.stop + 2) for b in box)
     v = vals[grown]
     c1, c2 = X.c1[grown], X.c2[grown]
 
@@ -436,7 +436,7 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
 
 def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude,
                    K) -> tuple:
-    """(grid, drift, q, core radius, amplitude values) of a bundle, after
+    """(grid, drift, q, amplitude values) of a bundle, after
     the guards every call runs before any FFT (build_cgo_holo); the
     drift's own guards run in _gauge_source."""
     grid = _require_padded(phase.grid)
@@ -446,9 +446,8 @@ def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude,
             f"series depth must be a nonnegative integer, got {K!r}")
     X = drift if drift is not None else _zero_drift(grid)
     qv = _require_terms(grid, X, q)
-    rc = grid.half / CORE_DIVISOR
-    _measurement_disk(grid, rc)
-    return grid, X, qv, rc, _eval_amplitude(amplitude, grid)
+    _measurement_disk(grid)
+    return grid, X, qv, _eval_amplitude(amplitude, grid)
 
 
 class _Setup:
@@ -456,7 +455,7 @@ class _Setup:
 
     The gauge field alpha, after the drift's guards and the gauge factor's
     lower-bound check, and G^-1 = exp(-i alpha); the _OscWindows of (box,
-    psi, core radius); and the series weights, V on the input window and
+    psi); and the series weights, V on the input window and
     V' and V on the core window.  key holds copies of psi, X.c1, X.c2 and
     q, which matches compares with a later call's by value.  Every array
     it holds is read-only.
@@ -468,8 +467,8 @@ class _Setup:
     windows.
     """
 
-    def __init__(self, grid: PaddedGrid, psi, X: VectorField, qv, rc: float):
-        self.grid, self.rc = grid, rc
+    def __init__(self, grid: PaddedGrid, psi, X: VectorField, qv):
+        self.grid = grid
         self.key = tuple(np.array(a) for a in (psi, X.c1, X.c2, qv))
         alpha, ga = _gauge(_gauge_source(X), grid)
         im_max = float(np.max(np.abs(np.imag(alpha))))
@@ -478,7 +477,7 @@ class _Setup:
         # G^-1 = exp(-i alpha) is written into exp(i alpha)'s array
         np.multiply(-1j, alpha, out=ga)
         self.alpha, self.Ginv = alpha, np.exp(ga, out=ga)
-        ws = self.windows = _OscWindows(grid, self.key[0], rc)
+        ws = self.windows = _OscWindows(grid, self.key[0])
         # V is read on the input window, V' and every later V on the core
         # window
         self.Vin, self.vpw = _weights(alpha, X, qv, ws.inp, ws.out)
@@ -499,13 +498,13 @@ class _Setup:
 _SETUP: list = []
 
 
-def _setup(grid: PaddedGrid, psi, X: VectorField, qv, rc: float) -> _Setup:
+def _setup(grid: PaddedGrid, psi, X: VectorField, qv) -> _Setup:
     """The _Setup of these inputs: the stored one when they equal its key,
     else a new one that replaces it."""
     if _SETUP and _SETUP[0].matches(grid, psi, X, qv):
         return _SETUP[0]
     _SETUP.clear()
-    _SETUP.append(_Setup(grid, psi, X, qv, rc))
+    _SETUP.append(_Setup(grid, psi, X, qv))
     return _SETUP[0]
 
 
@@ -513,7 +512,7 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
                X: VectorField, qv, a_vals: np.ndarray) -> CGOBundle:
     """The per-h half of build_cgo_holo: the resolution guard, the weight
     at h, the series, v and its residual."""
-    grid, rc, alpha, ws = setup.grid, setup.rc, setup.alpha, setup.windows
+    grid, alpha, ws = setup.grid, setup.alpha, setup.windows
     plan = _OscPlan(ws, h)
     # V a vanishes outside the input window, where V lives
     Va = setup.Vin * a_vals[ws.inp]
@@ -548,12 +547,13 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
     np.multiply(v_vals, a_vals, out=v_vals)
     v_vals[ws.out] = a_r
     del a_r
-    res = drift_residual(v_vals, X, qv, h, grid, rc)
+    res = drift_residual(v_vals, X, qv, h)
     s_vals = ws.embed(s_win)
-    return CGOBundle("holo", phase, float(h), int(K), int(k_eff), float(rc),
-                     alpha, a_vals, ComplexField(s_vals, grid),
-                     ComplexField(r_vals, grid), ComplexField(v_vals, grid),
-                     res, tuple(norms), _l2(r_win, grid))
+    return CGOBundle("holo", phase, float(h), int(K), int(k_eff),
+                     float(grid.half / CORE_DIVISOR), alpha, a_vals,
+                     ComplexField(s_vals, grid), ComplexField(r_vals, grid),
+                     ComplexField(v_vals, grid), res, tuple(norms),
+                     _l2(r_win, grid))
 
 
 def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
@@ -583,8 +583,8 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     integer, a q that is not a finite scalar or box field, and a
     non-finite amplitude or drift raise a GridError before any FFT.
     """
-    grid, X, qv, rc, a_vals = _bundle_inputs(phase, h, drift, q, amplitude, K)
-    return _bundle_at(_setup(grid, phase.psi, X, qv, rc), phase, h, K, X, qv,
+    grid, X, qv, a_vals = _bundle_inputs(phase, h, drift, q, amplitude, K)
+    return _bundle_at(_setup(grid, phase.psi, X, qv), phase, h, K, X, qv,
                       a_vals)
 
 
@@ -603,7 +603,7 @@ def build_cgo_antiholo(phase: PhaseSpec, h: float,
     nb = build_cgo_holo(phase.negated(), h, drift, q)
     X = drift if drift is not None else _zero_drift(grid)
     v_vals = np.conj(nb.v.values)
-    res = drift_residual(v_vals, X, np.asarray(q), h, grid, nb.core_radius)
+    res = drift_residual(v_vals, X, np.asarray(q), h)
     # nb has the default amplitude, a read-only broadcast of 1, and its
     # conjugate is stored as one too
     amplitude = np.broadcast_to(np.conj(nb.amplitude[0, 0]),
@@ -631,8 +631,7 @@ def build_cgo_adjoint(phase: PhaseSpec, h: float,
            + spectral_deriv(X.c2, grid, 0, 1))
     Xneg = VectorField(-X.c1, -X.c2, grid)
     nb = build_cgo_holo(phase, h, Xneg, qv - div)
-    res = drift_residual(nb.v.values, X, qv, h, grid, nb.core_radius,
-                         conservative=True)
+    res = drift_residual(nb.v.values, X, qv, h, conservative=True)
     return replace(nb, kind="adjoint", residual=res)
 
 
@@ -686,7 +685,7 @@ def cz_diagnostic(bundle: CGOBundle) -> float:
     """
     grid = bundle.r.grid
     rc = bundle.core_radius
-    at, mask = _measurement_disk(grid, rc)
+    at, mask = _measurement_disk(grid)
     disk = np.zeros((grid.n, grid.n), dtype=bool)
     disk[at] = mask
     rv = bundle.r.values

@@ -30,7 +30,7 @@ where the cutoff E is nonzero, and write output only on the core window
 lengths in nodes along an axis, a circular FFT of any size N >= L_in +
 L_out - 1 reproduces the full-box sum term for term (N is chosen
 2,3,5-smooth); input that vanishes outside the core window is convolved
-from there.  Their per-(box, psi, rc) data lives in one _OscWindows,
+from there.  Their per-(box, psi) data lives in one _OscWindows,
 computed on the windows from the 1-D axis (only psi's finite check reads
 the whole box), which the CGO series builds once per sweep over h, and one
 _OscPlan(windows, h) adds what h changes (the weight and the resolution
@@ -54,7 +54,7 @@ from .grid import ComplexField, DomainGrid, GridError, PaddedGrid
 NODES_PER_OSC = 6.0
 
 # the core disk, where the oscillatory inverses and the CGO bundles are
-# measured, has radius half / CORE_DIVISOR unless a caller sets one
+# measured, has radius rc = half / CORE_DIVISOR (the cutoff E reaches 2 rc)
 CORE_DIVISOR = 3.0
 
 
@@ -66,8 +66,11 @@ def _wavenumbers(grid: PaddedGrid, odd1: bool, odd2: bool):
     """Box wavenumbers as a column (axis 0) and a row (axis 1).
 
     On an even box the Nyquist wavenumber of an axis flagged odd is zeroed:
-    that unbalanced mode has no real odd derivative.
+    that unbalanced mode has no real odd derivative.  A domain is refused.
     """
+    if not isinstance(grid, PaddedGrid):
+        raise GridError(f"spectral derivatives need a PaddedGrid, not a "
+                        f"{type(grid).__name__}")
     ks = []
     for odd in (odd1, odd2):
         k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
@@ -209,12 +212,14 @@ def masked_deriv2(vals: np.ndarray, grid: DomainGrid, axes: tuple[int, int]) -> 
 def deriv(vals: np.ndarray, grid, o1: int, o2: int) -> np.ndarray:
     """(d/dx1)^o1 (d/dx2)^o2 of total order 1 or 2 on the grid's lattice.
 
-    Spectral on a padded box, masked differences on a domain.
+    Spectral on a padded box, masked differences on a domain; real on both
+    for real input (on a box, the real part of the spectral derivative).
     """
     if min(o1, o2) < 0 or o1 + o2 not in (1, 2):
         raise GridError(f"derivative order ({o1}, {o2}) is not 1 or 2")
     if isinstance(grid, PaddedGrid):
-        return spectral_deriv(vals, grid, o1, o2)
+        out = spectral_deriv(vals, grid, o1, o2)
+        return out if np.iscomplexobj(vals) else out.real
     if isinstance(grid, DomainGrid):
         axes = (0,) * o1 + (1,) * o2
         if len(axes) == 1:
@@ -386,34 +391,31 @@ def _bounding_slices(mask: np.ndarray) -> tuple:
 
 
 class _OscWindows:
-    """The h-free half of an _OscPlan, for one (box, psi, core radius).
+    """The h-free half of an _OscPlan, for one (box, psi).
 
     Holds the input window inp (bounding box of the cutoff E's support,
     inside |x|, |y| < 2 rc), the core window out (bounding box of the core
     disk, inside |x|, |y| <= rc), psi and E on the input window, max |grad
     psi| over E > 0, the core mask on the core window and two kernel
     FFTs: one from the input window to the core window, and one from the
-    core window to itself.  The constructor runs the psi (finite, real)
-    and core-radius checks.  psi on the input window is a view of the
-    caller's array; every other array is the windows' own.  Only the
+    core window to itself; rc = half / CORE_DIVISOR.  The constructor runs
+    the psi (finite, real) checks.  psi on the input window is a view of
+    the caller's array; every other array is the windows' own.  Only the
     finite check reads the whole box: E, |grad psi|, the cheb distances
     and the core mask are computed on the windows, from the 1-D axis,
     with the full-box values bit for bit.  embed puts a core-window array
-    on the box.
+    on the box.  On any box rc = n dx / 6 > 2 dx: the core disk holds a
+    node, and the input window (|x| < 2 rc) grown by one node lies inside
+    the box, whose nodes run from -half to half - dx.
     """
 
-    def __init__(self, grid: PaddedGrid, psi, core_radius: float | None = None):
+    def __init__(self, grid: PaddedGrid, psi):
         psi_vals = _require_finite(psi.values if hasattr(psi, "values") else psi,
                                    grid, "psi")
         if psi_vals.dtype.kind not in "biuf":
             raise GridError(f"psi must be real, got {psi_vals.dtype} values")
-        rc = grid.half / CORE_DIVISOR if core_radius is None else core_radius
-        if not (np.isfinite(rc) and rc > 0):
-            raise GridError(
-                f"core radius must be positive and finite, got {rc}")
+        rc = grid.half / CORE_DIVISOR
         self.out, self.core = grid.core_window(rc)
-        if not self.core.any():
-            raise GridError(f"core radius {rc:.4g} holds no node of the box")
         # E vanishes where r >= 2 rc, and r >= |x| on either axis: E's
         # support lies in the nodes with |x| < 2 rc (one node of slack
         # covers the rounding of r)
@@ -427,15 +429,12 @@ class _OscWindows:
         self.cutoff = E[sub].copy()
 
         # np.gradient, not spectral: the phase is generally not box
-        # periodic; on the input window grown by one node (within the box)
-        # its differences at the window's nodes are the full box's
-        grown = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, grid.n))
-                      for s in self.inp)
+        # periodic; on the input window grown by one node its central
+        # differences at the window's nodes are the full box's
+        grown = tuple(slice(s.start - 1, s.stop + 1) for s in self.inp)
         g1, g2 = np.gradient(psi_vals[grown], grid.dx, edge_order=2)
-        keep = tuple(slice(s.start - g.start, s.stop - g.start)
-                     for s, g in zip(self.inp, grown))
         self.grad_max = float(
-            np.max(np.hypot(g1[keep], g2[keep])[self.cutoff > 0]))
+            np.max(np.hypot(g1[1:-1, 1:-1], g2[1:-1, 1:-1])[self.cutoff > 0]))
 
         self.grid = grid
         self.psi = psi_vals[self.inp]
@@ -462,11 +461,11 @@ class _OscWindows:
 
 
 class _OscPlan:
-    """The oscillatory inverse for one (box, psi, h, core radius).
+    """The oscillatory inverse for one (box, psi, h).
 
     An _OscWindows, windows, and what h adds to it: the resolution guard
     and the windowed weight exp(-2i psi/h) E, for an h that passed
-    _require_h.  A sweep over h at one (box, psi, core radius) builds its
+    _require_h.  A sweep over h at one (box, psi) builds its
     windows once (cgo's bundles keep theirs from one call to the next).
 
     Every result lives on the core window, and windows.embed puts one on
@@ -526,11 +525,10 @@ class _OscPlan:
         return np.where(ws.core, _cauchy_conv(w, khat, ws.core.shape), 0.0)
 
 
-def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
-                         core_radius: float | None = None) -> ComplexField:
+def oscillatory_dbar_inv(f: ComplexField, psi, h: float) -> ComplexField:
     """Oscillatory inverse: restrict(cauchy_inverse(exp(-2i psi/h) E f)).
 
-    E is a fixed C^2 cutoff equal to 1 on the core disk (radius rc, default
+    E is a fixed C^2 cutoff equal to 1 on the core disk (radius rc =
     half/3) and 0 beyond 2 rc; the result is restricted (zeroed) outside
     the core.  Rejects non-finite f, a non-finite or complex psi, and h
     too small for the grid to resolve the oscillation, reporting the
@@ -551,6 +549,6 @@ def oscillatory_dbar_inv(f: ComplexField, psi, h: float,
     if not isinstance(f.grid, PaddedGrid):
         raise GridError("oscillatory inverses expect a field on a padded box")
     _require_h(h)
-    plan = _OscPlan(_OscWindows(f.grid, psi, core_radius), h)
+    plan = _OscPlan(_OscWindows(f.grid, psi), h)
     return ComplexField(plan.windows.embed(plan.apply(f.values)), f.grid)
 

@@ -172,9 +172,8 @@ def dn_lin_matrix(g: MetricField, X, K: int = 6, *,
 # boundary determination
 
 
-def recover_boundary_hessian(lam0: BoundaryTrace, Fb, grid: DomainGrid,
-                             data=None, frame: str = "local",
-                             kmax: int | None = None):
+def recover_boundary_hessian(lam0: BoundaryTrace, Fb, data=None,
+                             frame: str = "local", kmax: int | None = None):
     """Full Hessian of the base solution on the boundary, node by node.
 
     In the tangent/normal frame, the arclength second derivative of the
@@ -185,12 +184,12 @@ def recover_boundary_hessian(lam0: BoundaryTrace, Fb, grid: DomainGrid,
     (u_tt, u_tn, u_nn), or the Cartesian entries (u_11, u_12, u_22) when
     frame="cartesian". kmax, a non-negative integer, keeps only the ring
     modes k <= kmax of the measured trace before arclength
-    differentiation; exact inputs need none.
+    differentiation; exact inputs need none. The grid is lam0's; a trace
+    from another grid in Fb or data is a GridError.
     """
     if frame not in ("local", "cartesian"):
         raise GridError(f"unknown frame {frame!r}")
-    if lam0.grid != grid:
-        raise GridError("normal derivative trace lives on a different grid")
+    grid = lam0.grid
     lam = np.asarray(lam0.values, dtype=float)
     if kmax is not None:
         # a measured trace carries node-decorrelated interpolation noise,
@@ -233,7 +232,7 @@ def recover_boundary_hessian(lam0: BoundaryTrace, Fb, grid: DomainGrid,
     return tuple(BoundaryTrace(t, grid) for t in traces)
 
 
-def recover_boundary_third(dnu_F, second, grid: DomainGrid) -> BoundaryTrace:
+def recover_boundary_third(dnu_F, second) -> BoundaryTrace:
     """Third normal derivative of the base solution on the boundary.
 
     Differentiates det D^2 u = F along the normal and solves for the pure
@@ -245,9 +244,11 @@ def recover_boundary_third(dnu_F, second, grid: DomainGrid) -> BoundaryTrace:
         u_tnn = u_nn' - 2 kappa u_tn
 
     and the differentiated equation gives
-    u_nnn = (dnu_F - u_ttn u_nn + 2 u_tn u_tnn) / u_tt.
+    u_nnn = (dnu_F - u_ttn u_nn + 2 u_tn u_tnn) / u_tt, on the grid the
+    three traces share (traces from two grids are a GridError).
     """
-    if any(t.grid != grid for t in second):
+    grid = second[0].grid
+    if any(t.grid != grid for t in second[1:]):
         raise GridError("second-order trace lives on a different grid")
     utt = np.asarray(second[0].values, dtype=float)
     utn = np.asarray(second[1].values, dtype=float)

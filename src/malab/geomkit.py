@@ -63,12 +63,6 @@ INVERSION_RTOL = 1e-12
 INVERSION_MAX_ITER = 80
 
 
-def _dre(vals, grid, o1, o2):
-    """Real part of the dispatched derivative (spectral output is complex)."""
-    out = deriv(vals, grid, o1, o2)
-    return out.real if np.iscomplexobj(out) else out
-
-
 def _covariant(g: MetricField):
     """Nodewise inverse of the stored contravariant components."""
     if not all(np.all(np.isfinite(c)) for c in (g.g11, g.g12, g.g22)):
@@ -121,8 +115,9 @@ class DiffeoField:
         """Entries (j11, j12, j21, j22) of dJ^a/dx^b, cached."""
         if self._jac is None:
             g = self.grid
-            self._jac = (1.0 + _dre(self.d1, g, 1, 0), _dre(self.d1, g, 0, 1),
-                         _dre(self.d2, g, 1, 0), 1.0 + _dre(self.d2, g, 0, 1))
+            d1, d2 = self.d1, self.d2
+            self._jac = (1.0 + deriv(d1, g, 1, 0), deriv(d1, g, 0, 1),
+                         deriv(d2, g, 1, 0), 1.0 + deriv(d2, g, 0, 1))
         return self._jac
 
 
@@ -197,7 +192,10 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
     bitwise, so it reads d directly and builds no block. The step's
     largest move is also the largest over the region, since frozen nodes
     moved within INVERSION_RTOL, so the stall and exhaustion checks read
-    it unchanged. The inverse Jacobian is the nodewise matrix inverse of
+    it unchanged. The loop ends when every node is frozen, at the second
+    stall, or when its step budget runs out; in the last two cases the
+    one refusal raises unless the last move is within the jitter floor.
+    The inverse Jacobian is the nodewise matrix inverse of
     dJ sampled at the preimage, so no derivative of the computed inverse
     displacement is ever taken.
     """
@@ -234,12 +232,9 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
         stall = stall + 1 if move > 0.9 * prev else 0
         prev = move
         if stall >= 2:
-            if move <= floor:
-                break
-            raise GridError(f"inversion stalled at step size {move:.3e}")
-    else:
-        if move > floor:
-            raise GridError(f"inversion stalled at step size {move:.3e}")
+            break
+    if active.size and move > floor:
+        raise GridError(f"inversion stalled at step size {move:.3e}")
     at = _CubicBlock(grid, z1, z2)
     a11, a12, a21, a22 = at(j11), at(j12), at(j21), at(j22)
     det = a11 * a22 - a12 * a21

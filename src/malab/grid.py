@@ -186,6 +186,14 @@ def build_disk(radius: float = 1.0, n: int = 128) -> DomainGrid:
     return build_ellipse(radius, radius, n)
 
 
+def _require_domain(grid, what: str) -> DomainGrid:
+    """grid, or a GridError unless it is a DomainGrid."""
+    if not isinstance(grid, DomainGrid):
+        raise GridError(f"{what} needs a DomainGrid, not a "
+                        f"{type(grid).__name__}")
+    return grid
+
+
 # -- quadrature weights -----------------------------------------------------
 
 
@@ -431,7 +439,7 @@ class BoundaryTrace:
 
     def __init__(self, values: np.ndarray, grid: DomainGrid):
         values = np.array(_real(values))
-        if values.shape != (len(grid.boundary),):
+        if values.shape != (len(_require_domain(grid, "a trace").boundary),):
             raise GridError("trace length does not match boundary node count")
         if not np.all(np.isfinite(values)):
             raise GridError("boundary trace has non-finite values")
@@ -450,30 +458,22 @@ class MetricField:
     def det(self) -> np.ndarray:
         return self.g11 * self.g22 - self.g12 ** 2
 
-    def eig_bounds(self, where=None):
-        """Min and max eigenvalue over the given mask (SPD diagnostics)."""
+    def eig_bounds(self, where):
+        """Min and max eigenvalue over the mask where (SPD diagnostics)."""
         tr = self.g11 + self.g22
         disc = np.sqrt(np.maximum((self.g11 - self.g22) ** 2
                                   + 4.0 * self.g12 ** 2, 0.0))
-        lo, hi = 0.5 * (tr - disc), 0.5 * (tr + disc)
-        if where is not None:
-            lo, hi = lo[where], hi[where]
-        return float(np.min(lo)), float(np.max(hi))
+        return (float(np.min(0.5 * (tr - disc)[where])),
+                float(np.max(0.5 * (tr + disc)[where])))
 
 
 # ---------------------------------------------------------------------------
 # quadrature and traces
 
 
-def quadrature(f: ScalarField, d: DomainGrid | None = None) -> float:
-    """Second-order area integral of f over the domain interior."""
-    if d is None:
-        d = f.grid
-    if not isinstance(d, DomainGrid):
-        raise GridError(f"quadrature integrates over a DomainGrid, not a "
-                        f"{type(d).__name__}")
-    if f.grid != d:
-        raise GridError("field and grid do not match")
+def quadrature(f: ScalarField) -> float:
+    """Second-order area integral of f over its domain's interior."""
+    d = _require_domain(f.grid, "quadrature")
     return float(np.sum(f.values[d.mask] * d.weights[d.mask]))
 
 
@@ -484,17 +484,22 @@ def tangential_derivative(grid: DomainGrid, vals: np.ndarray,
     Spectral in the uniform ring parameter theta (the Nyquist mode has no
     odd derivative and is zeroed), divided by the ring's speed
     |dp/dtheta| = ds M / 2 pi at every step.  An order that is not a
-    non-negative integer is a GridError.
+    non-negative integer, a grid that is not a DomainGrid and samples
+    whose first axis is not the ring are a GridError.
     """
     if not (isinstance(order, numbers.Integral) and order >= 0):
         raise GridError(
             f"derivative order must be a non-negative integer, not {order!r}")
-    b = grid.boundary
+    b = _require_domain(grid, "ring calculus").boundary
     M = len(b)
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape[:1] != (M,):
+        raise GridError(f"ring samples of shape {vals.shape} do not run "
+                        f"over the {M} ring nodes")
     speed = b.ds * M / (2.0 * np.pi)
     ik = 1j * np.arange(M // 2 + 1, dtype=float)
     ik[-1] = 0.0
-    out = np.asarray(vals, dtype=float).T       # the ring along the last axis
+    out = vals.T                                # the ring along the last axis
     for _ in range(order):
         out = np.fft.irfft(ik * np.fft.rfft(out), n=M) / speed
     return out.T
@@ -624,7 +629,7 @@ def _ray_fit(grid: DomainGrid, values: np.ndarray, anchor=None):
     which spectral tangential differentiation then amplifies.
     """
     depths = _RAY_DEPTHS * grid.dx
-    if depths[-1] >= grid.inradius():
+    if depths[-1] >= _require_domain(grid, "a boundary fit").inradius():
         raise GridError("one-sided boundary stencil exits the mask; grid too coarse")
     b = grid.boundary
     p = b.points[None] - depths[:, None, None] * b.normal[None]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .complexcalc import deriv
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
-                   ScalarField, VectorField, boundary_restrict, lattice_values)
+                   ScalarField, VectorField, lattice_values)
 from .maforward import (LinearSolveFailure, MASolution, SparseLU,
                         build_stencil_ops, ring_values, solve_ma,
                         solve_ma_zero, source_grid, stencil_hessian)
@@ -107,7 +107,10 @@ def metric_from_solution(sol: MASolution) -> MetricField:
 
 
 def _volume_weight(g: MetricField, where) -> np.ndarray:
-    """sqrt|g| of the covariant metric: 1 / sqrt(det of the stored matrix)."""
+    """sqrt|g| of the covariant metric, 1 / sqrt(det of the stored matrix),
+    on where (1 elsewhere), for a metric finite and positive definite there."""
+    if not all(np.all(np.isfinite(c[where])) for c in (g.g11, g.g12, g.g22)):
+        raise GridError("metric has non-finite entries")
     w = np.ones_like(g.g11)
     d = g.det()
     if np.min(d[where]) <= 0.0:
@@ -120,18 +123,16 @@ def drift_field(g: MetricField) -> VectorField:
     """Drift of the Hessian geometry: X^b = |g|^{-1/2} d_a(|g|^{1/2} g^{ab}).
 
     g^{ab} is the stored coefficient matrix and |g|^{1/2} the covariant
-    volume weight. The derivatives are the grid's own (deriv): spectral on
-    periodic boxes, masked differences on domain grids. On a box the
-    components are the real parts of the spectral derivatives, whose
-    imaginary parts for a real metric are rounding.
+    volume weight. The derivatives are the grid's own real ones (deriv):
+    spectral on periodic boxes, masked differences on domain grids. The
+    metric must be finite and positive definite on the domain's mask, or
+    on the whole box.
     """
     grid = g.grid
-    domain = isinstance(grid, DomainGrid)
-    w = _volume_weight(g, grid.mask if domain else slice(None))
+    w = _volume_weight(g, grid.mask if isinstance(grid, DomainGrid)
+                       else slice(None))
     c1 = deriv(w * g.g11, grid, 1, 0) + deriv(w * g.g12, grid, 0, 1)
     c2 = deriv(w * g.g12, grid, 1, 0) + deriv(w * g.g22, grid, 0, 1)
-    if not domain:
-        c1, c2 = c1.real, c2.real
     return VectorField(c1 / w, c2 / w, grid)
 
 
@@ -270,14 +271,14 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
 
 
 def second_solve(g: MetricField, v1: ScalarField, v2: ScalarField,
-                 phi1=None, phi2=None, *, rtol: float = 1e-10) -> ScalarField:
+                 phi1, phi2, *, rtol: float = 1e-10) -> ScalarField:
     """Second-linearization solve: g^{ab} d_ab w = tr(G V1 G V2), w = 0 on
     the boundary.
 
     V_k are the discrete Hessians of the first-order solutions and G the
-    coefficient matrix. Supplying phi1/phi2 closes the Hessian stencils
-    with the exact boundary data of v1/v2; otherwise their traces are
-    fitted from the interior.
+    coefficient matrix; phi1/phi2, the boundary data of v1/v2, close the
+    Hessian stencils. First-order solutions that do not live on g's grid
+    are a GridError.
     """
     return nondiv_solve(g, 0.0, f=_trace_source(g, v1, v2, phi1, phi2),
                         rtol=rtol)
@@ -286,12 +287,10 @@ def second_solve(g: MetricField, v1: ScalarField, v2: ScalarField,
 def _trace_source(g: MetricField, v1: ScalarField, v2: ScalarField,
                   phi1, phi2) -> np.ndarray:
     """tr(G V1 G V2) of second_solve on the lattice."""
+    if v1.grid != g.grid or v2.grid != g.grid:
+        raise GridError("field lives on a different grid")
     a11, a12, a22 = _coeffs_at_nodes(g)
     ops = build_stencil_ops(g.grid)
-    if phi1 is None:
-        phi1 = boundary_restrict(v1)
-    if phi2 is None:
-        phi2 = boundary_restrict(v2)
     m = g.grid.mask
     (p11, p22, p12), (q11, q22, q12) = (
         stencil_hessian(ops, v.values[m], ops.crossing_values(phi))

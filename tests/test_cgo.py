@@ -20,9 +20,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from malab import cgo
-from malab.complexcalc import (_bounding_slices, _wirtinger_symbol,
-                               oscillatory_dbar_inv, periodic_fd4,
-                               spectral_deriv)
+from malab.complexcalc import (_bounding_slices, _OscWindows,
+                               _wirtinger_symbol, oscillatory_dbar_inv,
+                               periodic_fd4, spectral_deriv)
 from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
 from malab.linearize import VectorField
 
@@ -351,7 +351,7 @@ def test_remainder_rebuilds_bitwise(box, morse_sweep, drift, qpot):
     _, vp = cgo.series_weights(bundle.alpha, drift, qpot)
     redo = -oscillatory_dbar_inv(
         ComplexField(vp.values * bundle.s.values, box),
-        bundle.phase.psi, bundle.h, bundle.core_radius).values
+        bundle.phase.psi, bundle.h).values
     assert np.array_equal(bundle.r.values, redo)
 
 
@@ -361,11 +361,11 @@ def test_windowed_series_equals_full_box_rebuild(box, morse_sweep, drift,
     # bundle runs every term after the first on the core window and embeds
     # s and r once, with the same arithmetic at every node
     bundle = morse_sweep[0.283]
-    psi, h, rc = bundle.phase.psi, bundle.h, bundle.core_radius
+    psi, h = bundle.phase.psi, bundle.h
     V, vp = (w.values for w in cgo.series_weights(bundle.alpha, drift, qpot))
 
     def osc(vals):
-        return oscillatory_dbar_inv(ComplexField(vals, box), psi, h, rc).values
+        return oscillatory_dbar_inv(ComplexField(vals, box), psi, h).values
 
     def osc_star(vals):
         # the inverse of dzb* = -2 dz: conj o osc o conj, times -1/2
@@ -414,47 +414,50 @@ def test_drift_residual_matches_the_full_box_formula(box, morse_sweep, drift,
             b = morse_sweep[h]
             want = _roll_residual(b.v.values, drift, qpot, h, box,
                                   b.core_radius, conservative)
-            got = cgo.drift_residual(b.v.values, drift, qpot, h, box,
-                                     b.core_radius, conservative)
+            got = cgo.drift_residual(b.v.values, drift, qpot, h,
+                                     conservative)
             assert abs(got - want) <= 1e-14 * want
-    # a core radius whose measurement box, grown by 2 nodes, wraps around
-    # the seam (rc - 3 dx = 2.92 reaches the second node from the edge)
-    small = PaddedGrid(half=3.0, n=64)
+    # random fields; on the n = 20 box the measurement disk is the origin
+    # node alone
     rng = np.random.default_rng(3)
-    vals, c1, c2, q = (rng.standard_normal((64, 64)) for _ in range(4))
-    vals = vals + 1j * rng.standard_normal((64, 64))
-    X = VectorField(c1, c2, small)
-    for conservative in (False, True):
-        want = _roll_residual(vals, X, q, 0.3, small, 3.2, conservative)
-        got = cgo.drift_residual(vals, X, q, 0.3, small, 3.2, conservative)
-        assert abs(got - want) <= 1e-14 * want
-    # odd n: the origin is not a node, so a measurement radius of 0 holds none
-    odd = PaddedGrid(half=3.0, n=63)
-    ones = np.ones((63, 63))
-    with pytest.raises(GridError, match="no node to measure"):
-        cgo.drift_residual(ones, VectorField(ones, ones, odd), 0.0, 0.3, odd,
-                           3.0 * odd.dx)
+    for n in (64, 20):
+        small = PaddedGrid(half=3.0, n=n)
+        vals, c1, c2, q = (rng.standard_normal((n, n)) for _ in range(4))
+        vals = vals + 1j * rng.standard_normal((n, n))
+        X = VectorField(c1, c2, small)
+        for conservative in (False, True):
+            want = _roll_residual(vals, X, q, 0.3, small, 1.0, conservative)
+            got = cgo.drift_residual(vals, X, q, 0.3, conservative)
+            assert abs(got - want) <= 1e-14 * want
+    # on the n = 17 box rc = 1 is within 3 dx; on the n = 19 box rc - 3 dx
+    # is smaller than the distance dx / sqrt(2) from the origin to its
+    # nearest nodes
+    for n in (17, 19):
+        ones = np.ones((n, n))
+        tiny = PaddedGrid(half=3.0, n=n)
+        with pytest.raises(GridError, match="no node to measure"):
+            cgo.drift_residual(ones, VectorField(ones, ones, tiny), 0.0, 0.3)
     # h = -0.3 used to give h = 0.3's residual, h = 0 a ZeroDivisionError and
-    # nan a nan; a drift from another box was read on this one, and a q of
-    # another shape raised numpy's broadcast ValueError
+    # nan a nan; a q of another shape raised numpy's broadcast ValueError
     for h in (-0.3, 0.0, np.nan):
         with pytest.raises(GridError, match="h must be positive"):
-            cgo.drift_residual(vals, X, q, h, small, 2.0)
-    with pytest.raises(GridError, match="different grid"):
-        cgo.drift_residual(vals, VectorField(ones, ones, odd), q, 0.3, small,
-                           2.0)
+            cgo.drift_residual(vals, X, q, h)
     with pytest.raises(GridError, match="q: shape"):
-        cgo.drift_residual(vals, X, ones, 0.3, small, 2.0)
-    # a (63, 63) candidate used to return a residual, a (64,) vector a bare
-    # IndexError and a NaN field nan
+        cgo.drift_residual(vals, X, ones, 0.3)
+    # the box is the drift's: a candidate from another box used to be read
+    # on this one, a (64,) vector raised a bare IndexError and a NaN field
+    # gave nan
     with pytest.raises(GridError, match="drift_residual: shape"):
-        cgo.drift_residual(ones, X, 0.0, 0.3, small, 2.0)
+        cgo.drift_residual(ones, X, 0.0, 0.3)
     with pytest.raises(GridError, match="drift_residual: shape"):
-        cgo.drift_residual(vals[0], X, q, 0.3, small, 2.0)
+        cgo.drift_residual(vals[0], X, q, 0.3)
     nan = vals.copy()
-    nan[30, 30] = np.nan
+    nan[10, 10] = np.nan
     with pytest.raises(GridError, match="drift_residual: non-finite"):
-        cgo.drift_residual(nan, X, q, 0.3, small, 2.0)
+        cgo.drift_residual(nan, X, q, 0.3)
+    disk = build_disk(1.0, 20)
+    with pytest.raises(GridError, match="padded periodic box"):
+        cgo.drift_residual(vals, VectorField(c1, c2, disk), 0.0, 0.3)
     # periodic_fd4 is the sliced kernel on a wrap-padded array, node for node
     for axis in (0, 1):
         for order in (1, 2):
@@ -697,7 +700,7 @@ def test_first_term_window_entry_is_the_full_box_route():
                              (VectorField(zero, zero.copy(), _MID),
                               np.where(r2 < 1.0, (1.0 - r2) ** 3, 0.0),
                               False)):
-        setup = cgo._Setup(_MID, phase.psi, X_, q_, _MID.half / 3.0)
+        setup = cgo._Setup(_MID, phase.psi, X_, q_)
         ws = setup.windows
         plan = cgo._OscPlan(ws, 0.283)
         Va = setup.Vin * a[ws.inp]
@@ -715,25 +718,44 @@ def test_first_term_window_entry_is_the_full_box_route():
 
 
 def test_measurement_disk_is_the_eroded_core_on_its_window():
-    for grid, rcs in ((_MID, (2.0, 0.5)),
-                      (PaddedGrid(half=3.0, n=64), (3.2, 1.0)),
-                      (PaddedGrid(half=3.0, n=63), (1.0, 18.0 / 63 + 0.1))):
+    # n = 20 and 23 are the smallest even and odd boxes that measure
+    for grid in (_MID, PaddedGrid(half=3.0, n=64), PaddedGrid(half=3.0, n=63),
+                 PaddedGrid(half=3.0, n=20), PaddedGrid(half=7.3, n=23)):
         x2 = grid.x * grid.x
-        for rc in rcs:
-            r = rc - 3.0 * grid.dx
-            full = x2[:, None] + x2[None, :] <= r * r
-            at, mask = cgo._measurement_disk(grid, rc)
-            assert np.array_equal(mask, full[at])
-            full[at] = False
-            assert not full.any()
-            # at is the bounding box: the mask reaches each of its edges
-            assert all(m.any() for m in (mask[0], mask[-1], mask[:, 0],
-                                         mask[:, -1]))
-        # rc <= 3 dx, and on the odd box, whose origin is no node, 3.1 dx
-        bad = (3.0, 2.0) + ((3.1,) if grid.n % 2 else ())
-        for rc in (k * grid.dx for k in bad):
-            with pytest.raises(GridError, match="no node to measure"):
-                cgo._measurement_disk(grid, rc)
+        r = grid.half / 3.0 - 3.0 * grid.dx
+        full = x2[:, None] + x2[None, :] <= r * r
+        at, mask = cgo._measurement_disk(grid)
+        assert np.array_equal(mask, full[at])
+        full[at] = False
+        assert not full.any()
+        # at is the bounding box: the mask reaches each of its edges
+        assert all(m.any() for m in (mask[0], mask[-1], mask[:, 0],
+                                     mask[:, -1]))
+    # rc = n dx / 6 <= 3 dx for n <= 18; on the odd boxes 19 and 21, whose
+    # origin is no node, rc - 3 dx < dx / sqrt(2)
+    for n in (16, 17, 18, 19, 21):
+        with pytest.raises(GridError, match="no node to measure"):
+            cgo._measurement_disk(PaddedGrid(half=3.0, n=n))
+
+
+def test_fixed_core_keeps_every_window_inside_the_box():
+    # with rc = half / 3 on any box, _OscWindows' input window grown by
+    # its one-node gradient halo, and the measurement box grown by the
+    # differences' 2-node reach, need no clipping and no wrap; E's support
+    # stays out of the wraparound margin and the core holds a node
+    for half in (1.0, 3.0, 4.0, 6.0, 7.3):
+        for n in range(16, 201):
+            grid = PaddedGrid(half=half, n=n)
+            ws = _OscWindows(grid, np.zeros((n, n)))
+            assert all(1 <= s.start and s.stop <= n - 1 for s in ws.inp)
+            assert ws.core.any()
+            assert np.max(ws.cheb) < grid.half - grid.half / 3.0
+            if n <= 21 and n != 20:          # the boxes that measure no node
+                with pytest.raises(GridError, match="no node to measure"):
+                    cgo._measurement_disk(grid)
+            else:
+                at, _ = cgo._measurement_disk(grid)
+                assert all(2 <= s.start and s.stop <= n - 2 for s in at)
 
 
 def test_unresolved_h_on_a_hit_names_the_minimal_h(monkeypatch):

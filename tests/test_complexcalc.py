@@ -138,6 +138,32 @@ def test_deriv_takes_orders_one_and_two_only():
                 deriv(f, g, o1, o2)
 
 
+def test_deriv_of_real_input_is_real_on_both_lattices():
+    # on a box, the real part of the spectral derivative; complex input
+    # keeps its spectral derivative whole
+    box, disk = PaddedGrid(half=3.0, n=32), build_disk(1.0, 32)
+    for g in (box, disk):
+        X, Y = g.meshgrid()
+        f = np.exp(-(X * X + Y * Y)) * (1.0 + X)
+        for o in ((1, 0), (0, 1), (2, 0), (1, 1)):
+            d = deriv(f, g, *o)
+            assert d.dtype == np.float64
+            if g is box:
+                assert np.array_equal(d, spectral_deriv(f, g, *o).real)
+                assert np.array_equal(deriv(f + 0j, g, *o),
+                                      spectral_deriv(f, g, *o))
+
+
+def test_spectral_derivatives_refuse_a_domain_grid():
+    # they used to FFT the non-periodic domain lattice without a word
+    g = build_disk(1.0, 32)
+    f = np.ones((g.n, g.n))
+    for call in (lambda: spectral_deriv(f, g, 1, 0),
+                 lambda: spectral_dz(f, g), lambda: spectral_dzb(f, g)):
+        with pytest.raises(GridError, match="PaddedGrid, not a DomainGrid"):
+            call()
+
+
 def test_cauchy_inverse_zero():
     g = PaddedGrid(half=3.0, n=64)
     out = cauchy_inverse(ComplexField(np.zeros((64, 64)), g))
@@ -209,10 +235,10 @@ def test_kernel_is_built_in_one_array_bitwise():
             got[0, 0] = 0.0
 
 
-def _check_windows(g, psi, rc):
-    """_OscWindows(g, psi, rc) against the full-box arrays it windows."""
-    ws = _OscWindows(g, psi, rc)
-    r = g.half / 3.0 if rc is None else rc
+def _check_windows(g, psi):
+    """_OscWindows(g, psi) against the full-box arrays it windows."""
+    ws = _OscWindows(g, psi)
+    r = g.half / 3.0
     E = smooth_cutoff(g, r, 2.0 * r)
     x2 = g.x * g.x
     core = x2[:, None] + x2[None, :] <= r * r
@@ -223,26 +249,21 @@ def _check_windows(g, psi, rc):
     assert np.array_equal(ws.core, core[ws.out])
     g1, g2 = np.gradient(psi, g.dx, edge_order=2)
     assert ws.grad_max == float(np.max(np.hypot(g1, g2)[E > 0]))
-    if rc is not None and rc < g.dx:
-        assert ws.core.shape == (1, 1) and ws.cutoff.shape == (3, 3)
 
 
 def test_windows_are_the_full_box_arrays_on_their_windows():
     # _OscWindows computes E, |grad psi|, cheb and the core mask on its
     # windows only; the full-box arrays, cut to the windows, are the same
-    # bits.  rc = 1.6 on the half = 3 box puts E's support on the box's
-    # edge rows, where np.gradient takes its one-sided formula, and rc =
-    # 0.6 dx holds the origin node alone.  |grad psi| of the exponential
+    # bits.  The n = 16 and 17 boxes are the lattice floor, where the
+    # windows come nearest the box's edges.  |grad psi| of the exponential
     # peaks on the input window's first row, where differences without
     # the window's one-node halo would be one-sided
-    for g, rc in ((PaddedGrid(half=6.0, n=512), None),
-                  (PaddedGrid(half=4.0, n=97), None),
-                  (PaddedGrid(half=3.0, n=64), 1.6),
-                  (PaddedGrid(half=3.0, n=64), 0.6 * 6.0 / 64)):
+    for g in (PaddedGrid(half=6.0, n=512), PaddedGrid(half=4.0, n=97),
+              PaddedGrid(half=3.0, n=16), PaddedGrid(half=7.3, n=17)):
         X, Y = g.meshgrid()
         for psi in (0.5 * X * Y - 0.2 * (X - 0.3) ** 2 + 0.1 * Y,
                     np.exp(-0.7 * X) * np.cos(0.4 * Y)):
-            _check_windows(g, psi, rc)
+            _check_windows(g, psi)
 
 
 def _conv_layouts():
@@ -352,13 +373,13 @@ def test_oscillatory_resolution_guard():
     assert "minimal admissible h" in str(err.value)
 
 
-@pytest.mark.parametrize("half, n, rc, h", [
-    (6.0, 512, None, 0.283),     # the CGO box: windows 341, 171; N = 512, 360
-    (3.0, 97, None, 1.0),        # odd n: the origin is not a node
-    (3.0, 129, 0.8, 0.5),
-    (4.0, 200, 1.1, 0.5),
+@pytest.mark.parametrize("half, n, h", [
+    (6.0, 512, 0.283),     # the CGO box: windows 341, 171; N = 512, 360
+    (3.0, 97, 1.0),        # odd n: the origin is not a node
+    (3.0, 129, 0.5),
+    (4.0, 200, 0.5),
 ])
-def test_windowed_oscillatory_matches_full_box(half, n, rc, h):
+def test_windowed_oscillatory_matches_full_box(half, n, h):
     # the windowed linear convolution equals the zero-padded full-box one
     g = PaddedGrid(half=half, n=n)
     X, Y = g.meshgrid()
@@ -366,7 +387,7 @@ def test_windowed_oscillatory_matches_full_box(half, n, rc, h):
     f = ((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
          * np.exp(-(X * X + Y * Y) / 2.0))
     psi = 0.5 * X * Y - 0.2 * (X - 0.3) ** 2 + 0.1 * Y
-    r = rc if rc is not None else half / 3.0
+    r = half / 3.0
     core = g.core_mask(r)
     E = smooth_cutoff(g, r, 2.0 * r)
 
@@ -378,7 +399,7 @@ def test_windowed_oscillatory_matches_full_box(half, n, rc, h):
     # (the Neumann series terms), which takes the smaller FFT
     for vals in (f, np.where(core, f, 0.0)):
         want = full_box(vals)
-        got = oscillatory_dbar_inv(ComplexField(vals, g), psi, h, rc).values
+        got = oscillatory_dbar_inv(ComplexField(vals, g), psi, h).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.all(got[~core] == 0.0)
     if n == 512:
@@ -390,14 +411,6 @@ def test_windowed_oscillatory_matches_full_box(half, n, rc, h):
         win[3, 5] = np.nan
         with pytest.raises(GridError, match="non-finite"):
             plan.apply_core(win)
-
-
-def test_oscillatory_wide_core_hits_wraparound_guard():
-    # rc = half/2 puts the cutoff's support out to the box edge
-    g = PaddedGrid(half=3.0, n=128)
-    f = ComplexField(np.ones((g.n, g.n)), g)
-    with pytest.raises(GridError, match="wraparound"):
-        oscillatory_dbar_inv(f, np.zeros((g.n, g.n)), 0.5, core_radius=1.5)
 
 
 def test_cauchy_transforms_reject_bad_input():
@@ -417,8 +430,6 @@ def test_cauchy_transforms_reject_bad_input():
         osc(ComplexField(f, g), nan_psi, 0.3)
     with pytest.raises(GridError, match="psi: shape"):
         osc(ComplexField(f, g), np.zeros((g.n, g.n + 1)), 0.3)
-    with pytest.raises(GridError, match="core radius"):
-        osc(ComplexField(f, g), psi, 0.3, core_radius=0.0)
     # a complex psi used to pass: the guard bounds the resolution by Re psi
     # while the weight exponentiated all of psi (2.2x the real-psi field)
     with pytest.raises(GridError, match="complex128"):

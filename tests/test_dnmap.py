@@ -187,7 +187,7 @@ def test_tangential_derivative_is_arclength():
 def test_recover_hessian_flat_base():
     g = build_disk(1.0, 64)
     lam = dn_full(one, grid=g)
-    utt, utn, unn = recover_boundary_hessian(lam, one, g)
+    utt, utn, unn = recover_boundary_hessian(lam, one)
     assert np.abs(utt.values - 1.0).max() < 5e-3
     assert np.abs(utn.values).max() < 5e-3
     assert np.abs(unn.values - 1.0).max() < 5e-3
@@ -201,7 +201,7 @@ def test_recover_hessian_quartic_base():
     Fq = lambda x, y: 1.0 + x ** 2
     phq = lambda x, y: x ** 4 / 12 + x ** 2 / 2 + y ** 2 / 2
     lam = dn_full(Fq, phi=phq, grid=g)
-    utt, utn, unn = recover_boundary_hessian(lam, Fq, g, data=phq)
+    utt, utn, unn = recover_boundary_hessian(lam, Fq, data=phq)
     assert np.abs(utt.values - (1 + s ** 2 * c ** 2)).max() < 1e-2
     assert np.abs(utn.values + s * c ** 3).max() < 1e-2
     assert np.abs(unn.values - (c ** 2 * (1 + c ** 2) + s ** 2)).max() < 1e-2
@@ -217,7 +217,7 @@ def test_recover_hessian_cartesian_frame():
     Fq = lambda x, y: 1.0 + x ** 2
     phq = lambda x, y: x ** 4 / 12 + x ** 2 / 2 + y ** 2 / 2
     lam = dn_full(Fq, phi=phq, grid=g)
-    u11, u12, u22 = recover_boundary_hessian(lam, Fq, g, data=phq,
+    u11, u12, u22 = recover_boundary_hessian(lam, Fq, data=phq,
                                              frame="cartesian")
     assert np.abs(u11.values - (1 + c ** 2)).max() < 1.2e-2
     assert np.abs(u12.values).max() < 1.2e-2
@@ -229,16 +229,16 @@ def test_recover_hessian_guards():
     M = len(g.boundary)
     lam = BoundaryTrace(np.ones(M), g)
     with pytest.raises(GridError):
-        recover_boundary_hessian(lam, lambda x, y: -np.ones_like(x), g)
+        recover_boundary_hessian(lam, lambda x, y: -np.ones_like(x))
     with pytest.raises(GridError):
-        recover_boundary_hessian(BoundaryTrace(-np.ones(M), g), one, g)
+        recover_boundary_hessian(BoundaryTrace(-np.ones(M), g), one)
     with pytest.raises(GridError):
-        recover_boundary_hessian(lam, one, g, frame="polar")
+        recover_boundary_hessian(lam, one, frame="polar")
     # kmax = -1 used to zero every mode and blame convexity, -2 to drop
     # only the Nyquist mode
     for kmax in (-1, -2, 1.5):
         with pytest.raises(GridError, match="kmax"):
-            recover_boundary_hessian(lam, one, g, kmax=kmax)
+            recover_boundary_hessian(lam, one, kmax=kmax)
 
 
 def test_recover_rejects_traces_from_another_grid():
@@ -248,12 +248,18 @@ def test_recover_rejects_traces_from_another_grid():
     M = len(g.boundary)
     lam = BoundaryTrace(np.ones(M), g)
     foreign = BoundaryTrace(np.ones(M), other)
+    # the grid is lam's; a trace from another grid in Fb, data, dnu_F or
+    # among the second-order traces is refused
     with pytest.raises(GridError, match="different grid"):
-        recover_boundary_hessian(foreign, one, g)
-    sec = recover_boundary_hessian(lam, one, g)
+        recover_boundary_hessian(lam, foreign)
+    with pytest.raises(GridError, match="different grid"):
+        recover_boundary_hessian(lam, one, data=foreign)
+    sec = recover_boundary_hessian(lam, one)
     zero = lambda x, y: np.zeros_like(x)
     with pytest.raises(GridError, match="different grid"):
-        recover_boundary_third(zero, (sec[0], foreign, sec[2]), g)
+        recover_boundary_third(zero, (sec[0], foreign, sec[2]))
+    with pytest.raises(GridError, match="different grid"):
+        recover_boundary_third(foreign, sec)
     with pytest.raises(GridError, match="non-finite"):
         BoundaryTrace(np.full(M, np.nan), g)
 
@@ -261,8 +267,8 @@ def test_recover_rejects_traces_from_another_grid():
 def test_recover_third_flat_base():
     g = build_disk(1.0, 64)
     lam = dn_full(one, grid=g)
-    sec = recover_boundary_hessian(lam, one, g, kmax=6)
-    third = recover_boundary_third(lambda x, y: np.zeros_like(x), sec, g)
+    sec = recover_boundary_hessian(lam, one, kmax=6)
+    third = recover_boundary_third(lambda x, y: np.zeros_like(x), sec)
     assert np.abs(third.values).max() < 1e-2
 
 
@@ -275,6 +281,6 @@ def test_recover_third_quartic_base():
     Fq = lambda x, y: 1.0 + x ** 2
     phq = lambda x, y: x ** 4 / 12 + x ** 2 / 2 + y ** 2 / 2
     lam = dn_full(Fq, phi=phq, grid=g)
-    sec = recover_boundary_hessian(lam, Fq, g, data=phq, kmax=6)
-    third = recover_boundary_third(lambda x, y: 2 * x ** 2, sec, g)
+    sec = recover_boundary_hessian(lam, Fq, data=phq, kmax=6)
+    third = recover_boundary_third(lambda x, y: 2 * x ** 2, sec)
     assert np.abs(third.values - 2 * c ** 4).max() < 2.5e-2

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from malab import geomkit
-from malab.complexcalc import CORE_DIVISOR, smooth_cutoff
+from malab.complexcalc import CORE_DIVISOR, deriv, smooth_cutoff
 from malab.geomkit import (CONFORMAL_TOL, DiffeoField, diffeo_rigidity_solve,
                            invert_diffeo, isothermal, pullback_metric,
                            transform_solution_check, _beltrami_map,
-                           _check_reach, _covariant, _dre, _erode)
+                           _check_reach, _covariant, _erode)
 from malab.grid import (GridError, MetricField, PaddedGrid, ScalarField,
                         _CubicBlock, build_disk)
 from malab.linearize import VectorField, drift_field, nondiv_solve
@@ -76,7 +76,7 @@ def christoffel(g: MetricField) -> np.ndarray:
     d = {}
     for name, comp in (("11", c11), ("12", c12), ("22", c22)):
         for ax, (o1, o2) in (("1", (1, 0)), ("2", (0, 1))):
-            d[ax + name] = _dre(comp, grid, o1, o2)
+            d[ax + name] = deriv(comp, grid, o1, o2)
 
     # lower-index blocks b_m(kl) = d_l g_{mk} + d_k g_{ml} - d_m g_{kl};
     # symmetry of g collapses four of the six to a single derivative

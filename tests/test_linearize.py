@@ -168,6 +168,34 @@ def test_second_solve_constant_argument_gives_zero():
     assert np.abs(w.values[g.mask]).max() < 1e-8
 
 
+def test_second_solve_refuses_solutions_from_another_grid():
+    # a field of another lattice of the same size used to be read through
+    # this domain's mask as if it were this domain's
+    g = build_disk(1.0, 48)
+    met = flat_metric(g)
+    v = nondiv_solve(met, lambda x, y: 2.0 * x * y)
+    for grid in (PaddedGrid(half=1.0, n=48), build_disk(1.1, 48)):
+        foreign = ScalarField(np.zeros((48, 48)), grid)
+        for v1, v2 in ((foreign, v), (v, foreign)):
+            with pytest.raises(GridError, match="different grid"):
+                second_solve(met, v1, v2, 0.0, 0.0)
+
+
+def test_non_finite_metric_is_refused_before_any_derivative():
+    # a NaN used to give a NaN drift on a box, and on a domain the
+    # misleading "no difference stencil fits at node (1, 11)"
+    box, disk = PaddedGrid(half=1.0, n=32), build_disk(1.0, 32)
+    zero = np.zeros((32, 32))
+    for value in (np.nan, np.inf):
+        on_box, on_disk = flat_metric(box), flat_metric(disk)
+        on_box.g12[16, 16] = on_disk.g12[16, 16] = value
+        for met in (on_box, on_disk):
+            with pytest.raises(GridError, match="metric has non-finite"):
+                drift_field(met)
+        with pytest.raises(GridError, match="metric has non-finite"):
+            divergence_form_apply(on_disk, VectorField(zero, zero, disk), zero)
+
+
 def test_newton_jacobian_is_F_times_the_linearized_operator():
     # cof(D^2 u) = det(D^2 u) (D^2 u)^{-1}, and det D^2 u = F at a solution,
     # so the Newton Jacobian is diag(F) A_g on the PDE rows; both share R
