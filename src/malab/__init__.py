@@ -63,6 +63,9 @@ a fixed choice is a module constant, named at its step.
    geomkit.TransformReport).
    Tests: test_geomkit.py::test_isothermal_chart_properties,
    test_geomkit.py::test_isothermal_converges_on_the_quartic_family,
+   test_geomkit.py::test_isothermal_converges_on_the_quartic_base_refined_box,
+   test_geomkit.py::test_isothermal_quartic_corners,
+   test_complexcalc.py::test_beurling_transform_is_second_order,
    test_geomkit.py::test_rigidity_returns_identity,
    test_geomkit.py::test_transform_check_generic_triple.
 6. The CGO asymptotics of -lap v + X . grad v + q v = 0.

@@ -131,7 +131,7 @@ def _gauge_source(X: VectorField) -> np.ndarray:
     for c in (X.c1, X.c2):
         _require_finite(c, grid, "gauge")
     src = 0.25j * (X.c1 + 1j * X.c2)
-    _support_guard(src, grid.cheb, grid.half, "gauge")
+    _support_guard(src, grid, "gauge")
     return src
 
 
@@ -483,8 +483,7 @@ class _Setup:
         self.Vin, self.vpw = _weights(alpha, X, qv, ws.inp, ws.out)
         self.Vw = self.Vin[ws.inner]
         for arr in (*self.key, alpha, self.Ginv, self.Vin, self.vpw, self.Vw,
-                    ws.psi, ws.cutoff, ws.cheb, ws.cheb_inner, ws.core,
-                    ws.frame):
+                    ws.psi, ws.cutoff, ws.core, ws.frame):
             arr.flags.writeable = False
 
     def matches(self, grid: PaddedGrid, psi, X: VectorField, qv) -> bool:

@@ -15,13 +15,14 @@ central inside, degrading to one-sided second order against the
 boundary).  periodic_fd4 stays as an independent check of the spectral
 route on boxes.
 
-The Cauchy transforms convolve with the kernel h^2/(pi z) sampled on the
-box lattice (origin weight zero), whose FFT is built in one complex array
-and cached per layout (the two used last, the most one call reads),
-through one pruned FFT pair: for an N0 x N1 transform of m0 input rows
-read on n1 output columns, m0 + N1 forward and N0 + n1 inverse 1-D
-transforms, since padding rows transform to zero and unread columns need
-no inverse.  cauchy_inverse is the linear
+The Cauchy transforms convolve with the kernel h^2/(pi z), and the
+Beurling transform S = dz C (isothermal's) with -h^2/(pi z^2), sampled on
+the box lattice (origin weight zero); the kernel's FFT is built in one
+complex array and cached per layout and power (the two used last, the
+most one call reads), through one pruned FFT pair: for an N0 x N1
+transform of m0 input rows read on n1 output columns, m0 + N1 forward
+and N0 + n1 inverse 1-D transforms, since padding rows transform to zero
+and unread columns need no inverse.  cauchy_inverse is the linear
 convolution over the whole box: on the 2n x 2n transform, n + 2n forward
 and 2n + n inverse 1-D transforms, in place of 4n + 4n.  The
 oscillatory inverses read their input only in the window |x|, |y| < 2 rc,
@@ -248,19 +249,18 @@ def _require_h(h) -> None:
         raise GridError(f"h must be positive and finite, got {h}")
 
 
-def _support_guard(vals: np.ndarray, cheb: np.ndarray, half: float, what: str):
+def _support_guard(vals: np.ndarray, grid: PaddedGrid, what: str):
     # Spectrally differentiated C^2 cutoffs ring at ~1e-6 relative across
     # the whole box; only mass above the leakage tolerance threatens the
     # convolution with wraparound, and genuinely wide inputs carry O(1)
-    # relative mass near the margin.  cheb is max(|x|, |y|) at the nodes
-    # vals sits on.
+    # relative mass near the margin.
     mag = np.abs(vals)
     amax = np.max(mag)
     if amax == 0.0:
         return
-    margin = half / 3.0
-    reach = np.max(cheb[mag > 1e-5 * amax])
-    if reach > half - margin:
+    half = grid.half
+    reach = np.max(grid.cheb[mag > 1e-5 * amax])
+    if reach > half - half / 3.0:
         raise GridError(
             f"{what}: support reaches {reach:.3f}, within the wraparound "
             f"margin of the {half:.3f} box")
@@ -280,28 +280,30 @@ def _fft_size(m: int) -> int:
 
 @functools.lru_cache(maxsize=2)
 def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
-                shift: tuple) -> np.ndarray:
-    """FFT of the kernel h^2/(pi z) laid out for a circular convolution.
+                shift: tuple, power: int) -> np.ndarray:
+    """FFT of the kernel h^2/(pi z) (power 1) or -h^2/(pi z^2) (power 2)
+    laid out for a circular convolution.
 
     Along an axis of FFT length N, index m carries the node offset
     ((m + c) mod N) - c + shift with c = N - n_out: output node p of the
     window starting shift nodes after the input window's first node reads
     input node q through offset p - q + shift.  Any N >= (input length) +
     n_out - 1 keeps those offsets apart, so the circular sum is the linear
-    one.  The exact integral of 1/(pi z) over the centered origin cell
-    vanishes by odd symmetry, so the origin weight is zero; every other
-    cell is point sampled at its center.  Cached per box and layout,
+    one.  The exact integral (a principal value for power 2) of either
+    kernel over the centered origin cell vanishes, as z -> iz maps the
+    cell to itself, so the origin weight is zero; every other cell is
+    point sampled at its center.  Cached per box, layout and power,
     read-only: the two used last, the most that one call reads (an
-    _OscWindows reads two, cauchy_inverse one), so a sweep's window
-    kernels push out a full-box kernel that no bundle reads.  The cost: a
-    caller that alternates full-box and windowed transforms on one box
-    rebuilds the full-box kernel each time.
+    _OscWindows reads two, isothermal the Beurling and the Cauchy kernel),
+    so a sweep's window kernels push out a full-box kernel that no bundle
+    reads.  The cost: a caller that alternates full-box and windowed
+    transforms on one box rebuilds the full-box kernel each time.
 
     The kernel is built in one complex array: its real and imaginary parts
-    are set from the 1-D offsets times h, and the scaling, the division
-    and fft2 write into it, with the same operations and operand order
-    as the meshgrid formula, so the bits are the same and the build peaks
-    at about the kernel's own size.
+    are set from the 1-D offsets times h, and the squaring, the scaling,
+    the division and fft2 write into it, with the same operations and
+    operand order as the meshgrid formula, so the bits are the same and
+    the build peaks at about the kernel's own size.
     """
     h = grid.dx
     d1, d2 = ((np.arange(N) + N - L) % N - (N - L) + s
@@ -309,9 +311,11 @@ def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
     K = np.empty(shape, dtype=complex)
     K.real = (d1 * h)[:, None]
     K.imag = (d2 * h)[None, :]
+    if power == 2:
+        np.square(K, out=K)
     np.multiply(K, np.pi, out=K)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(h * h, K, out=K)
+        np.divide(h * h if power == 1 else -h * h, K, out=K)
     K[np.ix_(d1 == 0, d2 == 0)] = 0.0
     khat = np.fft.fft2(K, out=K)
     khat.flags.writeable = False
@@ -353,9 +357,9 @@ def cauchy_inverse(omega: ComplexField) -> ComplexField:
     if not isinstance(grid, PaddedGrid):
         raise GridError("cauchy_inverse expects a field on a padded box")
     vals = _require_finite(omega.values, grid, "cauchy_inverse")
-    _support_guard(vals, grid.cheb, grid.half, "cauchy_inverse")
+    _support_guard(vals, grid, "cauchy_inverse")
     n = grid.n
-    khat = _kernel_hat(grid, (2 * n, 2 * n), (n, n), (0, 0))
+    khat = _kernel_hat(grid, (2 * n, 2 * n), (n, n), (0, 0), 1)
     return ComplexField(_cauchy_conv(vals, khat, (n, n)), grid)
 
 
@@ -401,12 +405,12 @@ class _OscWindows:
     core window to itself; rc = half / CORE_DIVISOR.  The constructor runs
     the psi (finite, real) checks.  psi on the input window is a view of
     the caller's array; every other array is the windows' own.  Only the
-    finite check reads the whole box: E, |grad psi|, the cheb distances
-    and the core mask are computed on the windows, from the 1-D axis,
-    with the full-box values bit for bit.  embed puts a core-window array
-    on the box.  On any box rc = n dx / 6 > 2 dx: the core disk holds a
-    node, and the input window (|x| < 2 rc) grown by one node lies inside
-    the box, whose nodes run from -half to half - dx.
+    finite check reads the whole box: E, |grad psi| and the core mask are
+    computed on the windows, from the 1-D axis, with the full-box values
+    bit for bit.  embed puts a core-window array on the box.  On any box
+    rc = n dx / 6 > 2 dx: the core disk holds a node, and the input window
+    (|x| < 2 rc) grown by one node lies inside the box, whose nodes run
+    from -half to half - dx.
     """
 
     def __init__(self, grid: PaddedGrid, psi):
@@ -438,19 +442,16 @@ class _OscWindows:
 
         self.grid = grid
         self.psi = psi_vals[self.inp]
-        self.cheb = np.maximum(ax[self.inp[0]][:, None],
-                               ax[self.inp[1]][None, :])
         n_in, n_out = self.cutoff.shape, self.core.shape
         shape = tuple(_fft_size(a + b - 1) for a, b in zip(n_in, n_out))
         shift = tuple(o.start - i.start for o, i in zip(self.out, self.inp))
-        self.khat = _kernel_hat(grid, shape, n_out, shift)
+        self.khat = _kernel_hat(grid, shape, n_out, shift, 1)
         # the core window inside the input window, and the rest of it
         self.inner = tuple(slice(d, d + m) for d, m in zip(shift, n_out))
         self.frame = np.ones(n_in, dtype=bool)
         self.frame[self.inner] = False
-        self.cheb_inner = self.cheb[self.inner]
-        self.khat_inner = _kernel_hat(
-            grid, tuple(_fft_size(2 * m - 1) for m in n_out), n_out, (0, 0))
+        inner_shape = tuple(_fft_size(2 * m - 1) for m in n_out)
+        self.khat_inner = _kernel_hat(grid, inner_shape, n_out, (0, 0), 1)
 
     def embed(self, win: np.ndarray) -> np.ndarray:
         """A core-window array on the full box, zero outside the window."""
@@ -477,8 +478,8 @@ class _OscPlan:
     its input when the weighted input vanishes outside the core window.
     The CGO remainder series feeds its first term through apply_window and
     lives on the core window after it: it calls apply_core and embeds s
-    and r into the box once.  Each call runs the support guard once, on
-    the window it convolves.
+    and r into the box once.  No support guard runs: inputs vanish
+    outside |x|, |y| < 2 rc = 2 half/3, clear of the wraparound margin.
     """
 
     def __init__(self, windows: _OscWindows, h: float):
@@ -507,7 +508,7 @@ class _OscPlan:
         ws = self.windows
         w = self.weight * win
         if w[ws.frame].any():
-            return self._convolve(w, ws.cheb, ws.khat)
+            return self._convolve(w, ws.khat)
         return self.apply_core(win[ws.inner])
 
     def apply_core(self, win: np.ndarray) -> np.ndarray:
@@ -515,13 +516,10 @@ class _OscPlan:
         if not np.all(np.isfinite(win)):
             raise GridError("oscillatory_dbar_inv: non-finite values")
         ws = self.windows
-        return self._convolve(self.weight_inner * win, ws.cheb_inner,
-                              ws.khat_inner)
+        return self._convolve(self.weight_inner * win, ws.khat_inner)
 
-    def _convolve(self, w: np.ndarray, cheb: np.ndarray,
-                  khat: np.ndarray) -> np.ndarray:
+    def _convolve(self, w: np.ndarray, khat: np.ndarray) -> np.ndarray:
         ws = self.windows
-        _support_guard(w, cheb, ws.grid.half, "oscillatory_dbar_inv")
         return np.where(ws.core, _cauchy_conv(w, khat, ws.core.shape), 0.0)
 
 

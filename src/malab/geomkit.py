@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcalc import CORE_DIVISOR, cauchy_inverse, deriv, spectral_dz
+from .complexcalc import (CORE_DIVISOR, _cauchy_conv, _kernel_hat,
+                          _support_guard, cauchy_inverse, deriv)
 from .grid import (ComplexField, DomainGrid, GridError, MetricField,
                    PaddedGrid, ScalarField, VectorField, _CubicBlock,
                    lattice_values)
@@ -361,40 +362,41 @@ def _beltrami_coefficient(c11, c12, c22):
 
 
 def _beltrami_map(c11, c12, c22, grid) -> DiffeoField:
-    """The map w = z + C phi solving dzb w = mu_B dz w, Jacobian attached."""
+    """The map w = z + C phi solving dzb w = mu_B dz w, Jacobian attached.
+
+    Each Neumann step phi <- mu_B (1 + S phi) is one 2n x 2n convolution,
+    the Beurling transform S = dz C taken in the plane (a periodic dz of
+    C phi rings at the seam); dz w = 1 + S phi is the last step's.
+    """
     mu_b = _beltrami_coefficient(c11, c12, c22)
     worst = float(np.max(np.abs(mu_b)))
     if worst >= 1.0 - BELTRAMI_MARGIN:
         raise GridError(f"Beltrami coefficient reaches {worst:.3f}, inside "
                         f"the margin {BELTRAMI_MARGIN:.2f} of losing "
                         "quasi-conformality")
+    _support_guard(mu_b, grid, "isothermal")
 
-    phi = mu_b.copy()
-    last = None
-    ratio = np.nan
+    n = grid.n
+    khat = _kernel_hat(grid, (2 * n, 2 * n), (n, n), (0, 0), 2)
+    phi, prev, last = mu_b, np.nan, np.nan
     for _ in range(BELTRAMI_MAX_ITER):
-        cphi = cauchy_inverse(ComplexField(phi, grid))
-        nxt = mu_b * (1.0 + spectral_dz(cphi.values, grid))
+        dzw = 1.0 + _cauchy_conv(phi, khat, (n, n))
+        nxt = mu_b * dzw
         step = float(np.max(np.abs(nxt - phi)))
-        if last is not None and last > 0.0:
-            ratio = step / last
-        phi = nxt
-        last = step
+        phi, prev, last = nxt, last, step
         if step <= BELTRAMI_RTOL * max(worst, 1e-300):
             break
     else:
         raise GridError("Beltrami series did not converge "
-                        f"(last contraction ratio {ratio:.3f})")
+                        f"(last contraction ratio {last / prev:.3f})")
 
     cphi = cauchy_inverse(ComplexField(phi, grid))
-    dzw = 1.0 + spectral_dz(cphi.values, grid)
-    dzbw = phi
 
-    # Jacobian of w from the Wirtinger pair
-    ux = (dzw + dzbw).real
-    vx = (dzw + dzbw).imag
-    uy = (dzbw - dzw).imag
-    vy = (dzw - dzbw).real
+    # Jacobian of w from the Wirtinger pair (dz w, dzb w) = (dzw, phi)
+    ux = (dzw + phi).real
+    vx = (dzw + phi).imag
+    uy = (phi - dzw).imag
+    vy = (dzw - phi).real
     return DiffeoField(cphi.values.real, cphi.values.imag, grid,
                        jac=(ux, uy, vx, vy))
 
@@ -406,16 +408,16 @@ def isothermal(g: MetricField):
     exactly. General metrics must live on a padded box: the complex
     dilatation of the covariant tensor feeds the Beltrami equation
     dzb w = mu_B dz w, solved by the Neumann iteration
-    phi <- mu_B (1 + dz C phi) with C the Cauchy transform, and the chart
-    is the inverse of w = z + C phi. Its Jacobian comes from the
-    Wirtinger derivatives dz w = 1 + dz C phi and dzb w = phi sampled at
-    the preimage, both available in closed form on the grid, so the
-    inversion never differentiates interpolated data. The chart is
-    invert_diffeo's: defined on the data region and the identity in the
-    wraparound margin, where mu is therefore half the trace of g's own
-    covariant tensor. The conformality defect of chi* g over the core
-    disk, well inside the data region, is checked against CONFORMAL_TOL
-    times the covariant scale.
+    phi <- mu_B (1 + S phi) with S = dz C the Beurling transform and C
+    the Cauchy transform, and the chart is the inverse of w = z + C phi.
+    Its Jacobian comes from the Wirtinger derivatives dz w = 1 + S phi and
+    dzb w = phi, the iteration's own lattice values, sampled at the
+    preimage, so the inversion never differentiates interpolated data.
+    The chart is invert_diffeo's: defined on the data region and the
+    identity in the wraparound margin, where mu is therefore half the
+    trace of g's own covariant tensor. The conformality defect of chi* g
+    over the core disk, well inside the data region, is checked against
+    CONFORMAL_TOL times the covariant scale.
     """
     grid = g.grid
     c11, c12, c22 = _covariant(g)

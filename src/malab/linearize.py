@@ -167,6 +167,8 @@ def divergence_form_apply(g: MetricField, X: VectorField, v: np.ndarray):
 
 
 def _coeffs_at_nodes(g: MetricField):
+    if not isinstance(g.grid, DomainGrid):
+        raise GridError("linearized solves expect a domain grid")
     m = g.grid.mask
     a11 = g.g11[m]
     a12 = g.g12[m]
@@ -196,8 +198,6 @@ def _metric_solver(g: MetricField, X: VectorField | None = None):
     with a drift X: the system is assembled once, and factored once, at
     the first solve, after its data have passed their checks."""
     grid = g.grid
-    if not isinstance(grid, DomainGrid):
-        raise GridError("linearized solves expect a domain grid")
     coeffs = _coeffs_at_nodes(g)
     ops = build_stencil_ops(grid)
     lower = () if X is None else _adjoint_terms(g, X)

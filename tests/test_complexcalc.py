@@ -8,6 +8,7 @@ from malab.complexcalc import (
     cauchy_inverse, conj_cauchy_inverse, deriv, oscillatory_dbar_inv,
     periodic_fd4, smooth_cutoff, spectral_deriv, spectral_dz, spectral_dzb,
 )
+from malab.geomkit import _beltrami_map
 from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
 
 
@@ -171,10 +172,11 @@ def test_cauchy_inverse_zero():
 
 
 def test_cached_kernel_is_shared_by_equal_boxes_and_read_only():
-    layout = ((128, 128), (64, 64), (0, 0))
+    layout = ((128, 128), (64, 64), (0, 0), 1)
     khat = _kernel_hat(PaddedGrid(half=3.0, n=64), *layout)
     assert _kernel_hat(PaddedGrid(half=3.0, n=64), *layout) is khat
     assert _kernel_hat(PaddedGrid(half=2.0, n=64), *layout) is not khat
+    assert _kernel_hat(PaddedGrid(half=3.0, n=64), *layout[:3], 2) is not khat
     with pytest.raises(ValueError):
         khat[0, 0] = 0.0
 
@@ -188,49 +190,60 @@ def test_kernel_cache_keeps_what_one_call_reads():
     _OscWindows(g, 0.5 * X * Y - 0.2 * X)
     info = _kernel_hat.cache_info()
     assert info.currsize == 2
-    _kernel_hat(g, (2 * g.n, 2 * g.n), (g.n, g.n), (0, 0))
+    _kernel_hat(g, (2 * g.n, 2 * g.n), (g.n, g.n), (0, 0), 1)
     assert _kernel_hat.cache_info().misses == info.misses + 1
+    # a Beltrami map reads the Beurling kernel and the Cauchy kernel, so
+    # a second map on the box builds neither
+    c11 = 1.0 + 0.2 * np.exp(-(X * X + Y * Y))
+    _beltrami_map(c11, np.zeros_like(X), np.ones_like(X), g)
+    misses = _kernel_hat.cache_info().misses
+    _beltrami_map(c11, 0.1 * X * Y * np.exp(-(X * X + Y * Y)),
+                  np.ones_like(X), g)
+    assert _kernel_hat.cache_info().misses == misses
 
 
 def _kernel_layouts():
-    """(grid, shape, n_out, shift) of every kernel the Cauchy transforms
-    build: cauchy_inverse's 2n box at n = 128 and 97, and on the 512 box
-    the input window to the core and the core to itself."""
+    """(grid, shape, n_out, shift, power) of every kernel the Cauchy and
+    Beurling transforms build: the 2n box of cauchy_inverse and of the
+    Beltrami step at n = 128 and 97, and on the 512 box the input window
+    to the core and the core to itself."""
     for n in (128, 97):
-        yield PaddedGrid(half=4.0, n=n), (2 * n, 2 * n), (n, n), (0, 0)
+        for power in (1, 2):
+            yield (PaddedGrid(half=4.0, n=n), (2 * n, 2 * n), (n, n), (0, 0),
+                   power)
     g = PaddedGrid(half=6.0, n=512)
     X, Y = g.meshgrid()
     ws = _OscWindows(g, 0.5 * X * Y - 0.2 * X)
     shift = tuple(o.start - i.start for o, i in zip(ws.out, ws.inp))
-    assert _kernel_hat(g, ws.khat.shape, ws.core.shape, shift) is ws.khat
-    yield g, ws.khat.shape, ws.core.shape, shift
+    assert _kernel_hat(g, ws.khat.shape, ws.core.shape, shift, 1) is ws.khat
+    yield g, ws.khat.shape, ws.core.shape, shift, 1
     assert _kernel_hat(g, ws.khat_inner.shape, ws.core.shape,
-                       (0, 0)) is ws.khat_inner
-    yield g, ws.khat_inner.shape, ws.core.shape, (0, 0)
+                       (0, 0), 1) is ws.khat_inner
+    yield g, ws.khat_inner.shape, ws.core.shape, (0, 0), 1
 
 
 def test_kernel_is_built_in_one_array_bitwise():
     # the meshgrid formula peaks at 5x the kernel's size, the in-place
     # build at about 1x
-    for g, shape, n_out, shift in _kernel_layouts():
+    for g, shape, n_out, shift, power in _kernel_layouts():
         h = g.dx
         d1, d2 = ((np.arange(N) + N - L) % N - (N - L) + s
                   for N, L, s in zip(shape, n_out, shift))
         ZX, ZY = np.meshgrid(d1 * h, d2 * h, indexing="ij")
         Z = ZX + 1j * ZY
         with np.errstate(divide="ignore", invalid="ignore"):
-            K = h * h / (np.pi * Z)
+            K = (h * h if power == 1 else -h * h) / (np.pi * Z ** power)
         K[Z == 0] = 0.0
         want = np.fft.fft2(K)
         del ZX, ZY, Z, K
         tracemalloc.start()
         try:
-            got = _kernel_hat.__wrapped__(g, shape, n_out, shift)
+            got = _kernel_hat.__wrapped__(g, shape, n_out, shift, power)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(got, want), shape
-        assert peak <= 1.5 * got.nbytes, (shape, peak / got.nbytes)
+        assert np.array_equal(got, want), (shape, power)
+        assert peak <= 1.5 * got.nbytes, (shape, power, peak / got.nbytes)
         with pytest.raises(ValueError):
             got[0, 0] = 0.0
 
@@ -245,14 +258,13 @@ def _check_windows(g, psi):
     assert ws.inp == _bounding_slices(E > 0)
     assert ws.out == _bounding_slices(core)
     assert np.array_equal(ws.cutoff, E[ws.inp])
-    assert np.array_equal(ws.cheb, g.cheb[ws.inp])
     assert np.array_equal(ws.core, core[ws.out])
     g1, g2 = np.gradient(psi, g.dx, edge_order=2)
     assert ws.grad_max == float(np.max(np.hypot(g1, g2)[E > 0]))
 
 
 def test_windows_are_the_full_box_arrays_on_their_windows():
-    # _OscWindows computes E, |grad psi|, cheb and the core mask on its
+    # _OscWindows computes E, |grad psi| and the core mask on its
     # windows only; the full-box arrays, cut to the windows, are the same
     # bits.  The n = 16 and 17 boxes are the lattice floor, where the
     # windows come nearest the box's edges.  |grad psi| of the exponential
@@ -274,7 +286,7 @@ def _conv_layouts():
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for n in (128, 97):            # cauchy_inverse's full 2n box
         g = PaddedGrid(half=4.0, n=n)
-        khat = _kernel_hat(g, (2 * n, 2 * n), (n, n), (0, 0))
+        khat = _kernel_hat(g, (2 * n, 2 * n), (n, n), (0, 0), 1)
         yield noise((n, n)), khat, (n, n)
     g = PaddedGrid(half=6.0, n=512)
     X, Y = g.meshgrid()
@@ -316,6 +328,27 @@ def test_cauchy_inverse_dbar_left_identity():
     core = g.core_mask(1.0)
     rel = (np.linalg.norm((dzb - f)[core]) / np.linalg.norm(f[core]))
     assert rel < 1e-2, rel
+
+
+def test_beurling_transform_is_second_order():
+    # S = dz C, so S(dzb u) = dz u for compact u, and both sides' spectral
+    # Wirtinger derivatives are exact for this Gaussian.  The punctured
+    # rule drops the origin cell, whose integral of f(z - w) (-1/(pi w^2))
+    # starts at the w^2/2 d^2 f term: -(dx^2 / (2 pi)) d^2 f.  With the
+    # other cells' sampling errors also dx^2 times second derivatives of f
+    # and the rest O(dx^4), err = c dx^2 (1 + O(dx^2)): doubling n quarters
+    # it, and the ratio 4 (1 - O(dx^2)) stays above 3.5 on these lattices
+    errs = []
+    for n in (64, 128, 256):
+        g = PaddedGrid(half=4.0, n=n)
+        X, Y = g.meshgrid()
+        u = np.exp(-(X * X + Y * Y) / 0.3) * (1.0 + 0.3 * g.zz)
+        khat = _kernel_hat(g, (2 * n, 2 * n), (n, n), (0, 0), 2)
+        su = _cauchy_conv(spectral_dzb(u, g), khat, (n, n))
+        errs.append(float(np.max(np.abs(su - spectral_dz(u, g)))))
+    assert errs[-1] <= 2e-3, errs
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.5 <= coarse / fine <= 4.5, errs
 
 
 def test_cauchy_inverse_disk_indicator():

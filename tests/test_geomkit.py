@@ -9,7 +9,7 @@ their exact Jacobian attached.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from malab import geomkit
 from malab.complexcalc import CORE_DIVISOR, deriv, smooth_cutoff
@@ -764,12 +764,30 @@ def _core_defect(grid, s):
 
 
 @settings(max_examples=10)
-@given(s=st.floats(0.0, 1.0))
+@given(s=st.floats(0.0, 2.0))
+@example(s=2.0)
 def test_isothermal_converges_on_the_quartic_family(s):
-    # max |mu_B| reaches 0.24 at s = 1; from s = 0.5 on, the fixed point
-    # stalls at nodes of the wraparound margin, which the inverse leaves out
+    # max |mu_B| reaches 0.24 at s = 1 and 0.34 at s = 2; from s = 0.5 on,
+    # the fixed point stalls at nodes of the wraparound margin, which the
+    # inverse leaves out.  A spectral dz of C phi, which does not wrap,
+    # rang at the seam and pushed |dJ - I| past 1 from s = 1.5 on
     assert _core_defect(box(), s) <= CONFORMAL_TOL
 
 
 def test_isothermal_converges_on_the_quartic_base_wide_box():
     assert _core_defect(box(n=256, half=6.0), 1.0) <= CONFORMAL_TOL
+
+
+def test_isothermal_converges_on_the_quartic_base_refined_box():
+    # the 128 box's lattice halved: the seam ringing of a spectral dz of
+    # C phi doubled with n, and max |dJ - I| reached 1.55 here
+    assert _core_defect(box(n=256), 1.0) <= CONFORMAL_TOL
+
+
+def test_isothermal_quartic_corners():
+    # max |mu_B| is 0.49 at s = 5, inside the contraction of the Neumann
+    # series; at s = 60 (0.80, still outside BELTRAMI_MARGIN) the series
+    # contracts too slowly for its step budget, and says so
+    assert _core_defect(box(), 5.0) <= CONFORMAL_TOL
+    with pytest.raises(GridError, match="Beltrami series did not converge"):
+        _core_defect(box(), 60.0)

@@ -181,6 +181,15 @@ def test_second_solve_refuses_solutions_from_another_grid():
                 second_solve(met, v1, v2, 0.0, 0.0)
 
 
+def test_second_solve_refuses_a_box_metric():
+    # a box has no mask: this used to be an AttributeError from the
+    # coefficient read
+    grid = PaddedGrid(half=1.0, n=32)
+    v = ScalarField(np.zeros((32, 32)), grid)
+    with pytest.raises(GridError, match="expect a domain grid"):
+        second_solve(flat_metric(grid), v, v, 0.0, 0.0)
+
+
 def test_non_finite_metric_is_refused_before_any_derivative():
     # a NaN used to give a NaN drift on a box, and on a domain the
     # misleading "no difference stencil fits at node (1, 11)"
