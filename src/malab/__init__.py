@@ -53,8 +53,9 @@ a fixed choice is a module constant, named at its step.
    geomkit.BELTRAMI_MARGIN from 1 and stops at geomkit.BELTRAMI_RTOL
    within geomkit.BELTRAMI_MAX_ITER steps), geomkit.diffeo_rigidity_solve
    (the coordinates are fixed by their boundary values),
-   geomkit.pullback_metric and geomkit.invert_diffeo (a fixed point to
-   geomkit.INVERSION_RTOL within geomkit.INVERSION_MAX_ITER steps) on a
+   geomkit.pullback_metric and geomkit.invert_diffeo (a chord step to
+   geomkit.INVERSION_RTOL within geomkit.INVERSION_MAX_ITER steps, both
+   sampling through one grid._CubicBlock per point set) on a
    geomkit.DiffeoField. The inverse, and so the chart, is defined on the
    box's data region inside the wraparound margin, which holds the core
    disk; in the margin, where preimages alias through the period, the
@@ -65,6 +66,11 @@ a fixed choice is a module constant, named at its step.
    test_geomkit.py::test_isothermal_converges_on_the_quartic_family,
    test_geomkit.py::test_isothermal_converges_on_the_quartic_base_refined_box,
    test_geomkit.py::test_isothermal_quartic_corners,
+   test_geomkit.py::test_isothermal_converges_up_to_the_gap_guard,
+   test_geomkit.py::test_invert_converges_on_the_quartic_charts,
+   test_geomkit.py::test_invert_takes_at_most_seven_loop_blocks,
+   test_grid.py::test_cubic_block_samples_the_eager_formula_bitwise,
+   test_grid.py::test_cubic_block_holds_at_most_96_bytes_a_point,
    test_complexcalc.py::test_beurling_transform_is_second_order,
    test_geomkit.py::test_rigidity_returns_identity,
    test_geomkit.py::test_transform_check_generic_triple.

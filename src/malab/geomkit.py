@@ -15,8 +15,14 @@ Pullbacks sample on the periodic box with the lattice's one cubic
 sampler (grid._CubicBlock: local 4x4 Lagrange blocks, indices wrapped
 through the period), so lattice points and cubic polynomials are
 reproduced exactly; fields sampled at the same points share one block.
-Inverse maps come from a per-node fixed point that samples the
-displacement only at the nodes still moving. They are defined on the
+Inverse maps come from a per-node chord (simplified Newton) step on the
+inverse displacement e = z - p, which samples the displacement only at
+the nodes still moving and reads the matrix of the step, the inverse of
+the lattice Jacobian at the nearest node, from one array formed per
+call; on e, not on z, so a tiny displacement does not stall at ulp(p).
+It takes about half the sampled steps of the plain fixed point
+e <- -d(p + e), and on the quartic family it converges up to where the
+gap guard (sup |dJ - I| < 1) refuses. They are defined on the
 data region, the nodes within Chebyshev radius half - half/3, and are
 the identity in the wraparound margin outside it: a preimage there
 aliases through the period, and a displacement that decays like c/z (a
@@ -59,7 +65,7 @@ BELTRAMI_RTOL = 1e-12
 BELTRAMI_MAX_ITER = 64
 
 # invert_diffeo: a node's move, relative to the displacement scale, at
-# which it freezes, and the fixed point's step budget
+# which it freezes, and the chord iteration's step budget
 INVERSION_RTOL = 1e-12
 INVERSION_MAX_ITER = 80
 
@@ -168,15 +174,17 @@ def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
     _check_reach(J)
     if g.grid != J.grid:
         raise GridError("map and metric live on different grids")
+    t = np.stack([g.g11, g.g12, g.g22])
+    if not np.all(np.isfinite(t)):
+        raise GridError("metric has non-finite entries")
     moved = np.flatnonzero((J.d1 != 0.0) | (J.d2 != 0.0))
     at = _CubicBlock(J.grid, *(p.reshape(-1)[moved] for p in J.points()))
-    t = np.stack([g.g11, g.g12, g.g22])
     t.reshape(3, -1)[:, moved] = at(t)
     return MetricField(*_transport(_inverse_jacobian(J), t), J.grid)
 
 
 def invert_diffeo(J: DiffeoField) -> DiffeoField:
-    """Inverse map on the same lattice by displacement fixed point.
+    """Inverse map on the same lattice by a chord step on the displacement.
 
     The inverse is defined on the data region only: the nodes within
     Chebyshev radius half - half/3, the wraparound margin that
@@ -185,32 +193,47 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
     period; nodes in the margin get the identity, displacement 0 and
     Jacobian I exactly.
 
-    Solves z + d(z) = p per region node through z <- p - d(z), which
-    contracts whenever sup |grad d| < 1. Each node freezes once its own
-    move is within INVERSION_RTOL of the displacement scale, and every
-    step samples d at the still-moving nodes only. The first step starts
-    at the nodes themselves, where the sampler returns the stored d
-    bitwise, so it reads d directly and builds no block. The step's
-    largest move is also the largest over the region, since frozen nodes
-    moved within INVERSION_RTOL, so the stall and exhaustion checks read
-    it unchanged. The loop ends when every node is frozen, at the second
-    stall, or when its step budget runs out; in the last two cases the
-    one refusal raises unless the last move is within the jitter floor.
-    The inverse Jacobian is the nodewise matrix inverse of
-    dJ sampled at the preimage, so no derivative of the computed inverse
-    displacement is ever taken.
+    Solves e + d(p + e) = 0 for the inverse displacement e = z - p per
+    region node by the chord (simplified Newton) step
+    e <- e - M_q (e + d(p + e)), where M_q is the inverse of J's lattice
+    Jacobian at the node q nearest the current preimage p + e, formed once
+    on the box. So a step samples d alone, like the plain fixed point
+    e <- -d(p + e), and contracts by the Jacobian's change between the
+    preimage and its nearest node, not by sup |grad d|. It runs on e, not
+    on z: a residual z + d(z) - p cancels down to ulp(p), which the moves
+    of a tiny displacement never get below. A step that reads a Jacobian
+    with det <= 0 refuses the map. Each node freezes once its own move is
+    within INVERSION_RTOL of the displacement scale, and every step
+    samples d at the still-moving nodes only. The first step starts at
+    the nodes themselves, where the sampler returns the stored d bitwise,
+    so it reads d directly and builds no block. The step's largest move
+    is also the largest over the region, since frozen nodes moved within
+    INVERSION_RTOL, so the stall and exhaustion checks read it unchanged.
+    The loop ends when every node is frozen, at the second stall, or when
+    its step budget runs out; in the last two cases the one refusal
+    raises unless the last move is within the jitter floor. The gap
+    guard still refuses sup |dJ - I| >= 1 up front. The inverse Jacobian
+    is the nodewise matrix inverse of dJ sampled at the preimage, so no
+    derivative of the computed inverse displacement is ever taken.
     """
     _check_reach(J)
-    grid = J.grid
-    j11, j12, j21, j22 = J.jacobian()
+    grid, n = J.grid, J.grid.n
+    jac = np.stack(J.jacobian())
+    j11, j12, j21, j22 = jac
     gap = np.max(np.abs(np.stack([j11 - 1.0, j12, j21, j22 - 1.0])))
     if gap >= 1.0:
         raise GridError(f"displacement gradient reaches {gap:.3f}; the "
                         "inversion fixed point does not contract")
+    # the chord's matrices; NaN where the map folds, for the step to refuse
+    det = j11 * j22 - j12 * j21
+    chord = (np.stack([j22, -j12, -j21, j11])
+             / np.where(det > 0.0, det, np.nan)).reshape(4, -1)
+    disp = np.stack([J.d1, J.d2])
     region = np.flatnonzero(grid.cheb <= grid.half - grid.half / 3.0)
+    ri, ci = np.divmod(region, n)
     p1, p2 = (a.reshape(-1)[region] for a in grid.meshgrid())
-    z1, z2 = p1.copy(), p2.copy()
-    d1, d2 = J.d1.reshape(-1)[region], J.d2.reshape(-1)[region]
+    e1, e2 = np.zeros(region.size), np.zeros(region.size)
+    d1, d2 = disp.reshape(2, -1)[:, region]
     active = np.arange(region.size)
     scale = max(float(np.max(np.hypot(J.d1, J.d2))), 1e-300)
     # the iteration contracts down to the resampling jitter of the
@@ -218,14 +241,21 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
     # convergence, a stall above it is a genuine failure
     floor, prev, stall = 1e-6 * scale, np.inf, 0
     for k in range(INVERSION_MAX_ITER):
+        ea1, ea2 = e1[active], e2[active]
         if k:
-            at = _CubicBlock(grid, z1[active], z2[active])
-            d1, d2 = at(J.d1), at(J.d2)
+            at = _CubicBlock(grid, p1[active] + ea1, p2[active] + ea2)
+            d1, d2 = at(disp)
             del at              # one block alive at a time bounds the peak
-        n1 = p1[active] - d1
-        n2 = p2[active] - d2
-        step = np.hypot(n1 - z1[active], n2 - z2[active])
-        z1[active], z2[active] = n1, n2
+        q = ((ri[active] + np.rint(ea1 / grid.dx).astype(int)) % n * n
+             + (ci[active] + np.rint(ea2 / grid.dx).astype(int)) % n)
+        m11, m12, m21, m22 = chord[:, q]
+        if np.any(np.isnan(m11)):
+            raise GridError("map is not orientation preserving")
+        r1, r2 = ea1 + d1, ea2 + d2
+        s1 = m11 * r1 + m12 * r2
+        s2 = m21 * r1 + m22 * r2
+        e1[active], e2[active] = ea1 - s1, ea2 - s2
+        step = np.hypot(s1, s2)
         move = float(np.max(step))
         active = active[step > INVERSION_RTOL * scale]
         if not active.size:
@@ -236,16 +266,14 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
             break
     if active.size and move > floor:
         raise GridError(f"inversion stalled at step size {move:.3e}")
-    at = _CubicBlock(grid, z1, z2)
-    a11, a12, a21, a22 = at(j11), at(j12), at(j21), at(j22)
+    a11, a12, a21, a22 = _CubicBlock(grid, p1 + e1, p2 + e2)(jac)
     det = a11 * a22 - a12 * a21
     if np.min(det) <= 0.0:
         raise GridError("map is not orientation preserving along the inverse")
-    out = np.zeros((6, grid.n * grid.n))
+    out = np.zeros((6, n * n))
     out[2] = out[5] = 1.0
-    out[:, region] = (z1 - p1, z2 - p2, a22 / det, -a12 / det, -a21 / det,
-                      a11 / det)
-    out = out.reshape(6, grid.n, grid.n)
+    out[:, region] = (e1, e2, a22 / det, -a12 / det, -a21 / det, a11 / det)
+    out = out.reshape(6, n, n)
     return DiffeoField(out[0], out[1], grid, jac=tuple(out[2:]))
 
 
@@ -292,14 +320,22 @@ def transform_solution_check(g2: MetricField, X2: VectorField, J: DiffeoField,
         raise GridError("transform checks run on a domain grid")
     if J.grid != grid or v2.grid != grid:
         raise GridError("inputs live on different grids")
+    cv = lattice_values(c, grid)
+    for name, vals in (("solution v2", (v2.values,)),
+                       ("drift X2", (X2.c1, X2.c2)),
+                       ("conformal factor c", (cv,))):
+        if not all(np.all(np.isfinite(a[grid.mask])) for a in vals):
+            raise GridError(f"{name} has non-finite values on the domain")
+    if np.min(cv[grid.mask]) <= 0.0:
+        raise GridError("conformal factor must be positive")
     p1, p2 = J.points()
     sample = _CubicBlock(grid, p1, p2)
     ok = sample.inside() & grid.mask
 
-    vt = (np.asarray(v2_call(p1, p2), dtype=float) if v2_call is not None
-          else sample(v2.values))
-    t11, t12, t22 = sample(g2.g11), sample(g2.g12), sample(g2.g22)
-    x1, x2 = sample(X2.c1), sample(X2.c2)
+    t11, t12, t22, x1, x2, vt = sample(
+        np.stack([g2.g11, g2.g12, g2.g22, X2.c1, X2.c2, v2.values]))
+    if v2_call is not None:
+        vt = np.asarray(v2_call(p1, p2), dtype=float)
 
     # sanitize the garbage outside the trusted sampling set so the
     # divergence-form arithmetic stays finite there
@@ -308,9 +344,6 @@ def transform_solution_check(g2: MetricField, X2: VectorField, J: DiffeoField,
     x1[bad] = x2[bad] = 0.0
     vt[bad] = 0.0
 
-    cv = lattice_values(c, grid)
-    if np.min(cv[grid.mask]) <= 0.0:
-        raise GridError("conformal factor must be positive")
     cv = np.where(grid.mask, cv, 1.0)
     B = _inverse_jacobian(J)
     g1 = MetricField(*(s / cv for s in _transport(B, (t11, t12, t22))), grid)

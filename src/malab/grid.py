@@ -22,15 +22,16 @@ an exterior node's cell (an orphan sliver) then moves to the nearest mask
 node, ties broken by (d^2, di, dj), so the weights sum to the exact area.
 
 Both lattices share one cubic sampler, _CubicBlock: per point the snapped
-4x4 Lagrange block (flat node indices and weights), clipped to the
-lattice on a domain and wrapped through the period on a box, built once
-and applied to every field sampled at those points. The boundary ray
-fits and the geomkit pullbacks, inversions and transport checks all go
-through it; _ray_fit samples a whole stack of fields along the ring's
-normals with one block. The ring
-calculus is spectral in the uniform ring parameter and lives here only:
-tangential_derivative divides by the stored speed ds M / 2 pi,
-_ring_modes is the half spectrum and _ring_eval its interpolant.
+4x4 Lagrange block, clipped to the lattice on a domain and wrapped
+through the period on a box, kept as its corner and the 4 + 4 per-axis
+weights (80 bytes a point) and built once for every field sampled at
+those points; a sample forms the 16 index and weight terms as it loops.
+The boundary ray fits and the geomkit pullbacks, inversions and
+transport checks all go through it, and each samples its fields at one
+block as one stack in one call. The ring calculus is spectral in the
+uniform ring parameter and lives here only: tangential_derivative
+divides by the stored speed ds M / 2 pi, _ring_modes is the half
+spectrum and _ring_eval its interpolant.
 
 Two grids are equal when they are the same lattice: domains with the same
 (a, b, n), boxes with the same (half, n). Every check that a field, trace
@@ -555,42 +556,50 @@ def _lagrange4(t: np.ndarray) -> np.ndarray:
 class _CubicBlock:
     """Snapped 4x4 cubic Lagrange blocks of the points (p1, p2), any shape.
 
-    Holds each point's 16 flat node indices and weight products, so one
-    block samples any number of fields at the same points. Lattice
-    coordinates are (p + half)/dx on both lattices; block corners are
-    clipped to [0, n-4] on a DomainGrid (extrapolating at its edge) and
-    wrap mod n on a PaddedGrid. Exact at lattice points and on cubics per
-    axis of the local coordinates.
+    Holds each point's block corner (gi, gj) and its 4 + 4 per-axis
+    Lagrange weights, 80 bytes a point. A sample forms the 16 terms
+    (weight wu[a] wv[b], flat node index row_a + col_b) as it loops, in
+    the order and with the operations of storing all 16, so it is
+    bitwise theirs. One block samples any number of fields at the same
+    points, a (k, n, n) stack of them in one call. Lattice coordinates
+    are (p + half)/dx on both lattices; block corners are clipped to
+    [0, n-4] on a DomainGrid (extrapolating at its edge) and wrap mod n
+    on a PaddedGrid. Exact at lattice points and on cubics per axis of
+    the local coordinates.
     """
 
     def __init__(self, grid, p1, p2):
         p1 = np.asarray(p1, dtype=float)
         p2 = np.asarray(p2, dtype=float)
-        n = grid.n
         u = _snap((p1 + grid.half) / grid.dx)
         v = _snap((p2 + grid.half) / grid.dx)
         gi = np.floor(u).astype(int) - 1
         gj = np.floor(v).astype(int) - 1
-        if isinstance(grid, PaddedGrid):
-            rows = [(gi + a) % n * n for a in range(4)]
-            cols = [(gj + b) % n for b in range(4)]
-        else:
-            gi = np.clip(gi, 0, n - 4)
-            gj = np.clip(gj, 0, n - 4)
-            rows = [(gi + a) * n for a in range(4)]
-            cols = [gj + b for b in range(4)]
-        wu, wv = _lagrange4(u - gi), _lagrange4(v - gj)
+        if not isinstance(grid, PaddedGrid):
+            gi = np.clip(gi, 0, grid.n - 4)
+            gj = np.clip(gj, 0, grid.n - 4)
         self.grid = grid
         self.p1, self.p2 = p1, p2
-        self.idx = [r + c for r in rows for c in cols]
-        self.w = [a * b for a in wu for b in wv]
+        self.gi, self.gj = gi, gj
+        self.wu, self.wv = _lagrange4(u - gi), _lagrange4(v - gj)
+
+    def _indices(self):
+        """The 16 flat node indices row_a + col_b, a-major."""
+        n = self.grid.n
+        wrap = isinstance(self.grid, PaddedGrid)
+        cols = [(self.gj + b) % n if wrap else self.gj + b for b in range(4)]
+        for a in range(4):
+            row = ((self.gi + a) % n if wrap else self.gi + a) * n
+            for col in cols:
+                yield row + col
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """Samples of an (n, n) field or a (k, n, n) stack, shape (k,) + p."""
         values = np.asarray(values)
         flat = values.reshape(values.shape[:-2] + (-1,))
         out = np.zeros(flat.shape[:-1] + self.p1.shape, dtype=flat.dtype)
-        for w, idx in zip(self.w, self.idx):
+        weights = (wa * wb for wa in self.wu for wb in self.wv)
+        for w, idx in zip(weights, self._indices()):
             out += w * flat.take(idx, axis=-1)
         return out
 
@@ -598,7 +607,7 @@ class _CubicBlock:
         """Points whose 16 block nodes all lie in the domain mask."""
         flat = self.grid.mask.ravel()
         ok = np.ones(self.p1.shape, dtype=bool)
-        for idx in self.idx:
+        for idx in self._indices():
             ok &= flat[idx]
         return ok
 

@@ -385,6 +385,18 @@ def test_pullback_rejects_a_metric_of_another_box():
                           pullback_metric(J, g).g11)
 
 
+def test_pullback_refuses_a_nonfinite_metric(monkeypatch):
+    # one NaN used to come back as NaN fields of the pulled-back metric
+    grid = box(n=64)
+    g = random_box_metric(np.random.default_rng(9), grid)
+    g11 = g.g11.copy()
+    g11[20, 30] = np.nan
+    monkeypatch.setattr(geomkit, "_CubicBlock", None)
+    with pytest.raises(GridError, match="metric has non-finite entries"):
+        pullback_metric(_compact_diffeo(grid),
+                        MetricField(g11, g.g12, g.g22, grid))
+
+
 def test_diffeo_rejects_nonfinite_input():
     grid = box(n=64)
     X, Y = grid.meshgrid()
@@ -451,6 +463,49 @@ def test_invert_converges_on_the_data_region():
         assert np.all(Ji.d1[margin] == 0.0) and np.all(Ji.d2[margin] == 0.0)
         for got, want in zip(Ji.jacobian(), (1.0, 0.0, 0.0, 1.0)):
             assert np.all(got[margin] == want)
+
+
+def test_invert_takes_at_most_seven_loop_blocks(monkeypatch):
+    # the chord step contracts at the rate of the Jacobian's change over
+    # half a cell; the plain fixed point took 10-12 sampled steps here
+    built = []
+
+    class Spy(_CubicBlock):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(geomkit, "_CubicBlock", Spy)
+    grid = box()
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        J = _w_map(chart_metric(grid, *rng.uniform([0.15, 0.08, 0.05, 0.4],
+                                                   [0.3, 0.2, 0.15, 0.6])))
+        built.clear()
+        Ji = invert_diffeo(J)
+        # the last block samples the Jacobian at the converged preimages
+        assert 1 <= len(built) - 1 <= 7, len(built)
+        assert _inverse_residual(J, Ji) <= 10 * 1e-12
+
+
+@pytest.mark.parametrize("s", [5.0, 10.0, 15.0])
+def test_invert_converges_on_the_quartic_charts(s):
+    # max |dJ - I| is 0.88 to 0.99 from s = 8 on, where the plain fixed
+    # point contracted too slowly and stalled
+    J = _w_map(quartic_metric(box(), s))
+    assert _inverse_residual(J, invert_diffeo(J)) <= 1e-11
+
+
+def test_invert_refuses_a_chord_step_through_a_fold():
+    # an attached Jacobian with det < 0 at one node, every entry within
+    # 1 of the identity's: the first step reads it there
+    grid = box(n=64)
+    J = _compact_diffeo(grid)
+    jac = [np.array(a) for a in J.jacobian()]
+    for a, v in zip(jac, (0.5, 0.9, 0.9, 0.5)):
+        a[32, 32] = v
+    with pytest.raises(GridError, match="^map is not orientation preserving$"):
+        invert_diffeo(DiffeoField(J.d1, J.d2, grid, jac=jac))
 
 
 def test_invert_exhausted_iteration_raises(monkeypatch):
@@ -583,6 +638,27 @@ def test_transform_check_rejects_nonpositive_factor():
     with pytest.raises(GridError, match="positive"):
         transform_solution_check(g, zero, DiffeoField.identity(grid),
                                  -1.0, v)
+
+
+@pytest.mark.parametrize("bad, name", [("v2", "solution v2"),
+                                       ("X2", "drift X2"),
+                                       ("c", "conformal factor c")])
+def test_transform_check_names_a_nonfinite_input(monkeypatch, bad, name):
+    # a NaN in v2 used to raise "no difference stencil fits at node", one
+    # in c "metric has non-finite entries", and one in X2 came back as a
+    # NaN residual with no error
+    grid = build_disk(n=48)
+    g = flat(grid)
+    X, Y = grid.meshgrid()
+    inputs = {"v2": np.where(grid.mask, X * X - Y * Y, 0.0),
+              "X2": np.zeros((grid.n, grid.n)), "c": np.ones((grid.n, grid.n))}
+    inputs[bad][20, 22] = np.nan
+    monkeypatch.setattr(geomkit, "_CubicBlock", None)
+    with pytest.raises(GridError, match=f"{name} has non-finite values"):
+        transform_solution_check(g, VectorField(inputs["X2"], inputs["X2"],
+                                                grid),
+                                 DiffeoField.identity(grid), inputs["c"],
+                                 ScalarField(inputs["v2"], grid))
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +842,13 @@ def _core_defect(grid, s):
 @settings(max_examples=10)
 @given(s=st.floats(0.0, 2.0))
 @example(s=2.0)
+@example(s=1e-10)
 def test_isothermal_converges_on_the_quartic_family(s):
     # max |mu_B| reaches 0.24 at s = 1 and 0.34 at s = 2; from s = 0.5 on,
     # the fixed point stalls at nodes of the wraparound margin, which the
     # inverse leaves out.  A spectral dz of C phi, which does not wrap,
-    # rang at the seam and pushed |dJ - I| past 1 from s = 1.5 on
+    # rang at the seam and pushed |dJ - I| past 1 from s = 1.5 on.  At
+    # s = 1e-10 a chord step written on z, not on z - p, stalls at ulp(p)
     assert _core_defect(box(), s) <= CONFORMAL_TOL
 
 
@@ -782,6 +860,13 @@ def test_isothermal_converges_on_the_quartic_base_refined_box():
     # the 128 box's lattice halved: the seam ringing of a spectral dz of
     # C phi doubled with n, and max |dJ - I| reached 1.55 here
     assert _core_defect(box(n=256), 1.0) <= CONFORMAL_TOL
+
+
+@pytest.mark.parametrize("s", [8.0, 10.0, 15.0])
+def test_isothermal_converges_up_to_the_gap_guard(s):
+    # the plain fixed point stalled here; s = 18 reaches the gap guard
+    # (max |dJ - I| 1.02) and s = 20 the Beltrami step budget
+    assert _core_defect(box(), s) <= CONFORMAL_TOL
 
 
 def test_isothermal_quartic_corners():

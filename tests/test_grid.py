@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from malab.grid import (
     BoundaryTrace, GridError, MetricField, PaddedGrid, ScalarField,
     _adopt_orphans,
-    _coverage_weights, _CubicBlock, _ray_fit, _ring_eval, _ring_modes,
+    _coverage_weights, _CubicBlock, _lagrange4, _ray_fit, _ring_eval,
+    _ring_modes, _snap,
     boundary_restrict, build_disk, build_ellipse, lattice_values,
     normal_derivative, quadrature, tangential_derivative,
 )
@@ -428,6 +430,70 @@ def test_cubic_block_is_exact_at_the_nodes(grid):
     f = np.random.default_rng(grid.n).standard_normal((3, grid.n, grid.n))
     X, Y = grid.meshgrid()
     assert np.array_equal(_CubicBlock(grid, X, Y)(f), f)
+
+
+def _eager_block(grid, p1, p2):
+    """Every point's 16 flat node indices and weight products, stored
+    whole, a-major: the sampler's reference formula."""
+    n = grid.n
+    u = _snap((p1 + grid.half) / grid.dx)
+    v = _snap((p2 + grid.half) / grid.dx)
+    gi = np.floor(u).astype(int) - 1
+    gj = np.floor(v).astype(int) - 1
+    if isinstance(grid, PaddedGrid):
+        rows = [(gi + a) % n * n for a in range(4)]
+        cols = [(gj + b) % n for b in range(4)]
+    else:
+        gi, gj = np.clip(gi, 0, n - 4), np.clip(gj, 0, n - 4)
+        rows = [(gi + a) * n for a in range(4)]
+        cols = [gj + b for b in range(4)]
+    wu, wv = _lagrange4(u - gi), _lagrange4(v - gj)
+    return ([r + c for r in rows for c in cols],
+            [a * b for a in wu for b in wv])
+
+
+@pytest.mark.parametrize("grid", [PaddedGrid(half=4.0, n=128),
+                                  PaddedGrid(half=1.5, n=45),
+                                  build_disk(1.0, 64),
+                                  build_ellipse(1.0, 0.6, 48)])
+def test_cubic_block_samples_the_eager_formula_bitwise(grid):
+    # the block keeps per-axis corners and weights and forms its 16 terms
+    # as it samples; each sample must be the stored terms' sum bit for
+    # bit, for points beyond the lattice too (wrapped on a box, clipped
+    # on a domain)
+    rng = np.random.default_rng(grid.n)
+    p1, p2 = rng.uniform(-1.5 * grid.half, 1.5 * grid.half, (2, 30, 7))
+    f = rng.standard_normal((3, grid.n, grid.n))
+    idx, w = _eager_block(grid, p1, p2)
+    want = np.zeros((3,) + p1.shape)
+    for wk, ik in zip(w, idx):
+        want += wk * f.reshape(3, -1).take(ik, axis=-1)
+    at = _CubicBlock(grid, p1, p2)
+    assert np.array_equal(at(f), want)
+    assert np.array_equal(at(f[1]), want[1])
+    if isinstance(grid, PaddedGrid):
+        return
+    inside = np.logical_and.reduce([grid.mask.ravel()[ik] for ik in idx])
+    assert np.any(inside) and not np.all(inside)
+    assert np.array_equal(at.inside(), inside)
+
+
+def test_cubic_block_holds_at_most_96_bytes_a_point():
+    # the corners and the 4 + 4 per-axis weights; the 16 stored indices
+    # and weight products of every point held 257 bytes a point
+    grid = PaddedGrid(half=4.0, n=128)
+    X, Y = grid.meshgrid()
+    region = grid.cheb <= grid.half - grid.half / 3.0
+    p1, p2 = X[region] + 0.3 * grid.dx, Y[region] - 0.6 * grid.dx
+    assert p1.size == 7225          # an inversion's data region
+    tracemalloc.start()
+    try:
+        at = _CubicBlock(grid, p1, p2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert at(X).shape == p1.shape
+    assert held <= 96 * p1.size, held / p1.size
 
 
 def test_interp_masked_strict_rejection():
