@@ -22,9 +22,16 @@ complex array and cached per layout and power (the two used last, the
 most one call reads), through one pruned FFT pair: for an N0 x N1
 transform of m0 input rows read on n1 output columns, m0 + N1 forward
 and N0 + n1 inverse 1-D transforms, since padding rows transform to zero
-and unread columns need no inverse.  cauchy_inverse is the linear
-convolution over the whole box: on the 2n x 2n transform, n + 2n forward
-and 2n + n inverse 1-D transforms, in place of 4n + 4n.  The
+and unread columns need no inverse.  cauchy_inverse and the last step
+of isothermal's Beltrami solve read their input on the data window only,
+the m nodes a side with |x|, |y| <= half - half/3 that the support guard
+admits mass on (the rest of the box is the wraparound margin), and write
+the whole box (_window_to_box): an N x N transform with
+N = _fft_size(m + n - 1), m + N forward and N + n inverse 1-D
+transforms.  The steps of that solve convolve the window onto itself,
+N = _fft_size(2m - 1) with m + N forward and N + m inverse.  On the
+half = 4, n = 128 box m = 85, and N is 216 and 180, in place of the
+whole box's 2n = 256 with n + 2n forward and 2n + n inverse.  The
 oscillatory inverses read their input only in the window |x|, |y| < 2 rc,
 where the cutoff E is nonzero, and write output only on the core window
 |x|, |y| <= rc, so they convolve windows: with L_in and L_out the window
@@ -294,10 +301,12 @@ def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
     cell to itself, so the origin weight is zero; every other cell is
     point sampled at its center.  Cached per box, layout and power,
     read-only: the two used last, the most that one call reads (an
-    _OscWindows reads two, isothermal the Beurling and the Cauchy kernel),
-    so a sweep's window kernels push out a full-box kernel that no bundle
-    reads.  The cost: a caller that alternates full-box and windowed
-    transforms on one box rebuilds the full-box kernel each time.
+    _OscWindows reads two; isothermal reads the data-window-to-box
+    Beurling and Cauchy kernels, and builds its Neumann loop's
+    window-to-window kernel per call through __wrapped__, outside the
+    cache), so a sweep's window kernels push out a full-box kernel that
+    no bundle reads.  The cost: a caller that alternates full-box and
+    windowed transforms on one box rebuilds the full-box kernel each time.
 
     The kernel is built in one complex array: its real and imaginary parts
     are set from the 1-D offsets times h, and the squaring, the scaling,
@@ -344,23 +353,43 @@ def _cauchy_conv(vals: np.ndarray, khat: np.ndarray, n_out: tuple) -> np.ndarray
     return np.fft.ifft(cols, axis=0, out=cols)[:n_out[0]]
 
 
+def _data_window(grid: PaddedGrid) -> slice:
+    """Index slice, along either axis, of the data region: the nodes with
+    |x|, |y| <= half - half/3, where _support_guard admits mass (it reads
+    max(|x|, |y|) from the same |x|)."""
+    at = np.flatnonzero(np.abs(grid.x) <= grid.half - grid.half / 3.0)
+    return slice(int(at[0]), int(at[-1]) + 1)
+
+
+def _window_to_box(win: np.ndarray, grid: PaddedGrid,
+                   power: int) -> np.ndarray:
+    """The Cauchy (power 1) or Beurling (power 2) transform, on the whole
+    box, of a field given on the data window and zero outside it: a pruned
+    N x N FFT pair, N = _fft_size(m + n - 1) for the m-node window."""
+    n, start = grid.n, _data_window(grid).start
+    N = _fft_size(win.shape[0] + n - 1)
+    khat = _kernel_hat(grid, (N, N), (n, n), (-start, -start), power)
+    return _cauchy_conv(win, khat, (n, n))
+
+
 def cauchy_inverse(omega: ComplexField) -> ComplexField:
     """Right inverse of dzb: convolution with 1/(pi z) by zero-padded FFT.
 
     The input must be finite and supported in the core of the padded box;
     the outer third of the box is reserved as wraparound margin.  The
-    transform is the linear convolution over the whole box, a pruned 2n x
-    2n FFT pair: n + 2n forward and 2n + n inverse 1-D transforms of
-    length 2n.
+    transform convolves the input's data window (|x|, |y| <= half -
+    half/3, m nodes a side, outside which the support guard has bounded
+    it below 1e-5 of its maximum) onto the whole box: a pruned N x N FFT
+    pair with N = _fft_size(m + n - 1), m + N forward and N + n inverse
+    1-D transforms of length N (N = 216 on the half = 4, n = 128 box).
     """
     grid = omega.grid
     if not isinstance(grid, PaddedGrid):
         raise GridError("cauchy_inverse expects a field on a padded box")
     vals = _require_finite(omega.values, grid, "cauchy_inverse")
     _support_guard(vals, grid, "cauchy_inverse")
-    n = grid.n
-    khat = _kernel_hat(grid, (2 * n, 2 * n), (n, n), (0, 0), 1)
-    return ComplexField(_cauchy_conv(vals, khat, (n, n)), grid)
+    at = _data_window(grid)
+    return ComplexField(_window_to_box(vals[at, at], grid, 1), grid)
 
 
 def conj_cauchy_inverse(omega: ComplexField) -> ComplexField:

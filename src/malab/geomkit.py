@@ -21,15 +21,16 @@ the nodes still moving and reads the matrix of the step, the inverse of
 the lattice Jacobian at the nearest node, from one array formed per
 call; on e, not on z, so a tiny displacement does not stall at ulp(p).
 It takes about half the sampled steps of the plain fixed point
-e <- -d(p + e), and on the quartic family it converges up to where the
-gap guard (sup |dJ - I| < 1) refuses. They are defined on the
-data region, the nodes within Chebyshev radius half - half/3, and are
-the identity in the wraparound margin outside it: a preimage there
-aliases through the period, and a displacement that decays like c/z (a
-Cauchy transform) jumps across the box seam, where no sampler can be
-trusted. Maps whose displacement exceeds the wraparound margin of the
-box are rejected, since their images alias through the period, and so
-are non-finite displacements and Jacobians.
+e <- -d(p + e), and needs no bound on sup |dJ - I|: it refuses a map
+only where a Jacobian it reads folds, or where it stalls or runs out of
+steps, and on the quartic family it converges beyond sup |dJ - I| = 1.
+They are defined on the data region, the nodes within Chebyshev radius
+half - half/3, and are the identity in the wraparound margin outside
+it: a preimage there aliases through the period, and a displacement
+that decays like c/z (a Cauchy transform) jumps across the box seam,
+where no sampler can be trusted. Maps whose displacement exceeds the
+wraparound margin of the box are rejected, since their images alias
+through the period, and so are non-finite displacements and Jacobians.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcalc import (CORE_DIVISOR, _cauchy_conv, _kernel_hat,
-                          _support_guard, cauchy_inverse, deriv)
+from .complexcalc import (CORE_DIVISOR, _cauchy_conv, _data_window,
+                          _fft_size, _kernel_hat, _support_guard,
+                          _window_to_box, cauchy_inverse, deriv)
 from .grid import (ComplexField, DomainGrid, GridError, MetricField,
                    PaddedGrid, ScalarField, VectorField, _CubicBlock,
                    lattice_values)
@@ -211,8 +213,8 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
     INVERSION_RTOL, so the stall and exhaustion checks read it unchanged.
     The loop ends when every node is frozen, at the second stall, or when
     its step budget runs out; in the last two cases the one refusal
-    raises unless the last move is within the jitter floor. The gap
-    guard still refuses sup |dJ - I| >= 1 up front. The inverse Jacobian
+    raises unless the last move is within the jitter floor. No bound on
+    sup |dJ - I| is asked for up front. The inverse Jacobian
     is the nodewise matrix inverse of dJ sampled at the preimage, so no
     derivative of the computed inverse displacement is ever taken.
     """
@@ -220,10 +222,6 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
     grid, n = J.grid, J.grid.n
     jac = np.stack(J.jacobian())
     j11, j12, j21, j22 = jac
-    gap = np.max(np.abs(np.stack([j11 - 1.0, j12, j21, j22 - 1.0])))
-    if gap >= 1.0:
-        raise GridError(f"displacement gradient reaches {gap:.3f}; the "
-                        "inversion fixed point does not contract")
     # the chord's matrices; NaN where the map folds, for the step to refuse
     det = j11 * j22 - j12 * j21
     chord = (np.stack([j22, -j12, -j21, j11])
@@ -397,9 +395,17 @@ def _beltrami_coefficient(c11, c12, c22):
 def _beltrami_map(c11, c12, c22, grid) -> DiffeoField:
     """The map w = z + C phi solving dzb w = mu_B dz w, Jacobian attached.
 
-    Each Neumann step phi <- mu_B (1 + S phi) is one 2n x 2n convolution,
-    the Beurling transform S = dz C taken in the plane (a periodic dz of
-    C phi rings at the seam); dz w = 1 + S phi is the last step's.
+    mu_B is read on the data window only (|x|, |y| <= half - half/3, m
+    nodes a side): _support_guard has bounded it below 1e-5 of its
+    maximum outside, so the Neumann loop takes it as zero there and runs
+    on the window. Each step phi <- mu_B (1 + S phi) is one
+    window-to-window convolution, the Beurling transform S = dz C taken in
+    the plane (a periodic dz of C phi rings at the seam), on an N x N FFT
+    with N = _fft_size(2m - 1): 180 on the n = 128 box, where the whole
+    box takes 256. Its kernel is built once per call, outside
+    _kernel_hat's cache. After the loop one window-to-box convolution
+    (N = _fft_size(m + n - 1), 216 at n = 128) gives dz w = 1 + S phi on
+    the whole box, and phi = mu_B dz w at every node.
     """
     mu_b = _beltrami_coefficient(c11, c12, c22)
     worst = float(np.max(np.abs(mu_b)))
@@ -409,12 +415,14 @@ def _beltrami_map(c11, c12, c22, grid) -> DiffeoField:
                         "quasi-conformality")
     _support_guard(mu_b, grid, "isothermal")
 
-    n = grid.n
-    khat = _kernel_hat(grid, (2 * n, 2 * n), (n, n), (0, 0), 2)
-    phi, prev, last = mu_b, np.nan, np.nan
+    at = _data_window(grid)
+    mu_w = mu_b[at, at]
+    m = mu_w.shape[0]
+    N = _fft_size(2 * m - 1)
+    khat = _kernel_hat.__wrapped__(grid, (N, N), (m, m), (0, 0), 2)
+    phi, prev, last = mu_w, np.nan, np.nan
     for _ in range(BELTRAMI_MAX_ITER):
-        dzw = 1.0 + _cauchy_conv(phi, khat, (n, n))
-        nxt = mu_b * dzw
+        nxt = mu_w * (1.0 + _cauchy_conv(phi, khat, (m, m)))
         step = float(np.max(np.abs(nxt - phi)))
         phi, prev, last = nxt, last, step
         if step <= BELTRAMI_RTOL * max(worst, 1e-300):
@@ -423,6 +431,8 @@ def _beltrami_map(c11, c12, c22, grid) -> DiffeoField:
         raise GridError("Beltrami series did not converge "
                         f"(last contraction ratio {last / prev:.3f})")
 
+    dzw = 1.0 + _window_to_box(phi, grid, 2)
+    phi = mu_b * dzw
     cphi = cauchy_inverse(ComplexField(phi, grid))
 
     # Jacobian of w from the Wirtinger pair (dz w, dzb w) = (dzw, phi)
@@ -443,6 +453,12 @@ def isothermal(g: MetricField):
     dzb w = mu_B dz w, solved by the Neumann iteration
     phi <- mu_B (1 + S phi) with S = dz C the Beurling transform and C
     the Cauchy transform, and the chart is the inverse of w = z + C phi.
+    The iteration reads mu_B on the data window only (|x|, |y| <= half -
+    half/3), where the support guard has confined its mass (outside, it
+    is below 1e-5 of its maximum, and a wider mu_B is refused before any
+    FFT), so each step convolves the window onto itself (a 180^2 FFT on
+    the n = 128 box, not the whole box's 256^2); one window-to-box
+    Beurling and one Cauchy convolution (216^2) then give w on the box.
     Its Jacobian comes from the Wirtinger derivatives dz w = 1 + S phi and
     dzb w = phi, the iteration's own lattice values, sampled at the
     preimage, so the inversion never differentiates interpolated data.

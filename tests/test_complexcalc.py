@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from malab.complexcalc import (
-    _bounding_slices, _cauchy_conv, _OscPlan, _OscWindows, _kernel_hat,
-    cauchy_inverse, conj_cauchy_inverse, deriv, oscillatory_dbar_inv,
-    periodic_fd4, smooth_cutoff, spectral_deriv, spectral_dz, spectral_dzb,
+    _bounding_slices, _cauchy_conv, _data_window, _fft_size, _OscPlan,
+    _OscWindows, _kernel_hat, _window_to_box, cauchy_inverse,
+    conj_cauchy_inverse, deriv, oscillatory_dbar_inv, periodic_fd4,
+    smooth_cutoff, spectral_deriv, spectral_dz, spectral_dzb,
 )
 from malab.geomkit import _beltrami_map
 from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
@@ -181,6 +182,21 @@ def test_cached_kernel_is_shared_by_equal_boxes_and_read_only():
         khat[0, 0] = 0.0
 
 
+def _box_layout(g, power):
+    """(shape, n_out, shift, power) of the data-window-to-box kernel."""
+    at = _data_window(g)
+    N = _fft_size(at.stop - at.start + g.n - 1)
+    return (N, N), (g.n, g.n), (-at.start, -at.start), power
+
+
+def _loop_layout(g):
+    """(shape, n_out, shift, power) of the Neumann loop's window kernel."""
+    at = _data_window(g)
+    m = at.stop - at.start
+    N = _fft_size(2 * m - 1)
+    return (N, N), (m, m), (0, 0), 2
+
+
 def test_kernel_cache_keeps_what_one_call_reads():
     # an _OscWindows reads two kernels and cauchy_inverse one, so the
     # windows of a box push out its full-box kernel, which they never read
@@ -190,27 +206,33 @@ def test_kernel_cache_keeps_what_one_call_reads():
     _OscWindows(g, 0.5 * X * Y - 0.2 * X)
     info = _kernel_hat.cache_info()
     assert info.currsize == 2
-    _kernel_hat(g, (2 * g.n, 2 * g.n), (g.n, g.n), (0, 0), 1)
+    _kernel_hat(g, *_box_layout(g, 1))
     assert _kernel_hat.cache_info().misses == info.misses + 1
-    # a Beltrami map reads the Beurling kernel and the Cauchy kernel, so
-    # a second map on the box builds neither
+    # a Beltrami map reads the window-to-box Beurling and Cauchy kernels
+    # from the cache and builds its loop's kernel outside it, so a second
+    # map on the box builds no cached kernel, and the two it reads are
+    # the ones cached
     c11 = 1.0 + 0.2 * np.exp(-(X * X + Y * Y))
     _beltrami_map(c11, np.zeros_like(X), np.ones_like(X), g)
     misses = _kernel_hat.cache_info().misses
     _beltrami_map(c11, 0.1 * X * Y * np.exp(-(X * X + Y * Y)),
                   np.ones_like(X), g)
+    for power in (1, 2):
+        _kernel_hat(g, *_box_layout(g, power))
     assert _kernel_hat.cache_info().misses == misses
 
 
 def _kernel_layouts():
     """(grid, shape, n_out, shift, power) of every kernel the Cauchy and
-    Beurling transforms build: the 2n box of cauchy_inverse and of the
-    Beltrami step at n = 128 and 97, and on the 512 box the input window
-    to the core and the core to itself."""
+    Beurling transforms build: the data window to the box, for
+    cauchy_inverse and the Beltrami map's last step, and the window to
+    itself, for its Neumann loop, at n = 128 and 97; and on the 512 box
+    the oscillatory input window to the core and the core to itself."""
     for n in (128, 97):
+        g = PaddedGrid(half=4.0, n=n)
         for power in (1, 2):
-            yield (PaddedGrid(half=4.0, n=n), (2 * n, 2 * n), (n, n), (0, 0),
-                   power)
+            yield (g, *_box_layout(g, power))
+        yield (g, *_loop_layout(g))
     g = PaddedGrid(half=6.0, n=512)
     X, Y = g.meshgrid()
     ws = _OscWindows(g, 0.5 * X * Y - 0.2 * X)
@@ -279,15 +301,20 @@ def test_windows_are_the_full_box_arrays_on_their_windows():
 
 
 def _conv_layouts():
-    """(vals, khat, n_out) for every layout the Cauchy transforms build."""
+    """(vals, khat, n_out) for every layout the Cauchy and Beurling
+    transforms build."""
     rng = np.random.default_rng(7)
 
     def noise(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for n in (128, 97):            # cauchy_inverse's full 2n box
+    for n in (128, 97):
         g = PaddedGrid(half=4.0, n=n)
-        khat = _kernel_hat(g, (2 * n, 2 * n), (n, n), (0, 0), 1)
-        yield noise((n, n)), khat, (n, n)
+        layouts = (_box_layout(g, 1), _box_layout(g, 2), _loop_layout(g))
+        if n == 128:                # 85 window nodes a side
+            assert [lay[0][0] for lay in layouts] == [216, 216, 180]
+        window = _loop_layout(g)[1]
+        for layout in layouts:
+            yield noise(window), _kernel_hat.__wrapped__(g, *layout), layout[1]
     g = PaddedGrid(half=6.0, n=512)
     X, Y = g.meshgrid()
     ws = _OscWindows(g, 0.5 * X * Y - 0.2 * X)
@@ -343,8 +370,8 @@ def test_beurling_transform_is_second_order():
         g = PaddedGrid(half=4.0, n=n)
         X, Y = g.meshgrid()
         u = np.exp(-(X * X + Y * Y) / 0.3) * (1.0 + 0.3 * g.zz)
-        khat = _kernel_hat(g, (2 * n, 2 * n), (n, n), (0, 0), 2)
-        su = _cauchy_conv(spectral_dzb(u, g), khat, (n, n))
+        at = _data_window(g)
+        su = _window_to_box(spectral_dzb(u, g)[at, at], g, 2)
         errs.append(float(np.max(np.abs(su - spectral_dz(u, g)))))
     assert errs[-1] <= 2e-3, errs
     for coarse, fine in zip(errs, errs[1:]):
@@ -362,6 +389,43 @@ def test_cauchy_inverse_disk_indicator():
     closed[np.abs(Z) == 0] = 0.0  # center belongs to the zbar branch anyway
     rel = np.linalg.norm(u.values - closed) / np.linalg.norm(closed)
     assert rel < 2e-2, rel
+
+
+def _window_field(g, rng):
+    """Complex noise on the data window, zero outside it."""
+    at = _data_window(g)
+    shape = (at.stop - at.start,) * 2
+    vals = np.zeros((g.n, g.n), dtype=complex)
+    vals[at, at] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return vals
+
+
+def test_cauchy_inverse_is_the_whole_box_convolution_of_window_fields():
+    # the data window convolved onto the box against the 2n x 2n
+    # convolution of the whole box, with the same kernel samples
+    rng = np.random.default_rng(11)
+    for half, n in ((4.0, 128), (4.0, 97), (6.0, 512)):
+        g = PaddedGrid(half=half, n=n)
+        vals = _window_field(g, rng)
+        khat = _kernel_hat.__wrapped__(g, (2 * n, 2 * n), (n, n), (0, 0), 1)
+        want = np.fft.ifft2(np.fft.fft2(vals, s=khat.shape) * khat)[:n, :n]
+        got = cauchy_inverse(ComplexField(vals, g)).values
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-13, (n, err)
+
+
+def test_cauchy_inverse_reads_the_data_window_only():
+    # a margin tail below the support guard's 1e-5 of the maximum is
+    # admitted and not read: the result is bitwise that of the field
+    # zeroed in the margin
+    g = PaddedGrid(half=4.0, n=128)
+    vals = _window_field(g, np.random.default_rng(5))
+    X, Y = g.meshgrid()
+    tail = np.where(vals == 0, 0.9e-5 * np.max(np.abs(vals))
+                    * np.exp(1j * (X + 2 * Y)), vals)
+    got = cauchy_inverse(ComplexField(tail, g)).values
+    assert np.array_equal(got, cauchy_inverse(ComplexField(vals, g)).values)
+    assert not np.array_equal(tail, vals)
 
 
 def test_cauchy_inverse_rejects_wide_support():
