@@ -78,12 +78,12 @@ a fixed choice is a module constant, named at its step.
    Realized by cgo.build_cgo_holo, cgo.build_cgo_antiholo and
    cgo.build_cgo_adjoint (each a cgo.CGOBundle of series depth
    cgo.DEPTH_DEFAULT, on a cgo.PhaseSpec from cgo.phase_spec, measured
-   on the core disk of radius half / complexcalc.CORE_DIVISOR), through
-   cgo.gauge, cgo.factor_potential, cgo.series_weights, cgo.neumann_T
-   and cgo.drift_residual; the oscillatory inverse
-   complexcalc.oscillatory_dbar_inv cuts off with
-   complexcalc.smooth_cutoff and resolves complexcalc.NODES_PER_OSC
-   nodes per wavelength.
+   on the core disk of radius grid.PaddedGrid.core_radius, set by
+   grid.MARGIN_DIVISOR), through cgo.gauge, cgo.factor_potential,
+   cgo.series_weights, cgo.neumann_T and cgo.drift_residual; the
+   oscillatory inverse complexcalc.oscillatory_dbar_inv reads
+   grid.PaddedGrid.data_window, cuts off with complexcalc.smooth_cutoff
+   and resolves complexcalc.NODES_PER_OSC nodes per wavelength.
    Certified by cgo.remainder_expansion (the h-expansion of the
    remainder), cgo.factorization_check (the gauge factorization on a
    fixed probe) and cgo.cz_diagnostic (the Calderon-Zygmund bound,

@@ -37,7 +37,8 @@ inverse of dzb* = -2 dz (phase exp(+2i psi/h)),
 truncated at K terms.  The remainder decays with h at the same rate the
 oscillatory inverses do: like h (up to logs) when psi has a nondegenerate
 critical point and like h^1 or better when it has none, which is what the
-decay sweeps measure.
+decay sweeps measure.  The series runs on the box's data region and
+core disk, both defined in grid (PaddedGrid.data_window, core_radius).
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ import numpy as np
 # shares; oscillatory_dbar_inv stays importable here as the public form of
 # that inverse (CGOBundle.r is -oscillatory_dbar_inv(V' s) bit for bit),
 # and perfbench traces it here
-from .complexcalc import (CORE_DIVISOR, _fd4, _OscPlan,
-                          _OscWindows, _require_finite, _require_h,
-                          _support_guard, _wirtinger, _wirtinger_symbol,
-                          oscillatory_dbar_inv, periodic_fd4, spectral_deriv,
-                          spectral_dz, spectral_dzb)
+from .complexcalc import (_fd4, _OscPlan, _OscWindows, _require_finite,
+                          _require_h, _support_guard, _wirtinger,
+                          _wirtinger_symbol, oscillatory_dbar_inv,
+                          periodic_fd4, spectral_deriv, spectral_dz,
+                          spectral_dzb)
 from .grid import ComplexField, GridError, PaddedGrid, VectorField
 
 DEPTH_DEFAULT = 6                       # series truncation depth
@@ -75,10 +76,10 @@ def _l2(vals: np.ndarray, grid: PaddedGrid, where=None) -> float:
 
 
 def _measurement_disk(grid: PaddedGrid) -> tuple:
-    """The core disk (radius half / CORE_DIVISOR) less the 3-node reach of
+    """The core disk (radius grid.core_radius) less the 3-node reach of
     the 4th-order differences, as the slices of its bounding box and the
     mask on them, or a GridError if it holds no node."""
-    rc = grid.half / CORE_DIVISOR
+    rc = grid.core_radius
     at, mask = grid.core_window(max(rc - 3.0 * grid.dx, 0.0))
     if rc <= 3.0 * grid.dx or not mask.any():
         raise GridError(f"core radius {rc:.4g} leaves no node to measure "
@@ -226,7 +227,7 @@ class PhaseSpec:
 
     Evaluated from its coefficients, so dzb(Phi) = 0 holds by construction;
     the critical-point flag reports whether any root of the derivative
-    polynomial lies inside the core disk (radius half / CORE_DIVISOR)
+    polynomial lies inside the box's core disk (radius grid.core_radius)
     where the oscillatory machinery operates.
     """
 
@@ -270,7 +271,7 @@ def phase_spec(coeffs, grid: PaddedGrid, center=0j) -> PhaseSpec:
     else:
         roots = np.roots(list(reversed(dcs)))
         has_cp = any(abs(complex(center) + complex(z))
-                     <= grid.half / CORE_DIVISOR for z in roots)
+                     <= grid.core_radius for z in roots)
     return PhaseSpec(cs, complex(center), grid, vals, dvals,
                      vals.imag.copy(), has_cp)
 
@@ -345,12 +346,13 @@ class CGOBundle:
     gauge, bit for bit, and term_norms holds K + 1 norms; the antiholo and
     adjoint bundles are that holo bundle with its kind, conjugated fields
     and re-measured residual replaced.  The residual is the drift operator
-    applied to v by 4th-order differences over the measurement disk,
-    normalized by h^-2 times the solution norm there.  K_effective is
-    where the sum was actually truncated (argmin of term_norms when they
-    fail to decrease, K otherwise).  build_cgo_holo stores a constant
-    amplitude (the default is 1) as a read-only zero-stride broadcast of
-    its value, and build_cgo_antiholo the broadcast of its conjugate.
+    applied to v by 4th-order differences over the measurement disk
+    (_measurement_disk, inside the box's core disk), normalized by h^-2
+    times the solution norm there.  K_effective is where the sum was
+    actually truncated (argmin of term_norms when they fail to decrease,
+    K otherwise).  build_cgo_holo stores a constant amplitude (the
+    default is 1) as a read-only zero-stride broadcast of its value, and
+    build_cgo_antiholo the broadcast of its conjugate.
     """
 
     kind: str                            # "holo" | "antiholo" | "adjoint"
@@ -358,7 +360,6 @@ class CGOBundle:
     h: float
     K: int
     K_effective: int
-    core_radius: float
     alpha: np.ndarray
     amplitude: np.ndarray
     s: ComplexField
@@ -548,9 +549,9 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
     del a_r
     res = drift_residual(v_vals, X, qv, h)
     s_vals = ws.embed(s_win)
-    return CGOBundle("holo", phase, float(h), int(K), int(k_eff),
-                     float(grid.half / CORE_DIVISOR), alpha, a_vals,
-                     ComplexField(s_vals, grid), ComplexField(r_vals, grid),
+    return CGOBundle("holo", phase, float(h), int(K), int(k_eff), alpha,
+                     a_vals, ComplexField(s_vals, grid),
+                     ComplexField(r_vals, grid),
                      ComplexField(v_vals, grid), res, tuple(norms),
                      _l2(r_win, grid))
 
@@ -567,20 +568,20 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     over h: a call whose box, psi, drift and q equal the last build's by
     value reuses that build, read-only, and puts only the weight
     exp(-2i psi/h) E, the resolution guard, the series and v on it.  The
-    first term is V a on the plan's input window, where V lives; every
-    term after it, the sum s and r = -osc(V' s) live on the core window
-    (the bounding box of the core disk, outside which they vanish), with V
-    and V' sliced to it once.  A bundle's box arrays are its outputs s, r
-    and v: G^-1 e^{Phi/h} is formed in v's array, and a constant
-    amplitude is a read-only broadcast of its value.  The residual is
-    measured on the core disk (radius half / CORE_DIVISOR) plus the
-    differences' 2-node reach.  Zero drift and potential give an exactly
-    zero gauge, V and series, so r = 0.  If the series terms ever grow
-    instead of decaying, a warning is issued and the sum is truncated at
-    the observed minimum.  A non-finite or nonpositive h, a box whose
-    measurement disk holds no node, a K that is not a nonnegative
-    integer, a q that is not a finite scalar or box field, and a
-    non-finite amplitude or drift raise a GridError before any FFT.
+    first term is V a on the plan's input window, the box's data window,
+    where V lives; every term after it, the sum s and r = -osc(V' s) live
+    on the core window (the bounding box of the box's core disk, outside
+    which they vanish), with V and V' sliced to it once.  A bundle's box
+    arrays are its outputs s, r and v: G^-1 e^{Phi/h} is formed in v's
+    array, and a constant amplitude is a read-only broadcast of its
+    value.  The residual is measured on the measurement disk, the core
+    disk less the differences' 3-node reach.  Zero drift and potential
+    give an exactly zero gauge, V and series, so r = 0.  If the series
+    terms ever grow instead of decaying, a warning is issued and the sum
+    is truncated at the observed minimum.  A non-finite or nonpositive
+    h, a box whose measurement disk holds no node, a K that is not a
+    nonnegative integer, a q that is not a finite scalar or box field,
+    and a non-finite amplitude or drift raise a GridError before any FFT.
     """
     grid, X, qv, a_vals = _bundle_inputs(phase, h, drift, q, amplitude, K)
     return _bundle_at(_setup(grid, phase.psi, X, qv), phase, h, K, X, qv,
@@ -677,23 +678,22 @@ def remainder_expansion(phase: PhaseSpec, f: ComplexField, N: int) -> tuple:
 def cz_diagnostic(bundle: CGOBundle) -> float:
     """h^{1/2 - CZ_EPS}-weighted second-derivative mass of the remainder.
 
-    Computes the Hessian of r by 4th-order differences, localizes it with a
-    fixed Gaussian bump inside the measurement disk, and returns
-    ||bump . D2 r||_L2 x h^{1/2 - CZ_EPS}.  Bounded along the standard sweep
-    when the remainder obeys the expected Calderon-Zygmund bounds.
+    Computes the Hessian of r by 4th-order differences on the measurement
+    disk's window (as drift_residual does), localizes it with a Gaussian
+    bump of width grid.core_radius inside the disk, and returns
+    ||bump . D2 r||_L2 x h^{1/2 - CZ_EPS}.  Bounded along the standard
+    sweep when the remainder obeys the expected Calderon-Zygmund bounds.
     """
     grid = bundle.r.grid
-    rc = bundle.core_radius
+    rc = grid.core_radius
     at, mask = _measurement_disk(grid)
-    disk = np.zeros((grid.n, grid.n), dtype=bool)
-    disk[at] = mask
-    rv = bundle.r.values
-    rxx = periodic_fd4(rv, grid, 0, 2)
-    ryy = periodic_fd4(rv, grid, 1, 2)
-    rxy = periodic_fd4(periodic_fd4(rv, grid, 0, 1), grid, 1, 1)
-    XX, YY = grid.meshgrid()
-    r2 = XX * XX + YY * YY
-    bump = np.exp(-4.0 * r2 / rc ** 2) * disk
+    grown = tuple(slice(b.start - 2, b.stop + 2) for b in at)
+    rv = bundle.r.values[grown]
+    rxx = _fd4(rv[:, 2:-2], grid.dx, 0, 2)
+    ryy = _fd4(rv[2:-2, :], grid.dx, 1, 2)
+    rxy = _fd4(_fd4(rv, grid.dx, 0, 1), grid.dx, 1, 1)
+    x2 = np.square(grid.x[at[0]])
+    bump = np.exp(-4.0 * (x2[:, None] + x2[None, :]) / rc ** 2)
     mass = np.sqrt(np.abs(rxx) ** 2 + 2.0 * np.abs(rxy) ** 2
                    + np.abs(ryy) ** 2)
-    return _l2(bump * mass, grid) * bundle.h ** (0.5 - CZ_EPS)
+    return _l2(bump * mass, grid, mask) * bundle.h ** (0.5 - CZ_EPS)

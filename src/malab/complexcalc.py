@@ -22,31 +22,31 @@ complex array and cached per layout and power (the two used last, the
 most one call reads), through one pruned FFT pair: for an N0 x N1
 transform of m0 input rows read on n1 output columns, m0 + N1 forward
 and N0 + n1 inverse 1-D transforms, since padding rows transform to zero
-and unread columns need no inverse.  cauchy_inverse and the last step
-of isothermal's Beltrami solve read their input on the data window only,
-the m nodes a side with |x|, |y| <= half - half/3 that the support guard
-admits mass on (the rest of the box is the wraparound margin), and write
-the whole box (_window_to_box): an N x N transform with
-N = _fft_size(m + n - 1), m + N forward and N + n inverse 1-D
-transforms.  The steps of that solve convolve the window onto itself,
-N = _fft_size(2m - 1) with m + N forward and N + m inverse.  On the
-half = 4, n = 128 box m = 85, and N is 216 and 180, in place of the
-whole box's 2n = 256 with n + 2n forward and 2n + n inverse.  The
-oscillatory inverses read their input only in the window |x|, |y| < 2 rc,
-where the cutoff E is nonzero, and write output only on the core window
-|x|, |y| <= rc, so they convolve windows: with L_in and L_out the window
-lengths in nodes along an axis, a circular FFT of any size N >= L_in +
-L_out - 1 reproduces the full-box sum term for term (N is chosen
-2,3,5-smooth); input that vanishes outside the core window is convolved
-from there.  Their per-(box, psi) data lives in one _OscWindows,
-computed on the windows from the 1-D axis (only psi's finite check reads
-the whole box), which the CGO series builds once per sweep over h, and one
-_OscPlan(windows, h) adds what h changes (the weight and the resolution
-guard) once per bundle; every term of that series after the first, its
-sum and the remainder stay on the core window, and only the stored sum
-and remainder are embedded into the box, once.  Every transform refuses
-non-finite input before any FFT: on the full box for a full-box field,
-on the core window for the series' core-window terms.
+and unread columns need no inverse.  Each such transform reads its
+input on the box's data window (PaddedGrid.data_window, m nodes a side),
+outside which the support guard bounds it below 1e-5 of its maximum
+(the oscillatory inverses' cutoff E vanishes there).  cauchy_inverse and
+the last step of isothermal's Beltrami solve write the whole box
+(_window_to_box): an N x N transform with N = _fft_size(m + n - 1),
+m + N forward and N + n inverse 1-D transforms.  The steps of that
+solve convolve the window onto itself, N = _fft_size(2m - 1) with m + N
+forward and N + m inverse.  On the half = 4, n = 128 box m = 85, and N
+is 216 and 180, in place of the whole box's 2n = 256 with n + 2n
+forward and 2n + n inverse.  The oscillatory inverses write only the
+core window, the bounding box of the core disk (PaddedGrid.core_radius):
+with L_in and L_out the window lengths in nodes along an axis, a
+circular FFT of any size N >= L_in + L_out - 1 reproduces the full-box
+sum term for term (N is chosen 2,3,5-smooth); input that vanishes
+outside the core window is convolved from there.  Their per-(box, psi)
+data lives in one _OscWindows, computed on the windows from the 1-D axis
+(only psi's finite check reads the whole box), which the CGO series
+builds once per sweep over h, and one _OscPlan(windows, h) adds what h
+changes (the weight and the resolution guard) once per bundle; every
+term of that series after the first, its sum and the remainder stay on
+the core window, and only the stored sum and remainder are embedded into
+the box, once.  Every transform refuses non-finite input before any FFT:
+on the full box for a full-box field, on the core window for the
+series' core-window terms.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ from .grid import ComplexField, DomainGrid, GridError, PaddedGrid
 # lattice nodes per local wavelength pi h / |grad psi| of exp(-2i psi / h)
 # that the oscillatory inverses' resolution guard demands
 NODES_PER_OSC = 6.0
-
-# the core disk, where the oscillatory inverses and the CGO bundles are
-# measured, has radius rc = half / CORE_DIVISOR (the cutoff E reaches 2 rc)
-CORE_DIVISOR = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +259,13 @@ def _support_guard(vals: np.ndarray, grid: PaddedGrid, what: str):
     # relative mass near the margin.
     mag = np.abs(vals)
     amax = np.max(mag)
-    if amax == 0.0:
-        return
-    half = grid.half
-    reach = np.max(grid.cheb[mag > 1e-5 * amax])
-    if reach > half - half / 3.0:
+    at = grid.data_window
+    mag[at, at] = 0.0
+    spill = np.max(mag)
+    if spill > 1e-5 * amax:
         raise GridError(
-            f"{what}: support reaches {reach:.3f}, within the wraparound "
-            f"margin of the {half:.3f} box")
+            f"{what}: {spill / amax:.2e} of the maximum lies in the "
+            f"wraparound margin of the {grid.half:.3f} box")
 
 
 def _fft_size(m: int) -> int:
@@ -353,20 +348,12 @@ def _cauchy_conv(vals: np.ndarray, khat: np.ndarray, n_out: tuple) -> np.ndarray
     return np.fft.ifft(cols, axis=0, out=cols)[:n_out[0]]
 
 
-def _data_window(grid: PaddedGrid) -> slice:
-    """Index slice, along either axis, of the data region: the nodes with
-    |x|, |y| <= half - half/3, where _support_guard admits mass (it reads
-    max(|x|, |y|) from the same |x|)."""
-    at = np.flatnonzero(np.abs(grid.x) <= grid.half - grid.half / 3.0)
-    return slice(int(at[0]), int(at[-1]) + 1)
-
-
 def _window_to_box(win: np.ndarray, grid: PaddedGrid,
                    power: int) -> np.ndarray:
     """The Cauchy (power 1) or Beurling (power 2) transform, on the whole
     box, of a field given on the data window and zero outside it: a pruned
     N x N FFT pair, N = _fft_size(m + n - 1) for the m-node window."""
-    n, start = grid.n, _data_window(grid).start
+    n, start = grid.n, grid.data_window.start
     N = _fft_size(win.shape[0] + n - 1)
     khat = _kernel_hat(grid, (N, N), (n, n), (-start, -start), power)
     return _cauchy_conv(win, khat, (n, n))
@@ -375,20 +362,19 @@ def _window_to_box(win: np.ndarray, grid: PaddedGrid,
 def cauchy_inverse(omega: ComplexField) -> ComplexField:
     """Right inverse of dzb: convolution with 1/(pi z) by zero-padded FFT.
 
-    The input must be finite and supported in the core of the padded box;
-    the outer third of the box is reserved as wraparound margin.  The
-    transform convolves the input's data window (|x|, |y| <= half -
-    half/3, m nodes a side, outside which the support guard has bounded
-    it below 1e-5 of its maximum) onto the whole box: a pruned N x N FFT
-    pair with N = _fft_size(m + n - 1), m + N forward and N + n inverse
-    1-D transforms of length N (N = 216 on the half = 4, n = 128 box).
+    The input must be finite and keep its mass in the box's data region
+    (m nodes a side), out of the wraparound margin: the support guard
+    bounds it below 1e-5 of its maximum outside.  The transform convolves
+    the data window onto the whole box: a pruned N x N FFT pair with
+    N = _fft_size(m + n - 1), m + N forward and N + n inverse 1-D
+    transforms of length N (N = 216 on the half = 4, n = 128 box).
     """
     grid = omega.grid
     if not isinstance(grid, PaddedGrid):
         raise GridError("cauchy_inverse expects a field on a padded box")
     vals = _require_finite(omega.values, grid, "cauchy_inverse")
     _support_guard(vals, grid, "cauchy_inverse")
-    at = _data_window(grid)
+    at = grid.data_window
     return ComplexField(_window_to_box(vals[at, at], grid, 1), grid)
 
 
@@ -416,30 +402,24 @@ def _radial_step(x: np.ndarray, r_inner: float, r_outer: float) -> np.ndarray:
     return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def _bounding_slices(mask: np.ndarray) -> tuple:
-    """Index slices of the smallest box holding every True node."""
-    return tuple(slice(int(idx[0]), int(idx[-1]) + 1)
-                 for idx in (np.flatnonzero(mask.any(axis=1)),
-                             np.flatnonzero(mask.any(axis=0))))
-
-
 class _OscWindows:
     """The h-free half of an _OscPlan, for one (box, psi).
 
-    Holds the input window inp (bounding box of the cutoff E's support,
-    inside |x|, |y| < 2 rc), the core window out (bounding box of the core
-    disk, inside |x|, |y| <= rc), psi and E on the input window, max |grad
-    psi| over E > 0, the core mask on the core window and two kernel
-    FFTs: one from the input window to the core window, and one from the
-    core window to itself; rc = half / CORE_DIVISOR.  The constructor runs
-    the psi (finite, real) checks.  psi on the input window is a view of
-    the caller's array; every other array is the windows' own.  Only the
+    Holds the input window inp, the box's data window along both axes,
+    which holds the support of the cutoff E (it vanishes from r = 2 rc,
+    the data region's edge, on), the core window out (bounding box of the
+    core disk, radius rc = grid.core_radius), psi and E on the input
+    window, max |grad psi| over E > 0, the core mask on the core window
+    and two kernel FFTs: one from the input window to the core window,
+    and one from the core window to itself.  The constructor runs the psi
+    (finite, real) checks.  psi on the input window is a view of the
+    caller's array; every other array is the windows' own.  Only the
     finite check reads the whole box: E, |grad psi| and the core mask are
     computed on the windows, from the 1-D axis, with the full-box values
     bit for bit.  embed puts a core-window array on the box.  On any box
     rc = n dx / 6 > 2 dx: the core disk holds a node, and the input window
-    (|x| < 2 rc) grown by one node lies inside the box, whose nodes run
-    from -half to half - dx.
+    grown by one node lies inside the box, whose nodes run from -half to
+    half - dx.
     """
 
     def __init__(self, grid: PaddedGrid, psi):
@@ -447,19 +427,11 @@ class _OscWindows:
                                    grid, "psi")
         if psi_vals.dtype.kind not in "biuf":
             raise GridError(f"psi must be real, got {psi_vals.dtype} values")
-        rc = grid.half / CORE_DIVISOR
+        rc = grid.core_radius
         self.out, self.core = grid.core_window(rc)
-        # E vanishes where r >= 2 rc, and r >= |x| on either axis: E's
-        # support lies in the nodes with |x| < 2 rc (one node of slack
-        # covers the rounding of r)
-        x, ax = grid.x, np.abs(grid.x)
-        near = np.flatnonzero(ax < 2.0 * rc + grid.dx)
-        near = slice(int(near[0]), int(near[-1]) + 1)
-        E = _radial_step(x[near], rc, 2.0 * rc)
-        sub = _bounding_slices(E > 0)
-        self.inp = tuple(slice(near.start + s.start, near.start + s.stop)
-                         for s in sub)
-        self.cutoff = E[sub].copy()
+        at = grid.data_window
+        self.inp = (at, at)
+        self.cutoff = _radial_step(grid.x[at], rc, 2.0 * rc)
 
         # np.gradient, not spectral: the phase is generally not box
         # periodic; on the input window grown by one node its central
@@ -507,8 +479,9 @@ class _OscPlan:
     its input when the weighted input vanishes outside the core window.
     The CGO remainder series feeds its first term through apply_window and
     lives on the core window after it: it calls apply_core and embeds s
-    and r into the box once.  No support guard runs: inputs vanish
-    outside |x|, |y| < 2 rc = 2 half/3, clear of the wraparound margin.
+    and r into the box once.  No support guard runs: the weight vanishes
+    outside the input window, the data region, clear of the wraparound
+    margin.
     """
 
     def __init__(self, windows: _OscWindows, h: float):
@@ -556,13 +529,13 @@ def oscillatory_dbar_inv(f: ComplexField, psi, h: float) -> ComplexField:
     """Oscillatory inverse: restrict(cauchy_inverse(exp(-2i psi/h) E f)).
 
     E is a fixed C^2 cutoff equal to 1 on the core disk (radius rc =
-    half/3) and 0 beyond 2 rc; the result is restricted (zeroed) outside
-    the core.  Rejects non-finite f, a non-finite or complex psi, and h
-    too small for the grid to resolve the oscillation, reporting the
-    minimal admissible h.
+    grid.core_radius) and 0 from 2 rc, the edge of the box's data region,
+    on; the result is restricted (zeroed) outside the core.  Rejects
+    non-finite f, a non-finite or complex psi, and h too small for the
+    grid to resolve the oscillation, reporting the minimal admissible h.
 
-    The input exp(-2i psi/h) E f vanishes outside the window |x|, |y| <
-    2 rc and the output is read on |x|, |y| <= rc only, so the transform is
+    The input exp(-2i psi/h) E f vanishes outside the data window and the
+    output is read on the core window only, so the transform is
     a windowed linear convolution: an FFT of size N >= L_in + L_out - 1
     per axis (L_in, L_out the window lengths in nodes, N 2,3,5-smooth)
     equals the zero-padded full-box sum term for term, with the same

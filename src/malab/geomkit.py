@@ -24,11 +24,11 @@ It takes about half the sampled steps of the plain fixed point
 e <- -d(p + e), and needs no bound on sup |dJ - I|: it refuses a map
 only where a Jacobian it reads folds, or where it stalls or runs out of
 steps, and on the quartic family it converges beyond sup |dJ - I| = 1.
-They are defined on the data region, the nodes within Chebyshev radius
-half - half/3, and are the identity in the wraparound margin outside
-it: a preimage there aliases through the period, and a displacement
-that decays like c/z (a Cauchy transform) jumps across the box seam,
-where no sampler can be trusted. Maps whose displacement exceeds the
+They are defined on the box's data region (grid.PaddedGrid.data_window)
+and are the identity in the wraparound margin outside it: a preimage
+there aliases through the period, and a displacement that decays like
+c/z (a Cauchy transform) jumps across the box seam, where no sampler
+can be trusted. Maps whose displacement exceeds the
 wraparound margin of the box are rejected, since their images alias
 through the period, and so are non-finite displacements and Jacobians.
 """
@@ -39,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexcalc import (CORE_DIVISOR, _cauchy_conv, _data_window,
-                          _fft_size, _kernel_hat, _support_guard,
-                          _window_to_box, cauchy_inverse, deriv)
+from .complexcalc import (_cauchy_conv, _fft_size, _kernel_hat,
+                          _support_guard, _window_to_box, cauchy_inverse,
+                          deriv)
 from .grid import (ComplexField, DomainGrid, GridError, MetricField,
                    PaddedGrid, ScalarField, VectorField, _CubicBlock,
                    lattice_values)
@@ -57,8 +57,8 @@ __all__ = [
     "transform_solution_check",
 ]
 
-# isothermal: the conformality defect over the core disk (radius
-# half / CORE_DIVISOR) as a fraction of the metric scale, the distance
+# isothermal: the conformality defect over the box's core disk as a
+# fraction of the metric scale, the distance
 # from 1 that the Beltrami coefficient must keep, and the Neumann
 # iteration's relative step target and step budget
 CONFORMAL_TOL = 1e-2
@@ -134,7 +134,7 @@ def _check_reach(J: DiffeoField):
     grid = J.grid
     if not isinstance(grid, PaddedGrid):
         raise GridError("pullbacks interpolate on a padded periodic box")
-    margin = grid.half / 3.0
+    margin = grid.core_radius           # the wraparound margin's width
     reach = float(np.max(np.hypot(J.d1, J.d2)))
     if reach > margin:
         raise GridError(
@@ -188,8 +188,8 @@ def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
 def invert_diffeo(J: DiffeoField) -> DiffeoField:
     """Inverse map on the same lattice by a chord step on the displacement.
 
-    The inverse is defined on the data region only: the nodes within
-    Chebyshev radius half - half/3, the wraparound margin that
+    The inverse is defined on the box's data region only, the nodes of
+    grid.data_window along both axes, inside the wraparound margin that
     _check_reach and the Cauchy transform's support guard also keep.
     There z + d(z) = p has a preimage that cannot alias through the
     period; nodes in the margin get the identity, displacement 0 and
@@ -227,12 +227,13 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
     chord = (np.stack([j22, -j12, -j21, j11])
              / np.where(det > 0.0, det, np.nan)).reshape(4, -1)
     disp = np.stack([J.d1, J.d2])
-    region = np.flatnonzero(grid.cheb <= grid.half - grid.half / 3.0)
-    ri, ci = np.divmod(region, n)
-    p1, p2 = (a.reshape(-1)[region] for a in grid.meshgrid())
-    e1, e2 = np.zeros(region.size), np.zeros(region.size)
-    d1, d2 = disp.reshape(2, -1)[:, region]
-    active = np.arange(region.size)
+    # the data region's nodes, in row-major order
+    win = grid.data_window
+    ri, ci = np.mgrid[win, win].reshape(2, -1)
+    p1, p2 = grid.x[ri], grid.x[ci]
+    e1, e2 = np.zeros(ri.size), np.zeros(ri.size)
+    d1, d2 = disp[:, win, win].reshape(2, -1)
+    active = np.arange(ri.size)
     scale = max(float(np.max(np.hypot(J.d1, J.d2))), 1e-300)
     # the iteration contracts down to the resampling jitter of the
     # displacement; a stall far below any downstream tolerance is
@@ -268,10 +269,10 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
     det = a11 * a22 - a12 * a21
     if np.min(det) <= 0.0:
         raise GridError("map is not orientation preserving along the inverse")
-    out = np.zeros((6, n * n))
+    out = np.zeros((6, n, n))
     out[2] = out[5] = 1.0
-    out[:, region] = (e1, e2, a22 / det, -a12 / det, -a21 / det, a11 / det)
-    out = out.reshape(6, n, n)
+    inv = (e1, e2, a22 / det, -a12 / det, -a21 / det, a11 / det)
+    out[:, win, win] = np.reshape(inv, out[:, win, win].shape)
     return DiffeoField(out[0], out[1], grid, jac=tuple(out[2:]))
 
 
@@ -395,17 +396,16 @@ def _beltrami_coefficient(c11, c12, c22):
 def _beltrami_map(c11, c12, c22, grid) -> DiffeoField:
     """The map w = z + C phi solving dzb w = mu_B dz w, Jacobian attached.
 
-    mu_B is read on the data window only (|x|, |y| <= half - half/3, m
-    nodes a side): _support_guard has bounded it below 1e-5 of its
-    maximum outside, so the Neumann loop takes it as zero there and runs
-    on the window. Each step phi <- mu_B (1 + S phi) is one
-    window-to-window convolution, the Beurling transform S = dz C taken in
-    the plane (a periodic dz of C phi rings at the seam), on an N x N FFT
-    with N = _fft_size(2m - 1): 180 on the n = 128 box, where the whole
-    box takes 256. Its kernel is built once per call, outside
-    _kernel_hat's cache. After the loop one window-to-box convolution
-    (N = _fft_size(m + n - 1), 216 at n = 128) gives dz w = 1 + S phi on
-    the whole box, and phi = mu_B dz w at every node.
+    mu_B is read on the box's data window only (m nodes a side):
+    _support_guard has bounded it below 1e-5 of its maximum outside, so
+    the Neumann loop takes it as zero there and runs on the window. Each
+    step phi <- mu_B (1 + S phi) is one window-to-window convolution, the
+    Beurling transform S = dz C taken in the plane (a periodic dz of C phi
+    rings at the seam), on an N x N FFT with N = _fft_size(2m - 1): 180
+    on the n = 128 box, where the whole box takes 256. Its kernel is
+    built once per call, outside _kernel_hat's cache. After the loop one
+    window-to-box convolution (N = _fft_size(m + n - 1), 216 at n = 128)
+    gives dz w = 1 + S phi on the box, and phi = mu_B dz w at every node.
     """
     mu_b = _beltrami_coefficient(c11, c12, c22)
     worst = float(np.max(np.abs(mu_b)))
@@ -415,7 +415,7 @@ def _beltrami_map(c11, c12, c22, grid) -> DiffeoField:
                         "quasi-conformality")
     _support_guard(mu_b, grid, "isothermal")
 
-    at = _data_window(grid)
+    at = grid.data_window
     mu_w = mu_b[at, at]
     m = mu_w.shape[0]
     N = _fft_size(2 * m - 1)
@@ -453,20 +453,20 @@ def isothermal(g: MetricField):
     dzb w = mu_B dz w, solved by the Neumann iteration
     phi <- mu_B (1 + S phi) with S = dz C the Beurling transform and C
     the Cauchy transform, and the chart is the inverse of w = z + C phi.
-    The iteration reads mu_B on the data window only (|x|, |y| <= half -
-    half/3), where the support guard has confined its mass (outside, it
-    is below 1e-5 of its maximum, and a wider mu_B is refused before any
-    FFT), so each step convolves the window onto itself (a 180^2 FFT on
-    the n = 128 box, not the whole box's 256^2); one window-to-box
-    Beurling and one Cauchy convolution (216^2) then give w on the box.
+    The iteration reads mu_B on the box's data window only, where the
+    support guard has confined its mass (outside, it is below 1e-5 of
+    its maximum, and a wider mu_B is refused before any FFT), so each
+    step convolves the window onto itself (a 180^2 FFT on the n = 128
+    box, not the whole box's 256^2); one window-to-box Beurling and one
+    Cauchy convolution (216^2) then give w on the box.
     Its Jacobian comes from the Wirtinger derivatives dz w = 1 + S phi and
     dzb w = phi, the iteration's own lattice values, sampled at the
     preimage, so the inversion never differentiates interpolated data.
     The chart is invert_diffeo's: defined on the data region and the
     identity in the wraparound margin, where mu is therefore half the
     trace of g's own covariant tensor. The conformality defect of chi* g
-    over the core disk, well inside the data region, is checked against
-    CONFORMAL_TOL times the covariant scale.
+    over the box's core disk, well inside the data region, is checked
+    against CONFORMAL_TOL times the covariant scale.
     """
     grid = g.grid
     c11, c12, c22 = _covariant(g)
@@ -484,7 +484,7 @@ def isothermal(g: MetricField):
 
     pulled = pullback_metric(chi, g)
     p11, p12, p22 = _covariant(pulled)
-    core = grid.core_mask(grid.half / CORE_DIVISOR)
+    core = grid.core_mask(grid.core_radius)
     defect = max(float(np.max(np.abs(p12[core]))),
                  float(np.max(np.abs(p11 - p22)[core])))
     if defect > CONFORMAL_TOL * scale:

@@ -12,7 +12,13 @@ The domain is discretized on a regular square lattice covering its
 bounding box. Nodes with C < 0 carry unknowns; the boundary is a separate
 ring of points on the exact curve at uniform parameter angle, carrying
 arclength, outward unit normal, and signed curvature. A periodic padded
-box embeds the domain for FFT-based transforms.
+box embeds the domain for FFT-based transforms. Its zero-padded
+convolutions are exact only for input clear of the box's outer third,
+the wraparound margin, so the box has one data region, defined here and
+read by every transform, guard and chart: the nodes with |x|, |y| <=
+half - half/3 (PaddedGrid.data_window). The core disk of radius
+rc = half/3 (PaddedGrid.core_radius), where the CGO solutions are
+measured, lies inside it; their cutoff vanishes from 2 rc, its edge, on.
 
 A node's quadrature weight is the exact area of its cell inside the
 domain: a b times the unit disk's coverage of the cell's scaled image,
@@ -291,6 +297,9 @@ def _adopt_orphans(weights_ext, mask):
 # ---------------------------------------------------------------------------
 # padded periodic box
 
+# the wraparound margin's width, and the core radius: half / MARGIN_DIVISOR
+MARGIN_DIVISOR = 3.0
+
 
 @dataclass(frozen=True)
 class PaddedGrid:
@@ -321,6 +330,17 @@ class PaddedGrid:
     def zz(self) -> np.ndarray:
         x = self.x
         return x[:, None] + 1j * x[None, :]
+
+    @property
+    def core_radius(self) -> float:
+        """The core disk's radius, and the wraparound margin's width."""
+        return self.half / MARGIN_DIVISOR
+
+    @property
+    def data_window(self) -> slice:
+        """Index slice, along either axis, of the data region."""
+        at = np.flatnonzero(np.abs(self.x) <= self.half - self.core_radius)
+        return slice(int(at[0]), int(at[-1]) + 1)
 
     @property
     def cheb(self) -> np.ndarray:

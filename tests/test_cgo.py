@@ -20,9 +20,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from malab import cgo
-from malab.complexcalc import (_bounding_slices, _OscWindows,
-                               _wirtinger_symbol, oscillatory_dbar_inv,
-                               periodic_fd4, spectral_deriv)
+from malab.complexcalc import (_OscWindows, _wirtinger_symbol,
+                               oscillatory_dbar_inv, periodic_fd4,
+                               smooth_cutoff, spectral_deriv)
 from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
 from malab.linearize import VectorField
 
@@ -275,7 +275,7 @@ def test_neumann_norm_proxy_contracts(box, coords, phases, drift, qpot):
     rng = np.random.default_rng(0)
     bump = np.exp(-r2 / 1.5) * (rng.standard_normal((box.n, box.n))
                                 + 1j * rng.standard_normal((box.n, box.n)))
-    window = _bounding_slices(box.core_mask(box.half / 3.0))
+    window, _ = box.core_window(box.half / 3.0)
     start = np.zeros_like(bump)
     start[window] = bump[window]
 
@@ -413,7 +413,7 @@ def test_drift_residual_matches_the_full_box_formula(box, morse_sweep, drift,
         for h in (0.4, 0.141):
             b = morse_sweep[h]
             want = _roll_residual(b.v.values, drift, qpot, h, box,
-                                  b.core_radius, conservative)
+                                  box.half / 3.0, conservative)
             got = cgo.drift_residual(b.v.values, drift, qpot, h,
                                      conservative)
             assert abs(got - want) <= 1e-14 * want
@@ -739,17 +739,24 @@ def test_measurement_disk_is_the_eroded_core_on_its_window():
 
 
 def test_fixed_core_keeps_every_window_inside_the_box():
-    # with rc = half / 3 on any box, _OscWindows' input window grown by
-    # its one-node gradient halo, and the measurement box grown by the
-    # differences' 2-node reach, need no clipping and no wrap; E's support
-    # stays out of the wraparound margin and the core holds a node
+    # with rc = half / 3 on any box, _OscWindows' input window, the data
+    # window, grown by its one-node gradient halo, and the measurement box
+    # grown by the differences' 2-node reach, need no clipping and no
+    # wrap; E's support lies strictly inside the data region, and the core
+    # holds a node.  PaddedGrid(1.0, 18) has nodes at |x| = 2 rc, the
+    # region's edge, where E is 0
     for half in (1.0, 3.0, 4.0, 6.0, 7.3):
         for n in range(16, 201):
             grid = PaddedGrid(half=half, n=n)
             ws = _OscWindows(grid, np.zeros((n, n)))
+            edge = half - half / 3.0
+            at = np.flatnonzero(np.abs(grid.x) <= edge)
+            assert ws.inp == (slice(at[0], at[-1] + 1),) * 2
             assert all(1 <= s.start and s.stop <= n - 1 for s in ws.inp)
             assert ws.core.any()
-            assert np.max(grid.cheb[ws.inp]) < grid.half - grid.half / 3.0
+            E = smooth_cutoff(grid, half / 3.0, 2.0 * (half / 3.0))
+            assert np.max(grid.cheb[E > 0]) < edge
+            assert np.array_equal(ws.cutoff, E[ws.inp])
             if n <= 21 and n != 20:          # the boxes that measure no node
                 with pytest.raises(GridError, match="no node to measure"):
                     cgo._measurement_disk(grid)
@@ -1052,3 +1059,24 @@ def test_cz_diagnostic_bounded_on_sweep(morse_sweep):
     # measured 0.38 .. 0.30 over the sweep: flat within a factor 2
     vals = [cgo.cz_diagnostic(morse_sweep[h]) for h in HS]
     assert max(vals) <= 2.0 * min(vals)
+
+
+def test_cz_diagnostic_matches_the_full_box_formula(box, coords, morse_sweep):
+    # the differences run on the measurement disk's window grown by their
+    # 2-node reach; the periodic differences of the whole box, the bump
+    # from the box's coordinates and the box-wide disk mask give the same
+    # value to rounding (measured within 1 ulp)
+    _, _, r2 = coords
+    rc = box.half / 3.0
+    disk = box.core_mask(rc - 3.0 * box.dx)
+    for h in HS:
+        rv = morse_sweep[h].r.values
+        rxx = periodic_fd4(rv, box, 0, 2)
+        ryy = periodic_fd4(rv, box, 1, 2)
+        rxy = periodic_fd4(periodic_fd4(rv, box, 0, 1), box, 1, 1)
+        mass = np.sqrt(np.abs(rxx) ** 2 + 2.0 * np.abs(rxy) ** 2
+                       + np.abs(ryy) ** 2)
+        bump = np.exp(-4.0 * r2 / rc ** 2) * disk
+        want = l2(box, bump * mass) * h ** (0.5 - cgo.CZ_EPS)
+        got = cgo.cz_diagnostic(morse_sweep[h])
+        assert abs(got - want) <= 1e-13 * want, (h, got, want)

@@ -4,13 +4,26 @@ import numpy as np
 import pytest
 
 from malab.complexcalc import (
-    _bounding_slices, _cauchy_conv, _data_window, _fft_size, _OscPlan,
-    _OscWindows, _kernel_hat, _window_to_box, cauchy_inverse,
-    conj_cauchy_inverse, deriv, oscillatory_dbar_inv, periodic_fd4,
-    smooth_cutoff, spectral_deriv, spectral_dz, spectral_dzb,
+    _cauchy_conv, _fft_size, _OscPlan, _OscWindows, _kernel_hat,
+    _support_guard, _window_to_box, cauchy_inverse, conj_cauchy_inverse,
+    deriv, oscillatory_dbar_inv, periodic_fd4, smooth_cutoff,
+    spectral_deriv, spectral_dz, spectral_dzb,
 )
-from malab.geomkit import _beltrami_map
+from malab.geomkit import DiffeoField, _beltrami_map, invert_diffeo
 from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
+
+
+def _data_window(g):
+    """Index slice of the nodes with |x| <= half - half/3 along an axis."""
+    at = np.flatnonzero(np.abs(g.x) <= g.half - g.half / 3.0)
+    return slice(int(at[0]), int(at[-1]) + 1)
+
+
+def _bounding_slices(mask):
+    """Index slices of the smallest box holding every True node."""
+    return tuple(slice(int(idx[0]), int(idx[-1]) + 1)
+                 for idx in (np.flatnonzero(mask.any(axis=1)),
+                             np.flatnonzero(mask.any(axis=0))))
 
 
 def _fd4_wirtinger(vals, g):
@@ -277,9 +290,12 @@ def _check_windows(g, psi):
     E = smooth_cutoff(g, r, 2.0 * r)
     x2 = g.x * g.x
     core = x2[:, None] + x2[None, :] <= r * r
-    assert ws.inp == _bounding_slices(E > 0)
+    assert ws.inp == (_data_window(g),) * 2
     assert ws.out == _bounding_slices(core)
     assert np.array_equal(ws.cutoff, E[ws.inp])
+    outside = np.ones_like(core)
+    outside[ws.inp] = False
+    assert not np.any(E[outside])
     assert np.array_equal(ws.core, core[ws.out])
     g1, g2 = np.gradient(psi, g.dx, edge_order=2)
     assert ws.grad_max == float(np.max(np.hypot(g1, g2)[E > 0]))
@@ -298,6 +314,45 @@ def test_windows_are_the_full_box_arrays_on_their_windows():
         for psi in (0.5 * X * Y - 0.2 * (X - 0.3) ** 2 + 0.1 * Y,
                     np.exp(-0.7 * X) * np.cos(0.4 * Y)):
             _check_windows(g, psi)
+
+
+@pytest.mark.parametrize("half, n", [(6.0, 512), (4.0, 128), (4.0, 97),
+                                     (3.0, 48), (3.0, 16), (7.3, 17)])
+def test_one_data_region_is_read_everywhere(half, n):
+    # the oscillatory input window, the cutoff's support, the inverse
+    # map's region and the support guard all follow the box's one data
+    # region, the nodes with max(|x|, |y|) <= half - half/3
+    g = PaddedGrid(half=half, n=n)
+    at, rc = _data_window(g), half / 3.0
+    assert g.data_window == at and g.core_radius == rc
+    X, Y = g.meshgrid()
+    assert _OscWindows(g, 0.5 * X * Y - 0.2 * X).inp == (at, at)
+    E = smooth_cutoff(g, rc, 2.0 * rc)
+    assert np.all(np.maximum(np.abs(X), np.abs(Y))[E > 0] < half - half / 3.0)
+
+    # the inverse of a compact bump map is exactly the identity outside
+    # the region, and moves nodes inside it
+    bump = 0.05 * rc * smooth_cutoff(g, 0.0, rc)
+    Ji = invert_diffeo(DiffeoField(bump, -0.5 * bump, g))
+    outside = np.ones((n, n), dtype=bool)
+    outside[at, at] = False
+    assert np.any(Ji.d1[~outside] != 0.0)
+    for a, want in zip((Ji.d1, Ji.d2, *Ji.jacobian()), (0, 0, 1, 0, 0, 1)):
+        assert np.all(a[outside] == want)
+
+    # the guard refuses a unit spike on the first node outside the region
+    # and admits one on the last node inside, along either axis
+    c = n // 2
+    for i, admitted in ((at.start - 1, False), (at.start, True),
+                        (at.stop - 1, True), (at.stop, False)):
+        for node in ((i, c), (c, i)):
+            spike = np.zeros((n, n))
+            spike[node] = 1.0
+            if admitted:
+                _support_guard(spike, g, "spike")
+            else:
+                with pytest.raises(GridError, match="wraparound"):
+                    _support_guard(spike, g, "spike")
 
 
 def _conv_layouts():
@@ -475,6 +530,7 @@ def test_oscillatory_resolution_guard():
     (3.0, 97, 1.0),        # odd n: the origin is not a node
     (3.0, 129, 0.5),
     (4.0, 200, 0.5),
+    (3.0, 48, 1.0),        # nodes at |x| = 2 rc, the data region's edge
 ])
 def test_windowed_oscillatory_matches_full_box(half, n, h):
     # the windowed linear convolution equals the zero-padded full-box one
@@ -499,6 +555,15 @@ def test_windowed_oscillatory_matches_full_box(half, n, h):
         got = oscillatory_dbar_inv(ComplexField(vals, g), psi, h).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.all(got[~core] == 0.0)
+    if n == 48:
+        # E is 0 at the region's edge: the input window, the data window,
+        # is one node wider on each side than E's support (33 nodes
+        # against 31), and its FFT is 50 long where E's would take 48
+        ws = _OscWindows(g, psi)
+        assert ws.inp == (_data_window(g),) * 2
+        assert [s.stop - s.start for s in ws.inp] == [33, 33]
+        assert [s.stop - s.start for s in _bounding_slices(E > 0)] == [31, 31]
+        assert ws.khat.shape == (50, 50)
     if n == 512:
         plan = _OscPlan(_OscWindows(g, psi), h)
         assert plan.windows.khat.shape == (512, 512)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from malab import geomkit
-from malab.complexcalc import CORE_DIVISOR, deriv, smooth_cutoff
+from malab.complexcalc import deriv, smooth_cutoff
 from malab.geomkit import (CONFORMAL_TOL, DiffeoField, diffeo_rigidity_solve,
                            invert_diffeo, isothermal, pullback_metric,
                            transform_solution_check, _beltrami_map,
@@ -836,7 +836,7 @@ def _core_defect(grid, s):
     g = quartic_metric(grid, s)
     chi, _ = isothermal(g)
     p11, p12, p22 = _covariant(pullback_metric(chi, g))
-    core = grid.core_mask(grid.half / CORE_DIVISOR)
+    core = grid.core_mask(grid.half / 3.0)
     return max(float(np.max(np.abs(p12[core]))),
                float(np.max(np.abs(p11 - p22)[core])))
 
