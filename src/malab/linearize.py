@@ -211,7 +211,7 @@ def _metric_solver(g: MetricField, X: VectorField | None = None):
             ops.pde, lattice_values(f, grid)[grid.mask], 0.0)
         rhs = fvec[:, None] - G @ Phi
         if not lu:
-            lu.append(SparseLU(A))
+            lu.append(SparseLU(A, ops._order))
         return [ScalarField(ops.scatter(v), grid)
                 for v in lu[0].solve(rhs, rtol).T]
     return solve

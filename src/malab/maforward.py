@@ -36,14 +36,26 @@ Systems, sections 3.3 and 13.2). That factorization, and the linearized
 systems of `linearize` and `dnmap`, go through one layer, SparseLU: one
 factorization per matrix, any number of right sides, and a residual
 check on every column when asked.
+
+Each matrix SparseLU factors is a 3 x 3 stencil on a lattice, which one
+line of nodes cuts in two, and it is factored in a nested-dissection
+order of that lattice (_nested_dissection; George, SIAM J. Numer. Anal.
+10, 1973): the metric systems on the nodes (i, j), the Schur complement
+on the black nodes in the rotated coordinates ((i + j - 1) / 2,
+(i - j - 1) / 2). Against SuperLU's minimum degree on A + A^T, L + U
+holds 12-18% fewer nonzeros and the factorization takes 30-50% less
+time at n = 128-233 (one thread).
+
 One cache outlives a call: build_stencil_ops, a functools.lru_cache
 keyed by the grid, keeps the operators of the one grid used last, so an
-equal grid built twice hits. The operators own their factored Laplacian
-(StencilOps._laplacian, made at its first use: about 19 MB at n = 232,
-against 22 MB for an LU of the whole Laplacian), so an evicted grid's
-factors go with its operators, before the next grid's are made, unless a
-caller still holds them. Their arrays are read-only, so no caller can
-change what another is handed. No other factorization outlives its call.
+equal grid built twice hits. The operators own what they derive, each
+made at its first use: the factored Laplacian (StencilOps._laplacian,
+about 23 MB at n = 232), the order of their nodes (StencilOps._order)
+and the CSR matrices of the Hessian operators (StencilOps._hessian),
+which share the values of L. So an evicted grid's factors go with its
+operators, before the next grid's are made, unless a caller still holds
+them. Their arrays are read-only, so no caller can change what another
+is handed. No other factorization outlives its call.
 
 scipy.sparse is the only part of scipy that malab uses, and it loads at
 the first build_stencil_ops that misses its cache: every solve starts there,
@@ -82,6 +94,10 @@ __all__ = [
 # interior nodes whose nearest axis crossing is below this fraction of a
 # cell are replaced by interpolation rows
 CUT_FRACTION = 0.25
+
+# a box of the nested dissection holding at most this many lattice nodes
+# is a leaf
+_ND_LEAF = 8
 
 
 # GMRES on a Newton Jacobian: Krylov vectors kept per cycle and cycles;
@@ -122,34 +138,47 @@ class LinearSolveFailure(RuntimeError):
 class SparseLU:
     """One sparse LU factorization, solved against any number of right sides.
 
-    The stencil matrices are nearly symmetric with a dominant diagonal, so
-    the factorization keeps the diagonal pivots under a minimum-degree
-    ordering of A + A^T: half the fill of a pivoting LU at these sizes.
-    With rtol, every column of a solve must meet ||A x - b|| <= rtol ||b||
-    (2-norm) after at most one step of iterative refinement, or
-    LinearSolveFailure carries the per-column residuals.
+    SuperLU factors A[order][:, order] with the order as given (NATURAL)
+    and the diagonal pivots kept: the stencil matrices are nearly
+    symmetric with a dominant diagonal. Every matrix factored here is a
+    3 x 3 stencil on a lattice, and order is a nested-dissection order of
+    that lattice (_nested_dissection): on the n = 128 disk's metric
+    system its L + U holds 0.82 of the nonzeros of SuperLU's minimum
+    degree on A + A^T, and it factors in about 0.6 of the time, the
+    permuted copy included. A solve permutes its right sides into the
+    order and its solutions back. With rtol, every column of a solve must
+    meet ||A x - b|| <= rtol ||b|| (2-norm) after at most one step of
+    iterative refinement, or LinearSolveFailure carries the per-column
+    residuals.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, order: np.ndarray):
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
         self.A = sp.csr_matrix(A)
+        self.order = order
         try:
             self._lu = spla.splu(
-                sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                sp.csc_matrix(self.A[order][:, order]), permc_spec="NATURAL",
                 options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
         except RuntimeError as exc:        # a zero pivot
             raise LinearSolveFailure(f"sparse LU failed: {exc}", []) from exc
 
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = self._lu.solve(rhs[self.order])
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
     def solve(self, rhs: np.ndarray, rtol: float | None = None) -> np.ndarray:
         """x with A x = rhs; rhs is a vector or an (N, k) block of columns."""
-        x = self._lu.solve(rhs)
+        x = self._solve(rhs)
         if rtol is None:
             return x
         bound = rtol * np.linalg.norm(rhs, axis=0)
         r = rhs - self.A @ x
         if not np.all(np.linalg.norm(r, axis=0) <= bound):
-            x = x + self._lu.solve(r)
+            x = x + self._solve(r)
             r = rhs - self.A @ x
         res = np.linalg.norm(r, axis=0)
         if not np.all(res <= bound):            # NaN fails too
@@ -157,6 +186,61 @@ class SparseLU:
                 f"LU residual {np.max(res):.3e} above rtol {rtol:g} times "
                 "the right side", np.atleast_1d(res).tolist())
         return x
+
+
+def _bisection_digits(n: int, cuts: int):
+    """Digits of the coordinates x = 0 .. n - 1 under cuts successive
+    bisections of [0, n): digit[k, x] is 0 if x lies below the midpoint of
+    its interval at cut k, 1 above and 2 on it, and 0 at every cut after
+    the one it lies on, on[x] (cuts if none)."""
+    x = np.arange(n)
+    lo, hi = np.zeros(n, dtype=np.int64), np.full(n, n, dtype=np.int64)
+    digit = np.zeros((cuts, n), dtype=np.int64)
+    on = np.full(n, cuts)
+    for k in range(cuts):
+        mid = (lo + hi) // 2
+        digit[k] = d = np.where(on < k, 0, (x > mid) + 2 * (x == mid))
+        on[d == 2] = k
+        lo = np.where(d == 1, mid + 1, lo)
+        hi = np.where(d == 0, mid, hi)
+    return digit, on
+
+
+def _nested_dissection(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """A nested-dissection elimination order of the lattice nodes (p, q).
+
+    The tree cuts a box at the midpoint of its longer side and takes the
+    nodes on the midline as the separator; each box orders both halves,
+    then its separator, down to boxes of at most _ND_LEAF nodes. The nodes
+    of a leaf, and those of one separator, keep their natural order. On a
+    matrix that couples only nodes at most one apart in p and in q, the
+    midline separates the halves (George, SIAM J. Numer. Anal. 10, 1973).
+
+    The boxes of one level differ by at most one node a side, so the side
+    to cut is read off the level's nominal box, and the tree is one
+    sequence of cuts of p and of q. Each axis is cut once for all its
+    coordinates (_bisection_digits). A node's place is a base-3 key with
+    one digit a level, 0 or 1 for the halves and 2 for the separator: the
+    sum of its two axes' digits, cut off after the level whose separator
+    it is. The order sorts the keys, one pass per axis and no Python call
+    per box.
+    """
+    p, q = np.asarray(p) - np.min(p), np.asarray(q) - np.min(q)
+    n = (int(p.max()) + 1, int(q.max()) + 1)
+    side, axes = [float(n[0]), float(n[1])], []
+    while side[0] * side[1] > _ND_LEAF:
+        a = int(side[1] > side[0])
+        axes.append(a)
+        side[a] = (side[a] - 1.0) / 2.0
+    D, axes = len(axes), np.array(axes, dtype=int)
+    key, last = 0, D - 1
+    for a, c in enumerate((p, q)):
+        levels = np.flatnonzero(axes == a)
+        digit, on = _bisection_digits(n[a], len(levels))
+        key = key + ((3 ** (D - 1 - levels)) @ digit)[c]
+        last = np.minimum(last, np.append(levels, D)[on][c])
+    scale = 3 ** (D - 1 - last)
+    return np.argsort(key // scale * scale, kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +308,7 @@ _DIRS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]
 _X, _Y = (slice(1, 9, 3), slice(0, 2)), (slice(3, 6), slice(2, 4))
 _LAYOUT = {"11": _X, "22": _Y, "12": (slice(0, 9, 2), slice(4, 8)),
            "1": _X, "2": _Y, "R": (slice(1, 8), slice(0, 4))}
+_HESSIAN = ("11", "22", "12")
 
 
 def _csr(vals, cols, rows, shape) -> "scipy.sparse.csr_matrix":
@@ -261,9 +346,13 @@ class StencilOps:
     directions (_DIRS) of the rows qrows that read a crossing: qcols[s] is
     the column of direction s. An operator holds one row of values per
     slot it uses (_LAYOUT), zero where it has no entry, and operator()
-    gives it as a CSR matrix. Every array is read-only; build_stencil_ops
-    keeps the operators of the one grid used last, and _laplacian is their
-    Laplacian system(1, 0, 1), factored at its first use.
+    gives it as a CSR matrix; the Hessian operators keep theirs as the
+    transpose of an (N, slots) array, which their CSR matrices in
+    _hessian read in place. Every array is read-only; build_stencil_ops
+    keeps the operators of the one grid used last. Made at their first
+    use: _laplacian, their Laplacian system(1, 0, 1) factored; _order, the
+    nested-dissection order of the nodes (i, j) that SparseLU factors
+    their systems in; _hessian, the Hessian operators of stencil_hessian.
     """
 
     grid: DomainGrid
@@ -325,6 +414,38 @@ class StencilOps:
     def _laplacian(self) -> _RedBlackLU:
         """The factored Laplacian L11 + L22 + R, kept with the operators."""
         return _RedBlackLU(self)
+
+    @functools.cached_property
+    def _order(self) -> np.ndarray:
+        """The nested-dissection order of the nodes (i, j), with which
+        SparseLU factors every system."""
+        order = _nested_dissection(*np.nonzero(self.grid.mask))
+        order.flags.writeable = False
+        return order
+
+    @functools.cached_property
+    def _hessian(self):
+        """The Hessian operators of stencil_hessian: L['11'], L['22'] and
+        L['12'] as CSR matrices that read the values of L in place, a row's
+        slots in column order and its zeros kept, and their G on the rows
+        qrows stacked into one CSR matrix."""
+        import scipy.sparse as sp
+        HL = []
+        for k in _HESSIAN:
+            vals = self.L[k].T               # (N, slots), row by row
+            m = vals.shape[1]
+            HL.append(sp.csr_matrix(
+                (vals.reshape(-1), self.cols[_LAYOUT[k][0]].T.ravel(),
+                 np.arange(0, m * self.N + 1, m, dtype=np.int32)),
+                shape=(self.N, self.N)))
+        nq = (len(self.qrows), len(self.qx))
+        HG = sp.vstack([_csr(self.G[k], self.qcols[_LAYOUT[k][1]],
+                             slice(None), nq) for k in _HESSIAN],
+                       format="csr")
+        for M in (*HL, HG):
+            for arr in (M.data, M.indices, M.indptr):
+                arr.flags.writeable = False
+        return HL, HG
 
 
 @functools.lru_cache(maxsize=1)
@@ -401,7 +522,10 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
         w, slots = np.array(w)[:, None], range(9)[ls]
         ghost = pde & ~inside[gs]
         frac = np.where(ghost, alpha[gs], 1.0)
-        L[key] = np.zeros((len(slots), N))
+        # stored row by row for the Hessian operators, whose CSR matrices
+        # (StencilOps._hessian) read them in place
+        L[key] = (np.zeros((N, len(slots))).T if key in _HESSIAN
+                  else np.zeros((len(slots), N)))
         L[key][[slots.index(_SLOTS.index(_DIRS[d])) for d in range(8)[gs]]] = (
             np.where(pde & inside[gs], w / denom, 0.0))
         center = (w * (1.0 - 1.0 / frac) / denom).sum(axis=0)
@@ -431,6 +555,14 @@ class _RedBlackLU:
     diagonal. Eliminating the red nodes leaves S = A_bb - A_br D^-1 A_rb
     on the black ones, and SparseLU factors S. A solve is one S solve and
     two sparse products; the full Laplacian is not kept.
+
+    S couples two black nodes when a red node is an axis neighbor of both,
+    so they differ by (+-1, +-1), (+-2, 0) or (0, +-2) in (i, j). In the
+    rotated coordinates (u, v) = ((i + j - 1) / 2, (i - j - 1) / 2) of the
+    black lattice these steps are (+-1, 0), (0, +-1) and (+-1, +-1): S
+    couples a node only to (u +- 1, v +- 1), a 3 x 3 stencil, and the
+    factorization takes the nested-dissection order of (u, v). In (i, j)
+    a midline holds only every other black node and separates nothing.
     """
 
     def __init__(self, ops: StencilOps):
@@ -444,8 +576,10 @@ class _RedBlackLU:
         self.Arb, self.Abr = Ar[:, self.black], Ab[:, self.red]
         S = Ab[:, self.black] - self.Abr @ sp.diags(self.dinv) @ self.Arb
         del A, Ar, Ab          # the full Laplacian goes before S is factored
-        self.lu = SparseLU(S)
-        for arr in (self.red, self.black, self.dinv):
+        ib, jb = ii[self.black], jj[self.black]
+        self.lu = SparseLU(S, _nested_dissection((ib + jb - 1) // 2,
+                                                 (ib - jb - 1) // 2))
+        for arr in (self.red, self.black, self.dinv, self.lu.order):
             arr.flags.writeable = False
         for M in (self.Arb, self.Abr, self.lu.A):
             for arr in (M.data, M.indices, M.indptr):
@@ -527,13 +661,13 @@ class MASolution:
 def stencil_hessian(ops: StencilOps, U: np.ndarray, phi: np.ndarray):
     """Stencil Hessian entries (h11, h22, h12) of interior values U, the
     stencils closed by the crossing values phi (ops.crossing_values): each
-    is L U + G phi, each summed over a row's slots in column order."""
+    is L U + G phi, L U and G phi each summed over a row's slots in column
+    order: products with the CSR matrices of StencilOps._hessian."""
+    HL, HG = ops._hessian
     out = []
-    for k in ("11", "22", "12"):
-        ls, gs = _LAYOUT[k]
-        h = sum(v * U[c] for v, c in zip(ops.L[k], ops.cols[ls]))
-        h[ops.qrows] += sum(v * phi[c]
-                            for v, c in zip(ops.G[k], ops.qcols[gs]))
+    for H, g in zip(HL, (HG @ phi).reshape(3, -1)):
+        h = H @ U
+        h[ops.qrows] += g
         out.append(h)
     return tuple(out)
 

@@ -321,9 +321,9 @@ def test_eps_consistency_factors_the_metric_once(monkeypatch):
     solve_ma_zero(1.0, g)
     factored, factor = [], SparseLU.__init__
 
-    def spy(self, A):
+    def spy(self, A, order):
         factored.append(A.shape)
-        factor(self, A)
+        factor(self, A, order)
     monkeypatch.setattr(SparseLU, "__init__", spy)
     phi = lambda x, y: 2.0 * x * y
     eps_consistency(1.0, phi, phi, scales=(1.0, 0.5), grid=g)
@@ -447,9 +447,9 @@ def test_one_assembly_per_solve(monkeypatch, solve):
         systems.append(1)
         return system(self, *args)
 
-    def count_lu(self, A):
+    def count_lu(self, A, order):
         lus.append(1)
-        factor(self, A)
+        factor(self, A, order)
     monkeypatch.setattr(maforward.StencilOps, "system", count_system)
     monkeypatch.setattr(SparseLU, "__init__", count_lu)
     solve(_smooth_metric(g), drift)

@@ -6,9 +6,10 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from malab import maforward
+from malab import linearize, maforward
 from malab.grid import (BoundaryTrace, GridError, MetricField, PaddedGrid,
                         ScalarField, boundary_restrict)
 from malab.grid import build_disk, build_ellipse
@@ -264,7 +265,7 @@ def test_bad_boundary_data_fails_before_any_factorization(entry, monkeypatch):
     equal = BoundaryTrace(np.ones(len(twin.boundary)), twin)
     assert np.all(eval_boundary_data(g, equal, 0.6, 0.8) == 1.0)
 
-    def factor(self, A):
+    def factor(self, A, order):
         raise AssertionError("factorized before the data were checked")
     monkeypatch.setattr(SparseLU, "__init__", factor)
     for phi, msg in [(lambda x, y: np.nan * x, "non-finite"),
@@ -286,7 +287,9 @@ def test_cached_stencils_are_shared_by_equal_grids_and_read_only():
     assert build_stencil_ops.cache_info().currsize == 1
     assert build_stencil_ops(twin) is not ops
     arrays = [ops.pde, ops.qx, ops.qy, ops.cols, ops.qrows, ops.qcols]
-    arrays += [*ops.L.values(), *ops.G.values()]
+    arrays += [*ops.L.values(), *ops.G.values(), ops._order]
+    HL, HG = ops._hessian
+    arrays += [a for M in (*HL, HG) for a in (M.data, M.indices, M.indptr)]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[:] = 0
@@ -351,7 +354,7 @@ def test_red_black_laplacian_solve_equals_the_full_lu(domain, n):
     off = A.row != A.col
     assert np.all(color[A.row[off]] != color[A.col[off]])
     assert np.all(A.diagonal() != 0.0)
-    lap, full = maforward._RedBlackLU(ops), SparseLU(A)
+    lap, full = maforward._RedBlackLU(ops), SparseLU(A, ops._order)
     assert lap.lu.A.shape[0] == np.count_nonzero(color)
     for b in np.random.default_rng(n).standard_normal((3, ops.N)):
         ref = full.solve(b)
@@ -436,9 +439,9 @@ def test_laplacian_factorization_is_kept_for_the_last_grid(monkeypatch):
     del lap, arrays, M, arr
     alive, factor = [], SparseLU.__init__
 
-    def spy(self, A):
+    def spy(self, A, order):
         alive.append(old() is not None)
-        factor(self, A)
+        factor(self, A, order)
     monkeypatch.setattr(SparseLU, "__init__", spy)
     twin = build_disk(1.0, 48)
     warm = solve_ma(ScalarField(X ** 2 + 1.0, twin), _ustar)
@@ -500,9 +503,28 @@ def test_system_equals_the_sparse_sum_of_its_terms(build):
                                   R.data.view(np.int64))
 
 
+@pytest.mark.parametrize("build", [lambda: build_disk(1.0, 128),
+                                   lambda: build_ellipse(1.03, 0.92, 232),
+                                   lambda: build_ellipse(1.0, 0.2, 97)],
+                         ids=["disk", "ellipse", "ellipse-1-0.2"])
+def test_stencil_hessian_equals_its_slot_sums_bitwise(build):
+    # each entry is L U + G phi with L U and G phi summed over the row's
+    # slots in column order, as the slot gathers summed them
+    ops = build_stencil_ops(build())
+    rng = np.random.default_rng(35)
+    U, phi = rng.standard_normal(ops.N), rng.standard_normal(len(ops.qx))
+    got = maforward.stencil_hessian(ops, U, phi)
+    for k, h in zip(("11", "22", "12"), got):
+        ls, gs = maforward._LAYOUT[k]
+        ref = sum(v * U[c] for v, c in zip(ops.L[k], ops.cols[ls]))
+        ref[ops.qrows] += sum(v * phi[c]
+                              for v, c in zip(ops.G[k], ops.qcols[gs]))
+        assert np.array_equal(h.view(np.int64), ref.view(np.int64))
+
+
 def _laplacian_lu(n):
     ops = build_stencil_ops(build_disk(1.0, n))
-    return SparseLU(ops.system(1.0, 0.0, 1.0)), ops.N
+    return SparseLU(ops.system(1.0, 0.0, 1.0), ops._order), ops.N
 
 
 def test_sparse_lu_block_solve_equals_column_solves():
@@ -521,6 +543,129 @@ def test_sparse_lu_residual_check_is_live():
         lu.solve(b, rtol=1e-20)
     assert len(exc.value.residuals) == 1 and exc.value.residuals[0] > 0.0
     assert np.all(np.isfinite(lu.solve(b, rtol=1e-10)))
+
+
+def _dissection_reference(p, q):
+    # the recursive rule _nested_dissection vectorises: cut the longer
+    # side of the nominal box at the midpoint of its integer interval,
+    # order the halves, then the midline; a box of at most _ND_LEAF nodes
+    # (nominal) is a leaf. Returns the order, each box's (halves,
+    # separator) and each node's path of half digits down the tree.
+    p, q = p - p.min(), q - q.min()
+    boxes, path = [], [()] * len(p)
+
+    def visit(nodes, lo, hi, side, where):
+        for v in nodes:
+            path[v] = where
+        if side[0] * side[1] <= maforward._ND_LEAF:
+            return list(nodes)
+        a = int(side[1] > side[0])
+        c = (p, q)[a][nodes]
+        mid = (lo[a] + hi[a]) // 2
+        cut = list(side)
+        cut[a] = (side[a] - 1.0) / 2.0
+        hi0, lo1 = list(hi), list(lo)
+        hi0[a], lo1[a] = mid, mid + 1
+        halves = (visit(nodes[c < mid], lo, hi0, cut, where + (0,))
+                  + visit(nodes[c > mid], lo1, hi, cut, where + (1,)))
+        sep = list(nodes[c == mid])
+        boxes.append((halves, sep))
+        return halves + sep
+
+    n = [int(p.max()) + 1, int(q.max()) + 1]
+    order = visit(np.arange(len(p)), [0, 0], n, [float(v) for v in n], ())
+    return np.array(order), boxes, path
+
+
+def _rotated_black(g):
+    ii, jj = np.nonzero(g.mask)
+    black = (ii + jj) % 2 == 1
+    ib, jb = ii[black], jj[black]
+    return (ib + jb - 1) // 2, (ib - jb - 1) // 2
+
+
+def _metric_system(ops, drift=False):
+    # a smooth positive-definite metric's system, with adjoint_solve's
+    # lower-order terms if drift
+    g = ops.grid
+    X, Y = g.meshgrid()
+    met = MetricField(1 + 0.2 * np.sin(X) * np.cos(Y), 0.1 * np.sin(X * Y),
+                      1 - 0.15 * np.cos(X) * np.sin(Y), g)
+    lower = () if not drift else linearize._adjoint_terms(
+        met, VectorField(0.3 * np.sin(X + Y), -0.2 * np.cos(X * Y), g))
+    return ops.system(*linearize._coeffs_at_nodes(met), *lower)
+
+
+@pytest.mark.parametrize("case", ["disk", "ellipse-black", "row", "one",
+                                  "scattered"])
+def test_nested_dissection_orders_halves_before_their_separator(case):
+    A = None
+    if case == "disk":
+        ops = build_stencil_ops(build_disk(1.0, 64))
+        p, q = np.nonzero(ops.grid.mask)
+        A = ops.system(1.0, 0.3, 1.0).tocoo()
+    elif case == "ellipse-black":
+        ops = build_stencil_ops(build_ellipse(1.0, 0.2, 97))
+        p, q = _rotated_black(ops.grid)
+        A = maforward._RedBlackLU(ops).lu.A.tocoo()
+    elif case == "row":
+        p, q = np.full(40, 3), np.arange(5, 45)
+    elif case == "one":
+        p, q = np.array([7]), np.array([-2])
+    else:
+        keep = np.random.default_rng(35).random((30, 21)) < 0.6
+        p, q = np.nonzero(keep)
+    order = maforward._nested_dissection(p, q)
+    assert np.array_equal(np.sort(order), np.arange(len(p)))
+    ref, boxes, path = _dissection_reference(p, q)
+    assert np.array_equal(order, ref)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    assert boxes or len(p) <= maforward._ND_LEAF
+    for halves, sep in boxes:
+        if halves and sep:
+            assert pos[halves].max() < pos[sep].min()
+    if A is not None:
+        # a 3 x 3 stencil: no entry couples the two halves of a box
+        for r, c in zip(A.row, A.col):
+            a, b = path[r], path[c]
+            assert a[:len(b)] == b or b[:len(a)] == a
+
+
+def _fill(lu):
+    return lu._lu.L.nnz + lu._lu.U.nnz
+
+
+@pytest.mark.parametrize("system", ["metric-128", "schur-232"])
+def test_nested_dissection_fill_is_at_most_minimum_degree(system):
+    if system == "metric-128":
+        ops = build_stencil_ops(build_disk(1.0, 128))
+        lu = SparseLU(_metric_system(ops), ops._order)
+    else:
+        lu = maforward._RedBlackLU(build_stencil_ops(build_disk(1.0, 232))).lu
+    mmd = sp.linalg.splu(
+        sp.csc_matrix(lu.A), permc_spec="MMD_AT_PLUS_A",
+        options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
+    assert _fill(lu) <= mmd.L.nnz + mmd.U.nnz
+
+
+@pytest.mark.parametrize("case", ["disk", "ellipse-1-0.2", "disk-r8",
+                                  "disk-drift"])
+def test_sparse_lu_solves_match_spsolve(case):
+    build = {"disk": lambda: build_disk(1.0, 97),
+             "ellipse-1-0.2": lambda: build_ellipse(1.0, 0.2, 97),
+             "disk-r8": lambda: build_disk(8.0, 97),
+             "disk-drift": lambda: build_disk(1.0, 97)}[case]
+    ops = build_stencil_ops(build())
+    metric = SparseLU(_metric_system(ops, drift=case == "disk-drift"),
+                      ops._order)
+    for lu in (metric, maforward._RedBlackLU(ops).lu):
+        B = np.random.default_rng(11).standard_normal((lu.A.shape[0], 3))
+        ref = sp.linalg.spsolve(sp.csc_matrix(lu.A), B)
+        X = lu.solve(B)
+        assert np.all(np.linalg.norm(X - ref, axis=0)
+                      <= 1e-12 * np.linalg.norm(ref, axis=0))
+        assert np.array_equal(lu.solve(B[:, 1]), X[:, 1])
 
 
 def test_zero_data_results_do_not_share_mutations():

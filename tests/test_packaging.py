@@ -269,7 +269,7 @@ assert loaded == [], loaded
 
 ops = maforward.build_stencil_ops(build_disk(1.0, 32))
 assert "scipy.sparse.linalg" in sys.modules
-lu = maforward.SparseLU(ops.system(1.0, 0.0, 1.0))
+lu = maforward.SparseLU(ops.system(1.0, 0.0, 1.0), ops._order)
 assert np.all(np.isfinite(lu.solve(np.ones(ops.N), rtol=1e-10)))
 """
 
