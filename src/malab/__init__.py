@@ -49,24 +49,25 @@ a fixed choice is a module constant, named at its step.
    test_dnmap.py::test_dn_lin_steklov_diagonal.
 5. The conformal class of g, without diffeomorphism invariance.
    Realized by geomkit.isothermal (the isothermal chart, conformal to
-   geomkit.CONFORMAL_TOL over the core disk; its Beltrami iteration keeps
-   geomkit.BELTRAMI_MARGIN from 1 and stops at geomkit.BELTRAMI_RTOL
-   within geomkit.BELTRAMI_MAX_ITER steps), geomkit.diffeo_rigidity_solve
-   (the coordinates are fixed by their boundary values),
-   geomkit.pullback_metric and geomkit.invert_diffeo (a chord step to
-   geomkit.INVERSION_RTOL within geomkit.INVERSION_MAX_ITER steps, both
-   sampling through one grid._CubicBlock per point set) on a
-   geomkit.DiffeoField. The inverse, and so the chart, is defined on the
-   box's data region inside the wraparound margin, which holds the core
-   disk; in the margin, where preimages alias through the period, the
-   chart is the identity.
+   geomkit.CONFORMAL_TOL over the core disk; step 1's GMRES solves its
+   Beltrami equation, whose coefficient keeps geomkit.BELTRAMI_MARGIN
+   from 1, to geomkit.BELTRAMI_RTOL in geomkit.BELTRAMI_MAX_ITER Krylov
+   iterations), geomkit.diffeo_rigidity_solve (the coordinates are fixed
+   by their boundary values), geomkit.pullback_metric and
+   geomkit.invert_diffeo (a chord step to geomkit.INVERSION_RTOL within
+   geomkit.INVERSION_MAX_ITER steps, both sampling through one
+   grid._CubicBlock per point set) on a geomkit.DiffeoField. The inverse,
+   and so the chart, is defined on the box's data region inside the
+   wraparound margin, which holds the core disk; in the margin, where
+   preimages alias through the period, the chart is the identity.
    Certified by geomkit.transform_solution_check (a
    geomkit.TransformReport).
    Tests: test_geomkit.py::test_isothermal_chart_properties,
    test_geomkit.py::test_isothermal_converges_on_the_quartic_family,
    test_geomkit.py::test_isothermal_converges_on_the_quartic_base_refined_box,
    test_geomkit.py::test_isothermal_quartic_corners,
-   test_geomkit.py::test_isothermal_converges_up_to_the_gap_guard,
+   test_geomkit.py::test_isothermal_converges_on_the_steep_quartic_family,
+   test_geomkit.py::test_isothermal_up_to_the_beltrami_margin,
    test_geomkit.py::test_invert_converges_on_the_quartic_charts,
    test_geomkit.py::test_invert_takes_at_most_seven_loop_blocks,
    test_grid.py::test_cubic_block_samples_the_eager_formula_bitwise,

@@ -297,7 +297,7 @@ def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
     point sampled at its center.  Cached per box, layout and power,
     read-only: the two used last, the most that one call reads (an
     _OscWindows reads two; isothermal reads the data-window-to-box
-    Beurling and Cauchy kernels, and builds its Neumann loop's
+    Beurling and Cauchy kernels, and builds its Beltrami solve's
     window-to-window kernel per call through __wrapped__, outside the
     cache), so a sweep's window kernels push out a full-box kernel that
     no bundle reads.  The cost: a caller that alternates full-box and

@@ -46,6 +46,7 @@ from .grid import (ComplexField, DomainGrid, GridError, MetricField,
                    PaddedGrid, ScalarField, VectorField, _CubicBlock,
                    lattice_values)
 from .linearize import divergence_form_apply, nondiv_solve_many
+from .maforward import _gmres
 
 __all__ = [
     "DiffeoField",
@@ -58,13 +59,13 @@ __all__ = [
 ]
 
 # isothermal: the conformality defect over the box's core disk as a
-# fraction of the metric scale, the distance
-# from 1 that the Beltrami coefficient must keep, and the Neumann
-# iteration's relative step target and step budget
+# fraction of the metric scale, the distance from 1 that the Beltrami
+# coefficient must keep, and its GMRES's relative residual and Krylov
+# budget (143 iterations reach 1 - BELTRAMI_MARGIN on the n = 256 box)
 CONFORMAL_TOL = 1e-2
 BELTRAMI_MARGIN = 0.1
-BELTRAMI_RTOL = 1e-12
-BELTRAMI_MAX_ITER = 64
+BELTRAMI_RTOL = 1e-13
+BELTRAMI_MAX_ITER = 160
 
 # invert_diffeo: a node's move, relative to the displacement scale, at
 # which it freezes, and the chord iteration's step budget
@@ -398,14 +399,15 @@ def _beltrami_map(c11, c12, c22, grid) -> DiffeoField:
 
     mu_B is read on the box's data window only (m nodes a side):
     _support_guard has bounded it below 1e-5 of its maximum outside, so
-    the Neumann loop takes it as zero there and runs on the window. Each
-    step phi <- mu_B (1 + S phi) is one window-to-window convolution, the
-    Beurling transform S = dz C taken in the plane (a periodic dz of C phi
-    rings at the seam), on an N x N FFT with N = _fft_size(2m - 1): 180
-    on the n = 128 box, where the whole box takes 256. Its kernel is
-    built once per call, outside _kernel_hat's cache. After the loop one
-    window-to-box convolution (N = _fft_size(m + n - 1), 216 at n = 128)
-    gives dz w = 1 + S phi on the box, and phi = mu_B dz w at every node.
+    GMRES (maforward._gmres, one cycle, no preconditioner) takes it as
+    zero there and solves (I - mu_B S) phi = mu_B on the window. Each
+    iteration is one window-to-window convolution, the Beurling transform
+    S = dz C taken in the plane (a periodic dz of C phi rings at the
+    seam), on an N x N FFT with N = _fft_size(2m - 1): 180 on the n = 128
+    box, where the whole box takes 256, its kernel built once per call,
+    outside _kernel_hat's cache. Then one window-to-box convolution
+    (N = _fft_size(m + n - 1), 216 at n = 128) gives dz w = 1 + S phi on
+    the box, and phi = mu_B dz w at every node.
     """
     mu_b = _beltrami_coefficient(c11, c12, c22)
     worst = float(np.max(np.abs(mu_b)))
@@ -420,28 +422,21 @@ def _beltrami_map(c11, c12, c22, grid) -> DiffeoField:
     m = mu_w.shape[0]
     N = _fft_size(2 * m - 1)
     khat = _kernel_hat.__wrapped__(grid, (N, N), (m, m), (0, 0), 2)
-    phi, prev, last = mu_w, np.nan, np.nan
-    for _ in range(BELTRAMI_MAX_ITER):
-        nxt = mu_w * (1.0 + _cauchy_conv(phi, khat, (m, m)))
-        step = float(np.max(np.abs(nxt - phi)))
-        phi, prev, last = nxt, last, step
-        if step <= BELTRAMI_RTOL * max(worst, 1e-300):
-            break
-    else:
-        raise GridError("Beltrami series did not converge "
-                        f"(last contraction ratio {last / prev:.3f})")
+    phi, its, met = _gmres(
+        lambda p: p - mu_w * _cauchy_conv(p, khat, (m, m)), mu_w,
+        lambda v: v, BELTRAMI_RTOL, BELTRAMI_MAX_ITER, 1)
+    if not met:
+        raise GridError(f"Beltrami solve missed its residual in {its} "
+                        f"Krylov iterations (max |mu_B| {worst:.3f})")
 
     dzw = 1.0 + _window_to_box(phi, grid, 2)
     phi = mu_b * dzw
     cphi = cauchy_inverse(ComplexField(phi, grid))
 
     # Jacobian of w from the Wirtinger pair (dz w, dzb w) = (dzw, phi)
-    ux = (dzw + phi).real
-    vx = (dzw + phi).imag
-    uy = (phi - dzw).imag
-    vy = (dzw - phi).real
+    p, q = dzw + phi, dzw - phi
     return DiffeoField(cphi.values.real, cphi.values.imag, grid,
-                       jac=(ux, uy, vx, vy))
+                       jac=(p.real, -q.imag, p.imag, q.real))
 
 
 def isothermal(g: MetricField):
@@ -450,17 +445,17 @@ def isothermal(g: MetricField):
     Conformally flat inputs return the identity chart and the factor
     exactly. General metrics must live on a padded box: the complex
     dilatation of the covariant tensor feeds the Beltrami equation
-    dzb w = mu_B dz w, solved by the Neumann iteration
-    phi <- mu_B (1 + S phi) with S = dz C the Beurling transform and C
-    the Cauchy transform, and the chart is the inverse of w = z + C phi.
-    The iteration reads mu_B on the box's data window only, where the
-    support guard has confined its mass (outside, it is below 1e-5 of
-    its maximum, and a wider mu_B is refused before any FFT), so each
-    step convolves the window onto itself (a 180^2 FFT on the n = 128
-    box, not the whole box's 256^2); one window-to-box Beurling and one
-    Cauchy convolution (216^2) then give w on the box.
+    dzb w = mu_B dz w, that is (I - mu_B S) phi = mu_B, solved by GMRES
+    with S = dz C the Beurling transform and C the Cauchy transform, and
+    the chart is the inverse of w = z + C phi. The solve reads mu_B on
+    the box's data window only, where the support guard has confined its
+    mass (outside, it is below 1e-5 of its maximum, and a wider mu_B is
+    refused before any FFT), so each Krylov iteration convolves the
+    window onto itself (a 180^2 FFT on the n = 128 box, not the whole
+    box's 256^2); one window-to-box Beurling and one Cauchy convolution
+    (216^2) then give w on the box.
     Its Jacobian comes from the Wirtinger derivatives dz w = 1 + S phi and
-    dzb w = phi, the iteration's own lattice values, sampled at the
+    dzb w = phi, the solve's own lattice values, sampled at the
     preimage, so the inversion never differentiates interpolated data.
     The chart is invert_diffeo's: defined on the data region and the
     identity in the wraparound margin, where mu is therefore half the

@@ -26,16 +26,17 @@ L11 + L22 + R runs the Poisson iteration of the initial guess
 (poisson_init) and preconditions GMRES on every Newton Jacobian, which
 is inexact Newton with the forcing term eta = min(0.1, 0.1 * max|res|)
 (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996). The GMRES is
-right-preconditioned and restarted (_gmres): one Laplacian solve per
-iteration, and the residual it stops on is the true one,
-||b - J x||_2 <= eta ||b||_2. The Laplacian reads only axis neighbors,
-so no two nodes of one color (i + j) mod 2 are coupled: _RedBlackLU
-eliminates the red half, a diagonal solve, and factors the Schur
-complement on the black half (Saad, Iterative Methods for Sparse Linear
-Systems, sections 3.3 and 13.2). That factorization, and the linearized
-systems of `linearize` and `dnmap`, go through one layer, SparseLU: one
-factorization per matrix, any number of right sides, and a residual
-check on every column when asked.
+right-preconditioned and restarted (_gmres, malab's one Krylov solver,
+which geomkit's Beltrami solve runs on complex vectors, each caller
+setting its budget): one Laplacian solve per iteration, and the residual
+it stops on is the true one, ||b - J x||_2 <= eta ||b||_2. The Laplacian
+reads only axis neighbors, so no two nodes of one color (i + j) mod 2
+are coupled: _RedBlackLU eliminates the red half, a diagonal solve, and
+factors the Schur complement on the black half (Saad, Iterative Methods
+for Sparse Linear Systems, sections 3.3 and 13.2). That factorization,
+and the linearized systems of `linearize` and `dnmap`, go through one
+layer, SparseLU: one factorization per matrix, any number of right
+sides, and a residual check on every column when asked.
 
 Each matrix SparseLU factors is a 3 x 3 stencil on a lattice, which one
 line of nodes cuts in two, and it is factored in a nested-dissection
@@ -50,7 +51,7 @@ One cache outlives a call: build_stencil_ops, a functools.lru_cache
 keyed by the grid, keeps the operators of the one grid used last, so an
 equal grid built twice hits. The operators own what they derive, each
 made at its first use: the factored Laplacian (StencilOps._laplacian,
-about 23 MB at n = 232), the order of their nodes (StencilOps._order)
+about 19 MB at n = 232), the order of their nodes (StencilOps._order)
 and the CSR matrices of the Hessian operators (StencilOps._hessian),
 which share the values of L. So an evicted grid's factors go with its
 operators, before the next grid's are made, unless a caller still holds
@@ -138,28 +139,27 @@ class LinearSolveFailure(RuntimeError):
 class SparseLU:
     """One sparse LU factorization, solved against any number of right sides.
 
-    SuperLU factors A[order][:, order] with the order as given (NATURAL)
-    and the diagonal pivots kept: the stencil matrices are nearly
-    symmetric with a dominant diagonal. Every matrix factored here is a
-    3 x 3 stencil on a lattice, and order is a nested-dissection order of
-    that lattice (_nested_dissection): on the n = 128 disk's metric
-    system its L + U holds 0.82 of the nonzeros of SuperLU's minimum
-    degree on A + A^T, and it factors in about 0.6 of the time, the
-    permuted copy included. A solve permutes its right sides into the
-    order and its solutions back. With rtol, every column of a solve must
-    meet ||A x - b|| <= rtol ||b|| (2-norm) after at most one step of
-    iterative refinement, or LinearSolveFailure carries the per-column
-    residuals.
+    SuperLU factors A[order][:, order], formed by one gather of the rows
+    of A with their columns relabelled, in the nested-dissection order as
+    given (NATURAL) and with the diagonal pivots kept: the stencil
+    matrices are nearly symmetric with a dominant diagonal. A solve
+    permutes its right sides into the order and its solutions back. With
+    rtol, every column of a solve must meet ||A x - b|| <= rtol ||b||
+    (2-norm) after at most one step of iterative refinement, or
+    LinearSolveFailure carries the per-column residuals.
     """
 
     def __init__(self, A, order: np.ndarray):
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
-        self.A = sp.csr_matrix(A)
+        self.A = A = sp.csr_matrix(A)
         self.order = order
+        inv = np.empty_like(A.indices, shape=order.shape)
+        inv[order] = np.arange(len(order))
         try:
-            self._lu = spla.splu(
-                sp.csc_matrix(self.A[order][:, order]), permc_spec="NATURAL",
+            self._lu = spla.splu(    # A's columns relabelled, its rows gathered
+                sp.csr_matrix((A.data, inv[A.indices], A.indptr),
+                              A.shape)[order].tocsc(), permc_spec="NATURAL",
                 options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
         except RuntimeError as exc:        # a zero pivot
             raise LinearSolveFailure(f"sparse LU failed: {exc}", []) from exc
@@ -554,7 +554,7 @@ class _RedBlackLU:
     nodes of one color (i + j) mod 2 are coupled: the red block D is
     diagonal. Eliminating the red nodes leaves S = A_bb - A_br D^-1 A_rb
     on the black ones, and SparseLU factors S. A solve is one S solve and
-    two sparse products; the full Laplacian is not kept.
+    two sparse products; neither the full Laplacian nor S is kept.
 
     S couples two black nodes when a red node is an axis neighbor of both,
     so they differ by (+-1, +-1), (+-2, 0) or (0, +-2) in (i, j). In the
@@ -579,9 +579,10 @@ class _RedBlackLU:
         ib, jb = ii[self.black], jj[self.black]
         self.lu = SparseLU(S, _nested_dissection((ib + jb - 1) // 2,
                                                  (ib - jb - 1) // 2))
+        del self.lu.A          # no Laplacian solve checks its residual
         for arr in (self.red, self.black, self.dinv, self.lu.order):
             arr.flags.writeable = False
-        for M in (self.Arb, self.Abr, self.lu.A):
+        for M in (self.Arb, self.Abr):
             for arr in (M.data, M.indices, M.indptr):
                 arr.flags.writeable = False
 
@@ -680,47 +681,48 @@ def _state(ops: StencilOps, U: np.ndarray, phi: np.ndarray, Fvec):
     return h, res, float(np.max(np.abs(res))), float(np.min(lam[ops.pde]))
 
 
-def _gmres(J, b: np.ndarray, precond, rtol: float):
+def _gmres(J, b: np.ndarray, precond, rtol: float, restart, cycles):
     """Right-preconditioned restarted GMRES for J x = b from x = 0.
 
-    Each iteration takes one precond solve z = M^-1 v and one product J z;
-    the basis v and the z are kept as they are made, so a cycle ends with
-    x += Z y and no further solve. With M on the right the Arnoldi
-    residual is the true one, ||b - J x||_2, up to rounding (Saad and
-    Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): a cycle stops once it
-    reads rtol ||b||_2, and the residual formed at its end decides. At most
-    KRYLOV_CYCLES cycles of KRYLOV_RESTART iterations; returns x, the
-    iteration count and whether the bound was met.
+    J and precond are callables on real or complex vectors; inner products
+    (np.vdot) and rotations conjugate, bitwise the real arithmetic on real
+    vectors. Each iteration takes one solve z = M^-1 v and one product
+    J(z) and keeps both, so a cycle ends with x += Z y and no further
+    solve. With M on the right the Arnoldi residual is the true one,
+    ||b - J x||_2, up to rounding (Saad and Schultz, SIAM J. Sci. Stat.
+    Comput. 7, 1986): a cycle stops at rtol ||b||_2, and the residual
+    formed at its end decides. The caller's budget: cycles cycles of
+    restart iterations. Returns x, the iterations and whether it met rtol.
     """
     target = rtol * np.linalg.norm(b)
     x, r, iters = np.zeros_like(b), b, 0
-    for _ in range(KRYLOV_CYCLES):
+    for _ in range(cycles):
         beta = np.linalg.norm(r)
         if beta <= target:
             break
         V, Z, R, rot, g = [r / beta], [], [], [], [beta]
-        for j in range(KRYLOV_RESTART):
+        for j in range(restart):
             Z.append(precond(V[j]))
-            w = J @ Z[j]
-            h = np.empty(j + 2)
+            w = J(Z[j])
+            h = np.empty(j + 2, dtype=w.dtype)
             for i, v in enumerate(V):          # modified Gram-Schmidt
-                h[i] = v @ w
+                h[i] = np.vdot(v, w)
                 w -= h[i] * v
-            h[j + 1] = np.linalg.norm(w)
-            for i, (c, s) in enumerate(rot):   # the past Givens rotations
-                h[i], h[i + 1] = (c * h[i] + s * h[i + 1],
+            h[j + 1] = wn = np.linalg.norm(w)
+            for i, (cc, c, s) in enumerate(rot):   # the past rotations
+                h[i], h[i + 1] = (cc * h[i] + s * h[i + 1],
                                   c * h[i + 1] - s * h[i])
-            d = np.hypot(h[j], h[j + 1])
-            c, s = h[j] / d, h[j + 1] / d
-            rot.append((c, s))
+            d = np.hypot(abs(h[j]), wn)
+            c, s = h[j] / d, wn / d
+            rot.append((c.conjugate(), c, s))
             h[j] = d
             g.append(-s * g[j])
-            g[j] *= c
+            g[j] *= c.conjugate()
             R.append(h[:j + 1])
             iters += 1
             if abs(g[j + 1]) <= target:        # h[j + 1] = 0 reads 0 too
                 break
-            V.append(w / h[j + 1])
+            V.append(w / wn)
         y = np.array(g[:len(R)])
         for k in range(len(R) - 1, -1, -1):    # back substitution
             y[k] /= R[k][k]
@@ -728,7 +730,7 @@ def _gmres(J, b: np.ndarray, precond, rtol: float):
                 y[i] -= R[k][i] * y[k]
         for yk, z in zip(y, Z):
             x += yk * z
-        r = b - J @ x
+        r = b - J(x)
     return x, iters, bool(np.linalg.norm(r) <= target)
 
 
@@ -773,8 +775,9 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
     for it in range(1, NEWTON_MAX_ITER + 1):
         if rnorm <= Ftarget:
             break
-        J = ops.system(h22, -h12, h11)
-        step, iters, met = _gmres(J, -res, lap.solve, min(0.1, 0.1 * rnorm))
+        step, iters, met = _gmres(ops.system(h22, -h12, h11).dot, -res,
+                                  lap.solve, min(0.1, 0.1 * rnorm),
+                                  KRYLOV_RESTART, KRYLOV_CYCLES)
         lam = 1.0
         while True:
             Ut = U + lam * step

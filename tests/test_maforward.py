@@ -355,7 +355,8 @@ def test_red_black_laplacian_solve_equals_the_full_lu(domain, n):
     assert np.all(color[A.row[off]] != color[A.col[off]])
     assert np.all(A.diagonal() != 0.0)
     lap, full = maforward._RedBlackLU(ops), SparseLU(A, ops._order)
-    assert lap.lu.A.shape[0] == np.count_nonzero(color)
+    assert _schur_complement(ops).shape[0] == np.count_nonzero(color)
+    assert lap.lu._lu.shape[0] == np.count_nonzero(color)
     for b in np.random.default_rng(n).standard_normal((3, ops.N)):
         ref = full.solve(b)
         x = lap.solve(b)
@@ -375,6 +376,35 @@ def test_missed_forcing_term_is_named_in_the_failure(monkeypatch):
     assert [len(row) for row in exc.value.log] == [5, 5]
     assert exc.value.log[1][4] == 0
     assert exc.value.log[1][2] < maforward.DAMPING_MIN
+
+
+@pytest.mark.parametrize("restart, cycles", [(80, 1), (10, 20)])
+@pytest.mark.parametrize("precond", ["none", "diagonal"])
+def test_gmres_solves_a_complex_non_normal_system(restart, cycles, precond):
+    # the Krylov solver of Newton and of the Beltrami solve on complex
+    # vectors: a complex diagonal on the circle |d - 3| = 1 plus a strictly
+    # upper triangular part, so A A^H != A^H A; its inner products must
+    # conjugate, or the Arnoldi basis is not orthonormal and the
+    # residual it reads is not the true one
+    rng = np.random.default_rng(36)
+    n = 80
+
+    def cnormal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    d = 3.0 + np.exp(2j * np.pi * rng.random(n))
+    A = np.diag(d) + np.triu(cnormal(n, n), 1) * (1.5 / np.sqrt(n))
+    b = cnormal(n)
+    assert np.linalg.norm(A @ A.conj().T - A.conj().T @ A) > 1.0
+    M = {"none": lambda v: v, "diagonal": lambda v: v / d}[precond]
+    x, iters, met = maforward._gmres(lambda v: A @ v, b, M, 1e-10, restart,
+                                     cycles)
+    ref = np.linalg.solve(A, b)
+    assert met and x.dtype == complex and iters < n
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+    # a budget the system needs more than: the miss is reported
+    _, iters, met = maforward._gmres(lambda v: A @ v, b, M, 1e-10, 3, 1)
+    assert (iters, met) == (3, False)
 
 
 def test_newton_starts_from_poisson_init(monkeypatch):
@@ -427,8 +457,9 @@ def test_laplacian_factorization_is_kept_for_the_last_grid(monkeypatch):
     cold = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
     lap = build_stencil_ops(g)._laplacian
     arrays = [lap.red, lap.black, lap.dinv]
-    for M in (lap.Arb, lap.Abr, lap.lu.A):
+    for M in (lap.Arb, lap.Abr):
         arrays += [M.data, M.indices, M.indptr]
+    assert not hasattr(lap.lu, "A")     # no Laplacian solve checks S x = b
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[:1] = 0
@@ -577,6 +608,17 @@ def _dissection_reference(p, q):
     return np.array(order), boxes, path
 
 
+def _schur_complement(ops):
+    # the Schur complement S = A_bb - A_br D_r^-1 A_rb of the Laplacian on
+    # its black nodes, formed as _RedBlackLU forms it before factoring it
+    A = ops.system(1.0, 0.0, 1.0)
+    ii, jj = np.nonzero(ops.grid.mask)
+    red, black = (np.nonzero((ii + jj) % 2 == c)[0] for c in (0, 1))
+    Ar, Ab = A[red], A[black]
+    return (Ab[:, black]
+            - Ab[:, red] @ sp.diags(1.0 / Ar[:, red].diagonal()) @ Ar[:, black])
+
+
 def _rotated_black(g):
     ii, jj = np.nonzero(g.mask)
     black = (ii + jj) % 2 == 1
@@ -607,7 +649,7 @@ def test_nested_dissection_orders_halves_before_their_separator(case):
     elif case == "ellipse-black":
         ops = build_stencil_ops(build_ellipse(1.0, 0.2, 97))
         p, q = _rotated_black(ops.grid)
-        A = maforward._RedBlackLU(ops).lu.A.tocoo()
+        A = _schur_complement(ops).tocoo()
     elif case == "row":
         p, q = np.full(40, 3), np.arange(5, 45)
     elif case == "one":
@@ -640,11 +682,13 @@ def _fill(lu):
 def test_nested_dissection_fill_is_at_most_minimum_degree(system):
     if system == "metric-128":
         ops = build_stencil_ops(build_disk(1.0, 128))
-        lu = SparseLU(_metric_system(ops), ops._order)
+        A = _metric_system(ops)
+        lu = SparseLU(A, ops._order)
     else:
-        lu = maforward._RedBlackLU(build_stencil_ops(build_disk(1.0, 232))).lu
+        ops = build_stencil_ops(build_disk(1.0, 232))
+        A, lu = _schur_complement(ops), maforward._RedBlackLU(ops).lu
     mmd = sp.linalg.splu(
-        sp.csc_matrix(lu.A), permc_spec="MMD_AT_PLUS_A",
+        sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
         options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
     assert _fill(lu) <= mmd.L.nnz + mmd.U.nnz
 
@@ -657,11 +701,11 @@ def test_sparse_lu_solves_match_spsolve(case):
              "disk-r8": lambda: build_disk(8.0, 97),
              "disk-drift": lambda: build_disk(1.0, 97)}[case]
     ops = build_stencil_ops(build())
-    metric = SparseLU(_metric_system(ops, drift=case == "disk-drift"),
-                      ops._order)
-    for lu in (metric, maforward._RedBlackLU(ops).lu):
-        B = np.random.default_rng(11).standard_normal((lu.A.shape[0], 3))
-        ref = sp.linalg.spsolve(sp.csc_matrix(lu.A), B)
+    metric = _metric_system(ops, drift=case == "disk-drift")
+    for A, lu in ((metric, SparseLU(metric, ops._order)),
+                  (_schur_complement(ops), maforward._RedBlackLU(ops).lu)):
+        B = np.random.default_rng(11).standard_normal((A.shape[0], 3))
+        ref = sp.linalg.spsolve(sp.csc_matrix(A), B)
         X = lu.solve(B)
         assert np.all(np.linalg.norm(X - ref, axis=0)
                       <= 1e-12 * np.linalg.norm(ref, axis=0))
