@@ -36,7 +36,8 @@ a fixed choice is a module constant, named at its step.
 4. The DN map of g^{ab} d_ab v = 0, the linearization of step 1.
    Realized by dnmap.dn_lin, dnmap.dn_lin_matrix (a dnmap.DNMatrix),
    linearize.nondiv_solve_many, which refuses metrics beyond
-   linearize.ANISOTROPY_LIMIT, and linearize.drift_field; its system,
+   linearize.ANISOTROPY_LIMIT and solves to the residual bound
+   linearize.SOLVE_RTOL, and linearize.drift_field; its system,
    like step 1's Newton Jacobian, is assembled once by a
    maforward.StencilOps.
    Certified by dnmap.dn_full_derivative (the derivative of step 1),

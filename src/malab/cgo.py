@@ -54,11 +54,11 @@ import numpy as np
 # that inverse (CGOBundle.r is -oscillatory_dbar_inv(V' s) bit for bit),
 # and perfbench traces it here
 from .complexcalc import (_fd4, _OscPlan, _OscWindows, _require_finite,
-                          _require_h, _support_guard, _wirtinger,
-                          _wirtinger_symbol, oscillatory_dbar_inv,
-                          periodic_fd4, spectral_deriv, spectral_dz,
-                          spectral_dzb)
-from .grid import ComplexField, GridError, PaddedGrid, VectorField
+                          _support_guard, _wirtinger, _wirtinger_symbol,
+                          oscillatory_dbar_inv, periodic_fd4, spectral_deriv,
+                          spectral_dz, spectral_dzb)
+from .grid import (ComplexField, GridError, PaddedGrid, VectorField,
+                   _require_count, _require_grid, _require_positive)
 
 DEPTH_DEFAULT = 6                       # series truncation depth
 CZ_EPS = 0.1                            # cz_diagnostic weighs by h^(1/2 - CZ_EPS)
@@ -87,10 +87,17 @@ def _measurement_disk(grid: PaddedGrid) -> tuple:
     return at, mask
 
 
-def _require_padded(grid) -> PaddedGrid:
-    if not isinstance(grid, PaddedGrid):
-        raise GridError("CGO machinery needs a padded periodic box")
-    return grid
+def _disk_fd4(grid: PaddedGrid) -> tuple:
+    """The measurement disk's box and mask, that box grown by the 2-node
+    reach of the 4th-order differences, and fd4(f, axis, order): _fd4 of
+    f, given on the grown box, on the box."""
+    box, mask = _measurement_disk(grid)
+    grown = tuple(slice(b.start - 2, b.stop + 2) for b in box)
+
+    def fd4(f, axis, order):
+        return _fd4(f[:, 2:-2] if axis == 0 else f[2:-2, :], grid.dx, axis,
+                    order)
+    return box, mask, grown, fd4
 
 
 def _require_terms(grid: PaddedGrid, X: VectorField, q) -> np.ndarray:
@@ -128,7 +135,7 @@ def gauge(X: VectorField) -> tuple[ComplexField, ComplexField, ComplexField]:
 
 def _gauge_source(X: VectorField) -> np.ndarray:
     """The source (i/4)(X1 + i X2) of gauge, after the drift's guards."""
-    grid = _require_padded(X.grid)
+    grid = _require_grid(X.grid, PaddedGrid, "gauge")
     for c in (X.c1, X.c2):
         _require_finite(c, grid, "gauge")
     src = 0.25j * (X.c1 + 1j * X.c2)
@@ -170,7 +177,7 @@ def factor_potential(X: VectorField, q=0.0) -> ComplexField:
     driving the factorization residual to the spectral floor (the
     conventional, opposite set leaves O(1)).
     """
-    grid = _require_padded(X.grid)
+    grid = _require_grid(X.grid, PaddedGrid, "factor_potential")
     return ComplexField(_potential(X, q, (slice(None), slice(None))), grid)
 
 
@@ -199,7 +206,7 @@ def factorization_check(X: VectorField, q=0.0) -> float:
     derivatives spectral and the gauge solved spectrally, so the residual
     sits at rounding level when the identity is exact.
     """
-    grid = _require_padded(X.grid)
+    grid = _require_grid(X.grid, PaddedGrid, "factorization_check")
     XX, YY = grid.meshgrid()
     r2 = XX * XX + YY * YY
     fv = (np.exp(-r2 / 0.8) * (1.0 + 0.4 * XX - 0.3 * YY)).astype(complex)
@@ -246,9 +253,13 @@ class PhaseSpec:
 
 def phase_spec(coeffs, grid: PaddedGrid, center=0j) -> PhaseSpec:
     """Build a PhaseSpec from ascending polynomial coefficients.  A
-    non-finite coefficient or center, and a phase or derivative that
-    overflows on the box, are a GridError."""
-    _require_padded(grid)
+    coefficient or center that is not a finite number, and a phase or
+    derivative that overflows on the box, are a GridError."""
+    _require_grid(grid, PaddedGrid, "phase_spec")
+    coeffs = tuple(coeffs)
+    if not all(isinstance(c, numbers.Number) for c in (*coeffs, center)):
+        raise GridError("phase: coefficients and center must be numbers, "
+                        f"got coeffs={coeffs!r}, center={center!r}")
     cs = tuple(complex(c) for c in coeffs)
     if not cs:
         raise GridError("phase needs at least one coefficient")
@@ -287,7 +298,7 @@ def series_weights(alpha: np.ndarray, X: VectorField, q=0.0
     V = factor_potential x exp(-2i Re alpha) / 2 drives the source side;
     V' = -exp(+2i Re alpha) is the unimodular return weight.
     """
-    grid = _require_padded(X.grid)
+    grid = _require_grid(X.grid, PaddedGrid, "series_weights")
     box = (slice(None), slice(None))
     v, vp = _weights(alpha, X, q, box, box)
     return ComplexField(v, grid), ComplexField(vp, grid)
@@ -325,8 +336,8 @@ def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
     cutoff window and returns on the core window, where the outer one
     runs; the result is zero outside the core window.
     """
-    grid = _require_padded(f.grid)
-    _require_h(h)
+    grid = _require_grid(f.grid, PaddedGrid, "neumann_T")
+    _require_positive("h", h)
     plan = _OscPlan(_OscWindows(grid, psi), h)
     ws = plan.windows
     Vu = V.values[ws.out] * plan.apply(vp.values * f.values)
@@ -408,20 +419,13 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     that is not a finite field of the box, are a GridError before any
     difference, as in build_cgo_holo.
     """
-    _require_h(h)
-    grid = _require_padded(X.grid)
+    _require_positive("h", h)
+    grid = _require_grid(X.grid, PaddedGrid, "drift_residual")
     qv = _require_terms(grid, X, q)
     vals = _require_finite(vals, grid, "drift_residual")
-    box, mask = _measurement_disk(grid)
-    grown = tuple(slice(b.start - 2, b.stop + 2) for b in box)
+    box, mask, grown, fd4 = _disk_fd4(grid)
     v = vals[grown]
     c1, c2 = X.c1[grown], X.c2[grown]
-
-    def fd4(f, axis, order):
-        # f on the grown box, the derivative on the bounding box
-        return _fd4(f[:, 2:-2] if axis == 0 else f[2:-2, :], grid.dx, axis,
-                    order)
-
     mid = (slice(2, -2), slice(2, -2))
     qv = np.broadcast_to(qv, vals.shape)[box]
     lap = fd4(v, 0, 2) + fd4(v, 1, 2)
@@ -440,11 +444,9 @@ def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude,
     """(grid, drift, q, amplitude values) of a bundle, after
     the guards every call runs before any FFT (build_cgo_holo); the
     drift's own guards run in _gauge_source."""
-    grid = _require_padded(phase.grid)
-    _require_h(h)
-    if not (isinstance(K, numbers.Integral) and K >= 0):
-        raise GridError(
-            f"series depth must be a nonnegative integer, got {K!r}")
+    grid = _require_grid(phase.grid, PaddedGrid, "a CGO bundle")
+    _require_positive("h", h)
+    _require_count("K", K)
     X = drift if drift is not None else _zero_drift(grid)
     qv = _require_terms(grid, X, q)
     _measurement_disk(grid)
@@ -597,7 +599,7 @@ def build_cgo_antiholo(phase: PhaseSpec, h: float,
     conjugate of build_cgo_holo at the negated phase; its residual is
     re-measured directly on the conjugated field.
     """
-    grid = _require_padded(phase.grid)
+    grid = _require_grid(phase.grid, PaddedGrid, "build_cgo_antiholo")
     if np.iscomplexobj(np.asarray(q)):
         raise GridError("antiholo construction needs a real potential")
     nb = build_cgo_holo(phase.negated(), h, drift, q)
@@ -648,10 +650,8 @@ def remainder_expansion(phase: PhaseSpec, f: ComplexField, N: int) -> tuple:
     derivative vanishes on the support of f, and an N that is not a
     nonnegative integer.
     """
-    grid = _require_padded(phase.grid)
-    if not (isinstance(N, numbers.Integral) and N >= 0):
-        raise GridError(
-            f"expansion order must be a nonnegative integer, got {N!r}")
+    grid = _require_grid(phase.grid, PaddedGrid, "remainder_expansion")
+    _require_count("N", N)
     fv = f.values
     amax = float(np.max(np.abs(fv)))
     if amax == 0.0:
@@ -686,11 +686,9 @@ def cz_diagnostic(bundle: CGOBundle) -> float:
     """
     grid = bundle.r.grid
     rc = grid.core_radius
-    at, mask = _measurement_disk(grid)
-    grown = tuple(slice(b.start - 2, b.stop + 2) for b in at)
+    at, mask, grown, fd4 = _disk_fd4(grid)
     rv = bundle.r.values[grown]
-    rxx = _fd4(rv[:, 2:-2], grid.dx, 0, 2)
-    ryy = _fd4(rv[2:-2, :], grid.dx, 1, 2)
+    rxx, ryy = fd4(rv, 0, 2), fd4(rv, 1, 2)
     rxy = _fd4(_fd4(rv, grid.dx, 0, 1), grid.dx, 1, 1)
     x2 = np.square(grid.x[at[0]])
     bump = np.exp(-4.0 * (x2[:, None] + x2[None, :]) / rc ** 2)

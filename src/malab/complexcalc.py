@@ -52,10 +52,12 @@ series' core-window terms.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
-from .grid import ComplexField, DomainGrid, GridError, PaddedGrid
+from .grid import (ComplexField, DomainGrid, GridError, PaddedGrid,
+                   _require_grid, _require_positive)
 
 # lattice nodes per local wavelength pi h / |grad psi| of exp(-2i psi / h)
 # that the oscillatory inverses' resolution guard demands
@@ -72,9 +74,7 @@ def _wavenumbers(grid: PaddedGrid, odd1: bool, odd2: bool):
     On an even box the Nyquist wavenumber of an axis flagged odd is zeroed:
     that unbalanced mode has no real odd derivative.  A domain is refused.
     """
-    if not isinstance(grid, PaddedGrid):
-        raise GridError(f"spectral derivatives need a PaddedGrid, not a "
-                        f"{type(grid).__name__}")
+    _require_grid(grid, PaddedGrid, "a spectral derivative")
     ks = []
     for odd in (odd1, odd2):
         k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
@@ -179,8 +179,11 @@ def _masked_stencil(vals: np.ndarray, grid: DomainGrid, axis: int,
     """Apply per node the last of stencils whose offsets stay in the mask.
 
     Mask nodes where none fits raise (they would mean a sliver thinner
-    than three nodes); nodes off the mask read zero.
+    than three nodes); nodes off the mask read zero. An axis other than
+    0 or 1 is a GridError.
     """
+    if axis not in (0, 1):
+        raise GridError(f"axis must be 0 or 1, got axis={axis!r}")
     m = grid.mask
     e = (1, 0) if axis == 0 else (0, 1)
     sh = lambda k: _shift(vals, k * e[0], k * e[1])
@@ -244,12 +247,6 @@ def _require_finite(vals, grid: PaddedGrid, what: str) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise GridError(f"{what}: non-finite values")
     return vals
-
-
-def _require_h(h) -> None:
-    """GridError unless the semiclassical parameter h is finite and > 0."""
-    if not (np.isfinite(h) and h > 0):
-        raise GridError(f"h must be positive and finite, got {h}")
 
 
 def _support_guard(vals: np.ndarray, grid: PaddedGrid, what: str):
@@ -369,9 +366,7 @@ def cauchy_inverse(omega: ComplexField) -> ComplexField:
     N = _fft_size(m + n - 1), m + N forward and N + n inverse 1-D
     transforms of length N (N = 216 on the half = 4, n = 128 box).
     """
-    grid = omega.grid
-    if not isinstance(grid, PaddedGrid):
-        raise GridError("cauchy_inverse expects a field on a padded box")
+    grid = _require_grid(omega.grid, PaddedGrid, "cauchy_inverse")
     vals = _require_finite(omega.values, grid, "cauchy_inverse")
     _support_guard(vals, grid, "cauchy_inverse")
     at = grid.data_window
@@ -386,11 +381,13 @@ def conj_cauchy_inverse(omega: ComplexField) -> ComplexField:
 
 def smooth_cutoff(grid: PaddedGrid, r_inner: float, r_outer: float) -> np.ndarray:
     """C^2 radial bump: 1 inside r_inner, 0 outside r_outer (quintic step).
-    Radii that are not finite with r_outer > r_inner are a GridError."""
-    if not (np.isfinite(r_inner) and np.isfinite(r_outer)
+    Radii that are not finite reals with r_outer > r_inner are a
+    GridError."""
+    radii = (r_inner, r_outer)
+    if not (all(isinstance(r, numbers.Real) and np.isfinite(r) for r in radii)
             and r_outer > r_inner):
-        raise GridError(f"cutoff radii must be finite with r_outer > "
-                        f"r_inner, got ({r_inner}, {r_outer})")
+        raise GridError("cutoff radii must be finite with r_outer > r_inner, "
+                        f"got r_inner={r_inner!r}, r_outer={r_outer!r}")
     return _radial_step(grid.x, r_inner, r_outer)
 
 
@@ -467,7 +464,7 @@ class _OscPlan:
 
     An _OscWindows, windows, and what h adds to it: the resolution guard
     and the windowed weight exp(-2i psi/h) E, for an h that passed
-    _require_h.  A sweep over h at one (box, psi) builds its
+    grid._require_positive.  A sweep over h at one (box, psi) builds its
     windows once (cgo's bundles keep theirs from one call to the next).
 
     Every result lives on the core window, and windows.embed puts one on
@@ -546,9 +543,8 @@ def oscillatory_dbar_inv(f: ComplexField, psi, h: float) -> ComplexField:
     1-D transforms (not 1024 + 1024), or for core-supported f N = 360
     with 171 + 360 and 360 + 171 (not 720 + 720).
     """
-    if not isinstance(f.grid, PaddedGrid):
-        raise GridError("oscillatory inverses expect a field on a padded box")
-    _require_h(h)
+    _require_grid(f.grid, PaddedGrid, "oscillatory_dbar_inv")
+    _require_positive("h", h)
     plan = _OscPlan(_OscWindows(f.grid, psi), h)
     return ComplexField(plan.windows.embed(plan.apply(f.values)), f.grid)
 

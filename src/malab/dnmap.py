@@ -16,15 +16,16 @@ _ring_eval.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
-                   _ray_fit, _ring_eval, _ring_modes, normal_derivative,
-                   tangential_derivative)
-from .linearize import metric_from_solution, nondiv_solve, nondiv_solve_many
+                   _ray_fit, _require_count, _require_grid,
+                   _require_positive, _ring_eval, _ring_modes,
+                   normal_derivative, tangential_derivative)
+from .linearize import (SOLVE_RTOL, _metric_solver, metric_from_solution,
+                        nondiv_solve)
 from .maforward import ring_values, solve_ma
 
 __all__ = [
@@ -69,34 +70,33 @@ def _dn_lin_block(g: MetricField, datas, rtol: float) -> np.ndarray:
     """Conormal derivatives (M, k) of the first-linearized solutions with
     the k Dirichlet data in datas.
 
-    All k solves share one factorization. The normal part is one ray fit
-    of the stacked solutions anchored at the exact data, the tangential
-    part one spectral derivative of the stacked data itself.
+    All k solves share one factorization and meet the residual bound
+    rtol. The normal part is one ray fit of the stacked solutions anchored
+    at the exact data, the tangential part one spectral derivative of the
+    stacked data itself.
     """
-    grid = g.grid
-    if not isinstance(grid, DomainGrid):
-        raise GridError("the linearized DN map expects a domain grid")
+    grid = _require_grid(g.grid, DomainGrid, "the linearized DN map")
     weights = _conormal_weights(g)
-    vs = nondiv_solve_many(g, datas, rtol=rtol)
+    vs = _metric_solver(g)(datas, None, rtol)
     P = np.column_stack([ring_values(grid, phi) for phi in datas])
     _, dnu = _ray_fit(grid, np.stack([v.values for v in vs]), P)
     dtau = tangential_derivative(grid, P)
     return weights[0][:, None] * dnu + weights[1][:, None] * dtau
 
 
-def dn_lin(g: MetricField, phi, *, rtol: float = 1e-10) -> BoundaryTrace:
+def dn_lin(g: MetricField, phi) -> BoundaryTrace:
     """Conormal derivative of the first-linearized solution.
 
     Solves g^{ab} d_ab v = 0 with data phi and evaluates
     sqrt|g| g^{ik} d_i v nu_k on the ring, splitting the gradient into the
     normal part (one-sided ray fit anchored at the exact data) and the
     tangential part (spectral derivative of the data itself): the
-    one-column case of dn_lin_matrix.
+    one-column case of dn_lin_matrix, solved to linearize.SOLVE_RTOL.
     """
-    return BoundaryTrace(_dn_lin_block(g, [phi], rtol)[:, 0], g.grid)
+    return BoundaryTrace(_dn_lin_block(g, [phi], SOLVE_RTOL)[:, 0], g.grid)
 
 
-def dn_full_derivative(base, phi, *, rtol: float = 1e-10) -> BoundaryTrace:
+def dn_full_derivative(base, phi) -> BoundaryTrace:
     """Exact derivative of dn_full at a solved base.
 
     The full map composes the nonlinear solve with a normal-derivative
@@ -112,7 +112,7 @@ def dn_full_derivative(base, phi, *, rtol: float = 1e-10) -> BoundaryTrace:
     """
     g = metric_from_solution(base)
     grid = g.grid
-    v = nondiv_solve(g, phi, rtol=rtol)
+    v = nondiv_solve(g, phi)
     anchor = BoundaryTrace(ring_values(grid, phi), grid)
     return normal_derivative(v, anchor=anchor)
 
@@ -143,7 +143,7 @@ def _basis_project(vals: np.ndarray, K: int) -> np.ndarray:
 
 
 def dn_lin_matrix(g: MetricField, X, K: int = 6, *,
-                  rtol: float = 1e-10) -> DNMatrix:
+                  rtol: float = SOLVE_RTOL) -> DNMatrix:
     """Assemble the linearized map over the Fourier basis.
 
     Column j is the basis projection of dn_lin of basis function j, an
@@ -151,12 +151,12 @@ def dn_lin_matrix(g: MetricField, X, K: int = 6, *,
     factorization, one ray fit of the solutions and one of the metric.
     X is not read, as the first-linearized equation carries no drift; it
     stays because the dn-inverse benchmark passes the drift positionally.
+    Every column meets the residual bound rtol; a non-finite or
+    nonpositive rtol is a GridError before any assembly.
     """
-    grid = g.grid
-    if not isinstance(grid, DomainGrid):
-        raise GridError("dn_lin_matrix expects a domain grid")
-    if not isinstance(K, numbers.Integral) or K < 0:
-        raise GridError(f"basis order must be a non-negative integer, not {K!r}")
+    grid = _require_grid(g.grid, DomainGrid, "dn_lin_matrix")
+    _require_count("K", K)
+    _require_positive("rtol", rtol)
     M = len(grid.boundary)
     if 2 * K + 1 > M // 2:
         raise GridError(f"basis order {K} too large for a ring of {M} nodes")
@@ -195,9 +195,7 @@ def recover_boundary_hessian(lam0: BoundaryTrace, Fb, data=None,
         # a measured trace carries node-decorrelated interpolation noise,
         # and each arclength derivative amplifies mode k by k; truncation
         # is exact on band-limited truth
-        if not isinstance(kmax, numbers.Integral) or kmax < 0:
-            raise GridError(
-                f"kmax must be a non-negative integer, not {kmax!r}")
+        _require_count("kmax", kmax)
         c = _ring_modes(lam)
         c[kmax + 1:] = 0.0
         p = grid.boundary.points

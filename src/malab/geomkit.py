@@ -44,7 +44,7 @@ from .complexcalc import (_cauchy_conv, _fft_size, _kernel_hat,
                           deriv)
 from .grid import (ComplexField, DomainGrid, GridError, MetricField,
                    PaddedGrid, ScalarField, VectorField, _CubicBlock,
-                   lattice_values)
+                   _require_grid, _require_metric, lattice_values)
 from .linearize import divergence_form_apply, nondiv_solve_many
 from .maforward import _gmres
 
@@ -75,11 +75,7 @@ INVERSION_MAX_ITER = 80
 
 def _covariant(g: MetricField):
     """Nodewise inverse of the stored contravariant components."""
-    if not all(np.all(np.isfinite(c)) for c in (g.g11, g.g12, g.g22)):
-        raise GridError("metric has non-finite entries")
-    det = g.det()
-    if np.min(det) <= 0.0:
-        raise GridError("metric is not positive definite")
+    det = _require_metric(g)
     return g.g22 / det, -g.g12 / det, g.g11 / det
 
 
@@ -132,9 +128,7 @@ class DiffeoField:
 
 
 def _check_reach(J: DiffeoField):
-    grid = J.grid
-    if not isinstance(grid, PaddedGrid):
-        raise GridError("pullbacks interpolate on a padded periodic box")
+    grid = _require_grid(J.grid, PaddedGrid, "a pullback or inversion")
     margin = grid.core_radius           # the wraparound margin's width
     reach = float(np.max(np.hypot(J.d1, J.d2)))
     if reach > margin:
@@ -177,9 +171,8 @@ def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
     _check_reach(J)
     if g.grid != J.grid:
         raise GridError("map and metric live on different grids")
+    _require_metric(g, definite=False)
     t = np.stack([g.g11, g.g12, g.g22])
-    if not np.all(np.isfinite(t)):
-        raise GridError("metric has non-finite entries")
     moved = np.flatnonzero((J.d1 != 0.0) | (J.d2 != 0.0))
     at = _CubicBlock(J.grid, *(p.reshape(-1)[moved] for p in J.points()))
     t.reshape(3, -1)[:, moved] = at(t)
@@ -315,9 +308,7 @@ def transform_solution_check(g2: MetricField, X2: VectorField, J: DiffeoField,
     evaluates the solution exactly at mapped points and removes the
     interpolation error from the transported field only.
     """
-    grid = g2.grid
-    if not isinstance(grid, DomainGrid):
-        raise GridError("transform checks run on a domain grid")
+    grid = _require_grid(g2.grid, DomainGrid, "transform_solution_check")
     if J.grid != grid or v2.grid != grid:
         raise GridError("inputs live on different grids")
     cv = lattice_values(c, grid)
@@ -373,9 +364,7 @@ def diffeo_rigidity_solve(g1: MetricField, data=None) -> DiffeoField:
     is the computable content of the rigidity claim. data, when given,
     replaces the coordinate boundary traces (sensitivity studies).
     """
-    grid = g1.grid
-    if not isinstance(grid, DomainGrid):
-        raise GridError("rigidity system runs on a domain grid")
+    grid = _require_grid(g1.grid, DomainGrid, "the rigidity system")
     phi1, phi2 = data if data is not None else (lambda x, y: x,
                                                 lambda x, y: y)
     w1, w2 = nondiv_solve_many(g1, [phi1, phi2])
@@ -472,9 +461,7 @@ def isothermal(g: MetricField):
         mu = 0.5 * (c11 + c22)
         return DiffeoField.identity(grid), ScalarField(mu, grid)
 
-    if not isinstance(grid, PaddedGrid):
-        raise GridError("general isothermal charts need the metric on a "
-                        "padded box (the Beltrami solve is spectral)")
+    _require_grid(grid, PaddedGrid, "a general isothermal chart")
     chi = invert_diffeo(_beltrami_map(c11, c12, c22, grid))
 
     pulled = pullback_metric(chi, g)

@@ -63,6 +63,48 @@ class GridError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# input guards: one per kind of input, each a GridError naming the input
+
+
+def _require_grid(grid, kind: type, what: str):
+    """grid, or a GridError unless it is a kind (DomainGrid, PaddedGrid)."""
+    if not isinstance(grid, kind):
+        raise GridError(f"{what} needs a {kind.__name__}, not a "
+                        f"{type(grid).__name__}")
+    return grid
+
+
+def _require_positive(name: str, value) -> None:
+    """GridError naming name unless value is a finite real > 0."""
+    if not (isinstance(value, numbers.Real) and np.isfinite(value)
+            and value > 0):
+        raise GridError(f"{name} must be positive and finite, "
+                        f"got {name}={value!r}")
+
+
+def _require_count(name: str, value, least: int = 0) -> None:
+    """GridError naming name unless value is an integer >= least."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        bound = (f"an integer of at least {least}" if least
+                 else "a non-negative integer")
+        raise GridError(f"{name} must be {bound}, got {name}={value!r}")
+
+
+def _require_metric(g, where=slice(None), definite: bool = True):
+    """g's determinant, or a GridError unless g's entries are finite on
+    where and it is positive definite there; with definite False, the
+    finite check alone, and None."""
+    if not all(np.all(np.isfinite(c[where])) for c in (g.g11, g.g12, g.g22)):
+        raise GridError("metric has non-finite entries")
+    if not definite:
+        return None
+    det = g.det()
+    if np.min(det[where]) <= 0.0 or np.min(g.g11[where]) <= 0.0:
+        raise GridError("metric is not positive definite")
+    return det
+
+
+# ---------------------------------------------------------------------------
 # boundary ring
 
 
@@ -156,12 +198,9 @@ class DomainGrid:
 
 def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
     """Axis-aligned ellipse x^2/a^2 + y^2/b^2 = 1 on a lattice covering its box."""
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise GridError(f"semi-axes must be finite, got ({a}, {b})")
-    if min(a, b) <= 0:
-        raise GridError("semi-axes must be positive")
-    if not (isinstance(n, numbers.Integral) and n >= 16):
-        raise GridError(f"n must be an integer of at least 16, got {n!r}")
+    _require_positive("a", a)
+    _require_positive("b", b)
+    _require_count("n", n, 16)
     half = max(a, b)
     x1 = np.linspace(-half, half, n)
     x2 = x1.copy()
@@ -191,14 +230,6 @@ def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
 def build_disk(radius: float = 1.0, n: int = 128) -> DomainGrid:
     """Disk of given radius: the ellipse with both semi-axes equal to it."""
     return build_ellipse(radius, radius, n)
-
-
-def _require_domain(grid, what: str) -> DomainGrid:
-    """grid, or a GridError unless it is a DomainGrid."""
-    if not isinstance(grid, DomainGrid):
-        raise GridError(f"{what} needs a DomainGrid, not a "
-                        f"{type(grid).__name__}")
-    return grid
 
 
 # -- quadrature weights -----------------------------------------------------
@@ -310,10 +341,8 @@ class PaddedGrid:
     n: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.half) and self.half > 0
-                and isinstance(self.n, numbers.Integral) and self.n >= 16):
-            raise GridError("box needs a positive finite half and an integer "
-                            f"n >= 16, got half={self.half}, n={self.n!r}")
+        _require_positive("half", self.half)
+        _require_count("n", self.n, 16)
 
     @property
     def dx(self) -> float:
@@ -363,8 +392,9 @@ class PaddedGrid:
         the sum is monotone in each term, so the mask is the full-box
         one's bit for bit.
         """
-        if not radius >= 0.0:
-            raise GridError(f"core radius must be non-negative, got {radius}")
+        if not (isinstance(radius, numbers.Real) and radius >= 0.0):
+            raise GridError("core radius must be a non-negative number, "
+                            f"got radius={radius!r}")
         x2 = self.x * self.x
         r2 = radius * radius
         rows = np.flatnonzero(x2 + np.min(x2) <= r2)
@@ -460,7 +490,8 @@ class BoundaryTrace:
 
     def __init__(self, values: np.ndarray, grid: DomainGrid):
         values = np.array(_real(values))
-        if values.shape != (len(_require_domain(grid, "a trace").boundary),):
+        ring = _require_grid(grid, DomainGrid, "a trace").boundary
+        if values.shape != (len(ring),):
             raise GridError("trace length does not match boundary node count")
         if not np.all(np.isfinite(values)):
             raise GridError("boundary trace has non-finite values")
@@ -494,7 +525,7 @@ class MetricField:
 
 def quadrature(f: ScalarField) -> float:
     """Second-order area integral of f over its domain's interior."""
-    d = _require_domain(f.grid, "quadrature")
+    d = _require_grid(f.grid, DomainGrid, "quadrature")
     return float(np.sum(f.values[d.mask] * d.weights[d.mask]))
 
 
@@ -508,10 +539,8 @@ def tangential_derivative(grid: DomainGrid, vals: np.ndarray,
     non-negative integer, a grid that is not a DomainGrid and samples
     whose first axis is not the ring are a GridError.
     """
-    if not (isinstance(order, numbers.Integral) and order >= 0):
-        raise GridError(
-            f"derivative order must be a non-negative integer, not {order!r}")
-    b = _require_domain(grid, "ring calculus").boundary
+    _require_count("order", order)
+    b = _require_grid(grid, DomainGrid, "ring calculus").boundary
     M = len(b)
     vals = np.asarray(vals, dtype=float)
     if vals.shape[:1] != (M,):
@@ -658,7 +687,8 @@ def _ray_fit(grid: DomainGrid, values: np.ndarray, anchor=None):
     which spectral tangential differentiation then amplifies.
     """
     depths = _RAY_DEPTHS * grid.dx
-    if depths[-1] >= _require_domain(grid, "a boundary fit").inradius():
+    _require_grid(grid, DomainGrid, "a boundary fit")
+    if depths[-1] >= grid.inradius():
         raise GridError("one-sided boundary stencil exits the mask; grid too coarse")
     b = grid.boundary
     p = b.points[None] - depths[:, None, None] * b.normal[None]

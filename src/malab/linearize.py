@@ -15,19 +15,19 @@ factored once, and every right side of that metric is solved against the
 one factorization (nondiv_solve_many takes a block of boundary data as
 one block); adjoint_solve adds its lower-order terms to that one
 assembly. Every column must meet the residual bound ||A v - b|| <=
-rtol ||b||, or the solve raises LinearSolveFailure.
+SOLVE_RTOL ||b||, or the solve raises LinearSolveFailure.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexcalc import deriv
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
-                   ScalarField, VectorField, lattice_values)
+                   ScalarField, VectorField, _require_grid, _require_metric,
+                   _require_positive, lattice_values)
 from .maforward import (LinearSolveFailure, MASolution, SparseLU,
                         build_stencil_ops, ring_values, solve_ma,
                         solve_ma_zero, source_grid, stencil_hessian)
@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 ANISOTROPY_LIMIT = 20.0
+
+# the residual bound ||A v - b|| <= SOLVE_RTOL ||b|| of every solve here
+SOLVE_RTOL = 1e-10
 
 # eps_consistency's boundary data steps: s EPS1 phi1 + s EPS2 phi2 per scale s
 EPS1 = 0.1
@@ -109,12 +112,8 @@ def metric_from_solution(sol: MASolution) -> MetricField:
 def _volume_weight(g: MetricField, where) -> np.ndarray:
     """sqrt|g| of the covariant metric, 1 / sqrt(det of the stored matrix),
     on where (1 elsewhere), for a metric finite and positive definite there."""
-    if not all(np.all(np.isfinite(c[where])) for c in (g.g11, g.g12, g.g22)):
-        raise GridError("metric has non-finite entries")
+    d = _require_metric(g, where)
     w = np.ones_like(g.g11)
-    d = g.det()
-    if np.min(d[where]) <= 0.0:
-        raise GridError("metric determinant is not positive")
     w[where] = 1.0 / np.sqrt(d[where])
     return w
 
@@ -145,9 +144,7 @@ def divergence_form_apply(g: MetricField, X: VectorField, v: np.ndarray):
     result is only meaningful away from the boundary; the second return
     value masks the nodes where every inner differentiation was central.
     """
-    grid = g.grid
-    if not isinstance(grid, DomainGrid):
-        raise GridError("divergence_form_apply expects a domain grid")
+    grid = _require_grid(g.grid, DomainGrid, "divergence_form_apply")
     w = _volume_weight(g, grid.mask)
     f1 = w * (g.g11 * deriv(v, grid, 1, 0) + g.g12 * deriv(v, grid, 0, 1))
     f2 = w * (g.g12 * deriv(v, grid, 1, 0) + g.g22 * deriv(v, grid, 0, 1))
@@ -167,30 +164,16 @@ def divergence_form_apply(g: MetricField, X: VectorField, v: np.ndarray):
 
 
 def _coeffs_at_nodes(g: MetricField):
-    if not isinstance(g.grid, DomainGrid):
-        raise GridError("linearized solves expect a domain grid")
-    m = g.grid.mask
-    a11 = g.g11[m]
-    a12 = g.g12[m]
-    a22 = g.g22[m]
-    if not (np.all(np.isfinite(a11)) and np.all(np.isfinite(a12))
-            and np.all(np.isfinite(a22))):
-        raise GridError("metric has non-finite entries on the domain")
+    m = _require_grid(g.grid, DomainGrid, "a linearized solve").mask
+    _require_metric(g, m)
+    # positive definite, so lo <= 0 is rounding at an extreme anisotropy
     lo, hi = g.eig_bounds(where=m)
-    if lo <= 0.0:
-        raise GridError("coefficient matrix is not positive definite")
-    if hi / lo > ANISOTROPY_LIMIT:
+    if hi > ANISOTROPY_LIMIT * lo:
         raise GridError(
-            f"anisotropy ratio {hi / lo:.1f} exceeds {ANISOTROPY_LIMIT}; "
-            "the 9-point stencil is not reliable here")
-    return a11, a12, a22
-
-
-def _require_positive(name: str, value) -> None:
-    """GridError naming `name` unless value is a finite real > 0."""
-    if not (isinstance(value, numbers.Real) and np.isfinite(value)
-            and value > 0):
-        raise GridError(f"{name} must be positive and finite, got {value!r}")
+            f"eigenvalues span [{lo:.3g}, {hi:.3g}], an anisotropy ratio "
+            f"beyond {ANISOTROPY_LIMIT}; the 9-point stencil is not "
+            "reliable here")
+    return g.g11[m], g.g12[m], g.g22[m]
 
 
 def _metric_solver(g: MetricField, X: VectorField | None = None):
@@ -231,34 +214,30 @@ def _adjoint_terms(g: MetricField, X: VectorField) -> tuple:
     return terms
 
 
-def nondiv_solve_many(g: MetricField, datas, f=None, *,
-                      rtol: float = 1e-10) -> list:
+def nondiv_solve_many(g: MetricField, datas, f=None) -> list:
     """Solve g^{ab} d_ab v = f (default 0) once per Dirichlet data in datas.
 
     The system is assembled and factored once for the metric, and all
     right sides go through that factorization in one block solve; every
-    column must meet the residual bound of SparseLU.solve. A non-finite
-    or nonpositive rtol, and an empty datas, are a GridError before any
-    assembly.
+    column must meet the residual bound SOLVE_RTOL of SparseLU.solve. An
+    empty datas is a GridError before any assembly.
     """
-    _require_positive("rtol", rtol)
     datas = list(datas)
     if not datas:
         raise GridError("nondiv_solve_many needs at least one boundary data")
-    return _metric_solver(g)(datas, f, rtol)
+    return _metric_solver(g)(datas, f, SOLVE_RTOL)
 
 
-def nondiv_solve(g: MetricField, phi, f=None, *,
-                 rtol: float = 1e-10) -> ScalarField:
+def nondiv_solve(g: MetricField, phi, f=None) -> ScalarField:
     """Solve g^{ab} d_ab v = f (default 0) with Dirichlet data phi.
 
     One column of nondiv_solve_many, with the same residual bound.
     """
-    return nondiv_solve_many(g, [phi], f, rtol=rtol)[0]
+    return nondiv_solve_many(g, [phi], f)[0]
 
 
-def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
-                  rtol: float = 1e-10) -> ScalarField:
+def adjoint_solve(g: MetricField, X: VectorField, phi_star,
+                  f=None) -> ScalarField:
     """Solve the adjoint problem Lap_g v* + (1/w) d_b(w X^b v*) = f.
 
     Expanded, the operator is g^{ab} d_ab + (X_g + X) . grad + c0 with
@@ -266,12 +245,11 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star, f=None, *,
     through nondiv_solve's solver, with these lower-order terms added to
     the one assembly, and meets the same residual bound.
     """
-    _require_positive("rtol", rtol)
-    return _metric_solver(g, X)([phi_star], f, rtol)[0]
+    return _metric_solver(g, X)([phi_star], f, SOLVE_RTOL)[0]
 
 
 def second_solve(g: MetricField, v1: ScalarField, v2: ScalarField,
-                 phi1, phi2, *, rtol: float = 1e-10) -> ScalarField:
+                 phi1, phi2) -> ScalarField:
     """Second-linearization solve: g^{ab} d_ab w = tr(G V1 G V2), w = 0 on
     the boundary.
 
@@ -280,8 +258,7 @@ def second_solve(g: MetricField, v1: ScalarField, v2: ScalarField,
     Hessian stencils. First-order solutions that do not live on g's grid
     are a GridError.
     """
-    return nondiv_solve(g, 0.0, f=_trace_source(g, v1, v2, phi1, phi2),
-                        rtol=rtol)
+    return nondiv_solve(g, 0.0, f=_trace_source(g, v1, v2, phi1, phi2))
 
 
 def _trace_source(g: MetricField, v1: ScalarField, v2: ScalarField,
@@ -341,8 +318,8 @@ def eps_consistency(F, phi1, phi2, scales=(1.0, 0.3, 0.1),
     base = solve_ma_zero(F, grid)
     g = metric_from_solution(base)
     solve = _metric_solver(g)            # one factorization for both
-    v1, v2 = solve([phi1, phi2], None, 1e-10)
-    w = solve([0.0], _trace_source(g, v1, v2, phi1, phi2), 1e-10)[0]
+    v1, v2 = solve([phi1, phi2], None, SOLVE_RTOL)
+    w = solve([0.0], _trace_source(g, v1, v2, phi1, phi2), SOLVE_RTOL)[0]
 
     p1, p2 = ring_values(grid, phi1), ring_values(grid, phi2)
     m = grid.mask

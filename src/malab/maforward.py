@@ -74,7 +74,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, ScalarField,
-                   _ring_eval, _ring_modes, lattice_values)
+                   _require_grid, _ring_eval, _ring_modes, lattice_values)
 
 __all__ = [
     "LinearSolveFailure",
@@ -741,10 +741,7 @@ def source_grid(F, grid: DomainGrid | None) -> DomainGrid:
         if not isinstance(F, ScalarField):
             raise GridError("pass a grid when F is not a ScalarField")
         grid = F.grid
-    if not isinstance(grid, DomainGrid):
-        raise GridError(f"the Monge-Ampere solve needs a DomainGrid, not a "
-                        f"{type(grid).__name__}")
-    return grid
+    return _require_grid(grid, DomainGrid, "the Monge-Ampere solve")
 
 
 def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:

@@ -456,7 +456,8 @@ def test_drift_residual_matches_the_full_box_formula(box, morse_sweep, drift,
     with pytest.raises(GridError, match="drift_residual: non-finite"):
         cgo.drift_residual(nan, X, q, 0.3)
     disk = build_disk(1.0, 20)
-    with pytest.raises(GridError, match="padded periodic box"):
+    with pytest.raises(GridError, match="drift_residual needs a "
+                       "PaddedGrid, not a DomainGrid"):
         cgo.drift_residual(vals, VectorField(c1, c2, disk), 0.0, 0.3)
     # periodic_fd4 is the sliced kernel on a wrap-padded array, node for node
     for axis in (0, 1):
@@ -819,7 +820,7 @@ def _bad_inputs(small: PaddedGrid):
             lambda m: {"phase": cgo.phase_spec(
                 (0.0, 0.0, -0.25), PaddedGrid(half=small.half, n=m))},
             st.integers(16, 18)),
-        "series depth": st.fixed_dictionaries({
+        "K must be a non-negative integer": st.fixed_dictionaries({
             "K": st.one_of(st.integers(max_value=-1), st.floats(),
                            st.just(1.5))}),
         "q: non-finite": st.builds(
@@ -842,7 +843,8 @@ _SMALL = PaddedGrid(half=6.0, n=64)
 _BAD = _bad_inputs(_SMALL)
 # the adjoint takes no amplitude and no series depth
 _ADJOINT_BAD = {message: inputs for message, inputs in _BAD.items()
-                if message not in ("series depth", "amplitude: non-finite")}
+                if message not in ("K must be a non-negative integer",
+                                   "amplitude: non-finite")}
 
 
 # the 2-D transforms of the spectral calculus and the 1-D ones of the
@@ -1051,7 +1053,7 @@ def test_expansion_rejects_a_non_integer_order(N):
     # 1.5 used to raise a bare TypeError
     g = PaddedGrid(half=6.0, n=32)
     f = ComplexField(np.ones((g.n, g.n), dtype=complex), g)
-    with pytest.raises(GridError, match="nonnegative integer"):
+    with pytest.raises(GridError, match="N must be a non-negative integer"):
         cgo.remainder_expansion(cgo.phase_spec((0.0, 1.0), g), f, N)
 
 

@@ -780,7 +780,8 @@ def test_isothermal_general_needs_padded_grid():
     X, Y = grid.meshgrid()
     C11 = 1.0 + 0.2 * np.exp(-(X ** 2 + Y ** 2))
     g = MetricField(1.0 / C11, np.zeros_like(X), np.ones_like(X), grid)
-    with pytest.raises(GridError, match="padded"):
+    with pytest.raises(GridError, match="a general isothermal chart needs "
+                       "a PaddedGrid, not a DomainGrid"):
         isothermal(g)
 
 

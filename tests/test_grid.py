@@ -12,6 +12,8 @@ from malab.grid import (
     boundary_restrict, build_disk, build_ellipse, lattice_values,
     normal_derivative, quadrature, tangential_derivative,
 )
+from malab import cgo
+from malab.complexcalc import masked_deriv1, masked_deriv2, smooth_cutoff
 from malab.maforward import build_stencil_ops
 
 
@@ -593,6 +595,33 @@ def test_lattice_values_rejects_with_a_named_cause(value, msg):
 def test_padded_grid_rejects_invalid_sizes(half, n, msg):
     with pytest.raises(GridError, match=msg):
         PaddedGrid(half=half, n=n)
+
+
+_BOX, _DISK = PaddedGrid(half=6.0, n=32), build_disk(1.0, 32)
+
+
+@pytest.mark.parametrize("call, msg", [
+    # each of these used to leak a numpy TypeError or a bare ValueError,
+    # or, for the axes, to read any axis but 0 as axis 1
+    (lambda: PaddedGrid("4", 64), "half must be positive and finite, "
+                                  "got half='4'"),
+    (lambda: build_ellipse("1", 1.0, 32), "a must be positive and finite, "
+                                          "got a='1'"),
+    (lambda: cgo.build_cgo_holo(cgo.phase_spec((0.0, 1.0), _BOX), None),
+     "h must be positive and finite, got h=None"),
+    (lambda: cgo.phase_spec((0.0, 1.0), _BOX, center="x"), "center='x'"),
+    (lambda: cgo.phase_spec(("x", 1.0), _BOX), "coeffs=('x', 1.0)"),
+    (lambda: smooth_cutoff(_BOX, "1", 2.0), "r_inner='1'"),
+    (lambda: _BOX.core_mask("1"), "got radius='1'"),
+    (lambda: masked_deriv1(np.ones((32, 32)), _DISK, 2), "axis=2"),
+    (lambda: masked_deriv2(np.ones((32, 32)), _DISK, (0, 2)), "axis=2"),
+    (lambda: masked_deriv2(np.ones((32, 32)), _DISK, (2, 2)), "axis=2"),
+], ids=["half", "semi-axis", "h", "center", "coefficient", "cutoff",
+        "core-radius",
+        "axis", "mixed-axes", "axes"])
+def test_invalid_inputs_raise_a_grid_error_naming_them(call, msg):
+    with pytest.raises(GridError, match=re.escape(msg)):
+        call()
 
 
 def test_padded_grid_floor_odd_sizes_and_core_radius():

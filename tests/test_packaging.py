@@ -1,7 +1,8 @@
 """Packaging metadata: every declared console script resolves, the
 claim map in malab.__doc__ names real code and accounts for every
-public name, member and keyword default of malab, and the padded-box
-half runs without scipy.sparse.
+public name, member and keyword default of malab, no module of malab
+but grid checks a grid's kind by hand or imports a name it never reads,
+and the padded-box half runs without scipy.sparse.
 
 The rule the scans hold: a public thing exists because a step of the map,
 another module of malab or the benchmark in perfbench/ needs it. They
@@ -282,3 +283,56 @@ def test_box_half_runs_without_scipy_sparse():
     proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, str(src)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+GRID_KINDS = {"DomainGrid", "PaddedGrid"}
+
+
+def _tests_grid_kind(test) -> bool:
+    """Whether an if-test calls isinstance against a grid class."""
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None)
+               == "isinstance" and len(n.args) == 2
+               and GRID_KINDS & {getattr(c, "id", None)
+                                 for c in ast.walk(n.args[1])}
+               for n in ast.walk(test))
+
+
+def inline_grid_guards() -> list:
+    """module:line of every if statement outside grid.py that tests a
+    grid's kind and raises."""
+    return [f"{mod}:{node.lineno}" for mod, tree in SRC_TREES.items()
+            if mod != "grid" for node in ast.walk(tree)
+            if isinstance(node, ast.If) and _tests_grid_kind(node.test)
+            and any(isinstance(n, ast.Raise)
+                    for stmt in node.body for n in ast.walk(stmt))]
+
+
+def test_grid_kinds_are_checked_by_the_one_guard():
+    # grid._require_grid is the one check that a grid is a DomainGrid or
+    # a PaddedGrid; a hand-written copy drifts from its message
+    assert inline_grid_guards() == []
+
+
+# cgo imports oscillatory_dbar_inv as the public form of its inverse, and
+# the benchmark reads the solver failure as linearize.LinearSolveFailure
+RE_EXPORTS = {"cgo.oscillatory_dbar_inv", "linearize.LinearSolveFailure"}
+
+
+def unread_imports() -> list:
+    """module.name of every module-level import of malab that its module
+    never reads (__future__ imports aside), but the re-exports."""
+    out = []
+    for mod, tree in SRC_TREES.items():
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{mod}.{name}" for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for name in ((a.asname or a.name).split(".")[0]
+                             for a in node.names)
+                if name not in read]
+    return sorted(set(out) - RE_EXPORTS)
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []
