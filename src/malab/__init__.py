@@ -105,9 +105,11 @@ a fixed choice is a module constant, named at its step.
 Steps 1-4 are the domain half, steps 5-6 the padded-box half (apart
 from geomkit.diffeo_rigidity_solve, a domain solve). Both halves share
 the lattices and fields of grid (the domain's ring is a
-grid.BoundaryRing) and one derivative per lattice, complexcalc.deriv:
-spectral on the box, complexcalc.masked_deriv1 and
-complexcalc.masked_deriv2 on the domain. The box work of steps 5-6
+grid.BoundaryRing) and one derivative of a periodic or domain field,
+complexcalc.deriv: spectral on the box, masked differences on the
+domain. A CGO solution is not periodic, so the box certificates
+(cgo.drift_residual, cgo.cz_diagnostic and the amplitude's holomorphy
+check) use 4th-order differences instead. The box work of steps 5-6
 needs numpy only; the domain half loads scipy.sparse at the first
 maforward.build_stencil_ops that builds operators.
 """

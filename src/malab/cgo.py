@@ -382,18 +382,19 @@ class CGOBundle:
 
 
 def _eval_amplitude(amplitude, grid: PaddedGrid) -> np.ndarray:
-    """Holomorphic amplitude as a lattice field, with a dzb guard.  A
-    constant (None reads 1) is holomorphic, and its field is a read-only
-    zero-stride broadcast of its value, not a box array."""
-    if callable(amplitude):
-        vals = np.asarray(amplitude(grid.zz), dtype=complex)
-    elif hasattr(amplitude, "values"):
-        vals = amplitude.values.astype(complex)
-    else:
+    """Holomorphic amplitude as a lattice field, from a callable of z,
+    with a dzb guard, or a number (None reads 1).  A constant is
+    holomorphic, and its field is a read-only zero-stride broadcast of
+    its value, not a box array."""
+    if amplitude is None or isinstance(amplitude, numbers.Number):
         const = complex(1.0 if amplitude is None else amplitude)
         return _require_finite(np.broadcast_to(const, (grid.n, grid.n)),
                                grid, "amplitude")
-    vals = _require_finite(vals, grid, "amplitude")
+    if not callable(amplitude):
+        raise GridError("amplitude must be a callable of z or a number, "
+                        f"not a {type(amplitude).__name__}")
+    vals = _require_finite(np.asarray(amplitude(grid.zz), dtype=complex),
+                           grid, "amplitude")
     # interior holomorphy check by local differences (exact on polynomials
     # through degree 4, seam rows excluded)
     dzb = 0.5 * (periodic_fd4(vals, grid, 0, 1)
@@ -583,7 +584,8 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     is truncated at the observed minimum.  A non-finite or nonpositive
     h, a box whose measurement disk holds no node, a K that is not a
     nonnegative integer, a q that is not a finite scalar or box field,
-    and a non-finite amplitude or drift raise a GridError before any FFT.
+    an amplitude that is not a callable of z or a number, and a
+    non-finite amplitude or drift raise a GridError before any FFT.
     """
     grid, X, qv, a_vals = _bundle_inputs(phase, h, drift, q, amplitude, K)
     return _bundle_at(_setup(grid, phase.psi, X, qv), phase, h, K, X, qv,

@@ -12,8 +12,7 @@ spectral on a periodic padded box (spectral_deriv; dz and dzb are one FFT
 pair each, spectral_dz and spectral_dzb, with spectral_deriv's odd-order
 Nyquist rule), and masked differences on a domain lattice (4th-order
 central inside, degrading to one-sided second order against the
-boundary).  periodic_fd4 stays as an independent check of the spectral
-route on boxes.
+boundary).
 
 The Cauchy transforms convolve with the kernel h^2/(pi z), and the
 Beurling transform S = dz C (isothermal's) with -h^2/(pi z^2), sampled on
@@ -179,11 +178,8 @@ def _masked_stencil(vals: np.ndarray, grid: DomainGrid, axis: int,
     """Apply per node the last of stencils whose offsets stay in the mask.
 
     Mask nodes where none fits raise (they would mean a sliver thinner
-    than three nodes); nodes off the mask read zero. An axis other than
-    0 or 1 is a GridError.
+    than three nodes); nodes off the mask read zero.
     """
-    if axis not in (0, 1):
-        raise GridError(f"axis must be 0 or 1, got axis={axis!r}")
     m = grid.mask
     e = (1, 0) if axis == 0 else (0, 1)
     sh = lambda k: _shift(vals, k * e[0], k * e[1])
@@ -199,39 +195,26 @@ def _masked_stencil(vals: np.ndarray, grid: DomainGrid, axis: int,
     return np.where(m, out, 0.0)
 
 
-def masked_deriv1(vals: np.ndarray, grid: DomainGrid, axis: int) -> np.ndarray:
-    """First derivative on the masked lattice.
-
-    4th-order central deep inside, 2nd-order central one node from the rim,
-    one-sided 2nd order on the rim itself.
-    """
-    return _masked_stencil(vals, grid, axis, _MASKED_D1)
-
-
-def masked_deriv2(vals: np.ndarray, grid: DomainGrid, axes: tuple[int, int]) -> np.ndarray:
-    """Second derivative d^2/dx_a dx_b on the masked lattice."""
-    if axes[0] != axes[1]:
-        # composition keeps every leg inside the mask
-        return masked_deriv1(masked_deriv1(vals, grid, axes[1]), grid, axes[0])
-    return _masked_stencil(vals, grid, axes[0], _MASKED_D2)
-
-
 def deriv(vals: np.ndarray, grid, o1: int, o2: int) -> np.ndarray:
     """(d/dx1)^o1 (d/dx2)^o2 of total order 1 or 2 on the grid's lattice.
 
     Spectral on a padded box, masked differences on a domain; real on both
     for real input (on a box, the real part of the spectral derivative).
+    A mixed derivative on a domain is d/dx1 of d/dx2, so every leg stays
+    inside the mask.
     """
-    if min(o1, o2) < 0 or o1 + o2 not in (1, 2):
+    if not (isinstance(o1, numbers.Integral)
+            and isinstance(o2, numbers.Integral)
+            and min(o1, o2) >= 0 and o1 + o2 in (1, 2)):
         raise GridError(f"derivative order ({o1}, {o2}) is not 1 or 2")
     if isinstance(grid, PaddedGrid):
         out = spectral_deriv(vals, grid, o1, o2)
         return out if np.iscomplexobj(vals) else out.real
     if isinstance(grid, DomainGrid):
-        axes = (0,) * o1 + (1,) * o2
-        if len(axes) == 1:
-            return masked_deriv1(vals, grid, axes[0])
-        return masked_deriv2(vals, grid, axes)
+        if o1 and o2:
+            return deriv(deriv(vals, grid, 0, 1), grid, 1, 0)
+        return _masked_stencil(vals, grid, 0 if o1 else 1,
+                               _MASKED_D1 if o1 + o2 == 1 else _MASKED_D2)
     raise GridError(f"unsupported grid type {type(grid).__name__}")
 
 

@@ -28,16 +28,6 @@ from .linearize import (SOLVE_RTOL, _metric_solver, metric_from_solution,
                         nondiv_solve)
 from .maforward import ring_values, solve_ma
 
-__all__ = [
-    "DNMatrix",
-    "dn_full",
-    "dn_full_derivative",
-    "dn_lin",
-    "dn_lin_matrix",
-    "recover_boundary_hessian",
-    "recover_boundary_third",
-]
-
 
 # ---------------------------------------------------------------------------
 # measurement maps

@@ -48,15 +48,6 @@ from .grid import (ComplexField, DomainGrid, GridError, MetricField,
 from .linearize import divergence_form_apply, nondiv_solve_many
 from .maforward import _gmres
 
-__all__ = [
-    "DiffeoField",
-    "TransformReport",
-    "diffeo_rigidity_solve",
-    "invert_diffeo",
-    "isothermal",
-    "pullback_metric",
-    "transform_solution_check",
-]
 
 # isothermal: the conformality defect over the box's core disk as a
 # fraction of the metric scale, the distance from 1 that the Beltrami

@@ -75,9 +75,13 @@ def _require_grid(grid, kind: type, what: str):
 
 
 def _require_positive(name: str, value) -> None:
-    """GridError naming name unless value is a finite real > 0."""
-    if not (isinstance(value, numbers.Real) and np.isfinite(value)
-            and value > 0):
+    """GridError naming name unless value is a real > 0 that is finite
+    as a float (an int beyond float range is not)."""
+    try:
+        ok = isinstance(value, numbers.Real) and 0 < float(value) < np.inf
+    except OverflowError:
+        ok = False
+    if not ok:
         raise GridError(f"{name} must be positive and finite, "
                         f"got {name}={value!r}")
 
@@ -112,7 +116,6 @@ def _require_metric(g, where=slice(None), definite: bool = True):
 class BoundaryRing:
     """Closed counterclockwise ring of points on the exact boundary curve."""
 
-    s: np.ndarray            # arclength parameter, shape (M,)
     points: np.ndarray       # (M, 2)
     normal: np.ndarray       # outward unit normals, (M, 2)
     tangent: np.ndarray      # unit tangents, (M, 2)
@@ -215,8 +218,7 @@ def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
     tan = np.stack([-a * np.sin(theta), b * np.cos(theta)], axis=1) / speed[:, None]
     nor = np.stack([tan[:, 1], -tan[:, 0]], axis=1)
     ds = speed * (2.0 * np.pi / M)
-    s = np.concatenate([[0.0], np.cumsum(ds)])[:-1]
-    ring = BoundaryRing(s=s, points=pts, normal=nor, tangent=tan,
+    ring = BoundaryRing(points=pts, normal=nor, tangent=tan,
                         curvature=a * b / speed ** 3, ds=ds)
 
     weights = _adopt_orphans(_coverage_weights(x1, x2, dx, a, b), mask)

@@ -32,20 +32,6 @@ from .maforward import (LinearSolveFailure, MASolution, SparseLU,
                         build_stencil_ops, ring_values, solve_ma,
                         solve_ma_zero, source_grid, stencil_hessian)
 
-__all__ = [
-    "VectorField",
-    "LinearSolveFailure",
-    "solution_hessian",
-    "metric_from_solution",
-    "drift_field",
-    "divergence_form_apply",
-    "nondiv_solve",
-    "nondiv_solve_many",
-    "adjoint_solve",
-    "second_solve",
-    "eps_consistency",
-    "EpsReport",
-]
 
 ANISOTROPY_LIMIT = 20.0
 
@@ -146,10 +132,11 @@ def divergence_form_apply(g: MetricField, X: VectorField, v: np.ndarray):
     """
     grid = _require_grid(g.grid, DomainGrid, "divergence_form_apply")
     w = _volume_weight(g, grid.mask)
-    f1 = w * (g.g11 * deriv(v, grid, 1, 0) + g.g12 * deriv(v, grid, 0, 1))
-    f2 = w * (g.g12 * deriv(v, grid, 1, 0) + g.g22 * deriv(v, grid, 0, 1))
+    v1, v2 = deriv(v, grid, 1, 0), deriv(v, grid, 0, 1)
+    f1 = w * (g.g11 * v1 + g.g12 * v2)
+    f2 = w * (g.g12 * v1 + g.g22 * v2)
     out = (deriv(f1, grid, 1, 0) + deriv(f2, grid, 0, 1)) / w
-    out -= X.c1 * deriv(v, grid, 1, 0) + X.c2 * deriv(v, grid, 0, 1)
+    out -= X.c1 * v1 + X.c2 * v2
     # trustworthy where two nested central stencils fit
     m = grid.mask
     deep = m.copy()

@@ -76,21 +76,6 @@ import numpy as np
 from .grid import (BoundaryTrace, DomainGrid, GridError, ScalarField,
                    _require_grid, _ring_eval, _ring_modes, lattice_values)
 
-__all__ = [
-    "LinearSolveFailure",
-    "MASolution",
-    "NewtonFailure",
-    "StencilOps",
-    "build_stencil_ops",
-    "eval_boundary_data",
-    "poisson_init",
-    "ring_values",
-    "solve_ma",
-    "solve_ma_zero",
-    "source_grid",
-    "SparseLU",
-    "stencil_hessian",
-]
 
 # interior nodes whose nearest axis crossing is below this fraction of a
 # cell are replaced by interpolation rows

@@ -13,7 +13,7 @@ from malab.grid import (
     normal_derivative, quadrature, tangential_derivative,
 )
 from malab import cgo
-from malab.complexcalc import masked_deriv1, masked_deriv2, smooth_cutoff
+from malab.complexcalc import deriv, smooth_cutoff
 from malab.maforward import build_stencil_ops
 
 
@@ -80,12 +80,11 @@ def test_disk_curvature_and_normals():
     # node nearest (1, 0) has normal (1, 0)
     k = np.argmin(np.linalg.norm(g.boundary.points - [1.0, 0.0], axis=1))
     assert np.allclose(g.boundary.normal[k], [1.0, 0.0], atol=1e-6)
-    # counterclockwise ordering: arclength increases, shoelace area positive
+    # counterclockwise ordering: shoelace area positive
     pts = g.boundary.points
     area2 = np.sum(pts[:, 0] * np.roll(pts[:, 1], -1)
                    - np.roll(pts[:, 0], -1) * pts[:, 1])
     assert area2 > 0
-    assert np.all(np.diff(g.boundary.s) > 0)
 
 
 def test_mask_and_boundary_partition():
@@ -372,7 +371,7 @@ def test_domain_grid_arrays_are_read_only():
     g = build_disk(1.0, 48)
     b = g.boundary
     ops = build_stencil_ops(g)
-    for arr in (g.x1, g.x2, g.mask, g.weights, b.s, b.points, b.normal,
+    for arr in (g.x1, g.x2, g.mask, g.weights, b.points, b.normal,
                 b.tangent, b.curvature, b.ds):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
@@ -598,27 +597,42 @@ def test_padded_grid_rejects_invalid_sizes(half, n, msg):
 
 
 _BOX, _DISK = PaddedGrid(half=6.0, n=32), build_disk(1.0, 32)
+_PHASE = cgo.phase_spec((0.0, 1.0), _BOX)
+_ORDERS = [(0, 0), (2, 1), (3, 0), (-1, 2), (0.5, 0.5)]
 
 
 @pytest.mark.parametrize("call, msg", [
-    # each of these used to leak a numpy TypeError or a bare ValueError,
-    # or, for the axes, to read any axis but 0 as axis 1
+    # each of these used to leak a numpy TypeError or a bare ValueError
     (lambda: PaddedGrid("4", 64), "half must be positive and finite, "
                                   "got half='4'"),
+    (lambda: PaddedGrid(10 ** 400, 32), "half must be positive and finite"),
     (lambda: build_ellipse("1", 1.0, 32), "a must be positive and finite, "
                                           "got a='1'"),
-    (lambda: cgo.build_cgo_holo(cgo.phase_spec((0.0, 1.0), _BOX), None),
+    (lambda: build_ellipse(10 ** 400, 1.0, 32),
+     "a must be positive and finite"),
+    (lambda: cgo.build_cgo_holo(_PHASE, None),
      "h must be positive and finite, got h=None"),
+    (lambda: cgo.build_cgo_holo(_PHASE, 10 ** 400),
+     "h must be positive and finite"),
+    (lambda: cgo.build_cgo_holo(_PHASE, 1.0, amplitude=np.ones((32, 32))),
+     "amplitude must be a callable of z or a number, not a ndarray"),
+    (lambda: cgo.build_cgo_holo(_PHASE, 1.0, amplitude=[1.0]),
+     "amplitude must be a callable of z or a number, not a list"),
+    (lambda: cgo.build_cgo_holo(_PHASE, 1.0, amplitude="x"),
+     "amplitude must be a callable of z or a number, not a str"),
     (lambda: cgo.phase_spec((0.0, 1.0), _BOX, center="x"), "center='x'"),
     (lambda: cgo.phase_spec(("x", 1.0), _BOX), "coeffs=('x', 1.0)"),
     (lambda: smooth_cutoff(_BOX, "1", 2.0), "r_inner='1'"),
     (lambda: _BOX.core_mask("1"), "got radius='1'"),
-    (lambda: masked_deriv1(np.ones((32, 32)), _DISK, 2), "axis=2"),
-    (lambda: masked_deriv2(np.ones((32, 32)), _DISK, (0, 2)), "axis=2"),
-    (lambda: masked_deriv2(np.ones((32, 32)), _DISK, (2, 2)), "axis=2"),
-], ids=["half", "semi-axis", "h", "center", "coefficient", "cutoff",
-        "core-radius",
-        "axis", "mixed-axes", "axes"])
+    # the order guard is the only way into the masked stencils
+    *[(lambda g=g, o=o: deriv(np.ones((32, 32)), g, *o),
+       f"derivative order {o} is not 1 or 2")
+      for g in (_DISK, _BOX) for o in _ORDERS],
+], ids=["half", "half-overflow", "semi-axis", "semi-axis-overflow", "h",
+        "h-overflow", "amplitude-array", "amplitude-list", "amplitude-string",
+        "center", "coefficient", "cutoff", "core-radius",
+        *[f"order({o1},{o2})-{kind}" for kind in ("disk", "box")
+          for o1, o2 in _ORDERS]])
 def test_invalid_inputs_raise_a_grid_error_naming_them(call, msg):
     with pytest.raises(GridError, match=re.escape(msg)):
         call()

@@ -772,7 +772,7 @@ def test_disk_is_the_ellipse_with_equal_axes():
     d, e = build_disk(r, n), build_ellipse(r, r, n)
     assert np.array_equal(d.mask, e.mask)
     assert np.array_equal(d.weights, e.weights)
-    for name in ("s", "points", "normal", "tangent", "curvature", "ds"):
+    for name in ("points", "normal", "tangent", "curvature", "ds"):
         assert np.array_equal(getattr(d.boundary, name),
                               getattr(e.boundary, name)), name
     sols = []

@@ -2,11 +2,14 @@
 claim map in malab.__doc__ names real code and accounts for every
 public name, member and keyword default of malab, no module of malab
 but grid checks a grid's kind by hand or imports a name it never reads,
-and the padded-box half runs without scipy.sparse.
+no module declares __all__, and the padded-box half runs without
+scipy.sparse.
 
-The rule the scans hold: a public thing exists because a step of the map,
-another module of malab or the benchmark in perfbench/ needs it. They
-read the sources as ASTs, so they see code, not docstrings or comments.
+A public name is one without a leading underscore; there is no other
+list of them. The rule the scans hold: a public thing exists because a
+step of the map, another module of malab or the benchmark in perfbench/
+needs it. They read the sources as ASTs, so they see code, not
+docstrings or comments.
 """
 
 import ast
@@ -336,3 +339,17 @@ def unread_imports() -> list:
 
 def test_every_import_is_read():
     assert unread_imports() == []
+
+
+def all_declarations() -> list:
+    """module:line of every assignment to __all__ in malab."""
+    return [f"{p.stem}:{node.lineno}" for p in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Name) and node.id == "__all__"
+            and isinstance(node.ctx, ast.Store)]
+
+
+def test_no_module_declares_all():
+    # the leading underscore and the claim map declare the public API; a
+    # second list drifts from them
+    assert all_declarations() == []
