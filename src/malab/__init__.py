@@ -37,9 +37,9 @@ a fixed choice is a module constant, named at its step.
    Realized by dnmap.dn_lin, dnmap.dn_lin_matrix (a dnmap.DNMatrix),
    linearize.nondiv_solve_many, which refuses metrics beyond
    linearize.ANISOTROPY_LIMIT and solves to the residual bound
-   linearize.SOLVE_RTOL, and linearize.drift_field; its system,
-   like step 1's Newton Jacobian, is assembled once by a
-   maforward.StencilOps.
+   linearize.SOLVE_RTOL, and linearize.drift_field; its system is
+   assembled once by a maforward.StencilOps, from the operators that
+   step 1's Newton Jacobian applies term by term.
    Certified by dnmap.dn_full_derivative (the derivative of step 1),
    linearize.divergence_form_apply (the divergence form with the drift)
    and linearize.eps_consistency (a linearize.EpsReport of the expansion

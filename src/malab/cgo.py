@@ -631,8 +631,9 @@ def build_cgo_adjoint(phase: PhaseSpec, h: float,
     grid, X, qv, *_ = _bundle_inputs(phase, h, drift, q, None,
                                      DEPTH_DEFAULT)
     _gauge_source(X)                    # the drift's guards
-    div = (spectral_deriv(X.c1, grid, 1, 0)
-           + spectral_deriv(X.c2, grid, 0, 1))
+    # div X = 2 Re dz(X1 + i X2) for a real X: one FFT pair, whose real part
+    # is the inverse of i k1 X1^ + i k2 X2^, the spectra split from one fft2
+    div = 2.0 * spectral_dz(X.c1 + 1j * X.c2, grid).real
     Xneg = VectorField(-X.c1, -X.c2, grid)
     nb = build_cgo_holo(phase, h, Xneg, qv - div)
     res = drift_residual(nb.v.values, X, qv, h, conservative=True)

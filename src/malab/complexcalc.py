@@ -83,11 +83,22 @@ def _wavenumbers(grid: PaddedGrid, odd1: bool, odd2: bool):
     return ks[0][:, None], ks[1][None, :]
 
 
+def _require_order(o1, o2):
+    """A GridError naming the orders unless they are integers >= 0 of
+    total order 1 or 2."""
+    if not (isinstance(o1, numbers.Integral)
+            and isinstance(o2, numbers.Integral)
+            and min(o1, o2) >= 0 and o1 + o2 in (1, 2)):
+        raise GridError(f"derivative order ({o1}, {o2}) is not 1 or 2")
+
+
 def spectral_deriv(vals: np.ndarray, grid: PaddedGrid, o1: int, o2: int) -> np.ndarray:
-    """(d/dx1)^o1 (d/dx2)^o2 by FFT on the periodic box.
+    """(d/dx1)^o1 (d/dx2)^o2 of total order 1 or 2 by FFT on the periodic
+    box.
 
     The unbalanced Nyquist mode is zeroed for odd derivative orders.
     """
+    _require_order(o1, o2)
     k1, k2 = _wavenumbers(grid, o1 % 2, o2 % 2)
     mult = (1j * k1) ** o1 * (1j * k2) ** o2
     return np.fft.ifft2(mult * np.fft.fft2(vals))
@@ -203,10 +214,7 @@ def deriv(vals: np.ndarray, grid, o1: int, o2: int) -> np.ndarray:
     A mixed derivative on a domain is d/dx1 of d/dx2, so every leg stays
     inside the mask.
     """
-    if not (isinstance(o1, numbers.Integral)
-            and isinstance(o2, numbers.Integral)
-            and min(o1, o2) >= 0 and o1 + o2 in (1, 2)):
-        raise GridError(f"derivative order ({o1}, {o2}) is not 1 or 2")
+    _require_order(o1, o2)
     if isinstance(grid, PaddedGrid):
         out = spectral_deriv(vals, grid, o1, o2)
         return out if np.iscomplexobj(vals) else out.real

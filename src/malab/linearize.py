@@ -9,13 +9,14 @@ data; the second linearization solves g^{ab} d_ab w = tr(G V1 G V2) with
 zero data, where V_k are the Hessians of first-order solutions and G the
 coefficient matrix; the adjoint problem carries the drift in divergence
 form. Every system is assembled by `maforward.StencilOps.system`, the
-assembler the Newton Jacobian uses too, and goes through the sparse-LU
-layer of `maforward`, split per metric: the system is assembled and
-factored once, and every right side of that metric is solved against the
-one factorization (nondiv_solve_many takes a block of boundary data as
-one block); adjoint_solve adds its lower-order terms to that one
-assembly. Every column must meet the residual bound ||A v - b|| <=
-SOLVE_RTOL ||b||, or the solve raises LinearSolveFailure.
+sum of the operators that the Newton Jacobian applies term by term, and
+goes through the sparse-LU layer of `maforward`, split per metric: the
+system is assembled and factored once, and every right side of that
+metric is solved against the one factorization (nondiv_solve_many takes
+a block of boundary data as one block); adjoint_solve adds its
+lower-order terms to that one assembly. Every column must meet the
+residual bound ||A v - b|| <= SOLVE_RTOL ||b||, or the solve raises
+LinearSolveFailure.
 """
 
 from __future__ import annotations

@@ -15,17 +15,23 @@ the interior values and G on the crossing values, stored as values on one
 sparsity pattern per grid for all L and one for all G, and
 StencilOps.system and crossing_system turn coefficients into a system
 (A, G_A) by vector arithmetic, each row reading A u + G_A phi = f (f = 0
-on the interpolation rows): the Newton Jacobian, the Laplacian, and every
-solve of `linearize`.
+on the interpolation rows): the systems of `linearize`. The Newton solve
+assembles none: _RedBlackLU reads the Laplacian's blocks off its slot
+values, and the Jacobian is applied term by term (_jacobian).
 
 The Newton step solves cof(D^2 u) : D^2 delta = F - det D^2 u with zero
 boundary data, damped by backtracking under a convexity guard. As
 cof(D^2 u) = F (D^2 u)^{-1} at a solution, the Jacobian is F times the
-linearized operator of `linearize`. The factored Laplacian
-L11 + L22 + R runs the Poisson iteration of the initial guess
-(poisson_init) and preconditions GMRES on every Newton Jacobian, which
-is inexact Newton with the forcing term eta = min(0.1, 0.1 * max|res|)
-(Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996). The GMRES is
+linearized operator of `linearize`. It is applied without a matrix, as
+h22 H11 z + h11 H22 z - 2 h12 H12 z + R z with the Hessian operators
+H that give the residual and the interpolation rows R (Knoll and Keyes,
+J. Comput. Phys. 193, 2004). The factored Laplacian L11 + L22 + R runs
+the Poisson iteration of the initial guess (poisson_init) and
+preconditions GMRES on every Newton Jacobian, which is inexact Newton
+with the forcing term eta = min(0.1, max(0.1 max|res|, target / (2
+||res||_2))) (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996): the
+second bound keeps a step from driving its linear residual below half
+the Newton target, which the stopping rule never asks for. The GMRES is
 right-preconditioned and restarted (_gmres, malab's one Krylov solver,
 which geomkit's Beltrami solve runs on complex vectors, each caller
 setting its budget): one Laplacian solve per iteration, and the residual
@@ -51,9 +57,10 @@ One cache outlives a call: build_stencil_ops, a functools.lru_cache
 keyed by the grid, keeps the operators of the one grid used last, so an
 equal grid built twice hits. The operators own what they derive, each
 made at its first use: the factored Laplacian (StencilOps._laplacian,
-about 19 MB at n = 232), the order of their nodes (StencilOps._order)
-and the CSR matrices of the Hessian operators (StencilOps._hessian),
-which share the values of L. So an evicted grid's factors go with its
+about 19 MB at n = 232), the order of their nodes (StencilOps._order),
+the CSR matrices of the Hessian operators (StencilOps._hessian), which
+share the values of L, and that of the interpolation rows
+(StencilOps._R). So an evicted grid's factors go with its
 operators, before the next grid's are made, unless a caller still holds
 them. Their arrays are read-only, so no caller can change what another
 is handed. No other factorization outlives its call.
@@ -335,9 +342,11 @@ class StencilOps:
     transpose of an (N, slots) array, which their CSR matrices in
     _hessian read in place. Every array is read-only; build_stencil_ops
     keeps the operators of the one grid used last. Made at their first
-    use: _laplacian, their Laplacian system(1, 0, 1) factored; _order, the
-    nested-dissection order of the nodes (i, j) that SparseLU factors
-    their systems in; _hessian, the Hessian operators of stencil_hessian.
+    use: _laplacian, their Laplacian system(1, 0, 1) factored from its
+    slot values (_RedBlackLU); _order, the nested-dissection order of the
+    nodes (i, j) that SparseLU factors their systems in; _hessian, the
+    Hessian operators of stencil_hessian and the Newton Jacobian; _R,
+    L['R'] as a CSR matrix, the rest of that Jacobian (_jacobian).
     """
 
     grid: DomainGrid
@@ -379,12 +388,17 @@ class StencilOps:
         diag(c) L over the terms in the order '11', '22', '12', drift, then
         R (whose rows no term touches), then c0 on the PDE rows; exact
         zeros are dropped, so the pattern is that of the sparse sum."""
+        return _csr(self._slot_values(a11, a12, a22, X1, X2, c0), self.cols,
+                    slice(None), (self.N, self.N))
+
+    def _slot_values(self, a11, a12, a22, X1=None, X2=None, c0=None):
+        """The (9, N) slot values of system, exact zeros kept."""
         vals = np.zeros((9, self.N))
         for c, k in _terms(a11, a12, a22, X1, X2):
             vals[_LAYOUT[k][0]] += c * self.L[k]
         if c0 is not None:
             vals[4] += np.where(self.pde, c0, 0.0)
-        return _csr(vals, self.cols, slice(None), (self.N, self.N))
+        return vals
 
     def crossing_system(self, a11, a12, a22, X1=None,
                         X2=None) -> "scipy.sparse.csr_matrix":
@@ -428,9 +442,30 @@ class StencilOps:
                              slice(None), nq) for k in _HESSIAN],
                        format="csr")
         for M in (*HL, HG):
-            for arr in (M.data, M.indices, M.indptr):
-                arr.flags.writeable = False
+            _read_only(M)
         return HL, HG
+
+    @functools.cached_property
+    def _R(self) -> "scipy.sparse.csr_matrix":
+        """L['R'] as a CSR matrix: the interpolation rows that the Newton
+        Jacobian (_jacobian) adds to its Hessian terms."""
+        return _read_only(self.operator("L", "R"))
+
+
+def _read_only(M):
+    """M, a CSR matrix, with its arrays made read-only."""
+    for arr in (M.data, M.indices, M.indptr):
+        arr.flags.writeable = False
+    return M
+
+
+def _neighbors(lattice: np.ndarray, fill, mask: np.ndarray, steps):
+    """lattice at the neighbors (i + a, j + b) of the mask nodes (i, j), one
+    row per step (a, b): slices of the lattice padded by one node of fill."""
+    n1, n2 = mask.shape
+    pad = np.pad(lattice, 1, constant_values=fill)
+    return np.stack([pad[1 + a:n1 + 1 + a, 1 + b:n2 + 1 + b][mask]
+                     for a, b in steps])
 
 
 @functools.lru_cache(maxsize=1)
@@ -453,36 +488,38 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
     di, dj = np.array(_DIRS).T[:, :, None]
 
     # per direction: the neighbor is inside, or the ray to it crosses the
-    # boundary at the fraction alpha of the step
-    inside = mask[ii + di, jj + dj]
+    # boundary at the fraction alpha of the step; (d, r) are np.nonzero's
+    # indices, from one flat pass (a fifth of the 2-D form's time)
+    inside = _neighbors(mask, False, mask, _DIRS)
     alpha = np.ones((8, N))
-    d, r = np.nonzero(~inside)
+    d, r = np.divmod(np.flatnonzero(~inside), N)
     alpha[d, r] = grid.ray_cut(X[r], Y[r], di[d, 0] * dx, dj[d, 0] * dx)
     if not np.all(np.isfinite(alpha)):
         raise GridError("exterior neighbor without boundary crossing")
 
-    # classify quasi-boundary nodes by their smallest axis cut
-    which = alpha[:4].argmin(axis=0)
+    # classify quasi-boundary nodes by their smallest axis cut: the rows k
+    # become interpolation rows, each cut in the direction cut
     interp = alpha[:4].min(axis=0) < CUT_FRACTION
     pde = ~interp
+    k = np.nonzero(interp)[0]
+    cut = alpha[:4, k].argmin(axis=0)
 
     # number the crossings some row reads, direction by direction: every
     # exterior direction of a PDE row and the cut direction of an
     # interpolation row
-    read = ~inside & (pde | (np.arange(8)[:, None] == which) & interp)
-    d, r = np.nonzero(read)
+    read = ~inside & pde
+    read[cut, k] = True
+    d, r = np.divmod(np.flatnonzero(read), N)
     cross = np.zeros((8, N), dtype=np.int32)
     cross[d, r] = np.arange(len(r))
     qx = X[r] + alpha[d, r] * di[d, 0] * dx
     qy = Y[r] + alpha[d, r] * dj[d, 0] * dx
     qrows = np.nonzero(np.any(read, axis=0))[0]
-    cols = np.stack([idx[ii + a, jj + b] for a, b in _SLOTS])
-    cols = np.where(cols >= 0, cols, np.arange(N, dtype=np.int32))
+    cols = _neighbors(idx, -1, mask, _SLOTS)
+    np.copyto(cols, np.arange(N, dtype=np.int32), where=cols < 0)
 
     # interpolation rows: u_C - a/(1 + a) u_W - phi(Q)/(1 + a) = 0, W
     # opposite the cut
-    k = np.nonzero(interp)[0]
-    cut = which[k]
     a = alpha[cut, k]
     wi, wj = ii[k] - di[cut, 0], jj[k] - dj[cut, 0]
     if not np.all(mask[wi, wj]):
@@ -497,26 +534,29 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
     L["R"][3 - 3 * di[cut, 0] - dj[cut, 0], k] = -a / (1.0 + a)
     G["R"][cut, np.searchsorted(qrows, k)] = -1.0 / (1.0 + a)
 
-    # the PDE rows: a ghost value past the crossing extrapolates linearly
-    h2 = dx * dx
+    # the PDE rows: a ghost value past the crossing extrapolates linearly;
+    # only the rows qrows have a ghost
+    h2, aq = dx * dx, alpha[:, qrows]
+    pin, ghost = pde & inside, (pde & ~inside)[:, qrows]
     for key, w, denom, center_base in [
             ("11", [1.0, 1.0], h2, -2.0), ("22", [1.0, 1.0], h2, -2.0),
             ("12", [1.0, 1.0, -1.0, -1.0], 4.0 * h2, 0.0),
             ("1", [0.5, -0.5], dx, 0.0), ("2", [0.5, -0.5], dx, 0.0)]:
         ls, gs = _LAYOUT[key]
         w, slots = np.array(w)[:, None], range(9)[ls]
-        ghost = pde & ~inside[gs]
-        frac = np.where(ghost, alpha[gs], 1.0)
+        frac = np.where(ghost[gs], aq[gs], 1.0)
         # stored row by row for the Hessian operators, whose CSR matrices
-        # (StencilOps._hessian) read them in place
-        L[key] = (np.zeros((N, len(slots))).T if key in _HESSIAN
-                  else np.zeros((len(slots), N)))
-        L[key][[slots.index(_SLOTS.index(_DIRS[d])) for d in range(8)[gs]]] = (
-            np.where(pde & inside[gs], w / denom, 0.0))
-        center = (w * (1.0 - 1.0 / frac) / denom).sum(axis=0)
-        L[key][slots.index(4)] = np.where(pde, center_base / denom + center,
-                                          0.0)
-        G[key] = np.where(ghost, w / (frac * denom), 0.0)[:, qrows]
+        # (StencilOps._hessian) read them in place; each slot's values are
+        # written where they are nonzero, into zeros
+        L[key] = vals = (np.zeros((N, len(slots))).T if key in _HESSIAN
+                         else np.zeros((len(slots), N)))
+        for d, wd in zip(range(8)[gs], w[:, 0] / denom):
+            np.copyto(vals[slots.index(_SLOTS.index(_DIRS[d]))], wd,
+                      where=pin[d])
+        center = vals[slots.index(4)]
+        np.copyto(center, center_base / denom, where=pde)
+        center[qrows] += (w * (1.0 - 1.0 / frac) / denom).sum(axis=0)
+        G[key] = np.where(ghost[gs], w / (frac * denom), 0.0)
 
     ops = StencilOps(grid=grid, N=N, pde=pde, qx=qx, qy=qy, cols=cols,
                      qrows=qrows, qcols=cross[:, qrows],
@@ -541,6 +581,13 @@ class _RedBlackLU:
     on the black ones, and SparseLU factors S. A solve is one S solve and
     two sparse products; neither the full Laplacian nor S is kept.
 
+    The blocks come from the Laplacian's slot values (_slot_values(1, 0,
+    1) of the operators), not from a CSR matrix of it: D and A_bb are the
+    center slots of the red and the black rows, and A_rb and A_br the axis
+    slots of those rows, each row's nonzeros in column order with the
+    columns numbered in the other color, bitwise the blocks sliced from
+    system(1, 0, 1).
+
     S couples two black nodes when a red node is an axis neighbor of both,
     so they differ by (+-1, +-1), (+-2, 0) or (0, +-2) in (i, j). In the
     rotated coordinates (u, v) = ((i + j - 1) / 2, (i - j - 1) / 2) of the
@@ -552,24 +599,32 @@ class _RedBlackLU:
 
     def __init__(self, ops: StencilOps):
         import scipy.sparse as sp
-        A = ops.system(1.0, 0.0, 1.0)
+        vals = ops._slot_values(1.0, 0.0, 1.0)
         ii, jj = np.nonzero(ops.grid.mask)
         red = (ii + jj) % 2 == 0
         self.red, self.black = np.nonzero(red)[0], np.nonzero(~red)[0]
-        Ar, Ab = A[self.red], A[self.black]
-        self.dinv = 1.0 / Ar[:, self.red].diagonal()
-        self.Arb, self.Abr = Ar[:, self.black], Ab[:, self.red]
-        S = Ab[:, self.black] - self.Abr @ sp.diags(self.dinv) @ self.Arb
-        del A, Ar, Ab          # the full Laplacian goes before S is factored
+        # a node's number in its color; the axis slots of a row are the
+        # other color's (or outside the mask, zero and dropped)
+        place = np.empty(ops.N, dtype=np.int32)
+        for nodes in (self.red, self.black):
+            place[nodes] = np.arange(len(nodes))
+        axis, cols = vals[1::2], place[ops.cols[1::2]]
+
+        def block(rows, other):
+            return _read_only(_csr(axis[:, rows], cols[:, rows], slice(None),
+                                   (len(rows), len(other))))
+        self.Arb = block(self.red, self.black)
+        self.Abr = block(self.black, self.red)
+        self.dinv = 1.0 / vals[4, self.red]
+        S = (sp.diags(vals[4, self.black])
+             - self.Abr @ sp.diags(self.dinv) @ self.Arb)
+        del vals, axis, cols   # the slot values go before S is factored
         ib, jb = ii[self.black], jj[self.black]
         self.lu = SparseLU(S, _nested_dissection((ib + jb - 1) // 2,
                                                  (ib - jb - 1) // 2))
         del self.lu.A          # no Laplacian solve checks its residual
         for arr in (self.red, self.black, self.dinv, self.lu.order):
             arr.flags.writeable = False
-        for M in (self.Arb, self.Abr):
-            for arr in (M.data, M.indices, M.indptr):
-                arr.flags.writeable = False
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with (L11 + L22 + R) x = rhs, rhs a vector."""
@@ -666,6 +721,17 @@ def _state(ops: StencilOps, U: np.ndarray, phi: np.ndarray, Fvec):
     return h, res, float(np.max(np.abs(res))), float(np.min(lam[ops.pde]))
 
 
+def _jacobian(ops: StencilOps, h11, h22, h12):
+    """z -> cof(D^2 u) : D^2 z at the stencil Hessian h of u, the system
+    system(h22, -h12, h11) applied term by term: h22 H11 z + h11 H22 z -
+    2 h12 H12 z + R z, with the Hessian operators of StencilOps._hessian
+    and the interpolation rows StencilOps._R. Nothing is assembled."""
+    (H11, H22, H12), _ = ops._hessian
+    R, c12 = ops._R, -2.0 * h12
+    return lambda z: (h22 * (H11 @ z) + h11 * (H22 @ z) + c12 * (H12 @ z)
+                      + R @ z)
+
+
 def _gmres(J, b: np.ndarray, precond, rtol: float, restart, cycles):
     """Right-preconditioned restarted GMRES for J x = b from x = 0.
 
@@ -737,11 +803,13 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
     guess of poisson_init, Newton aims at the residual NEWTON_TOL * max F
     in the max norm within NEWTON_MAX_ITER steps. Each step is a GMRES
     solve from zero, right-preconditioned by the grid's factored Laplacian
-    and stopped at ||b - J x||_2 <= eta ||b||_2, eta = min(0.1, 0.1 *
-    max|res|), damped by backtracking and rejected if any interior Hessian
-    loses positivity. Running out of damping raises NewtonFailure with the
-    iteration log, naming whether convexity or descent gave out and any
-    GMRES miss of eta with its iteration count.
+    and stopped at ||b - J x||_2 <= eta ||b||_2 with the safeguarded
+    forcing term eta = min(0.1, max(0.1 max|res|, target / (2 ||res||_2))),
+    so that no step solves below half the target; J is applied without a
+    matrix (_jacobian). The step is damped by backtracking and rejected if
+    any interior Hessian loses positivity. Running out of damping raises
+    NewtonFailure with the iteration log, naming whether convexity or
+    descent gave out and any GMRES miss of eta with its iteration count.
     """
     grid = source_grid(F, grid)
     Fv, Fvec = _source(F, grid)
@@ -757,9 +825,11 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
     for it in range(1, NEWTON_MAX_ITER + 1):
         if rnorm <= Ftarget:
             break
-        step, iters, met = _gmres(ops.system(h22, -h12, h11).dot, -res,
-                                  lap.solve, min(0.1, 0.1 * rnorm),
-                                  KRYLOV_RESTART, KRYLOV_CYCLES)
+        # no step drives its linear residual below half the Newton target
+        eta = min(0.1, max(0.1 * rnorm, 0.5 * Ftarget / np.linalg.norm(res)))
+        step, iters, met = _gmres(_jacobian(ops, h11, h22, h12), -res,
+                                  lap.solve, eta, KRYLOV_RESTART,
+                                  KRYLOV_CYCLES)
         lam = 1.0
         while True:
             Ut = U + lam * step

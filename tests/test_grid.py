@@ -13,7 +13,7 @@ from malab.grid import (
     normal_derivative, quadrature, tangential_derivative,
 )
 from malab import cgo
-from malab.complexcalc import deriv, smooth_cutoff
+from malab.complexcalc import deriv, smooth_cutoff, spectral_deriv
 from malab.maforward import build_stencil_ops
 
 
@@ -599,6 +599,7 @@ def test_padded_grid_rejects_invalid_sizes(half, n, msg):
 _BOX, _DISK = PaddedGrid(half=6.0, n=32), build_disk(1.0, 32)
 _PHASE = cgo.phase_spec((0.0, 1.0), _BOX)
 _ORDERS = [(0, 0), (2, 1), (3, 0), (-1, 2), (0.5, 0.5)]
+_SPECTRAL_ORDERS = [(-1, 0), (0.5, 0.5)]
 
 
 @pytest.mark.parametrize("call, msg", [
@@ -628,11 +629,16 @@ _ORDERS = [(0, 0), (2, 1), (3, 0), (-1, 2), (0.5, 0.5)]
     *[(lambda g=g, o=o: deriv(np.ones((32, 32)), g, *o),
        f"derivative order {o} is not 1 or 2")
       for g in (_DISK, _BOX) for o in _ORDERS],
+    # the spectral derivative runs the same guard: at (-1, 0) it divided by
+    # the zero wavenumber, at (0.5, 0.5) it took a fractional derivative
+    *[(lambda o=o: spectral_deriv(np.ones((32, 32)), _BOX, *o),
+       f"derivative order {o} is not 1 or 2") for o in _SPECTRAL_ORDERS],
 ], ids=["half", "half-overflow", "semi-axis", "semi-axis-overflow", "h",
         "h-overflow", "amplitude-array", "amplitude-list", "amplitude-string",
         "center", "coefficient", "cutoff", "core-radius",
         *[f"order({o1},{o2})-{kind}" for kind in ("disk", "box")
-          for o1, o2 in _ORDERS]])
+          for o1, o2 in _ORDERS],
+        *[f"spectral-order({o1},{o2})" for o1, o2 in _SPECTRAL_ORDERS]])
 def test_invalid_inputs_raise_a_grid_error_naming_them(call, msg):
     with pytest.raises(GridError, match=re.escape(msg)):
         call()

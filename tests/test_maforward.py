@@ -363,6 +363,71 @@ def test_red_black_laplacian_solve_equals_the_full_lu(domain, n):
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def _bits(a):
+    return np.asarray(a).dtype, np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("n", [48, 97, 136])
+@pytest.mark.parametrize("domain", sorted(_DOMAINS))
+def test_red_black_blocks_are_the_sliced_laplacian_bitwise(domain, n):
+    # the blocks read off the Laplacian's slot values are those sliced from
+    # its assembled CSR matrix, and so are the solves through them
+    ops = build_stencil_ops(_DOMAINS[domain](n))
+    lap = maforward._RedBlackLU(ops)
+    A = ops.system(1.0, 0.0, 1.0)
+    Ar, Ab = A[lap.red], A[lap.black]
+    sliced = {"Arb": Ar[:, lap.black], "Abr": Ab[:, lap.red]}
+    for name, M in sliced.items():
+        got = getattr(lap, name)
+        assert _bits(got.data) == _bits(M.data)
+        for part in ("indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(M, part))
+    dinv = 1.0 / Ar[:, lap.red].diagonal()
+    assert _bits(lap.dinv) == _bits(dinv)
+    lu = SparseLU(_schur_complement(ops), lap.lu.order)
+    for b in np.random.default_rng(n).standard_normal((3, ops.N)):
+        y = dinv * b[lap.red]
+        ref = np.empty_like(b)
+        ref[lap.black] = xb = lu.solve(b[lap.black] - sliced["Abr"] @ y)
+        ref[lap.red] = y - dinv * (sliced["Arb"] @ xb)
+        assert _bits(lap.solve(b)) == _bits(ref)
+
+
+@pytest.mark.parametrize("build", [lambda: build_disk(1.0, 128),
+                                   lambda: build_ellipse(1.03, 0.92, 168)],
+                         ids=["disk", "ellipse"])
+def test_newton_jacobian_is_the_assembled_system(build):
+    # the step's operator applied through the Hessian operators and R is
+    # system(h22, -h12, h11), up to the order of the sums
+    g = build()
+    ops = build_stencil_ops(g)
+    X, Y = g.meshgrid()
+    U = _ustar(X, Y)[g.mask]
+    h11, h22, h12 = maforward.stencil_hessian(ops, U,
+                                              ops.crossing_values(_ustar))
+    A = ops.system(h22, -h12, h11)
+    J = maforward._jacobian(ops, h11, h22, h12)
+    for z in np.random.default_rng(39).standard_normal((3, ops.N)):
+        ref = A @ z
+        assert np.linalg.norm(J(z) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_solve_ma_assembles_no_system(monkeypatch):
+    # the Newton steps, the Poisson guess and the red-black factorization
+    # read the operators' slot values; only linearize assembles systems
+    g = build_ellipse(1.03, 0.92, 96)
+    X, _ = g.meshgrid()
+    calls, system = [], maforward.StencilOps.system
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return system(self, *args, **kwargs)
+    monkeypatch.setattr(maforward.StencilOps, "system", spy)
+    build_stencil_ops.cache_clear()
+    sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar, g)
+    assert len(sol.log) >= 3 and calls == []
+
+
 def test_missed_forcing_term_is_named_in_the_failure(monkeypatch):
     # with no Krylov cycle every step misses its forcing term, the zero
     # step cannot descend and the line search runs out of damping
