@@ -16,13 +16,16 @@ a fixed choice is a module constant, named at its step.
 
 1. The Monge-Ampere DN map phi -> d_nu u, with det D^2 u = F, u = phi.
    Realized by dnmap.dn_full over maforward.solve_ma: damped Newton on
-   the 9-point stencil (maforward.CUT_FRACTION), inexact GMRES steps
+   the 9-point stencil with quadratic ghosts, inexact GMRES steps
    (maforward.KRYLOV_RESTART, maforward.KRYLOV_CYCLES) and the stopping
-   rules maforward.NEWTON_TOL, maforward.NEWTON_MAX_ITER and
-   maforward.DAMPING_MIN; maforward.eval_boundary_data reads the data.
+   rules maforward.NEWTON_TOL (or a row's floor, maforward.NEWTON_FLOOR),
+   maforward.NEWTON_MAX_ITER and maforward.DAMPING_MIN;
+   maforward.eval_boundary_data reads the data.
    Tests: test_maforward.py::test_manufactured_quartic,
    test_maforward.py::test_radius_five_and_eight_disks_converge,
    test_dnmap.py::test_dn_full_quartic_solution.
+   Orders: test_maforward.py::test_quartic_solution_is_second_order,
+   test_dnmap.py::test_dn_full_is_second_order_on_the_quartic_base.
 2. The boundary Hessian of u from the DN map.
    Realized by dnmap.recover_boundary_hessian and
    dnmap.recover_boundary_third.
@@ -33,6 +36,7 @@ a fixed choice is a module constant, named at its step.
    linearize.solution_hessian, the Newton stencil's own Hessian.
    Tests: test_linearize.py::test_metric_from_solution_deep_accuracy,
    test_linearize.py::test_newton_jacobian_is_F_times_the_linearized_operator.
+   Orders: test_linearize.py::test_rim_stencil_hessian_is_first_order.
 4. The DN map of g^{ab} d_ab v = 0, the linearization of step 1.
    Realized by dnmap.dn_lin, dnmap.dn_lin_matrix (a dnmap.DNMatrix),
    linearize.nondiv_solve_many, which refuses metrics beyond

@@ -285,11 +285,12 @@ def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
     point sampled at its center.  Cached per box, layout and power,
     read-only: the two used last, the most that one call reads (an
     _OscWindows reads two; isothermal reads the data-window-to-box
-    Beurling and Cauchy kernels, and builds its Beltrami solve's
-    window-to-window kernel per call through __wrapped__, outside the
-    cache), so a sweep's window kernels push out a full-box kernel that
-    no bundle reads.  The cost: a caller that alternates full-box and
-    windowed transforms on one box rebuilds the full-box kernel each time.
+    Beurling and Cauchy kernels; its Beltrami solve's window-to-window
+    kernel has a cache of its own around __wrapped__,
+    geomkit._beltrami_kernel), so a sweep's window kernels push out a
+    full-box kernel that no bundle reads.  The cost: a caller that
+    alternates full-box and windowed transforms on one box rebuilds the
+    full-box kernel each time.
 
     The kernel is built in one complex array: its real and imaginary parts
     are set from the 1-D offsets times h, and the squaring, the scaling,

@@ -20,10 +20,11 @@ inverse displacement e = z - p, which samples the displacement only at
 the nodes still moving and reads the matrix of the step, the inverse of
 the lattice Jacobian at the nearest node, from one array formed per
 call; on e, not on z, so a tiny displacement does not stall at ulp(p).
-It takes about half the sampled steps of the plain fixed point
-e <- -d(p + e), and needs no bound on sup |dJ - I|: it refuses a map
-only where a Jacobian it reads folds, or where it stalls or runs out of
-steps, and on the quartic family it converges beyond sup |dJ - I| = 1.
+Its first step moves no node past max|d|, taking the plain fixed point
+e = -d(p) where the chord would; it takes about half the sampled steps
+of that fixed point, and needs no bound on sup |dJ - I|: it refuses a map only where
+a Jacobian it reads folds, or where it stalls or runs out of steps, and
+on the quartic family it converges beyond sup |dJ - I| = 1.
 They are defined on the box's data region (grid.PaddedGrid.data_window)
 and are the identity in the wraparound margin outside it: a preimage
 there aliases through the period, and a displacement that decays like
@@ -35,6 +36,7 @@ through the period, and so are non-finite displacements and Jacobians.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +64,10 @@ BELTRAMI_MAX_ITER = 160
 # which it freezes, and the chord iteration's step budget
 INVERSION_RTOL = 1e-12
 INVERSION_MAX_ITER = 80
+
+# the Beltrami solve's window-to-window kernel of the box used last, in a
+# cache of its own, so _kernel_hat's keeps its eviction order
+_beltrami_kernel = functools.lru_cache(maxsize=1)(_kernel_hat.__wrapped__)
 
 
 def _covariant(g: MetricField):
@@ -193,9 +199,10 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
     within INVERSION_RTOL of the displacement scale, and every step
     samples d at the still-moving nodes only. The first step starts at
     the nodes themselves, where the sampler returns the stored d bitwise,
-    so it reads d directly and builds no block. The step's largest move
-    is also the largest over the region, since frozen nodes moved within
-    INVERSION_RTOL, so the stall and exhaustion checks read it unchanged.
+    so it reads d directly and builds no block; a node it would move past
+    max|d| takes the plain fixed point instead. The step's largest move is also the largest over the region,
+    since frozen nodes moved within INVERSION_RTOL, so the stall and
+    exhaustion checks read it unchanged.
     The loop ends when every node is frozen, at the second stall, or when
     its step budget runs out; in the last two cases the one refusal
     raises unless the last move is within the jitter floor. No bound on
@@ -238,6 +245,12 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
         r1, r2 = ea1 + d1, ea2 + d2
         s1 = m11 * r1 + m12 * r2
         s2 = m21 * r1 + m22 * r2
+        if not k:
+            # the inverse is within max|d| of its node (e = -d(p + e)), so
+            # a first chord move past that, near a fold, overshoots: such a
+            # node takes the fixed point e = -d(p), |d(p)| <= max|d| away
+            far = np.hypot(s1, s2) > scale
+            s1, s2 = np.where(far, r1, s1), np.where(far, r2, s2)
         e1[active], e2[active] = ea1 - s1, ea2 - s2
         step = np.hypot(s1, s2)
         move = float(np.max(step))
@@ -384,9 +397,9 @@ def _beltrami_map(c11, c12, c22, grid) -> DiffeoField:
     iteration is one window-to-window convolution, the Beurling transform
     S = dz C taken in the plane (a periodic dz of C phi rings at the
     seam), on an N x N FFT with N = _fft_size(2m - 1): 180 on the n = 128
-    box, where the whole box takes 256, its kernel built once per call,
-    outside _kernel_hat's cache. Then one window-to-box convolution
-    (N = _fft_size(m + n - 1), 216 at n = 128) gives dz w = 1 + S phi on
+    box, where the whole box takes 256, its kernel kept for the box used
+    last by _beltrami_kernel. Then one window-to-box convolution (N =
+    _fft_size(m + n - 1), 216 at n = 128) gives dz w = 1 + S phi on
     the box, and phi = mu_B dz w at every node.
     """
     mu_b = _beltrami_coefficient(c11, c12, c22)
@@ -401,7 +414,7 @@ def _beltrami_map(c11, c12, c22, grid) -> DiffeoField:
     mu_w = mu_b[at, at]
     m = mu_w.shape[0]
     N = _fft_size(2 * m - 1)
-    khat = _kernel_hat.__wrapped__(grid, (N, N), (m, m), (0, 0), 2)
+    khat = _beltrami_kernel(grid, (N, N), (m, m), (0, 0), 2)
     phi, its, met = _gmres(
         lambda p: p - mu_w * _cauchy_conv(p, khat, (m, m)), mu_w,
         lambda v: v, BELTRAMI_RTOL, BELTRAMI_MAX_ITER, 1)

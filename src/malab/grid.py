@@ -4,12 +4,12 @@ The domain is the axis-aligned ellipse with semi-axes (a, b): the image of
 the unit disk under (x, y) -> (a x, b y), and the disk when a = b. All of
 its geometry comes from the inverse map (x, y) -> (x/a, y/b): the level
 function C = (x/a)^2 + (y/b)^2 - 1, the ring's parameter angle, and the
-exact cell coverage, which is the unit disk's. C < 0 is the only test for
-"inside": it defines the lattice mask, and the stencil ray cut is the
-root of the same C along the ray.
+exact cell coverage, which is the unit disk's. C < -_ON_CURVE is the only
+test for "inside": it defines the lattice mask, and the stencil ray cut
+is the root of the same C along the ray.
 
 The domain is discretized on a regular square lattice covering its
-bounding box. Nodes with C < 0 carry unknowns; the boundary is a separate
+bounding box. The mask nodes carry unknowns; the boundary is a separate
 ring of points on the exact curve at uniform parameter angle, carrying
 arclength, outward unit normal, and signed curvature. A periodic padded
 box embeds the domain for FFT-based transforms. Its zero-padded
@@ -130,6 +130,14 @@ class BoundaryRing:
 # domain grid
 
 
+# a node with level C >= -_ON_CURVE is outside the mask: lattice points on
+# the curve (i^2 + j^2 = m^2 on a disk) read C within ulps of 0 and a ray
+# cut of 0. A mask node's cut is then at least about 1e-9 min(a, b) /
+# (2 |step|), which keeps the rounding of its quadratic ghost small, and a
+# node left out lies within 5e-10 min(a, b) of the curve
+_ON_CURVE = 1e-9
+
+
 def _level(a: float, b: float, x, y):
     """C = (x/a)^2 + (y/b)^2 - 1: negative inside, zero on the curve."""
     sx, sy = x / a, y / b
@@ -141,7 +149,7 @@ class DomainGrid:
     """Square lattice over the ellipse with semi-axes (a, b), plus its ring.
 
     The lattice covers [-half, half]^2, half = max(a, b), with n nodes per
-    side. ``mask`` marks the nodes with C < 0 (see ``level``).
+    side. ``mask`` marks the nodes with C < -_ON_CURVE (see ``level``).
     ``boundary`` is the exact-curve ring; it is not a subset of the
     lattice.
     """
@@ -172,7 +180,7 @@ class DomainGrid:
         return np.meshgrid(self.x1, self.x2, indexing="ij")
 
     def level(self, x, y):
-        """C = (x/a)^2 + (y/b)^2 - 1; the mask is C < 0 at the nodes."""
+        """C = (x/a)^2 + (y/b)^2 - 1; the mask is C < -_ON_CURVE."""
         return _level(self.a, self.b, x, y)
 
     def ray_cut(self, px, py, vx, vy):
@@ -180,8 +188,9 @@ class DomainGrid:
 
         Vectorized; p must be in the mask. The crossing is the root of the
         mask's own level function along the ray, so a mask node always
-        gets a cut: a node on the curve to rounding (C = -1e-16) reads 0,
-        never a miss. Returns +inf where p + v is still inside.
+        gets a cut, and a positive one: a point on the curve to rounding
+        (C = -1e-16) reads 0, but the mask keeps C < -_ON_CURVE. Returns
+        +inf where p + v is still inside.
         """
         sx, sy = px / self.a, py / self.b
         wx, wy = vx / self.a, vy / self.b
@@ -209,7 +218,7 @@ def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
     x2 = x1.copy()
     dx = x1[1] - x1[0]
     X, Y = np.meshgrid(x1, x2, indexing="ij")
-    mask = _level(a, b, X, Y) < 0.0
+    mask = _level(a, b, X, Y) < -_ON_CURVE
 
     M = max(16, 2 * int(round(np.pi * half / dx)))
     theta = 2.0 * np.pi * np.arange(M) / M

@@ -52,28 +52,14 @@ def solution_hessian(sol: MASolution):
     """Discrete Hessian entries of a base solution on the interior numbering.
 
     Uses the same stencil operators the Newton solver used, so the returned
-    entries are exactly the ones whose determinant met the residual target.
-    Quasi-boundary rows have no PDE stencil; they inherit the entries of
-    their interpolation anchors.
+    entries are exactly the ones whose determinant met the residual target
+    on every row, the rim rows included: their quadratic ghosts read the
+    Hessian to first order there.
     """
     grid = sol.u.grid
     ops = build_stencil_ops(grid)
     h11, h22, h12 = stencil_hessian(ops, sol.u.values[grid.mask],
                                     ops.crossing_values(sol.phi))
-
-    # anchor chase: every interpolation row copies its neighbor until all
-    # values originate at PDE rows
-    anchor = np.arange(ops.N)
-    rows, cols = ops.operator("L", "R").nonzero()
-    off = cols != rows
-    anchor[rows[off]] = cols[off]
-    for _ in range(8):
-        bad = ~ops.pde[anchor]
-        if not np.any(bad):
-            break
-        anchor[bad] = anchor[anchor[bad]]
-    for h in (h11, h22, h12):
-        h[~ops.pde] = h[anchor[~ops.pde]]
     return h11, h12, h22, ops
 
 
@@ -176,10 +162,9 @@ def _metric_solver(g: MetricField, X: VectorField | None = None):
     G, lu = ops.crossing_system(*coeffs, *lower[:2]), []
 
     def solve(datas, f, rtol):
-        # f - G Phi, with f (default 0) on the PDE rows only
+        # f - G Phi, f 0 by default
         Phi = np.column_stack([ops.crossing_values(phi) for phi in datas])
-        fvec = np.zeros(ops.N) if f is None else np.where(
-            ops.pde, lattice_values(f, grid)[grid.mask], 0.0)
+        fvec = lattice_values(0.0 if f is None else f, grid)[grid.mask]
         rhs = fvec[:, None] - G @ Phi
         if not lu:
             lu.append(SparseLU(A, ops._order))

@@ -2,40 +2,50 @@
 
 Solves det D^2 u = F on a convex domain with Dirichlet data on the exact
 boundary curve. The discretization is a 9-point scheme on the masked
-lattice: second differences along the axes, the 4-point diagonal stencil
-for the mixed derivative, and ghost values closed by linear interpolation
-along the stencil ray to the exact boundary crossing. Interior nodes whose
-nearest axis crossing is closer than a quarter cell become interpolation
-rows instead of PDE rows, which keeps every matrix row bounded.
+lattice, on every mask node: second differences along the axes, the
+4-point diagonal stencil for the mixed derivative, central first
+differences. A ray that crosses the boundary at the fraction a of its
+step reads a ghost past the crossing Q, the quadratic through the
+opposite node O, the center C and Q, (1 - a)/(1 + a) u_O - 2 (1 - a)/a
+u_C + 2/(a (1 + a)) phi(Q) (Shortley and Weller, J. Appl. Phys. 9,
+1938), along the axes and the diagonals alike; the line through C and Q
+where O is outside too. So the stencil Hessian, which `linearize`
+inverts, reads D^2 u to O(dx) up to the rim, and u is second order
+(Gibou, Fedkiw, Cheng and Kang, J. Comput. Phys. 176, 2002). A node on
+the curve to rounding, whose cut reads 0, is outside the mask
+(grid._ON_CURVE): less code than the data row u_C = phi(C), a row type
+of its own. A cut weighs its row up to 2/(a (1 + a) dx^2), so Newton
+aims at NEWTON_TOL max F, or at a row's own rounding floor where that
+is higher (_row_targets).
 
 The Dirichlet data enter through one vector per grid, their values at the
-boundary crossings that some stencil row reads (StencilOps.crossing_values;
+boundary crossings that the stencil rows read (StencilOps.crossing_values;
 ring_values gives them on the boundary ring). Each operator is a pair, L on
 the interior values and G on the crossing values, stored as values on one
 sparsity pattern per grid for all L and one for all G, and
 StencilOps.system and crossing_system turn coefficients into a system
-(A, G_A) by vector arithmetic, each row reading A u + G_A phi = f (f = 0
-on the interpolation rows): the systems of `linearize`. The Newton solve
-assembles none: _RedBlackLU reads the Laplacian's blocks off its slot
-values, and the Jacobian is applied term by term (_jacobian).
+(A, G_A) by vector arithmetic, each row reading A u + G_A phi = f: the
+systems of `linearize`. The Newton solve assembles none: _RedBlackLU
+reads the Laplacian's blocks off its slot values, and the Jacobian is
+applied term by term (_jacobian).
 
 The Newton step solves cof(D^2 u) : D^2 delta = F - det D^2 u with zero
 boundary data, damped by backtracking under a convexity guard. As
 cof(D^2 u) = F (D^2 u)^{-1} at a solution, the Jacobian is F times the
 linearized operator of `linearize`. It is applied without a matrix, as
-h22 H11 z + h11 H22 z - 2 h12 H12 z + R z with the Hessian operators
-H that give the residual and the interpolation rows R (Knoll and Keyes,
-J. Comput. Phys. 193, 2004). The factored Laplacian L11 + L22 + R runs
-the Poisson iteration of the initial guess (poisson_init) and
-preconditions GMRES on every Newton Jacobian, which is inexact Newton
-with the forcing term eta = min(0.1, max(0.1 max|res|, target / (2
-||res||_2))) (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996): the
-second bound keeps a step from driving its linear residual below half
-the Newton target, which the stopping rule never asks for. The GMRES is
-right-preconditioned and restarted (_gmres, malab's one Krylov solver,
-which geomkit's Beltrami solve runs on complex vectors, each caller
-setting its budget): one Laplacian solve per iteration, and the residual
-it stops on is the true one, ||b - J x||_2 <= eta ||b||_2. The Laplacian
+h22 H11 z + h11 H22 z - 2 h12 H12 z with the Hessian operators H that
+give the residual (Knoll and Keyes, J. Comput. Phys. 193, 2004). The
+factored Laplacian L11 + L22 runs the Poisson iteration of the initial
+guess (poisson_init) and preconditions GMRES on every Newton Jacobian,
+which is inexact Newton with the forcing term eta = min(0.1, max(0.1
+max|res|, target / (2 ||res||_2))) (Eisenstat and Walker, SIAM J. Sci.
+Comput. 17, 1996): the second bound keeps a step from driving its
+linear residual below half the least row target, which the stopping
+rule never asks for. The GMRES is right-preconditioned
+and restarted (_gmres, malab's one Krylov solver, which geomkit's
+Beltrami solve runs on complex vectors, each caller setting its
+budget): one Laplacian solve per iteration, and the residual it stops
+on is the true one, ||b - J x||_2 <= eta ||b||_2. The Laplacian
 reads only axis neighbors, so no two nodes of one color (i + j) mod 2
 are coupled: _RedBlackLU eliminates the red half, a diagonal solve, and
 factors the Schur complement on the black half (Saad, Iterative Methods
@@ -58,9 +68,8 @@ keyed by the grid, keeps the operators of the one grid used last, so an
 equal grid built twice hits. The operators own what they derive, each
 made at its first use: the factored Laplacian (StencilOps._laplacian,
 about 19 MB at n = 232), the order of their nodes (StencilOps._order),
-the CSR matrices of the Hessian operators (StencilOps._hessian), which
-share the values of L, and that of the interpolation rows
-(StencilOps._R). So an evicted grid's factors go with its
+and the CSR matrices of the Hessian operators (StencilOps._hessian),
+which share the values of L. So an evicted grid's factors go with its
 operators, before the next grid's are made, unless a caller still holds
 them. Their arrays are read-only, so no caller can change what another
 is handed. No other factorization outlives its call.
@@ -84,10 +93,6 @@ from .grid import (BoundaryTrace, DomainGrid, GridError, ScalarField,
                    _require_grid, _ring_eval, _ring_modes, lattice_values)
 
 
-# interior nodes whose nearest axis crossing is below this fraction of a
-# cell are replaced by interpolation rows
-CUT_FRACTION = 0.25
-
 # a box of the nested dissection holding at most this many lattice nodes
 # is a leaf
 _ND_LEAF = 8
@@ -99,9 +104,11 @@ _ND_LEAF = 8
 KRYLOV_RESTART = 40
 KRYLOV_CYCLES = 2
 
-# Newton: the residual target as a fraction of max F, the step budget, and
-# the damping below which the line search gives up
+# Newton: the residual target as a fraction of max F, a row's rounding
+# floor in units of eps W_i max|U| max|h| (_row_targets), the step budget,
+# and the damping below which the line search gives up
 NEWTON_TOL = 1e-10
+NEWTON_FLOOR = 4.0
 NEWTON_MAX_ITER = 30
 DAMPING_MIN = 1e-4
 
@@ -292,14 +299,13 @@ def ring_values(grid: DomainGrid, data) -> np.ndarray:
 
 # A row's slots, each run in CSR column order: its 3 x 3 stencil (the
 # interior numbering is row-major) and its exterior directions (their
-# crossings are numbered in this order). _LAYOUT gives each operator's
-# (stencil slots, direction slots); R reads the center and an axis
-# neighbor, GR an axis direction.
+# crossings are numbered in this order, opposite ones in pairs 2k, 2k +
+# 1). _LAYOUT gives each operator's (stencil slots, direction slots).
 _SLOTS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
 _DIRS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]
 _X, _Y = (slice(1, 9, 3), slice(0, 2)), (slice(3, 6), slice(2, 4))
 _LAYOUT = {"11": _X, "22": _Y, "12": (slice(0, 9, 2), slice(4, 8)),
-           "1": _X, "2": _Y, "R": (slice(1, 8), slice(0, 4))}
+           "1": _X, "2": _Y}
 _HESSIAN = ("11", "22", "12")
 
 
@@ -317,41 +323,39 @@ def _csr(vals, cols, rows, shape) -> "scipy.sparse.csr_matrix":
 def _terms(a11, a12, a22, X1, X2):
     """(coefficient, operator) in the order they are summed."""
     drift = [(X1, "1"), (X2, "2")] if X1 is not None else []
-    return [(a11, "11"), (a22, "22"), (2.0 * a12, "12"), *drift, (1.0, "R")]
+    return [(a11, "11"), (a22, "22"), (2.0 * a12, "12"), *drift]
 
 
 @dataclass(frozen=True)
 class StencilOps:
     """Sparse difference operators on the masked lattice.
 
-    (qx, qy) are the boundary crossings that some row reads: every
-    exterior direction of a PDE row and the cut direction of an
-    interpolation row. Each operator is a pair, L[k] on the interior
-    values and G[k] on the data at the crossings (crossing_values), so the
-    closed difference of u with data phi is L u + G phi: the second
-    differences k = '11', '22', '12' and central first differences '1',
-    '2' on PDE rows, and the interpolation rows L['R'] u + G['R'] phi = 0.
+    (qx, qy) are the boundary crossings, one per exterior direction of
+    every row. Each operator is a pair, L[k] on the interior values and
+    G[k] on the data at the crossings (crossing_values), so the closed
+    difference of u with data phi is L u + G phi: the second differences
+    k = '11', '22', '12' and central first differences '1', '2', each
+    closed by the ghosts of the module docstring. Every row carries the
+    equation.
 
     The L share one N x N pattern, the 3 x 3 stencil (_SLOTS) of every
     row: cols[s] is the column of slot s, the row itself where that node
     is outside the mask. The G share one N x nq pattern, the exterior
     directions (_DIRS) of the rows qrows that read a crossing: qcols[s] is
     the column of direction s. An operator holds one row of values per
-    slot it uses (_LAYOUT), zero where it has no entry, and operator()
-    gives it as a CSR matrix; the Hessian operators keep theirs as the
-    transpose of an (N, slots) array, which their CSR matrices in
-    _hessian read in place. Every array is read-only; build_stencil_ops
-    keeps the operators of the one grid used last. Made at their first
+    slot it uses (_LAYOUT), zero where it has no entry; the Hessian
+    operators keep theirs as the transpose of an (N, slots) array, which
+    their CSR matrices in _hessian read in place. Every array is
+    read-only; build_stencil_ops keeps the operators of the one grid used
+    last. Made at their first
     use: _laplacian, their Laplacian system(1, 0, 1) factored from its
     slot values (_RedBlackLU); _order, the nested-dissection order of the
     nodes (i, j) that SparseLU factors their systems in; _hessian, the
-    Hessian operators of stencil_hessian and the Newton Jacobian; _R,
-    L['R'] as a CSR matrix, the rest of that Jacobian (_jacobian).
+    Hessian operators of stencil_hessian and the Newton Jacobian.
     """
 
     grid: DomainGrid
     N: int
-    pde: np.ndarray            # PDE rows (True) vs interpolation rows
     qx: np.ndarray             # crossing points, one per column of every G
     qy: np.ndarray
     cols: np.ndarray           # (9, N)
@@ -370,24 +374,14 @@ class StencilOps:
         """The data at the crossing points: the vector every G acts on."""
         return eval_boundary_data(self.grid, data, self.qx, self.qy)
 
-    def operator(self, side: str, k: str) -> "scipy.sparse.csr_matrix":
-        """L[k] (side 'L') or G[k] (side 'G') as a CSR matrix."""
-        ls, gs = _LAYOUT[k]
-        if side == "L":
-            return _csr(self.L[k], self.cols[ls], slice(None),
-                        (self.N, self.N))
-        return _csr(self.G[k], self.qcols[gs], self.qrows,
-                    (self.N, len(self.qx)))
-
     def system(self, a11, a12, a22, X1=None, X2=None,
                c0=None) -> "scipy.sparse.csr_matrix":
         """A of a11 d_11 + 2 a12 d_12 + a22 d_22 [+ X1 d_1 + X2 d_2 + c0],
         coefficients scalar or on the interior numbering: each row reads
-        A u + G_A phi = f, G_A = crossing_system(a11, a12, a22, X1, X2),
-        and f = 0 on the interpolation rows. Each entry is summed as
-        diag(c) L over the terms in the order '11', '22', '12', drift, then
-        R (whose rows no term touches), then c0 on the PDE rows; exact
-        zeros are dropped, so the pattern is that of the sparse sum."""
+        A u + G_A phi = f, G_A = crossing_system(a11, a12, a22, X1, X2).
+        Each entry is summed as diag(c) L over the terms in the order '11',
+        '22', '12', drift, then c0; exact zeros are dropped, so the
+        pattern is that of the sparse sum."""
         return _csr(self._slot_values(a11, a12, a22, X1, X2, c0), self.cols,
                     slice(None), (self.N, self.N))
 
@@ -397,7 +391,7 @@ class StencilOps:
         for c, k in _terms(a11, a12, a22, X1, X2):
             vals[_LAYOUT[k][0]] += c * self.L[k]
         if c0 is not None:
-            vals[4] += np.where(self.pde, c0, 0.0)
+            vals[4] += c0
         return vals
 
     def crossing_system(self, a11, a12, a22, X1=None,
@@ -411,7 +405,7 @@ class StencilOps:
 
     @functools.cached_property
     def _laplacian(self) -> _RedBlackLU:
-        """The factored Laplacian L11 + L22 + R, kept with the operators."""
+        """The factored Laplacian L11 + L22, kept with the operators."""
         return _RedBlackLU(self)
 
     @functools.cached_property
@@ -444,12 +438,6 @@ class StencilOps:
         for M in (*HL, HG):
             _read_only(M)
         return HL, HG
-
-    @functools.cached_property
-    def _R(self) -> "scipy.sparse.csr_matrix":
-        """L['R'] as a CSR matrix: the interpolation rows that the Newton
-        Jacobian (_jacobian) adds to its Hessian terms."""
-        return _read_only(self.operator("L", "R"))
 
 
 def _read_only(M):
@@ -489,80 +477,58 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
 
     # per direction: the neighbor is inside, or the ray to it crosses the
     # boundary at the fraction alpha of the step; (d, r) are np.nonzero's
-    # indices, from one flat pass (a fifth of the 2-D form's time)
+    # indices, from one flat pass (a fifth of the 2-D form's time), and
+    # number the crossings direction by direction
     inside = _neighbors(mask, False, mask, _DIRS)
     alpha = np.ones((8, N))
     d, r = np.divmod(np.flatnonzero(~inside), N)
     alpha[d, r] = grid.ray_cut(X[r], Y[r], di[d, 0] * dx, dj[d, 0] * dx)
     if not np.all(np.isfinite(alpha)):
         raise GridError("exterior neighbor without boundary crossing")
-
-    # classify quasi-boundary nodes by their smallest axis cut: the rows k
-    # become interpolation rows, each cut in the direction cut
-    interp = alpha[:4].min(axis=0) < CUT_FRACTION
-    pde = ~interp
-    k = np.nonzero(interp)[0]
-    cut = alpha[:4, k].argmin(axis=0)
-
-    # number the crossings some row reads, direction by direction: every
-    # exterior direction of a PDE row and the cut direction of an
-    # interpolation row
-    read = ~inside & pde
-    read[cut, k] = True
-    d, r = np.divmod(np.flatnonzero(read), N)
     cross = np.zeros((8, N), dtype=np.int32)
     cross[d, r] = np.arange(len(r))
     qx = X[r] + alpha[d, r] * di[d, 0] * dx
     qy = Y[r] + alpha[d, r] * dj[d, 0] * dx
-    qrows = np.nonzero(np.any(read, axis=0))[0]
+    qrows = np.nonzero(np.any(~inside, axis=0))[0]
     cols = _neighbors(idx, -1, mask, _SLOTS)
     np.copyto(cols, np.arange(N, dtype=np.int32), where=cols < 0)
 
-    # interpolation rows: u_C - a/(1 + a) u_W - phi(Q)/(1 + a) = 0, W
-    # opposite the cut
-    a = alpha[cut, k]
-    wi, wj = ii[k] - di[cut, 0], jj[k] - dj[cut, 0]
-    if not np.all(mask[wi, wj]):
-        j = k[np.argmin(mask[wi, wj])]
-        raise GridError(
-            f"grid too coarse near node ({ii[j]}, {jj[j]}): no interior "
-            "neighbor to anchor the quasi-boundary interpolation")
-    if not np.any(pde):
-        raise GridError("grid too coarse: every node is an interpolation row")
-    L, G = {"R": np.zeros((7, N))}, {"R": np.zeros((4, len(qrows)))}
-    L["R"][3, k] = 1.0
-    L["R"][3 - 3 * di[cut, 0] - dj[cut, 0], k] = -a / (1.0 + a)
-    G["R"][cut, np.searchsorted(qrows, k)] = -1.0 / (1.0 + a)
-
-    # the PDE rows: a ghost value past the crossing extrapolates linearly;
-    # only the rows qrows have a ghost
-    h2, aq = dx * dx, alpha[:, qrows]
-    pin, ghost = pde & inside, (pde & ~inside)[:, qrows]
+    # a ghost past the crossing Q at the fraction a is the quadratic
+    # through the opposite node O, the center C and Q, or the line
+    # through C and Q where O is outside too; only the rows qrows have a
+    # ghost, and a = 1 in every inside direction gives no correction
+    L, G, h2, aq = {}, {}, dx * dx, alpha[:, qrows]
+    ghost, oin = ~inside[:, qrows], inside[np.arange(8) ^ 1][:, qrows]
     for key, w, denom, center_base in [
             ("11", [1.0, 1.0], h2, -2.0), ("22", [1.0, 1.0], h2, -2.0),
             ("12", [1.0, 1.0, -1.0, -1.0], 4.0 * h2, 0.0),
             ("1", [0.5, -0.5], dx, 0.0), ("2", [0.5, -0.5], dx, 0.0)]:
         ls, gs = _LAYOUT[key]
-        w, slots = np.array(w)[:, None], range(9)[ls]
-        frac = np.where(ghost[gs], aq[gs], 1.0)
+        a, o, slots = aq[gs], oin[gs], range(9)[ls]
+        w = np.array(w)[:, None] / denom
         # stored row by row for the Hessian operators, whose CSR matrices
         # (StencilOps._hessian) read them in place; each slot's values are
         # written where they are nonzero, into zeros
         L[key] = vals = (np.zeros((N, len(slots))).T if key in _HESSIAN
                          else np.zeros((len(slots), N)))
-        for d, wd in zip(range(8)[gs], w[:, 0] / denom):
-            np.copyto(vals[slots.index(_SLOTS.index(_DIRS[d]))], wd,
-                      where=pin[d])
-        center = vals[slots.index(4)]
-        np.copyto(center, center_base / denom, where=pde)
-        center[qrows] += (w * (1.0 - 1.0 / frac) / denom).sum(axis=0)
-        G[key] = np.where(ghost[gs], w / (frac * denom), 0.0)
+        place = [slots.index(_SLOTS.index(_DIRS[d])) for d in range(8)[gs]]
+        for s, wd, d in zip(place, w[:, 0], range(8)[gs]):
+            np.copyto(vals[s], wd, where=inside[d])
+        # the ghost's weights on C, O and Q; the slot of a direction's O is
+        # its partner's in the layout, k ^ 1
+        wc, wo, wq = (w * np.where(o, quad, line) for quad, line in [
+            (-2.0 * (1.0 - a) / a, 1.0 - 1.0 / a),
+            ((1.0 - a) / (1.0 + a), 0.0), (2.0 / (a * (1.0 + a)), 1.0 / a)])
+        vals[slots.index(4)] = center_base / denom
+        vals[slots.index(4), qrows] += wc.sum(axis=0)
+        for s, v in zip(place, wo[np.arange(len(place)) ^ 1]):
+            vals[s, qrows] += v
+        G[key] = np.where(ghost[gs], wq, 0.0)
 
-    ops = StencilOps(grid=grid, N=N, pde=pde, qx=qx, qy=qy, cols=cols,
-                     qrows=qrows, qcols=cross[:, qrows],
-                     L=MappingProxyType(L), G=MappingProxyType(G))
-    for arr in (pde, qx, qy, cols, qrows, ops.qcols, *L.values(),
-                *G.values()):
+    ops = StencilOps(grid=grid, N=N, qx=qx, qy=qy, cols=cols, qrows=qrows,
+                     qcols=cross[:, qrows], L=MappingProxyType(L),
+                     G=MappingProxyType(G))
+    for arr in (qx, qy, cols, qrows, ops.qcols, *L.values(), *G.values()):
         arr.flags.writeable = False
     return ops
 
@@ -572,7 +538,7 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
 
 
 class _RedBlackLU:
-    """The Laplacian L11 + L22 + R factored through its red-black Schur
+    """The Laplacian L11 + L22 factored through its red-black Schur
     complement.
 
     Every row of the Laplacian reads only its axis neighbors, so no two
@@ -627,7 +593,7 @@ class _RedBlackLU:
             arr.flags.writeable = False
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with (L11 + L22 + R) x = rhs, rhs a vector."""
+        """x with (L11 + L22) x = rhs, rhs a vector."""
         y = self.dinv * rhs[self.red]
         x = np.empty_like(rhs)
         x[self.black] = xb = self.lu.solve(rhs[self.black] - self.Abr @ y)
@@ -663,13 +629,13 @@ def poisson_init(grid: DomainGrid, F, data) -> tuple[np.ndarray, int]:
     ops = build_stencil_ops(grid)
     phi = ops.crossing_values(data)
     lap, G = ops._laplacian, ops.crossing_system(1.0, 0.0, 1.0) @ phi
-    U = lap.solve(np.where(ops.pde, 2.0 * np.sqrt(Fvec), 0.0) - G)
+    U = lap.solve(2.0 * np.sqrt(Fvec) - G)
     h, _, rnorm, lam_min = _state(ops, U, phi, Fvec)
     target, its = 0.1 * float(np.max(Fvec)), 0
     while not (lam_min > 0.0 and rnorm < target):
         its += 1
         lap_u = np.sqrt(h[0] ** 2 + h[1] ** 2 + 2.0 * h[2] ** 2 + 2.0 * Fvec)
-        Un = lap.solve(np.where(ops.pde, lap_u, 0.0) - G)
+        Un = lap.solve(lap_u - G)
         hn, _, rn, le = _state(ops, Un, phi, Fvec)
         if not rn < rnorm:      # NaN stops too
             break
@@ -716,20 +682,32 @@ def stencil_hessian(ops: StencilOps, U: np.ndarray, phi: np.ndarray):
 def _state(ops: StencilOps, U: np.ndarray, phi: np.ndarray, Fvec):
     """Stencil Hessian, residual, its max norm and the min eigenvalue."""
     h11, h22, h12 = h = stencil_hessian(ops, U, phi)
-    res = np.where(ops.pde, h11 * h22 - h12 ** 2 - Fvec, 0.0)
+    res = h11 * h22 - h12 ** 2 - Fvec
     lam = 0.5 * (h11 + h22 - np.sqrt((h11 - h22) ** 2 + 4.0 * h12 ** 2))
-    return h, res, float(np.max(np.abs(res))), float(np.min(lam[ops.pde]))
+    return h, res, float(np.max(np.abs(res))), float(np.min(lam))
+
+
+def _row_targets(ops: StencilOps, U, h, Fvec) -> np.ndarray:
+    """Newton's residual target per row: NEWTON_TOL max F, or the row's
+    rounding floor NEWTON_FLOOR eps W_i max|U| max|h| where that is higher,
+    W_i its largest absolute row sum over the Hessian operators. Rounding
+    moves an entry of h by about eps W_i max|U|, and h11 h22 - h12^2 by
+    |h22| dh11 + |h11| dh22 + 2 |h12| dh12: at most 4 max|h| times that,
+    so NEWTON_FLOOR = 4 (one-ulp changes of u measure 1.5-2.3)."""
+    W = np.maximum.reduce([np.abs(ops.L[k]).sum(axis=0) for k in _HESSIAN])
+    scale = float(np.max(np.abs(U)) * max(np.max(np.abs(x)) for x in h))
+    return np.maximum(NEWTON_TOL * float(np.max(Fvec)),
+                      NEWTON_FLOOR * np.finfo(float).eps * scale * W)
 
 
 def _jacobian(ops: StencilOps, h11, h22, h12):
     """z -> cof(D^2 u) : D^2 z at the stencil Hessian h of u, the system
     system(h22, -h12, h11) applied term by term: h22 H11 z + h11 H22 z -
-    2 h12 H12 z + R z, with the Hessian operators of StencilOps._hessian
-    and the interpolation rows StencilOps._R. Nothing is assembled."""
+    2 h12 H12 z, with the Hessian operators of StencilOps._hessian.
+    Nothing is assembled."""
     (H11, H22, H12), _ = ops._hessian
-    R, c12 = ops._R, -2.0 * h12
-    return lambda z: (h22 * (H11 @ z) + h11 * (H22 @ z) + c12 * (H12 @ z)
-                      + R @ z)
+    c12 = -2.0 * h12
+    return lambda z: h22 * (H11 @ z) + h11 * (H22 @ z) + c12 * (H12 @ z)
 
 
 def _gmres(J, b: np.ndarray, precond, rtol: float, restart, cycles):
@@ -801,13 +779,16 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
     F may be a ScalarField, an array, a scalar, or a callable; phi may be a
     BoundaryTrace, a scalar, a callable, or None for zero data. From the
     guess of poisson_init, Newton aims at the residual NEWTON_TOL * max F
-    in the max norm within NEWTON_MAX_ITER steps. Each step is a GMRES
-    solve from zero, right-preconditioned by the grid's factored Laplacian
-    and stopped at ||b - J x||_2 <= eta ||b||_2 with the safeguarded
-    forcing term eta = min(0.1, max(0.1 max|res|, target / (2 ||res||_2))),
-    so that no step solves below half the target; J is applied without a
-    matrix (_jacobian). The step is damped by backtracking and rejected if
-    any interior Hessian loses positivity. Running out of damping raises
+    on every row, or at the row's rounding floor where that is higher
+    (_row_targets, formed once from the guess), within NEWTON_MAX_ITER
+    steps; the line search and the stopping rule read max_i |res_i| /
+    tol_i. Each step is a GMRES solve from zero, right-preconditioned by
+    the grid's factored Laplacian and stopped at ||b - J x||_2 <= eta
+    ||b||_2 with the safeguarded forcing term eta = min(0.1, max(0.1
+    max|res|, target / (2 ||res||_2))), target the smallest tol_i, so that
+    no step solves below half of it; J is applied without a matrix
+    (_jacobian). The step is damped by backtracking and rejected if any
+    interior Hessian loses positivity. Running out of damping raises
     NewtonFailure with the iteration log, naming whether convexity or
     descent gave out and any GMRES miss of eta with its iteration count.
     """
@@ -818,15 +799,16 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
 
     U, warm = poisson_init(grid, Fv, phi)
     lap = ops._laplacian
-    Ftarget = NEWTON_TOL * float(np.max(np.abs(Fvec)))
     (h11, h22, h12), res, rnorm, lam_min = _state(ops, U, phic, Fvec)
+    tol = _row_targets(ops, U, (h11, h22, h12), Fvec)
+    target, merit = float(np.min(tol)), float(np.max(np.abs(res) / tol))
     log = [(0, rnorm, 1.0, lam_min, warm)]
 
     for it in range(1, NEWTON_MAX_ITER + 1):
-        if rnorm <= Ftarget:
+        if merit <= 1.0:
             break
-        # no step drives its linear residual below half the Newton target
-        eta = min(0.1, max(0.1 * rnorm, 0.5 * Ftarget / np.linalg.norm(res)))
+        # no step drives its linear residual below half the least target
+        eta = min(0.1, max(0.1 * rnorm, 0.5 * target / np.linalg.norm(res)))
         step, iters, met = _gmres(_jacobian(ops, h11, h22, h12), -res,
                                   lap.solve, eta, KRYLOV_RESTART,
                                   KRYLOV_CYCLES)
@@ -834,7 +816,8 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
         while True:
             Ut = U + lam * step
             ht, rt, rn, le = _state(ops, Ut, phic, Fvec)
-            if le > 0.0 and rn <= (1.0 - 1e-4 * lam) * rnorm:
+            mt = float(np.max(np.abs(rt) / tol))
+            if le > 0.0 and mt <= (1.0 - 1e-4 * lam) * merit:
                 break
             lam *= 0.5
             if lam < DAMPING_MIN:
@@ -846,7 +829,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
                 raise NewtonFailure(
                     f"damping exhausted at iteration {it}: {lost}{miss}; "
                     f"residual {rnorm:.3e}", log)
-        U, (h11, h22, h12), res, rnorm, lam_min = Ut, ht, rt, rn, le
+        U, (h11, h22, h12), res, rnorm, merit, lam_min = Ut, ht, rt, rn, mt, le
         log.append((it, rnorm, lam, lam_min, iters))
     else:
         raise NewtonFailure(
@@ -855,7 +838,7 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
 
     detH = h11 * h22 - h12 ** 2
     convex = (lam_min > 0.0
-              and float(np.min(detH[ops.pde])) >= 0.5 * float(np.min(Fvec)))
+              and float(np.min(detH)) >= 0.5 * float(np.min(Fvec)))
     return MASolution(
         u=ScalarField(ops.scatter(U), grid), F=ScalarField(Fv.copy(), grid),
         phi=BoundaryTrace(ring_values(grid, phi), grid), log=log,

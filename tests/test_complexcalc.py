@@ -9,6 +9,7 @@ from malab.complexcalc import (
     deriv, oscillatory_dbar_inv, periodic_fd4, smooth_cutoff,
     spectral_deriv, spectral_dz, spectral_dzb,
 )
+from malab import geomkit
 from malab.geomkit import DiffeoField, _beltrami_map, invert_diffeo
 from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
 
@@ -222,14 +223,16 @@ def test_kernel_cache_keeps_what_one_call_reads():
     _kernel_hat(g, *_box_layout(g, 1))
     assert _kernel_hat.cache_info().misses == info.misses + 1
     # a Beltrami map reads the window-to-box Beurling and Cauchy kernels
-    # from the cache and builds its loop's kernel outside it, so a second
-    # map on the box builds no cached kernel, and the two it reads are
-    # the ones cached
+    # from the cache and its loop's kernel from a cache of its own, so a
+    # second map on the box builds no kernel, and the two it reads from
+    # this cache are the ones cached
     c11 = 1.0 + 0.2 * np.exp(-(X * X + Y * Y))
     _beltrami_map(c11, np.zeros_like(X), np.ones_like(X), g)
     misses = _kernel_hat.cache_info().misses
+    loop = geomkit._beltrami_kernel.cache_info()
     _beltrami_map(c11, 0.1 * X * Y * np.exp(-(X * X + Y * Y)),
                   np.ones_like(X), g)
+    assert geomkit._beltrami_kernel.cache_info().misses == loop.misses
     for power in (1, 2):
         _kernel_hat(g, *_box_layout(g, power))
     assert _kernel_hat.cache_info().misses == misses

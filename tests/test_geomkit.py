@@ -906,23 +906,29 @@ def test_isothermal_quartic_corners():
 
 
 @settings(max_examples=4)
-@given(s=st.floats(20.0, 200.0))
-@example(s=200.0)
+@given(s=st.floats(20.0, 250.0))
+@example(s=160.0)
+@example(s=250.0)
 def test_isothermal_up_to_the_beltrami_margin(s):
-    # max |mu_B| runs from 0.69 to 0.89 on the 128 box (from 0.9 on the
-    # metric is refused before any FFT): the Beltrami solve returns within
-    # its Krylov budget (90 iterations at s = 200), and the chart either
-    # comes out, conformal to CONFORMAL_TOL of the metric scale, or the
-    # chord inversion stalls, as it does from s = 160 (0.875), and says so
+    # max |mu_B| runs from 0.69 to about 0.89 on the 128 box (from 0.9 on
+    # the metric is refused before any FFT): the Beltrami solve returns
+    # within its Krylov budget (90 iterations at s = 200), and the chart
+    # comes out, conformal to CONFORMAL_TOL of the metric scale. The chord
+    # inversion once stalled from s = 160 (0.875), where its first step,
+    # the chord matrix at p, moved nodes by 3.3 on a displacement scale of
+    # 1; now a node it would move past max|d| takes the plain fixed point
+    # instead. As in
+    # test_isothermal_quartic_corners, the chart is second order, so
+    # halving the cell divides the relative defect at least by 4: measured
+    # 6.5 at s = 160 and at s = 250 (1.2e-3 -> 1.9e-4, 1.5e-3 -> 2.2e-4)
     grid = box()
     g = quartic_metric(grid, s)
     assert isinstance(_w_map(g), DiffeoField)
-    try:
-        chi, _ = isothermal(g)
-    except GridError as exc:
-        assert str(exc).startswith("inversion stalled at step size")
-    else:
-        assert _chart_defect(g, chi) <= CONFORMAL_TOL * _scale(g)
+    chi, _ = isothermal(g)
+    coarse = _chart_defect(g, chi) / _scale(g)
+    assert coarse <= CONFORMAL_TOL
+    if s in (160.0, 250.0):
+        assert _relative_core_defect(box(n=256), s) <= coarse / 4.0
 
 
 def test_beltrami_solve_names_its_miss(monkeypatch):
