@@ -12,7 +12,12 @@ module of malab imports and no benchmark workload in perfbench/ uses;
 on a public method or property that no step names and no code in src/
 or perfbench/ reads; on a dataclass field that nothing reads; and on a
 keyword default that no caller sets (a refused test call sets nothing):
-a fixed choice is a module constant, named at its step.
+a fixed choice is a module constant, named at its step. It also fails
+on a step of 1-7 without an Orders: line naming a test that measures
+the step's order at three or more n, h or s, but for the steps on its
+waiting list (2 and 7), and on a module of malab other than grid that
+checks a field's finiteness (np.isfinite) or grid (!=) by hand instead
+of through grid's input guards.
 
 1. The Monge-Ampere DN map phi -> d_nu u, with det D^2 u = F, u = phi.
    Realized by dnmap.dn_full over maforward.solve_ma: damped Newton on
@@ -50,8 +55,8 @@ a fixed choice is a module constant, named at its step.
    slopes, at the data steps linearize.EPS1 and linearize.EPS2).
    Tests: test_dnmap.py::test_dn_full_derivative_quadratic_remainder,
    test_linearize.py::test_divergence_form_identity_deep,
-   test_linearize.py::test_eps_consistency_quartic_base,
    test_dnmap.py::test_dn_lin_steklov_diagonal.
+   Orders: test_linearize.py::test_eps_consistency_quartic_base.
 5. The conformal class of g, without diffeomorphism invariance.
    Realized by geomkit.isothermal (the isothermal chart, conformal to
    geomkit.CONFORMAL_TOL over the core disk; step 1's GMRES solves its
@@ -77,9 +82,9 @@ a fixed choice is a module constant, named at its step.
    test_geomkit.py::test_invert_takes_at_most_seven_loop_blocks,
    test_grid.py::test_cubic_block_samples_the_eager_formula_bitwise,
    test_grid.py::test_cubic_block_holds_at_most_96_bytes_a_point,
-   test_complexcalc.py::test_beurling_transform_is_second_order,
    test_geomkit.py::test_rigidity_returns_identity,
    test_geomkit.py::test_transform_check_generic_triple.
+   Orders: test_complexcalc.py::test_beurling_transform_is_second_order.
 6. The CGO asymptotics of -lap v + X . grad v + q v = 0.
    Realized by cgo.build_cgo_holo, cgo.build_cgo_antiholo and
    cgo.build_cgo_adjoint (each a cgo.CGOBundle of series depth
@@ -94,10 +99,10 @@ a fixed choice is a module constant, named at its step.
    remainder), cgo.factorization_check (the gauge factorization on a
    fixed probe) and cgo.cz_diagnostic (the Calderon-Zygmund bound,
    weighted by h^(1/2 - cgo.CZ_EPS)).
-   Tests: test_cgo.py::test_remainder_expansion_slopes,
-   test_cgo.py::test_factorization_residual_random_drifts,
+   Tests: test_cgo.py::test_factorization_residual_random_drifts,
    test_cgo.py::test_cz_diagnostic_bounded_on_sweep,
    test_cgo.py::test_bundle_residuals_small.
+   Orders: test_cgo.py::test_remainder_expansion_slopes.
 7. The nonlocal dbar equation. Its inputs are the second linearization
    linearize.second_solve and the adjoint solve linearize.adjoint_solve,
    and grid.quadrature integrates their pairing; no code forms the

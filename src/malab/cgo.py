@@ -53,12 +53,13 @@ import numpy as np
 # shares; oscillatory_dbar_inv stays importable here as the public form of
 # that inverse (CGOBundle.r is -oscillatory_dbar_inv(V' s) bit for bit),
 # and perfbench traces it here
-from .complexcalc import (_fd4, _OscPlan, _OscWindows, _require_finite,
-                          _support_guard, _wirtinger, _wirtinger_symbol,
-                          oscillatory_dbar_inv, periodic_fd4, spectral_deriv,
-                          spectral_dz, spectral_dzb)
+from .complexcalc import (_fd4, _OscPlan, _OscWindows, _support_guard,
+                          _wirtinger, _wirtinger_symbol, oscillatory_dbar_inv,
+                          periodic_fd4, spectral_deriv, spectral_dz,
+                          spectral_dzb)
 from .grid import (ComplexField, GridError, PaddedGrid, VectorField,
-                   _require_count, _require_grid, _require_positive)
+                   _on_lattice, _require_count, _require_finite,
+                   _require_grid, _require_positive, _require_same_grid)
 
 DEPTH_DEFAULT = 6                       # series truncation depth
 CZ_EPS = 0.1                            # cz_diagnostic weighs by h^(1/2 - CZ_EPS)
@@ -103,13 +104,11 @@ def _disk_fd4(grid: PaddedGrid) -> tuple:
 def _require_terms(grid: PaddedGrid, X: VectorField, q) -> np.ndarray:
     """q as an array, once X is checked to live on grid and q to be a
     finite scalar or box field."""
-    if X.grid != grid:
-        raise GridError("drift lives on a different grid")
+    _require_same_grid(grid, "drift", X)
     qv = np.asarray(q)
     if qv.ndim:
-        _require_finite(qv, grid, "q")
-    elif not np.isfinite(qv):
-        raise GridError("q: non-finite values")
+        _on_lattice(qv, grid, "q")
+    _require_finite("q", qv)
     return qv
 
 
@@ -136,8 +135,7 @@ def gauge(X: VectorField) -> tuple[ComplexField, ComplexField, ComplexField]:
 def _gauge_source(X: VectorField) -> np.ndarray:
     """The source (i/4)(X1 + i X2) of gauge, after the drift's guards."""
     grid = _require_grid(X.grid, PaddedGrid, "gauge")
-    for c in (X.c1, X.c2):
-        _require_finite(c, grid, "gauge")
+    _require_finite("drift", X.c1, X.c2)
     src = 0.25j * (X.c1 + 1j * X.c2)
     _support_guard(src, grid, "gauge")
     return src
@@ -263,8 +261,7 @@ def phase_spec(coeffs, grid: PaddedGrid, center=0j) -> PhaseSpec:
     cs = tuple(complex(c) for c in coeffs)
     if not cs:
         raise GridError("phase needs at least one coefficient")
-    if not np.all(np.isfinite((*cs, complex(center)))):
-        raise GridError("phase: non-finite coefficient or center")
+    _require_finite("coefficient or center of the phase", *cs, center)
     w = grid.zz - complex(center)
     vals, dvals = np.zeros_like(w), np.zeros_like(w)
     dcs = tuple(k * cs[k] for k in range(1, len(cs)))
@@ -275,8 +272,7 @@ def phase_spec(coeffs, grid: PaddedGrid, center=0j) -> PhaseSpec:
                 np.multiply(p, w, out=p)
                 p += c
     del w
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
-        raise GridError("phase: values overflow on the box")
+    _require_finite("phase: its values overflow on the box", vals, dvals)
     if not dcs or all(c == 0 for c in dcs):
         has_cp = True                    # derivative vanishes identically
     else:
@@ -388,13 +384,13 @@ def _eval_amplitude(amplitude, grid: PaddedGrid) -> np.ndarray:
     its value, not a box array."""
     if amplitude is None or isinstance(amplitude, numbers.Number):
         const = complex(1.0 if amplitude is None else amplitude)
-        return _require_finite(np.broadcast_to(const, (grid.n, grid.n)),
-                               grid, "amplitude")
+        _require_finite("amplitude", const)
+        return np.broadcast_to(const, (grid.n, grid.n))
     if not callable(amplitude):
         raise GridError("amplitude must be a callable of z or a number, "
                         f"not a {type(amplitude).__name__}")
-    vals = _require_finite(np.asarray(amplitude(grid.zz), dtype=complex),
-                           grid, "amplitude")
+    vals = _on_lattice(amplitude(grid.zz), grid, "amplitude", complex)
+    _require_finite("amplitude", vals)
     # interior holomorphy check by local differences (exact on polynomials
     # through degree 4, seam rows excluded)
     dzb = 0.5 * (periodic_fd4(vals, grid, 0, 1)
@@ -423,7 +419,8 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     _require_positive("h", h)
     grid = _require_grid(X.grid, PaddedGrid, "drift_residual")
     qv = _require_terms(grid, X, q)
-    vals = _require_finite(vals, grid, "drift_residual")
+    vals = _on_lattice(vals, grid, "drift_residual")
+    _require_finite("candidate of drift_residual", vals)
     box, mask, grown, fd4 = _disk_fd4(grid)
     v = vals[grown]
     c1, c2 = X.c1[grown], X.c2[grown]

@@ -56,7 +56,8 @@ import numbers
 import numpy as np
 
 from .grid import (ComplexField, DomainGrid, GridError, PaddedGrid,
-                   _require_grid, _require_positive)
+                   _on_lattice, _real, _require_finite, _require_grid,
+                   _require_positive)
 
 # lattice nodes per local wavelength pi h / |grad psi| of exp(-2i psi / h)
 # that the oscillatory inverses' resolution guard demands
@@ -97,9 +98,12 @@ def spectral_deriv(vals: np.ndarray, grid: PaddedGrid, o1: int, o2: int) -> np.n
     box.
 
     The unbalanced Nyquist mode is zeroed for odd derivative orders.
+    Values that are not a finite (n, n) field of the box are a GridError.
     """
     _require_order(o1, o2)
     k1, k2 = _wavenumbers(grid, o1 % 2, o2 % 2)
+    _require_finite("input of spectral_deriv",
+                    _on_lattice(vals, grid, "spectral_deriv"))
     mult = (1j * k1) ** o1 * (1j * k2) ** o2
     return np.fft.ifft2(mult * np.fft.fft2(vals))
 
@@ -194,12 +198,14 @@ def _masked_stencil(vals: np.ndarray, grid: DomainGrid, axis: int,
     m = grid.mask
     e = (1, 0) if axis == 0 else (0, 1)
     sh = lambda k: _shift(vals, k * e[0], k * e[1])
-    out = np.full(vals.shape, np.nan, dtype=np.result_type(vals, float))
+    out = np.zeros(vals.shape, dtype=np.result_type(vals, float))
+    fitted = np.zeros(m.shape, dtype=bool)
     for offsets, formula in stencils:
         fits = np.logical_and.reduce([_shift(m, k * e[0], k * e[1])
                                       for k in offsets])
         out = np.where(fits, formula(sh, grid.dx), out)
-    bad = m & ~np.isfinite(out if np.isrealobj(out) else out.real)
+        fitted |= fits
+    bad = m & ~fitted
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise GridError(f"no difference stencil fits at node ({i}, {j})")
@@ -212,13 +218,16 @@ def deriv(vals: np.ndarray, grid, o1: int, o2: int) -> np.ndarray:
     Spectral on a padded box, masked differences on a domain; real on both
     for real input (on a box, the real part of the spectral derivative).
     A mixed derivative on a domain is d/dx1 of d/dx2, so every leg stays
-    inside the mask.
+    inside the mask. Values that are not an (n, n) field of the grid,
+    finite on the box or on the domain's mask, are a GridError.
     """
     _require_order(o1, o2)
     if isinstance(grid, PaddedGrid):
         out = spectral_deriv(vals, grid, o1, o2)
         return out if np.iscomplexobj(vals) else out.real
     if isinstance(grid, DomainGrid):
+        vals = _on_lattice(vals, grid, "deriv")
+        _require_finite("input of deriv", vals, where=grid.mask)
         if o1 and o2:
             return deriv(deriv(vals, grid, 0, 1), grid, 1, 0)
         return _masked_stencil(vals, grid, 0 if o1 else 1,
@@ -228,16 +237,6 @@ def deriv(vals: np.ndarray, grid, o1: int, o2: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Cauchy transforms
-
-
-def _require_finite(vals, grid: PaddedGrid, what: str) -> np.ndarray:
-    """vals as an (n, n) array of the box, or a GridError naming the fault."""
-    vals = np.asarray(vals)
-    if vals.shape != (grid.n, grid.n):
-        raise GridError(f"{what}: shape {vals.shape} != grid {(grid.n, grid.n)}")
-    if not np.all(np.isfinite(vals)):
-        raise GridError(f"{what}: non-finite values")
-    return vals
 
 
 def _support_guard(vals: np.ndarray, grid: PaddedGrid, what: str):
@@ -359,7 +358,8 @@ def cauchy_inverse(omega: ComplexField) -> ComplexField:
     transforms of length N (N = 216 on the half = 4, n = 128 box).
     """
     grid = _require_grid(omega.grid, PaddedGrid, "cauchy_inverse")
-    vals = _require_finite(omega.values, grid, "cauchy_inverse")
+    vals = _on_lattice(omega.values, grid, "cauchy_inverse")
+    _require_finite("input of cauchy_inverse", vals)
     _support_guard(vals, grid, "cauchy_inverse")
     at = grid.data_window
     return ComplexField(_window_to_box(vals[at, at], grid, 1), grid)
@@ -375,9 +375,9 @@ def smooth_cutoff(grid: PaddedGrid, r_inner: float, r_outer: float) -> np.ndarra
     """C^2 radial bump: 1 inside r_inner, 0 outside r_outer (quintic step).
     Radii that are not finite reals with r_outer > r_inner are a
     GridError."""
-    radii = (r_inner, r_outer)
-    if not (all(isinstance(r, numbers.Real) and np.isfinite(r) for r in radii)
-            and r_outer > r_inner):
+    if not (isinstance(r_inner, numbers.Real)
+            and isinstance(r_outer, numbers.Real)
+            and -np.inf < r_inner < r_outer < np.inf):
         raise GridError("cutoff radii must be finite with r_outer > r_inner, "
                         f"got r_inner={r_inner!r}, r_outer={r_outer!r}")
     return _radial_step(grid.x, r_inner, r_outer)
@@ -402,20 +402,19 @@ class _OscWindows:
     and two kernel FFTs: one from the input window to the core window,
     and one from the core window to itself.  The constructor runs the psi
     (finite, real) checks.  psi on the input window is a view of the
-    caller's array; every other array is the windows' own.  Only the
-    finite check reads the whole box: E, |grad psi| and the core mask are
-    computed on the windows, from the 1-D axis, with the full-box values
-    bit for bit.  embed puts a core-window array on the box.  On any box
+    caller's array (of its float64 copy for another real dtype); every
+    other array is the windows' own.  Only the finite check reads the
+    whole box: E, |grad psi| and the core mask are computed on the
+    windows, from the 1-D axis, with the full-box values bit for bit.  embed puts a core-window array on the box.  On any box
     rc = n dx / 6 > 2 dx: the core disk holds a node, and the input window
     grown by one node lies inside the box, whose nodes run from -half to
     half - dx.
     """
 
     def __init__(self, grid: PaddedGrid, psi):
-        psi_vals = _require_finite(psi.values if hasattr(psi, "values") else psi,
-                                   grid, "psi")
-        if psi_vals.dtype.kind not in "biuf":
-            raise GridError(f"psi must be real, got {psi_vals.dtype} values")
+        psi_vals = _on_lattice(
+            _real(psi.values if hasattr(psi, "values") else psi), grid, "psi")
+        _require_finite("psi", psi_vals)
         rc = grid.core_radius
         self.out, self.core = grid.core_window(rc)
         at = grid.data_window
@@ -488,14 +487,14 @@ class _OscPlan:
         """restrict(cauchy_inverse(exp(-2i psi/h) E vals)) on the core
         window, for a full-box vals checked finite on the whole box."""
         ws = self.windows
-        vals = _require_finite(vals, ws.grid, "oscillatory_dbar_inv")
+        vals = _on_lattice(vals, ws.grid, "oscillatory_dbar_inv")
+        _require_finite("input of oscillatory_dbar_inv", vals)
         return self.apply_window(vals[ws.inp])
 
     def apply_window(self, win: np.ndarray) -> np.ndarray:
         """apply for a field on the input window, checked finite there:
         the weight vanishes outside it."""
-        if not np.all(np.isfinite(win)):
-            raise GridError("oscillatory_dbar_inv: non-finite values")
+        _require_finite("input of oscillatory_dbar_inv", win)
         ws = self.windows
         w = self.weight * win
         if w[ws.frame].any():
@@ -504,8 +503,7 @@ class _OscPlan:
 
     def apply_core(self, win: np.ndarray) -> np.ndarray:
         """apply for an input that lives on the core window too."""
-        if not np.all(np.isfinite(win)):
-            raise GridError("oscillatory_dbar_inv: non-finite values")
+        _require_finite("input of oscillatory_dbar_inv", win)
         ws = self.windows
         return self._convolve(self.weight_inner * win, ws.khat_inner)
 

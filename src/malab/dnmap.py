@@ -22,8 +22,8 @@ import numpy as np
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
                    _ray_fit, _require_count, _require_grid,
-                   _require_positive, _ring_eval, _ring_modes,
-                   normal_derivative, tangential_derivative)
+                   _require_positive, _require_same_grid, _ring_eval,
+                   _ring_modes, normal_derivative, tangential_derivative)
 from .linearize import (SOLVE_RTOL, _metric_solver, metric_from_solution,
                         nondiv_solve)
 from .maforward import ring_values, solve_ma
@@ -236,8 +236,7 @@ def recover_boundary_third(dnu_F, second) -> BoundaryTrace:
     three traces share (traces from two grids are a GridError).
     """
     grid = second[0].grid
-    if any(t.grid != grid for t in second[1:]):
-        raise GridError("second-order trace lives on a different grid")
+    _require_same_grid(grid, "second-order trace", *second[1:])
     utt = np.asarray(second[0].values, dtype=float)
     utn = np.asarray(second[1].values, dtype=float)
     unn = np.asarray(second[2].values, dtype=float)

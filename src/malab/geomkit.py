@@ -46,7 +46,8 @@ from .complexcalc import (_cauchy_conv, _fft_size, _kernel_hat,
                           deriv)
 from .grid import (ComplexField, DomainGrid, GridError, MetricField,
                    PaddedGrid, ScalarField, VectorField, _CubicBlock,
-                   _require_grid, _require_metric, lattice_values)
+                   _on_lattice, _require_finite, _require_grid,
+                   _require_metric, _require_same_grid, lattice_values)
 from .linearize import divergence_form_apply, nondiv_solve_many
 from .maforward import _gmres
 
@@ -90,19 +91,14 @@ class DiffeoField:
     """
 
     def __init__(self, d1, d2, grid, jac=None):
-        self.d1 = np.asarray(d1, dtype=float)
-        self.d2 = np.asarray(d2, dtype=float)
-        expect = (grid.n, grid.n)
-        if self.d1.shape != expect or self.d2.shape != expect:
-            raise GridError(f"displacement shape does not match grid {expect}")
-        if not (np.all(np.isfinite(self.d1)) and np.all(np.isfinite(self.d2))):
-            raise GridError("displacement contains non-finite values")
+        self.d1, self.d2 = (_on_lattice(d, grid, "displacement", float)
+                            for d in (d1, d2))
+        _require_finite("displacement", self.d1, self.d2)
         self.grid = grid
         self._jac = None if jac is None else tuple(
-            np.broadcast_to(np.asarray(a, dtype=float), expect) for a in jac)
-        if self._jac is not None and not all(np.all(np.isfinite(a))
-                                             for a in self._jac):
-            raise GridError("attached Jacobian contains non-finite values")
+            np.broadcast_to(np.asarray(a, dtype=float), (grid.n, grid.n))
+            for a in jac)
+        _require_finite("attached Jacobian", *(self._jac or ()))
 
     @classmethod
     def identity(cls, grid) -> "DiffeoField":
@@ -166,8 +162,7 @@ def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
     S is copied there (an invert_diffeo chart fixes its whole margin).
     """
     _check_reach(J)
-    if g.grid != J.grid:
-        raise GridError("map and metric live on different grids")
+    _require_same_grid(J.grid, "metric", g)
     _require_metric(g, definite=False)
     t = np.stack([g.g11, g.g12, g.g22])
     moved = np.flatnonzero((J.d1 != 0.0) | (J.d2 != 0.0))
@@ -313,14 +308,11 @@ def transform_solution_check(g2: MetricField, X2: VectorField, J: DiffeoField,
     interpolation error from the transported field only.
     """
     grid = _require_grid(g2.grid, DomainGrid, "transform_solution_check")
-    if J.grid != grid or v2.grid != grid:
-        raise GridError("inputs live on different grids")
+    _require_same_grid(grid, "map, drift or solution", J, X2, v2)
     cv = lattice_values(c, grid)
-    for name, vals in (("solution v2", (v2.values,)),
-                       ("drift X2", (X2.c1, X2.c2)),
-                       ("conformal factor c", (cv,))):
-        if not all(np.all(np.isfinite(a[grid.mask])) for a in vals):
-            raise GridError(f"{name} has non-finite values on the domain")
+    _require_finite("solution v2", v2.values, where=grid.mask)
+    _require_finite("drift X2", X2.c1, X2.c2, where=grid.mask)
+    _require_finite("conformal factor c", cv, where=grid.mask)
     if np.min(cv[grid.mask]) <= 0.0:
         raise GridError("conformal factor must be positive")
     p1, p2 = J.points()

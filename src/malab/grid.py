@@ -6,7 +6,9 @@ its geometry comes from the inverse map (x, y) -> (x/a, y/b): the level
 function C = (x/a)^2 + (y/b)^2 - 1, the ring's parameter angle, and the
 exact cell coverage, which is the unit disk's. C < -_ON_CURVE is the only
 test for "inside": it defines the lattice mask, and the stencil ray cut
-is the root of the same C along the ray.
+is the root of the same C along the ray, clipped to the step: a
+neighbour outside the mask but within _ON_CURVE of the curve is its own
+crossing.
 
 The domain is discretized on a regular square lattice covering its
 bounding box. The mask nodes carry unknowns; the boundary is a separate
@@ -41,9 +43,9 @@ spectrum and _ring_eval its interpolant.
 
 Two grids are equal when they are the same lattice: domains with the same
 (a, b, n), boxes with the same (half, n). Every check that a field, trace
-or map lives on a grid is a != test, and the caches keyed by a grid
-(the stencil operators, the Cauchy kernels) hit for an equal grid built
-twice.
+or map lives on a grid is _require_same_grid's != test, and the caches
+keyed by a grid (the stencil operators, the Cauchy kernels) hit for an
+equal grid built twice.
 
 Everything here is immutable after construction (a domain grid's arrays
 are read-only) and safe to share across threads.
@@ -63,7 +65,16 @@ class GridError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# input guards: one per kind of input, each a GridError naming the input
+# input guards: one per kind of input, each a GridError naming the input,
+# run by every module of malab before any work. _require_grid checks a
+# grid's kind, _require_positive a positive scalar, _require_count an
+# integer count and _require_metric a metric. The field guards:
+# _require_finite, scalars or arrays finite, on a region such as the mask
+# where given ("non-finite {what}"); _on_lattice, an array of the
+# lattice's (n, n) shape ("{what}: shape ... != grid ..."); and
+# _require_same_grid, fields on the caller's grid or an equal one ("{what}
+# on a different grid"). No module but this one calls np.isfinite or
+# compares a field's grid by hand (tests/test_packaging.py scans for both)
 
 
 def _require_grid(grid, kind: type, what: str):
@@ -94,12 +105,36 @@ def _require_count(name: str, value, least: int = 0) -> None:
         raise GridError(f"{name} must be {bound}, got {name}={value!r}")
 
 
-def _require_metric(g, where=slice(None), definite: bool = True):
+def _require_finite(what: str, *values, where=...) -> None:
+    """GridError "non-finite {what}" unless every one of values, a scalar
+    or an array, is finite on where (an index of the arrays, the domain's
+    mask say; all of each by default)."""
+    if not all(np.all(np.isfinite(np.asarray(v)[where])) for v in values):
+        raise GridError(f"non-finite {what}")
+
+
+def _on_lattice(values, grid, what: str, dtype=None) -> np.ndarray:
+    """values as an (n, n) lattice array of grid, or the GridError
+    "{what}: shape {shape} != grid {(n, n)}"."""
+    values = np.asarray(values, dtype=dtype)
+    expect = (grid.n, grid.n)
+    if values.shape != expect:
+        raise GridError(f"{what}: shape {values.shape} != grid {expect}")
+    return values
+
+
+def _require_same_grid(grid, what: str, *fields) -> None:
+    """GridError "{what} on a different grid" unless every one of fields
+    lives on grid or an equal one (the same lattice)."""
+    if any(f.grid != grid for f in fields):
+        raise GridError(f"{what} on a different grid")
+
+
+def _require_metric(g, where=..., definite: bool = True):
     """g's determinant, or a GridError unless g's entries are finite on
     where and it is positive definite there; with definite False, the
     finite check alone, and None."""
-    if not all(np.all(np.isfinite(c[where])) for c in (g.g11, g.g12, g.g22)):
-        raise GridError("metric has non-finite entries")
+    _require_finite("metric", g.g11, g.g12, g.g22, where=where)
     if not definite:
         return None
     det = g.det()
@@ -189,8 +224,10 @@ class DomainGrid:
         Vectorized; p must be in the mask. The crossing is the root of the
         mask's own level function along the ray, so a mask node always
         gets a cut, and a positive one: a point on the curve to rounding
-        (C = -1e-16) reads 0, but the mask keeps C < -_ON_CURVE. Returns
-        +inf where p + v is still inside.
+        (C = -1e-16) reads 0, but the mask keeps C < -_ON_CURVE. The cut
+        is clipped to [0, 1], so where p + v is outside the mask but
+        inside the curve (-_ON_CURVE <= C < 0 there), p + v is its own
+        crossing: the rule the mask applies to nodes.
         """
         sx, sy = px / self.a, py / self.b
         wx, wy = vx / self.a, vy / self.b
@@ -198,7 +235,7 @@ class DomainGrid:
         B = sx * wx + sy * wy
         C = self.level(px, py)
         t = (-B + np.sqrt(np.maximum(B * B - A * C, 0.0))) / A
-        return np.where(t <= 1.0 + 1e-12, np.clip(t, 0.0, 1.0), np.inf)
+        return np.clip(t, 0.0, 1.0)
 
     def inradius(self) -> float:
         return min(self.a, self.b)
@@ -431,15 +468,6 @@ def _real(values) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
-def _on_lattice(values, grid, dtype=None) -> np.ndarray:
-    """values as an (n, n) lattice array, or a GridError naming the shape."""
-    values = np.asarray(values, dtype=dtype)
-    expect = (grid.n, grid.n)
-    if values.shape != expect:
-        raise GridError(f"field shape {values.shape} != grid {expect}")
-    return values
-
-
 def lattice_values(value, grid) -> np.ndarray:
     """A lattice input as an (n, n) float array on grid.
 
@@ -449,8 +477,7 @@ def lattice_values(value, grid) -> np.ndarray:
     type, dtype, shape or grid.
     """
     if isinstance(value, ScalarField):
-        if value.grid != grid:
-            raise GridError("field lives on a different grid")
+        _require_same_grid(grid, "field", value)
         return value.values
     if callable(value):
         value = value(*grid.meshgrid())
@@ -460,14 +487,14 @@ def lattice_values(value, grid) -> np.ndarray:
     arr = _real(value)
     if arr.ndim == 0:
         return np.full((grid.n, grid.n), float(arr))
-    return _on_lattice(arr, grid)
+    return _on_lattice(arr, grid, "field")
 
 
 class ScalarField:
     """Real values on a DomainGrid lattice (or a PaddedGrid box)."""
 
     def __init__(self, values: np.ndarray, grid):
-        self.values = _on_lattice(_real(values), grid)
+        self.values = _on_lattice(_real(values), grid, "field")
         self.grid = grid
 
 
@@ -477,7 +504,7 @@ class ComplexField:
     domain."""
 
     def __init__(self, values: np.ndarray, grid):
-        self.values = _on_lattice(values, grid, complex)
+        self.values = _on_lattice(values, grid, "field", complex)
         self.grid = grid
 
 
@@ -492,7 +519,8 @@ class VectorField:
     def __post_init__(self):
         for name in ("c1", "c2"):
             object.__setattr__(self, name,
-                               _on_lattice(_real(getattr(self, name)), self.grid))
+                               _on_lattice(_real(getattr(self, name)),
+                                           self.grid, "field"))
 
 
 class BoundaryTrace:
@@ -504,8 +532,7 @@ class BoundaryTrace:
         ring = _require_grid(grid, DomainGrid, "a trace").boundary
         if values.shape != (len(ring),):
             raise GridError("trace length does not match boundary node count")
-        if not np.all(np.isfinite(values)):
-            raise GridError("boundary trace has non-finite values")
+        _require_finite("boundary trace", values)
         self.values = values
         self.grid = grid
 
@@ -514,7 +541,7 @@ class MetricField:
     """Symmetric 2x2 tensor field on a lattice (metric, inverse metric, ...)."""
 
     def __init__(self, g11, g12, g22, grid):
-        self.g11, self.g12, self.g22 = (_on_lattice(_real(c), grid)
+        self.g11, self.g12, self.g22 = (_on_lattice(_real(c), grid, "field")
                                         for c in (g11, g12, g22))
         self.grid = grid
 
@@ -734,7 +761,7 @@ def normal_derivative(f: ScalarField, anchor: BoundaryTrace | None = None) -> Bo
     extrapolation leg and tightens the constant.
     """
     grid = f.grid
-    if anchor is not None and anchor.grid != grid:
-        raise GridError("anchor trace belongs to a different grid")
+    if anchor is not None:
+        _require_same_grid(grid, "anchor trace", anchor)
     values = None if anchor is None else anchor.values
     return BoundaryTrace(_ray_fit(grid, f.values, values)[1], grid)

@@ -90,7 +90,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, ScalarField,
-                   _require_grid, _ring_eval, _ring_modes, lattice_values)
+                   _require_finite, _require_grid, _require_same_grid,
+                   _ring_eval, _ring_modes, lattice_values)
 
 
 # a box of the nested dissection holding at most this many lattice nodes
@@ -265,8 +266,7 @@ def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
     if data is None:
         return np.zeros_like(x)
     if isinstance(data, BoundaryTrace):
-        if data.grid != grid:
-            raise GridError("boundary trace lives on a different grid")
+        _require_same_grid(grid, "boundary trace", data)
         out = _ring_eval(_ring_modes(data.values), grid.param_angle(x, y))
     elif callable(data):
         val = np.asarray(data(x, y))
@@ -283,8 +283,7 @@ def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
         raise GridError(
             "boundary data must be None, a callable, a real scalar or a "
             f"BoundaryTrace, not {type(data).__name__}")
-    if not np.all(np.isfinite(out)):
-        raise GridError("boundary data has non-finite values")
+    _require_finite("boundary data", out)
     return out
 
 
@@ -476,15 +475,14 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
     di, dj = np.array(_DIRS).T[:, :, None]
 
     # per direction: the neighbor is inside, or the ray to it crosses the
-    # boundary at the fraction alpha of the step; (d, r) are np.nonzero's
+    # boundary at the fraction alpha of the step (1 for a neighbor outside
+    # the mask but inside the curve: DomainGrid.ray_cut); (d, r) are np.nonzero's
     # indices, from one flat pass (a fifth of the 2-D form's time), and
     # number the crossings direction by direction
     inside = _neighbors(mask, False, mask, _DIRS)
     alpha = np.ones((8, N))
     d, r = np.divmod(np.flatnonzero(~inside), N)
     alpha[d, r] = grid.ray_cut(X[r], Y[r], di[d, 0] * dx, dj[d, 0] * dx)
-    if not np.all(np.isfinite(alpha)):
-        raise GridError("exterior neighbor without boundary crossing")
     cross = np.zeros((8, N), dtype=np.int32)
     cross[d, r] = np.arange(len(r))
     qx = X[r] + alpha[d, r] * di[d, 0] * dx
@@ -606,8 +604,7 @@ def _source(F, grid: DomainGrid) -> tuple[np.ndarray, np.ndarray]:
     it is finite and > 0 on the domain."""
     Fv = lattice_values(F, grid)
     Fvec = Fv[grid.mask]
-    if not np.all(np.isfinite(Fvec)):
-        raise GridError("source has non-finite values on the domain")
+    _require_finite("source", Fvec)
     if np.min(Fvec) <= 0.0:
         raise GridError("source must be uniformly positive on the domain")
     return Fv, Fvec

@@ -1,4 +1,4 @@
-"""Two checks of the Monge-Ampere closure that are too slow for tier-1.
+"""Three checks of the Monge-Ampere closure that are too slow for tier-1.
 
     PYTHONPATH=src python tests/closure_sweep.py
 
@@ -9,6 +9,12 @@
    error bound of test_maforward.py::test_every_grid_that_constructs_solves.
    The only refusals allowed are n < 16 and the quadrature's orphan guard
    (a domain thinner than the lattice can hold).
+3. Ellipses with a node outside the mask but within grid._ON_CURVE of
+   the curve: for every node (i, j) of the lower-left quadrant at n = 64
+   and 96, a = 1 and the b in (0.5, 1) that puts its level at -5e-10
+   (1,266 grids); every tenth of them solves within the bound of check 2
+   (about 3 s). The rays to such a node cross the curve past it, and
+   their cut is clipped to 1 (DomainGrid.ray_cut).
 
 Prints one line per check and exits 1 on any NewtonFailure, any other
 refusal, or a missed bound.
@@ -36,6 +42,21 @@ def solve(g):
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), ustar, g)
     err = np.max(np.abs((sol.u.values - ustar(X, Y))[g.mask])) / g.dx ** 2
     return float(err), sol
+
+
+def near_curve_family() -> list:
+    """(n, b) of check 3: node (i, j) of the lower-left quadrant at level
+    -5e-10 on the ellipse (1, b)."""
+    out = []
+    for n in (64, 96):
+        x = np.linspace(-1.0, 1.0, n)
+        for i in range(n // 2):
+            for j in range(n // 2):
+                r = 1.0 - x[i] * x[i] - 5e-10
+                b = -x[j] / np.sqrt(r) if r > 0.0 else 0.0
+                if 0.5 < b < 1.0:
+                    out.append((n, float(b)))
+    return out
 
 
 def main() -> int:
@@ -75,6 +96,19 @@ def main() -> int:
             faults.append(f"{case}: err/dx^2 {err:.3g} above {bound:.3g}")
     print(f"200 ellipses: {solved} solved, {refused} refused, worst "
           f"err/bound {worst:.3f}")
+
+    family, worst = near_curve_family()[::10], 0.0
+    for n, b in family:
+        case = f"ellipse (1, {b!r}), n={n}"
+        try:
+            err, sol = solve(build_ellipse(1.0, b, n))
+        except (GridError, NewtonFailure) as exc:
+            faults.append(f"{case}: {exc}")
+            continue
+        worst = max(worst, err)
+        if not (sol.convex and err <= 1.0):
+            faults.append(f"{case}: err/dx^2 {err:.3g}")
+    print(f"{len(family)} near-curve ellipses: worst err/dx^2 {worst:.3f}")
     for fault in faults:
         print("FAULT", fault)
     return 1 if faults else 0

@@ -11,7 +11,8 @@ from malab.complexcalc import (
 )
 from malab import geomkit
 from malab.geomkit import DiffeoField, _beltrami_map, invert_diffeo
-from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
+from malab.grid import (ComplexField, GridError, PaddedGrid, build_disk,
+                        build_ellipse)
 
 
 def _data_window(g):
@@ -169,6 +170,26 @@ def test_deriv_of_real_input_is_real_on_both_lattices():
                 assert np.array_equal(deriv(f + 0j, g, *o),
                                       spectral_deriv(f, g, *o))
 
+
+def test_derivatives_refuse_a_non_finite_field_before_any_stencil():
+    # one NaN on a disk used to raise the misleading "no difference stencil
+    # fits at node (22, 24)", and on a box came back as an all-NaN field
+    disk, box = build_disk(1.0, 48), PaddedGrid(half=1.0, n=48)
+    f = np.zeros((48, 48))
+    f[24, 24] = np.nan
+    for o in ((1, 0), (0, 2), (1, 1)):
+        with pytest.raises(GridError, match="non-finite input of deriv"):
+            deriv(f, disk, *o)
+        for call in (deriv, spectral_deriv):
+            with pytest.raises(GridError,
+                               match="non-finite input of spectral_deriv"):
+                call(f, box, *o)
+    # on a domain only the mask is read, and a stencil that does not fit
+    # is a fault of the geometry alone
+    off = np.where(disk.mask, 0.0, np.nan)
+    assert np.array_equal(deriv(off, disk, 1, 0), np.zeros((48, 48)))
+    with pytest.raises(GridError, match="no difference stencil fits"):
+        deriv(np.zeros((64, 64)), build_ellipse(1.0, 0.05, 64), 0, 2)
 
 def test_spectral_derivatives_refuse_a_domain_grid():
     # they used to FFT the non-periodic domain lattice without a word
@@ -584,14 +605,14 @@ def test_cauchy_transforms_reject_bad_input():
     psi = np.zeros((g.n, g.n))
     bad = f.copy()
     bad[0, 0] = np.nan           # outside every window: still refused
-    with pytest.raises(GridError, match="cauchy_inverse: non-finite"):
+    with pytest.raises(GridError, match="non-finite input of cauchy_inverse"):
         cauchy_inverse(ComplexField(bad, g))
     osc = oscillatory_dbar_inv
     with pytest.raises(GridError, match="non-finite"):
         osc(ComplexField(bad, g), psi, 0.3)
     nan_psi = psi.copy()
     nan_psi[0, -1] = np.inf
-    with pytest.raises(GridError, match="psi: non-finite"):
+    with pytest.raises(GridError, match="non-finite psi"):
         osc(ComplexField(f, g), nan_psi, 0.3)
     with pytest.raises(GridError, match="psi: shape"):
         osc(ComplexField(f, g), np.zeros((g.n, g.n + 1)), 0.3)

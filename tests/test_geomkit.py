@@ -376,7 +376,7 @@ def test_pullback_rejects_a_metric_of_another_box():
     J = _compact_diffeo(grid)
     rng = np.random.default_rng(5)
     for other in (box(n=128), box(n=64, half=3.0)):
-        with pytest.raises(GridError, match="different grids"):
+        with pytest.raises(GridError, match="metric on a different grid"):
             pullback_metric(J, random_box_metric(rng, other))
     twin = box(n=64)
     g = random_box_metric(np.random.default_rng(6), grid)
@@ -392,7 +392,7 @@ def test_pullback_refuses_a_nonfinite_metric(monkeypatch):
     g11 = g.g11.copy()
     g11[20, 30] = np.nan
     monkeypatch.setattr(geomkit, "_CubicBlock", None)
-    with pytest.raises(GridError, match="metric has non-finite entries"):
+    with pytest.raises(GridError, match="non-finite metric"):
         pullback_metric(_compact_diffeo(grid),
                         MetricField(g11, g.g12, g.g22, grid))
 
@@ -403,10 +403,10 @@ def test_diffeo_rejects_nonfinite_input():
     d1 = 0.05 * np.exp(-(X ** 2 + Y ** 2))
     bad = d1.copy()
     bad[10, 20] = np.nan
-    with pytest.raises(GridError, match="displacement.*non-finite"):
+    with pytest.raises(GridError, match="non-finite displacement"):
         DiffeoField(bad, np.zeros_like(X), grid)
     one, zero = np.ones_like(X), np.zeros_like(X)
-    with pytest.raises(GridError, match="Jacobian.*non-finite"):
+    with pytest.raises(GridError, match="non-finite attached Jacobian"):
         DiffeoField(d1, zero, grid, jac=(one, zero, np.inf, one))
 
 
@@ -577,10 +577,10 @@ def test_transform_check_identity_matches_base():
                                     ScalarField(v.values, twin))
     assert same == rep
     other = build_disk(0.9, 64)
-    with pytest.raises(GridError, match="different grids"):
+    with pytest.raises(GridError, match="on a different grid"):
         transform_solution_check(g, drift_field(g),
                                  DiffeoField.identity(other), 1.0, v)
-    with pytest.raises(GridError, match="different grids"):
+    with pytest.raises(GridError, match="on a different grid"):
         transform_solution_check(g, drift_field(g), DiffeoField.identity(grid),
                                  1.0, ScalarField(v.values, other))
 
@@ -656,7 +656,7 @@ def test_transform_check_names_a_nonfinite_input(monkeypatch, bad, name):
               "X2": np.zeros((grid.n, grid.n)), "c": np.ones((grid.n, grid.n))}
     inputs[bad][20, 22] = np.nan
     monkeypatch.setattr(geomkit, "_CubicBlock", None)
-    with pytest.raises(GridError, match=f"{name} has non-finite values"):
+    with pytest.raises(GridError, match=f"non-finite {name}"):
         transform_solution_check(g, VectorField(inputs["X2"], inputs["X2"],
                                                 grid),
                                  DiffeoField.identity(grid), inputs["c"],
@@ -771,7 +771,7 @@ def test_isothermal_rejects_nonfinite_metric(monkeypatch):
     g11[20, 30] = np.nan
     g = MetricField(g11, np.zeros_like(X), np.ones_like(X), grid)
     monkeypatch.setattr(geomkit, "cauchy_inverse", None)
-    with pytest.raises(GridError, match="metric has non-finite entries"):
+    with pytest.raises(GridError, match="non-finite metric"):
         isothermal(g)
 
 

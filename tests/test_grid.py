@@ -6,7 +6,7 @@ import pytest
 
 from malab.grid import (
     BoundaryTrace, GridError, MetricField, PaddedGrid, ScalarField,
-    _adopt_orphans,
+    _ON_CURVE, _adopt_orphans,
     _coverage_weights, _CubicBlock, _lagrange4, _ray_fit, _ring_eval,
     _ring_modes, _snap,
     boundary_restrict, build_disk, build_ellipse, lattice_values,
@@ -538,14 +538,20 @@ _STENCIL_DIRS = [(1, 0), (-1, 0), (0, 1), (0, -1),
 ], ids=["unit-disk", "disk-0.95", "ellipse-1.3x0.8"])
 def test_every_mask_node_cuts_its_exterior_rays(build):
     # the mask and the ray cut read the same level function, so a mask node
-    # on the curve to rounding gets a cut of 0, not a miss
+    # (C < -_ON_CURVE) gets a positive cut, and its crossing is on the
+    # curve to rounding, or, where the cut is clipped to 1, the neighbour
+    # itself: outside the mask, and so within _ON_CURVE inside the curve
     for n in range(16, 301):
         g = build(n)
         ii, jj = np.nonzero(g.mask)
         for di, dj in _STENCIL_DIRS:
             out = ~g.mask[ii + di, jj + dj]
-            t = g.ray_cut(g.x1[ii[out]], g.x2[jj[out]], di * g.dx, dj * g.dx)
-            assert np.all((t >= 0.0) & (t <= 1.0)), (n, di, dj)
+            px, py = g.x1[ii[out]], g.x2[jj[out]]
+            t = g.ray_cut(px, py, di * g.dx, dj * g.dx)
+            assert np.all((t > 0.0) & (t <= 1.0)), (n, di, dj)
+            level = g.level(px + t * di * g.dx, py + t * dj * g.dx)
+            assert np.all(np.where(t < 1.0, np.abs(level), level) <= 1e-14)
+            assert np.all(level[t == 1.0] >= -_ON_CURVE), (n, di, dj)
 
 
 def test_lattice_values_accepts_the_documented_inputs():
