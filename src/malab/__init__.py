@@ -15,9 +15,12 @@ keyword default that no caller sets (a refused test call sets nothing):
 a fixed choice is a module constant, named at its step. It also fails
 on a step of 1-7 without an Orders: line naming a test that measures
 the step's order at three or more n, h or s, but for the steps on its
-waiting list (2 and 7), and on a module of malab other than grid that
+waiting list (2 and 7); on a module of malab other than grid that
 checks a field's finiteness (np.isfinite) or grid (!=) by hand instead
-of through grid's input guards.
+of through grid's input guards; and on an np.roll anywhere in malab or
+a constant-fill np.pad outside grid: every read of a domain lattice's
+neighbours goes through grid._shifted and grid._erode, which pad, so a
+step past the lattice's edge reads the fill, never a wrapped node.
 
 1. The Monge-Ampere DN map phi -> d_nu u, with det D^2 u = F, u = phi.
    Realized by dnmap.dn_full over maforward.solve_ma: damped Newton on
@@ -102,7 +105,8 @@ of through grid's input guards.
    Tests: test_cgo.py::test_factorization_residual_random_drifts,
    test_cgo.py::test_cz_diagnostic_bounded_on_sweep,
    test_cgo.py::test_bundle_residuals_small.
-   Orders: test_cgo.py::test_remainder_expansion_slopes.
+   Orders: test_cgo.py::test_remainder_expansion_slopes,
+   test_complexcalc.py::test_cauchy_transform_is_fourth_order.
 7. The nonlocal dbar equation. Its inputs are the second linearization
    linearize.second_solve and the adjoint solve linearize.adjoint_solve,
    and grid.quadrature integrates their pairing; no code forms the

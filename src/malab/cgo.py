@@ -176,7 +176,8 @@ def factor_potential(X: VectorField, q=0.0) -> ComplexField:
     conventional, opposite set leaves O(1)).
     """
     grid = _require_grid(X.grid, PaddedGrid, "factor_potential")
-    return ComplexField(_potential(X, q, (slice(None), slice(None))), grid)
+    return ComplexField(_potential(X, _require_terms(grid, X, q),
+                                   (slice(None), slice(None))), grid)
 
 
 def _potential(X: VectorField, q, at: tuple) -> np.ndarray:
@@ -205,10 +206,10 @@ def factorization_check(X: VectorField, q=0.0) -> float:
     sits at rounding level when the identity is exact.
     """
     grid = _require_grid(X.grid, PaddedGrid, "factorization_check")
+    qv = _require_terms(grid, X, q)
     XX, YY = grid.meshgrid()
     r2 = XX * XX + YY * YY
     fv = (np.exp(-r2 / 0.8) * (1.0 + 0.4 * XX - 0.3 * YY)).astype(complex)
-    qv = np.asarray(q)
 
     lhs = (-(spectral_deriv(fv, grid, 2, 0) + spectral_deriv(fv, grid, 0, 2))
            + X.c1 * spectral_deriv(fv, grid, 1, 0)
@@ -295,8 +296,10 @@ def series_weights(alpha: np.ndarray, X: VectorField, q=0.0
     V' = -exp(+2i Re alpha) is the unimodular return weight.
     """
     grid = _require_grid(X.grid, PaddedGrid, "series_weights")
+    qv = _require_terms(grid, X, q)
+    _require_finite("gauge field alpha", _on_lattice(alpha, grid, "alpha"))
     box = (slice(None), slice(None))
-    v, vp = _weights(alpha, X, q, box, box)
+    v, vp = _weights(alpha, X, qv, box, box)
     return ComplexField(v, grid), ComplexField(vp, grid)
 
 
@@ -334,6 +337,8 @@ def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
     """
     grid = _require_grid(f.grid, PaddedGrid, "neumann_T")
     _require_positive("h", h)
+    _require_same_grid(grid, "series weight V or V'", V, vp)
+    _require_finite("series weight V or V'", V.values, vp.values)
     plan = _OscPlan(_OscWindows(grid, psi), h)
     ws = plan.windows
     Vu = V.values[ws.out] * plan.apply(vp.values * f.values)
@@ -454,27 +459,22 @@ def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude,
 class _Setup:
     """The h-independent half of build_cgo_holo for one (box, psi, drift, q).
 
-    The gauge field alpha, after the drift's guards and the gauge factor's
-    lower-bound check, and G^-1 = exp(-i alpha); the _OscWindows of (box,
-    psi); and the series weights, V on the input window and
-    V' and V on the core window.  key holds copies of psi, X.c1, X.c2 and
-    q, which matches compares with a later call's by value.  Every array
-    it holds is read-only.
+    The gauge field alpha, after the drift's guards, and G^-1 = exp(-i
+    alpha); the _OscWindows of (box, psi); and the series weights, V on
+    the input window and V' and V on the core window.  key holds copies
+    of psi, X.c1, X.c2 and q, which matches compares with a later call's
+    by value.  Every array it holds is read-only.
 
     The box arrays: the key, alpha and G^-1, which is written into exp(i
-    alpha)'s array once the lower bound is checked.  The gauge's and dz's
-    FFT pairs run on the box, each written into its source array; E,
-    |grad psi|, |X|^2/4, q and the exponentials of V and V' run on the
-    windows.
+    alpha)'s array.  The gauge's and dz's FFT pairs run on the box, each
+    written into its source array; E, |grad psi|, |X|^2/4, q and the
+    exponentials of V and V' run on the windows.
     """
 
     def __init__(self, grid: PaddedGrid, psi, X: VectorField, qv):
         self.grid = grid
         self.key = tuple(np.array(a) for a in (psi, X.c1, X.c2, qv))
         alpha, ga = _gauge(_gauge_source(X), grid)
-        im_max = float(np.max(np.abs(np.imag(alpha))))
-        if float(np.min(np.abs(ga))) < np.exp(-im_max) * (1.0 - 1e-12):
-            raise GridError("gauge factor fell below its lower bound")
         # G^-1 = exp(-i alpha) is written into exp(i alpha)'s array
         np.multiply(-1j, alpha, out=ga)
         self.alpha, self.Ginv = alpha, np.exp(ga, out=ga)
@@ -652,7 +652,9 @@ def remainder_expansion(phase: PhaseSpec, f: ComplexField, N: int) -> tuple:
     """
     grid = _require_grid(phase.grid, PaddedGrid, "remainder_expansion")
     _require_count("N", N)
+    _require_same_grid(grid, "expansion data f", f)
     fv = f.values
+    _require_finite("expansion data f", fv)
     amax = float(np.max(np.abs(fv)))
     if amax == 0.0:
         raise GridError("expansion needs nonzero data")

@@ -16,7 +16,9 @@ boundary).
 
 The Cauchy transforms convolve with the kernel h^2/(pi z), and the
 Beurling transform S = dz C (isothermal's) with -h^2/(pi z^2), sampled on
-the box lattice (origin weight zero); the kernel's FFT is built in one
+the box lattice (origin weight zero; the Cauchy kernel's four nearest
+entries carry the punctured rule's dx^2 correction, so it is fourth
+order, the Beurling kernel second); the kernel's FFT is built in one
 complex array and cached per layout and power (the two used last, the
 most one call reads), through one pruned FFT pair: for an N0 x N1
 transform of m0 input rows read on n1 output columns, m0 + N1 forward
@@ -55,9 +57,9 @@ import numbers
 
 import numpy as np
 
-from .grid import (ComplexField, DomainGrid, GridError, PaddedGrid,
-                   _on_lattice, _real, _require_finite, _require_grid,
-                   _require_positive)
+from .grid import (ComplexField, DomainGrid, GridError, PaddedGrid, _erode,
+                   _float, _on_lattice, _real, _require_finite,
+                   _require_grid, _require_positive, _shifted)
 
 # lattice nodes per local wavelength pi h / |grad psi| of exp(-2i psi / h)
 # that the oscillatory inverses' resolution guard demands
@@ -102,10 +104,18 @@ def spectral_deriv(vals: np.ndarray, grid: PaddedGrid, o1: int, o2: int) -> np.n
     """
     _require_order(o1, o2)
     k1, k2 = _wavenumbers(grid, o1 % 2, o2 % 2)
-    _require_finite("input of spectral_deriv",
-                    _on_lattice(vals, grid, "spectral_deriv"))
     mult = (1j * k1) ** o1 * (1j * k2) ** o2
-    return np.fft.ifft2(mult * np.fft.fft2(vals))
+    return np.fft.ifft2(mult * np.fft.fft2(_box_field(vals, grid,
+                                                      "spectral_deriv")))
+
+
+def _box_field(vals, grid: PaddedGrid, what: str) -> np.ndarray:
+    """vals as an array, or a GridError unless grid is a box and vals a
+    finite (n, n) field of it."""
+    _require_grid(grid, PaddedGrid, what)
+    vals = _on_lattice(vals, grid, what)
+    _require_finite(f"input of {what}", vals)
+    return vals
 
 
 def _wirtinger_symbol(grid: PaddedGrid, sign: int, odd: bool = True) -> np.ndarray:
@@ -128,13 +138,17 @@ def _wirtinger(sh: np.ndarray, grid: PaddedGrid, sign: int) -> np.ndarray:
 
 
 def spectral_dz(vals: np.ndarray, grid: PaddedGrid) -> np.ndarray:
-    """dz = (d/dx1 - i d/dx2)/2 by one FFT pair on the periodic box."""
-    return _wirtinger(np.fft.fft2(vals), grid, -1)
+    """dz = (d/dx1 - i d/dx2)/2 by one FFT pair on the periodic box, of a
+    finite (n, n) field of the box (else a GridError)."""
+    return _wirtinger(np.fft.fft2(_box_field(vals, grid, "spectral_dz")),
+                      grid, -1)
 
 
 def spectral_dzb(vals: np.ndarray, grid: PaddedGrid) -> np.ndarray:
-    """dzb = (d/dx1 + i d/dx2)/2 by one FFT pair on the periodic box."""
-    return _wirtinger(np.fft.fft2(vals), grid, 1)
+    """dzb = (d/dx1 + i d/dx2)/2 by one FFT pair on the periodic box, of a
+    finite (n, n) field of the box (else a GridError)."""
+    return _wirtinger(np.fft.fft2(_box_field(vals, grid, "spectral_dzb")),
+                      grid, 1)
 
 
 _C4_1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0     # offsets -2..2
@@ -160,10 +174,6 @@ def periodic_fd4(vals: np.ndarray, grid: PaddedGrid, axis: int, order: int) -> n
     """4th-order central difference with periodic wrap on the padded box."""
     pad = [(2, 2) if a == axis else (0, 0) for a in (0, 1)]
     return _fd4(np.pad(vals, pad, mode="wrap"), grid.dx, axis, order)
-
-
-def _shift(vals, di, dj):
-    return np.roll(np.roll(vals, -di, axis=0), -dj, axis=1)
 
 
 # per masked stencil: the mask offsets it needs along the axis and its
@@ -192,18 +202,20 @@ def _masked_stencil(vals: np.ndarray, grid: DomainGrid, axis: int,
                     stencils) -> np.ndarray:
     """Apply per node the last of stencils whose offsets stay in the mask.
 
-    Mask nodes where none fits raise (they would mean a sliver thinner
-    than three nodes); nodes off the mask read zero.
+    The values at the offsets -3..3 along axis are views of one padded
+    copy (grid._shifted), and a stencil fits at the nodes that
+    grid._erode keeps for its offsets. Mask nodes where none fits raise
+    (they would mean a sliver thinner than three nodes); nodes off the
+    mask read zero.
     """
     m = grid.mask
-    e = (1, 0) if axis == 0 else (0, 1)
-    sh = lambda k: _shift(vals, k * e[0], k * e[1])
+    steps = lambda ks: [(k, 0) if axis == 0 else (0, k) for k in ks]
+    sh = dict(zip(range(-3, 4), _shifted(vals, steps(range(-3, 4)), 0.0)))
     out = np.zeros(vals.shape, dtype=np.result_type(vals, float))
     fitted = np.zeros(m.shape, dtype=bool)
     for offsets, formula in stencils:
-        fits = np.logical_and.reduce([_shift(m, k * e[0], k * e[1])
-                                      for k in offsets])
-        out = np.where(fits, formula(sh, grid.dx), out)
+        fits = _erode(m, steps(offsets))
+        out = np.where(fits, formula(sh.get, grid.dx), out)
         fitted |= fits
     bad = m & ~fitted
     if np.any(bad):
@@ -281,11 +293,12 @@ def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
     one.  The exact integral (a principal value for power 2) of either
     kernel over the centered origin cell vanishes, as z -> iz maps the
     cell to itself, so the origin weight is zero; every other cell is
-    point sampled at its center.  Cached per box, layout and power,
-    read-only: the two used last, the most that one call reads (an
-    _OscWindows reads two; isothermal reads the data-window-to-box
-    Beurling and Cauchy kernels; its Beltrami solve's window-to-window
-    kernel has a cache of its own around __wrapped__,
+    point sampled at its center, and for power 1 the four nearest
+    entries also carry the punctured rule's dx^2 correction.  Cached per
+    box, layout and power, read-only: the two used last, the most that
+    one call reads (an _OscWindows reads two; isothermal reads the
+    data-window-to-box Beurling and Cauchy kernels; its Beltrami solve's
+    window-to-window kernel has a cache of its own around __wrapped__,
     geomkit._beltrami_kernel), so a sweep's window kernels push out a
     full-box kernel that no bundle reads.  The cost: a caller that
     alternates full-box and windowed transforms on one box rebuilds the
@@ -309,6 +322,21 @@ def _kernel_hat(grid: PaddedGrid, shape: tuple, n_out: tuple,
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(h * h if power == 1 else -h * h, K, out=K)
     K[np.ix_(d1 == 0, d2 == 0)] = 0.0
+    if power == 1:
+        # the punctured rule's dx^2 term: near the target z, f(z + w) / w
+        # = f / w + dz f + dzb f conj(w) / w + O(|w|); the lattice sum and
+        # the integral of 1/w and of conj(w)/w vanish by the symmetry
+        # w -> iw, and the rule drops the constant dz f from the origin
+        # cell, -h^2 dz f / pi of the transform. These four entries add it
+        # back by central differences, -(h^2 / pi) (f(1, 0) - f(-1, 0)
+        # - i f(0, 1) + i f(0, -1)) / (4 h) with f(a, b) the value a, b
+        # nodes from the target (entry K(a, b) reads f(-a, -b)); what is
+        # left is O(h^4)
+        # (Marin, Runborg and Tornberg, IMA J. Numer. Anal. 34, 2014)
+        c = h / (4.0 * np.pi)
+        for a, b, w in ((1, 0, c), (-1, 0, -c), (0, 1, -1j * c),
+                        (0, -1, 1j * c)):
+            K[np.ix_(d1 == a, d2 == b)] += w
     khat = np.fft.fft2(K, out=K)
     khat.flags.writeable = False
     return khat
@@ -357,9 +385,8 @@ def cauchy_inverse(omega: ComplexField) -> ComplexField:
     N = _fft_size(m + n - 1), m + N forward and N + n inverse 1-D
     transforms of length N (N = 216 on the half = 4, n = 128 box).
     """
-    grid = _require_grid(omega.grid, PaddedGrid, "cauchy_inverse")
-    vals = _on_lattice(omega.values, grid, "cauchy_inverse")
-    _require_finite("input of cauchy_inverse", vals)
+    grid = omega.grid
+    vals = _box_field(omega.values, grid, "cauchy_inverse")
     _support_guard(vals, grid, "cauchy_inverse")
     at = grid.data_window
     return ComplexField(_window_to_box(vals[at, at], grid, 1), grid)
@@ -375,12 +402,11 @@ def smooth_cutoff(grid: PaddedGrid, r_inner: float, r_outer: float) -> np.ndarra
     """C^2 radial bump: 1 inside r_inner, 0 outside r_outer (quintic step).
     Radii that are not finite reals with r_outer > r_inner are a
     GridError."""
-    if not (isinstance(r_inner, numbers.Real)
-            and isinstance(r_outer, numbers.Real)
-            and -np.inf < r_inner < r_outer < np.inf):
+    lo, hi = _float(r_inner), _float(r_outer)
+    if not -np.inf < lo < hi < np.inf:
         raise GridError("cutoff radii must be finite with r_outer > r_inner, "
                         f"got r_inner={r_inner!r}, r_outer={r_outer!r}")
-    return _radial_step(grid.x, r_inner, r_outer)
+    return _radial_step(grid.x, lo, hi)
 
 
 def _radial_step(x: np.ndarray, r_inner: float, r_outer: float) -> np.ndarray:
@@ -487,8 +513,7 @@ class _OscPlan:
         """restrict(cauchy_inverse(exp(-2i psi/h) E vals)) on the core
         window, for a full-box vals checked finite on the whole box."""
         ws = self.windows
-        vals = _on_lattice(vals, ws.grid, "oscillatory_dbar_inv")
-        _require_finite("input of oscillatory_dbar_inv", vals)
+        vals = _box_field(vals, ws.grid, "oscillatory_dbar_inv")
         return self.apply_window(vals[ws.inp])
 
     def apply_window(self, win: np.ndarray) -> np.ndarray:

@@ -41,6 +41,15 @@ uniform ring parameter and lives here only: tangential_derivative
 divides by the stored speed ds M / 2 pi, _ring_modes is the half
 spectrum and _ring_eval its interpolant.
 
+A node's neighbours on a domain lattice are read through one padded
+shift, _shifted: the lattice at (i + a, j + b) for each step (a, b), as
+views of one copy padded by a fill (False for a mask, -1 for an index,
+0 for values), so a step past the lattice's edge reads the fill, never
+a node wrapped from the far side; _erode keeps the mask nodes whose
+neighbours at every step lie in the mask. The Newton stencil, the
+masked differences and their trust masks, and the orphan adoption all
+read through them.
+
 Two grids are equal when they are the same lattice: domains with the same
 (a, b, n), boxes with the same (half, n). Every check that a field, trace
 or map lives on a grid is _require_same_grid's != test, and the caches
@@ -85,14 +94,19 @@ def _require_grid(grid, kind: type, what: str):
     return grid
 
 
+def _float(value) -> float:
+    """value as a float, or nan unless it is a real that a float holds
+    (an int beyond float range is not)."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) else np.nan
+    except OverflowError:
+        return np.nan
+
+
 def _require_positive(name: str, value) -> None:
     """GridError naming name unless value is a real > 0 that is finite
-    as a float (an int beyond float range is not)."""
-    try:
-        ok = isinstance(value, numbers.Real) and 0 < float(value) < np.inf
-    except OverflowError:
-        ok = False
-    if not ok:
+    as a float."""
+    if not 0 < _float(value) < np.inf:
         raise GridError(f"{name} must be positive and finite, "
                         f"got {name}={value!r}")
 
@@ -141,6 +155,25 @@ def _require_metric(g, where=..., definite: bool = True):
     if np.min(det[where]) <= 0.0 or np.min(g.g11[where]) <= 0.0:
         raise GridError("metric is not positive definite")
     return det
+
+
+# ---------------------------------------------------------------------------
+# neighbours on a domain lattice (tests/test_packaging.py scans for np.roll,
+# and for constant-fill np.pad outside this module)
+
+
+def _shifted(lattice: np.ndarray, steps, fill) -> list:
+    """lattice read at (i + a, j + b) for each step (a, b): (n, n) views
+    of one copy padded by fill to the steps' reach."""
+    r = max(max(abs(a), abs(b)) for a, b in steps)
+    pad = np.pad(lattice, r, constant_values=fill)
+    n1, n2 = lattice.shape
+    return [pad[r + a:r + a + n1, r + b:r + b + n2] for a, b in steps]
+
+
+def _erode(mask: np.ndarray, steps) -> np.ndarray:
+    """The nodes of mask whose neighbours at every step lie in it."""
+    return np.logical_and.reduce([mask, *_shifted(mask, steps, False)])
 
 
 # ---------------------------------------------------------------------------
@@ -346,26 +379,21 @@ def _adopt_orphans(weights_ext, mask):
     at an O(dx) displacement of a sliver's worth of mass, which preserves
     second order overall.
     """
-    n = mask.shape[0]
     oi, oj = np.nonzero((~mask) & (weights_ext > 0))
     ti = np.full(len(oi), -1)
     tj = np.full(len(oi), -1)
-    rimmed = np.pad(mask, 3)            # no mask node beyond the lattice
-    for di, dj in _ADOPT_OFFSETS:
-        hit = (ti < 0) & rimmed[oi + 3 + di, oj + 3 + dj]
+    for (di, dj), near in zip(_ADOPT_OFFSETS,
+                              _shifted(mask, _ADOPT_OFFSETS, False)):
+        hit = (ti < 0) & near[oi, oj]
         ti[hit], tj[hit] = oi[hit] + di, oj[hit] + dj
-    # thin domains leave orphans with no mask node within reach 3
+    # thin domains leave orphans with no mask node within reach 3: they
+    # take the nearest mask node, ties to the first in row-major order
+    mi, mj = np.nonzero(mask)
     for k in np.flatnonzero(ti < 0):
-        i, j = oi[k], oj[k]
-        for reach in (6, n):
-            i0, j0 = max(i - reach, 0), max(j - reach, 0)
-            ii, jj = np.nonzero(mask[i0:i + reach + 1, j0:j + reach + 1])
-            if len(ii):
-                best = int(np.argmin((ii + i0 - i) ** 2 + (jj + j0 - j) ** 2))
-                ti[k], tj[k] = ii[best] + i0, jj[best] + j0
-                break
-        else:
+        if not len(mi):
             raise GridError("no interior node found to adopt boundary sliver")
+        best = int(np.argmin((mi - oi[k]) ** 2 + (mj - oj[k]) ** 2))
+        ti[k], tj[k] = mi[best], mj[best]
     w = np.where(mask, weights_ext, 0.0)
     # unbuffered, in orphan order: a node adopting several slivers sums
     # them in a fixed order

@@ -27,9 +27,9 @@ import numpy as np
 
 from .complexcalc import deriv
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
-                   ScalarField, VectorField, _require_finite, _require_grid,
-                   _require_metric, _require_positive, _require_same_grid,
-                   lattice_values)
+                   ScalarField, VectorField, _erode, _require_finite,
+                   _require_grid, _require_metric, _require_positive,
+                   _require_same_grid, lattice_values)
 from .maforward import (LinearSolveFailure, MASolution, SparseLU,
                         build_stencil_ops, ring_values, solve_ma,
                         solve_ma_zero, source_grid, stencil_hessian)
@@ -114,6 +114,11 @@ def drift_field(g: MetricField) -> VectorField:
     return VectorField(c1 / w, c2 / w, grid)
 
 
+# the plus-shaped neighbourhood of reach 2: the nodes two nested central
+# differences read
+_PLUS2 = [(k, 0) for k in (-2, -1, 1, 2)] + [(0, k) for k in (-2, -1, 1, 2)]
+
+
 def divergence_form_apply(g: MetricField, X: VectorField, v: np.ndarray):
     """Apply (1/w) d_a(w g^{ab} d_b v) - X . grad v by explicit product rule.
 
@@ -131,12 +136,7 @@ def divergence_form_apply(g: MetricField, X: VectorField, v: np.ndarray):
     out = (deriv(f1, grid, 1, 0) + deriv(f2, grid, 0, 1)) / w
     out -= X.c1 * v1 + X.c2 * v2
     # trustworthy where two nested central stencils fit
-    m = grid.mask
-    deep = m.copy()
-    for sh in (1, 2):
-        for ax in (0, 1):
-            deep &= np.roll(m, sh, axis=ax) & np.roll(m, -sh, axis=ax)
-    return out, deep
+    return out, _erode(grid.mask, _PLUS2)
 
 
 # ---------------------------------------------------------------------------

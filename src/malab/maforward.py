@@ -91,7 +91,7 @@ import numpy as np
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, ScalarField,
                    _require_finite, _require_grid, _require_same_grid,
-                   _ring_eval, _ring_modes, lattice_values)
+                   _ring_eval, _ring_modes, _shifted, lattice_values)
 
 
 # a box of the nested dissection holding at most this many lattice nodes
@@ -446,15 +446,6 @@ def _read_only(M):
     return M
 
 
-def _neighbors(lattice: np.ndarray, fill, mask: np.ndarray, steps):
-    """lattice at the neighbors (i + a, j + b) of the mask nodes (i, j), one
-    row per step (a, b): slices of the lattice padded by one node of fill."""
-    n1, n2 = mask.shape
-    pad = np.pad(lattice, 1, constant_values=fill)
-    return np.stack([pad[1 + a:n1 + 1 + a, 1 + b:n2 + 1 + b][mask]
-                     for a, b in steps])
-
-
 @functools.lru_cache(maxsize=1)
 def build_stencil_ops(grid: DomainGrid) -> StencilOps:
     """Assemble (and cache) the masked difference operators for a grid.
@@ -479,7 +470,7 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
     # the mask but inside the curve: DomainGrid.ray_cut); (d, r) are np.nonzero's
     # indices, from one flat pass (a fifth of the 2-D form's time), and
     # number the crossings direction by direction
-    inside = _neighbors(mask, False, mask, _DIRS)
+    inside = np.stack([v[mask] for v in _shifted(mask, _DIRS, False)])
     alpha = np.ones((8, N))
     d, r = np.divmod(np.flatnonzero(~inside), N)
     alpha[d, r] = grid.ray_cut(X[r], Y[r], di[d, 0] * dx, dj[d, 0] * dx)
@@ -488,7 +479,7 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
     qx = X[r] + alpha[d, r] * di[d, 0] * dx
     qy = Y[r] + alpha[d, r] * dj[d, 0] * dx
     qrows = np.nonzero(np.any(~inside, axis=0))[0]
-    cols = _neighbors(idx, -1, mask, _SLOTS)
+    cols = np.stack([v[mask] for v in _shifted(idx, _SLOTS, -1)])
     np.copyto(cols, np.arange(N, dtype=np.int32), where=cols < 0)
 
     # a ghost past the crossing Q at the fraction a is the quadratic
@@ -610,8 +601,10 @@ def _source(F, grid: DomainGrid) -> tuple[np.ndarray, np.ndarray]:
     return Fv, Fvec
 
 
-def poisson_init(grid: DomainGrid, F, data) -> tuple[np.ndarray, int]:
-    """Initial guess of solve_ma: interior values and iteration count.
+def poisson_init(grid: DomainGrid, F, data) -> tuple[np.ndarray, int, tuple]:
+    """Initial guess of solve_ma: interior values, iteration count, and
+    the guess's _state (stencil Hessian, residual, its max norm and the
+    min eigenvalue), which solve_ma starts from.
 
     From Laplace u = 2 sqrt(F) with the Dirichlet data (at isotropic
     points det D^2 u = (Laplace u / 2)^2), iterate Laplace u = sqrt(h11^2 +
@@ -627,17 +620,18 @@ def poisson_init(grid: DomainGrid, F, data) -> tuple[np.ndarray, int]:
     phi = ops.crossing_values(data)
     lap, G = ops._laplacian, ops.crossing_system(1.0, 0.0, 1.0) @ phi
     U = lap.solve(2.0 * np.sqrt(Fvec) - G)
-    h, _, rnorm, lam_min = _state(ops, U, phi, Fvec)
+    state = _state(ops, U, phi, Fvec)
     target, its = 0.1 * float(np.max(Fvec)), 0
-    while not (lam_min > 0.0 and rnorm < target):
+    while not (state[3] > 0.0 and state[2] < target):
         its += 1
+        h = state[0]
         lap_u = np.sqrt(h[0] ** 2 + h[1] ** 2 + 2.0 * h[2] ** 2 + 2.0 * Fvec)
         Un = lap.solve(lap_u - G)
-        hn, _, rn, le = _state(ops, Un, phi, Fvec)
-        if not rn < rnorm:      # NaN stops too
+        new = _state(ops, Un, phi, Fvec)
+        if not new[2] < state[2]:       # NaN stops too
             break
-        U, h, rnorm, lam_min = Un, hn, rn, le
-    return U, its
+        U, state = Un, new
+    return U, its, state
 
 
 # ---------------------------------------------------------------------------
@@ -794,9 +788,9 @@ def solve_ma(F, phi=None, grid: DomainGrid | None = None) -> MASolution:
     ops = build_stencil_ops(grid)
     phic = ops.crossing_values(phi)
 
-    U, warm = poisson_init(grid, Fv, phi)
+    U, warm, ((h11, h22, h12), res, rnorm, lam_min) = poisson_init(
+        grid, Fv, phi)
     lap = ops._laplacian
-    (h11, h22, h12), res, rnorm, lam_min = _state(ops, U, phic, Fvec)
     tol = _row_targets(ops, U, (h11, h22, h12), Fvec)
     target, merit = float(np.min(tol)), float(np.max(np.abs(res) / tol))
     log = [(0, rnorm, 1.0, lam_min, warm)]

@@ -16,10 +16,14 @@ from malab.complexcalc import deriv, smooth_cutoff
 from malab.geomkit import (CONFORMAL_TOL, DiffeoField, diffeo_rigidity_solve,
                            invert_diffeo, isothermal, pullback_metric,
                            transform_solution_check, _beltrami_map,
-                           _check_reach, _covariant, _erode)
+                           _check_reach, _covariant)
 from malab.grid import (GridError, MetricField, PaddedGrid, ScalarField,
-                        _CubicBlock, build_disk)
+                        _CubicBlock, _erode, build_disk)
 from malab.linearize import VectorField, drift_field, nondiv_solve
+
+
+# the square of reach 3 around a node
+SQUARE3 = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
 
 
 def box(n=128, half=4.0):
@@ -126,7 +130,7 @@ def test_christoffel_conformal_example_disk():
     grid = build_disk(n=128)
     X, _ = grid.meshgrid()
     gam = christoffel(conformal_metric(X, grid))
-    inner = _erode(grid.mask, 3)
+    inner = _erode(grid.mask, SQUARE3)
     expect = {(0, 0, 0): 1.0, (0, 1, 1): -1.0, (1, 0, 1): 1.0,
               (1, 1, 0): 1.0}
     for i in range(2):
@@ -223,7 +227,7 @@ def test_contracted_drift_conformal_exact_zero():
 def test_contracted_drift_matches_drift_field_disk():
     grid = build_disk(n=64)
     X, Y = grid.meshgrid()
-    inner = _erode(grid.mask, 3)
+    inner = _erode(grid.mask, SQUARE3)
     rng = np.random.default_rng(11)
     for _ in range(3):
         a = 1 + 0.15 * np.sin(rng.uniform(0.5, 2) * X + rng.uniform(0, 6))
@@ -510,6 +514,34 @@ def test_invert_refuses_a_chord_step_through_a_fold():
         invert_diffeo(DiffeoField(J.d1, J.d2, grid, jac=jac))
 
 
+def test_invert_refuses_a_jacobian_that_folds_between_nodes():
+    # the attached j11 repeats 1, 0.01, 0.01 along axis 0, positive at every
+    # node, which is all the chord steps read; the inverse of the shift by
+    # dx/2 then samples it midway between two 0.01 nodes, where the cubic
+    # reads (-1 + 9 (0.01) + 9 (0.01) - 1) / 16 < 0
+    grid = box(n=64)
+    one, zero = np.ones((64, 64)), np.zeros((64, 64))
+    j11 = np.where(np.arange(64)[:, None] % 3 == 0, 1.0, 0.01) * one
+    J = DiffeoField(-0.5 * grid.dx * one, zero, grid,
+                    jac=(j11, zero, zero, one))
+    with pytest.raises(GridError, match="orientation preserving along the "
+                                        "inverse"):
+        invert_diffeo(J)
+
+
+def test_isothermal_refuses_a_chart_past_its_conformality_tolerance():
+    # a bump of width 0.1 on the dx = 0.125 lattice: the chart's cubic
+    # samples of the metric miss its peak, and the pulled-back metric is
+    # conformal only to 4.0e-2 of the scale
+    grid = box(n=64)
+    X, Y = grid.meshgrid()
+    bump = 2.0 * np.exp(-((X - 0.1) ** 2 + (Y + 0.07) ** 2) / 0.01)
+    one = np.ones((64, 64))
+    g = MetricField(1.0 / (1.0 + bump), 0.0 * one, 1.0 + bump, grid)
+    with pytest.raises(GridError, match="conformality defect .* exceeds"):
+        isothermal(g)
+
+
 def test_invert_exhausted_iteration_raises(monkeypatch):
     J = _compact_diffeo(box(n=64))
     with monkeypatch.context() as mp:
@@ -583,6 +615,17 @@ def test_transform_check_identity_matches_base():
     with pytest.raises(GridError, match="on a different grid"):
         transform_solution_check(g, drift_field(g), DiffeoField.identity(grid),
                                  1.0, ScalarField(v.values, other))
+
+
+def test_transform_check_refuses_a_map_that_leaves_the_domain():
+    # every image lies 3 radii off the disk, so no cubic block of the
+    # transported coefficients stays inside the mask
+    grid = build_disk(n=32)
+    g = flat(grid)
+    v = ScalarField(np.zeros((32, 32)), grid)
+    off = DiffeoField(np.full((32, 32), 3.0), np.zeros((32, 32)), grid)
+    with pytest.raises(GridError, match="no interior nodes survive"):
+        transform_solution_check(g, drift_field(g), off, 1.0, v)
 
 
 def test_transform_check_accepts_a_constant_callable():

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from malab.grid import (
-    BoundaryTrace, GridError, MetricField, PaddedGrid, ScalarField,
-    _ON_CURVE, _adopt_orphans,
+    BoundaryTrace, ComplexField, GridError, MetricField, PaddedGrid,
+    ScalarField, VectorField, _ON_CURVE, _adopt_orphans,
     _coverage_weights, _CubicBlock, _lagrange4, _ray_fit, _ring_eval,
     _ring_modes, _snap,
     boundary_restrict, build_disk, build_ellipse, lattice_values,
     normal_derivative, quadrature, tangential_derivative,
 )
 from malab import cgo
-from malab.complexcalc import deriv, smooth_cutoff, spectral_deriv
+from malab.complexcalc import (deriv, smooth_cutoff, spectral_deriv,
+                               spectral_dz, spectral_dzb)
 from malab.maforward import build_stencil_ops
 
 
@@ -113,11 +114,12 @@ def test_thin_ellipse_weights_sum_to_the_area(a, b, n):
 
 def _adopt_orphans_loop(cov, mask):
     """Per-orphan reference adoption: np.argmin of d^2 over the mask nodes
-    of the smallest window (reach 3, 6, n) that has any."""
+    of the smallest window (reach 3, then the whole lattice) that has
+    any."""
     n = mask.shape[0]
     w = np.where(mask, cov, 0.0)
     for i, j in zip(*np.nonzero(~mask & (cov > 0))):
-        for reach in (3, 6, n):
+        for reach in (3, n):
             i0, j0 = max(i - reach, 0), max(j - reach, 0)
             ii, jj = np.nonzero(mask[i0:i + reach + 1, j0:j + reach + 1])
             if len(ii):
@@ -137,6 +139,18 @@ def test_orphan_adoption_equals_the_per_orphan_loop(a, b, n):
     w = _adopt_orphans(cov, g.mask)
     assert np.array_equal(w, _adopt_orphans_loop(cov, g.mask))
     assert np.array_equal(w, g.weights)
+
+
+def test_an_orphan_beyond_reach_3_goes_to_the_nearest_mask_node():
+    # no mask node lies within reach 3 of the orphan (10, 10); (16, 16), at
+    # d^2 = 72, lies in the square of reach 6 around it and (17, 10), at
+    # d^2 = 49, outside: the sliver goes to the nearer one
+    mask = np.zeros((32, 32), dtype=bool)
+    mask[16, 16] = mask[17, 10] = True
+    cov = np.where(mask, 1.0, 0.0)
+    cov[10, 10] = 0.5
+    w = _adopt_orphans(cov, mask)
+    assert (w[17, 10], w[16, 16], np.sum(w)) == (1.5, 1.0, 2.5)
 
 
 def _disk_cell_area_mp(mp, x0, x1, y0, y1):
@@ -606,6 +620,13 @@ _BOX, _DISK = PaddedGrid(half=6.0, n=32), build_disk(1.0, 32)
 _PHASE = cgo.phase_spec((0.0, 1.0), _BOX)
 _ORDERS = [(0, 0), (2, 1), (3, 0), (-1, 2), (0.5, 0.5)]
 _SPECTRAL_ORDERS = [(-1, 0), (0.5, 0.5)]
+_ONES, _WIDE = np.ones((32, 32)), np.ones((30, 30))
+_NAN = np.ones((32, 32))
+_NAN[5, 7] = np.nan
+_STILL = VectorField(np.zeros((32, 32)), np.zeros((32, 32)), _BOX)
+_ON_BOX = ComplexField(_ONES, _BOX)
+# the same n on another box
+_ELSEWHERE = ComplexField(_ONES, PaddedGrid(half=2.0, n=32))
 
 
 @pytest.mark.parametrize("call, msg", [
@@ -639,12 +660,46 @@ _SPECTRAL_ORDERS = [(-1, 0), (0.5, 0.5)]
     # the zero wavenumber, at (0.5, 0.5) it took a fractional derivative
     *[(lambda o=o: spectral_deriv(np.ones((32, 32)), _BOX, *o),
        f"derivative order {o} is not 1 or 2") for o in _SPECTRAL_ORDERS],
+    # each of these was accepted, or leaked a numpy error, an OverflowError
+    # or a bare ValueError
+    *[(lambda d=d, v=v: d(v, _BOX), msg)
+      for d in (spectral_dz, spectral_dzb)
+      for v, msg in [(_NAN, f"non-finite input of {d.__name__}"),
+                     (_WIDE,
+                      f"{d.__name__}: shape (30, 30) != grid (32, 32)")]],
+    (lambda: smooth_cutoff(_BOX, 0.5, 10 ** 400),
+     "cutoff radii must be finite with r_outer > r_inner"),
+    (lambda: cgo.remainder_expansion(_PHASE, ComplexField(_NAN, _BOX), 2),
+     "non-finite expansion data f"),
+    (lambda: cgo.remainder_expansion(_PHASE, _ELSEWHERE, 2),
+     "expansion data f on a different grid"),
+    (lambda: cgo.neumann_T(_ON_BOX, _PHASE.psi, 1.0, _ELSEWHERE, _ON_BOX),
+     "series weight V or V' on a different grid"),
+    (lambda: cgo.neumann_T(_ON_BOX, _PHASE.psi, 1.0, _ON_BOX, _ELSEWHERE),
+     "series weight V or V' on a different grid"),
+    (lambda: cgo.neumann_T(_ON_BOX, _PHASE.psi, 1.0,
+                           ComplexField(_NAN, _BOX), _ON_BOX),
+     "non-finite series weight V or V'"),
+    *[(lambda f=f, q=q: f(_STILL, q), msg)
+      for f in (cgo.factorization_check, cgo.factor_potential,
+                lambda X, q: cgo.series_weights(_ONES, X, q))
+      for q, msg in [(_NAN, "non-finite q"),
+                     (_WIDE, "q: shape (30, 30) != grid (32, 32)")]],
+    (lambda: cgo.series_weights(_WIDE, _STILL),
+     "alpha: shape (30, 30) != grid (32, 32)"),
+    (lambda: cgo.series_weights(_NAN, _STILL), "non-finite gauge field alpha"),
 ], ids=["half", "half-overflow", "semi-axis", "semi-axis-overflow", "h",
         "h-overflow", "amplitude-array", "amplitude-list", "amplitude-string",
         "center", "coefficient", "cutoff", "core-radius",
         *[f"order({o1},{o2})-{kind}" for kind in ("disk", "box")
           for o1, o2 in _ORDERS],
-        *[f"spectral-order({o1},{o2})" for o1, o2 in _SPECTRAL_ORDERS]])
+        *[f"spectral-order({o1},{o2})" for o1, o2 in _SPECTRAL_ORDERS],
+        *[f"{d}-{cause}" for d in ("dz", "dzb") for cause in ("nan", "shape")],
+        "cutoff-overflow", "expansion-nan", "expansion-grid", "neumann-V-grid",
+        "neumann-vp-grid", "neumann-V-nan",
+        *[f"{f}-q-{cause}" for f in ("factorization", "potential", "weights")
+          for cause in ("nan", "shape")],
+        "weights-alpha-shape", "weights-alpha-nan"])
 def test_invalid_inputs_raise_a_grid_error_naming_them(call, msg):
     with pytest.raises(GridError, match=re.escape(msg)):
         call()

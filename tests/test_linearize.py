@@ -251,9 +251,8 @@ def test_newton_jacobian_is_F_times_the_linearized_operator():
     # once from the Poisson guess (maforward._row_targets); on the heavy rim
     # rows they are rounding floors above NEWTON_TOL max F
     phi = ops.crossing_values(ustar)
-    guess, _ = maforward.poisson_init(g, sol.F.values, ustar)
-    tol = maforward._row_targets(ops, guess, stencil_hessian(ops, guess, phi),
-                                 F)
+    guess, _, (h, *_) = maforward.poisson_init(g, sol.F.values, ustar)
+    tol = maforward._row_targets(ops, guess, h, F)
     d11, d22, d12 = stencil_hessian(ops, sol.u.values[g.mask], phi)
     assert np.all(np.abs(d11 * d22 - d12 ** 2 - F) <= tol)
 

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
-from malab import linearize, maforward
+from malab import complexcalc, dnmap, linearize, maforward
 from malab.grid import (BoundaryTrace, GridError, MetricField, PaddedGrid,
                         ScalarField, boundary_restrict)
 from malab.grid import _ON_CURVE, build_disk, build_ellipse
@@ -510,11 +510,13 @@ def test_newton_starts_from_poisson_init(monkeypatch):
     g = build_disk(2.0, 96)
     X, _ = g.meshgrid()
     F = ScalarField(X ** 2 + 1.0, g)
-    U, warm = maforward.poisson_init(g, F, _ustar)
+    U, warm, (h, res, _, _) = maforward.poisson_init(g, F, _ustar)
     ops = build_stencil_ops(g)
     h11, h22, h12 = maforward.stencil_hessian(ops, U,
                                               ops.crossing_values(_ustar))
-    res = h11 * h22 - h12 ** 2 - F.values[g.mask]
+    # the state returned with the guess is the guess's own
+    assert all(np.array_equal(a, b) for a, b in zip(h, (h11, h22, h12)))
+    assert np.array_equal(res, h11 * h22 - h12 ** 2 - F.values[g.mask])
     calls, init = [], maforward.poisson_init
 
     def spy(*args):
@@ -524,6 +526,78 @@ def test_newton_starts_from_poisson_init(monkeypatch):
     sol = solve_ma(F, _ustar)
     assert calls == [g] and warm >= 1
     assert sol.log[0][1] == np.max(np.abs(res)) and sol.log[0][4] == warm
+
+
+def test_no_iterate_is_evaluated_twice(monkeypatch):
+    # solve_ma starts from the state that poisson_init returns with its
+    # guess, so every _state call evaluates a new iterate
+    seen, state = [], maforward._state
+
+    def spy(ops, U, *args):
+        seen.append(U.tobytes())
+        return state(ops, U, *args)
+    monkeypatch.setattr(maforward, "_state", spy)
+    g = build_disk(1.0, 48)
+    X, _ = g.meshgrid()
+    solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
+    assert len(seen) > 2 and len(set(seen)) == len(seen)
+
+
+def test_poisson_init_drops_an_iterate_that_raises_the_residual(monkeypatch):
+    # on this thin ellipse the first iterate raises the residual from 14.15
+    # to 15.79: it is dropped, and the guess is the plain Poisson solve
+    g = build_ellipse(1.0, 0.3, 96)
+    norms, state = [], maforward._state
+
+    def spy(*args):
+        out = state(*args)
+        norms.append(out[2])
+        return out
+    monkeypatch.setattr(maforward, "_state", spy)
+    _, its, (_, _, rnorm, _) = maforward.poisson_init(
+        g, 1.0, lambda x, y: np.sin(3.0 * x) * y)
+    assert its == 1 and len(norms) == 2 and rnorm == norms[0] < norms[1]
+
+
+def _hand_made_convex_flag():
+    """A concave u whose convex flag was set by hand."""
+    g = build_disk(1.0, 32)
+    X, Y = g.meshgrid()
+    return maforward.MASolution(
+        u=ScalarField(0.5 * (1.0 - X * X - Y * Y), g),
+        F=ScalarField(np.ones((32, 32)), g),
+        phi=BoundaryTrace(np.zeros(len(g.boundary)), g), convex=True)
+
+
+def _concave_traces():
+    g = build_disk(1.0, 32)
+    M = len(g.boundary)
+    return [BoundaryTrace(np.full(M, v), g) for v in (-1.0, 0.0, -1.0)]
+
+
+# refusals no other test reaches: each names its cause before any work
+@pytest.mark.parametrize("call, error, msg", [
+    (lambda: solve_ma(np.ones((32, 32))), GridError,
+     "pass a grid when F is not a ScalarField"),
+    (lambda: BoundaryTrace(np.zeros(len(build_disk(1.0, 32).boundary) + 1),
+                           build_disk(1.0, 32)), GridError,
+     "trace length does not match boundary node count"),
+    (lambda: complexcalc.deriv(np.ones((32, 32)), "grid", 1, 0), GridError,
+     "unsupported grid type str"),
+    # no mask node within the whole lattice of a sliver's cell
+    (lambda: build_ellipse(1.0, 0.01, 16), GridError,
+     "no interior node found to adopt boundary sliver"),
+    (lambda: SparseLU(sp.csr_matrix(np.ones((2, 2))), np.arange(2)),
+     LinearSolveFailure, "sparse LU failed"),
+    (lambda: dnmap.recover_boundary_third(0.0, _concave_traces()), GridError,
+     "second-order recovery is not uniformly convex"),
+    (lambda: linearize.metric_from_solution(_hand_made_convex_flag()),
+     GridError, "base Hessian is not positive definite"),
+], ids=["no-grid", "trace-length", "deriv-grid", "sliver", "singular-lu",
+        "third-concave", "hessian-concave"])
+def test_refusals_name_their_cause(call, error, msg):
+    with pytest.raises(error, match=msg):
+        call()
 
 
 def _no_solve(*args):

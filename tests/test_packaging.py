@@ -2,9 +2,10 @@
 claim map in malab.__doc__ names real code, accounts for every public
 name, member and keyword default of malab and names an order test at
 every step but those waiting for one, no module of malab but grid checks
-a grid's kind, a field's finiteness or a field's grid by hand, no module
-imports a name it never reads or declares __all__, and the padded-box
-half runs without scipy.sparse.
+a grid's kind, a field's finiteness or a field's grid by hand or reads a
+lattice's neighbours from a padded copy of its own, no module rolls an
+array, imports a name it never reads or declares __all__, and the
+padded-box half runs without scipy.sparse.
 
 A public name is one without a leading underscore; there is no other
 list of them. The rule the scans hold: a public thing exists because a
@@ -371,6 +372,31 @@ def test_fields_are_checked_by_the_grid_guards():
     # finiteness and same-grid check, each with one message naming the
     # input; a hand-written copy drifts from them
     assert hand_written_field_guards() == []
+
+
+def _pad_mode(call: ast.Call):
+    """The mode an np.pad call spells, "constant" when it spells none."""
+    mode = [k.value for k in call.keywords if k.arg == "mode"] + call.args[2:3]
+    return getattr(mode[0], "value", None) if mode else "constant"
+
+
+def wrapping_neighbour_reads() -> list:
+    """module:line of every np.roll call in malab, and of every
+    constant-fill np.pad call outside grid.py."""
+    return [f"{mod}:{node.lineno}" for mod, tree in SRC_TREES.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) == "roll"
+                 or getattr(node.func, "attr", None) == "pad"
+                 and mod != "grid" and _pad_mode(node) == "constant")]
+
+
+def test_neighbours_are_read_through_the_padded_shift():
+    # grid._shifted reads a domain lattice's neighbours from one padded
+    # copy and grid._erode keeps the nodes whose neighbours all lie in a
+    # mask: a roll wraps a read past the lattice's edge to the far side,
+    # and a padded copy elsewhere repeats them. The box's periodic
+    # differences pad by wrapping, which the box's period makes right
+    assert wrapping_neighbour_reads() == []
 
 
 # cgo imports oscillatory_dbar_inv as the public form of its inverse, and
