@@ -46,6 +46,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -127,8 +128,9 @@ def gauge(X: VectorField) -> tuple[ComplexField, ComplexField, ComplexField]:
     drifts, and drifts reaching the outer third of the box, are rejected by
     the guards the Cauchy transform runs.
     """
-    alpha, ga = _gauge(_gauge_source(X), X.grid)
-    return (ComplexField(alpha, X.grid), ComplexField(ga, X.grid),
+    alpha = _gauge(_gauge_source(X), X.grid)
+    return (ComplexField(alpha, X.grid),
+            ComplexField(np.exp(1j * alpha), X.grid),
             ComplexField(np.exp(1j * np.conj(alpha)), X.grid))
 
 
@@ -141,10 +143,10 @@ def _gauge_source(X: VectorField) -> np.ndarray:
     return src
 
 
-def _gauge(src: np.ndarray, grid: PaddedGrid) -> tuple[np.ndarray, np.ndarray]:
-    """alpha and exp(i alpha) of gauge for its checked source, which it
-    overwrites: the spectrum and then alpha are written into src, and the
-    conj(z) term and exp(i alpha) take one box array each."""
+def _gauge(src: np.ndarray, grid: PaddedGrid) -> np.ndarray:
+    """alpha of gauge for its checked source, which it overwrites: the
+    spectrum and then alpha are written into src, and the conj(z) term
+    takes one box array until it is added."""
     sh = np.fft.fft2(src, out=src)
     mean = sh[0, 0] / grid.n ** 2
     sym = _wirtinger_symbol(grid, 1, odd=False)
@@ -158,9 +160,7 @@ def _gauge(src: np.ndarray, grid: PaddedGrid) -> tuple[np.ndarray, np.ndarray]:
     cz = grid.zz
     np.conjugate(cz, out=cz)
     alpha += np.multiply(mean, cz, out=cz)
-    del cz
-    ga = 1j * alpha
-    return alpha, np.exp(ga, out=ga)
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -234,26 +234,53 @@ class PhaseSpec:
     Evaluated from its coefficients, so dzb(Phi) = 0 holds by construction;
     the critical-point flag reports whether any root of the derivative
     polynomial lies inside the box's core disk (radius grid.core_radius)
-    where the oscillatory machinery operates.
+    where the oscillatory machinery operates.  Phi is its one box array:
+    psi = Im Phi is a view of it, and dPhi/dz is evaluated when first read
+    and kept from then on.
     """
 
     coeffs: tuple                        # ascending powers of (z - center)
     center: complex
     grid: PaddedGrid
     values: np.ndarray                   # Phi on the lattice
-    dvalues: np.ndarray                  # dPhi/dz on the lattice
-    psi: np.ndarray                      # Im Phi
     has_critical_point: bool             # any root of dPhi/dz in the core disk
+
+    @property
+    def psi(self) -> np.ndarray:
+        """Im Phi, a view of values."""
+        return self.values.imag
+
+    @cached_property
+    def dvalues(self) -> np.ndarray:
+        """dPhi/dz on the lattice."""
+        return _horner(_derivative(self.coeffs), self.grid, self.center)
 
     def negated(self) -> "PhaseSpec":
         return phase_spec(tuple(-c for c in self.coeffs), self.grid,
                           self.center)
 
 
+def _derivative(cs: tuple) -> tuple:
+    return tuple(k * cs[k] for k in range(1, len(cs)))
+
+
+def _horner(cs: tuple, grid: PaddedGrid, center: complex) -> np.ndarray:
+    """The polynomial with ascending coefficients cs in (z - center) on
+    the lattice, by Horner's rule in place; an overflow is left in it."""
+    w = grid.zz - center
+    p = np.zeros_like(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in reversed(cs):
+            np.multiply(p, w, out=p)
+            p += c
+    return p
+
+
 def phase_spec(coeffs, grid: PaddedGrid, center=0j) -> PhaseSpec:
     """Build a PhaseSpec from ascending polynomial coefficients.  A
     coefficient or center that is not a finite number, and a phase or
-    derivative that overflows on the box, are a GridError."""
+    derivative that overflows on the box, are a GridError; the derivative
+    is evaluated for that check and dropped."""
     _require_grid(grid, PaddedGrid, "phase_spec")
     coeffs = tuple(coeffs)
     if not all(isinstance(c, numbers.Number) for c in (*coeffs, center)):
@@ -263,25 +290,18 @@ def phase_spec(coeffs, grid: PaddedGrid, center=0j) -> PhaseSpec:
     if not cs:
         raise GridError("phase needs at least one coefficient")
     _require_finite("coefficient or center of the phase", *cs, center)
-    w = grid.zz - complex(center)
-    vals, dvals = np.zeros_like(w), np.zeros_like(w)
-    dcs = tuple(k * cs[k] for k in range(1, len(cs)))
-    # Horner's rule in place
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p, cs_p in ((vals, cs), (dvals, dcs)):
-            for c in reversed(cs_p):
-                np.multiply(p, w, out=p)
-                p += c
-    del w
-    _require_finite("phase: its values overflow on the box", vals, dvals)
+    center = complex(center)
+    vals = _horner(cs, grid, center)
+    dcs = _derivative(cs)
+    _require_finite("phase: its values overflow on the box", vals,
+                    _horner(dcs, grid, center))
     if not dcs or all(c == 0 for c in dcs):
         has_cp = True                    # derivative vanishes identically
     else:
         roots = np.roots(list(reversed(dcs)))
-        has_cp = any(abs(complex(center) + complex(z))
-                     <= grid.core_radius for z in roots)
-    return PhaseSpec(cs, complex(center), grid, vals, dvals,
-                     vals.imag.copy(), has_cp)
+        has_cp = any(abs(center + complex(z)) <= grid.core_radius
+                     for z in roots)
+    return PhaseSpec(cs, center, grid, vals, has_cp)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +382,12 @@ class CGOBundle:
     (_measurement_disk, inside the box's core disk), normalized by h^-2
     times the solution norm there.  K_effective is where the sum was
     actually truncated (argmin of term_norms when they fail to decrease,
-    K otherwise).  build_cgo_holo stores a constant amplitude (the
-    default is 1) as a read-only zero-stride broadcast of its value, and
-    build_cgo_antiholo the broadcast of its conjugate.
+    K otherwise).  v is exp(Phi/h - i alpha) (a + r), the gauge factor
+    G^-1 = exp(-i alpha) taken inside the one exponential.  build_cgo_holo
+    stores a constant amplitude (the default is 1) as a read-only
+    zero-stride broadcast of its value, and build_cgo_antiholo the
+    broadcast of its conjugate; alpha is the kept setup's read-only
+    array.
     """
 
     kind: str                            # "holo" | "antiholo" | "adjoint"
@@ -459,31 +482,29 @@ def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude,
 class _Setup:
     """The h-independent half of build_cgo_holo for one (box, psi, drift, q).
 
-    The gauge field alpha, after the drift's guards, and G^-1 = exp(-i
-    alpha); the _OscWindows of (box, psi); and the series weights, V on
-    the input window and V' and V on the core window.  key holds copies
-    of psi, X.c1, X.c2 and q, which matches compares with a later call's
-    by value.  Every array it holds is read-only.
+    The gauge field alpha, after the drift's guards; the _OscWindows of
+    (box, psi); and the series weights, V on the input window and V' and
+    V on the core window.  key holds copies of psi, X.c1, X.c2 and q,
+    which matches compares with a later call's by value.  Every array it
+    holds is read-only.
 
-    The box arrays: the key, alpha and G^-1, which is written into exp(i
-    alpha)'s array.  The gauge's and dz's FFT pairs run on the box, each
-    written into its source array; E, |grad psi|, |X|^2/4, q and the
-    exponentials of V and V' run on the windows.
+    The box arrays: the key and alpha; G^-1 = exp(-i alpha) is not kept,
+    each bundle forms it inside its own exponential.  The gauge's and
+    dz's FFT pairs run on the box, each written into its source array;
+    E, |grad psi|, |X|^2/4, q and the exponentials of V and V' run on the
+    windows.
     """
 
     def __init__(self, grid: PaddedGrid, psi, X: VectorField, qv):
         self.grid = grid
         self.key = tuple(np.array(a) for a in (psi, X.c1, X.c2, qv))
-        alpha, ga = _gauge(_gauge_source(X), grid)
-        # G^-1 = exp(-i alpha) is written into exp(i alpha)'s array
-        np.multiply(-1j, alpha, out=ga)
-        self.alpha, self.Ginv = alpha, np.exp(ga, out=ga)
+        alpha = self.alpha = _gauge(_gauge_source(X), grid)
         ws = self.windows = _OscWindows(grid, self.key[0])
         # V is read on the input window, V' and every later V on the core
         # window
         self.Vin, self.vpw = _weights(alpha, X, qv, ws.inp, ws.out)
         self.Vw = self.Vin[ws.inner]
-        for arr in (*self.key, alpha, self.Ginv, self.Vin, self.vpw, self.Vw,
+        for arr in (*self.key, alpha, self.Vin, self.vpw, self.Vw,
                     ws.psi, ws.cutoff, ws.core, ws.frame):
             arr.flags.writeable = False
 
@@ -493,7 +514,7 @@ class _Setup:
             for a, b in zip(self.key, (np.asarray(psi), X.c1, X.c2, qv)))
 
 
-# _SETUP keeps the one _Setup built last (about 21 MB on the 512 box) and
+# _SETUP keeps the one _Setup built last (about 16 MB on the 512 box) and
 # is emptied before the next is built, so two never coexist
 _SETUP: list = []
 
@@ -535,13 +556,15 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
     r_vals = ws.embed(r_win)
     np.negative(r_vals, out=r_vals)
 
-    # v = (G^-1 e^{Phi/h}) (a + r), formed in v's own array; each product
-    # keeps its operand order, which decides how numpy's complex loop
-    # rounds.  Outside the core window r is -0.0 and a + r == a bitwise,
-    # so a + r takes only a window array
+    # v = exp(Phi/h - i alpha) (a + r), formed in v's own array: adding
+    # -i alpha = Im alpha - i Re alpha part by part is the plain
+    # difference bit for bit.  The product keeps its operand order, which
+    # decides how numpy's complex loop rounds.  Outside the core window r
+    # is -0.0 and a + r == a bitwise, so a + r takes only a window array
     v_vals = np.divide(phase.values, h)
+    v_vals.real += alpha.imag
+    v_vals.imag -= alpha.real
     np.exp(v_vals, out=v_vals)
-    np.multiply(setup.Ginv, v_vals, out=v_vals)
     a_r = a_vals[ws.out] + r_vals[ws.out]
     np.multiply(v_vals[ws.out], a_r, out=a_r)
     np.multiply(v_vals, a_vals, out=v_vals)
@@ -572,10 +595,11 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     where V lives; every term after it, the sum s and r = -osc(V' s) live
     on the core window (the bounding box of the box's core disk, outside
     which they vanish), with V and V' sliced to it once.  A bundle's box
-    arrays are its outputs s, r and v: G^-1 e^{Phi/h} is formed in v's
-    array, and a constant amplitude is a read-only broadcast of its
-    value.  The residual is measured on the measurement disk, the core
-    disk less the differences' 3-node reach.  Zero drift and potential
+    arrays are its outputs s, r and v: G^-1 e^{Phi/h} is the one
+    exponential exp(Phi/h - i alpha), formed in v's array, and a constant
+    amplitude is a read-only broadcast of its value.  The residual is
+    measured on the measurement disk, the core disk less the
+    differences' 3-node reach.  Zero drift and potential
     give an exactly zero gauge, V and series, so r = 0.  If the series
     terms ever grow instead of decaying, a warning is issued and the sum
     is truncated at the observed minimum.  A non-finite or nonpositive

@@ -366,9 +366,13 @@ def _coverage_weights(x1, x2, dx, a, b):
     return w
 
 
-# offsets of the reach-3 window in the order np.argmin over a row-major
-# window picks them: nearest first, ties to the smaller di, then dj
-_ADOPT_OFFSETS = sorted(((di, dj) for di in range(-3, 4) for dj in range(-3, 4)),
+# offsets of the disk di^2 + dj^2 <= 9 in the order np.argmin over the
+# row-major mask nodes picks them: nearest first, ties to the smaller di,
+# then dj.  Every node outside the disk lies at d^2 >= 10, so a mask node
+# in it is the nearest; a corner of the square of reach 3 (d^2 = 18) is
+# not, when a node at d^2 = 16 lies just outside the square
+_ADOPT_OFFSETS = sorted(((di, dj) for di in range(-3, 4) for dj in range(-3, 4)
+                         if di * di + dj * dj <= 9),
                         key=lambda o: (o[0] ** 2 + o[1] ** 2, o[0], o[1]))
 
 
@@ -386,8 +390,8 @@ def _adopt_orphans(weights_ext, mask):
                               _shifted(mask, _ADOPT_OFFSETS, False)):
         hit = (ti < 0) & near[oi, oj]
         ti[hit], tj[hit] = oi[hit] + di, oj[hit] + dj
-    # thin domains leave orphans with no mask node within reach 3: they
-    # take the nearest mask node, ties to the first in row-major order
+    # thin domains leave orphans with no mask node within distance 3:
+    # they take the nearest mask node, ties to the first in row-major order
     mi, mj = np.nonzero(mask)
     for k in np.flatnonzero(ti < 0):
         if not len(mi):

@@ -610,14 +610,13 @@ def test_in_place_arithmetic_is_the_plain_formula_bitwise():
 
     bundle = _fresh(cgo.build_cgo_holo, phase, 0.283, drift, q=q)
     assert np.array_equal(bundle.alpha, alpha)
-    assert np.array_equal(cgo._SETUP[0].Ginv, np.exp(-1j * alpha))
-    grow = np.exp(phase.values / 0.283)
-    v = cgo._SETUP[0].Ginv * grow * (bundle.amplitude + bundle.r.values)
+    v = (np.exp(phase.values / 0.283 - 1j * alpha)
+         * (bundle.amplitude + bundle.r.values))
     assert np.array_equal(bundle.v.values, v)
 
 
 def test_the_kept_setup_is_freed_before_the_next_is_built(monkeypatch):
-    # two setups (about 21 MB each on the 512 box) never coexist: _setup
+    # two setups (about 16 MB each on the 512 box) never coexist: _setup
     # holds no reference to the one it replaces
     phase, drift, q = _mid_inputs()
     _fresh(cgo.build_cgo_holo, phase, 0.4, drift, q=q)
@@ -685,6 +684,45 @@ def test_a_bundle_allocates_no_box_array_beyond_its_outputs(box, phases,
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * box_bytes, peak / box_bytes
+
+
+def _held(build):
+    """build() and the bytes it leaves allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = build()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return out, held
+
+
+def test_phase_spec_holds_one_box_array():
+    # Phi is the one array kept, 16 n^2 bytes: psi is a view of its
+    # imaginary part and dPhi/dz is evaluated when first read.  Keeping
+    # dPhi/dz and a copy of psi held 40 n^2
+    n2 = _MID.n ** 2
+    cgo.phase_spec((0.0, 0.0, -0.25), _MID, 0.1 - 0.05j)
+    phase, held = _held(
+        lambda: cgo.phase_spec((0.0, 0.0, -0.25), _MID, 0.1 - 0.05j))
+    assert held <= 16 * n2 + 4096, held / n2
+    assert np.shares_memory(phase.psi, phase.values)
+    assert phase.dvalues is phase.dvalues
+
+
+def test_a_setup_holds_the_key_alpha_and_window_weights_alone():
+    # with the kernel cache warm, a _Setup on the 256 box keeps the key's
+    # four real box arrays (psi, X1, X2, q: 32 n^2 bytes) and alpha
+    # (16 n^2); on the 171^2 input window V (16 B a node), E (8) and the
+    # frame mask (1), and on the 85^2 core window V' (16) and the core
+    # mask (1): 25 x 171^2 + 17 x 85^2 = 13.03 n^2.  61.03 n^2 in all,
+    # plus the objects; with G^-1 kept beside alpha it held 77 n^2
+    phase, drift, q = _mid_inputs()
+    n2 = _MID.n ** 2
+    cgo._Setup(_MID, phase.psi, drift, q)
+    setup, held = _held(lambda: cgo._Setup(_MID, phase.psi, drift, q))
+    assert held <= 61 * n2 + 16384, held / n2
+    assert not hasattr(setup, "Ginv")
 
 
 def test_first_term_window_entry_is_the_full_box_route():

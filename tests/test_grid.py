@@ -105,27 +105,21 @@ def test_quadrature_area_disk():
 
 @pytest.mark.parametrize("a, b, n", [(1.0, 0.02, 110), (1.0, 0.01, 102)])
 def test_thin_ellipse_weights_sum_to_the_area(a, b, n):
-    # 16 of 116 and 164 of 176 slivers have no mask node within 3 cells
-    # and are adopted by the wider search
+    # 16 of 116 and 164 of 176 slivers have no mask node within distance
+    # 3 (d^2 <= 9) and are adopted by the global search
     g = build_ellipse(a, b, n)
     area = np.pi * a * b
     assert abs(np.sum(g.weights) - area) < 1e-14 * area
 
 
 def _adopt_orphans_loop(cov, mask):
-    """Per-orphan reference adoption: np.argmin of d^2 over the mask nodes
-    of the smallest window (reach 3, then the whole lattice) that has
-    any."""
-    n = mask.shape[0]
+    """Per-orphan reference adoption: np.argmin of d^2 over every mask
+    node, in row-major order."""
     w = np.where(mask, cov, 0.0)
+    mi, mj = np.nonzero(mask)
     for i, j in zip(*np.nonzero(~mask & (cov > 0))):
-        for reach in (3, n):
-            i0, j0 = max(i - reach, 0), max(j - reach, 0)
-            ii, jj = np.nonzero(mask[i0:i + reach + 1, j0:j + reach + 1])
-            if len(ii):
-                k = int(np.argmin((ii + i0 - i) ** 2 + (jj + j0 - j) ** 2))
-                w[ii[k] + i0, jj[k] + j0] += cov[i, j]
-                break
+        k = int(np.argmin((mi - i) ** 2 + (mj - j) ** 2))
+        w[mi[k], mj[k]] += cov[i, j]
     return w
 
 
@@ -139,6 +133,19 @@ def test_orphan_adoption_equals_the_per_orphan_loop(a, b, n):
     w = _adopt_orphans(cov, g.mask)
     assert np.array_equal(w, _adopt_orphans_loop(cov, g.mask))
     assert np.array_equal(w, g.weights)
+
+
+def test_an_orphan_goes_past_a_square_corner_to_the_nearest_mask_node():
+    # (13, 13), at d^2 = 18, is a corner of the square of reach 3 around
+    # the orphan (10, 10); (14, 10), at d^2 = 16, lies outside that square
+    # and is nearer: the sliver goes to it
+    mask = np.zeros((32, 32), dtype=bool)
+    mask[13, 13] = mask[14, 10] = True
+    cov = np.where(mask, 1.0, 0.0)
+    cov[10, 10] = 0.5
+    w = _adopt_orphans(cov, mask)
+    assert (w[14, 10], w[13, 13], np.sum(w)) == (1.5, 1.0, 2.5)
+    assert np.array_equal(w, _adopt_orphans_loop(cov, mask))
 
 
 def test_an_orphan_beyond_reach_3_goes_to_the_nearest_mask_node():
