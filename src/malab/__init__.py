@@ -11,11 +11,12 @@ here. It fails on a public name of malab that no step names, no other
 module of malab imports and no benchmark workload in perfbench/ uses;
 on a public method or property that no step names and no code in src/
 or perfbench/ reads; on a dataclass field that nothing reads; and on a
-keyword default that no caller sets (a refused test call sets nothing):
-a fixed choice is a module constant, named at its step. It also fails
-on a step of 1-7 without an Orders: line naming a test that measures
-the step's order at three or more n, h or s, but for the steps on its
-waiting list (2 and 7); on a module of malab other than grid that
+keyword default, of any function or method, public or private, that no
+caller sets (a refused test call sets nothing): a fixed choice is a
+module constant, named at its step if it is public. It also fails on a
+step of 1-7 without an Orders: line naming a test that measures the
+step's order at three or more n, h or s, but for the step on its
+waiting list (7); on a module of malab other than grid that
 checks a field's finiteness (np.isfinite) or grid (!=) by hand instead
 of through grid's input guards; and on an np.roll anywhere in malab or
 a constant-fill np.pad outside grid: every read of a domain lattice's
@@ -39,6 +40,7 @@ step past the lattice's edge reads the fill, never a wrapped node.
    dnmap.recover_boundary_third.
    Tests: test_dnmap.py::test_recover_hessian_quartic_base,
    test_dnmap.py::test_recover_third_quartic_base.
+   Orders: test_dnmap.py::test_recover_hessian_is_second_order_on_the_quartic_base.
 3. The Hessian metric g = D^2 u.
    Realized by linearize.metric_from_solution, the inverse of
    linearize.solution_hessian, the Newton stencil's own Hessian.
@@ -59,7 +61,8 @@ step past the lattice's edge reads the fill, never a wrapped node.
    Tests: test_dnmap.py::test_dn_full_derivative_quadratic_remainder,
    test_linearize.py::test_divergence_form_identity_deep,
    test_dnmap.py::test_dn_lin_steklov_diagonal.
-   Orders: test_linearize.py::test_eps_consistency_quartic_base.
+   Orders: test_linearize.py::test_eps_consistency_quartic_base,
+   test_dnmap.py::test_dn_lin_sees_the_conformal_class_and_only_it.
 5. The conformal class of g, without diffeomorphism invariance.
    Realized by geomkit.isothermal (the isothermal chart, conformal to
    geomkit.CONFORMAL_TOL over the core disk; step 1's GMRES solves its
@@ -93,11 +96,16 @@ step past the lattice's edge reads the fill, never a wrapped node.
    cgo.build_cgo_adjoint (each a cgo.CGOBundle of series depth
    cgo.DEPTH_DEFAULT, on a cgo.PhaseSpec from cgo.phase_spec, measured
    on the core disk of radius grid.PaddedGrid.core_radius, set by
-   grid.MARGIN_DIVISOR), through cgo.gauge, cgo.factor_potential,
-   cgo.series_weights, cgo.neumann_T and cgo.drift_residual; the
-   oscillatory inverse complexcalc.oscillatory_dbar_inv reads
-   grid.PaddedGrid.data_window, cuts off with complexcalc.smooth_cutoff
-   and resolves complexcalc.NODES_PER_OSC nodes per wavelength.
+   grid.MARGIN_DIVISOR, by cgo.drift_residual) through windowed private
+   forms of each step, whose oscillatory plan reads
+   grid.PaddedGrid.data_window and resolves complexcalc.NODES_PER_OSC
+   nodes per wavelength. The box forms that certificates and tests read
+   are cgo.gauge, cgo.factor_potential, cgo.series_weights,
+   cgo.neumann_T, complexcalc.oscillatory_dbar_inv and
+   complexcalc.smooth_cutoff; from them
+   test_cgo.py::test_windowed_series_equals_full_box_rebuild and
+   test_cgo.py::test_remainder_rebuilds_bitwise rebuild a bundle bit
+   for bit.
    Certified by cgo.remainder_expansion (the h-expansion of the
    remainder), cgo.factorization_check (the gauge factorization on a
    fixed probe) and cgo.cz_diagnostic (the Calderon-Zygmund bound,
@@ -118,13 +126,14 @@ step past the lattice's edge reads the fill, never a wrapped node.
 Steps 1-4 are the domain half, steps 5-6 the padded-box half (apart
 from geomkit.diffeo_rigidity_solve, a domain solve). Both halves share
 the lattices and fields of grid (the domain's ring is a
-grid.BoundaryRing) and one derivative of a periodic or domain field,
-complexcalc.deriv: spectral on the box, masked differences on the
-domain. A CGO solution is not periodic, so the box certificates
-(cgo.drift_residual, cgo.cz_diagnostic and the amplitude's holomorphy
-check) use 4th-order differences instead. The box work of steps 5-6
-needs numpy only; the domain half loads scipy.sparse at the first
-maforward.build_stencil_ops that builds operators.
+grid.BoundaryRing) and one first derivative of a periodic or domain
+field, complexcalc.deriv: spectral on the box, masked differences on the
+domain, whose one Hessian is the Newton stencil's (step 3). A CGO
+solution is not periodic, so the box certificates (cgo.drift_residual,
+cgo.cz_diagnostic and the amplitude's holomorphy check) use 4th-order
+differences instead. The box work of steps 5-6 needs numpy only; the
+domain half loads scipy.sparse at the first maforward.build_stencil_ops
+that builds operators.
 """
 
 __version__ = "0.1.0"

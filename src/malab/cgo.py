@@ -227,7 +227,7 @@ def factorization_check(X: VectorField, q=0.0) -> float:
 # polynomial phases
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseSpec:
     """Holomorphic polynomial phase on a padded box.
 
@@ -369,7 +369,7 @@ def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
 # bundles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CGOBundle:
     """One constructed solution with its series bookkeeping.
 

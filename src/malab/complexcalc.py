@@ -7,12 +7,14 @@ Derivative conventions: with z = x1 + i x2,
 
 so dzb annihilates holomorphic functions and 4 dz dzb equals the Laplacian.
 
-Each lattice has one derivative, chosen by deriv from the grid type:
-spectral on a periodic padded box (spectral_deriv; dz and dzb are one FFT
-pair each, spectral_dz and spectral_dzb, with spectral_deriv's odd-order
-Nyquist rule), and masked differences on a domain lattice (4th-order
-central inside, degrading to one-sided second order against the
-boundary).
+Each lattice has one first derivative, chosen by deriv from the grid
+type: spectral on a periodic padded box (spectral_deriv, which also takes
+the second orders that the gauge factorization check reads; dz and dzb
+are one FFT pair each, spectral_dz and spectral_dzb, with spectral_deriv's
+odd-order Nyquist rule), and masked differences on a domain lattice
+(4th-order central inside, degrading to one-sided second order against
+the boundary).  The domain's one Hessian is the Newton stencil's
+(maforward.stencil_hessian).
 
 The Cauchy transforms convolve with the kernel h^2/(pi z), and the
 Beurling transform S = dz C (isothermal's) with -h^2/(pi z^2), sampled on
@@ -86,23 +88,18 @@ def _wavenumbers(grid: PaddedGrid, odd1: bool, odd2: bool):
     return ks[0][:, None], ks[1][None, :]
 
 
-def _require_order(o1, o2):
-    """A GridError naming the orders unless they are integers >= 0 of
-    total order 1 or 2."""
-    if not (isinstance(o1, numbers.Integral)
-            and isinstance(o2, numbers.Integral)
-            and min(o1, o2) >= 0 and o1 + o2 in (1, 2)):
-        raise GridError(f"derivative order ({o1}, {o2}) is not 1 or 2")
-
-
 def spectral_deriv(vals: np.ndarray, grid: PaddedGrid, o1: int, o2: int) -> np.ndarray:
     """(d/dx1)^o1 (d/dx2)^o2 of total order 1 or 2 by FFT on the periodic
     box.
 
     The unbalanced Nyquist mode is zeroed for odd derivative orders.
-    Values that are not a finite (n, n) field of the box are a GridError.
+    Orders that are not integers >= 0 of total order 1 or 2, and values
+    that are not a finite (n, n) field of the box, are a GridError.
     """
-    _require_order(o1, o2)
+    if not (isinstance(o1, numbers.Integral)
+            and isinstance(o2, numbers.Integral)
+            and min(o1, o2) >= 0 and o1 + o2 in (1, 2)):
+        raise GridError(f"derivative order ({o1}, {o2}) is not 1 or 2")
     k1, k2 = _wavenumbers(grid, o1 % 2, o2 % 2)
     mult = (1j * k1) ** o1 * (1j * k2) ** o2
     return np.fft.ifft2(mult * np.fft.fft2(_box_field(vals, grid,
@@ -186,23 +183,13 @@ _MASKED_D1 = (
     ((-2, -1, 1, 2),
      lambda s, dx: (s(-2) - 8 * s(-1) + 8 * s(1) - s(2)) / (12 * dx)),
 )
-_MASKED_D2 = (
-    ((-1, -2, -3),
-     lambda s, dx: (2 * s(0) - 5 * s(-1) + 4 * s(-2) - s(-3)) / (dx * dx)),
-    ((1, 2, 3),
-     lambda s, dx: (2 * s(0) - 5 * s(1) + 4 * s(2) - s(3)) / (dx * dx)),
-    ((-1, 1), lambda s, dx: (s(1) - 2 * s(0) + s(-1)) / (dx * dx)),
-    ((-2, -1, 1, 2),
-     lambda s, dx: (-s(-2) + 16 * s(-1) - 30 * s(0) + 16 * s(1) - s(2))
-     / (12 * dx * dx)),
-)
 
 
-def _masked_stencil(vals: np.ndarray, grid: DomainGrid, axis: int,
-                    stencils) -> np.ndarray:
-    """Apply per node the last of stencils whose offsets stay in the mask.
+def _masked_stencil(vals: np.ndarray, grid: DomainGrid,
+                    axis: int) -> np.ndarray:
+    """Apply per node the last of _MASKED_D1 whose offsets stay in the mask.
 
-    The values at the offsets -3..3 along axis are views of one padded
+    The values at the offsets -2..2 along axis are views of one padded
     copy (grid._shifted), and a stencil fits at the nodes that
     grid._erode keeps for its offsets. Mask nodes where none fits raise
     (they would mean a sliver thinner than three nodes); nodes off the
@@ -210,10 +197,10 @@ def _masked_stencil(vals: np.ndarray, grid: DomainGrid, axis: int,
     """
     m = grid.mask
     steps = lambda ks: [(k, 0) if axis == 0 else (0, k) for k in ks]
-    sh = dict(zip(range(-3, 4), _shifted(vals, steps(range(-3, 4)), 0.0)))
+    sh = dict(zip(range(-2, 3), _shifted(vals, steps(range(-2, 3)), 0.0)))
     out = np.zeros(vals.shape, dtype=np.result_type(vals, float))
     fitted = np.zeros(m.shape, dtype=bool)
-    for offsets, formula in stencils:
+    for offsets, formula in _MASKED_D1:
         fits = _erode(m, steps(offsets))
         out = np.where(fits, formula(sh.get, grid.dx), out)
         fitted |= fits
@@ -225,25 +212,24 @@ def _masked_stencil(vals: np.ndarray, grid: DomainGrid, axis: int,
 
 
 def deriv(vals: np.ndarray, grid, o1: int, o2: int) -> np.ndarray:
-    """(d/dx1)^o1 (d/dx2)^o2 of total order 1 or 2 on the grid's lattice.
+    """d/dx1 for (o1, o2) = (1, 0), d/dx2 for (0, 1), on the grid's lattice.
 
     Spectral on a padded box, masked differences on a domain; real on both
     for real input (on a box, the real part of the spectral derivative).
-    A mixed derivative on a domain is d/dx1 of d/dx2, so every leg stays
-    inside the mask. Values that are not an (n, n) field of the grid,
+    Any other order, and values that are not an (n, n) field of the grid,
     finite on the box or on the domain's mask, are a GridError.
     """
-    _require_order(o1, o2)
+    if not (all(isinstance(o, numbers.Integral) for o in (o1, o2))
+            and {o1, o2} == {0, 1}):
+        raise GridError(f"derivative order ({o1}, {o2}) is not (1, 0) or "
+                        "(0, 1)")
     if isinstance(grid, PaddedGrid):
         out = spectral_deriv(vals, grid, o1, o2)
         return out if np.iscomplexobj(vals) else out.real
     if isinstance(grid, DomainGrid):
         vals = _on_lattice(vals, grid, "deriv")
         _require_finite("input of deriv", vals, where=grid.mask)
-        if o1 and o2:
-            return deriv(deriv(vals, grid, 0, 1), grid, 1, 0)
-        return _masked_stencil(vals, grid, 0 if o1 else 1,
-                               _MASKED_D1 if o1 + o2 == 1 else _MASKED_D2)
+        return _masked_stencil(vals, grid, 0 if o1 else 1)
     raise GridError(f"unsupported grid type {type(grid).__name__}")
 
 

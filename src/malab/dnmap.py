@@ -107,7 +107,7 @@ def dn_full_derivative(base, phi) -> BoundaryTrace:
     return normal_derivative(v, anchor=anchor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DNMatrix:
     """Linearized measurement map over the ring Fourier basis.
 

@@ -54,7 +54,9 @@ Two grids are equal when they are the same lattice: domains with the same
 (a, b, n), boxes with the same (half, n). Every check that a field, trace
 or map lives on a grid is _require_same_grid's != test, and the caches
 keyed by a grid (the stencil operators, the Cauchy kernels) hit for an
-equal grid built twice.
+equal grid built twice. Every other frozen record that holds arrays
+equals only itself and hashes by identity (eq=False): numpy arrays
+compared as a tuple have no single truth value.
 
 Everything here is immutable after construction (a domain grid's arrays
 are read-only) and safe to share across threads.
@@ -180,7 +182,7 @@ def _erode(mask: np.ndarray, steps) -> np.ndarray:
 # boundary ring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryRing:
     """Closed counterclockwise ring of points on the exact boundary curve."""
 
@@ -540,7 +542,7 @@ class ComplexField:
         self.grid = grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorField:
     """Two real components on a grid (drift vectors, gradients)."""
 
@@ -599,17 +601,15 @@ def quadrature(f: ScalarField) -> float:
     return float(np.sum(f.values[d.mask] * d.weights[d.mask]))
 
 
-def tangential_derivative(grid: DomainGrid, vals: np.ndarray,
-                          order: int = 1) -> np.ndarray:
-    """d^order/ds^order of ring samples (M,) or (M, k), s the arclength.
+def tangential_derivative(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
+    """d/ds of ring samples (M,) or (M, k), s the arclength.
 
     Spectral in the uniform ring parameter theta (the Nyquist mode has no
     odd derivative and is zeroed), divided by the ring's speed
-    |dp/dtheta| = ds M / 2 pi at every step.  An order that is not a
-    non-negative integer, a grid that is not a DomainGrid and samples
-    whose first axis is not the ring are a GridError.
+    |dp/dtheta| = ds M / 2 pi; a higher derivative is this one composed.
+    A grid that is not a DomainGrid and samples whose first axis is not
+    the ring are a GridError.
     """
-    _require_count("order", order)
     b = _require_grid(grid, DomainGrid, "ring calculus").boundary
     M = len(b)
     vals = np.asarray(vals, dtype=float)
@@ -619,10 +619,8 @@ def tangential_derivative(grid: DomainGrid, vals: np.ndarray,
     speed = b.ds * M / (2.0 * np.pi)
     ik = 1j * np.arange(M // 2 + 1, dtype=float)
     ik[-1] = 0.0
-    out = vals.T                                # the ring along the last axis
-    for _ in range(order):
-        out = np.fft.irfft(ik * np.fft.rfft(out), n=M) / speed
-    return out.T
+    # the ring along the last axis
+    return (np.fft.irfft(ik * np.fft.rfft(vals.T), n=M) / speed).T
 
 
 def _ring_modes(vals: np.ndarray) -> np.ndarray:
@@ -651,15 +649,19 @@ def _ring_eval(c: np.ndarray, theta) -> np.ndarray:
     return out.reshape(np.shape(theta))
 
 
-def _snap(t: np.ndarray, eps: float = 1e-9) -> np.ndarray:
-    """Snap lattice coordinates within eps of a node onto the node.
+# lattice coordinates within _SNAP_EPS of a node are that node
+_SNAP_EPS = 1e-9
+
+
+def _snap(t: np.ndarray) -> np.ndarray:
+    """Snap lattice coordinates within _SNAP_EPS of a node onto the node.
 
     Removes the floor/ulp jitter of points that are meant to be nodes, so
     evaluating there returns the stored value bitwise (the Lagrange
     weights degenerate to exact zeros and a one).
     """
     r = np.round(t)
-    return np.where(np.abs(t - r) < eps, r, t)
+    return np.where(np.abs(t - r) < _SNAP_EPS, r, t)
 
 
 def _lagrange4(t: np.ndarray) -> np.ndarray:

@@ -325,7 +325,7 @@ def _terms(a11, a12, a22, X1, X2):
     return [(a11, "11"), (a22, "22"), (2.0 * a12, "12"), *drift]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StencilOps:
     """Sparse difference operators on the masked lattice.
 

@@ -76,14 +76,16 @@ def _disk_z(g):
 
 
 def _hessian(f, g):
-    """(n, n, 2, 2) Hessian of f from the grid's own derivative."""
-    d12 = deriv(f, g, 1, 1)
-    return np.stack([np.stack([deriv(f, g, 2, 0), d12], axis=-1),
-                     np.stack([d12, deriv(f, g, 0, 2)], axis=-1)], axis=-2)
+    """(n, n, 2, 2) Hessian of f: the grid's own first derivative, composed."""
+    d1, d2 = deriv(f, g, 1, 0), deriv(f, g, 0, 1)
+    d12 = deriv(d2, g, 1, 0)
+    return np.stack([np.stack([deriv(d1, g, 1, 0), d12], axis=-1),
+                     np.stack([d12, deriv(d2, g, 0, 1)], axis=-1)], axis=-2)
 
 
 def test_complex_hessian_holomorphic_square():
-    # masked differences are exact on quadratics, rim stencils included
+    # masked differences are exact on quadratics, rim stencils included,
+    # so the composed ones are too
     g = build_disk(1.0, 128)
     z = _disk_z(g)
     H = _hessian(z * z, g)[g.mask]
@@ -128,9 +130,6 @@ def test_masked_derivatives_quadratic_exact():
     m = g.mask
     assert np.max(np.abs((deriv(f, g, 1, 0) - (2 * X - 3 * Y + 1))[m])) < 1e-10
     assert np.max(np.abs((deriv(f, g, 0, 1) - (-3 * X + 4 * Y - 1))[m])) < 1e-10
-    assert np.max(np.abs((deriv(f, g, 2, 0) - 2)[m])) < 1e-9
-    assert np.max(np.abs((deriv(f, g, 1, 1) + 3)[m])) < 1e-9
-    assert np.max(np.abs((deriv(f, g, 0, 2) - 4)[m])) < 1e-9
 
 
 def test_masked_derivatives_cubic():
@@ -143,16 +142,6 @@ def test_masked_derivatives_cubic():
     # central stencils are exact on cubics; rim one-sided legs are O(dx^2)
     assert np.max(np.abs((d1 - (3 * X ** 2 - 2 * Y ** 2))[deep])) < 1e-10
     assert np.max(np.abs((d1 - (3 * X ** 2 - 2 * Y ** 2))[m])) < 5e-3
-    d11 = deriv(f, g, 2, 0)
-    assert np.max(np.abs((d11 - 6 * X)[m])) < 1e-8  # 4-point rim formula is cubic-exact
-
-
-def test_masked_mixed_derivative_is_d1_of_d2_bitwise():
-    g = build_disk(1.0, 64)
-    X, Y = g.meshgrid()
-    f = np.exp(X) * np.sin(2.0 * Y) + X ** 3 * Y
-    once = deriv(f, g, 1, 1)
-    assert once.tobytes() == deriv(deriv(f, g, 0, 1), g, 1, 0).tobytes()
 
 
 def test_deriv_of_real_input_is_real_on_both_lattices():
@@ -162,7 +151,7 @@ def test_deriv_of_real_input_is_real_on_both_lattices():
     for g in (box, disk):
         X, Y = g.meshgrid()
         f = np.exp(-(X * X + Y * Y)) * (1.0 + X)
-        for o in ((1, 0), (0, 1), (2, 0), (1, 1)):
+        for o in ((1, 0), (0, 1)):
             d = deriv(f, g, *o)
             assert d.dtype == np.float64
             if g is box:
@@ -177,19 +166,22 @@ def test_derivatives_refuse_a_non_finite_field_before_any_stencil():
     disk, box = build_disk(1.0, 48), PaddedGrid(half=1.0, n=48)
     f = np.zeros((48, 48))
     f[24, 24] = np.nan
-    for o in ((1, 0), (0, 2), (1, 1)):
+    for o in ((1, 0), (0, 1)):
         with pytest.raises(GridError, match="non-finite input of deriv"):
             deriv(f, disk, *o)
-        for call in (deriv, spectral_deriv):
-            with pytest.raises(GridError,
-                               match="non-finite input of spectral_deriv"):
-                call(f, box, *o)
+        with pytest.raises(GridError,
+                           match="non-finite input of spectral_deriv"):
+            deriv(f, box, *o)
+    for o in ((1, 0), (0, 2), (1, 1)):
+        with pytest.raises(GridError,
+                           match="non-finite input of spectral_deriv"):
+            spectral_deriv(f, box, *o)
     # on a domain only the mask is read, and a stencil that does not fit
     # is a fault of the geometry alone
     off = np.where(disk.mask, 0.0, np.nan)
     assert np.array_equal(deriv(off, disk, 1, 0), np.zeros((48, 48)))
     with pytest.raises(GridError, match="no difference stencil fits"):
-        deriv(np.zeros((64, 64)), build_ellipse(1.0, 0.05, 64), 0, 2)
+        deriv(np.zeros((64, 64)), build_ellipse(1.0, 0.05, 64), 0, 1)
 
 def test_spectral_derivatives_refuse_a_domain_grid():
     # they used to FFT the non-periodic domain lattice without a word

@@ -14,6 +14,7 @@ import pytest
 
 from malab.grid import (BoundaryTrace, GridError, MetricField, build_disk,
                         build_ellipse, tangential_derivative)
+from malab.linearize import metric_from_solution
 from malab.maforward import solve_ma
 from malab.dnmap import (_basis_project, dn_full, dn_full_derivative, dn_lin,
                          dn_lin_matrix, recover_boundary_hessian,
@@ -115,6 +116,48 @@ def test_dn_lin_conformal_invariance():
     a = dn_lin(flat_metric(g), lambda x, y: 2 * x * y)
     b = dn_lin(half, lambda x, y: 2 * x * y)
     assert np.abs(a.values - b.values).max() < 1e-7
+
+
+def test_dn_lin_sees_the_conformal_class_and_only_it():
+    # step 4 on the quartic base's own metric g (step 3's): a conformal
+    # change c g of the covariant metric divides the stored components by
+    # c. The solve's rows scale by 1/c, so v is unchanged to the solve
+    # tolerance, and sqrt|g| g^{ik} is invariant node by node; what is
+    # left is the ray fit of the metric on the ring, whose fit of g / c
+    # and fit of g over c at the ring both meet the exact trace to the
+    # fit's order: cubic sampling at depths 5-11 dx and a cubic
+    # extrapolation in depth, O(dx^4) for the smooth fields sampled there
+    # (the rim rows' first-order layer lies shallower than every sample).
+    # So between n and 2n the order log(gap_n / gap_2n) / log(dx_n /
+    # dx_2n) is 4: measured 4.25 and 4.38 (max|dD| / max|D| 2.96e-3,
+    # 1.48e-4 and 6.96e-6 at n = 48, 96 and 192, about 20 times per
+    # doubling). A change of g12 alone is not conformal, and D's change
+    # converges to the continuum map's, of order its amplitude: 7.65e-4
+    # and 7.55e-4 at n = 96 and 192, held above 5e-4
+    Fq = lambda x, y: 1.0 + x ** 2
+    phq = lambda x, y: x ** 4 / 12 + x ** 2 / 2 + y ** 2 / 2
+    ns, gaps = (48, 96, 192), []
+    for n in ns:
+        g = build_disk(1.0, n)
+        X, Y = g.meshgrid()
+        met = metric_from_solution(solve_ma(Fq, phq, g))
+        D = dn_lin_matrix(met, None, 6).values
+        scale = np.abs(D).max()
+        c = 1.0 + 0.4 * np.exp(-((X - 0.3) ** 2 + Y ** 2) / 0.1)
+        conformal = MetricField(met.g11 / c, met.g12 / c, met.g22 / c, g)
+        gaps.append(np.abs(dn_lin_matrix(conformal, None, 6).values
+                           - D).max() / scale)
+        if n > 48:
+            bump = 0.05 * np.exp(-((X + 0.2) ** 2 + (Y - 0.1) ** 2) / 0.05)
+            sheared = MetricField(met.g11, met.g12 + bump, met.g22, g)
+            change = np.abs(dn_lin_matrix(sheared, None, 6).values
+                            - D).max() / scale
+            assert change > 5e-4, (n, change)
+    dxs = [2.0 / (n - 1) for n in ns]
+    for k in range(2):
+        order = (np.log(gaps[k] / gaps[k + 1])
+                 / np.log(dxs[k] / dxs[k + 1]))
+        assert 3.8 <= order <= 4.8, (ns[k], order)
 
 
 def test_dn_lin_rejects_indefinite_ring_trace():
@@ -229,6 +272,37 @@ def test_recover_hessian_quartic_base():
     assert np.abs(unn.values - (c ** 2 * (1 + c ** 2) + s ** 2)).max() < 1e-2
     det = utt.values * unn.values - utn.values ** 2
     assert np.abs(det - (1 + c ** 2)).max() < 1e-13
+
+
+def test_recover_hessian_is_second_order_on_the_quartic_base():
+    # the measured trace lam is second order
+    # (test_dn_full_is_second_order_on_the_quartic_base), and the recovery
+    # is pointwise algebra on it and on tangential derivatives of its modes
+    # k <= 6: u_tt = phi'' + kappa lam and u_tn = lam' - kappa phi' are
+    # linear in lam with d/ds bounded by 6 on those modes, and u_nn =
+    # (F + u_tn^2) / u_tt is smooth in both while u_tt stays positive. The
+    # exact traces are trigonometric of degree 4, which the band limit
+    # keeps whole, and the data's derivatives are exact. So between n and
+    # 2n the order log(e_n / e_2n) / log(dx_n / dx_2n) is 2: measured 2.01
+    # and 1.95 (errors 1.65e-4, 3.99e-5 and 1.02e-5); without the band
+    # limit node noise reaches u_tn through d/ds, and the ratios wander
+    # (2.65 and 4.50)
+    Fq = lambda x, y: 1.0 + x ** 2
+    phq = lambda x, y: x ** 4 / 12 + x ** 2 / 2 + y ** 2 / 2
+    ns, errs = (48, 96, 192), []
+    for n in ns:
+        g = build_disk(1.0, n)
+        c, s = ring_coords(g)
+        lam = dn_full(Fq, phi=phq, grid=g)
+        utt, utn, unn = recover_boundary_hessian(lam, Fq, data=phq, kmax=6)
+        errs.append(max(np.abs(utt.values - (1 + s ** 2 * c ** 2)).max(),
+                        np.abs(utn.values + s * c ** 3).max(),
+                        np.abs(unn.values - (c ** 2 * (1 + c ** 2)
+                                             + s ** 2)).max()))
+    dxs = [2.0 / (n - 1) for n in ns]
+    for k in range(2):
+        order = np.log(errs[k] / errs[k + 1]) / np.log(dxs[k] / dxs[k + 1])
+        assert 1.8 <= order <= 2.2, (ns[k], order)
 
 
 def test_recover_hessian_cartesian_frame():

@@ -1,11 +1,12 @@
 """Packaging metadata: every declared console script resolves, the
 claim map in malab.__doc__ names real code, accounts for every public
-name, member and keyword default of malab and names an order test at
-every step but those waiting for one, no module of malab but grid checks
-a grid's kind, a field's finiteness or a field's grid by hand or reads a
-lattice's neighbours from a padded copy of its own, no module rolls an
-array, imports a name it never reads or declares __all__, and the
-padded-box half runs without scipy.sparse.
+name and member of malab and every keyword default, public or private,
+and names an order test at every step but those waiting for one, no
+module of malab but grid checks a grid's kind, a field's finiteness or
+a field's grid by hand or reads a lattice's neighbours from a padded
+copy of its own, no module rolls an array, imports a name it never
+reads or declares __all__, and the padded-box half runs without
+scipy.sparse.
 
 A public name is one without a leading underscore; there is no other
 list of them. The rule the scans hold: a public thing exists because a
@@ -57,11 +58,10 @@ def test_project_scripts_import_and_are_callable():
         assert callable(func), name
 
 
-# steps of the claim map that name no order test yet: 2, whose boundary
-# Hessian has no order measured on the quartic base, and 7, which has no
+# steps of the claim map that name no order test yet: 7, which has no
 # certificate. The list may only shrink: a step that gains an Orders:
 # line leaves it
-ORDERS_WAITING = {2, 7}
+ORDERS_WAITING = {7}
 
 
 def step_orders() -> dict:
@@ -215,18 +215,29 @@ def _calls(tree, refusals: bool = True) -> list:
     return out
 
 
-def _public_functions() -> list:
-    """(entry, node, offset) of every public function of malab: top-level
-    functions and the methods of public classes; offset is 1 where a call
-    does not spell the first parameter (self or cls)."""
-    out = [(f"{mod}.{name}", node, 0) for mod, tree in SRC_TREES.items()
-           for name, node in _public(tree.body)
-           if isinstance(node, ast.FunctionDef)]
-    for entry, cls in _public_classes():
-        out += [(f"{entry}.{name}", node,
-                 int("staticmethod" not in _decorators(node)))
-                for name, node in _public(cls.body)
-                if isinstance(node, ast.FunctionDef)]
+def _functions() -> list:
+    """(entry, node, offset, callee) of every function of malab, private
+    and nested ones included: top-level functions, the methods of every
+    class and the functions defined inside either. offset is 1 where a
+    call does not spell the first parameter (a method's self or cls), and
+    callee is the name a call spells (the class's, for __init__)."""
+    out = []
+    for mod, tree in SRC_TREES.items():
+        scopes = [(mod, tree)]
+        while scopes:
+            prefix, scope = scopes.pop()
+            for node in scope.body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                entry = f"{prefix}.{node.name}"
+                scopes.append((entry, node))
+                if isinstance(node, ast.ClassDef):
+                    continue
+                method = isinstance(scope, ast.ClassDef)
+                out.append((entry, node, int(
+                    method and "staticmethod" not in _decorators(node)),
+                    scope.name if method and node.name == "__init__"
+                    else node.name))
     return out
 
 
@@ -251,18 +262,19 @@ def _passes(call: ast.Call, index, name: str) -> bool:
 
 
 def unset_defaults() -> list:
-    """entry:param of every defaulted parameter of a public function that
-    no call passes: no call in src/ or perfbench/, and no test call
-    outside a pytest.raises block. Calls match by the callee's name."""
+    """entry:param of every defaulted parameter of a function of malab,
+    public or private, that no call passes: no call in src/ or
+    perfbench/, and no test call outside a pytest.raises block. Calls
+    match by the callee's name."""
     calls = collections.defaultdict(list)
     for tree, refusals in [*((t, True) for t in CODE_TREES),
                            *((t, False) for t in TEST_TREES.values())]:
         for call in _calls(tree, refusals):
             f = call.func
             calls[getattr(f, "id", getattr(f, "attr", None))].append(call)
-    return [f"{entry}:{name}" for entry, fn, offset in _public_functions()
+    return [f"{entry}:{name}" for entry, fn, offset, callee in _functions()
             for index, name in _defaulted(fn, offset)
-            if not any(_passes(c, index, name) for c in calls[fn.name])]
+            if not any(_passes(c, index, name) for c in calls[callee])]
 
 
 def test_every_keyword_default_is_set():
