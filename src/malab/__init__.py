@@ -15,13 +15,13 @@ keyword default, of any function or method, public or private, that no
 caller sets (a refused test call sets nothing): a fixed choice is a
 module constant, named at its step if it is public. It also fails on a
 step of 1-7 without an Orders: line naming a test that measures the
-step's order at three or more n, h or s, but for the step on its
-waiting list (7); on a module of malab other than grid that
-checks a field's finiteness (np.isfinite) or grid (!=) by hand instead
-of through grid's input guards; and on an np.roll anywhere in malab or
-a constant-fill np.pad outside grid: every read of a domain lattice's
-neighbours goes through grid._shifted and grid._erode, which pad, so a
-step past the lattice's edge reads the fill, never a wrapped node.
+step's order at three or more n, h or s; on a module of malab other
+than grid that checks a field's finiteness (np.isfinite) or grid (!=)
+by hand instead of through grid's input guards; and on an np.roll
+anywhere in malab or a constant-fill np.pad outside grid: every read of
+a domain lattice's neighbours goes through grid._shifted and
+grid._erode, which pad, so a step past the lattice's edge reads the
+fill, never a wrapped node.
 
 1. The Monge-Ampere DN map phi -> d_nu u, with det D^2 u = F, u = phi.
    Realized by dnmap.dn_full over maforward.solve_ma: damped Newton on
@@ -93,9 +93,11 @@ step past the lattice's edge reads the fill, never a wrapped node.
    Orders: test_complexcalc.py::test_beurling_transform_is_second_order.
 6. The CGO asymptotics of -lap v + X . grad v + q v = 0.
    Realized by cgo.build_cgo_holo, cgo.build_cgo_antiholo and
-   cgo.build_cgo_adjoint (each a cgo.CGOBundle of series depth
-   cgo.DEPTH_DEFAULT, on a cgo.PhaseSpec from cgo.phase_spec, measured
-   on the core disk of radius grid.PaddedGrid.core_radius, set by
+   cgo.build_cgo_adjoint (each a cgo.CGOBundle whose remainder series
+   stops once the bound on its tail falls to cgo.SERIES_RTOL of its first
+   term, at depth cgo.DEPTH_DEFAULT at most, on a cgo.PhaseSpec from
+   cgo.phase_spec, measured on the core disk of radius
+   grid.PaddedGrid.core_radius, set by
    grid.MARGIN_DIVISOR, by cgo.drift_residual) through windowed private
    forms of each step, whose oscillatory plan reads
    grid.PaddedGrid.data_window and resolves complexcalc.NODES_PER_OSC
@@ -105,7 +107,9 @@ step past the lattice's edge reads the fill, never a wrapped node.
    complexcalc.smooth_cutoff; from them
    test_cgo.py::test_windowed_series_equals_full_box_rebuild and
    test_cgo.py::test_remainder_rebuilds_bitwise rebuild a bundle bit
-   for bit.
+   for bit, and
+   test_cgo.py::test_stopped_series_meets_its_tail_bound_and_the_full_residual
+   holds the stopped series to the full one.
    Certified by cgo.remainder_expansion (the h-expansion of the
    remainder), cgo.factorization_check (the gauge factorization on a
    fixed probe) and cgo.cz_diagnostic (the Calderon-Zygmund bound,
@@ -117,10 +121,13 @@ step past the lattice's edge reads the fill, never a wrapped node.
    test_complexcalc.py::test_cauchy_transform_is_fourth_order.
 7. The nonlocal dbar equation. Its inputs are the second linearization
    linearize.second_solve and the adjoint solve linearize.adjoint_solve,
-   and grid.quadrature integrates their pairing; no code forms the
-   identity itself.
+   whose lower-order terms, on step 3's Hessian metric, come from F
+   alone, and grid.quadrature integrates their pairing.
+   Certified by dnmap.pairing_gap (the Green pairing of the two against
+   the conormal derivative on the ring).
    Tests: test_linearize.py::test_second_solve_poisson_oracle,
    test_linearize.py::test_adjoint_duality_quadrature.
+   Orders: test_dnmap.py::test_pairing_gap_is_second_order_on_the_quartic_base.
 8. F. No code recovers F yet.
 
 Steps 1-4 are the domain half, steps 5-6 the padded-box half (apart

@@ -34,11 +34,13 @@ inverse of dzb* = -2 dz (phase exp(+2i psi/h)),
     s   = sum_{j<=K} T^j b,  r = -osc( V' s ),
     V   = Q exp(-2i Re alpha) / 2,   V' = -exp(+2i Re alpha),
 
-truncated at K terms.  The remainder decays with h at the same rate the
-oscillatory inverses do: like h (up to logs) when psi has a nondegenerate
-critical point and like h^1 or better when it has none, which is what the
-decay sweeps measure.  The series runs on the box's data region and
-core disk, both defined in grid (PaddedGrid.data_window, core_radius).
+with s summed until the bound on its tail falls to SERIES_RTOL times its
+first term, and to depth K at most.  The remainder decays with h at the
+same rate the oscillatory inverses do: like h (up to logs) when psi has a
+nondegenerate critical point and like h^1 or better when it has none,
+which is what the decay sweeps measure.  The series runs on the box's data
+region and core disk, both defined in grid (PaddedGrid.data_window,
+core_radius).
 """
 
 from __future__ import annotations
@@ -62,7 +64,16 @@ from .grid import (ComplexField, GridError, PaddedGrid, VectorField,
                    _on_lattice, _require_count, _require_finite,
                    _require_grid, _require_positive, _require_same_grid)
 
-DEPTH_DEFAULT = 6                       # series truncation depth
+DEPTH_DEFAULT = 6                       # cap on the series depth
+# The series stops once the bound on its tail (_series_tail) is at most
+# SERIES_RTOL ||t_0||.  The terms are the equation error of a truncated s,
+# and on the standard Morse sweeps the tail reaches the normalized residual
+# at most about 5e-3 (seed 1) to 9e-3 (seed 2) times its size relative to
+# ||t_0|| (h = 0.4 and K = 2: a tail of 1.3e-4 moved the residual by 6e-7).
+# Holding that share under 1% of the smallest residual floor of the
+# 4th-order differences, 1.8e-6, asks for a relative tail of at most
+# 1.8e-8 / 9e-3 = 2e-6: SERIES_RTOL keeps it to half that.
+SERIES_RTOL = 1e-6
 CZ_EPS = 0.1                            # cz_diagnostic weighs by h^(1/2 - CZ_EPS)
 
 
@@ -375,15 +386,18 @@ class CGOBundle:
 
     Every input, zero drift and potential included, runs the one series of
     build_cgo_holo, so r always equals -osc(V' s) for the stored s and
-    gauge, bit for bit, and term_norms holds K + 1 norms; the antiholo and
-    adjoint bundles are that holo bundle with its kind, conjugated fields
-    and re-measured residual replaced.  The residual is the drift operator
-    applied to v by 4th-order differences over the measurement disk
-    (_measurement_disk, inside the box's core disk), normalized by h^-2
-    times the solution norm there.  K_effective is where the sum was
-    actually truncated (argmin of term_norms when they fail to decrease,
-    K otherwise).  v is exp(Phi/h - i alpha) (a + r), the gauge factor
-    G^-1 = exp(-i alpha) taken inside the one exponential.  build_cgo_holo
+    gauge, bit for bit, and term_norms holds the norm of every term the
+    series formed, one to K + 1 of them; the antiholo and adjoint bundles
+    are that holo bundle with its kind, conjugated fields and re-measured
+    residual replaced.  The residual is the drift operator applied to v by
+    4th-order differences over the measurement disk (_measurement_disk,
+    inside the box's core disk), normalized by h^-2 times the solution norm
+    there.  K_effective is where the sum stopped, the argmin of term_norms:
+    the last term, once the tail bound after it is at most SERIES_RTOL
+    times the first or K is reached; the one before a term that failed to
+    decrease; and 0 when the first term is zero.  v is exp(Phi/h - i alpha)
+    (a + r), the gauge factor G^-1 = exp(-i alpha) taken inside the one
+    exponential.  build_cgo_holo
     stores a constant amplitude (the default is 1) as a read-only
     zero-stride broadcast of its value, and build_cgo_antiholo the
     broadcast of its conjugate; alpha is the kept setup's read-only
@@ -529,6 +543,15 @@ def _setup(grid: PaddedGrid, psi, X: VectorField, qv) -> _Setup:
     return _SETUP[0]
 
 
+def _series_tail(norms: list) -> float:
+    """Bound on the norm of the series' remaining terms after the last of
+    norms (two or more, each below the one before): with q the largest
+    ratio of successive norms so far, ||t_j|| (q + q^2 + ...) =
+    ||t_j|| q / (1 - q)."""
+    q = max(b / a for a, b in zip(norms, norms[1:]))
+    return norms[-1] * q / (1.0 - q)
+
+
 def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
                X: VectorField, qv, a_vals: np.ndarray) -> CGOBundle:
     """The per-h half of build_cgo_holo: the resolution guard, the weight
@@ -537,20 +560,28 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
     plan = _OscPlan(ws, h)
     # V a vanishes outside the input window, where V lives
     Va = setup.Vin * a_vals[ws.inp]
-    terms = [-_dbar_star_inv(Va, plan.apply_window)]
-    for _ in range(K):
-        terms.append(_neumann_step(terms[-1], plan, setup.Vw, setup.vpw))
-    norms = [_l2(t, grid) for t in terms]
-    k_eff = K
-    if any(norms[j + 1] > norms[j] for j in range(K)):
-        k_eff = int(np.argmin(norms))
-        warnings.warn(
-            f"remainder series stopped decreasing; truncating at {k_eff}",
-            RuntimeWarning, stacklevel=3)
-    s_win = sum(terms[:k_eff + 1])
+    t = -_dbar_star_inv(Va, plan.apply_window)
+    norms = [_l2(t, grid)]
+    # s is summed as the terms arrive, each as sum() adds it: 0 + t_0 first,
+    # which turns -0.0 into 0.0.  A zero t_0 makes every term zero
+    s_win = 0 + t
+    for _ in range(K if norms[0] > 0.0 else 0):
+        t = _neumann_step(t, plan, setup.Vw, setup.vpw)
+        norms.append(_l2(t, grid))
+        if norms[-1] >= norms[-2]:
+            # the terms before it decreased, so their minimum is the last
+            # one summed
+            warnings.warn("remainder series stopped decreasing; truncating "
+                          f"at {int(np.argmin(norms))}", RuntimeWarning,
+                          stacklevel=3)
+            break
+        s_win += t
+        if _series_tail(norms) <= SERIES_RTOL * norms[0]:
+            break
+    k_eff = int(np.argmin(norms))
     r_win = plan.apply_core(setup.vpw * s_win)
-    # the terms and the plan's weights go before the first box array
-    del terms, plan
+    # the last term and the plan's weights go before the first box array
+    del t, plan
     # negated after embedding, so r's zeros outside the window are -0.0 as
     # in -oscillatory_dbar_inv(V' s)
     r_vals = ws.embed(r_win)
@@ -585,11 +616,15 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
 
     Every input runs the same series: the gauge, the weights (V, V') and
     the truncated Neumann series of neumann_T applied to the gauge-weighted
-    amplitude, whose 2K + 2 oscillatory transforms share one plan.  What
-    does not depend on h (the gauge, the weights, the cutoff, the phase
-    gradient bound, the windows and the kernels) is built once per sweep
-    over h: a call whose box, psi, drift and q equal the last build's by
-    value reuses that build, read-only, and puts only the weight
+    amplitude, whose oscillatory transforms, one for the first term, two
+    for each term after it and one for r, share one plan.  The series stops
+    at the first term j >= 1 after which the tail bound
+    ||t_j|| q / (1 - q), q the largest ratio of successive term norms so
+    far, is at most SERIES_RTOL ||t_0||, and at K = j at the latest: 2K + 2
+    transforms at most.  What does not depend on h (the gauge, the weights, the cutoff,
+    the phase gradient bound, the windows and the kernels) is built once
+    per sweep over h: a call whose box, psi, drift and q equal the last
+    build's by value reuses that build, read-only, and puts only the weight
     exp(-2i psi/h) E, the resolution guard, the series and v on it.  The
     first term is V a on the plan's input window, the box's data window,
     where V lives; every term after it, the sum s and r = -osc(V' s) live
@@ -598,15 +633,15 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     arrays are its outputs s, r and v: G^-1 e^{Phi/h} is the one
     exponential exp(Phi/h - i alpha), formed in v's array, and a constant
     amplitude is a read-only broadcast of its value.  The residual is
-    measured on the measurement disk, the core disk less the
-    differences' 3-node reach.  Zero drift and potential
-    give an exactly zero gauge, V and series, so r = 0.  If the series
-    terms ever grow instead of decaying, a warning is issued and the sum
-    is truncated at the observed minimum.  A non-finite or nonpositive
-    h, a box whose measurement disk holds no node, a K that is not a
-    nonnegative integer, a q that is not a finite scalar or box field,
-    an amplitude that is not a callable of z or a number, and a
-    non-finite amplitude or drift raise a GridError before any FFT.
+    measured on the measurement disk, the core disk less the differences'
+    3-node reach.  Zero drift and potential give an exactly zero gauge, V
+    and first term, so the series stops there and r = 0.  If a series term
+    fails to decrease, a warning is issued and the sum is truncated at the
+    term before it, the observed minimum.  A non-finite or nonpositive h, a
+    box whose measurement disk holds no node, a K that is not a nonnegative
+    integer, a q that is not a finite scalar or box field, an amplitude
+    that is not a callable of z or a number, and a non-finite amplitude or
+    drift raise a GridError before any FFT.
     """
     grid, X, qv, a_vals = _bundle_inputs(phase, h, drift, q, amplitude, K)
     return _bundle_at(_setup(grid, phase.psi, X, qv), phase, h, K, X, qv,

@@ -21,10 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
-                   _ray_fit, _require_count, _require_grid,
+                   ScalarField, _ray_fit, _require_count, _require_grid,
                    _require_positive, _require_same_grid, _ring_eval,
-                   _ring_modes, normal_derivative, tangential_derivative)
-from .linearize import (SOLVE_RTOL, _metric_solver, metric_from_solution,
+                   _ring_modes, normal_derivative, quadrature,
+                   tangential_derivative)
+from .linearize import (SOLVE_RTOL, _metric_solver, _trace_source,
+                        _volume_weight, adjoint_solve, metric_from_solution,
                         nondiv_solve)
 from .maforward import ring_values, solve_ma
 
@@ -156,6 +158,42 @@ def dn_lin_matrix(g: MetricField, X, K: int = 6, *,
     labels = ["1"] + [f"{f}{k}" for k in range(1, K + 1) for f in ("cos", "sin")]
     A = _basis_project(_dn_lin_block(g, funcs, rtol), K)
     return DNMatrix(A, tuple(labels), grid)
+
+
+# ---------------------------------------------------------------------------
+# the second linearization's pairing
+
+
+def pairing_gap(g: MetricField, phi1, phi2, phi_star) -> float:
+    """Relative gap of the Green pairing behind the nonlocal dbar equation.
+
+    On a Hessian metric g (metric_from_solution), w solves the second
+    linearization g^{ab} d_ab w = S, S = tr(G V1 G V2), with zero data,
+    V_k the Hessians of the first-order solutions with data phi_k, as
+    second_solve does; v* solves the formal adjoint of g^{ab} d_ab with
+    data phi_star (adjoint_solve with X None). Green's identity in
+    L^2(sqrt|g| dx), with w's zero data and the adjoint equation, leaves
+
+        oint phi_star c_nu d_nu w ds = int sqrt|g| v* S dx,
+
+    c_nu = sqrt|g| nu . g nu the conormal weight of the normal derivative
+    (the tangential one of w vanishes). Returns |left - right| / |right|,
+    the normal derivative by the ray fit anchored at w's zero data. All
+    solves of g but the adjoint share one factorization.
+    """
+    grid = _require_grid(g.grid, DomainGrid, "pairing_gap")
+    solve = _metric_solver(g)
+    v1, v2 = solve([phi1, phi2], None, SOLVE_RTOL)
+    S = _trace_source(g, v1, v2, phi1, phi2)
+    w = solve([0.0], S, SOLVE_RTOL)[0]
+    vs = adjoint_solve(g, None, phi_star).values
+    right = quadrature(ScalarField(_volume_weight(g, grid.mask) * vs * S,
+                                   grid))
+    b = grid.boundary
+    dnu = _ray_fit(grid, w.values, np.zeros(len(b)))[1]
+    left = float(np.sum(b.ds * ring_values(grid, phi_star)
+                        * _conormal_weights(g)[0] * dnu))
+    return abs(left - right) / abs(right)
 
 
 # ---------------------------------------------------------------------------

@@ -156,14 +156,15 @@ def _coeffs_at_nodes(g: MetricField):
     return g.g11[m], g.g12[m], g.g22[m]
 
 
-def _metric_solver(g: MetricField, X: VectorField | None = None):
+def _metric_solver(g: MetricField, terms=None):
     """solve(datas, f, rtol) of nondiv_solve_many for g, or of adjoint_solve
-    with a drift X: the system is assembled once, and factored once, at
+    with terms() its lower-order coefficients, formed once the metric has
+    passed its checks: the system is assembled once, and factored once, at
     the first solve, after its data have passed their checks."""
     grid = g.grid
     coeffs = _coeffs_at_nodes(g)
     ops = build_stencil_ops(grid)
-    lower = () if X is None else _adjoint_terms(g, X)
+    lower = () if terms is None else terms()
     A = ops.system(*coeffs, *lower)
     G, lu = ops.crossing_system(*coeffs, *lower[:2]), []
 
@@ -191,6 +192,38 @@ def _adjoint_terms(g: MetricField, X: VectorField) -> tuple:
     return tuple(a[m] for a in (Xg.c1 + X.c1, Xg.c2 + X.c2, c0))
 
 
+def _hessian_adjoint_terms(g: MetricField) -> tuple:
+    """adjoint_solve's lower-order coefficients for a Hessian metric and its
+    own drift, 2 X_g and c0, on the interior numbering, from log F alone.
+
+    For g = (D^2 u)^-1 with det D^2 u = F, w = sqrt F and w g^{ab} =
+    cof(D^2 u)^{ab} / sqrt F. The cofactor matrix of a Hessian is
+    divergence-free (the Piola identity), so
+
+        X_g^b = (1/w) d_a(w g^{ab}) = -1/2 g^{ab} d_a log F,
+        c0 = (1/w) d_b(w X_g^b)
+           = -1/2 g^{ab} (d_ab log F - 1/2 d_a log F d_b log F),
+
+    and neither differentiates g, whose rim rows are first order
+    (drift_field's differences of w g miss X_g by 0.2-0.3 there, and a
+    second difference of them grows like 1/dx). log F is log det of the
+    stencil Hessian, -log det g, which meets F on every row to Newton's
+    target; its second derivatives are deriv's first differences,
+    composed.
+    """
+    grid, m = g.grid, g.grid.mask
+    logF = np.zeros_like(g.g11)
+    logF[m] = -np.log(_require_metric(g, m)[m])
+    d1, d2 = deriv(logF, grid, 1, 0), deriv(logF, grid, 0, 1)
+    d11, d12, d22 = (deriv(d1, grid, 1, 0), deriv(d1, grid, 0, 1),
+                     deriv(d2, grid, 0, 1))
+    c0 = -0.5 * (g.g11 * (d11 - 0.5 * d1 * d1)
+                 + 2.0 * g.g12 * (d12 - 0.5 * d1 * d2)
+                 + g.g22 * (d22 - 0.5 * d2 * d2))
+    return tuple(a[m] for a in (-(g.g11 * d1 + g.g12 * d2),
+                                -(g.g12 * d1 + g.g22 * d2), c0))
+
+
 def nondiv_solve_many(g: MetricField, datas, f=None) -> list:
     """Solve g^{ab} d_ab v = f (default 0) once per Dirichlet data in datas.
 
@@ -213,16 +246,22 @@ def nondiv_solve(g: MetricField, phi, f=None) -> ScalarField:
     return nondiv_solve_many(g, [phi], f)[0]
 
 
-def adjoint_solve(g: MetricField, X: VectorField, phi_star,
+def adjoint_solve(g: MetricField, X: VectorField | None, phi_star,
                   f=None) -> ScalarField:
     """Solve the adjoint problem Lap_g v* + (1/w) d_b(w X^b v*) = f.
 
     Expanded, the operator is g^{ab} d_ab + (X_g + X) . grad + c0 with
-    c0 = (1/w) d_b(w X^b); w is the covariant volume weight. It goes
-    through nondiv_solve's solver, with these lower-order terms added to
-    the one assembly, and meets the same residual bound.
+    c0 = (1/w) d_b(w X^b); w is the covariant volume weight. With X None,
+    g is a Hessian metric (metric_from_solution), X is its own drift X_g,
+    and the operator is the formal adjoint (1/w) d_ab(w g^{ab} .) of
+    g^{ab} d_ab, with both lower-order terms taken from F
+    (_hessian_adjoint_terms). It goes through nondiv_solve's solver, with
+    these lower-order terms added to the one assembly, and meets the same
+    residual bound.
     """
-    return _metric_solver(g, X)([phi_star], f, SOLVE_RTOL)[0]
+    terms = ((lambda: _hessian_adjoint_terms(g)) if X is None
+             else (lambda: _adjoint_terms(g, X)))
+    return _metric_solver(g, terms)([phi_star], f, SOLVE_RTOL)[0]
 
 
 def second_solve(g: MetricField, v1: ScalarField, v2: ScalarField,

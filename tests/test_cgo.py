@@ -297,13 +297,15 @@ def test_neumann_norm_proxy_contracts(box, coords, phases, drift, qpot):
 
 
 def test_trivial_bundle_is_pure_exponential(box, phases):
-    # zero drift and potential run the full series, whose terms are all zero
+    # zero drift and potential give a zero first term, where the series
+    # stops: r = 0 exactly
     bundle = cgo.build_cgo_holo(phases["morse"], 0.2)
     assert np.array_equal(bundle.r.values, np.zeros_like(bundle.r.values))
     assert np.array_equal(bundle.v.values,
                           np.exp(phases["morse"].values / 0.2))
-    assert bundle.K_effective == bundle.K == cgo.DEPTH_DEFAULT
-    assert bundle.term_norms == (0.0,) * (bundle.K + 1)
+    assert bundle.K == cgo.DEPTH_DEFAULT
+    assert bundle.K_effective == 0
+    assert bundle.term_norms == (0.0,)
     # 4th-order residual floor of the exact solution; measured 2.0e-8
     assert bundle.residual <= 1e-6
 
@@ -355,12 +357,10 @@ def test_remainder_rebuilds_bitwise(box, morse_sweep, drift, qpot):
     assert np.array_equal(bundle.r.values, redo)
 
 
-def test_windowed_series_equals_full_box_rebuild(box, morse_sweep, drift,
-                                                qpot):
-    # the series rebuilt on the full box from the public transforms; the
-    # bundle runs every term after the first on the core window and embeds
-    # s and r once, with the same arithmetic at every node
-    bundle = morse_sweep[0.283]
+def _full_box_series(box, bundle, drift, qpot):
+    """The bundle's series to its cap K, every term of it, rebuilt on the
+    full box from the public transforms; with r of a sum s and v of an r,
+    as the bundle forms them."""
     psi, h = bundle.phase.psi, bundle.h
     V, vp = (w.values for w in cgo.series_weights(bundle.alpha, drift, qpot))
 
@@ -374,10 +374,43 @@ def test_windowed_series_equals_full_box_rebuild(box, morse_sweep, drift,
     terms = [-osc_star(V * bundle.amplitude)]
     for _ in range(bundle.K):
         terms.append(osc_star(osc(vp * terms[-1]) * V))
+
+    def r_of(s):
+        return -osc(vp * s)
+
+    def v_of(r):
+        return (np.exp(bundle.phase.values / h - 1j * bundle.alpha)
+                * (bundle.amplitude + r))
+    return terms, r_of, v_of
+
+
+def test_windowed_series_equals_full_box_rebuild(box, morse_sweep, drift,
+                                                qpot):
+    # the series rebuilt on the full box from the public transforms; the
+    # bundle runs every term after the first on the core window and embeds
+    # s and r once, with the same arithmetic at every node
+    bundle = morse_sweep[0.283]
+    terms, r_of, _ = _full_box_series(box, bundle, drift, qpot)
     s = sum(terms[:bundle.K_effective + 1])
-    r = -osc(vp * s)
+    r = r_of(s)
     assert s.tobytes() == bundle.s.values.tobytes()
     assert r.tobytes() == bundle.r.values.tobytes()
+
+
+def test_stopped_series_meets_its_tail_bound_and_the_full_residual(
+        box, morse_sweep, cp_sweep, drift, qpot):
+    # every bundle of both sweeps stops below the cap K = DEPTH_DEFAULT; the
+    # full series to K, rebuilt on the box, differs from the stopped s by
+    # its tail, within the bound the stop rule computed, and its residual
+    # is the stopped bundle's to 1e-3 relative: the truncation's share of
+    # the residual is about 1e-2 of the relative tail (cgo.SERIES_RTOL)
+    for b in (*morse_sweep.values(), *cp_sweep.values()):
+        assert b.K_effective < b.K == cgo.DEPTH_DEFAULT
+        terms, r_of, v_of = _full_box_series(box, b, drift, qpot)
+        s_full = sum(terms)
+        assert l2(box, s_full - b.s.values) <= cgo._series_tail(b.term_norms)
+        full = cgo.drift_residual(v_of(r_of(s_full)), drift, qpot, b.h)
+        assert abs(b.residual - full) <= 1e-3 * full
 
 
 _C4 = {1: np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0,
@@ -466,11 +499,18 @@ def test_drift_residual_matches_the_full_box_formula(box, morse_sweep, drift,
                                   _roll_fd4(vals, small.dx, axis, order))
 
 
-def test_series_decay_recorded(morse_sweep):
-    norms = morse_sweep[0.283].term_norms
-    assert len(norms) == 7
-    assert all(norms[j + 1] < norms[j] for j in range(6))
-    assert morse_sweep[0.283].K_effective == 6
+def test_series_decay_recorded(morse_sweep, cp_sweep):
+    # every bundle records the terms it formed, each below the one before,
+    # and stops at the first whose tail bound meets SERIES_RTOL, below the
+    # cap
+    for b in (*morse_sweep.values(), *cp_sweep.values()):
+        norms = b.term_norms
+        assert len(norms) == b.K_effective + 1 <= b.K
+        assert all(norms[j + 1] < norms[j] for j in range(b.K_effective))
+        tails = [cgo._series_tail(norms[:j + 1])
+                 for j in range(1, b.K_effective + 1)]
+        assert tails[-1] <= cgo.SERIES_RTOL * norms[0] < min(tails[:-1],
+                                                             default=np.inf)
 
 
 def test_nondecreasing_series_warns_and_truncates(box, coords, phases):
@@ -977,8 +1017,8 @@ def test_bundle_diagnostics_json(morse_sweep):
     b = morse_sweep[0.4]
     assert b.kind == "holo"
     assert b.phase.has_critical_point is True
-    assert b.K_effective == 6
-    assert len(b.term_norms) == 7
+    assert 1 <= b.K_effective < b.K == cgo.DEPTH_DEFAULT
+    assert len(b.term_norms) == b.K_effective + 1
 
 
 # ---------------------------------------------------------------------------

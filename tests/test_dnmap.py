@@ -17,7 +17,7 @@ from malab.grid import (BoundaryTrace, GridError, MetricField, build_disk,
 from malab.linearize import metric_from_solution
 from malab.maforward import solve_ma
 from malab.dnmap import (_basis_project, dn_full, dn_full_derivative, dn_lin,
-                         dn_lin_matrix, recover_boundary_hessian,
+                         dn_lin_matrix, pairing_gap, recover_boundary_hessian,
                          recover_boundary_third)
 
 
@@ -158,6 +158,37 @@ def test_dn_lin_sees_the_conformal_class_and_only_it():
         order = (np.log(gaps[k] / gaps[k + 1])
                  / np.log(dxs[k] / dxs[k + 1]))
         assert 3.8 <= order <= 4.8, (ns[k], order)
+
+
+def test_pairing_gap_is_second_order_on_the_quartic_base():
+    # step 7 on the chain's own output: the quartic base's metric (step
+    # 3's), first-order data phi1, phi2 and adjoint data phi*. Every piece
+    # of the pairing is second order: the 9-point stencils of the three
+    # solves, the area quadrature, the conormal weight's and the normal
+    # derivative's ray fits, and the adjoint's lower-order terms, formed
+    # from log F by composed first differences. So between n and 2n the
+    # order log(gap_n / gap_2n) / log(dx_n / dx_2n) is 2: measured 2.59
+    # and 1.86 (gap 4.22e-4, 6.84e-5 and 1.87e-5 at n = 48, 96 and 192;
+    # 1.04e-5 at n = 256, order 2.02), the first pair still above 2 by
+    # the coarse lattice's higher-order error. With the adjoint terms of
+    # drift_field the gaps read 4.75e-4, 1.95e-4 and 2.19e-4 and do not
+    # converge: its c0 is a second difference of the rim rows' first-order
+    # metric
+    Fq = lambda x, y: 1.0 + x ** 2
+    phq = lambda x, y: x ** 4 / 12 + x ** 2 / 2 + y ** 2 / 2
+    phi1 = lambda x, y: x ** 2 + 0.5 * x * y + 0.2 * x
+    phi2 = lambda x, y: x * y + 0.3 * y ** 2 - 0.4 * x
+    phi_star = lambda x, y: 1.0 + 0.7 * x + 0.4 * y + x * y
+    ns = (48, 96, 192)
+    gaps = [pairing_gap(metric_from_solution(solve_ma(Fq, phq,
+                                                      build_disk(1.0, n))),
+                        phi1, phi2, phi_star) for n in ns]
+    assert gaps[2] < 5e-5
+    dxs = [2.0 / (n - 1) for n in ns]
+    orders = [np.log(gaps[k] / gaps[k + 1]) / np.log(dxs[k] / dxs[k + 1])
+              for k in range(2)]
+    assert 1.8 <= orders[0] <= 2.8, orders
+    assert 1.8 <= orders[1] <= 2.2, orders
 
 
 def test_dn_lin_rejects_indefinite_ring_trace():

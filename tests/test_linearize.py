@@ -108,15 +108,16 @@ def test_adjoint_duality_quadrature():
     # <L v, v*> = <v, L* v*> in L^2(w dx) for fields supported inside the
     # domain, on the chain's own metric (step 3's, of the quartic base
     # solve_ma_zero(1 + x^2)) and the solver's own operators: L is
-    # nondiv_solve's bare system, L* adjoint_solve's with the metric's own
-    # drift X_g, g^{ab} d_ab + 2 X_g . grad + c0, which is the formal
-    # adjoint (1/w) d_ab(w g^{ab} .). The identity holds for any smooth
-    # metric, and the solved one is smooth inside to O(dx^2); the pairing
-    # misses it by the consistency errors of the two operators where the
-    # bumps live, O(dx^2) (second-order stencils; the masked drift is
-    # fourth order there). So between n and 2n the order
-    # log(gap_n / gap_2n) / log(dx_n / dx_2n) is 2: measured 1.99 and 2.00
-    # (|gap| 7.46e-4, 1.84e-4 and 4.56e-5 at n = 48, 96 and 192)
+    # nondiv_solve's bare system, L* adjoint_solve's for a Hessian metric
+    # (X None), g^{ab} d_ab + 2 X_g . grad + c0 with X_g and c0 from F,
+    # which is the formal adjoint (1/w) d_ab(w g^{ab} .). The identity
+    # holds for any smooth metric, and the solved one is smooth inside to
+    # O(dx^2); the pairing misses it by the consistency errors of the two
+    # operators where the bumps live, O(dx^2) (second-order stencils; the
+    # masked differences of log F are fourth order there). So between n
+    # and 2n the order log(gap_n / gap_2n) / log(dx_n / dx_2n) is 2:
+    # measured 1.99 and 2.00 (|gap| 7.46e-4, 1.84e-4 and 4.56e-5 at n =
+    # 48, 96 and 192; the same to three digits with drift_field's terms)
     def bump(X, Y, cx, cy, rad):
         rho = np.hypot(X - cx, Y - cy) / rad
         return np.where(rho < 1.0, (1.0 - rho ** 2) ** 3, 0.0)
@@ -130,8 +131,7 @@ def test_adjoint_duality_quadrature():
         ops, m = build_stencil_ops(g), g.mask
         coeffs = linearize._coeffs_at_nodes(met)
         L = ops.system(*coeffs)
-        Ls = ops.system(*coeffs,
-                        *linearize._adjoint_terms(met, drift_field(met)))
+        Ls = ops.system(*coeffs, *linearize._hessian_adjoint_terms(met))
         w = linearize._volume_weight(met, m)
         v, vs = bump(X, Y, -0.2, 0.0, 0.5), bump(X, Y, 0.2, 0.1, 0.5)
         pair = w * (vs * ops.scatter(L @ v[m]) - v * ops.scatter(Ls @ vs[m]))

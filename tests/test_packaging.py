@@ -1,7 +1,7 @@
 """Packaging metadata: every declared console script resolves, the
 claim map in malab.__doc__ names real code, accounts for every public
 name and member of malab and every keyword default, public or private,
-and names an order test at every step but those waiting for one, no
+and names an order test at every step, no
 module of malab but grid checks a grid's kind, a field's finiteness or
 a field's grid by hand or reads a lattice's neighbours from a padded
 copy of its own, no module rolls an array, imports a name it never
@@ -58,12 +58,6 @@ def test_project_scripts_import_and_are_callable():
         assert callable(func), name
 
 
-# steps of the claim map that name no order test yet: 7, which has no
-# certificate. The list may only shrink: a step that gains an Orders:
-# line leaves it
-ORDERS_WAITING = {7}
-
-
 def step_orders() -> dict:
     """step -> the file::test names on the Orders: line of each numbered
     step of the claim map, its last entry."""
@@ -77,7 +71,7 @@ def test_every_step_names_an_order_test():
     # and derives its rate in a comment; test_claim_map_names_resolve
     # resolves the names
     orders = step_orders()
-    assert [k for k in range(1, 8) if not orders[k]] == sorted(ORDERS_WAITING)
+    assert [k for k in range(1, 8) if not orders[k]] == []
 
 
 def test_claim_map_names_resolve():
