@@ -121,10 +121,11 @@ fill, never a wrapped node.
    test_complexcalc.py::test_cauchy_transform_is_fourth_order.
 7. The nonlocal dbar equation. Its inputs are the second linearization
    linearize.second_solve and the adjoint solve linearize.adjoint_solve,
-   whose lower-order terms, on step 3's Hessian metric, come from F
-   alone, and grid.quadrature integrates their pairing.
+   and grid.quadrature integrates their pairing.
    Certified by dnmap.pairing_gap (the Green pairing of the two against
-   the conormal derivative on the ring).
+   the conormal derivative on the ring), whose adjoint, on step 3's
+   Hessian metric, takes its lower-order terms from F alone
+   (linearize._hessian_adjoint_terms).
    Tests: test_linearize.py::test_second_solve_poisson_oracle,
    test_linearize.py::test_adjoint_duality_quadrature.
    Orders: test_dnmap.py::test_pairing_gap_is_second_order_on_the_quartic_base.

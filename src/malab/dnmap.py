@@ -25,9 +25,9 @@ from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
                    _require_positive, _require_same_grid, _ring_eval,
                    _ring_modes, normal_derivative, quadrature,
                    tangential_derivative)
-from .linearize import (SOLVE_RTOL, _metric_solver, _trace_source,
-                        _volume_weight, adjoint_solve, metric_from_solution,
-                        nondiv_solve)
+from .linearize import (SOLVE_RTOL, _hessian_adjoint_terms, _metric_solver,
+                        _trace_source, _volume_weight, metric_from_solution,
+                        nondiv_solve, nondiv_solve_many, second_solve)
 from .maforward import ring_values, solve_ma
 
 
@@ -167,28 +167,44 @@ def dn_lin_matrix(g: MetricField, X, K: int = 6, *,
 def pairing_gap(g: MetricField, phi1, phi2, phi_star) -> float:
     """Relative gap of the Green pairing behind the nonlocal dbar equation.
 
-    On a Hessian metric g (metric_from_solution), w solves the second
-    linearization g^{ab} d_ab w = S, S = tr(G V1 G V2), with zero data,
-    V_k the Hessians of the first-order solutions with data phi_k, as
-    second_solve does; v* solves the formal adjoint of g^{ab} d_ab with
-    data phi_star (adjoint_solve with X None). Green's identity in
-    L^2(sqrt|g| dx), with w's zero data and the adjoint equation, leaves
+    On a Hessian metric g (metric_from_solution), w = second_solve of the
+    first-order solutions v_k = nondiv_solve_many with data phi_k solves
+    g^{ab} d_ab w = S, S = tr(G V1 G V2), with zero data; v* solves the
+    formal adjoint of g^{ab} d_ab, its lower-order terms from F
+    (linearize._hessian_adjoint_terms), with data phi_star. Green's
+    identity in L^2(sqrt|g| dx), with w's zero data and the adjoint
+    equation, leaves
 
         oint phi_star c_nu d_nu w ds = int sqrt|g| v* S dx,
 
     c_nu = sqrt|g| nu . g nu the conormal weight of the normal derivative
     (the tangential one of w vanishes). Returns |left - right| / |right|,
-    the normal derivative by the ray fit anchored at w's zero data. All
-    solves of g but the adjoint share one factorization.
+    the normal derivative by the ray fit anchored at w's zero data.
+
+    S's natural size is |G|^2 max|v1| max|v2| / half^4, half the
+    lattice's half-width; rounding in the stencil Hessians leaves about
+    eps (half/dx)^2 of it (4e-12 to 1.8e-10 with linear phi1 at n = 48
+    to 192 on the quartic base). So a right side at most sqrt(eps) times
+    int sqrt|g| |v*| dx times that size is rounding or zero, and leaves no
+    gap to divide by: data phi1 or phi2 without second derivatives, or a
+    zero phi_star, are a GridError.
     """
     grid = _require_grid(g.grid, DomainGrid, "pairing_gap")
-    solve = _metric_solver(g)
-    v1, v2 = solve([phi1, phi2], None, SOLVE_RTOL)
+    v1, v2 = nondiv_solve_many(g, [phi1, phi2])
+    w = second_solve(g, v1, v2, phi1, phi2)
     S = _trace_source(g, v1, v2, phi1, phi2)
-    w = solve([0.0], S, SOLVE_RTOL)[0]
-    vs = adjoint_solve(g, None, phi_star).values
-    right = quadrature(ScalarField(_volume_weight(g, grid.mask) * vs * S,
-                                   grid))
+    adjoint = _metric_solver(g, lower=_hessian_adjoint_terms(g))
+    vs = adjoint([phi_star], None, SOLVE_RTOL)[0].values
+    wvs = _volume_weight(g, grid.mask) * vs
+    right = quadrature(ScalarField(wvs * S, grid))
+    size = (quadrature(ScalarField(np.abs(wvs), grid))
+            * g.eig_bounds(where=grid.mask)[1] ** 2 / grid.half ** 4
+            * np.max(np.abs(v1.values)) * np.max(np.abs(v2.values)))
+    if not abs(right) > np.sqrt(np.finfo(float).eps) * size:
+        raise GridError(
+            f"the pairing's right side int sqrt|g| v* S dx is {right:.3g}, "
+            f"rounding against its natural size {size:.3g}: data without "
+            "second derivatives, or a zero adjoint data, leave no gap")
     b = grid.boundary
     dnu = _ray_fit(grid, w.values, np.zeros(len(b)))[1]
     left = float(np.sum(b.ds * ring_values(grid, phi_star)

@@ -156,15 +156,16 @@ def _coeffs_at_nodes(g: MetricField):
     return g.g11[m], g.g12[m], g.g22[m]
 
 
-def _metric_solver(g: MetricField, terms=None):
-    """solve(datas, f, rtol) of nondiv_solve_many for g, or of adjoint_solve
-    with terms() its lower-order coefficients, formed once the metric has
-    passed its checks: the system is assembled once, and factored once, at
+def _metric_solver(g: MetricField, X: VectorField | None = None, lower=()):
+    """solve(datas, f, rtol) of nondiv_solve_many for g, of adjoint_solve
+    with a drift X, or of an operator whose lower-order coefficients lower
+    the caller formed: the system is assembled once, and factored once, at
     the first solve, after its data have passed their checks."""
     grid = g.grid
     coeffs = _coeffs_at_nodes(g)
     ops = build_stencil_ops(grid)
-    lower = () if terms is None else terms()
+    if X is not None:
+        lower = _adjoint_terms(g, X)
     A = ops.system(*coeffs, *lower)
     G, lu = ops.crossing_system(*coeffs, *lower[:2]), []
 
@@ -193,8 +194,9 @@ def _adjoint_terms(g: MetricField, X: VectorField) -> tuple:
 
 
 def _hessian_adjoint_terms(g: MetricField) -> tuple:
-    """adjoint_solve's lower-order coefficients for a Hessian metric and its
-    own drift, 2 X_g and c0, on the interior numbering, from log F alone.
+    """Lower-order coefficients 2 X_g and c0 of the formal adjoint
+    (1/w) d_ab(w g^{ab} .) of g^{ab} d_ab on a Hessian metric g
+    (metric_from_solution), on the interior numbering, from log F alone.
 
     For g = (D^2 u)^-1 with det D^2 u = F, w = sqrt F and w g^{ab} =
     cof(D^2 u)^{ab} / sqrt F. The cofactor matrix of a Hessian is
@@ -246,22 +248,16 @@ def nondiv_solve(g: MetricField, phi, f=None) -> ScalarField:
     return nondiv_solve_many(g, [phi], f)[0]
 
 
-def adjoint_solve(g: MetricField, X: VectorField | None, phi_star,
+def adjoint_solve(g: MetricField, X: VectorField, phi_star,
                   f=None) -> ScalarField:
     """Solve the adjoint problem Lap_g v* + (1/w) d_b(w X^b v*) = f.
 
     Expanded, the operator is g^{ab} d_ab + (X_g + X) . grad + c0 with
-    c0 = (1/w) d_b(w X^b); w is the covariant volume weight. With X None,
-    g is a Hessian metric (metric_from_solution), X is its own drift X_g,
-    and the operator is the formal adjoint (1/w) d_ab(w g^{ab} .) of
-    g^{ab} d_ab, with both lower-order terms taken from F
-    (_hessian_adjoint_terms). It goes through nondiv_solve's solver, with
-    these lower-order terms added to the one assembly, and meets the same
-    residual bound.
+    c0 = (1/w) d_b(w X^b); w is the covariant volume weight. It goes
+    through nondiv_solve's solver, with these lower-order terms added to
+    the one assembly, and meets the same residual bound.
     """
-    terms = ((lambda: _hessian_adjoint_terms(g)) if X is None
-             else (lambda: _adjoint_terms(g, X)))
-    return _metric_solver(g, terms)([phi_star], f, SOLVE_RTOL)[0]
+    return _metric_solver(g, X)([phi_star], f, SOLVE_RTOL)[0]
 
 
 def second_solve(g: MetricField, v1: ScalarField, v2: ScalarField,

@@ -191,6 +191,22 @@ def test_pairing_gap_is_second_order_on_the_quartic_base():
     assert 1.8 <= orders[1] <= 2.2, orders
 
 
+@pytest.mark.parametrize("phi1, phi_star", [
+    (0.0, lambda x, y: 1.0 + x * y),
+    (lambda x, y: 1.0 + 0.3 * x - 0.2 * y, lambda x, y: 1.0 + x * y),
+    (lambda x, y: x * x, 0.0),
+], ids=["zero data", "linear data", "zero adjoint data"])
+def test_pairing_gap_refuses_a_right_side_at_rounding(phi1, phi_star):
+    # zero or linear phi1 leaves S = tr(G V1 G V2) zero or rounding, a zero
+    # phi_star leaves v* = 0: the right side int sqrt|g| v* S dx has no
+    # size to divide the gap by
+    g = metric_from_solution(solve_ma(lambda x, y: 1.0 + x ** 2,
+                                      lambda x, y: x ** 4 / 12 + x ** 2 / 2
+                                      + y ** 2 / 2, build_disk(1.0, 48)))
+    with pytest.raises(GridError, match="rounding against its natural size"):
+        pairing_gap(g, phi1, lambda x, y: x * y, phi_star)
+
+
 def test_dn_lin_rejects_indefinite_ring_trace():
     g = build_disk(1.0, 48)
     n2 = (g.n, g.n)

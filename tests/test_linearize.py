@@ -108,21 +108,28 @@ def test_adjoint_duality_quadrature():
     # <L v, v*> = <v, L* v*> in L^2(w dx) for fields supported inside the
     # domain, on the chain's own metric (step 3's, of the quartic base
     # solve_ma_zero(1 + x^2)) and the solver's own operators: L is
-    # nondiv_solve's bare system, L* adjoint_solve's for a Hessian metric
-    # (X None), g^{ab} d_ab + 2 X_g . grad + c0 with X_g and c0 from F,
-    # which is the formal adjoint (1/w) d_ab(w g^{ab} .). The identity
-    # holds for any smooth metric, and the solved one is smooth inside to
-    # O(dx^2); the pairing misses it by the consistency errors of the two
-    # operators where the bumps live, O(dx^2) (second-order stencils; the
-    # masked differences of log F are fourth order there). So between n
-    # and 2n the order log(gap_n / gap_2n) / log(dx_n / dx_2n) is 2:
-    # measured 1.99 and 2.00 (|gap| 7.46e-4, 1.84e-4 and 4.56e-5 at n =
-    # 48, 96 and 192; the same to three digits with drift_field's terms)
+    # nondiv_solve's bare system, L* the same plus lower-order terms
+    # 2 X_g . grad + c0, which make it the formal adjoint
+    # (1/w) d_ab(w g^{ab} .). Both builders of those terms are checked:
+    # adjoint_solve's, with the metric's own drift X_g (drift_field), and
+    # the Hessian metric's, with X_g and c0 from F (pairing_gap's). The
+    # identity holds for any smooth metric, and the solved one is smooth
+    # inside to O(dx^2); the pairing misses it by the consistency errors of
+    # the two operators where the bumps live, O(dx^2) (second-order
+    # stencils; the masked drift and differences of log F are fourth order
+    # there). So between n and 2n the order
+    # log(gap_n / gap_2n) / log(dx_n / dx_2n) is 2: measured 1.99 and 2.00
+    # with either builder (|gap| 7.46e-4, 1.84e-4 and 4.56e-5 at n = 48, 96
+    # and 192, the same to three digits)
     def bump(X, Y, cx, cy, rad):
         rho = np.hypot(X - cx, Y - cy) / rad
         return np.where(rho < 1.0, (1.0 - rho ** 2) ** 3, 0.0)
 
-    ns, gaps = (48, 96, 192), []
+    builders = {
+        "drift_field": lambda met: linearize._adjoint_terms(met,
+                                                            drift_field(met)),
+        "log F": linearize._hessian_adjoint_terms}
+    ns, gaps = (48, 96, 192), {name: [] for name in builders}
     for n in ns:
         g = build_disk(1.0, n)
         X, Y = g.meshgrid()
@@ -131,17 +138,20 @@ def test_adjoint_duality_quadrature():
         ops, m = build_stencil_ops(g), g.mask
         coeffs = linearize._coeffs_at_nodes(met)
         L = ops.system(*coeffs)
-        Ls = ops.system(*coeffs, *linearize._hessian_adjoint_terms(met))
         w = linearize._volume_weight(met, m)
         v, vs = bump(X, Y, -0.2, 0.0, 0.5), bump(X, Y, 0.2, 0.1, 0.5)
-        pair = w * (vs * ops.scatter(L @ v[m]) - v * ops.scatter(Ls @ vs[m]))
-        gaps.append(quadrature(ScalarField(pair, g)))
-    assert abs(gaps[1]) < 5e-4
+        for name, terms in builders.items():
+            Ls = ops.system(*coeffs, *terms(met))
+            pair = w * (vs * ops.scatter(L @ v[m])
+                        - v * ops.scatter(Ls @ vs[m]))
+            gaps[name].append(quadrature(ScalarField(pair, g)))
     dxs = [2.0 / (n - 1) for n in ns]
-    for k in range(2):
-        order = (np.log(abs(gaps[k] / gaps[k + 1]))
-                 / np.log(dxs[k] / dxs[k + 1]))
-        assert 1.9 <= order <= 2.1, (ns[k], order)
+    for name, gap in gaps.items():
+        assert abs(gap[1]) < 5e-4, name
+        for k in range(2):
+            order = (np.log(abs(gap[k] / gap[k + 1]))
+                     / np.log(dxs[k] / dxs[k + 1]))
+            assert 1.9 <= order <= 2.1, (name, ns[k], order)
 
 
 def test_second_solve_poisson_oracle():
