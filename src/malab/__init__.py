@@ -95,7 +95,7 @@ fill, never a wrapped node.
    Realized by cgo.build_cgo_holo, cgo.build_cgo_antiholo and
    cgo.build_cgo_adjoint (each a cgo.CGOBundle whose remainder series
    stops once the bound on its tail falls to cgo.SERIES_RTOL of its first
-   term, at depth cgo.DEPTH_DEFAULT at most, on a cgo.PhaseSpec from
+   term, at depth cgo.DEPTH_CAP at most, on a cgo.PhaseSpec from
    cgo.phase_spec, measured on the core disk of radius
    grid.PaddedGrid.core_radius, set by
    grid.MARGIN_DIVISOR, by cgo.drift_residual) through windowed private
@@ -134,7 +134,8 @@ fill, never a wrapped node.
 Steps 1-4 are the domain half, steps 5-6 the padded-box half (apart
 from geomkit.diffeo_rigidity_solve, a domain solve). Both halves share
 the lattices and fields of grid (the domain's ring is a
-grid.BoundaryRing) and one first derivative of a periodic or domain
+grid.BoundaryRing, and every lattice's lengths lie in grid.SCALE_RANGE,
+where its arithmetic holds) and one first derivative of a periodic or domain
 field, complexcalc.deriv: spectral on the box, masked differences on the
 domain, whose one Hessian is the Newton stencil's (step 3). A CGO
 solution is not periodic, so the box certificates (cgo.drift_residual,

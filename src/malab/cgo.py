@@ -35,7 +35,7 @@ inverse of dzb* = -2 dz (phase exp(+2i psi/h)),
     V   = Q exp(-2i Re alpha) / 2,   V' = -exp(+2i Re alpha),
 
 with s summed until the bound on its tail falls to SERIES_RTOL times its
-first term, and to depth K at most.  The remainder decays with h at the
+first term, to depth DEPTH_CAP at most.  The remainder decays with h at the
 same rate the oscillatory inverses do: like h (up to logs) when psi has a
 nondegenerate critical point and like h^1 or better when it has none,
 which is what the decay sweeps measure.  The series runs on the box's data
@@ -64,7 +64,7 @@ from .grid import (ComplexField, GridError, PaddedGrid, VectorField,
                    _on_lattice, _require_count, _require_finite,
                    _require_grid, _require_positive, _require_same_grid)
 
-DEPTH_DEFAULT = 6                       # cap on the series depth
+DEPTH_CAP = 6                           # cap on the series depth
 # The series stops once the bound on its tail (_series_tail) is at most
 # SERIES_RTOL ||t_0||.  The terms are the equation error of a truncated s,
 # and on the standard Morse sweeps the tail reaches the normalized residual
@@ -387,14 +387,14 @@ class CGOBundle:
     Every input, zero drift and potential included, runs the one series of
     build_cgo_holo, so r always equals -osc(V' s) for the stored s and
     gauge, bit for bit, and term_norms holds the norm of every term the
-    series formed, one to K + 1 of them; the antiholo and adjoint bundles
+    series formed, at most DEPTH_CAP + 1; the antiholo and adjoint bundles
     are that holo bundle with its kind, conjugated fields and re-measured
     residual replaced.  The residual is the drift operator applied to v by
     4th-order differences over the measurement disk (_measurement_disk,
     inside the box's core disk), normalized by h^-2 times the solution norm
-    there.  K_effective is where the sum stopped, the argmin of term_norms:
+    there.  K_effective, where the sum stopped, is the argmin of term_norms:
     the last term, once the tail bound after it is at most SERIES_RTOL
-    times the first or K is reached; the one before a term that failed to
+    times the first or at DEPTH_CAP; the one before a term that failed to
     decrease; and 0 when the first term is zero.  v is exp(Phi/h - i alpha)
     (a + r), the gauge factor G^-1 = exp(-i alpha) taken inside the one
     exponential.  build_cgo_holo
@@ -407,8 +407,6 @@ class CGOBundle:
     kind: str                            # "holo" | "antiholo" | "adjoint"
     phase: PhaseSpec
     h: float
-    K: int
-    K_effective: int
     alpha: np.ndarray
     amplitude: np.ndarray
     s: ComplexField
@@ -417,6 +415,10 @@ class CGOBundle:
     residual: float
     term_norms: tuple
     r_norm: float
+
+    @property
+    def K_effective(self) -> int:
+        return int(np.argmin(self.term_norms))
 
 
 def _eval_amplitude(amplitude, grid: PaddedGrid) -> np.ndarray:
@@ -450,11 +452,19 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
 
     Applies -lap + X.grad + q (or the adjoint -lap - div(X .) + q in
     conservative form) with 4th-order differences on the drift's box,
-    measures the L2 norm over the measurement disk, and normalizes by h^-2
-    times the solution's norm there: the natural size of any single
-    second-order term.  The differences run only on the disk's bounding
-    box grown by their 2-node reach (|x| <= rc - dx, inside the box), with
-    the same per-node arithmetic as on the whole box.  A bad h, drift or q, and a candidate
+    measures the L2 norm over the measurement disk, and normalizes by
+    min(h, 1)^-2 times the solution's norm there: the natural size of any
+    single second-order term.  A solution exp(Phi/h) (a + r) varies on the
+    scale h where h < 1, so each derivative of it costs a factor 1/h and
+    -lap v is of size h^-2 |v|; where h >= 1 it varies on the unit scale
+    of the drift, the potential and the phase, and each term is of size
+    |v|.  For h <= 1 the normalizer is h^-2 |v| bit for bit (min returns
+    h).  h^-2 alone overflows from h^2 near h = 1.3e154, and below that
+    divides by a size no term has: with zero drift it reads 8.9e185 at
+    h = 1e100, against 2.5e-13 by min(h, 1)^-2.  The differences run only
+    on the disk's bounding box grown by their 2-node reach (|x| <= rc -
+    dx, inside the box), with the same per-node arithmetic as on the whole
+    box.  A bad h, drift or q, and a candidate
     that is not a finite field of the box, are a GridError before any
     difference, as in build_cgo_holo.
     """
@@ -475,18 +485,16 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     else:
         res = (-lap + c1[mid] * fd4(v, 0, 1) + c2[mid] * fd4(v, 1, 1)
                + qv * v[mid])
-    scale = _l2(v[mid], grid, mask) / h ** 2
+    scale = _l2(v[mid], grid, mask) / min(h, 1.0) ** 2
     return _l2(res, grid, mask) / scale
 
 
-def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude,
-                   K) -> tuple:
+def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude) -> tuple:
     """(grid, drift, q, amplitude values) of a bundle, after
     the guards every call runs before any FFT (build_cgo_holo); the
     drift's own guards run in _gauge_source."""
     grid = _require_grid(phase.grid, PaddedGrid, "a CGO bundle")
     _require_positive("h", h)
-    _require_count("K", K)
     X = drift if drift is not None else _zero_drift(grid)
     qv = _require_terms(grid, X, q)
     _measurement_disk(grid)
@@ -552,8 +560,8 @@ def _series_tail(norms: list) -> float:
     return norms[-1] * q / (1.0 - q)
 
 
-def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
-               X: VectorField, qv, a_vals: np.ndarray) -> CGOBundle:
+def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, X: VectorField,
+               qv, a_vals: np.ndarray) -> CGOBundle:
     """The per-h half of build_cgo_holo: the resolution guard, the weight
     at h, the series, v and its residual."""
     grid, alpha, ws = setup.grid, setup.alpha, setup.windows
@@ -565,7 +573,7 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
     # s is summed as the terms arrive, each as sum() adds it: 0 + t_0 first,
     # which turns -0.0 into 0.0.  A zero t_0 makes every term zero
     s_win = 0 + t
-    for _ in range(K if norms[0] > 0.0 else 0):
+    for _ in range(DEPTH_CAP if norms[0] > 0.0 else 0):
         t = _neumann_step(t, plan, setup.Vw, setup.vpw)
         norms.append(_l2(t, grid))
         if norms[-1] >= norms[-2]:
@@ -578,7 +586,6 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
         s_win += t
         if _series_tail(norms) <= SERIES_RTOL * norms[0]:
             break
-    k_eff = int(np.argmin(norms))
     r_win = plan.apply_core(setup.vpw * s_win)
     # the last term and the plan's weights go before the first box array
     del t, plan
@@ -603,15 +610,15 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, K: int,
     del a_r
     res = drift_residual(v_vals, X, qv, h)
     s_vals = ws.embed(s_win)
-    return CGOBundle("holo", phase, float(h), int(K), int(k_eff), alpha,
-                     a_vals, ComplexField(s_vals, grid),
+    return CGOBundle("holo", phase, float(h), alpha, a_vals,
+                     ComplexField(s_vals, grid),
                      ComplexField(r_vals, grid),
                      ComplexField(v_vals, grid), res, tuple(norms),
                      _l2(r_win, grid))
 
 
 def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
-                   q=0.0, amplitude=None, K: int = DEPTH_DEFAULT) -> CGOBundle:
+                   q=0.0, amplitude=None) -> CGOBundle:
     """Holomorphically growing solution exp(i alpha)^-1 e^{Phi/h} (a + r).
 
     Every input runs the same series: the gauge, the weights (V, V') and
@@ -620,9 +627,10 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     for each term after it and one for r, share one plan.  The series stops
     at the first term j >= 1 after which the tail bound
     ||t_j|| q / (1 - q), q the largest ratio of successive term norms so
-    far, is at most SERIES_RTOL ||t_0||, and at K = j at the latest: 2K + 2
-    transforms at most.  What does not depend on h (the gauge, the weights, the cutoff,
-    the phase gradient bound, the windows and the kernels) is built once
+    far, is at most SERIES_RTOL ||t_0||, and at j = DEPTH_CAP at the latest:
+    2 DEPTH_CAP + 2 transforms at most.  What does not depend on h (the
+    gauge, the weights, the cutoff, the phase gradient bound, the windows
+    and the kernels) is built once
     per sweep over h: a call whose box, psi, drift and q equal the last
     build's by value reuses that build, read-only, and puts only the weight
     exp(-2i psi/h) E, the resolution guard, the series and v on it.  The
@@ -638,14 +646,13 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     and first term, so the series stops there and r = 0.  If a series term
     fails to decrease, a warning is issued and the sum is truncated at the
     term before it, the observed minimum.  A non-finite or nonpositive h, a
-    box whose measurement disk holds no node, a K that is not a nonnegative
-    integer, a q that is not a finite scalar or box field, an amplitude
-    that is not a callable of z or a number, and a non-finite amplitude or
-    drift raise a GridError before any FFT.
+    box whose measurement disk holds no node, a q that is not a finite
+    scalar or box field, an amplitude that is not a callable of z or a
+    number, and a non-finite amplitude or drift raise a GridError before
+    any FFT.
     """
-    grid, X, qv, a_vals = _bundle_inputs(phase, h, drift, q, amplitude, K)
-    return _bundle_at(_setup(grid, phase.psi, X, qv), phase, h, K, X, qv,
-                      a_vals)
+    grid, X, qv, a_vals = _bundle_inputs(phase, h, drift, q, amplitude)
+    return _bundle_at(_setup(grid, phase.psi, X, qv), phase, h, X, qv, a_vals)
 
 
 def build_cgo_antiholo(phase: PhaseSpec, h: float,
@@ -684,8 +691,7 @@ def build_cgo_adjoint(phase: PhaseSpec, h: float,
     conservative (divergence) form of the adjoint itself.  The inputs pass
     build_cgo_holo's guards before the divergence is taken.
     """
-    grid, X, qv, *_ = _bundle_inputs(phase, h, drift, q, None,
-                                     DEPTH_DEFAULT)
+    grid, X, qv, *_ = _bundle_inputs(phase, h, drift, q, None)
     _gauge_source(X)                    # the drift's guards
     # div X = 2 Re dz(X1 + i X2) for a real X: one FFT pair, whose real part
     # is the inverse of i k1 X1^ + i k2 X2^, the spectra split from one fft2

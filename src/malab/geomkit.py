@@ -85,8 +85,9 @@ class DiffeoField:
     """Planar map J(x) = x + d(x) through its displacement components.
 
     An explicit Jacobian may be attached when the caller knows it in
-    closed form (affine maps, Beltrami solutions); otherwise it is
-    computed once from the displacement with the grid's derivative
+    closed form (affine maps, Beltrami solutions), as its four entries
+    (j11, j12, j21, j22), each a scalar or a lattice array; otherwise it
+    is computed once from the displacement with the grid's derivative
     (deriv) and cached.
     """
 
@@ -95,10 +96,7 @@ class DiffeoField:
                             for d in (d1, d2))
         _require_finite("displacement", self.d1, self.d2)
         self.grid = grid
-        self._jac = None if jac is None else tuple(
-            np.broadcast_to(np.asarray(a, dtype=float), (grid.n, grid.n))
-            for a in jac)
-        _require_finite("attached Jacobian", *(self._jac or ()))
+        self._jac = None if jac is None else _attached_jacobian(jac, grid)
 
     @classmethod
     def identity(cls, grid) -> "DiffeoField":
@@ -118,6 +116,21 @@ class DiffeoField:
             self._jac = (1.0 + deriv(d1, g, 1, 0), deriv(d1, g, 0, 1),
                          deriv(d2, g, 1, 0), 1.0 + deriv(d2, g, 0, 1))
         return self._jac
+
+
+def _attached_jacobian(jac, grid) -> tuple:
+    """The four entries of an attached Jacobian as read-only (n, n)
+    views; a GridError unless there are four, each finite and a scalar or
+    of the lattice's shape."""
+    jac = tuple(jac)
+    if len(jac) != 4:
+        raise GridError("attached Jacobian needs 4 entries (j11, j12, j21, "
+                        f"j22), got {len(jac)}")
+    jac = tuple(np.asarray(a, dtype=float) for a in jac)
+    _require_finite("attached Jacobian", *jac)
+    return tuple(np.broadcast_to(
+        a if a.ndim == 0 else _on_lattice(a, grid, "attached Jacobian"),
+        (grid.n, grid.n)) for a in jac)
 
 
 def _check_reach(J: DiffeoField):

@@ -78,8 +78,9 @@ class GridError(ValueError):
 # ---------------------------------------------------------------------------
 # input guards: one per kind of input, each a GridError naming the input,
 # run by every module of malab before any work. _require_grid checks a
-# grid's kind, _require_positive a positive scalar, _require_count an
-# integer count and _require_metric a metric. The field guards:
+# grid's kind, _require_positive a positive scalar, _require_scale a
+# lattice's length, _require_count an integer count and _require_metric a
+# metric. The field guards:
 # _require_finite, scalars or arrays finite, on a region such as the mask
 # where given ("non-finite {what}"); _on_lattice, an array of the
 # lattice's (n, n) shape ("{what}: shape ... != grid ..."); and
@@ -111,6 +112,31 @@ def _require_positive(name: str, value) -> None:
     if not 0 < _float(value) < np.inf:
         raise GridError(f"{name} must be positive and finite, "
                         f"got {name}={value!r}")
+
+
+# the lengths a lattice takes, a domain's semi-axes and a box's half width.
+# Its arithmetic raises a length L to the fourth power at most, in either
+# sign: a box's L2 norms square second differences, of size half^-2, and
+# the ring's curvature a b / speed^3 cubes an axis. The spacing adds
+# (n/2)^4 <= 1e16 to such a power for n <= 2e4 nodes a side (a complex box
+# of 6.4 GB), and a sum over the n^2 <= 4e8 nodes 1e9 more. L^4 times
+# 1e25 stays within the normal floats (2.2e-308, 1.8e308) for
+# |log10 L| <= (308 - 25) / 4 = 70.75. Measured at steps of 10^5: the
+# n = 48 disk solves from 1e-105 to 1e100 and fails in the curvature at
+# 1e-110 and 1e105; at n = 64 a box's CGO bundle holds from half = 6e-76 to
+# 6e78, overflows squaring its residual from 6e-78 down and reads a
+# residual of 0 from 6e80 up
+SCALE_RANGE = (1e-70, 1e70)
+
+
+def _require_scale(name: str, value) -> None:
+    """GridError naming name unless value is a length a lattice holds: a
+    positive finite real (_require_positive) within SCALE_RANGE."""
+    _require_positive(name, value)
+    lo, hi = SCALE_RANGE
+    if not lo <= float(value) <= hi:
+        raise GridError(f"{name}={value!r} lies outside the lattice scale "
+                        f"range [{lo:g}, {hi:g}]")
 
 
 def _require_count(name: str, value, least: int = 0) -> None:
@@ -282,8 +308,8 @@ class DomainGrid:
 
 def build_ellipse(a: float, b: float, n: int = 128) -> DomainGrid:
     """Axis-aligned ellipse x^2/a^2 + y^2/b^2 = 1 on a lattice covering its box."""
-    _require_positive("a", a)
-    _require_positive("b", b)
+    _require_scale("a", a)
+    _require_scale("b", b)
     _require_count("n", n, 16)
     half = max(a, b)
     x1 = np.linspace(-half, half, n)
@@ -417,13 +443,14 @@ MARGIN_DIVISOR = 3.0
 @dataclass(frozen=True)
 class PaddedGrid:
     """Uniform periodic grid on [-half, half)^2 for FFT transforms; half
-    is positive and finite, n an integer >= 16 (build_ellipse's floor)."""
+    is a length within SCALE_RANGE, n an integer >= 16 (build_ellipse's
+    floor)."""
 
     half: float
     n: int
 
     def __post_init__(self):
-        _require_positive("half", self.half)
+        _require_scale("half", self.half)
         _require_count("n", self.n, 16)
 
     @property
@@ -596,7 +623,12 @@ class MetricField:
 
 
 def quadrature(f: ScalarField) -> float:
-    """Second-order area integral of f over its domain's interior."""
+    """Second-order area integral of f over its domain's interior; a
+    field that is not a ScalarField is a GridError (a ComplexField's
+    imaginary part would be dropped)."""
+    if not isinstance(f, ScalarField):
+        raise GridError("quadrature integrates a ScalarField, not a "
+                        f"{type(f).__name__}")
     d = _require_grid(f.grid, DomainGrid, "quadrature")
     return float(np.sum(f.values[d.mask] * d.weights[d.mask]))
 

@@ -156,16 +156,14 @@ def _coeffs_at_nodes(g: MetricField):
     return g.g11[m], g.g12[m], g.g22[m]
 
 
-def _metric_solver(g: MetricField, X: VectorField | None = None, lower=()):
-    """solve(datas, f, rtol) of nondiv_solve_many for g, of adjoint_solve
-    with a drift X, or of an operator whose lower-order coefficients lower
-    the caller formed: the system is assembled once, and factored once, at
-    the first solve, after its data have passed their checks."""
+def _metric_solver(g: MetricField, lower=()):
+    """solve(datas, f, rtol) of nondiv_solve_many for g, or of an operator
+    whose lower-order coefficients lower the caller formed (adjoint_solve's
+    from _adjoint_terms): the system is assembled once, and factored once,
+    at the first solve, after its data have passed their checks."""
     grid = g.grid
     coeffs = _coeffs_at_nodes(g)
     ops = build_stencil_ops(grid)
-    if X is not None:
-        lower = _adjoint_terms(g, X)
     A = ops.system(*coeffs, *lower)
     G, lu = ops.crossing_system(*coeffs, *lower[:2]), []
 
@@ -184,7 +182,9 @@ def _metric_solver(g: MetricField, X: VectorField | None = None, lower=()):
 
 def _adjoint_terms(g: MetricField, X: VectorField) -> tuple:
     """adjoint_solve's lower-order coefficients X1, X2 (of X_g + X) and
-    c0 = (1/w) d_b(w X^b), on the interior numbering."""
+    c0 = (1/w) d_b(w X^b), on the interior numbering, after the metric's
+    refusals (every linearized solve runs them first) and the drift's."""
+    _coeffs_at_nodes(g)
     grid, m = g.grid, g.grid.mask
     _require_same_grid(grid, "drift", X)
     _require_finite("drift", X.c1, X.c2, where=m)
@@ -257,7 +257,8 @@ def adjoint_solve(g: MetricField, X: VectorField, phi_star,
     through nondiv_solve's solver, with these lower-order terms added to
     the one assembly, and meets the same residual bound.
     """
-    return _metric_solver(g, X)([phi_star], f, SOLVE_RTOL)[0]
+    solve = _metric_solver(g, _adjoint_terms(g, X))
+    return solve([phi_star], f, SOLVE_RTOL)[0]
 
 
 def second_solve(g: MetricField, v1: ScalarField, v2: ScalarField,
@@ -319,20 +320,26 @@ def eps_consistency(F, phi1, phi2, scales=(1.0, 0.3, 0.1),
     difference to the second linearization, both at rate O(s); slope1 is
     the first one's, fitted to |(u_{s EPS1, 0} - u0)/(s EPS1) - v1| per
     scale. Every scale must be positive and finite, with at least two
-    distinct scales for the slopes, or GridError before any solve.
+    distinct scales for the slopes, and neither data may vanish on the
+    ring, where its errors would be zero and have no slope; each is a
+    GridError before any solve.
     """
     for s in scales:
         _require_positive("scales", s)
     if len(set(scales)) < 2:
         raise GridError(f"scales need two distinct values, got {scales!r}")
     grid = source_grid(F, grid)
+    p1, p2 = ring_values(grid, phi1), ring_values(grid, phi2)
+    for name, p in (("phi1", p1), ("phi2", p2)):
+        if not np.any(p):
+            raise GridError(f"{name} vanishes on the ring: the expansion's "
+                            "errors are zero and have no slope")
     base = solve_ma_zero(F, grid)
     g = metric_from_solution(base)
     solve = _metric_solver(g)            # one factorization for both
     v1, v2 = solve([phi1, phi2], None, SOLVE_RTOL)
     w = solve([0.0], _trace_source(g, v1, v2, phi1, phi2), SOLVE_RTOL)[0]
 
-    p1, p2 = ring_values(grid, phi1), ring_values(grid, phi2)
     m = grid.mask
 
     e1s, e2s, rems = [], [], []

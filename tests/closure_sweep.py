@@ -1,4 +1,4 @@
-"""Three checks of the Monge-Ampere closure that are too slow for tier-1.
+"""Four checks of the Monge-Ampere closure that are too slow for tier-1.
 
     PYTHONPATH=src python tests/closure_sweep.py
 
@@ -15,6 +15,11 @@
    (1,266 grids); every tenth of them solves within the bound of check 2
    (about 3 s). The rays to such a node cross the curve past it, and
    their cut is clipped to 1 (DomainGrid.ray_cut).
+4. Disks of radius 10^k at n = 48 across grid.SCALE_RANGE, carrying
+   check 1's problem to the radius (F(r x) = 1 + x^2, u*(r x) = r^2 u*(x)):
+   each solves with the unit disk's err/dx^2 (0.0382) to 1e-6 relative
+   (5e-11 measured), and the first decade past each end of the range is
+   refused by name (about 3 s).
 
 Prints one line per check and exits 1 on any NewtonFailure, any other
 refusal, or a missed bound.
@@ -25,7 +30,8 @@ import time
 
 import numpy as np
 
-from malab.grid import GridError, ScalarField, build_disk, build_ellipse
+from malab.grid import (SCALE_RANGE, GridError, ScalarField, build_disk,
+                        build_ellipse)
 from malab.maforward import NewtonFailure, solve_ma
 
 ALLOWED = ("n must be an integer of at least 16",
@@ -36,11 +42,13 @@ def ustar(x, y):
     return x ** 4 / 12 + x ** 2 / 2 + y ** 2 / 2
 
 
-def solve(g):
-    """err / dx^2 of the solve against u*, and its convexity."""
+def solve(g, r=1.0):
+    """err / dx^2 of the solve against u*, and its convexity, with the
+    problem carried to radius r: F(r x) = 1 + x^2, u*(r x) = r^2 u*(x)."""
     X, Y = g.meshgrid()
-    sol = solve_ma(ScalarField(X ** 2 + 1.0, g), ustar, g)
-    err = np.max(np.abs((sol.u.values - ustar(X, Y))[g.mask])) / g.dx ** 2
+    u = lambda x, y: r * r * ustar(x / r, y / r)
+    sol = solve_ma(ScalarField((X / r) ** 2 + 1.0, g), u, g)
+    err = np.max(np.abs((sol.u.values - u(X, Y))[g.mask])) / g.dx ** 2
     return float(err), sol
 
 
@@ -109,6 +117,31 @@ def main() -> int:
         if not (sol.convex and err <= 1.0):
             faults.append(f"{case}: err/dx^2 {err:.3g}")
     print(f"{len(family)} near-curve ellipses: worst err/dx^2 {worst:.3f}")
+
+    lo, hi = (round(np.log10(L)) for L in SCALE_RANGE)
+    unit, _ = solve(build_disk(1.0, 48))
+    worst = 0.0
+    for k in range(lo, hi + 1):
+        r = 10.0 ** k
+        try:
+            err, sol = solve(build_disk(r, 48), r)
+        except (GridError, NewtonFailure) as exc:
+            faults.append(f"disk r=1e{k}: {exc}")
+            continue
+        worst = max(worst, abs(err / unit - 1.0))
+        if not (sol.convex and abs(err / unit - 1.0) <= 1e-6):
+            faults.append(f"disk r=1e{k}: err/dx^2 {err:.4g} against "
+                          f"{unit:.4g} at r = 1")
+    for k in (lo - 1, hi + 1):
+        try:
+            build_disk(10.0 ** k, 48)
+            faults.append(f"disk r=1e{k}: built past the scale range")
+        except GridError as exc:
+            if "outside the lattice scale range" not in str(exc):
+                faults.append(f"disk r=1e{k}: refused: {exc}")
+    print(f"{hi - lo + 1} disks from r=1e{lo} to 1e{hi}: worst relative "
+          f"change of err/dx^2 {worst:.2e}; 1e{lo - 1} and 1e{hi + 1} "
+          "refused")
     for fault in faults:
         print("FAULT", fault)
     return 1 if faults else 0

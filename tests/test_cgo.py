@@ -23,7 +23,8 @@ from malab import cgo
 from malab.complexcalc import (_OscWindows, _wirtinger_symbol,
                                oscillatory_dbar_inv, periodic_fd4,
                                smooth_cutoff, spectral_deriv)
-from malab.grid import ComplexField, GridError, PaddedGrid, build_disk
+from malab.grid import (SCALE_RANGE, ComplexField, GridError, PaddedGrid,
+                        build_disk)
 from malab.linearize import VectorField
 
 HS = (0.4, 0.283, 0.2, 0.141)
@@ -303,7 +304,6 @@ def test_trivial_bundle_is_pure_exponential(box, phases):
     assert np.array_equal(bundle.r.values, np.zeros_like(bundle.r.values))
     assert np.array_equal(bundle.v.values,
                           np.exp(phases["morse"].values / 0.2))
-    assert bundle.K == cgo.DEPTH_DEFAULT
     assert bundle.K_effective == 0
     assert bundle.term_norms == (0.0,)
     # 4th-order residual floor of the exact solution; measured 2.0e-8
@@ -339,10 +339,14 @@ def test_bundle_residuals_small(morse_sweep, cp_sweep):
         assert cp_sweep[h].residual <= 1e-4
 
 
-def test_residual_decreases_with_depth(box, phases, drift, qpot):
+def test_residual_decreases_with_depth(monkeypatch, box, phases, drift,
+                                      qpot):
     # measured 4.1e-4, 2.0e-5, 1.05e-5, then flat at the truncation floor
-    res = [cgo.build_cgo_holo(phases["morse"], 0.283, drift, q=qpot,
-                              K=k).residual for k in range(7)]
+    res = []
+    for k in range(7):
+        monkeypatch.setattr(cgo, "DEPTH_CAP", k)
+        res.append(cgo.build_cgo_holo(phases["morse"], 0.283, drift,
+                                      q=qpot).residual)
     for k in range(6):
         assert res[k + 1] <= res[k] * 1.02
     assert res[2] <= res[0] / 10.0
@@ -358,9 +362,9 @@ def test_remainder_rebuilds_bitwise(box, morse_sweep, drift, qpot):
 
 
 def _full_box_series(box, bundle, drift, qpot):
-    """The bundle's series to its cap K, every term of it, rebuilt on the
-    full box from the public transforms; with r of a sum s and v of an r,
-    as the bundle forms them."""
+    """The bundle's series to the cap DEPTH_CAP, every term of it, rebuilt
+    on the full box from the public transforms; with r of a sum s and v of
+    an r, as the bundle forms them."""
     psi, h = bundle.phase.psi, bundle.h
     V, vp = (w.values for w in cgo.series_weights(bundle.alpha, drift, qpot))
 
@@ -372,7 +376,7 @@ def _full_box_series(box, bundle, drift, qpot):
         return -0.5 * np.conj(osc(np.conj(vals)))
 
     terms = [-osc_star(V * bundle.amplitude)]
-    for _ in range(bundle.K):
+    for _ in range(cgo.DEPTH_CAP):
         terms.append(osc_star(osc(vp * terms[-1]) * V))
 
     def r_of(s):
@@ -399,13 +403,13 @@ def test_windowed_series_equals_full_box_rebuild(box, morse_sweep, drift,
 
 def test_stopped_series_meets_its_tail_bound_and_the_full_residual(
         box, morse_sweep, cp_sweep, drift, qpot):
-    # every bundle of both sweeps stops below the cap K = DEPTH_DEFAULT; the
-    # full series to K, rebuilt on the box, differs from the stopped s by
+    # every bundle of both sweeps stops below the cap DEPTH_CAP; the full
+    # series to the cap, rebuilt on the box, differs from the stopped s by
     # its tail, within the bound the stop rule computed, and its residual
     # is the stopped bundle's to 1e-3 relative: the truncation's share of
     # the residual is about 1e-2 of the relative tail (cgo.SERIES_RTOL)
     for b in (*morse_sweep.values(), *cp_sweep.values()):
-        assert b.K_effective < b.K == cgo.DEPTH_DEFAULT
+        assert b.K_effective < cgo.DEPTH_CAP
         terms, r_of, v_of = _full_box_series(box, b, drift, qpot)
         s_full = sum(terms)
         assert l2(box, s_full - b.s.values) <= cgo._series_tail(b.term_norms)
@@ -499,13 +503,60 @@ def test_drift_residual_matches_the_full_box_formula(box, morse_sweep, drift,
                                   _roll_fd4(vals, small.dx, axis, order))
 
 
+def test_residual_keeps_its_scale_at_large_h(phases, drift, qpot,
+                                             morse_sweep):
+    # drift_residual normalizes by min(h, 1)^-2: h^-2 raised a bare
+    # OverflowError from h ** 2 near h = 1e155 and read 8.9e185 at
+    # h = 1e100 with zero drift.  Measured 3.70e-5 with the drift from
+    # h = 1e3 to 1e300, and 2.5e-13 with none
+    for h in (1e100, 1e155, 1e300):
+        b = cgo.build_cgo_holo(phases["morse"], h, drift, q=qpot)
+        assert np.all(np.isfinite(b.v.values))
+        assert 1e-6 <= b.residual <= 1e-4
+        assert cgo.build_cgo_holo(phases["morse"], h).residual <= 1e-10
+    # from h = 1 on, a candidate reads the same residual at every h
+    v = morse_sweep[0.4].v.values
+    assert (cgo.drift_residual(v, drift, qpot, 1e300)
+            == cgo.drift_residual(v, drift, qpot, 1.0))
+
+
+def _scaled_bundle(half):
+    """The Morse bundle at h = 1 on the n = 64 box of half width half,
+    its drift, potential and phase carried from the half-6 box by x ->
+    x half / 6."""
+    box = PaddedGrid(half=half, n=64)
+    s = half / 6.0
+    x, y = (c / s for c in box.meshgrid())
+    r2 = x * x + y * y
+    bump = np.exp(-r2 / 0.6)
+    drift = VectorField(0.8 * bump * np.cos(1.3 * x) / s,
+                        -0.6 * bump * np.sin(0.9 * y) / s, box)
+    phase = cgo.phase_spec((0.0, 0.0, -0.25 / s ** 2), box)
+    return cgo.build_cgo_holo(phase, 1.0, drift,
+                              q=0.25 * np.exp(-r2 / 0.7) / s ** 2)
+
+
+def test_bundles_hold_at_both_ends_of_the_scale_range():
+    # the residual is a second difference, so it scales as half^-2, and
+    # squaring it for its norm takes half^-4: the n = 64 box holds from
+    # half = 6e-76 to 6e78, overflowed there from 6e-78 down and read a
+    # residual of 0 from 6e80 up.  At both ends of SCALE_RANGE the bundle
+    # is the half-6 one's, with its residual scaled by (half / 6)^-2
+    unit = _scaled_bundle(6.0)
+    for half in SCALE_RANGE:
+        b = _scaled_bundle(half)
+        assert b.term_norms == pytest.approx(unit.term_norms, rel=1e-9)
+        assert b.residual * (half / 6.0) ** 2 == pytest.approx(
+            unit.residual, rel=1e-9)
+
+
 def test_series_decay_recorded(morse_sweep, cp_sweep):
     # every bundle records the terms it formed, each below the one before,
     # and stops at the first whose tail bound meets SERIES_RTOL, below the
     # cap
     for b in (*morse_sweep.values(), *cp_sweep.values()):
         norms = b.term_norms
-        assert len(norms) == b.K_effective + 1 <= b.K
+        assert len(norms) == b.K_effective + 1 <= cgo.DEPTH_CAP
         assert all(norms[j + 1] < norms[j] for j in range(b.K_effective))
         tails = [cgo._series_tail(norms[:j + 1])
                  for j in range(1, b.K_effective + 1)]
@@ -521,7 +572,7 @@ def test_nondecreasing_series_warns_and_truncates(box, coords, phases):
     strong = VectorField(16.0 * b * np.cos(1.3 * X + 0.4 * Y),
                          -12.0 * b * np.sin(0.9 * Y - 0.2 * X), box)
     with pytest.warns(RuntimeWarning, match="truncating"):
-        bundle = cgo.build_cgo_holo(phases["morse"], 0.4, strong, K=4)
+        bundle = cgo.build_cgo_holo(phases["morse"], 0.4, strong)
     assert bundle.K_effective < 4
 
 
@@ -551,8 +602,6 @@ def test_antiholomorphic_amplitude_rejected(box, phases, drift):
 def test_bundle_input_guards(box, phases, drift, qpot, morse_sweep):
     with pytest.raises(GridError):
         cgo.build_cgo_holo(phases["morse"], 0.0, drift)
-    with pytest.raises(GridError):
-        cgo.build_cgo_holo(phases["morse"], 0.2, drift, K=-1)
     other = PaddedGrid(half=6.0, n=256)
     zero = np.zeros((other.n, other.n))
     with pytest.raises(GridError, match="different grid"):
@@ -898,9 +947,6 @@ def _bad_inputs(small: PaddedGrid):
             lambda m: {"phase": cgo.phase_spec(
                 (0.0, 0.0, -0.25), PaddedGrid(half=small.half, n=m))},
             st.integers(16, 18)),
-        "K must be a non-negative integer": st.fixed_dictionaries({
-            "K": st.one_of(st.integers(max_value=-1), st.floats(),
-                           st.just(1.5))}),
         "non-finite q": st.builds(
             lambda ij, v: {"q": poisoned(ij, v, 0.25 * bump)}, node,
             bad_value),
@@ -919,10 +965,9 @@ def _bad_inputs(small: PaddedGrid):
 
 _SMALL = PaddedGrid(half=6.0, n=64)
 _BAD = _bad_inputs(_SMALL)
-# the adjoint takes no amplitude and no series depth
+# the adjoint takes no amplitude
 _ADJOINT_BAD = {message: inputs for message, inputs in _BAD.items()
-                if message not in ("K must be a non-negative integer",
-                                   "non-finite amplitude")}
+                if message != "non-finite amplitude"}
 
 
 # the 2-D transforms of the spectral calculus and the 1-D ones of the
@@ -975,16 +1020,17 @@ def test_adjoint_bad_inputs_fail_before_any_fft(data):
             assert not calls, message
 
 
-# K = 0 and 1 are out of range by design: at the strongest corner they leave
-# residuals of 3.2e-3 and 2.7e-4; K >= 2 gives at most 3.8e-5
+# caps DEPTH_CAP = 0 and 1 are out of range by design: at the strongest
+# corner they leave residuals of 3.2e-3 and 2.7e-4; a cap of 2 or more
+# gives at most 3.8e-5
 @settings(max_examples=7)
-@example(h=0.4, K=2, a1=1.0, a2=0.75, q0=0.35, cx=0.15, cy=-0.15)
-@given(h=st.floats(0.141, 0.4), K=st.integers(2, 6),
+@example(h=0.4, cap=2, a1=1.0, a2=0.75, q0=0.35, cx=0.15, cy=-0.15)
+@given(h=st.floats(0.141, 0.4), cap=st.integers(2, 6),
        a1=st.floats(0.6, 1.0), a2=st.floats(0.45, 0.75),
        q0=st.floats(0.15, 0.35), cx=st.floats(-0.15, 0.15),
        cy=st.floats(-0.15, 0.15))
-def test_in_range_bundles_solve_or_name_the_fault(box, coords, h, K, a1, a2,
-                                                  q0, cx, cy):
+def test_in_range_bundles_solve_or_name_the_fault(box, coords, h, cap, a1,
+                                                  a2, q0, cx, cy):
     # the cgo-sweep ranges: a finite bundle with a small residual, or a
     # GridError that names its cause
     X, Y, r2 = coords
@@ -993,7 +1039,9 @@ def test_in_range_bundles_solve_or_name_the_fault(box, coords, h, K, a1, a2,
                         -a2 * bump * np.sin(0.9 * Y - 0.2 * X), box)
     phase = cgo.phase_spec((0.0, 0.0, -0.25), box, complex(cx, cy))
     try:
-        b = cgo.build_cgo_holo(phase, h, drift, q=q0 * np.exp(-r2 / 0.7), K=K)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cgo, "DEPTH_CAP", cap)
+            b = cgo.build_cgo_holo(phase, h, drift, q=q0 * np.exp(-r2 / 0.7))
     except GridError as err:
         assert str(err)
         return
@@ -1017,7 +1065,7 @@ def test_bundle_diagnostics_json(morse_sweep):
     b = morse_sweep[0.4]
     assert b.kind == "holo"
     assert b.phase.has_critical_point is True
-    assert 1 <= b.K_effective < b.K == cgo.DEPTH_DEFAULT
+    assert 1 <= b.K_effective < cgo.DEPTH_CAP
     assert len(b.term_norms) == b.K_effective + 1
 
 

@@ -412,6 +412,12 @@ def test_diffeo_rejects_nonfinite_input():
     one, zero = np.ones_like(X), np.zeros_like(X)
     with pytest.raises(GridError, match="non-finite attached Jacobian"):
         DiffeoField(d1, zero, grid, jac=(one, zero, np.inf, one))
+    # entries of another shape used to leak numpy's broadcast ValueError,
+    # and three entries were accepted and failed when unpacked
+    with pytest.raises(GridError, match=r"attached Jacobian: shape \(3,\)"):
+        DiffeoField(d1, zero, grid, jac=(np.ones(3),) * 4)
+    with pytest.raises(GridError, match="attached Jacobian needs 4 entries"):
+        DiffeoField(d1, zero, grid, jac=(one, zero, one))
 
 
 def test_invert_rejects_a_folding_map():

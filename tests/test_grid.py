@@ -6,7 +6,7 @@ import pytest
 
 from malab.grid import (
     BoundaryTrace, ComplexField, GridError, MetricField, PaddedGrid,
-    ScalarField, VectorField, _ON_CURVE, _adopt_orphans,
+    SCALE_RANGE, ScalarField, VectorField, _ON_CURVE, _adopt_orphans,
     _coverage_weights, _CubicBlock, _lagrange4, _ray_fit, _ring_eval,
     _ring_modes, _snap,
     boundary_restrict, build_disk, build_ellipse, lattice_values,
@@ -94,6 +94,24 @@ def test_build_ellipse_rejects_non_finite_axes(a, b):
     # other two raised a bare ValueError from the ring size
     with pytest.raises(GridError, match="finite"):
         build_ellipse(a, b, 32)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda L: build_disk(L, 48), "a"),
+    (lambda L: PaddedGrid(half=L, n=64), "half"),
+], ids=["disk", "box"])
+def test_lattices_refuse_a_scale_past_their_range(build, name):
+    # a decade past either end of SCALE_RANGE: the disk's ring curvature
+    # used to divide by zero at 1e-110 and overflow at 1e105, and a box's
+    # core window to hold the whole box at half = 1e-200, where numpy's
+    # broadcast ValueError came out of build_cgo_holo
+    lo, hi = SCALE_RANGE
+    for L in (lo / 10.0, hi * 10.0, 1e-200):
+        with pytest.raises(GridError, match=re.escape(
+                f"{name}={L!r} lies outside the lattice scale range")):
+            build(L)
+    for L in (lo, hi):
+        build(L)
 
 
 def test_disk_curvature_and_normals():
@@ -244,6 +262,9 @@ def test_quadrature_zero_and_mismatch():
     box = PaddedGrid(half=3.0, n=16)
     with pytest.raises(GridError, match="DomainGrid, not a PaddedGrid"):
         quadrature(ScalarField(np.ones((16, 16)), box))
+    # a complex field used to lose its imaginary part to a ComplexWarning
+    with pytest.raises(GridError, match="ScalarField, not a ComplexField"):
+        quadrature(ComplexField(1j * f.values, g))
 
 
 def test_quadrature_second_order():

@@ -15,8 +15,8 @@ import scipy.sparse.linalg as spla
 
 from malab import linearize, maforward
 from malab.dnmap import dn_lin_matrix
-from malab.grid import (GridError, MetricField, PaddedGrid, ScalarField,
-                        build_disk, build_ellipse, quadrature)
+from malab.grid import (BoundaryTrace, GridError, MetricField, PaddedGrid,
+                        ScalarField, build_disk, build_ellipse, quadrature)
 from malab.maforward import (SparseLU, build_stencil_ops, solve_ma,
                              solve_ma_zero, stencil_hessian)
 from malab.linearize import (LinearSolveFailure, VectorField, adjoint_solve,
@@ -426,6 +426,13 @@ def test_eps_consistency_refuses_bad_inputs_before_solving(monkeypatch):
                      ({"scales": (1.0, np.inf)}, "scales")]:
         with pytest.raises(GridError, match=name):
             eps_consistency(1.0, phi, phi, grid=g, **kw)
+    # zero data used to run all nine solves and fit log(0): a
+    # RuntimeWarning or NaN slopes
+    zero = BoundaryTrace(np.zeros(len(g.boundary)), g)
+    for phi1, phi2, name in [(0.0, phi, "phi1"), (phi, 0.0, "phi2"),
+                             (zero, phi, "phi1")]:
+        with pytest.raises(GridError, match=f"{name} vanishes on the ring"):
+            eps_consistency(1.0, phi1, phi2, grid=g)
 
 
 def test_eps_consistency_affine_data_sits_at_floor():
