@@ -120,14 +120,19 @@ fill, never a wrapped node.
    Orders: test_cgo.py::test_remainder_expansion_slopes,
    test_complexcalc.py::test_cauchy_transform_is_fourth_order.
 7. The nonlocal dbar equation. Its inputs are the second linearization
-   linearize.second_solve and the adjoint solve linearize.adjoint_solve,
-   and grid.quadrature integrates their pairing.
+   linearize.second_solve and the adjoint solution, and grid.quadrature
+   integrates their pairing. On step 3's Hessian metric, F g^{ab} d_ab is
+   cof(D^2 u) : D^2, formally self-adjoint in L^2(dx) because the
+   cofactor matrix of a Hessian is divergence-free, so the adjoint
+   solution with data phi* is sqrt F psi, psi a step-4 solution
+   (linearize.nondiv_solve_many) with data phi* / sqrt F: no system of
+   its own.
    Certified by dnmap.pairing_gap (the Green pairing of the two against
-   the conormal derivative on the ring), whose adjoint, on step 3's
-   Hessian metric, takes its lower-order terms from F alone
-   (linearize._hessian_adjoint_terms).
+   the conormal derivative on the ring, all its solves on one
+   factorization).
    Tests: test_linearize.py::test_second_solve_poisson_oracle,
-   test_linearize.py::test_adjoint_duality_quadrature.
+   test_linearize.py::test_adjoint_duality_quadrature (the self-adjointness
+   of diag(F) times the solver's own system).
    Orders: test_dnmap.py::test_pairing_gap_is_second_order_on_the_quartic_base.
 8. F. No code recovers F yet.
 

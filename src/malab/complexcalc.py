@@ -386,8 +386,9 @@ def conj_cauchy_inverse(omega: ComplexField) -> ComplexField:
 
 def smooth_cutoff(grid: PaddedGrid, r_inner: float, r_outer: float) -> np.ndarray:
     """C^2 radial bump: 1 inside r_inner, 0 outside r_outer (quintic step).
-    Radii that are not finite reals with r_outer > r_inner are a
-    GridError."""
+    A grid that is not a PaddedGrid, or radii that are not finite reals
+    with r_outer > r_inner, are a GridError."""
+    _require_grid(grid, PaddedGrid, "smooth_cutoff")
     lo, hi = _float(r_inner), _float(r_outer)
     if not -np.inf < lo < hi < np.inf:
         raise GridError("cutoff radii must be finite with r_outer > r_inner, "

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
-                   ScalarField, _ray_fit, _require_count, _require_grid,
-                   _require_positive, _require_same_grid, _ring_eval,
-                   _ring_modes, normal_derivative, quadrature,
+                   ScalarField, _ray_fit, _require_count, _require_finite,
+                   _require_grid, _require_positive, _require_same_grid,
+                   _ring_eval, _ring_modes, normal_derivative, quadrature,
                    tangential_derivative)
-from .linearize import (SOLVE_RTOL, _hessian_adjoint_terms, _metric_solver,
-                        _trace_source, _volume_weight, metric_from_solution,
-                        nondiv_solve, nondiv_solve_many, second_solve)
+from .linearize import (SOLVE_RTOL, _metric_solver, _trace_source,
+                        _volume_weight, metric_from_solution, nondiv_solve)
 from .maforward import ring_values, solve_ma
 
 
@@ -167,53 +166,78 @@ def dn_lin_matrix(g: MetricField, X, K: int = 6, *,
 def pairing_gap(g: MetricField, phi1, phi2, phi_star) -> float:
     """Relative gap of the Green pairing behind the nonlocal dbar equation.
 
-    On a Hessian metric g (metric_from_solution), w = second_solve of the
-    first-order solutions v_k = nondiv_solve_many with data phi_k solves
-    g^{ab} d_ab w = S, S = tr(G V1 G V2), with zero data; v* solves the
-    formal adjoint of g^{ab} d_ab, its lower-order terms from F
-    (linearize._hessian_adjoint_terms), with data phi_star. Green's
-    identity in L^2(sqrt|g| dx), with w's zero data and the adjoint
-    equation, leaves
+    On a Hessian metric g = (D^2 u)^-1 (metric_from_solution), with
+    F = det D^2 u = 1/det g, the first-order solutions v_k with data phi_k
+    and w with g^{ab} d_ab w = S, S = tr(G V1 G V2), zero data
+    (second_solve's), are paired with the adjoint solution v* of data
+    phi_star. F g^{ab} d_ab = cof(D^2 u) : D^2 = d_a(cof^{ab} d_b .),
+    since the cofactor matrix of a Hessian is divergence-free (the Piola
+    identity), so F g^{ab} d_ab is formally self-adjoint in L^2(dx). The
+    formal adjoint (1/sqrt|g|) d_ab(sqrt|g| g^{ab} .) in L^2(sqrt|g| dx),
+    with sqrt|g| = sqrt F and sqrt|g| g = cof / sqrt F, is then
+    (1/sqrt F) cof : D^2 (. / sqrt F) = sqrt F g^{ab} d_ab (. / sqrt F).
+    So v* = sqrt F psi, where psi solves the step-4 equation
+    g^{ab} d_ab psi = 0 with data phi_star / sqrt F. Green's identity for
+    cof : D^2, with w's zero data (so grad w = d_nu w nu on the ring) and
+    nu . cof nu = sqrt F c_nu, leaves
 
-        oint phi_star c_nu d_nu w ds = int sqrt|g| v* S dx,
+        oint phi_star c_nu d_nu w ds = int sqrt|g| v* S dx = int F psi S dx,
 
-    c_nu = sqrt|g| nu . g nu the conormal weight of the normal derivative
-    (the tangential one of w vanishes). Returns |left - right| / |right|,
-    the normal derivative by the ray fit anchored at w's zero data.
+    c_nu = sqrt|g| nu . g nu the conormal weight of the normal derivative.
+    v1, v2 and psi are one block solve and w a second on the same
+    factorization. sqrt F on the ring is the root of F's ray fit, which
+    must be finite and positive, or a GridError. Returns |left - right| /
+    |right|, the normal derivative by the ray fit anchored at w's zero
+    data.
 
     S's natural size is |G|^2 max|v1| max|v2| / half^4, half the
     lattice's half-width; rounding in the stencil Hessians leaves about
     eps (half/dx)^2 of it (4e-12 to 1.8e-10 with linear phi1 at n = 48
     to 192 on the quartic base). So a right side at most sqrt(eps) times
-    int sqrt|g| |v*| dx times that size is rounding or zero, and leaves no
-    gap to divide by: data phi1 or phi2 without second derivatives, or a
-    zero phi_star, are a GridError.
+    int F |psi| dx times that size is rounding or zero, and leaves no gap
+    to divide by: data phi1 or phi2 without second derivatives, or a zero
+    phi_star, are a GridError.
     """
     grid = _require_grid(g.grid, DomainGrid, "pairing_gap")
-    v1, v2 = nondiv_solve_many(g, [phi1, phi2])
-    w = second_solve(g, v1, v2, phi1, phi2)
+    solve = _metric_solver(g)
+    F = _volume_weight(g, grid.mask) ** 2
+    Fb = _ray_fit(grid, F)[0]
+    _require_finite("F on the ring", Fb)
+    if np.min(Fb) <= 0.0:
+        raise GridError("F on the ring is not positive: its ray fit reads "
+                        f"{np.min(Fb):.3g}")
+    p_star = ring_values(grid, phi_star)
+    psi_data = BoundaryTrace(p_star / np.sqrt(Fb), grid)
+    v1, v2, psi = solve([phi1, phi2, psi_data], None, SOLVE_RTOL)
     S = _trace_source(g, v1, v2, phi1, phi2)
-    adjoint = _metric_solver(g, lower=_hessian_adjoint_terms(g))
-    vs = adjoint([phi_star], None, SOLVE_RTOL)[0].values
-    wvs = _volume_weight(g, grid.mask) * vs
-    right = quadrature(ScalarField(wvs * S, grid))
-    size = (quadrature(ScalarField(np.abs(wvs), grid))
+    w = solve([0.0], S, SOLVE_RTOL)[0]
+    Fpsi = F * psi.values
+    right = quadrature(ScalarField(Fpsi * S, grid))
+    size = (quadrature(ScalarField(np.abs(Fpsi), grid))
             * g.eig_bounds(where=grid.mask)[1] ** 2 / grid.half ** 4
             * np.max(np.abs(v1.values)) * np.max(np.abs(v2.values)))
     if not abs(right) > np.sqrt(np.finfo(float).eps) * size:
         raise GridError(
-            f"the pairing's right side int sqrt|g| v* S dx is {right:.3g}, "
+            f"the pairing's right side int F psi S dx is {right:.3g}, "
             f"rounding against its natural size {size:.3g}: data without "
             "second derivatives, or a zero adjoint data, leave no gap")
     b = grid.boundary
     dnu = _ray_fit(grid, w.values, np.zeros(len(b)))[1]
-    left = float(np.sum(b.ds * ring_values(grid, phi_star)
-                        * _conormal_weights(g)[0] * dnu))
+    left = float(np.sum(b.ds * p_star * _conormal_weights(g)[0] * dnu))
     return abs(left - right) / abs(right)
 
 
 # ---------------------------------------------------------------------------
 # boundary determination
+
+
+def _require_traces(what: str, *traces) -> None:
+    """GridError naming what unless every one of traces is a
+    BoundaryTrace."""
+    for t in traces:
+        if not isinstance(t, BoundaryTrace):
+            raise GridError(f"{what} must be a BoundaryTrace, not a "
+                            f"{type(t).__name__}")
 
 
 def recover_boundary_hessian(lam0: BoundaryTrace, Fb, data=None,
@@ -228,11 +252,13 @@ def recover_boundary_hessian(lam0: BoundaryTrace, Fb, data=None,
     (u_tt, u_tn, u_nn), or the Cartesian entries (u_11, u_12, u_22) when
     frame="cartesian". kmax, a non-negative integer, keeps only the ring
     modes k <= kmax of the measured trace before arclength
-    differentiation; exact inputs need none. The grid is lam0's; a trace
-    from another grid in Fb or data is a GridError.
+    differentiation; exact inputs need none. The grid is lam0's; a lam0
+    that is not a BoundaryTrace, or a trace from another grid in Fb or
+    data, is a GridError.
     """
     if frame not in ("local", "cartesian"):
         raise GridError(f"unknown frame {frame!r}")
+    _require_traces("lam0", lam0)
     grid = lam0.grid
     lam = np.asarray(lam0.values, dtype=float)
     if kmax is not None:
@@ -287,8 +313,14 @@ def recover_boundary_third(dnu_F, second) -> BoundaryTrace:
 
     and the differentiated equation gives
     u_nnn = (dnu_F - u_ttn u_nn + 2 u_tn u_tnn) / u_tt, on the grid the
-    three traces share (traces from two grids are a GridError).
+    three traces share. A second that is not three BoundaryTraces, or
+    traces from two grids, are a GridError.
     """
+    if not (isinstance(second, (tuple, list)) and len(second) == 3):
+        raise GridError("second must hold the three traces (u_tt, u_tn, "
+                        "u_nn) of recover_boundary_hessian, got "
+                        f"{second!r:.60}")
+    _require_traces("second-order trace", *second)
     grid = second[0].grid
     _require_same_grid(grid, "second-order trace", *second[1:])
     utt = np.asarray(second[0].values, dtype=float)

@@ -367,12 +367,16 @@ def diffeo_rigidity_solve(g1: MetricField, data=None) -> DiffeoField:
     stencils annihilate affine lattice functions), so the output deviates
     from the identity only by the linear-solver tolerance; that deviation
     is the computable content of the rigidity claim. data, when given,
-    replaces the coordinate boundary traces (sensitivity studies).
+    replaces the coordinate boundary traces (sensitivity studies); it
+    must be two boundary data, one per coordinate, or a GridError.
     """
     grid = _require_grid(g1.grid, DomainGrid, "the rigidity system")
-    phi1, phi2 = data if data is not None else (lambda x, y: x,
-                                                lambda x, y: y)
-    w1, w2 = nondiv_solve_many(g1, [phi1, phi2])
+    if data is None:
+        data = (lambda x, y: x, lambda x, y: y)
+    elif not (isinstance(data, (tuple, list)) and len(data) == 2):
+        raise GridError("rigidity data must be two boundary data, one per "
+                        f"coordinate, got {data!r:.60}")
+    w1, w2 = nondiv_solve_many(g1, data)
     X, Y = grid.meshgrid()
     d1 = np.where(grid.mask, w1.values - X, 0.0)
     d2 = np.where(grid.mask, w2.values - Y, 0.0)

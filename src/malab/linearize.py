@@ -7,16 +7,17 @@ metric and the coefficient matrix of the linearized operator. The first
 linearization solves g^{ab} d_ab v = 0 with the perturbation's boundary
 data; the second linearization solves g^{ab} d_ab w = tr(G V1 G V2) with
 zero data, where V_k are the Hessians of first-order solutions and G the
-coefficient matrix; the adjoint problem carries the drift in divergence
-form. Every system is assembled by `maforward.StencilOps.system`, the
-sum of the operators that the Newton Jacobian applies term by term, and
-goes through the sparse-LU layer of `maforward`, split per metric: the
-system is assembled and factored once, and every right side of that
-metric is solved against the one factorization (nondiv_solve_many takes
-a block of boundary data as one block); adjoint_solve adds its
-lower-order terms to that one assembly. Every column must meet the
-residual bound ||A v - b|| <= SOLVE_RTOL ||b||, or the solve raises
-LinearSolveFailure.
+coefficient matrix. F times the linearized operator is cof(D^2 u0) : D^2,
+which is formally self-adjoint in L^2(dx) (the cofactor matrix of a
+Hessian is divergence-free), so the adjoint of step 7's pairing needs no
+system of its own (dnmap.pairing_gap). Every system is assembled by
+`maforward.StencilOps.system`, the sum of the operators that the Newton
+Jacobian applies term by term, and goes through the sparse-LU layer of
+`maforward`, split per metric: the system is assembled and factored
+once, and every right side of that metric is solved against the one
+factorization (nondiv_solve_many takes a block of boundary data as one
+block). Every column must meet the residual bound ||A v - b|| <=
+SOLVE_RTOL ||b||, or the solve raises LinearSolveFailure.
 """
 
 from __future__ import annotations
@@ -127,9 +128,13 @@ def divergence_form_apply(g: MetricField, X: VectorField, v: np.ndarray):
     smooth field verifies the product-rule identity behind the drift. The
     result is only meaningful away from the boundary; the second return
     value masks the nodes where every inner differentiation was central.
+    A drift from another grid, or one not finite on the mask, is a
+    GridError.
     """
     grid = _require_grid(g.grid, DomainGrid, "divergence_form_apply")
     w = _volume_weight(g, grid.mask)
+    _require_same_grid(grid, "drift", X)
+    _require_finite("drift", X.c1, X.c2, where=grid.mask)
     v1, v2 = deriv(v, grid, 1, 0), deriv(v, grid, 0, 1)
     f1 = w * (g.g11 * v1 + g.g12 * v2)
     f2 = w * (g.g12 * v1 + g.g22 * v2)
@@ -156,16 +161,14 @@ def _coeffs_at_nodes(g: MetricField):
     return g.g11[m], g.g12[m], g.g22[m]
 
 
-def _metric_solver(g: MetricField, lower=()):
-    """solve(datas, f, rtol) of nondiv_solve_many for g, or of an operator
-    whose lower-order coefficients lower the caller formed (adjoint_solve's
-    from _adjoint_terms): the system is assembled once, and factored once,
-    at the first solve, after its data have passed their checks."""
+def _metric_solver(g: MetricField):
+    """solve(datas, f, rtol) of nondiv_solve_many for g: the system is
+    assembled once, and factored once, at the first solve, after its data
+    have passed their checks."""
     grid = g.grid
     coeffs = _coeffs_at_nodes(g)
     ops = build_stencil_ops(grid)
-    A = ops.system(*coeffs, *lower)
-    G, lu = ops.crossing_system(*coeffs, *lower[:2]), []
+    A, G, lu = ops.system(*coeffs), ops.crossing_system(*coeffs), []
 
     def solve(datas, f, rtol):
         # f - G Phi, f 0 by default
@@ -178,52 +181,6 @@ def _metric_solver(g: MetricField, lower=()):
         return [ScalarField(ops.scatter(v), grid)
                 for v in lu[0].solve(rhs, rtol).T]
     return solve
-
-
-def _adjoint_terms(g: MetricField, X: VectorField) -> tuple:
-    """adjoint_solve's lower-order coefficients X1, X2 (of X_g + X) and
-    c0 = (1/w) d_b(w X^b), on the interior numbering, after the metric's
-    refusals (every linearized solve runs them first) and the drift's."""
-    _coeffs_at_nodes(g)
-    grid, m = g.grid, g.grid.mask
-    _require_same_grid(grid, "drift", X)
-    _require_finite("drift", X.c1, X.c2, where=m)
-    Xg, w = drift_field(g), _volume_weight(g, m)
-    c0 = (deriv(w * X.c1, grid, 1, 0) + deriv(w * X.c2, grid, 0, 1)) / w
-    return tuple(a[m] for a in (Xg.c1 + X.c1, Xg.c2 + X.c2, c0))
-
-
-def _hessian_adjoint_terms(g: MetricField) -> tuple:
-    """Lower-order coefficients 2 X_g and c0 of the formal adjoint
-    (1/w) d_ab(w g^{ab} .) of g^{ab} d_ab on a Hessian metric g
-    (metric_from_solution), on the interior numbering, from log F alone.
-
-    For g = (D^2 u)^-1 with det D^2 u = F, w = sqrt F and w g^{ab} =
-    cof(D^2 u)^{ab} / sqrt F. The cofactor matrix of a Hessian is
-    divergence-free (the Piola identity), so
-
-        X_g^b = (1/w) d_a(w g^{ab}) = -1/2 g^{ab} d_a log F,
-        c0 = (1/w) d_b(w X_g^b)
-           = -1/2 g^{ab} (d_ab log F - 1/2 d_a log F d_b log F),
-
-    and neither differentiates g, whose rim rows are first order
-    (drift_field's differences of w g miss X_g by 0.2-0.3 there, and a
-    second difference of them grows like 1/dx). log F is log det of the
-    stencil Hessian, -log det g, which meets F on every row to Newton's
-    target; its second derivatives are deriv's first differences,
-    composed.
-    """
-    grid, m = g.grid, g.grid.mask
-    logF = np.zeros_like(g.g11)
-    logF[m] = -np.log(_require_metric(g, m)[m])
-    d1, d2 = deriv(logF, grid, 1, 0), deriv(logF, grid, 0, 1)
-    d11, d12, d22 = (deriv(d1, grid, 1, 0), deriv(d1, grid, 0, 1),
-                     deriv(d2, grid, 0, 1))
-    c0 = -0.5 * (g.g11 * (d11 - 0.5 * d1 * d1)
-                 + 2.0 * g.g12 * (d12 - 0.5 * d1 * d2)
-                 + g.g22 * (d22 - 0.5 * d2 * d2))
-    return tuple(a[m] for a in (-(g.g11 * d1 + g.g12 * d2),
-                                -(g.g12 * d1 + g.g22 * d2), c0))
 
 
 def nondiv_solve_many(g: MetricField, datas, f=None) -> list:
@@ -246,19 +203,6 @@ def nondiv_solve(g: MetricField, phi, f=None) -> ScalarField:
     One column of nondiv_solve_many, with the same residual bound.
     """
     return nondiv_solve_many(g, [phi], f)[0]
-
-
-def adjoint_solve(g: MetricField, X: VectorField, phi_star,
-                  f=None) -> ScalarField:
-    """Solve the adjoint problem Lap_g v* + (1/w) d_b(w X^b v*) = f.
-
-    Expanded, the operator is g^{ab} d_ab + (X_g + X) . grad + c0 with
-    c0 = (1/w) d_b(w X^b); w is the covariant volume weight. It goes
-    through nondiv_solve's solver, with these lower-order terms added to
-    the one assembly, and meets the same residual bound.
-    """
-    solve = _metric_solver(g, _adjoint_terms(g, X))
-    return solve([phi_star], f, SOLVE_RTOL)[0]
 
 
 def second_solve(g: MetricField, v1: ScalarField, v2: ScalarField,

@@ -3,8 +3,8 @@
 Solves det D^2 u = F on a convex domain with Dirichlet data on the exact
 boundary curve. The discretization is a 9-point scheme on the masked
 lattice, on every mask node: second differences along the axes, the
-4-point diagonal stencil for the mixed derivative, central first
-differences. A ray that crosses the boundary at the fraction a of its
+4-point diagonal stencil for the mixed derivative, and ghosts at the
+boundary. A ray that crosses the boundary at the fraction a of its
 step reads a ghost past the crossing Q, the quadratic through the
 opposite node O, the center C and Q, (1 - a)/(1 + a) u_O - 2 (1 - a)/a
 u_C + 2/(a (1 + a)) phi(Q) (Shortley and Weller, J. Appl. Phys. 9,
@@ -302,10 +302,9 @@ def ring_values(grid: DomainGrid, data) -> np.ndarray:
 # 1). _LAYOUT gives each operator's (stencil slots, direction slots).
 _SLOTS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
 _DIRS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)]
-_X, _Y = (slice(1, 9, 3), slice(0, 2)), (slice(3, 6), slice(2, 4))
-_LAYOUT = {"11": _X, "22": _Y, "12": (slice(0, 9, 2), slice(4, 8)),
-           "1": _X, "2": _Y}
-_HESSIAN = ("11", "22", "12")
+_LAYOUT = {"11": (slice(1, 9, 3), slice(0, 2)),
+           "22": (slice(3, 6), slice(2, 4)),
+           "12": (slice(0, 9, 2), slice(4, 8))}
 
 
 def _csr(vals, cols, rows, shape) -> "scipy.sparse.csr_matrix":
@@ -319,10 +318,9 @@ def _csr(vals, cols, rows, shape) -> "scipy.sparse.csr_matrix":
     return sp.csr_matrix((vals.T[keep.T], cols.T[keep.T], indptr), shape)
 
 
-def _terms(a11, a12, a22, X1, X2):
+def _terms(a11, a12, a22):
     """(coefficient, operator) in the order they are summed."""
-    drift = [(X1, "1"), (X2, "2")] if X1 is not None else []
-    return [(a11, "11"), (a22, "22"), (2.0 * a12, "12"), *drift]
+    return [(a11, "11"), (a22, "22"), (2.0 * a12, "12")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,21 +331,19 @@ class StencilOps:
     every row. Each operator is a pair, L[k] on the interior values and
     G[k] on the data at the crossings (crossing_values), so the closed
     difference of u with data phi is L u + G phi: the second differences
-    k = '11', '22', '12' and central first differences '1', '2', each
-    closed by the ghosts of the module docstring. Every row carries the
-    equation.
+    k = '11', '22' and '12', the Hessian operators, each closed by the
+    ghosts of the module docstring. Every row carries the equation.
 
     The L share one N x N pattern, the 3 x 3 stencil (_SLOTS) of every
     row: cols[s] is the column of slot s, the row itself where that node
     is outside the mask. The G share one N x nq pattern, the exterior
-    directions (_DIRS) of the rows qrows that read a crossing: qcols[s] is
-    the column of direction s. An operator holds one row of values per
-    slot it uses (_LAYOUT), zero where it has no entry; the Hessian
-    operators keep theirs as the transpose of an (N, slots) array, which
-    their CSR matrices in _hessian read in place. Every array is
-    read-only; build_stencil_ops keeps the operators of the one grid used
-    last. Made at their first
-    use: _laplacian, their Laplacian system(1, 0, 1) factored from its
+    directions (_DIRS) of the rows qrows that read a crossing: qcols[s]
+    is the column of direction s. An operator holds one row of values
+    per slot it uses (_LAYOUT), zero where it has no entry, as the
+    transpose of an (N, slots) array, which the CSR matrices of _hessian
+    read in place. Every array is read-only; build_stencil_ops keeps the
+    operators of the one grid used last. Made at their first use:
+    _laplacian, their Laplacian system(1, 0, 1) factored from its
     slot values (_RedBlackLU); _order, the nested-dissection order of the
     nodes (i, j) that SparseLU factors their systems in; _hessian, the
     Hessian operators of stencil_hessian and the Newton Jacobian.
@@ -373,31 +369,26 @@ class StencilOps:
         """The data at the crossing points: the vector every G acts on."""
         return eval_boundary_data(self.grid, data, self.qx, self.qy)
 
-    def system(self, a11, a12, a22, X1=None, X2=None,
-               c0=None) -> "scipy.sparse.csr_matrix":
-        """A of a11 d_11 + 2 a12 d_12 + a22 d_22 [+ X1 d_1 + X2 d_2 + c0],
-        coefficients scalar or on the interior numbering: each row reads
-        A u + G_A phi = f, G_A = crossing_system(a11, a12, a22, X1, X2).
-        Each entry is summed as diag(c) L over the terms in the order '11',
-        '22', '12', drift, then c0; exact zeros are dropped, so the
-        pattern is that of the sparse sum."""
-        return _csr(self._slot_values(a11, a12, a22, X1, X2, c0), self.cols,
+    def system(self, a11, a12, a22) -> "scipy.sparse.csr_matrix":
+        """A of a11 d_11 + 2 a12 d_12 + a22 d_22, coefficients scalar or on
+        the interior numbering: each row reads A u + G_A phi = f, G_A =
+        crossing_system(a11, a12, a22). Each entry is summed as diag(c) L
+        over the terms in the order '11', '22', '12'; exact zeros are
+        dropped, so the pattern is that of the sparse sum."""
+        return _csr(self._slot_values(a11, a12, a22), self.cols,
                     slice(None), (self.N, self.N))
 
-    def _slot_values(self, a11, a12, a22, X1=None, X2=None, c0=None):
+    def _slot_values(self, a11, a12, a22):
         """The (9, N) slot values of system, exact zeros kept."""
         vals = np.zeros((9, self.N))
-        for c, k in _terms(a11, a12, a22, X1, X2):
+        for c, k in _terms(a11, a12, a22):
             vals[_LAYOUT[k][0]] += c * self.L[k]
-        if c0 is not None:
-            vals[4] += c0
         return vals
 
-    def crossing_system(self, a11, a12, a22, X1=None,
-                        X2=None) -> "scipy.sparse.csr_matrix":
+    def crossing_system(self, a11, a12, a22) -> "scipy.sparse.csr_matrix":
         """G_A of system: the same sum over the G."""
         vals = np.zeros((8, len(self.qrows)))
-        for c, k in _terms(a11, a12, a22, X1, X2):
+        for c, k in _terms(a11, a12, a22):
             vals[_LAYOUT[k][1]] += np.broadcast_to(
                 c, (self.N,))[self.qrows] * self.G[k]
         return _csr(vals, self.qcols, self.qrows, (self.N, len(self.qx)))
@@ -423,7 +414,7 @@ class StencilOps:
         qrows stacked into one CSR matrix."""
         import scipy.sparse as sp
         HL = []
-        for k in _HESSIAN:
+        for k in _LAYOUT:
             vals = self.L[k].T               # (N, slots), row by row
             m = vals.shape[1]
             HL.append(sp.csr_matrix(
@@ -432,7 +423,7 @@ class StencilOps:
                 shape=(self.N, self.N)))
         nq = (len(self.qrows), len(self.qx))
         HG = sp.vstack([_csr(self.G[k], self.qcols[_LAYOUT[k][1]],
-                             slice(None), nq) for k in _HESSIAN],
+                             slice(None), nq) for k in _LAYOUT],
                        format="csr")
         for M in (*HL, HG):
             _read_only(M)
@@ -490,16 +481,14 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
     ghost, oin = ~inside[:, qrows], inside[np.arange(8) ^ 1][:, qrows]
     for key, w, denom, center_base in [
             ("11", [1.0, 1.0], h2, -2.0), ("22", [1.0, 1.0], h2, -2.0),
-            ("12", [1.0, 1.0, -1.0, -1.0], 4.0 * h2, 0.0),
-            ("1", [0.5, -0.5], dx, 0.0), ("2", [0.5, -0.5], dx, 0.0)]:
+            ("12", [1.0, 1.0, -1.0, -1.0], 4.0 * h2, 0.0)]:
         ls, gs = _LAYOUT[key]
         a, o, slots = aq[gs], oin[gs], range(9)[ls]
         w = np.array(w)[:, None] / denom
-        # stored row by row for the Hessian operators, whose CSR matrices
-        # (StencilOps._hessian) read them in place; each slot's values are
-        # written where they are nonzero, into zeros
-        L[key] = vals = (np.zeros((N, len(slots))).T if key in _HESSIAN
-                         else np.zeros((len(slots), N)))
+        # stored row by row, as the CSR matrices of StencilOps._hessian
+        # read them in place; each slot's values are written where they are
+        # nonzero, into zeros
+        L[key] = vals = np.zeros((N, len(slots))).T
         place = [slots.index(_SLOTS.index(_DIRS[d])) for d in range(8)[gs]]
         for s, wd, d in zip(place, w[:, 0], range(8)[gs]):
             np.copyto(vals[s], wd, where=inside[d])
@@ -685,7 +674,7 @@ def _row_targets(ops: StencilOps, U, h, Fvec) -> np.ndarray:
     moves an entry of h by about eps W_i max|U|, and h11 h22 - h12^2 by
     |h22| dh11 + |h11| dh22 + 2 |h12| dh12: at most 4 max|h| times that,
     so NEWTON_FLOOR = 4 (one-ulp changes of u measure 1.5-2.3)."""
-    W = np.maximum.reduce([np.abs(ops.L[k]).sum(axis=0) for k in _HESSIAN])
+    W = np.maximum.reduce([np.abs(ops.L[k]).sum(axis=0) for k in _LAYOUT])
     scale = float(np.max(np.abs(U)) * max(np.max(np.abs(x)) for x in h))
     return np.maximum(NEWTON_TOL * float(np.max(Fvec)),
                       NEWTON_FLOOR * np.finfo(float).eps * scale * W)

@@ -163,17 +163,19 @@ def test_dn_lin_sees_the_conformal_class_and_only_it():
 def test_pairing_gap_is_second_order_on_the_quartic_base():
     # step 7 on the chain's own output: the quartic base's metric (step
     # 3's), first-order data phi1, phi2 and adjoint data phi*. Every piece
-    # of the pairing is second order: the 9-point stencils of the three
-    # solves, the area quadrature, the conormal weight's and the normal
-    # derivative's ray fits, and the adjoint's lower-order terms, formed
-    # from log F by composed first differences. So between n and 2n the
-    # order log(gap_n / gap_2n) / log(dx_n / dx_2n) is 2: measured 2.59
-    # and 1.86 (gap 4.22e-4, 6.84e-5 and 1.87e-5 at n = 48, 96 and 192;
-    # 1.04e-5 at n = 256, order 2.02), the first pair still above 2 by
-    # the coarse lattice's higher-order error. With the adjoint terms of
-    # drift_field the gaps read 4.75e-4, 1.95e-4 and 2.19e-4 and do not
-    # converge: its c0 is a second difference of the rim rows' first-order
-    # metric
+    # of the pairing is second order: the 9-point stencils of the solves,
+    # the area quadrature, and the ray fits of the conormal weight, of the
+    # normal derivative and of F on the ring, whose root scales the
+    # adjoint's data (v* = sqrt F psi). So between n and 2n the order
+    # log(gap_n / gap_2n) / log(dx_n / dx_2n) is 2: measured 2.62 and 1.84
+    # (gap 3.83e-4, 6.07e-5 and 1.68e-5 at n = 48, 96 and 192), the first
+    # pair still above 2 by the coarse lattice's higher-order error. A ray
+    # fit of sqrt F itself read order 1.76 from 96 to 192, and F as 1/det
+    # of the ray-fitted metric gaps 6.8e-4, 9.9e-6 and 1.4e-5, which do
+    # not fall monotonically. An adjoint assembled with the lower-order
+    # terms of drift_field read gaps 4.75e-4, 1.95e-4 and 2.19e-4, which
+    # do not converge: its c0 is a second difference of the rim rows'
+    # first-order metric
     Fq = lambda x, y: 1.0 + x ** 2
     phq = lambda x, y: x ** 4 / 12 + x ** 2 / 2 + y ** 2 / 2
     phi1 = lambda x, y: x ** 2 + 0.5 * x * y + 0.2 * x
@@ -198,8 +200,8 @@ def test_pairing_gap_is_second_order_on_the_quartic_base():
 ], ids=["zero data", "linear data", "zero adjoint data"])
 def test_pairing_gap_refuses_a_right_side_at_rounding(phi1, phi_star):
     # zero or linear phi1 leaves S = tr(G V1 G V2) zero or rounding, a zero
-    # phi_star leaves v* = 0: the right side int sqrt|g| v* S dx has no
-    # size to divide the gap by
+    # phi_star leaves psi = 0: the right side int F psi S dx has no size
+    # to divide the gap by
     g = metric_from_solution(solve_ma(lambda x, y: 1.0 + x ** 2,
                                       lambda x, y: x ** 4 / 12 + x ** 2 / 2
                                       + y ** 2 / 2, build_disk(1.0, 48)))

@@ -15,7 +15,9 @@ from malab.grid import (
 from malab import cgo
 from malab.complexcalc import (deriv, smooth_cutoff, spectral_deriv,
                                spectral_dz, spectral_dzb)
-from malab.dnmap import DNMatrix
+from malab.dnmap import (DNMatrix, recover_boundary_hessian,
+                         recover_boundary_third)
+from malab.geomkit import diffeo_rigidity_solve
 from malab.maforward import build_stencil_ops
 
 
@@ -672,6 +674,8 @@ _STILL = VectorField(np.zeros((32, 32)), np.zeros((32, 32)), _BOX)
 _ON_BOX = ComplexField(_ONES, _BOX)
 # the same n on another box
 _ELSEWHERE = ComplexField(_ONES, PaddedGrid(half=2.0, n=32))
+_RING = np.ones(len(_DISK.boundary))
+_FLAT = MetricField(_ONES, 0.0 * _ONES, _ONES, _DISK)
 
 
 @pytest.mark.parametrize("call, msg", [
@@ -734,6 +738,18 @@ _ELSEWHERE = ComplexField(_ONES, PaddedGrid(half=2.0, n=32))
     (lambda: cgo.series_weights(_WIDE, _STILL),
      "alpha: shape (30, 30) != grid (32, 32)"),
     (lambda: cgo.series_weights(_NAN, _STILL), "non-finite gauge field alpha"),
+    # each of these leaked an AttributeError, an IndexError or a bare
+    # ValueError from unpacking
+    (lambda: smooth_cutoff(_DISK, 0.5, 1.0),
+     "smooth_cutoff needs a PaddedGrid, not a DomainGrid"),
+    (lambda: recover_boundary_third(0.0, ()),
+     "second must hold the three traces (u_tt, u_tn, u_nn)"),
+    (lambda: recover_boundary_third(0.0, (_RING,) * 3),
+     "second-order trace must be a BoundaryTrace, not a ndarray"),
+    (lambda: recover_boundary_hessian(_RING, 1.0),
+     "lam0 must be a BoundaryTrace, not a ndarray"),
+    (lambda: diffeo_rigidity_solve(_FLAT, data=(lambda x, y: x,)),
+     "rigidity data must be two boundary data, one per coordinate"),
 ], ids=["half", "half-overflow", "semi-axis", "semi-axis-overflow", "h",
         "h-overflow", "amplitude-array", "amplitude-list", "amplitude-string",
         "center", "coefficient", "cutoff", "core-radius",
@@ -745,7 +761,8 @@ _ELSEWHERE = ComplexField(_ONES, PaddedGrid(half=2.0, n=32))
         "neumann-vp-grid", "neumann-V-nan",
         *[f"{f}-q-{cause}" for f in ("factorization", "potential", "weights")
           for cause in ("nan", "shape")],
-        "weights-alpha-shape", "weights-alpha-nan"])
+        "weights-alpha-shape", "weights-alpha-nan", "cutoff-domain",
+        "third-empty", "third-arrays", "hessian-array", "rigidity-data"])
 def test_invalid_inputs_raise_a_grid_error_naming_them(call, msg):
     with pytest.raises(GridError, match=re.escape(msg)):
         call()

@@ -13,8 +13,8 @@ from malab import complexcalc, dnmap, linearize, maforward
 from malab.grid import (BoundaryTrace, GridError, MetricField, PaddedGrid,
                         ScalarField, boundary_restrict)
 from malab.grid import SCALE_RANGE, _ON_CURVE, build_disk, build_ellipse
-from malab.dnmap import dn_lin
-from malab.linearize import VectorField, adjoint_solve, nondiv_solve
+from malab.dnmap import dn_lin, pairing_gap
+from malab.linearize import nondiv_solve
 from malab.maforward import (LinearSolveFailure, NewtonFailure, SparseLU,
                              build_stencil_ops, eval_boundary_data, solve_ma,
                              solve_ma_zero)
@@ -275,16 +275,17 @@ def test_source_from_another_grid_of_same_n_rejected():
     assert sol.convex
 
 
-def _flat_pair(g):
-    one, zero = np.ones((g.n, g.n)), np.zeros((g.n, g.n))
-    return MetricField(one, zero, one, g), VectorField(zero, zero, g)
+def _flat_metric(g):
+    one = np.ones((g.n, g.n))
+    return MetricField(one, np.zeros_like(one), one, g)
 
 
 _ENTRY_POINTS = {
     "solve_ma": lambda g, phi: solve_ma(1.0, phi, g),
-    "nondiv_solve": lambda g, phi: nondiv_solve(_flat_pair(g)[0], phi),
-    "adjoint_solve": lambda g, phi: adjoint_solve(*_flat_pair(g), phi),
-    "dn_lin": lambda g, phi: dn_lin(_flat_pair(g)[0], phi),
+    "nondiv_solve": lambda g, phi: nondiv_solve(_flat_metric(g), phi),
+    "pairing_gap": lambda g, phi: pairing_gap(
+        _flat_metric(g), lambda x, y: x * x, lambda x, y: x * y, phi),
+    "dn_lin": lambda g, phi: dn_lin(_flat_metric(g), phi),
 }
 
 
@@ -669,19 +670,14 @@ def _operator(ops, side, k):
                          shape).tocsr()
 
 
-def _reference_sum(ops, side, coeffs, c0=None):
-    # diag(c) L summed term by term as sparse matrices, then c0: the sum
-    # the assembler replaces
-    a11, a12, a22, X1, X2 = coeffs
+def _reference_sum(ops, side, coeffs):
+    # diag(c) L summed term by term as sparse matrices: the sum the
+    # assembler replaces
+    a11, a12, a22 = coeffs
     terms = [(a11, "11"), (a22, "22"), (2.0 * a12, "12")]
-    if X1 is not None:
-        terms += [(X1, "1"), (X2, "2")]
     parts = [c * _operator(ops, side, k) if np.ndim(c) == 0
              else sp.diags(c) @ _operator(ops, side, k) for c, k in terms]
-    out = sum(parts[1:], parts[0])
-    if c0 is not None:
-        out = out + sp.diags(c0)
-    return out
+    return sum(parts[1:], parts[0])
 
 
 @pytest.mark.parametrize("build", [lambda: build_disk(1.0, 128),
@@ -690,14 +686,11 @@ def _reference_sum(ops, side, coeffs, c0=None):
 def test_system_equals_the_sparse_sum_of_its_terms(build):
     ops = build_stencil_ops(build())
     rng = np.random.default_rng(16)
-    c = [rng.standard_normal(ops.N) for _ in range(6)]
+    c = [rng.standard_normal(ops.N) for _ in range(3)]
     c[1][::7] = 0.0                    # zero coefficients drop their entries
-    for coeffs, c0 in [((1.0, 0.0, 1.0, None, None), None),
-                       ((*c[:3], None, None), None), ((*c[:5],), None),
-                       ((*c[:5],), c[5])]:
-        got = [ops.system(*coeffs, c0=c0), ops.crossing_system(*coeffs)]
-        ref = [_reference_sum(ops, "L", coeffs, c0),
-               _reference_sum(ops, "G", coeffs)]
+    for coeffs in [(1.0, 0.0, 1.0), tuple(c)]:
+        got = [ops.system(*coeffs), ops.crossing_system(*coeffs)]
+        ref = [_reference_sum(ops, side, coeffs) for side in "LG"]
         for M, R in zip(got, ref):
             assert np.all(M.data != 0.0)           # no explicit zero
             R.sort_indices()
@@ -800,16 +793,13 @@ def _rotated_black(g):
     return (ib + jb - 1) // 2, (ib - jb - 1) // 2
 
 
-def _metric_system(ops, drift=False):
-    # a smooth positive-definite metric's system, with adjoint_solve's
-    # lower-order terms if drift
+def _metric_system(ops):
+    # a smooth positive-definite metric's system
     g = ops.grid
     X, Y = g.meshgrid()
     met = MetricField(1 + 0.2 * np.sin(X) * np.cos(Y), 0.1 * np.sin(X * Y),
                       1 - 0.15 * np.cos(X) * np.sin(Y), g)
-    lower = () if not drift else linearize._adjoint_terms(
-        met, VectorField(0.3 * np.sin(X + Y), -0.2 * np.cos(X * Y), g))
-    return ops.system(*linearize._coeffs_at_nodes(met), *lower)
+    return ops.system(*linearize._coeffs_at_nodes(met))
 
 
 @pytest.mark.parametrize("case", ["disk", "ellipse-black", "row", "one",
@@ -867,15 +857,13 @@ def test_nested_dissection_fill_is_at_most_minimum_degree(system):
     assert _fill(lu) <= mmd.L.nnz + mmd.U.nnz
 
 
-@pytest.mark.parametrize("case", ["disk", "ellipse-1-0.2", "disk-r8",
-                                  "disk-drift"])
+@pytest.mark.parametrize("case", ["disk", "ellipse-1-0.2", "disk-r8"])
 def test_sparse_lu_solves_match_spsolve(case):
     build = {"disk": lambda: build_disk(1.0, 97),
              "ellipse-1-0.2": lambda: build_ellipse(1.0, 0.2, 97),
-             "disk-r8": lambda: build_disk(8.0, 97),
-             "disk-drift": lambda: build_disk(1.0, 97)}[case]
+             "disk-r8": lambda: build_disk(8.0, 97)}[case]
     ops = build_stencil_ops(build())
-    metric = _metric_system(ops, drift=case == "disk-drift")
+    metric = _metric_system(ops)
     for A, lu in ((metric, SparseLU(metric, ops._order)),
                   (_schur_complement(ops), maforward._RedBlackLU(ops).lu)):
         B = np.random.default_rng(11).standard_normal((A.shape[0], 3))
@@ -1067,12 +1055,10 @@ def test_crossings_and_affine_exactness(a, b, n, c0, c1, c2):
     for q in (ops.qx[node], ops.qy[node]):
         t = (q + g.half) / g.dx
         assert np.all(np.abs(t - np.round(t)) <= 1e-9)
-    pairs = [(_operator(ops, "L", k), _operator(ops, "G", k), exact, order)
-             for k, exact, order in [("11", 0.0, 2), ("22", 0.0, 2),
-                                     ("12", 0.0, 2), ("1", c1, 1),
-                                     ("2", c2, 1)]]
+    pairs = [(_operator(ops, "L", k), _operator(ops, "G", k))
+             for k in ("11", "22", "12")]
     read = np.zeros(len(ops.qx), dtype=bool)
-    for _, G, _, _ in pairs:
+    for _, G in pairs:
         read[G.indices] = True
     assert np.all(read)
 
@@ -1094,8 +1080,8 @@ def test_crossings_and_affine_exactness(a, b, n, c0, c1, c2):
     # the worst row reads 1.44 eps W_i m
     scale = 16.0 * np.finfo(float).eps * max(np.max(np.abs(U)),
                                              np.max(np.abs(phi), initial=0.0))
-    for L, G, exact, order in pairs:
-        err = L @ U + G @ phi - exact
+    for L, G in pairs:
+        err = L @ U + G @ phi
         W = abs(L).sum(axis=1).A1 + abs(G).sum(axis=1).A1
         assert np.all(np.abs(err) <= scale * W)
 
