@@ -51,9 +51,9 @@ fill, never a wrapped node.
    Realized by dnmap.dn_lin, dnmap.dn_lin_matrix (a dnmap.DNMatrix),
    linearize.nondiv_solve_many, which refuses metrics beyond
    linearize.ANISOTROPY_LIMIT and solves to the residual bound
-   linearize.SOLVE_RTOL, and linearize.drift_field; its system is
-   assembled once by a maforward.StencilOps, from the operators that
-   step 1's Newton Jacobian applies term by term.
+   linearize.SOLVE_RTOL, and linearize.drift_field; its system is the
+   weighted sparse sum, assembled once by a maforward.StencilOps, of the
+   CSR operators that step 1's Newton Jacobian applies term by term.
    Certified by dnmap.dn_full_derivative (the derivative of step 1),
    linearize.divergence_form_apply (the divergence form with the drift)
    and linearize.eps_consistency (a linearize.EpsReport of the expansion

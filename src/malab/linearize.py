@@ -11,12 +11,12 @@ coefficient matrix. F times the linearized operator is cof(D^2 u0) : D^2,
 which is formally self-adjoint in L^2(dx) (the cofactor matrix of a
 Hessian is divergence-free), so the adjoint of step 7's pairing needs no
 system of its own (dnmap.pairing_gap). Every system is assembled by
-`maforward.StencilOps.system`, the sum of the operators that the Newton
-Jacobian applies term by term, and goes through the sparse-LU layer of
-`maforward`, split per metric: the system is assembled and factored
-once, and every right side of that metric is solved against the one
-factorization (nondiv_solve_many takes a block of boundary data as one
-block). Every column must meet the residual bound ||A v - b|| <=
+`maforward.StencilOps.system`, the weighted sparse sum of the CSR
+operators that the Newton Jacobian applies term by term, and goes
+through the sparse-LU layer of `maforward`, split per metric: the system
+is assembled and factored once, and every right side of that metric is
+solved against the one factorization (nondiv_solve_many takes a block of
+boundary data as one block). Every column must meet the residual bound ||A v - b|| <=
 SOLVE_RTOL ||b||, or the solve raises LinearSolveFailure.
 """
 

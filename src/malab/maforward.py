@@ -20,14 +20,13 @@ is higher (_row_targets).
 
 The Dirichlet data enter through one vector per grid, their values at the
 boundary crossings that the stencil rows read (StencilOps.crossing_values;
-ring_values gives them on the boundary ring). Each operator is a pair, L on
-the interior values and G on the crossing values, stored as values on one
-sparsity pattern per grid for all L and one for all G, and
-StencilOps.system and crossing_system turn coefficients into a system
-(A, G_A) by vector arithmetic, each row reading A u + G_A phi = f: the
-systems of `linearize`. The Newton solve assembles none: _RedBlackLU
-reads the Laplacian's blocks off its slot values, and the Jacobian is
-applied term by term (_jacobian).
+ring_values gives them on the boundary ring). Each Hessian operator is a
+pair of CSR matrices, built once per grid: H on the interior values and G
+on the crossing values. StencilOps.system and crossing_system weight
+them row by row and add them as sparse matrices into a system (A, G_A),
+each row reading A u + G_A phi = f: the systems of `linearize`. The
+Newton solve assembles none: _RedBlackLU reads the Laplacian's blocks off
+the slots of H, and the Jacobian is applied term by term (_jacobian).
 
 The Newton step solves cof(D^2 u) : D^2 delta = F - det D^2 u with zero
 boundary data, damped by backtracking under a convexity guard. As
@@ -35,7 +34,7 @@ cof(D^2 u) = F (D^2 u)^{-1} at a solution, the Jacobian is F times the
 linearized operator of `linearize`. It is applied without a matrix, as
 h22 H11 z + h11 H22 z - 2 h12 H12 z with the Hessian operators H that
 give the residual (Knoll and Keyes, J. Comput. Phys. 193, 2004). The
-factored Laplacian L11 + L22 runs the Poisson iteration of the initial
+factored Laplacian H11 + H22 runs the Poisson iteration of the initial
 guess (poisson_init) and preconditions GMRES on every Newton Jacobian,
 which is inexact Newton with the forcing term eta = min(0.1, max(0.1
 max|res|, target / (2 ||res||_2))) (Eisenstat and Walker, SIAM J. Sci.
@@ -67,9 +66,8 @@ One cache outlives a call: build_stencil_ops, a functools.lru_cache
 keyed by the grid, keeps the operators of the one grid used last, so an
 equal grid built twice hits. The operators own what they derive, each
 made at its first use: the factored Laplacian (StencilOps._laplacian,
-about 19 MB at n = 232), the order of their nodes (StencilOps._order),
-and the CSR matrices of the Hessian operators (StencilOps._hessian),
-which share the values of L. So an evicted grid's factors go with its
+about 19 MB at n = 232) and the order of their nodes
+(StencilOps._order). So an evicted grid's factors go with its
 operators, before the next grid's are made, unless a caller still holds
 them. Their arrays are read-only, so no caller can change what another
 is handed. No other factorization outlives its call.
@@ -85,7 +83,6 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -318,9 +315,21 @@ def _csr(vals, cols, rows, shape) -> "scipy.sparse.csr_matrix":
     return sp.csr_matrix((vals.T[keep.T], cols.T[keep.T], indptr), shape)
 
 
-def _terms(a11, a12, a22):
-    """(coefficient, operator) in the order they are summed."""
-    return [(a11, "11"), (a22, "22"), (2.0 * a12, "12")]
+def _weighted_sum(mats, a11, a12, a22) -> "scipy.sparse.csr_matrix":
+    """diag(a11) M11 + diag(a22) M22 + diag(2 a12) M12 of the operators
+    mats = (M11, M22, M12), coefficients scalar or on the interior
+    numbering: each matrix's values scaled by their row's coefficient,
+    then scipy's sparse sum in that order, which drops exact zeros, with
+    the indices sorted."""
+    import scipy.sparse as sp
+    terms = []
+    for c, M in zip((a11, a22, 2.0 * a12), mats):
+        w = np.repeat(np.broadcast_to(c, M.shape[:1]), np.diff(M.indptr))
+        terms.append(sp.csr_matrix((w * M.data, M.indices, M.indptr),
+                                   M.shape))
+    A = terms[0] + terms[1] + terms[2]
+    A.sort_indices()
+    return A
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,36 +337,31 @@ class StencilOps:
     """Sparse difference operators on the masked lattice.
 
     (qx, qy) are the boundary crossings, one per exterior direction of
-    every row. Each operator is a pair, L[k] on the interior values and
-    G[k] on the data at the crossings (crossing_values), so the closed
-    difference of u with data phi is L u + G phi: the second differences
-    k = '11', '22' and '12', the Hessian operators, each closed by the
-    ghosts of the module docstring. Every row carries the equation.
+    every row that has one, the rows qrows. The Hessian operators, the
+    second differences '11', '22' and '12' in that order, are pairs of
+    CSR matrices, H[k] on the interior values and G[k] on the data at the
+    crossings (crossing_values), so the closed difference of u with data
+    phi is H[k] u + G[k] phi, each closed by the ghosts of the module
+    docstring. Every row carries the equation.
 
-    The L share one N x N pattern, the 3 x 3 stencil (_SLOTS) of every
-    row: cols[s] is the column of slot s, the row itself where that node
-    is outside the mask. The G share one N x nq pattern, the exterior
-    directions (_DIRS) of the rows qrows that read a crossing: qcols[s]
-    is the column of direction s. An operator holds one row of values
-    per slot it uses (_LAYOUT), zero where it has no entry, as the
-    transpose of an (N, slots) array, which the CSR matrices of _hessian
-    read in place. Every array is read-only; build_stencil_ops keeps the
-    operators of the one grid used last. Made at their first use:
-    _laplacian, their Laplacian system(1, 0, 1) factored from its
-    slot values (_RedBlackLU); _order, the nested-dissection order of the
-    nodes (i, j) that SparseLU factors their systems in; _hessian, the
-    Hessian operators of stencil_hessian and the Newton Jacobian.
+    Every row of H[k], N x N, holds the operator's stencil slots
+    (_LAYOUT) in column order, 3, 3 and 5 of them, with their zeros kept:
+    a slot outside the mask reads the row's own column, and zero. G[k],
+    N x len(qx), holds its nonzeros on the rows qrows. Every array is
+    read-only; build_stencil_ops keeps the operators of the one grid used
+    last. Made at their first use: _laplacian, their Laplacian
+    system(1, 0, 1) factored from the slots of H (_RedBlackLU); _order,
+    the nested-dissection order of the nodes (i, j) that SparseLU factors
+    their systems in.
     """
 
     grid: DomainGrid
     N: int
     qx: np.ndarray             # crossing points, one per column of every G
     qy: np.ndarray
-    cols: np.ndarray           # (9, N)
-    qrows: np.ndarray
-    qcols: np.ndarray          # (8, len(qrows))
-    L: MappingProxyType        # operator -> its slot values
-    G: MappingProxyType
+    qrows: np.ndarray          # the rows that read a crossing
+    H: tuple                   # (H11, H22, H12)
+    G: tuple                   # (G11, G22, G12)
 
     def scatter(self, vec: np.ndarray) -> np.ndarray:
         """Interior vector -> full (n, n) array, zero outside the mask."""
@@ -372,30 +376,17 @@ class StencilOps:
     def system(self, a11, a12, a22) -> "scipy.sparse.csr_matrix":
         """A of a11 d_11 + 2 a12 d_12 + a22 d_22, coefficients scalar or on
         the interior numbering: each row reads A u + G_A phi = f, G_A =
-        crossing_system(a11, a12, a22). Each entry is summed as diag(c) L
-        over the terms in the order '11', '22', '12'; exact zeros are
-        dropped, so the pattern is that of the sparse sum."""
-        return _csr(self._slot_values(a11, a12, a22), self.cols,
-                    slice(None), (self.N, self.N))
-
-    def _slot_values(self, a11, a12, a22):
-        """The (9, N) slot values of system, exact zeros kept."""
-        vals = np.zeros((9, self.N))
-        for c, k in _terms(a11, a12, a22):
-            vals[_LAYOUT[k][0]] += c * self.L[k]
-        return vals
+        crossing_system(a11, a12, a22). The weighted sum of the H
+        (_weighted_sum), so the pattern is that of the sparse sum."""
+        return _weighted_sum(self.H, a11, a12, a22)
 
     def crossing_system(self, a11, a12, a22) -> "scipy.sparse.csr_matrix":
         """G_A of system: the same sum over the G."""
-        vals = np.zeros((8, len(self.qrows)))
-        for c, k in _terms(a11, a12, a22):
-            vals[_LAYOUT[k][1]] += np.broadcast_to(
-                c, (self.N,))[self.qrows] * self.G[k]
-        return _csr(vals, self.qcols, self.qrows, (self.N, len(self.qx)))
+        return _weighted_sum(self.G, a11, a12, a22)
 
     @functools.cached_property
     def _laplacian(self) -> _RedBlackLU:
-        """The factored Laplacian L11 + L22, kept with the operators."""
+        """The factored Laplacian H11 + H22, kept with the operators."""
         return _RedBlackLU(self)
 
     @functools.cached_property
@@ -405,29 +396,6 @@ class StencilOps:
         order = _nested_dissection(*np.nonzero(self.grid.mask))
         order.flags.writeable = False
         return order
-
-    @functools.cached_property
-    def _hessian(self):
-        """The Hessian operators of stencil_hessian: L['11'], L['22'] and
-        L['12'] as CSR matrices that read the values of L in place, a row's
-        slots in column order and its zeros kept, and their G on the rows
-        qrows stacked into one CSR matrix."""
-        import scipy.sparse as sp
-        HL = []
-        for k in _LAYOUT:
-            vals = self.L[k].T               # (N, slots), row by row
-            m = vals.shape[1]
-            HL.append(sp.csr_matrix(
-                (vals.reshape(-1), self.cols[_LAYOUT[k][0]].T.ravel(),
-                 np.arange(0, m * self.N + 1, m, dtype=np.int32)),
-                shape=(self.N, self.N)))
-        nq = (len(self.qrows), len(self.qx))
-        HG = sp.vstack([_csr(self.G[k], self.qcols[_LAYOUT[k][1]],
-                             slice(None), nq) for k in _LAYOUT],
-                       format="csr")
-        for M in (*HL, HG):
-            _read_only(M)
-        return HL, HG
 
 
 def _read_only(M):
@@ -447,6 +415,7 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
     building another grid's operators drops both.
     """
     # every domain-half solve starts here, so no solve pays for the import
+    import scipy.sparse as sp
     import scipy.sparse.linalg
     mask, dx = grid.mask, grid.dx
     ii, jj = np.nonzero(mask)
@@ -477,18 +446,18 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
     # through the opposite node O, the center C and Q, or the line
     # through C and Q where O is outside too; only the rows qrows have a
     # ghost, and a = 1 in every inside direction gives no correction
-    L, G, h2, aq = {}, {}, dx * dx, alpha[:, qrows]
+    H, G, h2, aq = [], [], dx * dx, alpha[:, qrows]
     ghost, oin = ~inside[:, qrows], inside[np.arange(8) ^ 1][:, qrows]
+    qcols, nq = cross[:, qrows], (N, len(qx))
     for key, w, denom, center_base in [
             ("11", [1.0, 1.0], h2, -2.0), ("22", [1.0, 1.0], h2, -2.0),
             ("12", [1.0, 1.0, -1.0, -1.0], 4.0 * h2, 0.0)]:
         ls, gs = _LAYOUT[key]
         a, o, slots = aq[gs], oin[gs], range(9)[ls]
         w = np.array(w)[:, None] / denom
-        # stored row by row, as the CSR matrices of StencilOps._hessian
-        # read them in place; each slot's values are written where they are
-        # nonzero, into zeros
-        L[key] = vals = np.zeros((N, len(slots))).T
+        # stored row by row, as H reads them in place; each slot's values
+        # are written where they are nonzero, into zeros
+        vals = np.zeros((N, len(slots))).T
         place = [slots.index(_SLOTS.index(_DIRS[d])) for d in range(8)[gs]]
         for s, wd, d in zip(place, w[:, 0], range(8)[gs]):
             np.copyto(vals[s], wd, where=inside[d])
@@ -501,14 +470,17 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
         vals[slots.index(4), qrows] += wc.sum(axis=0)
         for s, v in zip(place, wo[np.arange(len(place)) ^ 1]):
             vals[s, qrows] += v
-        G[key] = np.where(ghost[gs], wq, 0.0)
+        m = len(slots)
+        H.append(_read_only(sp.csr_matrix(
+            (vals.T.reshape(-1), cols[ls].T.ravel(),
+             np.arange(0, m * N + 1, m, dtype=np.int32)), shape=(N, N))))
+        G.append(_read_only(_csr(np.where(ghost[gs], wq, 0.0), qcols[gs],
+                                 qrows, nq)))
 
-    ops = StencilOps(grid=grid, N=N, qx=qx, qy=qy, cols=cols, qrows=qrows,
-                     qcols=cross[:, qrows], L=MappingProxyType(L),
-                     G=MappingProxyType(G))
-    for arr in (qx, qy, cols, qrows, ops.qcols, *L.values(), *G.values()):
+    for arr in (qx, qy, qrows):
         arr.flags.writeable = False
-    return ops
+    return StencilOps(grid=grid, N=N, qx=qx, qy=qy, qrows=qrows, H=tuple(H),
+                      G=tuple(G))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +488,7 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
 
 
 class _RedBlackLU:
-    """The Laplacian L11 + L22 factored through its red-black Schur
+    """The Laplacian H11 + H22 factored through its red-black Schur
     complement.
 
     Every row of the Laplacian reads only its axis neighbors, so no two
@@ -525,11 +497,11 @@ class _RedBlackLU:
     on the black ones, and SparseLU factors S. A solve is one S solve and
     two sparse products; neither the full Laplacian nor S is kept.
 
-    The blocks come from the Laplacian's slot values (_slot_values(1, 0,
-    1) of the operators), not from a CSR matrix of it: D and A_bb are the
-    center slots of the red and the black rows, and A_rb and A_br the axis
-    slots of those rows, each row's nonzeros in column order with the
-    columns numbered in the other color, bitwise the blocks sliced from
+    The blocks come from the slots of H11 and H22, 3 a row, not from a
+    CSR matrix of the Laplacian: D and A_bb are the sums of their center
+    slots on the red and the black rows, and A_rb and A_br the axis slots
+    of those rows, each row's nonzeros in column order with the columns
+    numbered in the other color, bitwise the blocks sliced from
     system(1, 0, 1).
 
     S couples two black nodes when a red node is an axis neighbor of both,
@@ -543,7 +515,9 @@ class _RedBlackLU:
 
     def __init__(self, ops: StencilOps):
         import scipy.sparse as sp
-        vals = ops._slot_values(1.0, 0.0, 1.0)
+        (v11, c11), (v22, c22) = ((H.data.reshape(ops.N, 3),
+                                   H.indices.reshape(ops.N, 3))
+                                  for H in ops.H[:2])
         ii, jj = np.nonzero(ops.grid.mask)
         red = (ii + jj) % 2 == 0
         self.red, self.black = np.nonzero(red)[0], np.nonzero(~red)[0]
@@ -552,17 +526,20 @@ class _RedBlackLU:
         place = np.empty(ops.N, dtype=np.int32)
         for nodes in (self.red, self.black):
             place[nodes] = np.arange(len(nodes))
-        axis, cols = vals[1::2], place[ops.cols[1::2]]
+        # the axis slots in column order: (-1, 0), (0, -1), (0, 1), (1, 0)
+        axis = np.stack([v11[:, 0], v22[:, 0], v22[:, 2], v11[:, 2]])
+        cols = place[np.stack([c11[:, 0], c22[:, 0], c22[:, 2], c11[:, 2]])]
+        center = v11[:, 1] + v22[:, 1]
 
         def block(rows, other):
             return _read_only(_csr(axis[:, rows], cols[:, rows], slice(None),
                                    (len(rows), len(other))))
         self.Arb = block(self.red, self.black)
         self.Abr = block(self.black, self.red)
-        self.dinv = 1.0 / vals[4, self.red]
-        S = (sp.diags(vals[4, self.black])
+        self.dinv = 1.0 / center[self.red]
+        S = (sp.diags(center[self.black])
              - self.Abr @ sp.diags(self.dinv) @ self.Arb)
-        del vals, axis, cols   # the slot values go before S is factored
+        del axis, cols, center   # the slot values go before S is factored
         ib, jb = ii[self.black], jj[self.black]
         self.lu = SparseLU(S, _nested_dissection((ib + jb - 1) // 2,
                                                  (ib - jb - 1) // 2))
@@ -571,7 +548,7 @@ class _RedBlackLU:
             arr.flags.writeable = False
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with (L11 + L22) x = rhs, rhs a vector."""
+        """x with (H11 + H22) x = rhs, rhs a vector."""
         y = self.dinv * rhs[self.red]
         x = np.empty_like(rhs)
         x[self.black] = xb = self.lu.solve(rhs[self.black] - self.Abr @ y)
@@ -648,15 +625,9 @@ class MASolution:
 def stencil_hessian(ops: StencilOps, U: np.ndarray, phi: np.ndarray):
     """Stencil Hessian entries (h11, h22, h12) of interior values U, the
     stencils closed by the crossing values phi (ops.crossing_values): each
-    is L U + G phi, L U and G phi each summed over a row's slots in column
-    order: products with the CSR matrices of StencilOps._hessian."""
-    HL, HG = ops._hessian
-    out = []
-    for H, g in zip(HL, (HG @ phi).reshape(3, -1)):
-        h = H @ U
-        h[ops.qrows] += g
-        out.append(h)
-    return tuple(out)
+    is H[k] U + G[k] phi, each product summed over a row's entries in
+    column order."""
+    return tuple(H @ U + G @ phi for H, G in zip(ops.H, ops.G))
 
 
 def _state(ops: StencilOps, U: np.ndarray, phi: np.ndarray, Fvec):
@@ -674,7 +645,8 @@ def _row_targets(ops: StencilOps, U, h, Fvec) -> np.ndarray:
     moves an entry of h by about eps W_i max|U|, and h11 h22 - h12^2 by
     |h22| dh11 + |h11| dh22 + 2 |h12| dh12: at most 4 max|h| times that,
     so NEWTON_FLOOR = 4 (one-ulp changes of u measure 1.5-2.3)."""
-    W = np.maximum.reduce([np.abs(ops.L[k]).sum(axis=0) for k in _LAYOUT])
+    W = np.maximum.reduce([np.abs(H.data.reshape(ops.N, -1)).sum(axis=1)
+                           for H in ops.H])
     scale = float(np.max(np.abs(U)) * max(np.max(np.abs(x)) for x in h))
     return np.maximum(NEWTON_TOL * float(np.max(Fvec)),
                       NEWTON_FLOOR * np.finfo(float).eps * scale * W)
@@ -683,9 +655,8 @@ def _row_targets(ops: StencilOps, U, h, Fvec) -> np.ndarray:
 def _jacobian(ops: StencilOps, h11, h22, h12):
     """z -> cof(D^2 u) : D^2 z at the stencil Hessian h of u, the system
     system(h22, -h12, h11) applied term by term: h22 H11 z + h11 H22 z -
-    2 h12 H12 z, with the Hessian operators of StencilOps._hessian.
-    Nothing is assembled."""
-    (H11, H22, H12), _ = ops._hessian
+    2 h12 H12 z, with the Hessian operators ops.H. Nothing is assembled."""
+    H11, H22, H12 = ops.H
     c12 = -2.0 * h12
     return lambda z: h22 * (H11 @ z) + h11 * (H22 @ z) + c12 * (H12 @ z)
 

@@ -81,7 +81,7 @@ def test_zero_data_solve_shares_only_read_only_arrays():
     a = solve_ma_zero(ScalarField(Fvals, g))
     saved = (a.u.values.copy(), a.phi.values.copy())
     ops = build_stencil_ops(g)
-    for arr in (ops.qx, ops.qy, ops.L["11"]):
+    for arr in (ops.qx, ops.qy, ops.H[0].data):
         with pytest.raises(ValueError):
             arr[0] += 1.0
     a.u.values[0] += 1.0
@@ -205,8 +205,8 @@ def test_stencil_structure():
     ops = build_stencil_ops(g)
     assert ops.N == int(g.mask.sum())
     assert len(ops.qrows) > 0 and len(ops.qx) > 0
-    for k in ("11", "22"):
-        assert np.all(ops.L[k][1] < 0.0)            # the center slot
+    for H in ops.H[:2]:
+        assert np.all(H.data.reshape(ops.N, 3)[:, 1] < 0.0)   # the center slot
     X, Y = g.meshgrid()
 
     def quad(x, y):
@@ -319,16 +319,41 @@ def test_cached_stencils_are_shared_by_equal_grids_and_read_only():
     # only the grid used last is held
     assert build_stencil_ops.cache_info().currsize == 1
     assert build_stencil_ops(twin) is not ops
-    arrays = [ops.qx, ops.qy, ops.cols, ops.qrows, ops.qcols]
-    arrays += [*ops.L.values(), *ops.G.values(), ops._order]
-    HL, HG = ops._hessian
-    arrays += [a for M in (*HL, HG) for a in (M.data, M.indices, M.indptr)]
+    arrays = [ops.qx, ops.qy, ops.qrows, ops._order]
+    arrays += [a for M in (*ops.H, *ops.G)
+               for a in (M.data, M.indices, M.indptr)]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[:] = 0
-    for blocks in (ops.L, ops.G):
+    for mats in (ops.H, ops.G):
         with pytest.raises(TypeError):
-            blocks["11"] = np.zeros(1)
+            mats[0] = None
+
+
+@pytest.mark.parametrize("build", [lambda: build_disk(1.0, 48),
+                                   lambda: build_ellipse(1.03, 0.92, 97),
+                                   lambda: build_ellipse(1.0, 0.2, 97)],
+                         ids=["disk", "ellipse", "ellipse-1-0.2"])
+def test_stencil_operators_keep_their_slots(build):
+    # _RedBlackLU and _row_targets reshape H[k].data by its slot count:
+    # every row holds 3, 3 and 5 entries, its nonzeros in increasing
+    # column order and a slot outside the mask as a zero in the row's own
+    # column; G[k] holds no explicit zero, and its rows with entries are
+    # qrows
+    ops = build_stencil_ops(build())
+    for H, m in zip(ops.H, (3, 3, 5)):
+        assert np.array_equal(H.indptr, np.arange(0, m * ops.N + 1, m))
+        rows, zero = np.repeat(np.arange(ops.N), m), H.data == 0.0
+        assert np.any(zero)
+        assert np.array_equal(H.indices[zero], rows[zero])
+        r, c = rows[~zero], H.indices[~zero]
+        same = r[1:] == r[:-1]
+        assert np.all(c[1:][same] > c[:-1][same])
+    read = np.zeros(ops.N, dtype=bool)
+    for G in ops.G:
+        assert np.all(G.data != 0.0)
+        read |= np.diff(G.indptr) > 0
+    assert np.array_equal(np.flatnonzero(read), ops.qrows)
 
 
 def test_krylov_counts_per_newton_step(monkeypatch):
@@ -657,24 +682,18 @@ def test_laplacian_factorization_is_kept_for_the_last_grid(monkeypatch):
 
 
 def _operator(ops, side, k):
-    # L[k] (side "L") or G[k] (side "G") read off its slots as (row,
-    # column, value) triples
-    ls, gs = maforward._LAYOUT[k]
-    if side == "L":
-        vals, cols, rows = ops.L[k], ops.cols[ls], np.arange(ops.N)
-    else:
-        vals, cols, rows = ops.G[k], ops.qcols[gs], ops.qrows
-    rows = np.broadcast_to(rows, vals.shape)
-    shape = (ops.N, ops.N if side == "L" else len(ops.qx))
-    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                         shape).tocsr()
+    # H[k] (side "H") or G[k] (side "G") rebuilt from its (row, column,
+    # value) triples
+    M = (ops.H if side == "H" else ops.G)[k]
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    return sp.coo_matrix((M.data, (rows, M.indices)), M.shape).tocsr()
 
 
 def _reference_sum(ops, side, coeffs):
-    # diag(c) L summed term by term as sparse matrices: the sum the
-    # assembler replaces
+    # diag(c) H summed term by term as sparse matrices, each diag(c) H a
+    # matrix product where the assembler scales H's values
     a11, a12, a22 = coeffs
-    terms = [(a11, "11"), (a22, "22"), (2.0 * a12, "12")]
+    terms = [(a11, 0), (a22, 1), (2.0 * a12, 2)]
     parts = [c * _operator(ops, side, k) if np.ndim(c) == 0
              else sp.diags(c) @ _operator(ops, side, k) for c, k in terms]
     return sum(parts[1:], parts[0])
@@ -690,7 +709,7 @@ def test_system_equals_the_sparse_sum_of_its_terms(build):
     c[1][::7] = 0.0                    # zero coefficients drop their entries
     for coeffs in [(1.0, 0.0, 1.0), tuple(c)]:
         got = [ops.system(*coeffs), ops.crossing_system(*coeffs)]
-        ref = [_reference_sum(ops, side, coeffs) for side in "LG"]
+        ref = [_reference_sum(ops, side, coeffs) for side in "HG"]
         for M, R in zip(got, ref):
             assert np.all(M.data != 0.0)           # no explicit zero
             R.sort_indices()
@@ -706,17 +725,18 @@ def test_system_equals_the_sparse_sum_of_its_terms(build):
                                    lambda: build_ellipse(1.0, 0.2, 97)],
                          ids=["disk", "ellipse", "ellipse-1-0.2"])
 def test_stencil_hessian_equals_its_slot_sums_bitwise(build):
-    # each entry is L U + G phi with L U and G phi summed over the row's
-    # slots in column order, as the slot gathers summed them
+    # each entry is H U + G phi with H U summed over the row's slots and
+    # G phi over its crossings, each in column order
     ops = build_stencil_ops(build())
     rng = np.random.default_rng(35)
     U, phi = rng.standard_normal(ops.N), rng.standard_normal(len(ops.qx))
     got = maforward.stencil_hessian(ops, U, phi)
-    for k, h in zip(("11", "22", "12"), got):
-        ls, gs = maforward._LAYOUT[k]
-        ref = sum(v * U[c] for v, c in zip(ops.L[k], ops.cols[ls]))
-        ref[ops.qrows] += sum(v * phi[c]
-                              for v, c in zip(ops.G[k], ops.qcols[gs]))
+    for H, G, h in zip(ops.H, ops.G, got):
+        vals, cols = (a.reshape(ops.N, -1).T for a in (H.data, H.indices))
+        ref = sum(v * U[c] for v, c in zip(vals, cols))
+        ref[ops.qrows] += [
+            sum(v * phi[c] for v, c in zip(G.data[a:b], G.indices[a:b]))
+            for a, b in zip(G.indptr[ops.qrows], G.indptr[ops.qrows + 1])]
         assert np.array_equal(h.view(np.int64), ref.view(np.int64))
 
 
@@ -905,8 +925,8 @@ def test_stencils_build_with_mask_nodes_on_the_curve():
     for build, ns in _NODE_ON_CURVE:
         for n in ns:
             ops = build_stencil_ops(build(n))
-            for block in (*ops.L.values(), *ops.G.values()):
-                assert np.all(np.isfinite(block)), n
+            for M in (*ops.H, *ops.G):
+                assert np.all(np.isfinite(M.data)), n
     g = build_disk(1.0, 59)
     X, Y = g.meshgrid()
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar)
@@ -930,8 +950,8 @@ def test_a_node_on_the_curve_to_rounding_is_outside_the_mask():
     g = build_ellipse(a, float(b), n)
     assert -1e-15 < g.level(g.x1[i], g.x2[j]) < 0.0 and not g.mask[i, j]
     ops = build_stencil_ops(g)
-    for block in (*ops.L.values(), *ops.G.values()):
-        assert np.all(np.isfinite(block))
+    for M in (*ops.H, *ops.G):
+        assert np.all(np.isfinite(M.data))
     X, Y = g.meshgrid()
     sol = solve_ma(ScalarField(X ** 2 + 1.0, g), _ustar, g)
     err = np.max(np.abs((sol.u.values - _ustar(X, Y))[g.mask])) / g.dx ** 2
@@ -1055,8 +1075,8 @@ def test_crossings_and_affine_exactness(a, b, n, c0, c1, c2):
     for q in (ops.qx[node], ops.qy[node]):
         t = (q + g.half) / g.dx
         assert np.all(np.abs(t - np.round(t)) <= 1e-9)
-    pairs = [(_operator(ops, "L", k), _operator(ops, "G", k))
-             for k in ("11", "22", "12")]
+    pairs = [(_operator(ops, "H", k), _operator(ops, "G", k))
+             for k in range(3)]
     read = np.zeros(len(ops.qx), dtype=bool)
     for _, G in pairs:
         read[G.indices] = True
@@ -1066,7 +1086,7 @@ def test_crossings_and_affine_exactness(a, b, n, c0, c1, c2):
         return c0 + c1 * x + c2 * y
     X, Y = g.meshgrid()
     U, phi = u(X, Y)[g.mask], ops.crossing_values(u)
-    # Rounding bound per row, W_i the row's absolute sum over L and G and
+    # Rounding bound per row, W_i the row's absolute sum over H and G and
     # m = max(|U|, |phi|), which bounds |c0| + |c1 x| + |c2 y| at every
     # node and crossing (the ellipse is symmetric in both axes). With the
     # unit roundoff eps/2: the weights, a few operations of the cut each,
@@ -1080,9 +1100,9 @@ def test_crossings_and_affine_exactness(a, b, n, c0, c1, c2):
     # the worst row reads 1.44 eps W_i m
     scale = 16.0 * np.finfo(float).eps * max(np.max(np.abs(U)),
                                              np.max(np.abs(phi), initial=0.0))
-    for L, G in pairs:
-        err = L @ U + G @ phi
-        W = abs(L).sum(axis=1).A1 + abs(G).sum(axis=1).A1
+    for H, G in pairs:
+        err = H @ U + G @ phi
+        W = abs(H).sum(axis=1).A1 + abs(G).sum(axis=1).A1
         assert np.all(np.abs(err) <= scale * W)
 
 
