@@ -27,7 +27,7 @@ from .grid import (BoundaryTrace, DomainGrid, GridError, MetricField,
                    tangential_derivative)
 from .linearize import (SOLVE_RTOL, _metric_solver, _trace_source,
                         _volume_weight, metric_from_solution, nondiv_solve)
-from .maforward import ring_values, solve_ma
+from .maforward import MASolution, ring_values, solve_ma
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +84,7 @@ def dn_lin(g: MetricField, phi) -> BoundaryTrace:
     tangential part (spectral derivative of the data itself): the
     one-column case of dn_lin_matrix, solved to linearize.SOLVE_RTOL.
     """
+    _require_grid(g, MetricField, "dn_lin")
     return BoundaryTrace(_dn_lin_block(g, [phi], SOLVE_RTOL)[:, 0], g.grid)
 
 
@@ -101,7 +102,8 @@ def dn_full_derivative(base, phi) -> BoundaryTrace:
     weight on the ring (F = 1 bases); in general they differ at the
     discretization level.
     """
-    g = metric_from_solution(base)
+    g = metric_from_solution(_require_grid(base, MASolution,
+                                           "dn_full_derivative"))
     grid = g.grid
     v = nondiv_solve(g, phi)
     anchor = BoundaryTrace(ring_values(grid, phi), grid)
@@ -145,6 +147,7 @@ def dn_lin_matrix(g: MetricField, X, K: int = 6, *,
     Every column meets the residual bound rtol; a non-finite or
     nonpositive rtol is a GridError before any assembly.
     """
+    _require_grid(g, MetricField, "dn_lin_matrix")
     grid = _require_grid(g.grid, DomainGrid, "dn_lin_matrix")
     _require_count("K", K)
     _require_positive("rtol", rtol)
@@ -198,6 +201,7 @@ def pairing_gap(g: MetricField, phi1, phi2, phi_star) -> float:
     to divide by: data phi1 or phi2 without second derivatives, or a zero
     phi_star, are a GridError.
     """
+    _require_grid(g, MetricField, "pairing_gap")
     grid = _require_grid(g.grid, DomainGrid, "pairing_gap")
     solve = _metric_solver(g)
     F = _volume_weight(g, grid.mask) ** 2

@@ -816,6 +816,7 @@ def boundary_restrict(f: ScalarField) -> BoundaryTrace:
     One-sided extrapolation along the inward normal; exceeds the O(dx^2)
     contract (cubic fit).
     """
+    _require_grid(f, ScalarField, "boundary_restrict")
     return BoundaryTrace(_ray_fit(f.grid, f.values)[0], f.grid)
 
 
@@ -826,8 +827,9 @@ def normal_derivative(f: ScalarField, anchor: BoundaryTrace | None = None) -> Bo
     given, the fit interpolates the anchor exactly, which removes the
     extrapolation leg and tightens the constant.
     """
-    grid = f.grid
+    grid = _require_grid(f, ScalarField, "normal_derivative").grid
     if anchor is not None:
+        _require_grid(anchor, BoundaryTrace, "the anchor of normal_derivative")
         _require_same_grid(grid, "anchor trace", anchor)
     values = None if anchor is None else anchor.values
     return BoundaryTrace(_ray_fit(grid, f.values, values)[1], grid)

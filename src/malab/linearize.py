@@ -63,7 +63,7 @@ def solution_hessian(sol: MASolution):
     times the row's weight, up to 2/(a (1 + a) dx^2) for a cut a (3.7e-9
     on the heaviest rim rows of the n = 168 ellipse (1.03, 0.92)).
     """
-    grid = sol.u.grid
+    grid = _require_grid(sol, MASolution, "solution_hessian").u.grid
     ops = build_stencil_ops(grid)
     h11, h22, h12 = stencil_hessian(ops, sol.u.values[grid.mask],
                                     ops.crossing_values(sol.phi))
@@ -77,7 +77,7 @@ def metric_from_solution(sol: MASolution) -> MetricField:
     Hessian geometry; its matrix inverse is D^2 u0 and the covariant
     volume weight is sqrt det D^2 u0.
     """
-    if not sol.convex:
+    if not _require_grid(sol, MASolution, "metric_from_solution").convex:
         raise GridError("base solution carries no convexity certificate")
     h11, h12, h22, ops = solution_hessian(sol)
     det = h11 * h22 - h12 ** 2
@@ -107,7 +107,7 @@ def drift_field(g: MetricField) -> VectorField:
     metric must be finite and positive definite on the domain's mask, or
     on the whole box.
     """
-    grid = g.grid
+    grid = _require_grid(g, MetricField, "drift_field").grid
     w = _volume_weight(g, grid.mask if isinstance(grid, DomainGrid)
                        else slice(None))
     c1 = deriv(w * g.g11, grid, 1, 0) + deriv(w * g.g12, grid, 0, 1)
@@ -131,6 +131,8 @@ def divergence_form_apply(g: MetricField, X: VectorField, v: np.ndarray):
     A drift from another grid, or one not finite on the mask, is a
     GridError.
     """
+    _require_grid(g, MetricField, "divergence_form_apply")
+    _require_grid(X, VectorField, "divergence_form_apply")
     grid = _require_grid(g.grid, DomainGrid, "divergence_form_apply")
     w = _volume_weight(g, grid.mask)
     _require_same_grid(grid, "drift", X)
@@ -149,6 +151,7 @@ def divergence_form_apply(g: MetricField, X: VectorField, v: np.ndarray):
 
 
 def _coeffs_at_nodes(g: MetricField):
+    _require_grid(g, MetricField, "a linearized solve")
     m = _require_grid(g.grid, DomainGrid, "a linearized solve").mask
     _require_metric(g, m)
     # positive definite, so lo <= 0 is rounding at an extreme anisotropy
@@ -165,8 +168,8 @@ def _metric_solver(g: MetricField):
     """solve(datas, f, rtol) of nondiv_solve_many for g: the system is
     assembled once, and factored once, at the first solve, after its data
     have passed their checks."""
-    grid = g.grid
     coeffs = _coeffs_at_nodes(g)
+    grid = g.grid
     ops = build_stencil_ops(grid)
     A, G, lu = ops.system(*coeffs), ops.crossing_system(*coeffs), []
 
@@ -212,17 +215,19 @@ def second_solve(g: MetricField, v1: ScalarField, v2: ScalarField,
 
     V_k are the discrete Hessians of the first-order solutions and G the
     coefficient matrix; phi1/phi2, the boundary data of v1/v2, close the
-    Hessian stencils. First-order solutions that do not live on g's grid
-    are a GridError.
+    Hessian stencils. First-order solutions that are not ScalarFields on
+    g's grid are a GridError.
     """
+    for v in (v1, v2):
+        _require_grid(v, ScalarField, "second_solve")
     return nondiv_solve(g, 0.0, f=_trace_source(g, v1, v2, phi1, phi2))
 
 
 def _trace_source(g: MetricField, v1: ScalarField, v2: ScalarField,
                   phi1, phi2) -> np.ndarray:
     """tr(G V1 G V2) of second_solve on the lattice."""
-    _require_same_grid(g.grid, "first-order solution", v1, v2)
     a11, a12, a22 = _coeffs_at_nodes(g)
+    _require_same_grid(g.grid, "first-order solution", v1, v2)
     ops = build_stencil_ops(g.grid)
     m = g.grid.mask
     (p11, p22, p12), (q11, q22, q12) = (

@@ -62,12 +62,12 @@ on the black nodes in the rotated coordinates ((i + j - 1) / 2,
 holds 12-18% fewer nonzeros and the factorization takes 30-50% less
 time at n = 128-233 (one thread).
 
-One cache outlives a call: build_stencil_ops, a functools.lru_cache
-keyed by the grid, keeps the operators of the one grid used last, so an
-equal grid built twice hits. The operators own what they derive, each
-made at its first use: the factored Laplacian (StencilOps._laplacian,
-about 19 MB at n = 232) and the order of their nodes
-(StencilOps._order). So an evicted grid's factors go with its
+One cache outlives a call: build_stencil_ops, through a functools
+lru_cache keyed by the grid (_stencil_ops), keeps the operators of the
+one grid used last, so an equal grid built twice hits. The operators own
+what they derive, each made at its first use: the factored Laplacian
+(StencilOps._laplacian, about 19 MB at n = 232) and the order of their
+nodes (StencilOps._order). So an evicted grid's factors go with its
 operators, before the next grid's are made, unless a caller still holds
 them. Their arrays are read-only, so no caller can change what another
 is handed. No other factorization outlives its call.
@@ -286,7 +286,7 @@ def eval_boundary_data(grid: DomainGrid, data, x, y) -> np.ndarray:
 
 def ring_values(grid: DomainGrid, data) -> np.ndarray:
     """Dirichlet data at the boundary ring nodes."""
-    b = grid.boundary
+    b = _require_grid(grid, DomainGrid, "ring_values").boundary
     return eval_boundary_data(grid, data, b.points[:, 0], b.points[:, 1])
 
 
@@ -405,15 +405,21 @@ def _read_only(M):
     return M
 
 
-@functools.lru_cache(maxsize=1)
 def build_stencil_ops(grid: DomainGrid) -> StencilOps:
     """Assemble (and cache) the masked difference operators for a grid.
 
     Every array of the result is read-only: equal grids share it.  The
-    cache keeps the operators of the one grid used last, keyed by the
-    grid, and with them their factored Laplacian once a solve has made it;
-    building another grid's operators drops both.
+    cache (_stencil_ops) keeps the operators of the one grid used last,
+    keyed by the grid, and with them their factored Laplacian once a solve
+    has made it; building another grid's operators drops both. A grid
+    that is not a DomainGrid is a GridError before the cache hashes it.
     """
+    return _stencil_ops(_require_grid(grid, DomainGrid, "build_stencil_ops"))
+
+
+@functools.lru_cache(maxsize=1)
+def _stencil_ops(grid: DomainGrid) -> StencilOps:
+    """The operators of build_stencil_ops, cached."""
     # every domain-half solve starts here, so no solve pays for the import
     import scipy.sparse as sp
     import scipy.sparse.linalg
@@ -579,9 +585,10 @@ def poisson_init(grid: DomainGrid, F, data) -> tuple[np.ndarray, int, tuple]:
     ESAIM: M2AN 44, 2010), one factored-Laplacian solve each; stop once
     the Hessian is positive and max|det D^2 u - F| < 0.1 max F, or drop
     an iterate that does not lower that residual and stop.  A source that
-    is not finite and > 0 on the domain is a GridError before any solve.
+    is not finite and > 0 on the domain, or a grid that is not a
+    DomainGrid, is a GridError before any solve.
     """
-    _, Fvec = _source(F, grid)
+    _, Fvec = _source(F, _require_grid(grid, DomainGrid, "poisson_init"))
     ops = build_stencil_ops(grid)
     phi = ops.crossing_values(data)
     lap, G = ops._laplacian, ops.crossing_system(1.0, 0.0, 1.0) @ phi

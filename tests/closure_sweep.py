@@ -3,7 +3,11 @@
     PYTHONPATH=src python tests/closure_sweep.py
 
 1. The unit disk at n = 1024, F = 1 + x^2, data u* = x^4/12 + x^2/2 +
-   y^2/2: Newton converges (about 7 s on one core).
+   y^2/2: Newton converges (about 7 s on one core). On its operators
+   (N = 821,904), StencilOps.system and crossing_system, at the
+   coefficients (1, 0, 1) and at random ones with zeros, hold sorted
+   int32 indices and no explicit zero, and equal bit for bit the COO
+   reference of test_maforward.py, diag(c) H summed term by term.
 2. 200 ellipses, semi-axes log-uniform in [0.05, 10] and n uniform in
    8-200, drawn from seed 7: every grid that constructs solves, with the
    error bound of test_maforward.py::test_every_grid_that_constructs_solves.
@@ -32,7 +36,8 @@ import numpy as np
 
 from malab.grid import (SCALE_RANGE, GridError, ScalarField, build_disk,
                         build_ellipse)
-from malab.maforward import NewtonFailure, solve_ma
+from malab.maforward import NewtonFailure, build_stencil_ops, solve_ma
+from test_maforward import _reference_sum
 
 ALLOWED = ("n must be an integer of at least 16",
            "no interior node found to adopt boundary sliver")
@@ -50,6 +55,29 @@ def solve(g, r=1.0):
     sol = solve_ma(ScalarField((X / r) ** 2 + 1.0, g), u, g)
     err = np.max(np.abs((sol.u.values - u(X, Y))[g.mask])) / g.dx ** 2
     return float(err), sol
+
+
+def sum_faults(ops) -> list:
+    """Check 1's systems of ops that differ from their reference."""
+    rng = np.random.default_rng(5)
+    c = [rng.standard_normal(ops.N) for _ in range(3)]
+    for k, v in enumerate(c):
+        v[::5 + 2 * k] = 0.0          # zero coefficients drop their entries
+    faults = []
+    for label, coeffs in (("(1, 0, 1)", (1.0, 0.0, 1.0)),
+                          ("random", tuple(c))):
+        for side, build in (("H", ops.system), ("G", ops.crossing_system)):
+            M, R = build(*coeffs), _reference_sum(ops, side, coeffs)
+            R.sort_indices()
+            if not (M.has_sorted_indices and M.indices.dtype == np.int32
+                    and np.all(M.data != 0.0)
+                    and np.array_equal(M.indptr, R.indptr)
+                    and np.array_equal(M.indices, R.indices)
+                    and np.array_equal(M.data.view(np.int64),
+                                       R.data.view(np.int64))):
+                faults.append(f"disk n=1024: the {side} sum at {label} "
+                              "coefficients differs from its reference")
+    return faults
 
 
 def near_curve_family() -> list:
@@ -70,8 +98,9 @@ def near_curve_family() -> list:
 def main() -> int:
     faults = []
     t = time.perf_counter()
+    disk = build_disk(1.0, 1024)
     try:
-        err, sol = solve(build_disk(1.0, 1024))
+        err, sol = solve(disk)
         print(f"disk n=1024: {len(sol.log) - 1} Newton steps, residual "
               f"{sol.log[-1][1]:.2e}, err/dx^2 {err:.4f}, "
               f"{time.perf_counter() - t:.1f} s")
@@ -79,6 +108,10 @@ def main() -> int:
             faults.append(f"disk n=1024: err/dx^2 {err:.3g}")
     except NewtonFailure as exc:
         faults.append(f"disk n=1024: {exc}")
+    sums = sum_faults(build_stencil_ops(disk))
+    faults += sums
+    print(f"disk n=1024: system and crossing_system at (1, 0, 1) and random "
+          f"coefficients: {4 - len(sums)} of 4 equal their reference")
 
     rng = np.random.default_rng(7)
     solved, refused, worst = 0, 0, 0.0

@@ -12,7 +12,7 @@ from malab.grid import (
     boundary_restrict, build_disk, build_ellipse, lattice_values,
     normal_derivative, quadrature, tangential_derivative,
 )
-from malab import cgo
+from malab import cgo, dnmap, linearize, maforward
 from malab.complexcalc import (deriv, smooth_cutoff, spectral_deriv,
                                spectral_dz, spectral_dzb)
 from malab.dnmap import (DNMatrix, recover_boundary_hessian,
@@ -52,7 +52,7 @@ def test_records_that_hold_arrays_compare_by_identity():
     makers = {
         "BoundaryRing": lambda: build_disk(1.0, 32).boundary,
         "VectorField": lambda: VectorField(z, z, box),
-        "StencilOps": lambda: build_stencil_ops.__wrapped__(disk),
+        "StencilOps": lambda: maforward._stencil_ops.__wrapped__(disk),
         "PhaseSpec": lambda: cgo.phase_spec((0.0, 0.0, -0.25), box),
         "CGOBundle": lambda: cgo.build_cgo_holo(phase, 1.0),
         "DNMatrix": lambda: DNMatrix(np.eye(3), ("1", "cos1", "sin1"), disk),
@@ -750,6 +750,44 @@ _FLAT = MetricField(_ONES, 0.0 * _ONES, _ONES, _DISK)
      "lam0 must be a BoundaryTrace, not a ndarray"),
     (lambda: diffeo_rigidity_solve(_FLAT, data=(lambda x, y: x,)),
      "rigidity data must be two boundary data, one per coordinate"),
+    # each of these leaked an AttributeError (build_stencil_ops a
+    # TypeError from its cache) for an array in place of a solution,
+    # metric, field or grid
+    *[(call, f"{what} needs a {kind}, not a ndarray") for call, what, kind in [
+        (lambda: linearize.solution_hessian(_ONES), "solution_hessian",
+         "MASolution"),
+        (lambda: linearize.metric_from_solution(_ONES),
+         "metric_from_solution", "MASolution"),
+        (lambda: linearize.drift_field(_ONES), "drift_field", "MetricField"),
+        (lambda: linearize.divergence_form_apply(_ONES, _STILL, _ONES),
+         "divergence_form_apply", "MetricField"),
+        (lambda: linearize.divergence_form_apply(_FLAT, _ONES, _ONES),
+         "divergence_form_apply", "VectorField"),
+        (lambda: linearize.nondiv_solve_many(_ONES, [0.0]),
+         "a linearized solve", "MetricField"),
+        (lambda: linearize.nondiv_solve(_ONES, 0.0), "a linearized solve",
+         "MetricField"),
+        (lambda: linearize.second_solve(_FLAT, _ONES, _ONES, 0.0, 0.0),
+         "second_solve", "ScalarField"),
+        (lambda: dnmap.dn_lin(_ONES, 0.0), "dn_lin", "MetricField"),
+        (lambda: dnmap.dn_lin_matrix(_ONES, None), "dn_lin_matrix",
+         "MetricField"),
+        (lambda: dnmap.dn_full_derivative(_ONES, 0.0), "dn_full_derivative",
+         "MASolution"),
+        (lambda: dnmap.pairing_gap(_ONES, 0.0, 0.0, 0.0), "pairing_gap",
+         "MetricField"),
+        (lambda: normal_derivative(_ONES), "normal_derivative",
+         "ScalarField"),
+        (lambda: normal_derivative(ScalarField(_ONES, _DISK), _RING),
+         "the anchor of normal_derivative", "BoundaryTrace"),
+        (lambda: boundary_restrict(_ONES), "boundary_restrict",
+         "ScalarField"),
+        (lambda: build_stencil_ops(_ONES), "build_stencil_ops", "DomainGrid"),
+        (lambda: maforward.poisson_init(_ONES, 1.0, None), "poisson_init",
+         "DomainGrid"),
+        (lambda: maforward.ring_values(_ONES, None), "ring_values",
+         "DomainGrid"),
+    ]],
 ], ids=["half", "half-overflow", "semi-axis", "semi-axis-overflow", "h",
         "h-overflow", "amplitude-array", "amplitude-list", "amplitude-string",
         "center", "coefficient", "cutoff", "core-radius",
@@ -762,7 +800,13 @@ _FLAT = MetricField(_ONES, 0.0 * _ONES, _ONES, _DISK)
         *[f"{f}-q-{cause}" for f in ("factorization", "potential", "weights")
           for cause in ("nan", "shape")],
         "weights-alpha-shape", "weights-alpha-nan", "cutoff-domain",
-        "third-empty", "third-arrays", "hessian-array", "rigidity-data"])
+        "third-empty", "third-arrays", "hessian-array", "rigidity-data",
+        "solution-hessian", "metric-from-solution", "drift-field",
+        "divergence-form-metric", "divergence-form-drift", "nondiv-solve-many",
+        "nondiv-solve", "second-solve", "dn-lin", "dn-lin-matrix",
+        "dn-full-derivative", "pairing-gap", "normal-derivative",
+        "normal-derivative-anchor", "boundary-restrict", "build-stencil-ops",
+        "poisson-init", "ring-values"])
 def test_invalid_inputs_raise_a_grid_error_naming_them(call, msg):
     with pytest.raises(GridError, match=re.escape(msg)):
         call()
