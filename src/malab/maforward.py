@@ -304,32 +304,34 @@ _LAYOUT = {"11": (slice(1, 9, 3), slice(0, 2)),
            "12": (slice(0, 9, 2), slice(4, 8))}
 
 
-def _csr(vals, cols, rows, shape) -> "scipy.sparse.csr_matrix":
-    """CSR matrix of slot values vals (slot, row) in columns cols, rows
-    `rows` of shape; exact zeros are not stored."""
+def _csr(vals, cols, shape) -> "scipy.sparse.csr_matrix":
+    """CSR matrix of slot values vals (slot, row) in columns cols; exact
+    zeros are not stored."""
     import scipy.sparse as sp
     keep = vals != 0.0
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    indptr[1:][rows] = keep.sum(axis=0)
-    np.cumsum(indptr, dtype=np.int32, out=indptr)
+    np.cumsum(keep.sum(axis=0), dtype=np.int32, out=indptr[1:])
     return sp.csr_matrix((vals.T[keep.T], cols.T[keep.T], indptr), shape)
 
 
-def _weighted_sum(mats, a11, a12, a22) -> "scipy.sparse.csr_matrix":
+def _weighted_sum(mats, rows, N: int, a11, a12, a22):
     """diag(a11) M11 + diag(a22) M22 + diag(2 a12) M12 of the operators
-    mats = (M11, M22, M12), coefficients scalar or on the interior
-    numbering: each matrix's values scaled by their row's coefficient,
-    then scipy's sparse sum in that order, which drops exact zeros, with
-    the indices sorted."""
+    mats = (M11, M22, M12), whose row i is row rows[i] of the N-row sum,
+    coefficients scalar or on the interior numbering: each matrix's values
+    scaled by their row's coefficient, then scipy's sparse sum in that
+    order, which drops exact zeros, with the indices sorted."""
     import scipy.sparse as sp
     terms = []
     for c, M in zip((a11, a22, 2.0 * a12), mats):
-        w = np.repeat(np.broadcast_to(c, M.shape[:1]), np.diff(M.indptr))
+        w = np.repeat(np.broadcast_to(c, (N,))[rows], np.diff(M.indptr))
         terms.append(sp.csr_matrix((w * M.data, M.indices, M.indptr),
                                    M.shape))
     A = terms[0] + terms[1] + terms[2]
     A.sort_indices()
-    return A
+    indptr = np.zeros(N + 1, dtype=np.int32)
+    indptr[1:][rows] = np.diff(A.indptr)
+    np.cumsum(indptr, out=indptr)
+    return sp.csr_matrix((A.data, A.indices, indptr), (N, A.shape[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,8 +348,9 @@ class StencilOps:
 
     Every row of H[k], N x N, holds the operator's stencil slots
     (_LAYOUT) in column order, 3, 3 and 5 of them, with their zeros kept:
-    a slot outside the mask reads the row's own column, and zero. G[k],
-    N x len(qx), holds its nonzeros on the rows qrows. Every array is
+    a slot outside the mask reads the row's own column, and zero. Row i
+    of G[k], len(qrows) x len(qx), is row qrows[i], and G[k] stores no
+    zero. Every array is
     read-only; build_stencil_ops keeps the operators of the one grid used
     last. Made at their first use: _laplacian, their Laplacian
     system(1, 0, 1) factored from the slots of H (_RedBlackLU); _order,
@@ -378,11 +381,11 @@ class StencilOps:
         the interior numbering: each row reads A u + G_A phi = f, G_A =
         crossing_system(a11, a12, a22). The weighted sum of the H
         (_weighted_sum), so the pattern is that of the sparse sum."""
-        return _weighted_sum(self.H, a11, a12, a22)
+        return _weighted_sum(self.H, slice(None), self.N, a11, a12, a22)
 
     def crossing_system(self, a11, a12, a22) -> "scipy.sparse.csr_matrix":
-        """G_A of system: the same sum over the G."""
-        return _weighted_sum(self.G, a11, a12, a22)
+        """G_A of system: the same sum over the G, N x len(qx)."""
+        return _weighted_sum(self.G, self.qrows, self.N, a11, a12, a22)
 
     @functools.cached_property
     def _laplacian(self) -> _RedBlackLU:
@@ -454,7 +457,7 @@ def _stencil_ops(grid: DomainGrid) -> StencilOps:
     # ghost, and a = 1 in every inside direction gives no correction
     H, G, h2, aq = [], [], dx * dx, alpha[:, qrows]
     ghost, oin = ~inside[:, qrows], inside[np.arange(8) ^ 1][:, qrows]
-    qcols, nq = cross[:, qrows], (N, len(qx))
+    qcols, nq = cross[:, qrows], (len(qrows), len(qx))
     for key, w, denom, center_base in [
             ("11", [1.0, 1.0], h2, -2.0), ("22", [1.0, 1.0], h2, -2.0),
             ("12", [1.0, 1.0, -1.0, -1.0], 4.0 * h2, 0.0)]:
@@ -481,7 +484,7 @@ def _stencil_ops(grid: DomainGrid) -> StencilOps:
             (vals.T.reshape(-1), cols[ls].T.ravel(),
              np.arange(0, m * N + 1, m, dtype=np.int32)), shape=(N, N))))
         G.append(_read_only(_csr(np.where(ghost[gs], wq, 0.0), qcols[gs],
-                                 qrows, nq)))
+                                 nq)))
 
     for arr in (qx, qy, qrows):
         arr.flags.writeable = False
@@ -538,7 +541,7 @@ class _RedBlackLU:
         center = v11[:, 1] + v22[:, 1]
 
         def block(rows, other):
-            return _read_only(_csr(axis[:, rows], cols[:, rows], slice(None),
+            return _read_only(_csr(axis[:, rows], cols[:, rows],
                                    (len(rows), len(other))))
         self.Arb = block(self.red, self.black)
         self.Abr = block(self.black, self.red)
@@ -634,7 +637,12 @@ def stencil_hessian(ops: StencilOps, U: np.ndarray, phi: np.ndarray):
     stencils closed by the crossing values phi (ops.crossing_values): each
     is H[k] U + G[k] phi, each product summed over a row's entries in
     column order."""
-    return tuple(H @ U + G @ phi for H, G in zip(ops.H, ops.G))
+    out = []
+    for H, G in zip(ops.H, ops.G):
+        h = H @ U
+        h[ops.qrows] += G @ phi
+        out.append(h)
+    return tuple(out)
 
 
 def _state(ops: StencilOps, U: np.ndarray, phi: np.ndarray, Fvec):
