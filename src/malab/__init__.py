@@ -114,9 +114,8 @@ fill, never a wrapped node.
    remainder), cgo.factorization_check (the gauge factorization on a
    fixed probe) and cgo.cz_diagnostic (the Calderon-Zygmund bound,
    weighted by h^(1/2 - cgo.CZ_EPS)). cgo.drift_residual's normalizer
-   min(h, 1)^-2 carries no length, so a bound on it, the tests' 1e-4, is
-   meaningful only on boxes of half width near 6: the h = 1 Morse bundle
-   carried to half width L reads 1.45e-3 (6 / L)^2.
+   carries no length (1.45e-3 (6 / L)^2 at h = 1 on half width L), so its
+   bounds, the tests' 1e-4, hold their meaning only near half width 6.
    Tests: test_cgo.py::test_factorization_residual_random_drifts,
    test_cgo.py::test_cz_diagnostic_bounded_on_sweep,
    test_cgo.py::test_bundle_residuals_small.

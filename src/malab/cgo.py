@@ -462,13 +462,10 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     h).  h^-2 alone overflows from h^2 near h = 1.3e154, and below that
     divides by a size no term has: with zero drift it reads 8.9e185 at
     h = 1e100, against 2.5e-13 by min(h, 1)^-2.  The normalizer carries no
-    length: min(h, 1) measures h against the unit of the box's
-    coordinates, so one solution reads differently on boxes of different
-    size.  The h = 1 Morse bundle carried from the half-6 box to half
-    width L (drift / s, q / s^2, phase / s^2, s = L / 6, n = 64) reads
-    1.45e-3 (6 / L)^2.  A bound on this residual, the tests' 1e-4 and the
-    cgo-sweep benchmark's CgoSweep.ERR_TOL, is meaningful only on boxes
-    of half width near 6.  The differences run only
+    length: the h = 1 Morse bundle carried from the half-6 box to half
+    width L (drift / s, q / s^2, phase / s^2, s = L / 6) reads 1.45e-3
+    (6 / L)^2, so a bound on it, the tests' 1e-4 and the cgo-sweep
+    benchmark's CgoSweep.ERR_TOL, means what it says only near half 6.  The differences run only
     on the disk's bounding box grown by their 2-node reach (|x| <= rc -
     dx, inside the box), with the same per-node arithmetic as on the whole
     box.  A bad h, drift or q, and a candidate

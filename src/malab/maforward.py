@@ -349,13 +349,12 @@ class StencilOps:
     Every row of H[k], N x N, holds the operator's stencil slots
     (_LAYOUT) in column order, 3, 3 and 5 of them, with their zeros kept:
     a slot outside the mask reads the row's own column, and zero. Row i
-    of G[k], len(qrows) x len(qx), is row qrows[i], and G[k] stores no
-    zero. Every array is
-    read-only; build_stencil_ops keeps the operators of the one grid used
-    last. Made at their first use: _laplacian, their Laplacian
-    system(1, 0, 1) factored from the slots of H (_RedBlackLU); _order,
-    the nested-dissection order of the nodes (i, j) that SparseLU factors
-    their systems in.
+    of G[k], len(qrows) x len(qx), is row qrows[i]; G[k] stores no zero.
+    Every array is read-only; build_stencil_ops keeps the operators of
+    the one grid used last. Made at their first use: _laplacian, their
+    Laplacian system(1, 0, 1) factored from the slots of H (_RedBlackLU);
+    _order, the nested-dissection order of the nodes (i, j) that
+    SparseLU factors their systems in.
     """
 
     grid: DomainGrid
