@@ -465,10 +465,10 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     length: the h = 1 Morse bundle carried from the half-6 box to half
     width L (drift / s, q / s^2, phase / s^2, s = L / 6) reads 1.45e-3
     (6 / L)^2, so a bound on it, the tests' 1e-4 and the cgo-sweep
-    benchmark's CgoSweep.ERR_TOL, means what it says only near half 6.  The differences run only
-    on the disk's bounding box grown by their 2-node reach (|x| <= rc -
-    dx, inside the box), with the same per-node arithmetic as on the whole
-    box.  A bad h, drift or q, and a candidate
+    benchmark's CgoSweep.ERR_TOL, means what it says only near half width 6.
+    The differences run only on the disk's bounding box grown by their
+    2-node reach (|x| <= rc - dx, inside the box), with the same per-node
+    arithmetic as on the whole box.  A bad h, drift or q, and a candidate
     that is not a finite field of the box, are a GridError before any
     difference, as in build_cgo_holo.
     """

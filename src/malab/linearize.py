@@ -16,8 +16,8 @@ operators that the Newton Jacobian applies term by term, and goes
 through the sparse-LU layer of `maforward`, split per metric: the system
 is assembled and factored once, and every right side of that metric is
 solved against the one factorization (nondiv_solve_many takes a block of
-boundary data as one block). Every column must meet the residual bound ||A v - b|| <=
-SOLVE_RTOL ||b||, or the solve raises LinearSolveFailure.
+boundary data as one block). Every column must meet the residual bound
+||A v - b|| <= SOLVE_RTOL ||b||, or the solve raises LinearSolveFailure.
 """
 
 from __future__ import annotations
