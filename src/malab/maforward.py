@@ -25,8 +25,8 @@ pair of CSR matrices, built once per grid: H on the interior values and G
 on the crossing values. StencilOps.system and crossing_system weight
 them row by row and add them as sparse matrices into a system (A, G_A),
 each row reading A u + G_A phi = f: the systems of `linearize`. The
-Newton solve assembles none: _RedBlackLU reads the Laplacian's blocks off
-the slots of H, and the Jacobian is applied term by term (_jacobian).
+Newton solve assembles none: _RedBlackLU slices the Laplacian's blocks
+from H11 + H22, and the Jacobian is applied term by term (_jacobian).
 
 The Newton step solves cof(D^2 u) : D^2 delta = F - det D^2 u with zero
 boundary data, damped by backtracking under a convexity guard. As
@@ -305,13 +305,16 @@ _LAYOUT = {"11": (slice(1, 9, 3), slice(0, 2)),
 
 
 def _csr(vals, cols, shape) -> "scipy.sparse.csr_matrix":
-    """CSR matrix of slot values vals (slot, row) in columns cols; exact
-    zeros are not stored."""
+    """Read-only CSR matrix whose row i holds vals[:, i] in the columns
+    cols[:, i], its nonzeros in column order; exact zeros are not stored,
+    so the matrix is canonical."""
     import scipy.sparse as sp
-    keep = vals != 0.0
-    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=0), dtype=np.int32, out=indptr[1:])
-    return sp.csr_matrix((vals.T[keep.T], cols.T[keep.T], indptr), shape)
+    m = len(vals)
+    M = sp.csr_matrix((vals.T.reshape(-1), cols.T.reshape(-1),
+                       np.arange(0, m * shape[0] + 1, m, dtype=np.int32)),
+                      shape)
+    M.eliminate_zeros()
+    return _read_only(M)
 
 
 def _weighted_sum(mats, rows, N: int, a11, a12, a22):
@@ -319,7 +322,8 @@ def _weighted_sum(mats, rows, N: int, a11, a12, a22):
     mats = (M11, M22, M12), whose row i is row rows[i] of the N-row sum,
     coefficients scalar or on the interior numbering: each matrix's values
     scaled by their row's coefficient, then scipy's sparse sum in that
-    order, which drops exact zeros, with the indices sorted."""
+    order, which drops exact zeros and, of canonical matrices, is
+    canonical."""
     import scipy.sparse as sp
     terms = []
     for c, M in zip((a11, a22, 2.0 * a12), mats):
@@ -327,7 +331,6 @@ def _weighted_sum(mats, rows, N: int, a11, a12, a22):
         terms.append(sp.csr_matrix((w * M.data, M.indices, M.indptr),
                                    M.shape))
     A = terms[0] + terms[1] + terms[2]
-    A.sort_indices()
     indptr = np.zeros(N + 1, dtype=np.int32)
     indptr[1:][rows] = np.diff(A.indptr)
     np.cumsum(indptr, out=indptr)
@@ -346,15 +349,13 @@ class StencilOps:
     phi is H[k] u + G[k] phi, each closed by the ghosts of the module
     docstring. Every row carries the equation.
 
-    Every row of H[k], N x N, holds the operator's stencil slots
-    (_LAYOUT) in column order, 3, 3 and 5 of them, with their zeros kept:
-    a slot outside the mask reads the row's own column, and zero. Row i
-    of G[k], len(qrows) x len(qx), is row qrows[i]; G[k] stores no zero.
-    Every array is read-only; build_stencil_ops keeps the operators of
-    the one grid used last. Made at their first use: _laplacian, their
-    Laplacian system(1, 0, 1) factored from the slots of H (_RedBlackLU);
-    _order, the nested-dissection order of the nodes (i, j) that
-    SparseLU factors their systems in.
+    H[k] is N x N and G[k] len(qrows) x len(qx), its row i being row
+    qrows[i]. Each is a canonical CSR matrix with int32 indices: a row
+    holds its nonzeros once each, in column order, and no zero. Every
+    array is read-only; build_stencil_ops keeps the operators of the one
+    grid used last. Made at their first use: _laplacian, their Laplacian
+    H11 + H22 factored (_RedBlackLU); _order, the nested-dissection order
+    of the nodes (i, j) that SparseLU factors their systems in.
     """
 
     grid: DomainGrid
@@ -423,7 +424,6 @@ def build_stencil_ops(grid: DomainGrid) -> StencilOps:
 def _stencil_ops(grid: DomainGrid) -> StencilOps:
     """The operators of build_stencil_ops, cached."""
     # every domain-half solve starts here, so no solve pays for the import
-    import scipy.sparse as sp
     import scipy.sparse.linalg
     mask, dx = grid.mask, grid.dx
     ii, jj = np.nonzero(mask)
@@ -463,8 +463,8 @@ def _stencil_ops(grid: DomainGrid) -> StencilOps:
         ls, gs = _LAYOUT[key]
         a, o, slots = aq[gs], oin[gs], range(9)[ls]
         w = np.array(w)[:, None] / denom
-        # stored row by row, as H reads them in place; each slot's values
-        # are written where they are nonzero, into zeros
+        # stored row by row, as _csr reads them; each slot's values are
+        # written where they are nonzero, into zeros
         vals = np.zeros((N, len(slots))).T
         place = [slots.index(_SLOTS.index(_DIRS[d])) for d in range(8)[gs]]
         for s, wd, d in zip(place, w[:, 0], range(8)[gs]):
@@ -478,12 +478,8 @@ def _stencil_ops(grid: DomainGrid) -> StencilOps:
         vals[slots.index(4), qrows] += wc.sum(axis=0)
         for s, v in zip(place, wo[np.arange(len(place)) ^ 1]):
             vals[s, qrows] += v
-        m = len(slots)
-        H.append(_read_only(sp.csr_matrix(
-            (vals.T.reshape(-1), cols[ls].T.ravel(),
-             np.arange(0, m * N + 1, m, dtype=np.int32)), shape=(N, N))))
-        G.append(_read_only(_csr(np.where(ghost[gs], wq, 0.0), qcols[gs],
-                                 nq)))
+        H.append(_csr(vals, cols[ls], (N, N)))
+        G.append(_csr(np.where(ghost[gs], wq, 0.0), qcols[gs], nq))
 
     for arr in (qx, qy, qrows):
         arr.flags.writeable = False
@@ -505,12 +501,9 @@ class _RedBlackLU:
     on the black ones, and SparseLU factors S. A solve is one S solve and
     two sparse products; neither the full Laplacian nor S is kept.
 
-    The blocks come from the slots of H11 and H22, 3 a row, not from a
-    CSR matrix of the Laplacian: D and A_bb are the sums of their center
-    slots on the red and the black rows, and A_rb and A_br the axis slots
-    of those rows, each row's nonzeros in column order with the columns
-    numbered in the other color, bitwise the blocks sliced from
-    system(1, 0, 1).
+    The blocks are slices of the sum H11 + H22, bitwise those of
+    system(1, 0, 1): A_rb its red rows' black columns, A_br the reverse,
+    and D and A_bb its diagonal on the red and the black rows.
 
     S couples two black nodes when a red node is an axis neighbor of both,
     so they differ by (+-1, +-1), (+-2, 0) or (0, +-2) in (i, j). In the
@@ -523,31 +516,17 @@ class _RedBlackLU:
 
     def __init__(self, ops: StencilOps):
         import scipy.sparse as sp
-        (v11, c11), (v22, c22) = ((H.data.reshape(ops.N, 3),
-                                   H.indices.reshape(ops.N, 3))
-                                  for H in ops.H[:2])
         ii, jj = np.nonzero(ops.grid.mask)
         red = (ii + jj) % 2 == 0
         self.red, self.black = np.nonzero(red)[0], np.nonzero(~red)[0]
-        # a node's number in its color; the axis slots of a row are the
-        # other color's (or outside the mask, zero and dropped)
-        place = np.empty(ops.N, dtype=np.int32)
-        for nodes in (self.red, self.black):
-            place[nodes] = np.arange(len(nodes))
-        # the axis slots in column order: (-1, 0), (0, -1), (0, 1), (1, 0)
-        axis = np.stack([v11[:, 0], v22[:, 0], v22[:, 2], v11[:, 2]])
-        cols = place[np.stack([c11[:, 0], c22[:, 0], c22[:, 2], c11[:, 2]])]
-        center = v11[:, 1] + v22[:, 1]
-
-        def block(rows, other):
-            return _read_only(_csr(axis[:, rows], cols[:, rows],
-                                   (len(rows), len(other))))
-        self.Arb = block(self.red, self.black)
-        self.Abr = block(self.black, self.red)
+        A = ops.H[0] + ops.H[1]
+        center = A.diagonal()
+        self.Arb = _read_only(A[self.red][:, self.black])
+        self.Abr = _read_only(A[self.black][:, self.red])
         self.dinv = 1.0 / center[self.red]
         S = (sp.diags(center[self.black])
              - self.Abr @ sp.diags(self.dinv) @ self.Arb)
-        del axis, cols, center   # the slot values go before S is factored
+        del A, center            # the Laplacian goes before S is factored
         ib, jb = ii[self.black], jj[self.black]
         self.lu = SparseLU(S, _nested_dissection((ib + jb - 1) // 2,
                                                  (ib - jb - 1) // 2))
@@ -659,8 +638,7 @@ def _row_targets(ops: StencilOps, U, h, Fvec) -> np.ndarray:
     moves an entry of h by about eps W_i max|U|, and h11 h22 - h12^2 by
     |h22| dh11 + |h11| dh22 + 2 |h12| dh12: at most 4 max|h| times that,
     so NEWTON_FLOOR = 4 (one-ulp changes of u measure 1.5-2.3)."""
-    W = np.maximum.reduce([np.abs(H.data.reshape(ops.N, -1)).sum(axis=1)
-                           for H in ops.H])
+    W = np.maximum.reduce([abs(H) @ np.ones(ops.N) for H in ops.H])
     scale = float(np.max(np.abs(U)) * max(np.max(np.abs(x)) for x in h))
     return np.maximum(NEWTON_TOL * float(np.max(Fvec)),
                       NEWTON_FLOOR * np.finfo(float).eps * scale * W)

@@ -206,7 +206,7 @@ def test_stencil_structure():
     assert ops.N == int(g.mask.sum())
     assert len(ops.qrows) > 0 and len(ops.qx) > 0
     for H in ops.H[:2]:
-        assert np.all(H.data.reshape(ops.N, 3)[:, 1] < 0.0)   # the center slot
+        assert np.all(H.diagonal() < 0.0)                     # the center
     X, Y = g.meshgrid()
 
     def quad(x, y):
@@ -334,25 +334,23 @@ def test_cached_stencils_are_shared_by_equal_grids_and_read_only():
                                    lambda: build_ellipse(1.03, 0.92, 97),
                                    lambda: build_ellipse(1.0, 0.2, 97)],
                          ids=["disk", "ellipse", "ellipse-1-0.2"])
-def test_stencil_operators_keep_their_slots(build):
-    # _RedBlackLU and _row_targets reshape H[k].data by its slot count:
-    # every row holds 3, 3 and 5 entries, its nonzeros in increasing
-    # column order and a slot outside the mask as a zero in the row's own
-    # column; G[k] holds no explicit zero, one row per row of qrows, each
-    # of which reads a crossing
+def test_stencil_operators_are_canonical(build):
+    # every H[k] and G[k] is a canonical CSR matrix (each row's columns
+    # strictly increasing) with int32 indices and no stored zero; an H12
+    # row holds at most its 5 stencil entries, and every H11 and H22 row
+    # its negative center; G[k] has one row per row of qrows, each of
+    # which reads a crossing
     ops = build_stencil_ops(build())
-    for H, m in zip(ops.H, (3, 3, 5)):
-        assert np.array_equal(H.indptr, np.arange(0, m * ops.N + 1, m))
-        rows, zero = np.repeat(np.arange(ops.N), m), H.data == 0.0
-        assert np.any(zero)
-        assert np.array_equal(H.indices[zero], rows[zero])
-        r, c = rows[~zero], H.indices[~zero]
-        same = r[1:] == r[:-1]
-        assert np.all(c[1:][same] > c[:-1][same])
+    for M in (*ops.H, *ops.G):
+        assert M.has_canonical_format
+        assert M.indices.dtype == M.indptr.dtype == np.int32
+        assert np.all(M.data != 0.0)
+    assert np.max(np.diff(ops.H[2].indptr)) <= 5
+    for H in ops.H[:2]:
+        assert np.all(H.diagonal() < 0.0)
     read = np.zeros(len(ops.qrows), dtype=bool)
     for G in ops.G:
         assert G.shape == (len(ops.qrows), len(ops.qx))
-        assert np.all(G.data != 0.0)
         read |= np.diff(G.indptr) > 0
     assert np.all(read)
 
@@ -729,18 +727,19 @@ def test_system_equals_the_sparse_sum_of_its_terms(build):
                                    lambda: build_ellipse(1.0, 0.2, 97)],
                          ids=["disk", "ellipse", "ellipse-1-0.2"])
 def test_stencil_hessian_equals_its_slot_sums_bitwise(build):
-    # each entry is H U + G phi with H U summed over the row's slots and
+    # each entry is H U + G phi with H U summed over the row's entries and
     # G phi over its crossings, each in column order
     ops = build_stencil_ops(build())
     rng = np.random.default_rng(35)
     U, phi = rng.standard_normal(ops.N), rng.standard_normal(len(ops.qx))
     got = maforward.stencil_hessian(ops, U, phi)
+
+    def row_sums(M, x):
+        return [sum(v * x[c] for v, c in zip(M.data[a:b], M.indices[a:b]))
+                for a, b in zip(M.indptr[:-1], M.indptr[1:])]
     for H, G, h in zip(ops.H, ops.G, got):
-        vals, cols = (a.reshape(ops.N, -1).T for a in (H.data, H.indices))
-        ref = sum(v * U[c] for v, c in zip(vals, cols))
-        ref[ops.qrows] += [
-            sum(v * phi[c] for v, c in zip(G.data[a:b], G.indices[a:b]))
-            for a, b in zip(G.indptr[:-1], G.indptr[1:])]
+        ref = np.array(row_sums(H, U), dtype=float)
+        ref[ops.qrows] += row_sums(G, phi)
         assert np.array_equal(h.view(np.int64), ref.view(np.int64))
 
 
