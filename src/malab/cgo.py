@@ -139,6 +139,7 @@ def gauge(X: VectorField) -> tuple[ComplexField, ComplexField, ComplexField]:
     drifts, and drifts reaching the outer third of the box, are rejected by
     the guards the Cauchy transform runs.
     """
+    _require_grid(X, VectorField, "gauge")
     alpha = _gauge(_gauge_source(X), X.grid)
     return (ComplexField(alpha, X.grid),
             ComplexField(np.exp(1j * alpha), X.grid),
@@ -186,6 +187,7 @@ def factor_potential(X: VectorField, q=0.0) -> ComplexField:
     driving the factorization residual to the spectral floor (the
     conventional, opposite set leaves O(1)).
     """
+    _require_grid(X, VectorField, "factor_potential")
     grid = _require_grid(X.grid, PaddedGrid, "factor_potential")
     return ComplexField(_potential(X, _require_terms(grid, X, q),
                                    (slice(None), slice(None))), grid)
@@ -216,6 +218,7 @@ def factorization_check(X: VectorField, q=0.0) -> float:
     derivatives spectral and the gauge solved spectrally, so the residual
     sits at rounding level when the identity is exact.
     """
+    _require_grid(X, VectorField, "factorization_check")
     grid = _require_grid(X.grid, PaddedGrid, "factorization_check")
     qv = _require_terms(grid, X, q)
     XX, YY = grid.meshgrid()
@@ -326,6 +329,7 @@ def series_weights(alpha: np.ndarray, X: VectorField, q=0.0
     V = factor_potential x exp(-2i Re alpha) / 2 drives the source side;
     V' = -exp(+2i Re alpha) is the unimodular return weight.
     """
+    _require_grid(X, VectorField, "series_weights")
     grid = _require_grid(X.grid, PaddedGrid, "series_weights")
     qv = _require_terms(grid, X, q)
     _require_finite("gauge field alpha", _on_lattice(alpha, grid, "alpha"))
@@ -366,6 +370,8 @@ def neumann_T(f: ComplexField, psi, h: float, V: ComplexField,
     cutoff window and returns on the core window, where the outer one
     runs; the result is zero outside the core window.
     """
+    for field in (f, V, vp):
+        _require_grid(field, ComplexField, "neumann_T")
     grid = _require_grid(f.grid, PaddedGrid, "neumann_T")
     _require_positive("h", h)
     _require_same_grid(grid, "series weight V or V'", V, vp)
@@ -473,6 +479,7 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     difference, as in build_cgo_holo.
     """
     _require_positive("h", h)
+    _require_grid(X, VectorField, "drift_residual")
     grid = _require_grid(X.grid, PaddedGrid, "drift_residual")
     qv = _require_terms(grid, X, q)
     vals = _on_lattice(vals, grid, "drift_residual")
@@ -493,13 +500,16 @@ def drift_residual(vals: np.ndarray, X: VectorField, q, h: float,
     return _l2(res, grid, mask) / scale
 
 
-def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude) -> tuple:
-    """(grid, drift, q, amplitude values) of a bundle, after
-    the guards every call runs before any FFT (build_cgo_holo); the
-    drift's own guards run in _gauge_source."""
-    grid = _require_grid(phase.grid, PaddedGrid, "a CGO bundle")
+def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude,
+                   what: str) -> tuple:
+    """(grid, drift, q, amplitude values) of a bundle, after the guards
+    every call runs before any FFT (build_cgo_holo), naming the function
+    what; the drift's own guards run in _gauge_source."""
+    _require_grid(phase, PhaseSpec, what)
+    grid = _require_grid(phase.grid, PaddedGrid, what)
     _require_positive("h", h)
-    X = drift if drift is not None else _zero_drift(grid)
+    X = (_zero_drift(grid) if drift is None
+         else _require_grid(drift, VectorField, what))
     qv = _require_terms(grid, X, q)
     _measurement_disk(grid)
     return grid, X, qv, _eval_amplitude(amplitude, grid)
@@ -649,13 +659,15 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     3-node reach.  Zero drift and potential give an exactly zero gauge, V
     and first term, so the series stops there and r = 0.  If a series term
     fails to decrease, a warning is issued and the sum is truncated at the
-    term before it, the observed minimum.  A non-finite or nonpositive h, a
-    box whose measurement disk holds no node, a q that is not a finite
-    scalar or box field, an amplitude that is not a callable of z or a
-    number, and a non-finite amplitude or drift raise a GridError before
-    any FFT.
+    term before it, the observed minimum.  A phase that is not a PhaseSpec,
+    a drift that is not None or a VectorField, a non-finite or nonpositive
+    h, a box whose measurement disk holds no node, a q that is not a
+    finite scalar or box field, an amplitude that is not a callable of z
+    or a number, and a non-finite amplitude or drift raise a GridError
+    before any FFT.
     """
-    grid, X, qv, a_vals = _bundle_inputs(phase, h, drift, q, amplitude)
+    grid, X, qv, a_vals = _bundle_inputs(phase, h, drift, q, amplitude,
+                                         "build_cgo_holo")
     return _bundle_at(_setup(grid, phase.psi, X, qv), phase, h, X, qv, a_vals)
 
 
@@ -668,11 +680,11 @@ def build_cgo_antiholo(phase: PhaseSpec, h: float,
     conjugate of build_cgo_holo at the negated phase; its residual is
     re-measured directly on the conjugated field.
     """
-    grid = _require_grid(phase.grid, PaddedGrid, "build_cgo_antiholo")
+    grid, X, *_ = _bundle_inputs(phase, h, drift, q, None,
+                                 "build_cgo_antiholo")
     if np.iscomplexobj(np.asarray(q)):
         raise GridError("antiholo construction needs a real potential")
     nb = build_cgo_holo(phase.negated(), h, drift, q)
-    X = drift if drift is not None else _zero_drift(grid)
     v_vals = np.conj(nb.v.values)
     res = drift_residual(v_vals, X, np.asarray(q), h)
     # nb has the default amplitude, a read-only broadcast of 1, and its
@@ -695,7 +707,8 @@ def build_cgo_adjoint(phase: PhaseSpec, h: float,
     conservative (divergence) form of the adjoint itself.  The inputs pass
     build_cgo_holo's guards before the divergence is taken.
     """
-    grid, X, qv, *_ = _bundle_inputs(phase, h, drift, q, None)
+    grid, X, qv, *_ = _bundle_inputs(phase, h, drift, q, None,
+                                     "build_cgo_adjoint")
     _gauge_source(X)                    # the drift's guards
     # div X = 2 Re dz(X1 + i X2) for a real X: one FFT pair, whose real part
     # is the inverse of i k1 X1^ + i k2 X2^, the spectra split from one fft2
@@ -719,8 +732,10 @@ def remainder_expansion(phase: PhaseSpec, f: ComplexField, N: int) -> tuple:
     derivative vanishes on the support of f, and an N that is not a
     nonnegative integer.
     """
+    _require_grid(phase, PhaseSpec, "remainder_expansion")
     grid = _require_grid(phase.grid, PaddedGrid, "remainder_expansion")
     _require_count("N", N)
+    _require_grid(f, ComplexField, "remainder_expansion")
     _require_same_grid(grid, "expansion data f", f)
     fv = f.values
     _require_finite("expansion data f", fv)
@@ -755,7 +770,7 @@ def cz_diagnostic(bundle: CGOBundle) -> float:
     ||bump . D2 r||_L2 x h^{1/2 - CZ_EPS}.  Bounded along the standard
     sweep when the remainder obeys the expected Calderon-Zygmund bounds.
     """
-    grid = bundle.r.grid
+    grid = _require_grid(bundle, CGOBundle, "cz_diagnostic").r.grid
     rc = grid.core_radius
     at, mask, grown, fd4 = _disk_fd4(grid)
     rv = bundle.r.values[grown]

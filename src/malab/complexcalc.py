@@ -168,7 +168,14 @@ def _fd4(vals: np.ndarray, dx: float, axis: int, order: int) -> np.ndarray:
 
 
 def periodic_fd4(vals: np.ndarray, grid: PaddedGrid, axis: int, order: int) -> np.ndarray:
-    """4th-order central difference with periodic wrap on the padded box."""
+    """4th-order central difference with periodic wrap on the padded box.
+    An axis that is not 0 or 1, an order that is not 1 or 2, and a grid
+    that is not a PaddedGrid are a GridError."""
+    _require_grid(grid, PaddedGrid, "periodic_fd4")
+    if not (isinstance(axis, numbers.Integral) and axis in (0, 1)
+            and isinstance(order, numbers.Integral) and order in (1, 2)):
+        raise GridError("periodic_fd4 needs axis 0 or 1 and order 1 or 2, "
+                        f"got axis={axis!r}, order={order!r}")
     pad = [(2, 2) if a == axis else (0, 0) for a in (0, 1)]
     return _fd4(np.pad(vals, pad, mode="wrap"), grid.dx, axis, order)
 
@@ -371,7 +378,7 @@ def cauchy_inverse(omega: ComplexField) -> ComplexField:
     N = _fft_size(m + n - 1), m + N forward and N + n inverse 1-D
     transforms of length N (N = 216 on the half = 4, n = 128 box).
     """
-    grid = omega.grid
+    grid = _require_grid(omega, ComplexField, "cauchy_inverse").grid
     vals = _box_field(omega.values, grid, "cauchy_inverse")
     _support_guard(vals, grid, "cauchy_inverse")
     at = grid.data_window
@@ -380,6 +387,7 @@ def cauchy_inverse(omega: ComplexField) -> ComplexField:
 
 def conj_cauchy_inverse(omega: ComplexField) -> ComplexField:
     """Right inverse of dz, via the conjugation identity."""
+    _require_grid(omega, ComplexField, "conj_cauchy_inverse")
     out = cauchy_inverse(ComplexField(np.conj(omega.values), omega.grid))
     return ComplexField(np.conj(out.values), omega.grid)
 
@@ -545,6 +553,7 @@ def oscillatory_dbar_inv(f: ComplexField, psi, h: float) -> ComplexField:
     1-D transforms (not 1024 + 1024), or for core-supported f N = 360
     with 171 + 360 and 360 + 171 (not 720 + 720).
     """
+    _require_grid(f, ComplexField, "oscillatory_dbar_inv")
     _require_grid(f.grid, PaddedGrid, "oscillatory_dbar_inv")
     _require_positive("h", h)
     plan = _OscPlan(_OscWindows(f.grid, psi), h)

@@ -235,15 +235,6 @@ def pairing_gap(g: MetricField, phi1, phi2, phi_star) -> float:
 # boundary determination
 
 
-def _require_traces(what: str, *traces) -> None:
-    """GridError naming what unless every one of traces is a
-    BoundaryTrace."""
-    for t in traces:
-        if not isinstance(t, BoundaryTrace):
-            raise GridError(f"{what} must be a BoundaryTrace, not a "
-                            f"{type(t).__name__}")
-
-
 def recover_boundary_hessian(lam0: BoundaryTrace, Fb, data=None,
                              frame: str = "local", kmax: int | None = None):
     """Full Hessian of the base solution on the boundary, node by node.
@@ -262,8 +253,7 @@ def recover_boundary_hessian(lam0: BoundaryTrace, Fb, data=None,
     """
     if frame not in ("local", "cartesian"):
         raise GridError(f"unknown frame {frame!r}")
-    _require_traces("lam0", lam0)
-    grid = lam0.grid
+    grid = _require_grid(lam0, BoundaryTrace, "lam0").grid
     lam = np.asarray(lam0.values, dtype=float)
     if kmax is not None:
         # a measured trace carries node-decorrelated interpolation noise,
@@ -324,7 +314,8 @@ def recover_boundary_third(dnu_F, second) -> BoundaryTrace:
         raise GridError("second must hold the three traces (u_tt, u_tn, "
                         "u_nn) of recover_boundary_hessian, got "
                         f"{second!r:.60}")
-    _require_traces("second-order trace", *second)
+    for t in second:
+        _require_grid(t, BoundaryTrace, "second-order trace")
     grid = second[0].grid
     _require_same_grid(grid, "second-order trace", *second[1:])
     utt = np.asarray(second[0].values, dtype=float)

@@ -174,6 +174,8 @@ def pullback_metric(J: DiffeoField, g: MetricField) -> MetricField:
     nodes J moves; at a fixed node the sampler would return S bitwise, so
     S is copied there (an invert_diffeo chart fixes its whole margin).
     """
+    _require_grid(J, DiffeoField, "pullback_metric")
+    _require_grid(g, MetricField, "pullback_metric")
     _check_reach(J)
     _require_same_grid(J.grid, "metric", g)
     _require_metric(g, definite=False)
@@ -218,6 +220,7 @@ def invert_diffeo(J: DiffeoField) -> DiffeoField:
     is the nodewise matrix inverse of dJ sampled at the preimage, so no
     derivative of the computed inverse displacement is ever taken.
     """
+    _require_grid(J, DiffeoField, "invert_diffeo")
     _check_reach(J)
     grid, n = J.grid, J.grid.n
     jac = np.stack(J.jacobian())
@@ -316,6 +319,9 @@ def transform_solution_check(g2: MetricField, X2: VectorField, J: DiffeoField,
     evaluates the solution exactly at mapped points and removes the
     interpolation error from the transported field only.
     """
+    for arg, kind in ((g2, MetricField), (X2, VectorField), (J, DiffeoField),
+                      (v2, ScalarField)):
+        _require_grid(arg, kind, "transform_solution_check")
     grid = _require_grid(g2.grid, DomainGrid, "transform_solution_check")
     _require_same_grid(grid, "map, drift or solution", J, X2, v2)
     cv = lattice_values(c, grid)
@@ -370,6 +376,7 @@ def diffeo_rigidity_solve(g1: MetricField, data=None) -> DiffeoField:
     replaces the coordinate boundary traces (sensitivity studies); it
     must be two boundary data, one per coordinate, or a GridError.
     """
+    _require_grid(g1, MetricField, "diffeo_rigidity_solve")
     grid = _require_grid(g1.grid, DomainGrid, "the rigidity system")
     if data is None:
         data = (lambda x, y: x, lambda x, y: y)
@@ -461,7 +468,7 @@ def isothermal(g: MetricField):
     over the box's core disk, well inside the data region, is checked
     against CONFORMAL_TOL times the covariant scale.
     """
-    grid = g.grid
+    grid = _require_grid(g, MetricField, "isothermal").grid
     c11, c12, c22 = _covariant(g)
     scale = float(np.max(np.abs(np.stack([c11, c12, c22]))))
     flat_gap = max(float(np.max(np.abs(c12))),

@@ -90,7 +90,8 @@ class GridError(ValueError):
 
 
 def _require_grid(grid, kind: type, what: str):
-    """grid, or a GridError unless it is a kind (DomainGrid, PaddedGrid)."""
+    """grid, or a GridError unless it is a kind: a grid (DomainGrid,
+    PaddedGrid), a field, a solution, a phase or a bundle."""
     if not isinstance(grid, kind):
         raise GridError(f"{what} needs a {kind.__name__}, not a "
                         f"{type(grid).__name__}")

@@ -4,10 +4,13 @@
 
 1. The unit disk at n = 1024, F = 1 + x^2, data u* = x^4/12 + x^2/2 +
    y^2/2: Newton converges (about 7 s on one core). On its operators
-   (N = 821,904), StencilOps.system and crossing_system, at the
-   coefficients (1, 0, 1) and at random ones with zeros, hold sorted
-   int32 indices and no explicit zero, and equal bit for bit the COO
-   reference of test_maforward.py, diag(c) H summed term by term.
+   (N = 821,904), every H[k] and G[k] is a canonical CSR matrix with no
+   stored zero; the factored Laplacian's blocks Arb and Abr and its
+   dinv equal bit for bit the slices of system(1, 0, 1); and
+   StencilOps.system and crossing_system, at the coefficients (1, 0, 1)
+   and at random ones with zeros, hold sorted int32 indices and no
+   explicit zero, and equal bit for bit the COO reference of
+   test_maforward.py, diag(c) H summed term by term.
 2. 200 ellipses, semi-axes log-uniform in [0.05, 10] and n uniform in
    8-200, drawn from seed 7: every grid that constructs solves, with the
    error bound of test_maforward.py::test_every_grid_that_constructs_solves.
@@ -80,6 +83,31 @@ def sum_faults(ops) -> list:
     return faults
 
 
+def operator_faults(ops) -> list:
+    """Check 1's operators of ops that are not canonical or store a zero,
+    and its Laplacian blocks that differ from the slices of
+    system(1, 0, 1)."""
+    faults = [f"disk n=1024: {side}[{k}] is not canonical or stores a zero"
+              for side, mats in (("H", ops.H), ("G", ops.G))
+              for k, M in enumerate(mats)
+              if not (M.has_canonical_format and np.all(M.data != 0.0))]
+    lap, A = ops._laplacian, ops.system(1.0, 0.0, 1.0)
+    Ar, Ab = A[lap.red], A[lap.black]
+    for name, got, ref in (("Arb", lap.Arb, Ar[:, lap.black]),
+                           ("Abr", lap.Abr, Ab[:, lap.red])):
+        if not (np.array_equal(got.indptr, ref.indptr)
+                and np.array_equal(got.indices, ref.indices)
+                and np.array_equal(got.data.view(np.int64),
+                                   ref.data.view(np.int64))):
+            faults.append(f"disk n=1024: the Laplacian block {name} differs "
+                          "from the slice of system(1, 0, 1)")
+    dinv = 1.0 / Ar[:, lap.red].diagonal()
+    if not np.array_equal(lap.dinv.view(np.int64), dinv.view(np.int64)):
+        faults.append("disk n=1024: the Laplacian's dinv differs from the "
+                      "slice of system(1, 0, 1)")
+    return faults
+
+
 def near_curve_family() -> list:
     """(n, b) of check 3: node (i, j) of the lower-left quadrant at level
     -5e-10 on the ellipse (1, b)."""
@@ -108,7 +136,13 @@ def main() -> int:
             faults.append(f"disk n=1024: err/dx^2 {err:.3g}")
     except NewtonFailure as exc:
         faults.append(f"disk n=1024: {exc}")
-    sums = sum_faults(build_stencil_ops(disk))
+    ops = build_stencil_ops(disk)
+    found = operator_faults(ops)
+    faults += found
+    print(f"disk n=1024: H and G canonical with no stored zero, and the "
+          f"Laplacian's Arb, Abr and dinv the slices of system(1, 0, 1): "
+          f"{9 - len(found)} of 9 hold")
+    sums = sum_faults(ops)
     faults += sums
     print(f"disk n=1024: system and crossing_system at (1, 0, 1) and random "
           f"coefficients: {4 - len(sums)} of 4 equal their reference")

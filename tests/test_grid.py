@@ -12,7 +12,7 @@ from malab.grid import (
     boundary_restrict, build_disk, build_ellipse, lattice_values,
     normal_derivative, quadrature, tangential_derivative,
 )
-from malab import cgo, dnmap, linearize, maforward
+from malab import cgo, complexcalc, dnmap, geomkit, linearize, maforward
 from malab.complexcalc import (deriv, smooth_cutoff, spectral_deriv,
                                spectral_dz, spectral_dzb)
 from malab.dnmap import (DNMatrix, recover_boundary_hessian,
@@ -745,9 +745,9 @@ _FLAT = MetricField(_ONES, 0.0 * _ONES, _ONES, _DISK)
     (lambda: recover_boundary_third(0.0, ()),
      "second must hold the three traces (u_tt, u_tn, u_nn)"),
     (lambda: recover_boundary_third(0.0, (_RING,) * 3),
-     "second-order trace must be a BoundaryTrace, not a ndarray"),
+     "second-order trace needs a BoundaryTrace, not a ndarray"),
     (lambda: recover_boundary_hessian(_RING, 1.0),
-     "lam0 must be a BoundaryTrace, not a ndarray"),
+     "lam0 needs a BoundaryTrace, not a ndarray"),
     (lambda: diffeo_rigidity_solve(_FLAT, data=(lambda x, y: x,)),
      "rigidity data must be two boundary data, one per coordinate"),
     # each of these leaked an AttributeError (build_stencil_ops a
@@ -788,6 +788,49 @@ _FLAT = MetricField(_ONES, 0.0 * _ONES, _ONES, _DISK)
         (lambda: maforward.ring_values(_ONES, None), "ring_values",
          "DomainGrid"),
     ]],
+    # each of these leaked an AttributeError for an array in place of a
+    # field, phase, map or bundle of the padded-box half
+    *[(call, f"{what} needs a {kind}, not a ndarray") for call, what, kind in [
+        (lambda: complexcalc.cauchy_inverse(_ONES), "cauchy_inverse",
+         "ComplexField"),
+        (lambda: complexcalc.conj_cauchy_inverse(_ONES),
+         "conj_cauchy_inverse", "ComplexField"),
+        (lambda: complexcalc.oscillatory_dbar_inv(_ONES, _PHASE.psi, 1.0),
+         "oscillatory_dbar_inv", "ComplexField"),
+        (lambda: cgo.gauge(_ONES), "gauge", "VectorField"),
+        (lambda: cgo.factor_potential(_ONES), "factor_potential",
+         "VectorField"),
+        (lambda: cgo.factorization_check(_ONES), "factorization_check",
+         "VectorField"),
+        (lambda: cgo.series_weights(_ONES, _ONES), "series_weights",
+         "VectorField"),
+        (lambda: cgo.neumann_T(_ONES, _PHASE.psi, 1.0, _ON_BOX, _ON_BOX),
+         "neumann_T", "ComplexField"),
+        (lambda: cgo.build_cgo_holo(_ONES, 1.0), "build_cgo_holo",
+         "PhaseSpec"),
+        (lambda: cgo.build_cgo_antiholo(_ONES, 1.0), "build_cgo_antiholo",
+         "PhaseSpec"),
+        (lambda: cgo.build_cgo_adjoint(_ONES, 1.0), "build_cgo_adjoint",
+         "PhaseSpec"),
+        (lambda: cgo.remainder_expansion(_ONES, _ON_BOX, 2),
+         "remainder_expansion", "PhaseSpec"),
+        (lambda: cgo.drift_residual(_ONES, _ONES, 0.0, 1.0), "drift_residual",
+         "VectorField"),
+        (lambda: cgo.cz_diagnostic(_ONES), "cz_diagnostic", "CGOBundle"),
+        (lambda: geomkit.pullback_metric(_ONES, _FLAT), "pullback_metric",
+         "DiffeoField"),
+        (lambda: geomkit.invert_diffeo(_ONES), "invert_diffeo",
+         "DiffeoField"),
+        (lambda: geomkit.transform_solution_check(_ONES, _STILL, _ONES, 1.0,
+                                                  _ONES),
+         "transform_solution_check", "MetricField"),
+        (lambda: geomkit.diffeo_rigidity_solve(_ONES),
+         "diffeo_rigidity_solve", "MetricField"),
+        (lambda: geomkit.isothermal(_ONES), "isothermal", "MetricField"),
+    ]],
+    # an array order leaked numpy's ambiguous-truth ValueError
+    (lambda: complexcalc.periodic_fd4(_ONES, _BOX, 0, np.array([1, 2])),
+     "periodic_fd4 needs axis 0 or 1 and order 1 or 2"),
 ], ids=["half", "half-overflow", "semi-axis", "semi-axis-overflow", "h",
         "h-overflow", "amplitude-array", "amplitude-list", "amplitude-string",
         "center", "coefficient", "cutoff", "core-radius",
@@ -806,7 +849,13 @@ _FLAT = MetricField(_ONES, 0.0 * _ONES, _ONES, _DISK)
         "nondiv-solve", "second-solve", "dn-lin", "dn-lin-matrix",
         "dn-full-derivative", "pairing-gap", "normal-derivative",
         "normal-derivative-anchor", "boundary-restrict", "build-stencil-ops",
-        "poisson-init", "ring-values"])
+        "poisson-init", "ring-values", "cauchy-inverse", "conj-cauchy-inverse",
+        "oscillatory-dbar-inv", "gauge", "factor-potential",
+        "factorization-check", "series-weights", "neumann-T", "cgo-holo",
+        "cgo-antiholo", "cgo-adjoint", "remainder-expansion",
+        "drift-residual", "cz-diagnostic", "pullback-metric", "invert-diffeo",
+        "transform-solution-check", "rigidity-solve", "isothermal",
+        "periodic-fd4-order"])
 def test_invalid_inputs_raise_a_grid_error_naming_them(call, msg):
     with pytest.raises(GridError, match=re.escape(msg)):
         call()
