@@ -659,12 +659,11 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     3-node reach.  Zero drift and potential give an exactly zero gauge, V
     and first term, so the series stops there and r = 0.  If a series term
     fails to decrease, a warning is issued and the sum is truncated at the
-    term before it, the observed minimum.  A phase that is not a PhaseSpec,
-    a drift that is not None or a VectorField, a non-finite or nonpositive
-    h, a box whose measurement disk holds no node, a q that is not a
-    finite scalar or box field, an amplitude that is not a callable of z
-    or a number, and a non-finite amplitude or drift raise a GridError
-    before any FFT.
+    term before it, the observed minimum.  A phase or drift of the wrong
+    type, a non-finite or nonpositive h, a box whose measurement disk
+    holds no node, a q that is not a finite scalar or box field, an
+    amplitude that is not a callable of z or a number, and a non-finite
+    amplitude or drift raise a GridError before any FFT.
     """
     grid, X, qv, a_vals = _bundle_inputs(phase, h, drift, q, amplitude,
                                          "build_cgo_holo")

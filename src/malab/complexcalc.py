@@ -168,9 +168,8 @@ def _fd4(vals: np.ndarray, dx: float, axis: int, order: int) -> np.ndarray:
 
 
 def periodic_fd4(vals: np.ndarray, grid: PaddedGrid, axis: int, order: int) -> np.ndarray:
-    """4th-order central difference with periodic wrap on the padded box.
-    An axis that is not 0 or 1, an order that is not 1 or 2, and a grid
-    that is not a PaddedGrid are a GridError."""
+    """4th-order central difference with periodic wrap on the padded box;
+    a GridError unless axis is 0 or 1, order 1 or 2 and grid a PaddedGrid."""
     _require_grid(grid, PaddedGrid, "periodic_fd4")
     if not (isinstance(axis, numbers.Integral) and axis in (0, 1)
             and isinstance(order, numbers.Integral) and order in (1, 2)):

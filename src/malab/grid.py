@@ -90,8 +90,7 @@ class GridError(ValueError):
 
 
 def _require_grid(grid, kind: type, what: str):
-    """grid, or a GridError unless it is a kind: a grid (DomainGrid,
-    PaddedGrid), a field, a solution, a phase or a bundle."""
+    """grid, or a GridError unless it is a kind (DomainGrid, PaddedGrid)."""
     if not isinstance(grid, kind):
         raise GridError(f"{what} needs a {kind.__name__}, not a "
                         f"{type(grid).__name__}")

@@ -322,8 +322,7 @@ def _weighted_sum(mats, rows, N: int, a11, a12, a22):
     mats = (M11, M22, M12), whose row i is row rows[i] of the N-row sum,
     coefficients scalar or on the interior numbering: each matrix's values
     scaled by their row's coefficient, then scipy's sparse sum in that
-    order, which drops exact zeros and, of canonical matrices, is
-    canonical."""
+    order, which drops exact zeros and is canonical, as they are."""
     import scipy.sparse as sp
     terms = []
     for c, M in zip((a11, a22, 2.0 * a12), mats):
