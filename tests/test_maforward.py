@@ -427,8 +427,8 @@ def _bits(a):
 @pytest.mark.parametrize("n", [48, 97, 136])
 @pytest.mark.parametrize("domain", sorted(_DOMAINS))
 def test_red_black_blocks_are_the_sliced_laplacian_bitwise(domain, n):
-    # the blocks read off the Laplacian's slot values are those sliced from
-    # its assembled CSR matrix, and so are the solves through them
+    # the blocks sliced from H11 + H22 are those sliced from the assembled
+    # system(1, 0, 1), and so are the solves through them
     ops = build_stencil_ops(_DOMAINS[domain](n))
     lap = maforward._RedBlackLU(ops)
     A = ops.system(1.0, 0.0, 1.0)
@@ -471,7 +471,7 @@ def test_newton_jacobian_is_the_assembled_system(build):
 
 def test_solve_ma_assembles_no_system(monkeypatch):
     # the Newton steps, the Poisson guess and the red-black factorization
-    # read the operators' slot values; only linearize assembles systems
+    # read the operators H; only linearize assembles systems
     g = build_ellipse(1.03, 0.92, 96)
     X, _ = g.meshgrid()
     calls, system = [], maforward.StencilOps.system
