@@ -101,8 +101,11 @@ fill, never a wrapped node.
    grid.MARGIN_DIVISOR, by cgo.drift_residual) through windowed private
    forms of each step, whose oscillatory plan reads
    grid.PaddedGrid.data_window and resolves complexcalc.NODES_PER_OSC
-   nodes per wavelength. The box forms that certificates and tests read
-   are cgo.gauge, cgo.factor_potential, cgo.series_weights,
+   nodes per wavelength. A bundle's v is the CGO solution
+   exp(Phi/h - i alpha) (a + r) on the core window, the bounding box of
+   the core disk, where r lives and the residual reads it; outside that
+   window v, s and r are exactly 0. The box forms that certificates and
+   tests read are cgo.gauge, cgo.factor_potential, cgo.series_weights,
    cgo.neumann_T, complexcalc.oscillatory_dbar_inv and
    complexcalc.smooth_cutoff; from them
    test_cgo.py::test_windowed_series_equals_full_box_rebuild and

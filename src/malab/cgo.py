@@ -401,12 +401,14 @@ class CGOBundle:
     there.  K_effective, where the sum stopped, is the argmin of term_norms:
     the last term, once the tail bound after it is at most SERIES_RTOL
     times the first or at DEPTH_CAP; the one before a term that failed to
-    decrease; and 0 when the first term is zero.  v is exp(Phi/h - i alpha)
-    (a + r), the gauge factor G^-1 = exp(-i alpha) taken inside the one
-    exponential.  build_cgo_holo
-    stores a constant amplitude (the default is 1) as a read-only
-    zero-stride broadcast of its value, and build_cgo_antiholo the
-    broadcast of its conjugate; alpha is the kept setup's read-only
+    decrease; and 0 when the first term is zero.  v is the solution
+    exp(Phi/h - i alpha) (a + r) on the core window (the bounding box of
+    the core disk, which holds the residual's differences), the gauge
+    factor G^-1 = exp(-i alpha) taken inside the one exponential; like s
+    and r, it is a box field that is exactly 0 outside that window.
+    build_cgo_holo stores a constant amplitude (the default is 1) as a
+    read-only zero-stride broadcast of its value, and build_cgo_antiholo
+    the broadcast of its conjugate; alpha is the kept setup's read-only
     array.
     """
 
@@ -608,20 +610,18 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, X: VectorField,
     r_vals = ws.embed(r_win)
     np.negative(r_vals, out=r_vals)
 
-    # v = exp(Phi/h - i alpha) (a + r), formed in v's own array: adding
-    # -i alpha = Im alpha - i Re alpha part by part is the plain
-    # difference bit for bit.  The product keeps its operand order, which
-    # decides how numpy's complex loop rounds.  Outside the core window r
-    # is -0.0 and a + r == a bitwise, so a + r takes only a window array
-    v_vals = np.divide(phase.values, h)
-    v_vals.real += alpha.imag
-    v_vals.imag -= alpha.real
-    np.exp(v_vals, out=v_vals)
-    a_r = a_vals[ws.out] + r_vals[ws.out]
-    np.multiply(v_vals[ws.out], a_r, out=a_r)
-    np.multiply(v_vals, a_vals, out=v_vals)
-    v_vals[ws.out] = a_r
-    del a_r
+    # v = exp(Phi/h - i alpha) (a + r) on the core window, where r lives
+    # and the residual reads it, and 0 outside it: adding -i alpha =
+    # Im alpha - i Re alpha part by part is the plain difference bit for
+    # bit.  The product keeps its operand order, which decides how numpy's
+    # complex loop rounds
+    v_win = np.divide(phase.values[ws.out], h)
+    v_win.real += alpha.imag[ws.out]
+    v_win.imag -= alpha.real[ws.out]
+    np.exp(v_win, out=v_win)
+    v_win *= a_vals[ws.out] + r_vals[ws.out]
+    v_vals = ws.embed(v_win)
+    del v_win
     res = drift_residual(v_vals, X, qv, h)
     s_vals = ws.embed(s_win)
     return CGOBundle("holo", phase, float(h), alpha, a_vals,
@@ -652,18 +652,20 @@ def build_cgo_holo(phase: PhaseSpec, h: float, drift: VectorField | None = None,
     where V lives; every term after it, the sum s and r = -osc(V' s) live
     on the core window (the bounding box of the box's core disk, outside
     which they vanish), with V and V' sliced to it once.  A bundle's box
-    arrays are its outputs s, r and v: G^-1 e^{Phi/h} is the one
-    exponential exp(Phi/h - i alpha), formed in v's array, and a constant
-    amplitude is a read-only broadcast of its value.  The residual is
-    measured on the measurement disk, the core disk less the differences'
-    3-node reach.  Zero drift and potential give an exactly zero gauge, V
-    and first term, so the series stops there and r = 0.  If a series term
-    fails to decrease, a warning is issued and the sum is truncated at the
-    term before it, the observed minimum.  A phase or drift of the wrong
-    type, a non-finite or nonpositive h, a box whose measurement disk
-    holds no node, a q that is not a finite scalar or box field, an
-    amplitude that is not a callable of z or a number, and a non-finite
-    amplitude or drift raise a GridError before any FFT.
+    arrays are its outputs s, r and v, each the embedding of its core
+    window, 0 outside it: v is the solution only there, where r lives,
+    and G^-1 e^{Phi/h} is the one exponential exp(Phi/h - i alpha),
+    formed on that window alone; a constant amplitude is a read-only
+    broadcast of its value.  The residual is measured on the measurement
+    disk, the core disk less the differences' 3-node reach.  Zero drift and
+    potential give an exactly zero gauge, V and first term, so the series
+    stops there and r = 0.  If a series term fails to decrease, a warning is
+    issued and the sum is truncated at the term before it, the observed
+    minimum.  A phase or drift of the wrong type, a non-finite or
+    nonpositive h, a box whose measurement disk holds no node, a q that is
+    not a finite scalar or box field, an amplitude that is not a callable of
+    z or a number, and a non-finite amplitude or drift raise a GridError
+    before any FFT.
     """
     grid, X, qv, a_vals = _bundle_inputs(phase, h, drift, q, amplitude,
                                          "build_cgo_holo")

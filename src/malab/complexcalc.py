@@ -46,10 +46,10 @@ data lives in one _OscWindows, computed on the windows from the 1-D axis
 builds once per sweep over h, and one _OscPlan(windows, h) adds what h
 changes (the weight and the resolution guard) once per bundle; every
 term of that series after the first, its sum and the remainder stay on
-the core window, and only the stored sum and remainder are embedded into
-the box, once.  Every transform refuses non-finite input before any FFT:
-on the full box for a full-box field, on the core window for the
-series' core-window terms.
+the core window, and only the stored sum, remainder and solution are
+embedded into the box, once each.  Every transform refuses non-finite
+input before any FFT: on the full box for a full-box field, on the core
+window for the series' core-window terms.
 """
 
 from __future__ import annotations
@@ -486,10 +486,10 @@ class _OscPlan:
     field on the core window and checks it there; apply_window hands it
     its input when the weighted input vanishes outside the core window.
     The CGO remainder series feeds its first term through apply_window and
-    lives on the core window after it: it calls apply_core and embeds s
-    and r into the box once.  No support guard runs: the weight vanishes
-    outside the input window, the data region, clear of the wraparound
-    margin.
+    lives on the core window after it: it calls apply_core and embeds s,
+    r and v, the solution formed on that window alone, into the box once
+    each.  No support guard runs: the weight vanishes outside the input
+    window, the data region, clear of the wraparound margin.
     """
 
     def __init__(self, windows: _OscWindows, h: float):

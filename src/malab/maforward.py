@@ -307,13 +307,20 @@ _LAYOUT = {"11": (slice(1, 9, 3), slice(0, 2)),
 def _csr(vals, cols, shape) -> "scipy.sparse.csr_matrix":
     """Read-only CSR matrix whose row i holds vals[:, i] in the columns
     cols[:, i], its nonzeros in column order; exact zeros are not stored,
-    so the matrix is canonical."""
+    so the matrix is canonical, and its data and indices hold its nnz
+    entries alone."""
     import scipy.sparse as sp
     m = len(vals)
     M = sp.csr_matrix((vals.T.reshape(-1), cols.T.reshape(-1),
                        np.arange(0, m * shape[0] + 1, m, dtype=np.int32)),
                       shape)
     M.eliminate_zeros()
+    # scipy's prune keeps a view of the slot buffer unless it drops more
+    # than half of it
+    for name in ("data", "indices"):
+        arr = getattr(M, name)
+        if arr.base is not None and arr.base.size > M.nnz:
+            setattr(M, name, arr.copy())
     return _read_only(M)
 
 

@@ -81,6 +81,13 @@ def l2(box, vals):
     return float(np.sqrt(abs(box.quadrature(np.abs(vals) ** 2))))
 
 
+def _zero_outside(vals, at):
+    """Whether vals is exactly 0 outside the window at."""
+    rest = np.ones(vals.shape, dtype=bool)
+    rest[at] = False
+    return not vals[rest].any()
+
+
 def fit_slope(hs, vals):
     return float(np.polyfit(np.log(hs), np.log(vals), 1)[0])
 
@@ -302,8 +309,11 @@ def test_trivial_bundle_is_pure_exponential(box, phases):
     # stops: r = 0 exactly
     bundle = cgo.build_cgo_holo(phases["morse"], 0.2)
     assert np.array_equal(bundle.r.values, np.zeros_like(bundle.r.values))
-    assert np.array_equal(bundle.v.values,
-                          np.exp(phases["morse"].values / 0.2))
+    # v is the solution on the core window and exactly 0 outside it
+    core = cgo._SETUP[0].windows.out
+    assert np.array_equal(bundle.v.values[core],
+                          np.exp(phases["morse"].values / 0.2)[core])
+    assert _zero_outside(bundle.v.values, core)
     assert bundle.K_effective == 0
     assert bundle.term_norms == (0.0,)
     # 4th-order residual floor of the exact solution; measured 2.0e-8
@@ -454,6 +464,12 @@ def test_drift_residual_matches_the_full_box_formula(box, morse_sweep, drift,
             got = cgo.drift_residual(b.v.values, drift, qpot, h,
                                      conservative)
             assert abs(got - want) <= 1e-14 * want
+    # v is formed on the core window alone; the box-wide closed form reads
+    # the same residual bit for bit
+    for h, b in morse_sweep.items():
+        v = (np.exp(b.phase.values / h - 1j * b.alpha)
+             * (b.amplitude + b.r.values))
+        assert cgo.drift_residual(v, drift, qpot, h) == b.residual
     # random fields; on the n = 20 box the measurement disk is the origin
     # node alone
     rng = np.random.default_rng(3)
@@ -701,7 +717,9 @@ def test_in_place_arithmetic_is_the_plain_formula_bitwise():
     assert np.array_equal(bundle.alpha, alpha)
     v = (np.exp(phase.values / 0.283 - 1j * alpha)
          * (bundle.amplitude + bundle.r.values))
-    assert np.array_equal(bundle.v.values, v)
+    core = cgo._SETUP[0].windows.out
+    assert np.array_equal(bundle.v.values[core], v[core])
+    assert _zero_outside(bundle.v.values, core)
 
 
 def test_the_kept_setup_is_freed_before_the_next_is_built(monkeypatch):
@@ -758,12 +776,13 @@ def test_bundle_writes_cannot_reach_the_next_bundle():
 def test_a_bundle_allocates_no_box_array_beyond_its_outputs(box, phases,
                                                             drift, qpot):
     # with the setup warm, a bundle's box arrays are its outputs s, r and
-    # v (G^-1 e^{Phi/h} is formed in v's array, the default amplitude is a
-    # broadcast): 3 box arrays.  The series, the plan's weights, a + r and
-    # the residual's differences live on windows of at most 341^2 nodes,
-    # under half a box array each, and take at most 1.5 box arrays at
-    # once.  With a G^-1 e^{Phi/h} temporary, an amplitude of ones and the
-    # plan kept to the end, the peak read 5.33
+    # v (G^-1 e^{Phi/h} is formed on the core window and embedded once,
+    # the default amplitude is a broadcast): 3 box arrays.  The series,
+    # the plan's weights, v's window, a + r and the residual's differences
+    # live on windows of at most 341^2 nodes, under half a box array each,
+    # and take at most 1.5 box arrays at once; the peak reads 3.78.  With
+    # a G^-1 e^{Phi/h} temporary, an amplitude of ones and the plan kept
+    # to the end, it read 5.33
     cgo.build_cgo_holo(phases["morse"], 0.4, drift, q=qpot)
     box_bytes = box.n ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
@@ -872,9 +891,11 @@ def test_fixed_core_keeps_every_window_inside_the_box():
     # grown by the differences' 2-node reach, need no clipping and no
     # wrap; E's support lies strictly inside the data region, and the core
     # holds a node.  PaddedGrid(1.0, 18) has nodes at |x| = 2 rc, the
-    # region's edge, where E is 0
+    # region's edge, where E is 0.  The grown measurement box, which
+    # drift_residual and cz_diagnostic read, lies inside the core window,
+    # the only place a bundle forms v
     for half in (1.0, 3.0, 4.0, 6.0, 7.3):
-        for n in range(16, 201):
+        for n in (*range(16, 201), 512):
             grid = PaddedGrid(half=half, n=n)
             ws = _OscWindows(grid, np.zeros((n, n)))
             edge = half - half / 3.0
@@ -889,8 +910,10 @@ def test_fixed_core_keeps_every_window_inside_the_box():
                 with pytest.raises(GridError, match="no node to measure"):
                     cgo._measurement_disk(grid)
             else:
-                at, _ = cgo._measurement_disk(grid)
+                at, _, grown, _ = cgo._disk_fd4(grid)
                 assert all(2 <= s.start and s.stop <= n - 2 for s in at)
+                assert all(o.start <= g.start and g.stop <= o.stop
+                           for o, g in zip(ws.out, grown))
 
 
 def test_unresolved_h_on_a_hit_names_the_minimal_h(monkeypatch):

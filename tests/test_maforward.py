@@ -336,15 +336,18 @@ def test_cached_stencils_are_shared_by_equal_grids_and_read_only():
                          ids=["disk", "ellipse", "ellipse-1-0.2"])
 def test_stencil_operators_are_canonical(build):
     # every H[k] and G[k] is a canonical CSR matrix (each row's columns
-    # strictly increasing) with int32 indices and no stored zero; an H12
-    # row holds at most its 5 stencil entries, and every H11 and H22 row
-    # its negative center; G[k] has one row per row of qrows, each of
-    # which reads a crossing
+    # strictly increasing) with int32 indices and no stored zero, whose
+    # data and indices hold its nnz entries alone, not views of the slot
+    # buffers; an H12 row holds at most its 5 stencil entries, and every
+    # H11 and H22 row its negative center; G[k] has one row per row of
+    # qrows, each of which reads a crossing
     ops = build_stencil_ops(build())
     for M in (*ops.H, *ops.G):
         assert M.has_canonical_format
         assert M.indices.dtype == M.indptr.dtype == np.int32
         assert np.all(M.data != 0.0)
+        for arr in (M.data, M.indices):
+            assert (arr.base if arr.base is not None else arr).size == M.nnz
     assert np.max(np.diff(ops.H[2].indptr)) <= 5
     for H in ops.H[:2]:
         assert np.all(H.diagonal() < 0.0)
