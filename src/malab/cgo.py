@@ -56,8 +56,9 @@ import numpy as np
 # shares; oscillatory_dbar_inv stays importable here as the public form of
 # that inverse (CGOBundle.r is -oscillatory_dbar_inv(V' s) bit for bit),
 # and perfbench traces it here
-from .complexcalc import (_fd4, _OscPlan, _OscWindows, _support_guard,
-                          _wirtinger, _wirtinger_symbol, oscillatory_dbar_inv,
+from .complexcalc import (_fd4, _fft2, _ifft2, _OscPlan, _OscWindows,
+                          _spectrum, _support_guard, _wirtinger,
+                          _wirtinger_symbol, oscillatory_dbar_inv,
                           periodic_fd4, spectral_deriv, spectral_dz,
                           spectral_dzb)
 from .grid import (ComplexField, GridError, PaddedGrid, VectorField,
@@ -140,33 +141,38 @@ def gauge(X: VectorField) -> tuple[ComplexField, ComplexField, ComplexField]:
     the guards the Cauchy transform runs.
     """
     _require_grid(X, VectorField, "gauge")
-    alpha = _gauge(_gauge_source(X), X.grid)
+    alpha = _gauge(_fft2(_drift(X)), X.grid)
     return (ComplexField(alpha, X.grid),
             ComplexField(np.exp(1j * alpha), X.grid),
             ComplexField(np.exp(1j * np.conj(alpha)), X.grid))
 
 
-def _gauge_source(X: VectorField) -> np.ndarray:
-    """The source (i/4)(X1 + i X2) of gauge, after the drift's guards."""
+def _drift(X: VectorField) -> np.ndarray:
+    """X1 + i X2, after the drift's guards.  gauge's source (i/4)(X1 +
+    i X2) has |X1 + i X2| / 4 for modulus exactly, so the support guard
+    reads its ratio on X1 + i X2 alone."""
     grid = _require_grid(X.grid, PaddedGrid, "gauge")
     _require_finite("drift", X.c1, X.c2)
-    src = 0.25j * (X.c1 + 1j * X.c2)
-    _support_guard(src, grid, "gauge")
-    return src
+    y = X.c1 + 1j * X.c2
+    _support_guard(y, grid, "gauge")
+    return y
 
 
-def _gauge(src: np.ndarray, grid: PaddedGrid) -> np.ndarray:
-    """alpha of gauge for its checked source, which it overwrites: the
-    spectrum and then alpha are written into src, and the conj(z) term
-    takes one box array until it is added."""
-    sh = np.fft.fft2(src, out=src)
+def _gauge(Y: np.ndarray, grid: PaddedGrid) -> np.ndarray:
+    """alpha of gauge, a C-contiguous box array, from the spectrum Y of
+    X1 + i X2, which it leaves as it is.  The source's spectrum 0.25j Y is
+    fft2((i/4)(X1 + i X2)) bitwise, as the product by 0.25j is exact for
+    normal values; it is divided and inverted in a _spectrum of its own,
+    and the conj(z) term takes one box array until it is added."""
+    sh = np.multiply(0.25j, Y, out=_spectrum(Y.shape))
     mean = sh[0, 0] / grid.n ** 2
     sym = _wirtinger_symbol(grid, 1, odd=False)
     sym[0, 0] = 1.0
     np.divide(sh, sym, out=sh)
     del sym
     sh[0, 0] = 0.0
-    alpha = np.fft.ifft2(sh, out=sh)
+    alpha = np.ascontiguousarray(_ifft2(sh))
+    del sh
     # mean stays the product's left operand: numpy's complex loops round
     # the two operand orders differently, and the other order moves Im alpha
     cz = grid.zz
@@ -189,16 +195,17 @@ def factor_potential(X: VectorField, q=0.0) -> ComplexField:
     """
     _require_grid(X, VectorField, "factor_potential")
     grid = _require_grid(X.grid, PaddedGrid, "factor_potential")
-    return ComplexField(_potential(X, _require_terms(grid, X, q),
-                                   (slice(None), slice(None))), grid)
+    qv = _require_terms(grid, X, q)
+    return ComplexField(_potential(X, qv, (slice(None), slice(None)),
+                                   _fft2(X.c1 + 1j * X.c2)), grid)
 
 
-def _potential(X: VectorField, q, at: tuple) -> np.ndarray:
-    """factor_potential's values on the window at (a slice pair): dz is
-    spectral, so it runs on the box; the nodewise rest runs on the
-    window."""
-    src = X.c1 + 1j * X.c2
-    dz = _wirtinger(np.fft.fft2(src, out=src), X.grid, -1)[at]
+def _potential(X: VectorField, q, at: tuple, Y: np.ndarray) -> np.ndarray:
+    """factor_potential's values on the window at (a slice pair), from the
+    spectrum Y of X1 + i X2, which dz overwrites: dz's inverse runs its
+    axis-0 pass only on the window's columns; the nodewise rest runs on
+    the window."""
+    dz = _wirtinger(Y, X.grid, -1, at)
     c1, c2 = X.c1[at], X.c2[at]
     return (0.25 * (c1 * c1 + c2 * c2) - dz
             + np.broadcast_to(np.asarray(q), X.c1.shape)[at])
@@ -334,16 +341,17 @@ def series_weights(alpha: np.ndarray, X: VectorField, q=0.0
     qv = _require_terms(grid, X, q)
     _require_finite("gauge field alpha", _on_lattice(alpha, grid, "alpha"))
     box = (slice(None), slice(None))
-    v, vp = _weights(alpha, X, qv, box, box)
+    v, vp = _weights(alpha, X, qv, box, box, _fft2(X.c1 + 1j * X.c2))
     return ComplexField(v, grid), ComplexField(vp, grid)
 
 
 def _weights(alpha: np.ndarray, X: VectorField, q, v_at: tuple,
-             vp_at: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """series_weights' V on the window v_at and V' on vp_at (slice pairs):
-    everything but the spectral dz runs only where it is read."""
+             vp_at: tuple, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """series_weights' V on the window v_at and V' on vp_at (slice pairs),
+    with Y for _potential: everything but the spectral dz runs only where
+    it is read."""
     re2v, re2p = (2.0 * np.real(alpha[at]) for at in (v_at, vp_at))
-    v = 0.5 * _potential(X, q, v_at) * np.exp(-1j * re2v)
+    v = 0.5 * _potential(X, q, v_at, Y) * np.exp(-1j * re2v)
     return v, -np.exp(1j * re2p)
 
 
@@ -506,7 +514,7 @@ def _bundle_inputs(phase: PhaseSpec, h: float, drift, q, amplitude,
                    what: str) -> tuple:
     """(grid, drift, q, amplitude values) of a bundle, after the guards
     every call runs before any FFT (build_cgo_holo), naming the function
-    what; the drift's own guards run in _gauge_source."""
+    what; the drift's own guards run in _drift."""
     _require_grid(phase, PhaseSpec, what)
     grid = _require_grid(phase.grid, PaddedGrid, what)
     _require_positive("h", h)
@@ -527,20 +535,23 @@ class _Setup:
     holds is read-only.
 
     The box arrays: the key and alpha; G^-1 = exp(-i alpha) is not kept,
-    each bundle forms it inside its own exponential.  The gauge's and
-    dz's FFT pairs run on the box, each written into its source array;
-    E, |grad psi|, |X|^2/4, q and the exponentials of V and V' run on the
-    windows.
+    each bundle forms it inside its own exponential.  The drift X1 + i X2
+    is transformed once, into a _spectrum Y: the gauge inverts 0.25j Y
+    divided by the dzb symbol in a spectrum of its own, and dz(X1 + i X2)
+    is the inverse of the dz symbol times Y, written into Y, whose axis-0
+    pass runs only on the input window's columns.  E, |grad psi|,
+    |X|^2/4, q and the exponentials of V and V' run on the windows.
     """
 
     def __init__(self, grid: PaddedGrid, psi, X: VectorField, qv):
         self.grid = grid
         self.key = tuple(np.array(a) for a in (psi, X.c1, X.c2, qv))
-        alpha = self.alpha = _gauge(_gauge_source(X), grid)
+        Y = _fft2(_drift(X))
+        alpha = self.alpha = _gauge(Y, grid)
         ws = self.windows = _OscWindows(grid, self.key[0])
         # V is read on the input window, V' and every later V on the core
         # window
-        self.Vin, self.vpw = _weights(alpha, X, qv, ws.inp, ws.out)
+        self.Vin, self.vpw = _weights(alpha, X, qv, ws.inp, ws.out, Y)
         self.Vw = self.Vin[ws.inner]
         for arr in (*self.key, alpha, self.Vin, self.vpw, self.Vw,
                     ws.psi, ws.cutoff, ws.core, ws.frame):
@@ -603,12 +614,13 @@ def _bundle_at(setup: _Setup, phase: PhaseSpec, h: float, X: VectorField,
         if _series_tail(norms) <= SERIES_RTOL * norms[0]:
             break
     r_win = plan.apply_core(setup.vpw * s_win)
+    np.negative(r_win, out=r_win)
     # the last term and the plan's weights go before the first box array
     del t, plan
-    # negated after embedding, so r's zeros outside the window are -0.0 as
-    # in -oscillatory_dbar_inv(V' s)
-    r_vals = ws.embed(r_win)
-    np.negative(r_vals, out=r_vals)
+    # r's zeros outside the window are -0.0 - 0.0j, the negated zeros of
+    # -oscillatory_dbar_inv(V' s)
+    r_vals = np.full((grid.n, grid.n), complex(-0.0, -0.0))
+    r_vals[ws.out] = r_win
 
     # v = exp(Phi/h - i alpha) (a + r) on the core window, where r lives
     # and the residual reads it, and 0 outside it: adding -i alpha =
@@ -710,10 +722,10 @@ def build_cgo_adjoint(phase: PhaseSpec, h: float,
     """
     grid, X, qv, *_ = _bundle_inputs(phase, h, drift, q, None,
                                      "build_cgo_adjoint")
-    _gauge_source(X)                    # the drift's guards
-    # div X = 2 Re dz(X1 + i X2) for a real X: one FFT pair, whose real part
-    # is the inverse of i k1 X1^ + i k2 X2^, the spectra split from one fft2
-    div = 2.0 * spectral_dz(X.c1 + 1j * X.c2, grid).real
+    # div X = 2 Re dz(X1 + i X2) for a real X, after the drift's guards: one
+    # FFT pair, whose real part is the inverse of i k1 X1^ + i k2 X2^, the
+    # spectra split from one fft2
+    div = 2.0 * _wirtinger(_fft2(_drift(X)), grid, -1).real
     Xneg = VectorField(-X.c1, -X.c2, grid)
     nb = build_cgo_holo(phase, h, Xneg, qv - div)
     res = drift_residual(nb.v.values, X, qv, h, conservative=True)

@@ -833,6 +833,26 @@ def test_a_setup_holds_the_key_alpha_and_window_weights_alone():
     assert not hasattr(setup, "Ginv")
 
 
+def test_a_setup_transforms_the_drift_once():
+    # a _Setup built afresh (kernel cache warm) on the 256 box peaks at
+    # 94.3 n^2 while it forms dz: the key (32 n^2), alpha (16), the
+    # drift's one spectrum Y (16.25: its 4 KiB rows are padded), the dz
+    # symbol (16) and window arrays.  Transforming the drift twice, as the
+    # gauge's source and again for dz, peaked at 104.7 n^2
+    phase, drift, q = _mid_inputs()
+    n2 = _MID.n ** 2
+    cgo._Setup(_MID, phase.psi, drift, q)
+    tracemalloc.start()
+    try:
+        setup = cgo._Setup(_MID, phase.psi, drift, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 95 * n2, peak / n2
+    alpha = setup.alpha
+    assert alpha.flags.c_contiguous and not alpha.flags.writeable
+
+
 def test_first_term_window_entry_is_the_full_box_route():
     # _bundle_at hands V a to the plan on the input window, where V lives;
     # the full-box route zero-fills the box and checks all of it.  The

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from malab.complexcalc import (
-    _cauchy_conv, _fft_size, _OscPlan, _OscWindows, _kernel_hat,
-    _support_guard, _window_to_box, cauchy_inverse, conj_cauchy_inverse,
+    _cauchy_conv, _fft2, _fft_size, _ifft2, _OscPlan, _OscWindows,
+    _kernel_hat, _spectrum, _support_guard, _window_to_box, _wirtinger,
+    _wirtinger_symbol, cauchy_inverse, conj_cauchy_inverse,
     deriv, oscillatory_dbar_inv, periodic_fd4, smooth_cutoff,
     spectral_deriv, spectral_dz, spectral_dzb,
 )
@@ -406,6 +407,32 @@ def test_pruned_convolution_is_the_fft2_pair_bitwise():
             want = np.fft.ifft2(np.fft.fft2(v, s=khat.shape) * khat)
             got = _cauchy_conv(v, khat, n_out)
             assert np.array_equal(got, want[:n_out[0], :n_out[1]]), khat.shape
+
+
+@pytest.mark.parametrize("n", [128, 180, 216, 360, 512])
+def test_box_spectra_pad_aliasing_rows_and_keep_the_fft2_bits(n):
+    # rows of 16 n bytes are padded by 64 exactly when 16 n is a multiple
+    # of 4 KiB: of these boxes only 512's 8 KiB rows
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    row = 16 * n + (64 if n == 512 else 0)
+    assert _spectrum((n, n)).strides == (row, 16)
+    spec = _fft2(v)
+    assert spec.strides == (row, 16)
+    want = np.fft.fft2(v)
+    assert spec.tobytes() == want.tobytes()
+    assert _ifft2(spec).tobytes() == np.fft.ifft2(want).tobytes()
+    # dz's inverse runs its axis-0 pass on the window's columns alone, and
+    # the public derivative is a C-contiguous array of its own
+    g = PaddedGrid(half=4.0, n=n)
+    at = (g.data_window, slice(n // 5, n // 2))
+    got = _wirtinger(_fft2(v), g, -1, at)
+    assert got.flags.c_contiguous and got.flags.owndata
+    full = np.fft.ifft2(_wirtinger_symbol(g, -1) * np.fft.fft2(v))
+    assert got.tobytes() == full[at].tobytes()
+    dz = spectral_dz(v, g)
+    assert dz.flags.c_contiguous and not np.shares_memory(dz, v)
+    assert dz.tobytes() == full.tobytes()
 
 
 def _poly_bump(g, R=0.8, power=4):
